@@ -165,13 +165,21 @@ var hotPathGuards = []hotPathGuard{
 			"internal/engine.(*latHist).observe",
 			"internal/engine.(*poolStasher).flush",
 			"internal/engine.(*poolStasher).get",
+			"internal/engine.(*ring).fill",
+			"internal/engine.(*ring).len",
 			"internal/engine.(*ring).pop",
-			"internal/engine.(*ring).push",
+			"internal/engine.(*ring).publish",
+			"internal/engine.(*ring).ready",
+			"internal/engine.(*ring).reserve",
 			"internal/engine.(*telemetry).tenant",
+			"internal/engine.(*worker).batchDone",
 			"internal/engine.(*worker).egressDrain",
 			"internal/engine.(*worker).egressEnqueue",
-			"internal/engine.(*worker).enqueueMany",
+			"internal/engine.(*worker).next",
+			"internal/engine.(*worker).ringFor",
 			"internal/engine.(*worker).run",
+			"internal/engine.(*worker).submit",
+			"internal/engine.(*worker).wake",
 			"internal/engine.fnvAdd",
 			"internal/engine.mix64",
 			"internal/engine.steer",

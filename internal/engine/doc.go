@@ -3,9 +3,9 @@
 // 100 Gbit/s-class operating point. It follows the standard line-rate
 // software dataplane recipe (cf. NDN-DPDK): RSS-style flow steering
 // fans frames out to N worker shards, each worker owns a replica of the
-// pipeline configuration and services per-tenant RX rings in round
-// robin, and frames move through the pipeline in batches so locks,
-// table-configuration reads, and telemetry are amortized across the
+// pipeline configuration and services lock-free per-tenant RX rings in
+// round robin, and frames move through the pipeline in batches so
+// table-configuration reads and telemetry are amortized across the
 // batch.
 //
 // # Sharding model
@@ -32,6 +32,53 @@
 // output sharing is enforced on each worker's TX side as well (see
 // "Egress" below).
 //
+// # Hand-off
+//
+// Between SubmitBatch and the worker sits one bounded lock-free
+// multi-producer/single-consumer ring per tenant per worker (ring.go) —
+// the NDN-DPDK layering: input side → ring → run-to-completion worker.
+// submitBatch is reserve → copy → publish; the worker pops, processes,
+// delivers. Neither takes a lock the other can hold.
+//
+// Who owns what:
+//
+//   - tail (next position to reserve) belongs to the producers: one CAS
+//     claims a run of slots. A full ring is detected there, from tail
+//     and head alone, and counted (QueueFull) without a copy, a pool
+//     buffer, or a write to anything the worker reads.
+//   - slot contents are the reserving producer's until it publishes the
+//     run (one atomic store in the run's first slot), the worker's after.
+//   - head (next position to pop), the round-robin cursor, the batch
+//     target EWMA and the egress queue belong to the worker goroutine.
+//     head is an atomic only so producers can read how much room there is.
+//   - the fence set lives in the rings (ring.paused), stored only by the
+//     worker's control pass; worker.mu guards the copy that rings created
+//     later inherit, the control-operation queue, and ring creation — the
+//     slow paths. The tenant → ring lookup is a load of an immutable
+//     snapshot.
+//   - the doorbell (worker.parked + a one-token channel) is rung by a
+//     producer, the control plane or Close, and only when parked is set;
+//     blocking submitters and Drain callers register in worker.waiters
+//     and the worker signals them only when that is non-zero.
+//
+// Why publish/park cannot lose a wake-up: the producer stores the run,
+// then loads parked; the worker stores parked, then loads the run
+// (park → anyReady). Go's atomics are sequentially consistent, so in
+// the single order of those four operations one of the loads follows
+// the other side's store: either the producer sees parked and rings, or
+// the worker sees the run and does not sleep. The same store-then-load
+// pairing covers control operations (opsQueued), Close (closing) and
+// the waiters count against head/busy. Close cannot strand a frame
+// either: the worker seals each tail before its last look, so a
+// reservation either precedes the seal and is waited for, or fails.
+//
+// Why a ring per tenant and not one shared ring with a demultiplexer
+// behind it: admission is where isolation is decided. A shared ring
+// that a flat-out tenant keeps full rejects the paced tenant's frames
+// at the door, and no scheduling behind the door can bring them back.
+// With its own ring a tenant's admission depends on its own occupancy
+// alone, and a rejected aggressor batch costs two loads and a counter.
+//
 // # Buffer ownership and lifetime
 //
 // These are the invariants the zero-copy path rests on; every queued
@@ -54,7 +101,7 @@
 //     cross-engine hand-off primitive — a fabric hop moves a buffer
 //     from one engine to the next (ForwardBatch) without a copy.
 //   - Per-frame context (the fabric's hop count and ingress port)
-//     travels out-of-band in BatchResult.Meta and the rings' aux
+//     travels out-of-band in BatchResult.Meta and the ring slots' aux
 //     words, never in the frame bytes, so the wire format stays
 //     exactly the paper's (§3.3: the frame on an inter-device link is
 //     just the tenant's frame, VID intact).

@@ -4,6 +4,11 @@
 // stream follows the configured weights, not the offered load; the
 // parity and alloc tests pin that the egress stage neither corrupts
 // outputs nor reintroduces steady-state allocations.
+//
+// "The egress queue is the bottleneck" is true by construction, not by
+// the submitter happening to outrun the worker: every contention test
+// offers its load through offerBacklogged, which fences the tenants,
+// fills their rings, and only then lets the worker at them.
 package engine_test
 
 import (
@@ -16,6 +21,43 @@ import (
 	"repro/internal/trafficgen"
 )
 
+// backlogDepth is the contention tests' ring depth: deep enough to hold
+// a test's whole offered load per tenant, so the backlog can be built
+// before the worker serves any of it.
+const backlogDepth = 32768
+
+// offerBacklogged offers frames of sc's stream with the RX backlog made
+// explicit: the tenants are fenced (BeginTenantUpdate holds their
+// frames in the rings), the whole load is queued, the fences lift, and
+// the engine drains. From the first service cycle to the last the
+// worker pulls full batches while the egress link passes one quantum,
+// whatever the core count and however fast the submitter is.
+func offerBacklogged(t *testing.T, eng *menshen.Engine, sc *trafficgen.Scenario, frames int, tenants ...uint16) {
+	t.Helper()
+	fence := func(op func(uint16) (uint64, error)) {
+		var gen uint64
+		for _, id := range tenants {
+			var err error
+			if gen, err = op(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := eng.AwaitQuiesce(gen); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fence(eng.BeginTenantUpdate)
+	var batch [][]byte
+	for sent := 0; sent < frames; sent += len(batch) {
+		batch = sc.NextBatch(batch[:0], 64)
+		if n, err := eng.SubmitBatch(batch); err != nil || n != len(batch) {
+			t.Fatalf("building the backlog: %d of %d frames accepted, err=%v", n, len(batch), err)
+		}
+	}
+	fence(eng.EndTenantUpdate)
+	eng.Drain()
+}
+
 // runContention drives an equal-offered-load two-or-more-tenant stream
 // through a single-worker engine with the given egress weights and a
 // bottleneck TX quantum, then returns the final stats.
@@ -23,15 +65,17 @@ func runContention(t *testing.T, weights map[uint16]float64, frames int) menshen
 	t.Helper()
 	programs := make([]string, len(weights))
 	loads := make([]trafficgen.TenantLoad, 0, len(weights))
+	tenants := make([]uint16, 0, len(weights))
 	for i := range programs {
 		programs[i] = "CALC"
 		loads = append(loads, trafficgen.TenantLoad{ModuleID: uint16(i + 1), Program: "CALC", Flows: 4})
+		tenants = append(tenants, uint16(i+1))
 	}
 	dev := newDevice(t, programs...)
 	eng, err := dev.NewEngine(menshen.EngineConfig{
 		Workers:          1,
 		BatchSize:        32,
-		QueueDepth:       8192,
+		QueueDepth:       backlogDepth,
 		DropOnFull:       true,
 		EgressWeights:    weights,
 		EgressQueueLimit: 128,
@@ -40,15 +84,7 @@ func runContention(t *testing.T, weights map[uint16]float64, frames int) menshen
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := trafficgen.ContentionScenario(17, 0, loads...)
-	var batch [][]byte
-	for sent := 0; sent < frames; sent += len(batch) {
-		batch = sc.NextBatch(batch[:0], 64)
-		if _, err := eng.SubmitBatch(batch); err != nil {
-			t.Fatal(err)
-		}
-	}
-	eng.Drain()
+	offerBacklogged(t, eng, trafficgen.ContentionScenario(17, 0, loads...), frames, tenants...)
 	st := eng.Stats()
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
@@ -120,16 +156,13 @@ func TestEngineEgressByteQuantumWeighted(t *testing.T) {
 
 // runMixedSizeContention offers tenant 1 1000-byte and tenant 2
 // 100-byte frames at equal frame rates through a byte-bottlenecked
-// egress link and returns the steady-state delivered byte shares and
-// frame counts. A warmup burst fills the queue first, so the measured
-// window excludes the start transient (an empty queue is
-// work-conserving and briefly delivers the offered mix).
+// egress link and returns the delivered byte shares and frame counts.
 func runMixedSizeContention(t *testing.T, weights map[uint16]float64, quantumBytes int) (s1, s2 float64, d1, d2 uint64) {
 	t.Helper()
 	eng, err := newDevice(t, "CALC", "CALC").NewEngine(menshen.EngineConfig{
 		Workers:            1,
 		BatchSize:          32,
-		QueueDepth:         8192,
+		QueueDepth:         backlogDepth,
 		DropOnFull:         true,
 		EgressWeights:      weights,
 		EgressQueueLimit:   128,
@@ -143,27 +176,13 @@ func runMixedSizeContention(t *testing.T, weights map[uint16]float64, quantumByt
 		trafficgen.TenantLoad{ModuleID: 1, Program: "CALC", Flows: 4, FrameBytes: 1000},
 		trafficgen.TenantLoad{ModuleID: 2, Program: "CALC", Flows: 4, FrameBytes: 100},
 	)
-	var batch [][]byte
-	submit := func(frames int) {
-		for sent := 0; sent < frames; sent += len(batch) {
-			batch = sc.NextBatch(batch[:0], 64)
-			if _, err := eng.SubmitBatch(batch); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	submit(8000) // warmup: drive the egress queue into overload
-	before := eng.Stats()
-	submit(40000)
-	eng.Drain()
-	after := eng.Stats()
+	offerBacklogged(t, eng, sc, 40000, 1, 2)
+	st := eng.Stats()
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
-	b1 := after.Tenants[1].EgressBytes - before.Tenants[1].EgressBytes
-	b2 := after.Tenants[2].EgressBytes - before.Tenants[2].EgressBytes
-	d1 = after.Tenants[1].EgressDelivered - before.Tenants[1].EgressDelivered
-	d2 = after.Tenants[2].EgressDelivered - before.Tenants[2].EgressDelivered
+	b1, b2 := st.Tenants[1].EgressBytes, st.Tenants[2].EgressBytes
+	d1, d2 = st.Tenants[1].EgressDelivered, st.Tenants[2].EgressDelivered
 	if tot := b1 + b2; tot > 0 {
 		s1 = float64(b1) / float64(tot)
 		s2 = float64(b2) / float64(tot)
@@ -295,14 +314,7 @@ func contentionPhase(t *testing.T, eng *menshen.Engine, frames int) (b1, b2 uint
 		trafficgen.TenantLoad{ModuleID: 1, Program: "CALC", Flows: 4},
 		trafficgen.TenantLoad{ModuleID: 2, Program: "CALC", Flows: 4},
 	)
-	var batch [][]byte
-	for sent := 0; sent < frames; sent += len(batch) {
-		batch = sc.NextBatch(batch[:0], 64)
-		if _, err := eng.SubmitBatch(batch); err != nil {
-			t.Fatal(err)
-		}
-	}
-	eng.Drain()
+	offerBacklogged(t, eng, sc, frames, 1, 2)
 	after := eng.Stats()
 	return after.Tenants[1].EgressBytes - before.Tenants[1].EgressBytes,
 		after.Tenants[2].EgressBytes - before.Tenants[2].EgressBytes
@@ -317,7 +329,7 @@ func TestEngineSetEgressWeightLive(t *testing.T) {
 	eng, err := newDevice(t, "CALC", "CALC").NewEngine(menshen.EngineConfig{
 		Workers:          1,
 		BatchSize:        32,
-		QueueDepth:       8192,
+		QueueDepth:       backlogDepth,
 		DropOnFull:       true,
 		EgressQueueLimit: 128,
 		EgressQuantum:    8,
@@ -379,7 +391,7 @@ func TestEngineUnloadClearsEgressState(t *testing.T) {
 	eng, err := dev.NewEngine(menshen.EngineConfig{
 		Workers:          1,
 		BatchSize:        32,
-		QueueDepth:       8192,
+		QueueDepth:       backlogDepth,
 		DropOnFull:       true,
 		EgressWeights:    map[uint16]float64{1: 8, 2: 1},
 		EgressQueueLimit: 128,

@@ -199,9 +199,9 @@ type Engine struct {
 	start   time.Time
 	ctrl    control // live-reconfiguration control plane (reconfig.go)
 
-	mu      sync.Mutex // guards lifecycle state and control-op fan-out
-	closed  bool
-	scratch sync.Pool // *submitScratch
+	mu      sync.Mutex  // guards lifecycle state and control-op fan-out
+	closed  atomic.Bool // stored under mu; the submit paths load it without
+	scratch sync.Pool   // *submitScratch
 
 	// cmdFault, when set, sentences every fanned-out reconfiguration
 	// command per shard (SetReconfigFault) — the lossy control wire
@@ -277,7 +277,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 	// Base retention: in-flight batches and submitter stashes. Each
 	// per-tenant ring a worker creates grows the limit by its depth
-	// (worker.queueLocked), so the pool always covers a complete
+	// (worker.addRing), so the pool always covers a complete
 	// drain-and-refill cycle of the whole engine.
 	e.pool.grow(cfg.Workers*4*cfg.BatchSize + 2*poolStash)
 	e.ctrl.qcond = sync.NewCond(&e.ctrl.qmu)
@@ -391,7 +391,7 @@ func (e *Engine) Borrow(n int) []byte { return e.pool.get(n) }
 func (e *Engine) Release(buf []byte) { e.pool.put(buf) }
 
 // submitScratch groups a submitted batch by destination worker so each
-// worker's ring lock is taken once per SubmitBatch call instead of once
+// same-tenant run reserves its ring slots with one CAS instead of one
 // per frame. Pooled to keep the submit path allocation-free.
 type submitScratch struct {
 	frames  [][][]byte // per worker
@@ -481,7 +481,7 @@ func (e *Engine) submitBatch(frames [][]byte, o submitOpts) (int, error) {
 		}
 		return 0, fmt.Errorf("engine: metas slice too short: %d metas for %d frames", len(o.metas), len(frames)) //menshen:allocok cold caller-bug path, never taken in steady state
 	}
-	if e.isClosed() {
+	if e.closed.Load() {
 		if o.owned {
 			for _, f := range frames {
 				e.pool.put(f)
@@ -494,7 +494,6 @@ func (e *Engine) submitBatch(frames [][]byte, o submitOpts) (int, error) {
 	lastTenant := -1
 	ctrlAccepted := 0 // reconfiguration frames accepted off the data path
 	run := uint64(0)  // Submitted frames of the current tenant run
-	copied := 0       // ingress bytes copied into pooled buffers
 	hasLimits := e.tel.hasLimits.Load()
 	var now float64
 	if hasLimits {
@@ -545,12 +544,6 @@ func (e *Engine) submitBatch(frames [][]byte, o submitOpts) (int, error) {
 			}
 			continue
 		}
-		buf := f
-		if !o.owned {
-			buf = sc.stash.get(e.pool, len(f), len(frames)-fi)
-			copy(buf, f)
-			copied += len(f)
-		}
 		aux := uint64(o.ingress)
 		if o.metas != nil {
 			aux |= o.metas[fi] << 8
@@ -560,27 +553,32 @@ func (e *Engine) submitBatch(frames [][]byte, o submitOpts) (int, error) {
 		}
 		// The scratch slices come from a sync.Pool and keep their grown
 		// capacity across submits, so these appends stop allocating once
-		// the first few batches have sized them.
-		sc.frames[wid] = append(sc.frames[wid], buf)      //menshen:allocok amortized: pooled scratch keeps its capacity
+		// the first few batches have sized them. Nothing is copied yet:
+		// a frame gets a pooled buffer only once it has a ring slot.
+		sc.frames[wid] = append(sc.frames[wid], f)        //menshen:allocok amortized: pooled scratch keeps its capacity
 		sc.tenants[wid] = append(sc.tenants[wid], tenant) //menshen:allocok amortized: pooled scratch keeps its capacity
 		sc.aux[wid] = append(sc.aux[wid], aux)            //menshen:allocok amortized: pooled scratch keeps its capacity
 	}
 	if run > 0 {
 		tc.Submitted.Add(run)
 	}
-	if copied > 0 {
-		e.tel.bytesCopied.Add(uint64(copied))
-	}
 	accepted := ctrlAccepted
+	copied := 0 // ingress bytes copied into pooled buffers
 	drop := e.cfg.DropOnFull || o.noBlock
 	for wid := range sc.frames {
 		if len(sc.frames[wid]) == 0 {
 			continue
 		}
-		accepted += e.workers[wid].enqueueMany(sc.frames[wid], sc.tenants[wid], sc.aux[wid], drop)
+		n, c := e.workers[wid].submit(sc.frames[wid], sc.tenants[wid], sc.aux[wid], &sc.stash, o.owned, drop)
+		accepted += n
+		copied += c
+		clear(sc.frames[wid]) // the parked scratch must not pin the caller's frames
 		sc.frames[wid] = sc.frames[wid][:0]
 		sc.tenants[wid] = sc.tenants[wid][:0]
 		sc.aux[wid] = sc.aux[wid][:0]
+	}
+	if copied > 0 {
+		e.tel.bytesCopied.Add(uint64(copied))
 	}
 	// Flush the stash before parking the scratch: sync.Pool may drop
 	// the scratch at any time (it does so aggressively under the race
@@ -600,15 +598,16 @@ func (e *Engine) Drain() {
 }
 
 // Close drains every ring, stops the workers, and marks the engine
-// closed; subsequent submissions return ErrClosed. Close is idempotent
-// (second and later calls return ErrClosed).
+// closed; subsequent submissions return ErrClosed (one that raced past
+// the check is refused at the sealed ring and counted QueueFull). Close
+// is idempotent (second and later calls return ErrClosed).
 func (e *Engine) Close() error {
 	e.mu.Lock()
-	if e.closed {
+	if e.closed.Load() {
 		e.mu.Unlock()
 		return ErrClosed
 	}
-	e.closed = true
+	e.closed.Store(true)
 	e.mu.Unlock()
 	if e.watchStop != nil {
 		close(e.watchStop)
@@ -621,12 +620,6 @@ func (e *Engine) Close() error {
 	}
 	e.noteWorkersDone()
 	return nil
-}
-
-func (e *Engine) isClosed() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.closed
 }
 
 // Stats snapshots the engine's telemetry.

@@ -322,3 +322,82 @@ func TestEngineShardStateConsistency(t *testing.T) {
 		t.Errorf("shard packet counters sum to %d, stats say %d", shardSum, tot.Processed)
 	}
 }
+
+// TestEngineFullRingIsolation pins the hand-off's isolation property
+// deterministically: with the worker held inside OnBatch and tenant A's
+// ring full, further submissions for A are refused at the ring — no
+// frame copied, no pool traffic, exactly the offered count added to
+// QueueFull — while tenant B, on the same shard, is accepted in full.
+func TestEngineFullRingIsolation(t *testing.T) {
+	const depth, flood = 64, 1000
+	entered, gate := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	eng, err := newDevice(t, "CALC", "CALC").NewEngine(menshen.EngineConfig{
+		Workers:    1,
+		QueueDepth: depth,
+		BatchSize:  8,
+		DropOnFull: true,
+		OnBatch: func(int, uint16, []menshen.EngineResult) {
+			once.Do(func() { close(entered); <-gate })
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	genA := trafficgen.DefaultGen("CALC", 1, 1500, 4, trafficgen.NewPRNG(41))
+	genB := trafficgen.DefaultGen("CALC", 2, 128, 4, trafficgen.NewPRNG(43))
+	framesA, framesB := make([][]byte, depth), make([][]byte, 32)
+	for i := range framesA {
+		framesA[i] = genA(i)
+	}
+	for i := range framesB {
+		framesB[i] = genB(i)
+	}
+
+	// One frame parks the worker in the callback; then A's ring takes
+	// exactly its depth.
+	if ok, err := eng.Submit(framesA[0]); err != nil || !ok {
+		t.Fatalf("primer: ok=%v err=%v", ok, err)
+	}
+	<-entered
+	if n, err := eng.SubmitBatch(framesA); err != nil || n != depth {
+		t.Fatalf("filling A's ring: accepted %d of %d, err=%v", n, depth, err)
+	}
+
+	before := eng.Stats()
+	for i := 0; i < flood; i++ {
+		if n, err := eng.SubmitBatch(framesA[:32]); err != nil || n != 0 {
+			t.Fatalf("flood call %d: accepted %d at a full ring, err=%v", i, n, err)
+		}
+	}
+	after := eng.Stats()
+	if after.BytesCopied != before.BytesCopied {
+		t.Errorf("refused frames were copied: BytesCopied %d -> %d", before.BytesCopied, after.BytesCopied)
+	}
+	if after.PoolHits != before.PoolHits || after.PoolMisses != before.PoolMisses {
+		t.Errorf("refused frames touched the pool: hits %d -> %d, misses %d -> %d",
+			before.PoolHits, after.PoolHits, before.PoolMisses, after.PoolMisses)
+	}
+	if got := after.Tenants[1].QueueFull - before.Tenants[1].QueueFull; got != flood*32 {
+		t.Errorf("QueueFull rose by %d, want exactly the %d offered", got, flood*32)
+	}
+	if n, err := eng.SubmitBatch(framesB); err != nil || n != len(framesB) {
+		t.Errorf("tenant B beside A's full ring: accepted %d of %d, err=%v", n, len(framesB), err)
+	}
+
+	close(gate)
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st := eng.Stats()
+	for id, want := range map[uint16]uint64{1: 1 + depth, 2: uint64(len(framesB))} {
+		ts := st.Tenants[id]
+		if got := ts.Processed + ts.PipelineDrops; got != want {
+			t.Errorf("tenant %d: processed+dropped = %d, want the %d accepted", id, got, want)
+		}
+		if ts.Submitted != ts.Processed+ts.PipelineDrops+ts.QueueFull {
+			t.Errorf("tenant %d: submitted %d != processed %d + dropped %d + queue-full %d",
+				id, ts.Submitted, ts.Processed, ts.PipelineDrops, ts.QueueFull)
+		}
+	}
+}

@@ -44,7 +44,7 @@ type Pool struct {
 	// is dropped for the GC. The engine grows it alongside its own
 	// worst-case in-flight set — a base of batches and stashes plus one
 	// ring's depth for every per-tenant ring a worker creates (see
-	// worker.queueLocked) — so a full drain-and-refill cycle, where the
+	// worker.addRing) — so a full drain-and-refill cycle, where the
 	// workers hand the entire in-flight set back at once, stays
 	// allocation-free instead of oscillating between dropping and
 	// reallocating buffers.

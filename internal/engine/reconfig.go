@@ -126,7 +126,7 @@ type control struct {
 func (e *Engine) issue(build func(gen uint64) []shardOp) (uint64, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.closed {
+	if e.closed.Load() {
 		return 0, ErrClosed
 	}
 	gen := e.ctrl.tagger.Next()
@@ -148,7 +148,7 @@ func (e *Engine) issue(build func(gen uint64) []shardOp) (uint64, error) {
 func (e *Engine) issueEach(build func(gen uint64, wid int) []shardOp) (uint64, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.closed {
+	if e.closed.Load() {
 		return 0, ErrClosed
 	}
 	gen := e.ctrl.tagger.Next()
@@ -472,15 +472,24 @@ func (e *Engine) noteWorkersDone() {
 func (w *worker) enqueueOps(ops []shardOp) {
 	w.mu.Lock()
 	w.ops = append(w.ops, ops...)
+	w.opsQueued.Add(int64(len(ops))) // under mu: the count never runs ahead of the slice
 	w.mu.Unlock()
-	w.notEmpty.Signal()
+	w.wake()
 }
 
-// drainOpsLocked applies queued control operations in issue order. The
-// caller holds w.mu (the worker loop, at a batch boundary), so fence
-// accounting is atomic with enqueues; pipeline writes use the tables'
-// own copy-on-write synchronization.
-func (w *worker) drainOpsLocked(ops []shardOp) {
+// drainOps applies the queued control operations in issue order and
+// returns the last one's generation. The worker loop calls it at a
+// batch boundary and holds w.mu throughout, so a fence and the creation
+// of the fenced tenant's ring cannot interleave; pipeline writes use
+// the tables' own copy-on-write synchronization. opsQueued drops only
+// once the operations are applied: until then the watchdog counts them
+// as pending work.
+func (w *worker) drainOps() uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	ops := w.ops
+	w.ops = nil
+	rings := w.rings.Load().byTenant
 	for i := range ops {
 		op := &ops[i]
 		var err error
@@ -519,18 +528,14 @@ func (w *worker) drainOpsLocked(ops []shardOp) {
 		case opUnload:
 			err = w.pipe.UnloadModule(op.tenant)
 		case opPause:
-			if !w.paused[op.tenant] {
-				w.paused[op.tenant] = true
-				if q := w.queues[op.tenant]; q != nil {
-					w.pausedPending += q.count
-				}
+			w.fenced[op.tenant] = true
+			if r := rings[op.tenant]; r != nil {
+				r.paused.Store(true)
 			}
 		case opResume:
-			if w.paused[op.tenant] {
-				delete(w.paused, op.tenant)
-				if q := w.queues[op.tenant]; q != nil {
-					w.pausedPending -= q.count
-				}
+			delete(w.fenced, op.tenant)
+			if r := rings[op.tenant]; r != nil {
+				r.paused.Store(false)
 			}
 		case opUpdating:
 			w.pipe.Filter.SetUpdating(op.tenant, op.flag)
@@ -547,4 +552,6 @@ func (w *worker) drainOpsLocked(ops []shardOp) {
 			w.stats.ReconfigFailed.Add(1)
 		}
 	}
+	w.opsQueued.Add(-int64(len(ops)))
+	return ops[len(ops)-1].gen
 }

@@ -3,6 +3,7 @@
 package engine
 
 import (
+	"maps"
 	"math"
 	"math/bits"
 	"sort"
@@ -148,8 +149,11 @@ func (h *LatencyHistogram) Sub(prev *LatencyHistogram) LatencyHistogram {
 
 // telemetry is the engine-wide registry.
 type telemetry struct {
-	mu      sync.RWMutex
-	tenants map[uint16]*tenantCounters
+	// tenants is an immutable map, replaced whole (under mu) when a
+	// tenant's first frame arrives: every submit and every batch looks a
+	// tenant up, and none of them should write a shared word to do it.
+	mu      sync.Mutex
+	tenants atomic.Pointer[map[uint16]*tenantCounters]
 	// hasLimits short-circuits the rate-limiter (and its clock read) on
 	// the submit fast path until the first SetTenantLimit call.
 	hasLimits atomic.Bool
@@ -171,25 +175,33 @@ type telemetry struct {
 }
 
 func newTelemetry() *telemetry {
-	return &telemetry{tenants: make(map[uint16]*tenantCounters)}
+	t := &telemetry{}
+	t.tenants.Store(&map[uint16]*tenantCounters{})
+	return t
 }
 
 // tenant returns (creating if needed) a tenant's counter block.
 //
 //menshen:hotpath
 func (t *telemetry) tenant(id uint16) *tenantCounters {
-	t.mu.RLock()
-	tc := t.tenants[id]
-	t.mu.RUnlock()
-	if tc != nil {
+	if tc := (*t.tenants.Load())[id]; tc != nil {
 		return tc
 	}
+	return t.addTenant(id)
+}
+
+// addTenant is the locked slow path behind tenant.
+func (t *telemetry) addTenant(id uint16) *tenantCounters {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if tc = t.tenants[id]; tc == nil {
-		tc = &tenantCounters{} //menshen:allocok once per tenant, on its first frame
-		t.tenants[id] = tc
+	old := *t.tenants.Load()
+	if tc := old[id]; tc != nil {
+		return tc
 	}
+	next := maps.Clone(old)
+	tc := &tenantCounters{}
+	next[id] = tc
+	t.tenants.Store(&next)
 	return tc
 }
 
@@ -476,8 +488,7 @@ func (t *telemetry) snapshotInto(st *Stats, workers []*worker, uptime time.Durat
 	st.Uptime = uptime
 	st.ReconfigApplied = 0
 	st.ReconfigFailed = 0
-	t.mu.RLock()
-	for id, tc := range t.tenants {
+	for id, tc := range *t.tenants.Load() {
 		st.Tenants[id] = TenantStats{
 			Submitted:       tc.Submitted.Load(),
 			RateLimited:     tc.RateLimited.Load(),
@@ -491,7 +502,6 @@ func (t *telemetry) snapshotInto(st *Stats, workers []*worker, uptime time.Durat
 			EgressBytes:     tc.EgressBytes.Load(),
 		}
 	}
-	t.mu.RUnlock()
 	for _, w := range workers {
 		ws := WorkerStats{
 			Batches:           w.stats.Batches.Load(),
@@ -511,10 +521,8 @@ func (t *telemetry) snapshotInto(st *Stats, workers []*worker, uptime time.Durat
 		ws.Latency.SumNs = w.stats.BusyNs.Load()
 		ws.P50BatchLatency = ws.Latency.Quantile(0.50)
 		ws.P99BatchLatency = ws.Latency.Quantile(0.99)
-		w.mu.Lock()
-		ws.Pending = w.pending
-		ws.EgressBacklog = w.egBacklog
-		w.mu.Unlock()
+		ws.Pending = w.pending()
+		ws.EgressBacklog = int(w.egBacklog.Load())
 		if ws.BatchTarget == 0 || w.eng.cfg.FixedBatch {
 			ws.BatchTarget = w.eng.cfg.BatchSize
 		}

@@ -59,7 +59,7 @@ func (e *Engine) watchdog(stop chan struct{}) {
 				continue
 			}
 			// Re-sample after the pending check: progress made while we
-			// held the worker lock is not a stall.
+			// were looking is not a stall.
 			if w.progress.Load() != p {
 				continue
 			}
@@ -81,18 +81,18 @@ func (e *Engine) watchdog(stop chan struct{}) {
 	}
 }
 
-// workPending reports whether the shard has anything to do: servable
-// frames, queued control operations, an egress backlog, or an
-// in-flight batch (busy covers a batch stuck inside OnBatch). When the
-// worker lock cannot be taken without waiting, the shard is assumed
-// busy — a worker holds its lock only briefly unless it is truly
-// stuck, and a false "pending" just means the stall is confirmed one
-// timeout later.
+// workPending reports whether the shard has anything to do: control
+// operations issued but not applied, an in-flight batch (busy covers a
+// batch stuck inside OnBatch), an egress backlog, or servable frames.
+// All of it is atomic loads; the watchdog never touches a worker lock.
 func (w *worker) workPending() bool {
-	if !w.mu.TryLock() {
+	if w.opsQueued.Load() != 0 || w.busy.Load() || w.egBacklog.Load() > 0 {
 		return true
 	}
-	pending := w.pending-w.pausedPending > 0 || len(w.ops) > 0 || w.egBacklog > 0 || w.busy
-	w.mu.Unlock()
-	return pending
+	for _, r := range w.rings.Load().order {
+		if !r.paused.Load() && r.len() > 0 {
+			return true
+		}
+	}
+	return false
 }

@@ -1,7 +1,8 @@
-// Worker shard: one pipeline replica fed by per-tenant RX rings.
+// Worker shard: one pipeline replica fed by per-tenant RX rings (ring.go).
 package engine
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -10,69 +11,46 @@ import (
 	"repro/internal/sched"
 )
 
-// ring is a fixed-capacity FIFO of frames for one tenant on one worker.
-// Each slot carries the frame buffer plus its packed out-of-band word
-// (meta<<8 | ingress port) so fabric frame context rides the queue
-// without touching the frame bytes.
-type ring struct {
-	buf   [][]byte
-	aux   []uint64
-	head  int
-	count int
-}
-
-func newRing(capacity int) *ring {
-	return &ring{buf: make([][]byte, capacity), aux: make([]uint64, capacity)}
-}
-
-func (r *ring) full() bool { return r.count == len(r.buf) }
-
-//menshen:hotpath
-func (r *ring) push(f []byte, aux uint64) {
-	i := (r.head + r.count) % len(r.buf)
-	r.buf[i] = f
-	r.aux[i] = aux
-	r.count++
-}
-
-//menshen:hotpath
-func (r *ring) pop() ([]byte, uint64) {
-	f, a := r.buf[r.head], r.aux[r.head]
-	r.buf[r.head] = nil
-	r.head = (r.head + 1) % len(r.buf)
-	r.count--
-	return f, a
-}
-
-// worker owns one pipeline replica and the rings that feed it.
+// worker owns one pipeline replica and the rings that feed it. The
+// hand-off state is split by who writes it (doc.go, "Hand-off"):
+// producers touch only ring tails and the doorbell; everything the
+// service loop decides with is either owned by the worker goroutine or
+// an atomic it alone stores.
 type worker struct {
 	id   int
 	eng  *Engine
 	pipe *core.Pipeline
 	done chan struct{}
 
-	mu       sync.Mutex
-	notEmpty *sync.Cond // signaled when frames/ops arrive or the worker is closed
-	notFull  *sync.Cond // signaled when ring space frees up or a batch completes
+	// rings is the current snapshot of this shard's per-tenant rings.
+	rings atomic.Pointer[ringSet]
+	// parked is set by the worker just before it sleeps on bell and
+	// cleared by whoever wakes it; producers ring only when it is set.
+	parked atomic.Bool
+	bell   chan struct{} // capacity 1: one token per park
+	// closing asks the worker to seal its rings, drain them and exit.
+	closing atomic.Bool
+	// opsQueued counts control operations issued but not yet applied.
+	opsQueued atomic.Int64
 
-	queues  map[uint16]*ring
-	order   []uint16 // round-robin service order over tenants
-	rr      int
-	pending int // frames across all rings
-	busy    bool
-	closing bool
+	// The blocking slow path: a submitter waiting for ring space (only
+	// with DropOnFull unset) or a Drain caller registers in waiters and
+	// sleeps on space; the worker takes spaceMu to broadcast only when
+	// waiters is non-zero.
+	spaceMu sync.Mutex
+	space   *sync.Cond
+	waiters atomic.Int32
 
-	// Live-reconfiguration state (see reconfig.go). ops is the shard's
-	// control-operation queue, drained in issue order at batch
-	// boundaries. paused is the shard's tenant fence set: a paused
-	// tenant's rings are skipped by the round-robin service and its
-	// queued frames are counted in pausedPending so the loop does not
-	// spin on unservable work. genApplied is the shard's applied
-	// reconfiguration generation.
-	ops           []shardOp
-	paused        map[uint16]bool
-	pausedPending int
-	genApplied    atomic.Uint64
+	// mu guards the two other slow paths: the control-operation queue
+	// and ring creation (with the fence set new rings inherit). No
+	// submitter takes it for a ring that exists, and the worker takes it
+	// only on a control pass.
+	mu     sync.Mutex
+	ops    []shardOp       // issued, not yet applied (see reconfig.go)
+	fenced map[uint16]bool // tenants fenced by opPause, for rings yet to be created
+
+	// genApplied is the shard's applied reconfiguration generation.
+	genApplied atomic.Uint64
 
 	// cmdSeen is the shard's §4.1 delivered-command counter — the
 	// per-replica mirror of reconfig.DaisyChain.Counter(): it counts
@@ -80,6 +58,16 @@ type worker struct {
 	// loss never increments it), which is what the verified paths poll
 	// to detect shortfall.
 	cmdSeen atomic.Uint64
+
+	// Everything above is read by submitters on every call and written
+	// rarely; everything below is written by the worker every batch.
+	_ [64]byte
+
+	// busy covers a batch from pop to delivery; egBacklog mirrors the
+	// egress queue depth. Worker-stored, read lock-free by Drain, Stats
+	// and the watchdog.
+	busy      atomic.Bool
+	egBacklog atomic.Int64
 
 	// Watchdog state (watchdog.go): progress is bumped by the worker
 	// loop at every service point (ops drained, batch completed,
@@ -90,32 +78,32 @@ type worker struct {
 	stalled          atomic.Bool
 	lastProgressNano atomic.Int64
 
-	// reusable batch scratch (worker goroutine only). aux holds each
-	// popped frame's packed out-of-band word; ports is the unpacked
-	// per-frame ingress, filled only when some aux word is nonzero.
-	batch [][]byte
-	aux   []uint64
-	ports []uint8
-	res   []core.BatchResult
-	stats workerCounters
+	// Worker goroutine only from here on. rr is the round-robin cursor
+	// into the ring order; sealed records that shutdown sealed the rings.
+	// batch/aux are the popped frames and their packed out-of-band
+	// words; ports is the unpacked per-frame ingress, filled only when
+	// some aux word is nonzero.
+	rr     int
+	sealed bool
+	batch  [][]byte
+	aux    []uint64
+	ports  []uint8
+	res    []core.BatchResult
+	stats  workerCounters
 
 	// Egress scheduling (§3.5): when egress is non-nil, processed
 	// frames pass through a per-worker WFQ+PIFO stage between the
-	// pipeline and OnBatch delivery. The queue and its scratch are
-	// worker-goroutine-only; egBacklog mirrors the queue depth under
-	// w.mu so Drain/Close waiters can observe it. Frames in the queue
-	// outlive their batch: their pooled buffers are reclaimed when they
-	// are delivered (or displaced), not at the batch boundary.
-	egress    *sched.EgressQueue
-	egRun     []core.BatchResult // drain delivery scratch (one tenant run)
-	egBacklog int                // guarded by w.mu
+	// pipeline and OnBatch delivery. Frames in the queue outlive their
+	// batch: their pooled buffers are reclaimed when they are delivered
+	// (or displaced), not at the batch boundary.
+	egress *sched.EgressQueue
+	egRun  []core.BatchResult // drain delivery scratch (one tenant run)
 
-	// Adaptive batch sizing (worker goroutine only, except the atomic).
-	// ewma tracks ring occupancy in 1/16ths (fixed point); the service
-	// batch size follows it, clamped to [1, BatchSize], so a backlogged
-	// shard amortizes across full batches while a lightly loaded one
-	// turns frames around almost immediately. batchTarget publishes the
-	// current size for telemetry.
+	// Adaptive batch sizing. ewma tracks servable ring occupancy in
+	// 1/16ths (fixed point); the service batch size follows it, clamped
+	// to [1, BatchSize], so a backlogged shard amortizes across full
+	// batches while a lightly loaded one turns frames around almost
+	// immediately. batchTarget publishes the current size for telemetry.
 	ewma        int
 	batchTarget atomic.Uint32
 }
@@ -126,175 +114,268 @@ func newWorker(id int, e *Engine, pipe *core.Pipeline) *worker {
 		eng:    e,
 		pipe:   pipe,
 		done:   make(chan struct{}),
-		queues: make(map[uint16]*ring),
-		paused: make(map[uint16]bool),
-		batch:  make([][]byte, 0, e.cfg.BatchSize),
+		bell:   make(chan struct{}, 1),
+		fenced: make(map[uint16]bool),
+		batch:  make([][]byte, e.cfg.BatchSize),
 		aux:    make([]uint64, e.cfg.BatchSize),
 		ports:  make([]uint8, e.cfg.BatchSize),
 		res:    make([]core.BatchResult, e.cfg.BatchSize),
 	}
-	w.notEmpty = sync.NewCond(&w.mu)
-	w.notFull = sync.NewCond(&w.mu)
+	w.rings.Store(&ringSet{})
+	w.space = sync.NewCond(&w.spaceMu)
 	return w
 }
 
-// queueLocked returns (creating if needed) the tenant's ring; the
-// caller holds w.mu.
-func (w *worker) queueLocked(tenant uint16) *ring {
-	q := w.queues[tenant]
-	if q == nil {
-		q = newRing(w.eng.cfg.QueueDepth)
-		w.queues[tenant] = q
-		w.order = append(w.order, tenant)
-		// Every ring adds its depth to the worst-case in-flight buffer
-		// set; let the pool retain that many more.
-		w.eng.pool.grow(w.eng.cfg.QueueDepth)
-	}
-	return q
-}
-
-// enqueueMany appends a run of frames (with per-frame tenants and
-// packed out-of-band words) under a single lock acquisition and
-// returns how many were accepted. With drop=false it blocks while a
-// destination ring is full; with drop=true a full ring tail-drops the
-// frame. Frames rejected because the engine is closing count as
-// queue-full drops.
+// ringFor returns the tenant's ring on this shard: one atomic load and
+// a map read once it exists. nil means the shard is closing and the
+// tenant never had one.
 //
 //menshen:hotpath
-func (w *worker) enqueueMany(frames [][]byte, tenants []uint16, aux []uint64, drop bool) int {
-	accepted := 0
+func (w *worker) ringFor(tenant uint16) *ring {
+	if r := w.rings.Load().byTenant[tenant]; r != nil {
+		return r
+	}
+	return w.addRing(tenant)
+}
+
+// addRing is the locked slow path behind ringFor: a tenant's first
+// frame on this shard builds its ring and publishes a new snapshot.
+func (w *worker) addRing(tenant uint16) *ring {
 	w.mu.Lock()
-	var q *ring
-	lastTenant := -1
-	for i, f := range frames {
+	defer w.mu.Unlock()
+	set := w.rings.Load()
+	if r := set.byTenant[tenant]; r != nil {
+		return r
+	}
+	if w.closing.Load() {
+		return nil // the worker seals the rings it knows of; this one would never be drained
+	}
+	r := newRing(tenant, w.eng.cfg.QueueDepth)
+	r.paused.Store(w.fenced[tenant])
+	w.rings.Store(set.with(r))
+	// Every ring adds its depth to the worst-case in-flight buffer
+	// set; let the pool retain that many more.
+	w.eng.pool.grow(w.eng.cfg.QueueDepth)
+	return r
+}
+
+// submit hands one SubmitBatch call's frames for this shard to their
+// tenants' rings and returns how many were accepted and how many
+// ingress bytes that took copying. Each same-tenant run is reserve →
+// copy → publish: a frame gets a pooled buffer only once it has a
+// slot, so a refused run costs the refusal and one counter add. With
+// drop unset a full ring blocks until the worker frees room. Owned
+// buffers that are refused (ring full, or shard closing) go back to
+// the pool; either way the frames count as queue-full drops.
+//
+//menshen:hotpath
+func (w *worker) submit(frames [][]byte, tenants []uint16, aux []uint64, stash *poolStasher, owned, drop bool) (accepted, copied int) {
+	left := len(frames) // frames not yet placed or refused: the stash's refill hint
+	for i := 0; i < len(frames); {
 		tenant := tenants[i]
-		if int(tenant) != lastTenant {
-			q = w.queueLocked(tenant) //menshen:allocok once per tenant: queueLocked's lazy ring construction inlines here
-			lastTenant = int(tenant)
+		j := i + 1
+		for j < len(frames) && tenants[j] == tenant {
+			j++
 		}
-		for q.full() && !w.closing && !drop {
-			// Wake the worker before sleeping: frames pushed earlier in
-			// this run haven't been signaled yet (the batched signal
-			// sits after the loop), and without this a blocking run
-			// larger than the ring would fill it and wait on a worker
-			// that was never told there is work — a deadlock.
-			if accepted > 0 {
-				w.notEmpty.Signal()
+		run, runAux := frames[i:j], aux[i:j]
+		i = j
+		r := w.ringFor(tenant)
+		for r != nil && len(run) > 0 {
+			first, k, sealed := r.reserve(len(run))
+			if k == 0 {
+				if sealed || drop {
+					break
+				}
+				w.awaitSpace(r)
+				continue
 			}
-			w.notFull.Wait()
+			for x, f := range run[:k] {
+				buf := f
+				if !owned {
+					buf = stash.get(w.eng.pool, len(f), left)
+					copy(buf, f)
+					copied += len(f)
+				}
+				r.fill(first, x, buf, runAux[x])
+				left--
+			}
+			r.publish(first, k)
+			// Ring the bell before a blocking run goes back for more
+			// room: the worker must know about the frames just published
+			// or a run larger than the ring waits on a worker that sleeps.
+			w.wake()
+			accepted += k
+			run, runAux = run[k:], runAux[k:]
 		}
-		if w.closing || q.full() {
-			w.eng.tel.tenant(tenant).QueueFull.Add(1)
-			w.eng.pool.put(f) // rejected frames are engine-owned: reclaim
-			continue
+		if len(run) > 0 {
+			left -= len(run)
+			w.eng.tel.tenant(tenant).QueueFull.Add(uint64(len(run)))
+			if owned {
+				w.eng.pool.putAll(run)
+			}
 		}
-		q.push(f, aux[i])
-		w.pending++
-		if w.paused[tenant] {
-			w.pausedPending++
-		}
-		accepted++
 	}
-	w.mu.Unlock()
-	if accepted > 0 {
-		w.notEmpty.Signal()
-	}
-	return accepted
+	return accepted, copied
 }
 
-// nextLocked picks the next tenant with queued frames, round robin.
-// Paused (fenced) tenants are skipped: their frames stay queued until
-// the fence lifts.
-func (w *worker) nextLocked() (uint16, *ring) {
-	for range w.order {
-		t := w.order[w.rr%len(w.order)]
-		w.rr++
-		if w.paused[t] {
-			continue
-		}
-		if q := w.queues[t]; q.count > 0 {
-			return t, q
+// wake rings the doorbell if the worker is parked. The CAS makes one
+// caller per park the ringer, so the one-token bell never blocks it.
+//
+//menshen:hotpath
+func (w *worker) wake() {
+	if w.parked.Load() && w.parked.CompareAndSwap(true, false) {
+		select {
+		case w.bell <- struct{}{}:
+		default:
 		}
 	}
-	return 0, nil
 }
 
-// run is the worker loop: wait for frames or control operations, drain
-// any queued control operations (the batch-boundary reconfiguration
-// point), service the next tenant's ring for up to one batch, push the
-// batch through the pipeline shard, record telemetry, repeat. On close
-// it drains remaining control operations and every ring before exiting;
-// tenant fences are void once the engine is closing, so drain-on-close
-// still covers every accepted frame.
+// park sleeps until the doorbell rings — unless, after announcing the
+// park, there turns out to be something to do. The announce-then-check
+// here pairs with publish-then-check in submit/enqueueOps/close: both
+// sides use sequentially consistent atomics, so at least one of them
+// sees the other's store.
+func (w *worker) park(closing bool) {
+	w.parked.Store(true)
+	if w.opsQueued.Load() != 0 || w.closing.Load() != closing || w.anyReady(closing) {
+		// If a producer's CAS beat this store it also left a token, which
+		// the next park swallows as one spurious wake.
+		w.parked.Store(false)
+		return
+	}
+	<-w.bell
+}
+
+// anyReady reports whether some servable ring has a published frame.
+func (w *worker) anyReady(closing bool) bool {
+	for _, r := range w.rings.Load().order {
+		if (closing || !r.paused.Load()) && r.ready() {
+			return true
+		}
+	}
+	return false
+}
+
+// awaitSpace blocks a submitter until r has room or is sealed.
+func (w *worker) awaitSpace(r *ring) {
+	w.spaceMu.Lock()
+	w.waiters.Add(1)
+	for r.full() {
+		w.space.Wait()
+	}
+	w.waiters.Add(-1)
+	w.spaceMu.Unlock()
+}
+
+// signalSpace wakes blocked submitters and Drain callers to re-check.
+func (w *worker) signalSpace() {
+	w.spaceMu.Lock()
+	w.space.Broadcast()
+	w.spaceMu.Unlock()
+}
+
+// next scans the rings round robin from the cursor: it returns the
+// first servable ring with a published frame (advancing the cursor past
+// it) and the servable backlog across all rings. Fenced tenants are
+// skipped — their frames stay queued until the fence lifts — unless the
+// shard is closing, which voids fences.
+//
+//menshen:hotpath
+func (w *worker) next(set *ringSet, closing bool) (pick *ring, pending int) {
+	n, start := len(set.order), w.rr
+	for i := 0; i < n; i++ {
+		at := start + i
+		if at >= n {
+			at -= n
+		}
+		r := set.order[at]
+		if r.paused.Load() && !closing {
+			continue
+		}
+		pending += r.len()
+		if pick == nil && r.ready() {
+			pick, w.rr = r, at+1
+		}
+	}
+	return pick, pending
+}
+
+// run is the worker loop: apply any queued control operations (the
+// batch-boundary reconfiguration point), service the next tenant's ring
+// for up to one batch, push the batch through the pipeline shard, record
+// telemetry, repeat; park when no servable ring has a frame. On close it
+// seals the rings, applies the remaining control operations and drains
+// every ring before exiting; tenant fences are void once the engine is
+// closing, so drain-on-close still covers every accepted frame.
 //
 //menshen:hotpath
 func (w *worker) run() {
 	defer close(w.done)
 	for {
-		w.mu.Lock()
-		for len(w.ops) == 0 && w.pending-w.pausedPending == 0 && w.egBacklog == 0 && !w.closing {
-			w.notEmpty.Wait()
-		}
-		if len(w.ops) > 0 {
+		// closing is read before the operation count: Close stops the
+		// control plane first, so a worker that sees closing set also
+		// sees every operation that will ever be queued.
+		closing := w.closing.Load()
+		if w.opsQueued.Load() != 0 {
 			// Batch boundary: apply every queued control operation in
 			// issue order, then publish the shard's new generation.
-			ops := w.ops
-			w.ops = nil
-			w.drainOpsLocked(ops)
-			w.mu.Unlock()
+			gen := w.drainOps()
 			w.progress.Add(1)
-			w.eng.noteApplied(w, ops[len(ops)-1].gen)
+			w.eng.noteApplied(w, gen)
+			// noteApplied readied the goroutine waiting on this
+			// generation, and Go put it in this P's runnext slot. This
+			// loop no longer blocks on anything while there are frames to
+			// serve, so without a yield that goroutine would sit there
+			// until sysmon preempts the worker (10 ms) and every
+			// reconfiguration under load would take that long. Once per
+			// control pass, never per batch.
+			runtime.Gosched()
 			continue
 		}
-		if w.closing {
-			if w.pending == 0 && w.egBacklog == 0 {
-				w.mu.Unlock()
-				return
+		set := w.rings.Load()
+		if closing && !w.sealed {
+			// No ring is created once closing is set (addRing), so this
+			// snapshot is final. A producer that reserved before the seal
+			// still publishes, and the exit check below waits for it.
+			for _, r := range set.order {
+				r.seal()
 			}
-			if w.pausedPending > 0 {
-				// Closing overrides fences: serve held frames too.
-				clear(w.paused)
-				w.pausedPending = 0
-			}
+			w.sealed = true
+			w.signalSpace() // blocked submitters: give up
 		}
-		tenant, q := w.nextLocked()
-		if q == nil {
-			if w.egBacklog > 0 {
+		r, pending := w.next(set, closing)
+		if r == nil {
+			if w.egress != nil && w.egress.Len() > 0 {
 				// No runnable RX work but scheduled frames are queued:
 				// keep the TX side moving, one quantum per pass, until
 				// the backlog is flushed (in rank order).
-				w.mu.Unlock()
 				w.egressDrain()
-				w.mu.Lock()
-				w.egBacklog = w.egress.Len()
-				w.mu.Unlock()
-				w.progress.Add(1)
-				w.notFull.Broadcast()
+				w.batchDone()
 				continue
 			}
-			// Nothing runnable (only fenced frames); wait for ops/close.
-			w.mu.Unlock()
+			if closing && pending == 0 {
+				return
+			}
+			// Nothing servable: only fenced frames, or slots reserved
+			// but not yet published (their producer rings when it is done).
+			w.park(closing)
 			continue
 		}
-		n := q.count
-		if max := w.targetLocked(); n > max {
-			n = max
+		// busy is raised before the pop frees the slots, so Drain never
+		// sees an empty ring and an idle worker with a batch in flight.
+		w.busy.Store(true)
+		n := r.pop(w.batch[:w.target(pending)], w.aux)
+		if w.waiters.Load() != 0 {
+			w.signalSpace() // ring space freed
 		}
-		w.batch = w.batch[:0]
-		hasCtx := false
-		for i := 0; i < n; i++ {
-			f, aux := q.pop()
-			w.batch = append(w.batch, f) //menshen:allocok bounded: n <= target <= BatchSize, the slice's constructed capacity
-			w.aux[i] = aux
-			if aux != 0 {
-				hasCtx = true
-			}
+		batch := w.batch[:n]
+		depth := pending - n // remaining backlog, recorded on traced hops
+		var ctx uint64
+		for _, a := range w.aux[:n] {
+			ctx |= a
 		}
-		w.pending -= n
-		depth := w.pending // remaining backlog, recorded on traced hops
-		w.busy = true
-		w.mu.Unlock()
-		w.notFull.Broadcast() // ring space freed
+		tenant := r.tenant
 
 		// Sample batch service time 1-in-8: clock reads are expensive
 		// relative to a batch, and the latency distribution does not
@@ -307,19 +388,19 @@ func (w *worker) run() {
 		}
 		// Zero-copy: the pipeline deparses directly into the ring
 		// buffers (all engine-owned), so res[i].Data aliases
-		// w.batch[i]; both are reclaimed together after delivery.
+		// batch[i]; both are reclaimed together after delivery.
 		// Frames carrying out-of-band context (fabric hand-offs) take
 		// the per-frame-ingress variant; everything else keeps the
 		// scalar fast path.
 		res := w.res[:n]
 		var err error
-		if hasCtx {
+		if ctx != 0 {
 			for i := 0; i < n; i++ {
 				w.ports[i] = uint8(w.aux[i])
 			}
-			err = w.pipe.ProcessBatchInPlacePorts(w.batch, w.ports[:n], res)
+			err = w.pipe.ProcessBatchInPlacePorts(batch, w.ports[:n], res)
 		} else {
-			err = w.pipe.ProcessBatchInPlace(w.batch, 0, res)
+			err = w.pipe.ProcessBatchInPlace(batch, 0, res)
 		}
 		if sample {
 			elapsed := time.Since(start)
@@ -372,7 +453,7 @@ func (w *worker) run() {
 			// quantum drains (in rank order) per service cycle. Queued
 			// frames keep their buffers past the batch boundary —
 			// reclaimed on delivery or displacement, not here.
-			w.egressEnqueue(tenant, tc, res)
+			w.egressEnqueue(tenant, tc, batch, res)
 			w.egressDrain()
 		} else {
 			if cb := w.eng.cfg.OnBatch; cb != nil && err == nil {
@@ -384,7 +465,7 @@ func (w *worker) run() {
 				// buffers still go back to the pool.
 				for i := range res {
 					if !res[i].Dropped && res[i].Data == nil {
-						w.batch[i] = nil
+						batch[i] = nil
 					}
 				}
 			}
@@ -392,17 +473,24 @@ func (w *worker) run() {
 			// batch's buffers. This is the "result valid until the
 			// callback returns" lifetime boundary — res[i].Data aliases
 			// these buffers, which the pool may hand to the next batch.
-			w.eng.pool.putAll(w.batch)
+			w.eng.pool.putAll(batch)
 		}
+		w.batchDone()
+	}
+}
 
-		w.mu.Lock()
-		w.busy = false
-		if w.egress != nil {
-			w.egBacklog = w.egress.Len()
-		}
-		w.mu.Unlock()
-		w.progress.Add(1)
-		w.notFull.Broadcast() // wake Drain waiters
+// batchDone closes a service cycle: publish the egress backlog, drop
+// busy, count progress, and wake Drain callers if there are any.
+//
+//menshen:hotpath
+func (w *worker) batchDone() {
+	if w.egress != nil {
+		w.egBacklog.Store(int64(w.egress.Len()))
+	}
+	w.busy.Store(false)
+	w.progress.Add(1)
+	if w.waiters.Load() != 0 {
+		w.signalSpace()
 	}
 }
 
@@ -423,21 +511,21 @@ func (w *worker) ensureEgress() {
 // egress scheduler. Pipeline-dropped frames recycle immediately; a
 // frame the queue rejects (full, worst-ranked) or displaces (push-out)
 // is counted as an egress drop for its tenant and its buffer reclaimed.
-// res[i].Data aliases w.batch[i] (the in-place contract), so the item's
+// res[i].Data aliases batch[i] (the in-place contract), so the item's
 // Data doubles as the pooled buffer.
 //
 //menshen:hotpath
-func (w *worker) egressEnqueue(tenant uint16, tc *tenantCounters, res []core.BatchResult) {
+func (w *worker) egressEnqueue(tenant uint16, tc *tenantCounters, batch [][]byte, res []core.BatchResult) {
 	var queued, rejected uint64
 	for i := range res {
 		if res[i].Dropped {
-			w.eng.pool.put(w.batch[i])
+			w.eng.pool.put(batch[i])
 			continue
 		}
 		ev, hasEv, ok := w.egress.Push(tenant, res[i].EgressPort, res[i].Data, res[i].Meta)
 		if !ok {
 			rejected++
-			w.eng.pool.put(w.batch[i])
+			w.eng.pool.put(batch[i])
 			continue
 		}
 		queued++
@@ -513,18 +601,18 @@ func (w *worker) egressDrain() {
 	flush()
 }
 
-// targetLocked returns the current service batch size and advances the
-// occupancy EWMA; the caller holds w.mu. With FixedBatch set it is
-// always BatchSize. Otherwise the EWMA (x16 fixed point, α=1/8) tracks
-// how many frames were pending when the worker reached a service point:
-// a deep backlog pushes the batch toward BatchSize within a few
-// batches, an idle shard decays toward single-frame service.
-func (w *worker) targetLocked() int {
+// target returns the current service batch size and advances the
+// occupancy EWMA with the servable backlog seen at this service point.
+// With FixedBatch set it is always BatchSize. Otherwise the EWMA (x16
+// fixed point, α=1/8) pushes the batch toward BatchSize within a few
+// batches of a deep backlog and lets an idle shard decay toward
+// single-frame service.
+func (w *worker) target(pending int) int {
 	max := w.eng.cfg.BatchSize
 	if w.eng.cfg.FixedBatch {
 		return max
 	}
-	w.ewma += (w.pending<<4 - w.ewma) >> 3
+	w.ewma += (pending<<4 - w.ewma) >> 3
 	target := w.ewma >> 4
 	if target < 1 {
 		target = 1
@@ -536,22 +624,35 @@ func (w *worker) targetLocked() int {
 	return target
 }
 
-// drain blocks until this worker has no queued, in-flight, or
-// egress-scheduled frames.
-func (w *worker) drain() {
-	w.mu.Lock()
-	for w.pending > 0 || w.busy || w.egBacklog > 0 {
-		w.notFull.Wait()
+// pending is the frame count queued in the shard's rings, frames held
+// by tenant fences included.
+func (w *worker) pending() int {
+	n := 0
+	for _, r := range w.rings.Load().order {
+		n += r.len()
 	}
-	w.mu.Unlock()
+	return n
 }
 
-// close asks the worker to drain its rings and exit, and releases any
-// blocked submitters.
+// drain blocks until this worker has no queued, in-flight, or
+// egress-scheduled frames. The order of the three reads mirrors the
+// order the worker writes them in (busy up, pop, backlog, busy down).
+func (w *worker) drain() {
+	w.spaceMu.Lock()
+	w.waiters.Add(1)
+	for w.pending() > 0 || w.busy.Load() || w.egBacklog.Load() > 0 {
+		w.space.Wait()
+	}
+	w.waiters.Add(-1)
+	w.spaceMu.Unlock()
+}
+
+// close asks the worker to seal and drain its rings and exit. mu orders
+// the flag against ring creation: a ring exists before closing is set
+// or is never created.
 func (w *worker) close() {
 	w.mu.Lock()
-	w.closing = true
+	w.closing.Store(true)
 	w.mu.Unlock()
-	w.notEmpty.Broadcast()
-	w.notFull.Broadcast()
+	w.wake()
 }
