@@ -11,21 +11,14 @@ package menshen
 
 import (
 	"fmt"
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"testing"
-	"time"
 
 	"repro/internal/compiler"
 	"repro/internal/core"
 	"repro/internal/ctrlplane"
 	"repro/internal/experiments"
 	"repro/internal/netdev"
-	"repro/internal/obs"
 	"repro/internal/p4progs"
-	"repro/internal/packet"
-	"repro/internal/sched"
 	"repro/internal/tables"
 	"repro/internal/trafficgen"
 )
@@ -267,381 +260,5 @@ func BenchmarkMatchCAMvsCuckoo(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkEngineThroughput compares the concurrent batched engine
-// against the single-packet Device.Send loop at several worker counts
-// and batch sizes. The acceptance target for the engine subsystem is
-// ≥2x packets/sec over SendLoop at workers=4/batch=32.
-func BenchmarkEngineThroughput(b *testing.B) {
-	// One shared pool of CALC frames across 64 flows, so multi-worker
-	// configurations all receive traffic.
-	const poolSize = 1024
-	newPool := func() [][]byte {
-		gen := trafficgen.DefaultGen("CALC", 1, 0, 64, trafficgen.NewPRNG(21))
-		pool := make([][]byte, poolSize)
-		for i := range pool {
-			pool[i] = gen(i)
-		}
-		return pool
-	}
-
-	b.Run("SendLoop", func(b *testing.B) {
-		dev := newLoadedDevice(b, PlatformCorundumOptimized)
-		pool := newPool()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			res, err := dev.Send(pool[i%poolSize])
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Dropped {
-				b.Fatal("dropped")
-			}
-		}
-	})
-
-	for _, workers := range []int{1, 2, 4} {
-		for _, batch := range []int{1, 8, 32} {
-			b.Run(fmt.Sprintf("workers=%d/batch=%d", workers, batch), func(b *testing.B) {
-				dev := newLoadedDevice(b, PlatformCorundumOptimized)
-				eng, err := dev.NewEngine(EngineConfig{
-					Workers:    workers,
-					BatchSize:  batch,
-					QueueDepth: 4096,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				pool := newPool()
-				sub := make([][]byte, 0, batch)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sub = append(sub, pool[i%poolSize])
-					if len(sub) == batch {
-						if _, err := eng.SubmitBatch(sub); err != nil {
-							b.Fatal(err)
-						}
-						sub = sub[:0]
-					}
-				}
-				if len(sub) > 0 {
-					if _, err := eng.SubmitBatch(sub); err != nil {
-						b.Fatal(err)
-					}
-				}
-				eng.Drain()
-				b.StopTimer()
-				tot := eng.Stats().Totals()
-				if tot.Processed != uint64(b.N) {
-					b.Fatalf("processed %d of %d submitted", tot.Processed, b.N)
-				}
-				if err := eng.Close(); err != nil {
-					b.Fatal(err)
-				}
-			})
-		}
-	}
-
-	// The observability-neutrality run: identical to workers=4/batch=32,
-	// but a background goroutine scrapes the management API's /metrics
-	// over HTTP at 10 Hz for the whole measurement. The acceptance bar
-	// is ns/frame within 5% of the unscraped run and still 0 allocs/op:
-	// StatsInto refills a reused snapshot and a warm Exporter.Collect
-	// appends into a retained buffer, so watching the engine costs it
-	// nothing.
-	b.Run("workers=4/batch=32/scraped", func(b *testing.B) {
-		const batch = 32
-		dev := newLoadedDevice(b, PlatformCorundumOptimized)
-		eng, err := dev.NewEngine(EngineConfig{
-			Workers:    4,
-			BatchSize:  batch,
-			QueueDepth: 4096,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		srv := httptest.NewServer(obs.NewServer(nil, obs.Ops{},
-			obs.Source{StatsInto: eng.StatsInto}).Handler())
-		defer srv.Close()
-		stop := make(chan struct{})
-		scraperDone := make(chan struct{})
-		go func() {
-			defer close(scraperDone)
-			ticker := time.NewTicker(100 * time.Millisecond)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-ticker.C:
-					resp, err := http.Get(srv.URL + "/metrics")
-					if err != nil {
-						b.Error(err)
-						return
-					}
-					_, _ = io.Copy(io.Discard, resp.Body)
-					resp.Body.Close()
-				}
-			}
-		}()
-		pool := newPool()
-		sub := make([][]byte, 0, batch)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sub = append(sub, pool[i%poolSize])
-			if len(sub) == batch {
-				if _, err := eng.SubmitBatch(sub); err != nil {
-					b.Fatal(err)
-				}
-				sub = sub[:0]
-			}
-		}
-		if len(sub) > 0 {
-			if _, err := eng.SubmitBatch(sub); err != nil {
-				b.Fatal(err)
-			}
-		}
-		eng.Drain()
-		b.StopTimer()
-		close(stop)
-		<-scraperDone
-		tot := eng.Stats().Totals()
-		if tot.Processed != uint64(b.N) {
-			b.Fatalf("processed %d of %d submitted", tot.Processed, b.N)
-		}
-		if err := eng.Close(); err != nil {
-			b.Fatal(err)
-		}
-	})
-
-	// The §3.5 egress-scheduled path: every processed frame is ranked
-	// (start-time fair queueing) and drained through the per-worker
-	// push-out PIFO before delivery. With a work-conserving quantum and
-	// one tenant nothing is ever shed, so this isolates the per-frame
-	// scheduling overhead against the plain workers=4/batch=32 run.
-	b.Run("workers=4/batch=32/egress", func(b *testing.B) {
-		const batch = 32
-		dev := newLoadedDevice(b, PlatformCorundumOptimized)
-		eng, err := dev.NewEngine(EngineConfig{
-			Workers:       4,
-			BatchSize:     batch,
-			QueueDepth:    4096,
-			EgressWeights: map[uint16]float64{1: 1},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		pool := newPool()
-		sub := make([][]byte, 0, batch)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sub = append(sub, pool[i%poolSize])
-			if len(sub) == batch {
-				if _, err := eng.SubmitBatch(sub); err != nil {
-					b.Fatal(err)
-				}
-				sub = sub[:0]
-			}
-		}
-		if len(sub) > 0 {
-			if _, err := eng.SubmitBatch(sub); err != nil {
-				b.Fatal(err)
-			}
-		}
-		eng.Drain()
-		b.StopTimer()
-		tot := eng.Stats().Totals()
-		if tot.EgressDelivered != uint64(b.N) {
-			b.Fatalf("egress delivered %d of %d submitted (%d shed)",
-				tot.EgressDelivered, b.N, tot.EgressDropped)
-		}
-		if err := eng.Close(); err != nil {
-			b.Fatal(err)
-		}
-	})
-
-	// The end-to-end zero-copy path: frames staged into borrowed pool
-	// buffers and relinquished with SubmitBatchOwned; the engine
-	// deparses in place and recycles the buffers after delivery.
-	b.Run("workers=4/batch=32/owned", func(b *testing.B) {
-		const batch = 32
-		dev := newLoadedDevice(b, PlatformCorundumOptimized)
-		eng, err := dev.NewEngine(EngineConfig{
-			Workers:    4,
-			BatchSize:  batch,
-			QueueDepth: 4096,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		pool := newPool()
-		sub := make([][]byte, 0, batch)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			src := pool[i%poolSize]
-			buf := eng.Borrow(len(src))
-			copy(buf, src)
-			sub = append(sub, buf)
-			if len(sub) == batch {
-				if _, err := eng.SubmitBatchOwned(sub); err != nil {
-					b.Fatal(err)
-				}
-				sub = sub[:0]
-			}
-		}
-		if len(sub) > 0 {
-			if _, err := eng.SubmitBatchOwned(sub); err != nil {
-				b.Fatal(err)
-			}
-		}
-		eng.Drain()
-		b.StopTimer()
-		tot := eng.Stats().Totals()
-		if tot.Processed != uint64(b.N) {
-			b.Fatalf("processed %d of %d submitted", tot.Processed, b.N)
-		}
-		if st := eng.Stats(); st.BytesCopied != 0 {
-			b.Fatalf("owned path copied %d ingress bytes; want 0", st.BytesCopied)
-		}
-		if err := eng.Close(); err != nil {
-			b.Fatal(err)
-		}
-	})
-
-	// The depth≫CAM configuration: the Load Balancing module with 10⁵
-	// exact-match flow entries on the cuckoo side of its match stage,
-	// traffic cycling over every flow. The nocache variant isolates the
-	// raw hash-probe path; the default variant puts the per-worker flow
-	// cache in front of it. Both must stay allocation-free per frame.
-	const flowScale = 100000
-	flowBench := func(cacheEntries int) func(b *testing.B) {
-		return func(b *testing.B) {
-			const batch = 32
-			dev := NewDevice(WithPlatform(PlatformCorundumOptimized))
-			lb, err := p4progs.ByName("Load Balancing")
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := dev.LoadModule(lb.Source(), 1); err != nil {
-				b.Fatal(err)
-			}
-			eng, err := dev.NewEngine(EngineConfig{
-				Workers:          4,
-				BatchSize:        batch,
-				QueueDepth:       4096,
-				FlowCacheEntries: cacheEntries,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			pipe := dev.Pipeline()
-			cp := dev.ControlPlane()
-			stg, bestN := -1, 0
-			for i := range pipe.Stages {
-				if n := pipe.Stages[i].Match.ValidCount(1); n > bestN {
-					stg, bestN = i, n
-				}
-			}
-			if stg < 0 {
-				b.Fatal("Load Balancing module has no match stage")
-			}
-			var addrs []uint16
-			for i := 0; i < 4; i++ {
-				f := trafficgen.FlowPacket(1,
-					packet.IPv4Addr{10, 0, 1, 1}, packet.IPv4Addr{10, 0, 0, 10},
-					uint16(1000+i), 80, 0)
-				key, err := cp.FlowKeyForFrame(1, stg, f)
-				if err != nil {
-					b.Fatal(err)
-				}
-				addr, ok := pipe.Stages[stg].Match.Lookup(key, 1)
-				if !ok {
-					b.Fatal("baseline Load Balancing tuple missed the CAM")
-				}
-				addrs = append(addrs, uint16(addr))
-			}
-			pool := make([][]byte, flowScale)
-			staged := make([]FlowEntry, 0, 4096)
-			flush := func() {
-				gen, err := eng.InsertFlows(1, stg, staged)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := eng.AwaitQuiesce(gen); err != nil {
-					b.Fatal(err)
-				}
-				staged = staged[:0]
-			}
-			for f := 0; f < flowScale; f++ {
-				pool[f] = trafficgen.FlowScaleFrame(1, f, 0)
-				key, err := cp.FlowKeyForFrame(1, stg, pool[f])
-				if err != nil {
-					b.Fatal(err)
-				}
-				staged = append(staged, FlowEntry{Valid: true, Addr: addrs[f%len(addrs)], Key: key})
-				if len(staged) == cap(staged) {
-					flush()
-				}
-			}
-			if len(staged) > 0 {
-				flush()
-			}
-			sub := make([][]byte, 0, batch)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sub = append(sub, pool[i%flowScale])
-				if len(sub) == batch {
-					if _, err := eng.SubmitBatch(sub); err != nil {
-						b.Fatal(err)
-					}
-					sub = sub[:0]
-				}
-			}
-			if len(sub) > 0 {
-				if _, err := eng.SubmitBatch(sub); err != nil {
-					b.Fatal(err)
-				}
-			}
-			eng.Drain()
-			b.StopTimer()
-			tot := eng.Stats().Totals()
-			if tot.Processed != uint64(b.N) {
-				b.Fatalf("processed %d of %d submitted", tot.Processed, b.N)
-			}
-			if err := eng.Close(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run(fmt.Sprintf("flows=%d/workers=4/batch=32/nocache", flowScale), flowBench(-1))
-	b.Run(fmt.Sprintf("flows=%d/workers=4/batch=32", flowScale), flowBench(0))
-}
-
-// BenchmarkWFQScheduler measures the §3.5 egress scheduler: WFQ ranking
-// plus PIFO enqueue/dequeue per frame.
-func BenchmarkWFQScheduler(b *testing.B) {
-	s := sched.NewScheduler(0)
-	for m := uint16(1); m <= 8; m++ {
-		if err := s.WFQ.SetWeight(m, float64(m)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	frame := make([]byte, 512)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := s.Enqueue(uint16(i%8+1), frame); err != nil {
-			b.Fatal(err)
-		}
-		if _, ok := s.Dequeue(); !ok {
-			b.Fatal("empty")
-		}
 	}
 }

@@ -5,71 +5,28 @@
 //	menshen-bench -exp all          # every table and figure
 //	menshen-bench -exp fig11        # one experiment
 //	menshen-bench -list             # available experiment IDs
-//	menshen-bench -json out.json    # engine-throughput trajectory as JSON
 //
-// The -json mode measures the engine-throughput benchmark family
-// (Device.Send loop vs batched engine vs zero-copy owned submission)
-// and writes ns/frame, pps, and allocs/op per configuration — the
-// machine-readable form behind the checked-in BENCH_<n>.json
-// trajectory files.
+// It renders the paper's tables and figures from the platform models.
+// Measured performance of this implementation is bench/'s job: see
+// bench/README.md and `bash bench/run.sh`.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 
-	"repro/internal/benchrun"
 	"repro/internal/experiments"
 )
-
-// benchReport is the schema of -json output.
-type benchReport struct {
-	Benchmark  string            `json:"benchmark"`
-	GoVersion  string            `json:"go_version"`
-	GoMaxProcs int               `json:"gomaxprocs"`
-	Results    []benchrun.Result `json:"results"`
-}
 
 func main() {
 	exp := flag.String("exp", "all", "experiment ID to run (or 'all')")
 	list := flag.Bool("list", false, "list experiment IDs")
-	jsonOut := flag.String("json", "", "measure the engine-throughput suite and write JSON to this file ('-' for stdout)")
 	flag.Parse()
 
 	if *list {
 		fmt.Println(strings.Join(experiments.IDs(), "\n"))
-		return
-	}
-
-	if *jsonOut != "" {
-		rep := benchReport{
-			Benchmark:  "EngineThroughput",
-			GoVersion:  runtime.Version(),
-			GoMaxProcs: runtime.GOMAXPROCS(0),
-			Results:    benchrun.Suite(),
-		}
-		buf, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		buf = append(buf, '\n')
-		if *jsonOut == "-" {
-			os.Stdout.Write(buf)
-			return
-		}
-		if err := os.WriteFile(*jsonOut, buf, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		for _, r := range rep.Results {
-			fmt.Printf("%-28s %9.1f ns/frame  %11.0f pps  %3d allocs/op\n",
-				r.Name, r.NsPerFrame, r.PPS, r.AllocsPerOp)
-		}
 		return
 	}
 

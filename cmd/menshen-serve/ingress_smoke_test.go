@@ -125,16 +125,10 @@ func TestIngressUDPSmoke(t *testing.T) {
 		t.Fatalf("mid-run scrape saw %v received frames, want within (0, %d]", midRun, total)
 	}
 
-	// Wait for the tail, then close the books entirely from scraped
-	// counters: transport ledger, engine hand-off, and per-tenant fates.
-	deadline := time.Now().Add(30 * time.Second)
-	for received() < total {
-		if time.Now().After(deadline) {
-			t.Fatalf("tail never drained: %v of %d", received(), total)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	doc := httpGet(t, base+"/metrics")
+	// Wait until every frame has a terminal fate, then close the books
+	// entirely from that scrape: transport ledger, engine hand-off, and
+	// per-tenant fates.
+	doc := awaitFates(t, base, total)
 	get := func(name string) float64 { return metricValue(t, doc, name) }
 
 	if got := get("menshen_ingress_received_frames_total"); got != total {

@@ -112,7 +112,9 @@ func TestMgmtSmoke(t *testing.T) {
 		t.Fatalf("scraped generation %v < mutation generation %d", genAfter, mut.Generation)
 	}
 
-	// Traces were sampled at 1-in-64 across 50k frames.
+	// Traces were sampled at 1-in-64 across 50k frames — once all of
+	// them have been processed.
+	awaitFates(t, base, 50000)
 	var traces struct {
 		Total uint64 `json:"total"`
 	}
@@ -141,18 +143,60 @@ func httpGet(t *testing.T, url string) string {
 	return string(body)
 }
 
-// metricValue finds the first sample of the named (label-less) family.
+// awaitFates polls /metrics until total frames have reached a terminal
+// fate — forwarded or counted in a drop class, summed over tenants — and
+// returns that scrape. Counters upstream of the pipeline (ingress
+// received, tenant submitted) move before a frame is processed, so they
+// cannot tell a test when the books are closed.
+func awaitFates(t *testing.T, base string, total float64) string {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		doc := httpGet(t, base+"/metrics")
+		fates := metricSum(t, doc, "menshen_tenant_forwarded_frames_total") +
+			metricSum(t, doc, "menshen_tenant_dropped_frames_total")
+		if fates >= total {
+			return doc
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("tail never drained: %v of %v frames forwarded or dropped", fates, total)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// metricValue finds the first sample of the named family.
 func metricValue(t *testing.T, doc, name string) float64 {
 	t.Helper()
+	samples := metricSamples(t, doc, name)
+	if len(samples) == 0 {
+		t.Fatalf("series %s not found", name)
+	}
+	return samples[0]
+}
+
+// metricSum adds up every sample of the named family (0 when a labelled
+// family has no series yet).
+func metricSum(t *testing.T, doc, name string) float64 {
+	t.Helper()
+	var sum float64
+	for _, v := range metricSamples(t, doc, name) {
+		sum += v
+	}
+	return sum
+}
+
+func metricSamples(t *testing.T, doc, name string) []float64 {
+	t.Helper()
+	var out []float64
 	for _, line := range strings.Split(doc, "\n") {
 		if strings.HasPrefix(line, name+" ") || strings.HasPrefix(line, name+"{") {
 			v, err := strconv.ParseFloat(line[strings.LastIndex(line, " ")+1:], 64)
 			if err != nil {
 				t.Fatalf("parse %q: %v", line, err)
 			}
-			return v
+			out = append(out, v)
 		}
 	}
-	t.Fatalf("series %s not found", name)
-	return 0
+	return out
 }

@@ -325,13 +325,10 @@ type Env struct {
 	ModIdx   int
 }
 
-// Execute runs the full VLIW action: every ALU reads the *current* PHV and
-// the results are committed together, mirroring the hardware where all 25
-// ALUs consume the same input vector in parallel. Memory-op faults
-// (segment violations) turn the individual operation into a no-op, so a
-// misconfigured or malicious module can never touch state outside its
-// segment. The returned count is the number of stateful-memory operations
-// performed (used by cycle accounting).
+// Execute is the reference oracle behind stage.Process (see there):
+// ExecuteSlots without the precompiled slot list or the single-writer
+// shortcut — it walks all 25 slots and always snapshots the PHV. Nothing
+// serves traffic through it.
 func Execute(a *Action, env *Env) (memOps int, err error) {
 	in := *env.PHV // snapshot: all operands read pre-action values
 	for slot := range a {
@@ -350,10 +347,16 @@ func Execute(a *Action, env *Env) (memOps int, err error) {
 	return memOps, nil
 }
 
-// ExecuteSlots is Execute with the action's non-nop slots precompiled
-// (see Table.Ref) — the batched fast path. A single-instruction action
-// skips the PHV snapshot entirely: with one writer there is no
-// read-after-write hazard to guard against.
+// ExecuteSlots runs one VLIW action, visiting only its non-nop slots
+// (the list Table.Ref precompiles). Every ALU reads the PHV as it was
+// before the action and the results are committed together, mirroring
+// the hardware where all 25 ALUs consume the same input vector in
+// parallel; a single-instruction action skips the snapshot, since with
+// one writer there is no read-after-write hazard to guard against.
+// Memory-op faults (segment violations) turn the individual operation
+// into a no-op, so a misconfigured or malicious module can never touch
+// state outside its segment. The returned count is the number of
+// stateful-memory operations performed (used by cycle accounting).
 func ExecuteSlots(a *Action, slots []uint8, env *Env) (memOps int, err error) {
 	switch len(slots) {
 	case 0:

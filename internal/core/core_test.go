@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/hex"
 	"errors"
 	"testing"
 
@@ -428,4 +429,114 @@ func TestReconfigDuringTrafficIsRaceFree(t *testing.T) {
 		}
 	}
 	<-done
+}
+
+// TestProcessInterleavedWithProcessBatch runs one frame sequence twice —
+// every frame through Process, then the same frames alternating between
+// Process and ProcessBatch runs on a second pipeline — and requires the
+// two pipelines to end in the same state: Process and ProcessBatch share
+// the filter's round-robin position, its verdict counters and the module
+// stats, so how the frames were grouped must not be observable.
+func TestProcessInterleavedWithProcessBatch(t *testing.T) {
+	var discard alu.Action
+	discard[24] = alu.Instr{Op: alu.OpDiscard, A: 24}
+	build := func() *Pipeline {
+		p := NewDefault()
+		loadDirect(t, p, minimalModule(1, 7, setC2(0, 0x9999)), defaultPlacement())
+		pl2 := defaultPlacement()
+		pl2.CAMBase[1] = 1
+		loadDirect(t, p, minimalModule(2, 7, discard), pl2)
+		return p
+	}
+	reconfigFrame, err := reconfig.EncodePacket(1, reconfig.Command{
+		Resource: reconfig.MakeResourceID(0, reconfig.KindParser), Payload: make([]byte, parser.EntryBytes)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	untagged := make([]byte, 64)
+	var frames [][]byte
+	for i := 0; i < 4; i++ {
+		frames = append(frames,
+			dataFrame(1, 7),  // forwarded, rewritten
+			dataFrame(2, 7),  // discarded by module 2's action
+			reconfigFrame,    // dropped at the filter, no round-robin slot
+			dataFrame(1, 8),  // forwarded on a miss
+			dataFrame(9, 7),  // admitted, no such module
+			untagged,         // dropped at the filter
+			dataFrame(40, 7), // admitted, module ID out of range
+		)
+	}
+	// The second half of the sequence runs with module 2's update bit set.
+	phases := [][][]byte{frames[:14], frames[14:]}
+
+	// seen is what either method reports about a frame; the round-robin
+	// tags are only visible through Process (tagged).
+	type seen struct {
+		verdict                    reconfig.Verdict
+		dropped, discarded, failed bool
+		data                       string
+		tagged                     bool
+		buffer, parser             uint8
+	}
+	viaProcess := func(p *Pipeline, f []byte) seen {
+		out, _, err := p.Process(f, 0)
+		return seen{out.Verdict, out.Dropped, out.DiscardedByModule, err != nil, hex.EncodeToString(out.Data),
+			true, out.BufferTag, out.ParserNum}
+	}
+
+	ref := build()
+	var want []seen
+	for ph, fs := range phases {
+		ref.Filter.SetUpdating(2, ph == 1)
+		for _, f := range fs {
+			want = append(want, viaProcess(ref, f))
+		}
+	}
+
+	// Mixed: one frame through Process, then a run of 1..4 through
+	// ProcessBatch, and so on.
+	mixed := build()
+	var got []seen
+	res := make([]BatchResult, 4)
+	for ph, fs := range phases {
+		mixed.Filter.SetUpdating(2, ph == 1)
+		for run := 1; len(fs) > 0; run = run%4 + 1 {
+			got = append(got, viaProcess(mixed, fs[0]))
+			n := min(run, len(fs)-1)
+			if err := mixed.ProcessBatch(fs[1:1+n], 0, res); err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range res[:n] {
+				got = append(got, seen{verdict: r.Verdict, dropped: r.Dropped, discarded: r.DiscardedByModule,
+					failed: r.Err != nil, data: hex.EncodeToString(r.Data)})
+			}
+			fs = fs[1+n:]
+		}
+	}
+	for i, w := range want {
+		if !got[i].tagged {
+			w.tagged, w.buffer, w.parser = false, 0, 0
+		}
+		if got[i] != w {
+			t.Errorf("frame %d: mixed run %+v, all-Process run %+v", i, got[i], w)
+		}
+	}
+
+	for v := reconfig.VerdictData; v <= reconfig.VerdictControl; v++ {
+		if g, w := mixed.Filter.VerdictCount(v), ref.Filter.VerdictCount(v); g != w {
+			t.Errorf("verdict %v counted %d times, %d in the all-Process run", v, g, w)
+		}
+	}
+	for _, id := range []uint16{1, 2, 9} {
+		g, w := mixed.StatsFor(id), ref.StatsFor(id)
+		if g.Packets.Load() != w.Packets.Load() || g.Bytes.Load() != w.Bytes.Load() || g.Drops.Load() != w.Drops.Load() {
+			t.Errorf("module %d stats: packets/bytes/drops %d/%d/%d, all-Process run %d/%d/%d", id,
+				g.Packets.Load(), g.Bytes.Load(), g.Drops.Load(),
+				w.Packets.Load(), w.Bytes.Load(), w.Drops.Load())
+		}
+	}
+	if w := ref.StatsFor(1); w.Packets.Load() != 8 || ref.StatsFor(2).Drops.Load() != 4 {
+		t.Errorf("reference run: module 1 forwarded %d (want 8), module 2 dropped %d (want 4: 2 discards + 2 while updating)",
+			w.Packets.Load(), ref.StatsFor(2).Drops.Load())
+	}
 }

@@ -108,23 +108,24 @@ type Pipeline struct {
 	Stages   []*stage.Stage
 	Chain    *reconfig.DaisyChain
 
-	mu    sync.Mutex // serializes Process, like the ingress wire
+	mu    sync.Mutex // serializes Process and ProcessBatch, like the ingress wire
 	stats map[uint16]*ModuleStats
 
-	// batchViews caches per-module stage configuration for ProcessBatch
-	// (guarded by mu). Entries are revalidated against cfgGen, which
+	// batchViews caches per-module stage configuration for the frame
+	// path (guarded by mu). Entries are revalidated against cfgGen, which
 	// every configuration write path bumps (Apply, Partition,
 	// UnloadModule), so reconfiguration is always observed and an
 	// unchanged configuration pays no per-batch re-resolution.
 	batchViews []moduleViews
 	cfgGen     atomic.Uint64
 	// flowCache, when set, is attached to every hash-mode stage view so
-	// ProcessBatch memoizes match resolutions (see stage.FlowCache). It
+	// the frame path memoizes match resolutions (see stage.FlowCache). It
 	// is owned by this pipeline's batch caller — the engine gives each
 	// worker replica its own — and is only touched under mu.
 	flowCache *stage.FlowCache
 	// batchScratch is the two-pass batch loop's per-frame state (parsed
-	// PHVs, resolved views), reused across batches (guarded by mu).
+	// PHVs, resolved views), reused across batches and by Process for
+	// its batch of one (guarded by mu).
 	batchScratch []batchFrame
 }
 
@@ -136,6 +137,19 @@ type batchFrame struct {
 	v    phv.PHV
 	mv   *moduleViews
 	done bool
+	// out is set only while Process runs its batch of one: the frame's
+	// round-robin assignment and per-stage results are recorded there.
+	// Batches leave it nil and pay the nil checks.
+	out *Output
+}
+
+// scratch returns the first n frames of the batch scratch, growing it
+// when a larger batch than any before arrives. Callers hold mu.
+func (p *Pipeline) scratch(n int) []batchFrame {
+	if len(p.batchScratch) < n {
+		p.batchScratch = make([]batchFrame, n)
+	}
+	return p.batchScratch[:n]
 }
 
 // ShareFlowTables points every stage's exact-match flow table (the
@@ -300,98 +314,55 @@ type Trace struct {
 	MemOps       int
 }
 
-// Process pushes one frame through the pipeline. The returned Output owns
-// a fresh copy of the frame: like the hardware packet buffer, the input
-// is left untouched and the deparser writes modified headers into the
-// buffered copy.
+// Process pushes one frame through the pipeline and reports everything
+// the pipeline did to it: the per-stage results, the final PHV, the
+// filter's round-robin assignment and the activity counts a platform
+// model turns into cycles. It is a batch of one through runBatch, the
+// loop ProcessBatch runs — which method is called selects the detail
+// captured, never the code that handles the frame. The returned Output owns a fresh copy of the
+// frame: like the hardware packet buffer, the input is left untouched
+// and the deparser writes modified headers into the buffered copy. A
+// per-frame processing error (module ID out of range, parse or stage
+// fault) is returned as the error; the Output then reports the frame
+// dropped.
 func (p *Pipeline) Process(data []byte, ingressPort uint8) (*Output, *Trace, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.processLocked(data, ingressPort)
-}
-
-func (p *Pipeline) processLocked(data []byte, ingressPort uint8) (*Output, *Trace, error) {
 	out := &Output{StageResults: make([]stage.Result, len(p.Stages))}
 	tr := &Trace{FrameBytes: len(data)}
+	frames := [1][]byte{data}
+	// A zero result has no recycled buffer, so the copying-mode deparse
+	// lands in a fresh allocation the caller owns.
+	var res [1]BatchResult
 
-	cls := p.Filter.Classify(data, p.Options.NumParsers)
-	out.Verdict = cls.Verdict
-	out.ModuleID = cls.ModuleID
-	out.BufferTag = cls.BufferTag
-	out.ParserNum = cls.ParserNum
-	if cls.Verdict != reconfig.VerdictData {
-		out.Dropped = true
-		if s, ok := p.stats[cls.ModuleID]; ok && cls.Verdict == reconfig.VerdictDropUpdating {
-			s.Drops.Add(1)
-		}
-		return out, tr, nil
-	}
-	if err := p.checkModule(cls.ModuleID); err != nil {
-		out.Dropped = true
-		return out, tr, err
-	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	f := &p.scratch(1)[0]
+	f.out = out
+	p.runBatch(frames[:], ingressPort, nil, res[:], false)
+	f.out = nil
+	r, ran := &res[0], !f.done // ran: the frame was parsed and entered the stages
 
-	// Parse into a PHV. The PHV is zeroed inside Parse (isolation).
-	var v phv.PHV
-	if err := p.Parser.Parse(data, int(cls.ModuleID), &v); err != nil {
-		if errors.Is(err, parser.ErrNoConfig) {
-			// Unknown module: no parser entry installed. Drop.
-			out.Dropped = true
-			return out, tr, nil
+	out.Data = r.Data
+	out.Dropped = r.Dropped
+	out.Verdict = r.Verdict
+	out.DiscardedByModule = r.DiscardedByModule
+	out.ModuleID = r.ModuleID
+	out.EgressPort = r.EgressPort
+	if ran {
+		tr.ParsedFields = f.mv.parse.ValidActions()
+		for _, sr := range out.StageResults {
+			if sr.Active {
+				tr.ActiveStages++
+			}
+			if sr.Hit {
+				tr.CAMHits++
+			}
+			tr.MemOps += sr.MemOps
 		}
-		return out, tr, err
-	}
-	v.ModuleID = cls.ModuleID
-	v.SetIngress(ingressPort)
-	v.SetBufferTag(cls.BufferTag)
-	if e, ok := p.Parser.Table().Lookup(int(cls.ModuleID)); ok {
-		tr.ParsedFields = e.ValidActions()
-	}
-
-	// Match-action stages.
-	for i, st := range p.Stages {
-		res, err := st.Process(&v)
-		out.StageResults[i] = res
-		if res.Active {
-			tr.ActiveStages++
-		}
-		if res.Hit {
-			tr.CAMHits++
-		}
-		tr.MemOps += res.MemOps
-		if err != nil {
-			return out, tr, fmt.Errorf("stage %d: %w", i, err)
-		}
-		if v.Discarded() {
-			break
+		if r.Err == nil {
+			out.PHV = f.v
 		}
 	}
-
-	stats := p.statsLocked(cls.ModuleID)
-	if v.Discarded() {
-		out.Dropped = true
-		out.DiscardedByModule = true
-		out.PHV = v
-		stats.Drops.Add(1)
-		return out, tr, nil
-	}
-
-	// Deparse into the packet buffer copy.
-	buf := make([]byte, len(data))
-	copy(buf, data)
-	if err := p.Deparser.Deparse(buf, int(cls.ModuleID), &v); err != nil {
-		if !errors.Is(err, parser.ErrNoConfig) {
-			return out, tr, err
-		}
-		// A module may legitimately modify nothing; treat a missing
-		// deparser entry as "no writebacks".
-	}
-	out.Data = buf
-	out.EgressPort = v.Egress()
-	out.PHV = v
-	stats.Packets.Add(1)
-	stats.Bytes.Add(uint64(len(data)))
-	return out, tr, nil
+	return out, tr, r.Err
 }
 
 // BatchResult is the reduced per-frame outcome of the batched fast path.
@@ -433,9 +404,9 @@ type BatchResult struct {
 
 // ProcessBatch pushes a batch of frames through the pipeline under a
 // single lock acquisition, writing outcomes into res (which must be at
-// least as long as frames). It is the engine's fast path: per-frame
-// Output/trace allocations are skipped and each res[i].Data buffer is
-// reused across calls, so steady-state processing allocates nothing.
+// least as long as frames). It is the engine's entry point: no Output or
+// Trace is built and each res[i].Data buffer is reused across calls, so
+// steady-state processing allocates nothing.
 // The submitted frames are never written to (the deparser writes into
 // the per-result buffer). A per-frame error is recorded in res[i].Err
 // and does not abort the batch.
@@ -514,11 +485,15 @@ func (p *Pipeline) processBatch(frames [][]byte, ingressPort uint8, ports []uint
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.runBatch(frames, ingressPort, ports, res, inPlace)
+	return nil
+}
+
+// runBatch is the frame path: every frame of every Process and
+// ProcessBatch call goes through this loop. Callers hold mu.
+func (p *Pipeline) runBatch(frames [][]byte, ingressPort uint8, ports []uint8, res []BatchResult, inPlace bool) {
 	gen := p.cfgGen.Load()
-	if len(p.batchScratch) < len(frames) {
-		p.batchScratch = make([]batchFrame, len(frames))
-	}
-	bf := p.batchScratch[:len(frames)]
+	bf := p.scratch(len(frames))
 	var bs batchScope
 	p.Filter.BeginBatch(&bs.cls)
 	// Pass 1: classify and parse every frame, and prefetch the flow
@@ -544,7 +519,6 @@ func (p *Pipeline) processBatch(frames [][]byte, ingressPort uint8, ports []uint
 	}
 	bs.flushStats()
 	p.Filter.CommitBatch(&bs.cls)
-	return nil
 }
 
 // InvalidateBatchViews forces ProcessBatch to re-resolve cached module
@@ -661,6 +635,9 @@ func (p *Pipeline) prepBatchFrame(data []byte, ingressPort uint8, gen uint64, f 
 	cls := p.Filter.ClassifyBatched(data, p.Options.NumParsers, &bs.cls)
 	r.Verdict = cls.Verdict
 	r.ModuleID = cls.ModuleID
+	if f.out != nil {
+		f.out.BufferTag, f.out.ParserNum = cls.BufferTag, cls.ParserNum
+	}
 	if cls.Verdict != reconfig.VerdictData {
 		r.Dropped = true
 		if s, ok := p.stats[cls.ModuleID]; ok && cls.Verdict == reconfig.VerdictDropUpdating {
@@ -714,16 +691,23 @@ func (p *Pipeline) prepBatchFrame(data []byte, ingressPort uint8, gen uint64, f 
 	}
 }
 
-// execBatchFrame is pass 2 for one frame: the stage pipeline and the
-// deparse, which is processLocked minus the allocations and the
-// atomics — no Output, no StageResults, no PHV copy-out, side effects
-// accumulated into bs. With inPlace unset the deparse buffer is
-// recycled from the previous use of r; with it set the deparser writes
-// straight into data and r.Data aliases it.
+// execBatchFrame is pass 2 for one frame: the stage pipeline, in
+// order, stopping at the first stage whose action discards the frame,
+// then the deparse. The steady state allocates nothing and performs no
+// atomic operation: traffic counts accumulate into bs, and each stage's
+// Result is dropped unless Process asked for it (f.out). A stage fault
+// drops the frame with r.Err set. With inPlace unset the deparse buffer
+// is recycled from the previous use of r (the submitted frame is never
+// written); with it set the deparser writes straight into data and
+// r.Data aliases it.
 func (p *Pipeline) execBatchFrame(data []byte, f *batchFrame, r *BatchResult, inPlace bool, bs *batchScope) {
-	mv, v := f.mv, &f.v
+	mv, v, out := f.mv, &f.v, f.out
 	for i, st := range p.Stages {
-		if _, err := st.ProcessView(&mv.views[i], v); err != nil {
+		res, err := st.ProcessView(&mv.views[i], v)
+		if out != nil {
+			out.StageResults[i] = res
+		}
+		if err != nil {
 			r.Dropped = true
 			r.Err = fmt.Errorf("stage %d: %w", i, err)
 			return

@@ -6,7 +6,10 @@
 // pipeline configuration and services lock-free per-tenant RX rings in
 // round robin, and frames move through the pipeline in batches so
 // table-configuration reads and telemetry are amortized across the
-// batch.
+// batch. The frame path itself is the one core.Pipeline has — Device.Send
+// is a batch of one through it — so what the engine adds, and what its
+// parity suites against Device test, is concurrency: steering, the
+// hand-off, reconfiguration interleaved with traffic.
 //
 // # Sharding model
 //

@@ -378,9 +378,15 @@ func (n *EngineNode) onBatch(wid int, tenant uint16, res []core.BatchResult) {
 		}
 		bufs, metas := run.bufs, run.metas
 		if run.fault != nil {
-			before := run.fault.Counts().Dropped
-			bufs, metas = run.fault.ApplyBatch(bufs, metas, n.Eng.Release)
-			n.faultDropped.Add(run.fault.Counts().Dropped - before)
+			// Count this call's drops where they are released: the
+			// injector is shared by the node's workers, so a delta of
+			// its Dropped counter would include theirs.
+			dropped := uint64(0)
+			bufs, metas = run.fault.ApplyBatch(bufs, metas, func(b []byte) {
+				dropped++
+				n.Eng.Release(b)
+			})
+			n.faultDropped.Add(dropped)
 		}
 		acc, err := run.to.Eng.ForwardBatch(bufs, run.ingress, metas)
 		// On error (engine closed) acc is 0 and the buffers were

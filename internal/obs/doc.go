@@ -40,5 +40,5 @@
 // Everything here stays off the hot path: the exporter polls, the
 // trace ring records only marked frames, and the engine keeps its
 // 0 allocs/op steady state while being scraped (pinned by the
-// engine-level AllocsPerRun test and the /scraped benchmark).
+// engine-level AllocsPerRun test).
 package obs

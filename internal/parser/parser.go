@@ -180,43 +180,22 @@ func ExtractModuleID(data []byte) (uint16, error) {
 	return eth.VLANID, nil
 }
 
-// Parse zeroes the PHV (preventing cross-module container leaks), records
-// platform metadata, and applies the module's parse actions to fill PHV
-// containers from the first 128 bytes of data. Fields beyond the end of a
-// short packet read as zero, as a hardware byte-shifter would produce.
+// Parse runs the module's parse entry over one frame: EntryRef, Compile
+// and Program.Parse in one call, for callers that have not resolved the
+// entry ahead of time. The pipeline compiles once per configuration
+// generation and calls Program.Parse directly.
 func (p *Parser) Parse(data []byte, modIdx int, v *phv.PHV) error {
 	entry, ok := p.table.Ref(modIdx)
 	if !ok {
 		return fmt.Errorf("%w: index %d", ErrNoConfig, modIdx)
 	}
-	return ParseWith(entry, data, v)
+	prog := entry.Compile()
+	return prog.Parse(data, v)
 }
 
 // EntryRef returns the module's parse entry inside the current table
-// snapshot (read-only), for batched callers that resolve it once.
+// snapshot (read-only), for callers that resolve and Compile it once.
 func (p *Parser) EntryRef(modIdx int) (*Entry, bool) { return p.table.Ref(modIdx) }
-
-// ParseWith is Parse with the module's entry pre-resolved (see
-// EntryRef) — the batched fast path.
-func ParseWith(entry *Entry, data []byte, v *phv.PHV) error {
-	v.Zero()
-	if len(data) > 0xffff {
-		return fmt.Errorf("parser: packet length %d exceeds 16-bit metadata field", len(data))
-	}
-	v.SetPacketLen(uint16(len(data)))
-	for i := range entry.Actions {
-		a := &entry.Actions[i]
-		if !a.Valid {
-			continue
-		}
-		dst, err := v.Bytes(a.Dest)
-		if err != nil {
-			return err
-		}
-		copyWindow(dst, data, int(a.Offset))
-	}
-	return nil
-}
 
 // copyWindow copies len(dst) bytes from data[off:] into dst, zero-filling
 // past the end of data.
@@ -231,7 +210,7 @@ func copyWindow(dst, data []byte, off int) {
 }
 
 // Program is an Entry compiled to its valid actions with the container
-// references pre-resolved: the batched path runs only the configured
+// references pre-resolved: a frame runs only the configured
 // extractions/writebacks and pays no per-action validity or range
 // checks. A Program is immutable after Compile and safe for concurrent
 // use.
@@ -274,7 +253,15 @@ func (st *progStep) container(v *phv.PHV) []byte {
 	return v.Meta[:]
 }
 
-// Parse is ParseWith over the compiled program.
+// Parse fills v from one frame. It first zeroes the whole PHV — every
+// container and the metadata, not only the ones this module parses — so
+// nothing a previous frame (of any module) left in v can leak into this
+// one; that zeroing is the parser's share of the isolation guarantee.
+// It then records the frame length as platform metadata (a frame longer
+// than the 16-bit field is rejected) and copies each configured
+// [offset, offset+width) window of data into its container. Bytes past
+// the end of a short frame read as zero, as a hardware byte-shifter
+// would produce; Parse never reads outside data.
 func (pr *Program) Parse(data []byte, v *phv.PHV) error {
 	v.Zero()
 	if len(data) > 0xffff {
@@ -288,15 +275,18 @@ func (pr *Program) Parse(data []byte, v *phv.PHV) error {
 	return nil
 }
 
-// Deparse is DeparseWith over the compiled program: it writes each
-// configured container back into data at its offset, in place.
+// Deparse writes each configured container back into data at its
+// offset, in place, updating only the portions of the packet the
+// pipeline may have modified (§4.1). A write that would run past the end
+// of data is truncated to the bytes that fit; one that starts past the
+// end is skipped.
 //
 // Aliasing guarantee: Deparse only ever writes bytes of data inside the
-// configured [offset, offset+width) windows, reads exclusively from the
-// PHV (never from data), and truncates writes past the end of data — so
-// data may alias the very frame the PHV was parsed from. This is what
-// makes the engine's zero-copy mode sound: deparsing into the submitted
-// buffer is byte-identical to deparsing into a fresh copy of it.
+// configured [offset, offset+width) windows and reads exclusively from
+// the PHV (never from data) — so data may alias the very frame the PHV
+// was parsed from. This is what makes the engine's zero-copy mode sound:
+// deparsing into the submitted buffer is byte-identical to deparsing
+// into a fresh copy of it.
 func (pr *Program) Deparse(data []byte, v *phv.PHV) {
 	for i := range pr.steps {
 		st := &pr.steps[i]
@@ -337,41 +327,18 @@ func (d *Deparser) Set(idx int, e Entry) error {
 	return d.table.Set(idx, e)
 }
 
-// Deparse writes each configured container back into data at its offset,
-// updating only the portions of the packet the pipeline may have modified
-// (§4.1). Writes beyond the end of the packet are truncated.
+// Deparse runs the module's deparse entry over one frame: EntryRef,
+// Compile and Program.Deparse in one call (see Parser.Parse).
 func (d *Deparser) Deparse(data []byte, modIdx int, v *phv.PHV) error {
 	entry, ok := d.table.Ref(modIdx)
 	if !ok {
 		return fmt.Errorf("%w: deparser index %d", ErrNoConfig, modIdx)
 	}
-	return DeparseWith(entry, data, v)
+	prog := entry.Compile()
+	prog.Deparse(data, v)
+	return nil
 }
 
 // EntryRef returns the module's deparse entry inside the current table
-// snapshot (read-only), for batched callers that resolve it once.
+// snapshot (read-only), for callers that resolve and Compile it once.
 func (d *Deparser) EntryRef(modIdx int) (*Entry, bool) { return d.table.Ref(modIdx) }
-
-// DeparseWith is Deparse with the module's entry pre-resolved (see
-// EntryRef) — the batched fast path.
-func DeparseWith(entry *Entry, data []byte, v *phv.PHV) error {
-	for _, a := range entry.Actions {
-		if !a.Valid {
-			continue
-		}
-		src, err := v.Bytes(a.Dest)
-		if err != nil {
-			return err
-		}
-		off := int(a.Offset)
-		n := len(src)
-		if off >= len(data) {
-			continue
-		}
-		if off+n > len(data) {
-			n = len(data) - off
-		}
-		copy(data[off:off+n], src[:n])
-	}
-	return nil
-}

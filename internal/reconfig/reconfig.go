@@ -321,8 +321,9 @@ type Filter struct {
 	bitmap       atomic.Uint32
 	passUntagged bool
 
-	rrBuffer atomic.Uint32
-	rrParser atomic.Uint32
+	// admitted counts the frames given VerdictData; buffer tags and
+	// parser numbers are both derived from it.
+	admitted atomic.Uint32
 
 	// Per-verdict counters for observability.
 	counts [5]atomic.Uint64
@@ -364,38 +365,14 @@ type ClassifyResult struct {
 	ParserNum uint8 // which of the parallel parsers receives the frame
 }
 
-// Classify runs the filter over one data-path frame. numParsers is the
-// parallel-parser count of the platform (2 in the optimized design).
+// Classify runs the filter over one data-path frame as a scope of one:
+// BeginBatch, ClassifyBatched, CommitBatch. Like a scope, it must not
+// run concurrently with another classifier on the same filter.
 func (f *Filter) Classify(data []byte, numParsers int) ClassifyResult {
-	var res ClassifyResult
-	if IsReconfigFrame(data) {
-		res.Verdict = VerdictDropReconfig
-		f.counts[VerdictDropReconfig].Add(1)
-		return res
-	}
-	vid, err := parserVLANID(data)
-	if err != nil {
-		if f.passUntagged {
-			res.Verdict = VerdictControl
-		} else {
-			res.Verdict = VerdictDropNoVLAN
-		}
-		f.counts[res.Verdict].Add(1)
-		return res
-	}
-	res.ModuleID = vid
-	if f.bitmap.Load()&(1<<(vid&31)) != 0 {
-		res.Verdict = VerdictDropUpdating
-		f.counts[VerdictDropUpdating].Add(1)
-		return res
-	}
-	res.Verdict = VerdictData
-	res.BufferTag = uint8(f.rrBuffer.Add(1)-1) & 3
-	if numParsers < 1 {
-		numParsers = 1
-	}
-	res.ParserNum = uint8((f.rrParser.Add(1) - 1) % uint32(numParsers))
-	f.counts[VerdictData].Add(1)
+	var s ClassifyScope
+	f.BeginBatch(&s)
+	res := f.ClassifyBatched(data, numParsers, &s)
+	f.CommitBatch(&s)
 	return res
 }
 
@@ -405,24 +382,42 @@ func (f *Filter) Classify(data []byte, numParsers int) ClassifyResult {
 // Use Filter.BeginBatch to initialize one, ClassifyBatched per frame,
 // and Filter.CommitBatch once at the end. A scope must only be used by
 // one goroutine, while no other classifier runs on the same filter
-// (Pipeline.ProcessBatch holds the pipeline lock, which serializes it
-// with the synchronous Process path).
+// (core.Pipeline opens one per Process or ProcessBatch call, under the
+// pipeline lock).
 type ClassifyScope struct {
 	counts [5]uint32
-	base   uint32 // rrBuffer/rrParser value at BeginBatch
+	base   uint32 // the filter's admitted count at BeginBatch
 	data   uint32 // data-frame verdicts issued in this scope
 }
 
 // BeginBatch resets the scope against the filter's current round-robin
-// position. The two round-robin registers advance in lockstep on every
-// classification path, so one base covers both.
+// position.
 func (f *Filter) BeginBatch(s *ClassifyScope) {
-	*s = ClassifyScope{base: f.rrBuffer.Load()}
+	*s = ClassifyScope{base: f.admitted.Load()}
 }
 
-// ClassifyBatched is Classify with the counter and round-robin updates
-// deferred into s; the sequence of verdicts, buffer tags, and parser
-// numbers is identical to per-frame Classify calls.
+// ClassifyBatched is the packet filter's decision for one data-path
+// frame, with the counter and round-robin updates accumulated in s.
+// The checks run in this order and the first that applies is the
+// verdict:
+//
+//   - a frame addressed to the reconfiguration UDP port is dropped
+//     (VerdictDropReconfig): configuration is only accepted from the
+//     control-plane interface, never from the data path;
+//   - a frame without an 802.1Q tag is dropped (VerdictDropNoVLAN), or
+//     diverted to the control plane (VerdictControl) when the filter
+//     passes untagged traffic;
+//   - a frame whose module's bit is set in the update bitmap is dropped
+//     (VerdictDropUpdating), so no frame sees a half-written
+//     configuration;
+//   - anything else is admitted (VerdictData).
+//
+// Only admitted frames consume a round-robin position: the n-th
+// admitted frame since the filter was created gets packet buffer n mod
+// 4 and parser n mod numParsers (numParsers is the platform's
+// parallel-parser count, 2 in the optimized design; below 1 counts as
+// 1). Dropped and diverted frames carry zero tags and a zero module ID
+// unless the VLAN tag was read.
 func (f *Filter) ClassifyBatched(data []byte, numParsers int, s *ClassifyScope) ClassifyResult {
 	var res ClassifyResult
 	if IsReconfigFrame(data) {
@@ -459,7 +454,7 @@ func (f *Filter) ClassifyBatched(data []byte, numParsers int, s *ClassifyScope) 
 }
 
 // CommitBatch publishes the scope's accumulated counters and advances
-// the round-robin registers by the number of data frames classified.
+// the round-robin position by the number of frames admitted.
 func (f *Filter) CommitBatch(s *ClassifyScope) {
 	for v, n := range s.counts {
 		if n > 0 {
@@ -467,8 +462,7 @@ func (f *Filter) CommitBatch(s *ClassifyScope) {
 		}
 	}
 	if s.data > 0 {
-		f.rrBuffer.Add(s.data)
-		f.rrParser.Add(s.data)
+		f.admitted.Add(s.data)
 	}
 }
 

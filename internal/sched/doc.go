@@ -4,18 +4,16 @@
 //   - Per-module token-bucket rate limiters (§5: "hardware rate limiters
 //     can be used to limit each module's packet/bit rate" when the
 //     minimum-size or no-recirculation assumptions are violated).
-//   - PIFO (push-in first-out) schedulers (§3.5: "Proposals like PIFO
+//   - A PIFO (push-in first-out) scheduler (§3.5: "Proposals like PIFO
 //     can be used here, by assigning PIFO ranks to different modules to
 //     realize a desired inter-module bandwidth-sharing policy"), with a
 //     start-time-fair-queueing rank policy for weighted sharing of the
-//     output link. The general-purpose Scheduler (WFQ + PIFO, mutex
-//     protected) is the reference form; EgressQueue is the same design
-//     rebuilt for an engine worker's TX loop — single-owner, lock-free,
-//     allocation-free, and bounded by push-out rather than tail drop.
+//     output link: EgressQueue, built for an engine worker's TX loop —
+//     single-owner, lock-free, allocation-free, and bounded by push-out
+//     rather than tail drop.
 //
-// Rate limiters and the reference Scheduler operate on a simulated
-// clock supplied by the caller (seconds), so experiments are
-// deterministic.
+// Rate limiters operate on a simulated clock supplied by the caller
+// (seconds), so experiments are deterministic.
 //
 // # Accounting invariants
 //
@@ -32,8 +30,8 @@
 //     the victim is always its tenant's most recently accepted frame
 //     and rolling lastFinish back to the evicted rank is an exact
 //     undo.
-//   - Unload prunes: ClearTenant / ClearWeight / ClearLimit drop a
-//     module's virtual-finish and bucket state, so a re-loaded tenant
+//   - Unload prunes: ClearTenant / ClearLimit drop a module's
+//     virtual-finish and bucket state, so a re-loaded tenant
 //     starts from a clean slate instead of inheriting its previous
 //     life's penalty (or windfall).
 //

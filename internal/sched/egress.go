@@ -1,8 +1,6 @@
-// Egress fast path: the §3.5 inter-tenant output-bandwidth scheduler
-// rebuilt for a worker's TX loop. The general-purpose Scheduler in this
-// package takes two mutexes per enqueue and boxes every Item through
-// container/heap's `any`; an EgressQueue is owned by exactly one worker
-// goroutine, so it drops the locks, keeps items in a flat slice (a
+// Egress scheduler: the §3.5 inter-tenant output-bandwidth scheduler of
+// a worker's TX loop. An EgressQueue is owned by exactly one worker
+// goroutine, so it takes no locks, keeps items in a flat slice (a
 // hand-rolled min-max heap — no interface boxing, no per-op
 // allocation), and bounds the queue with *push-out* rather than tail
 // drop: when the queue is full, the worst-ranked entry — not the
@@ -184,8 +182,8 @@ func (q *EgressQueue) Pop() (EgressItem, bool) {
 // Even (min) levels hold local minima, odd (max) levels local maxima:
 // the global best rank is at index 0, the global worst at index 1 or 2.
 // Both Pop (drain) and removeMax (push-out) are O(log n) with no
-// allocation — the properties the Scheduler's container/heap PIFO
-// lacks.
+// allocation, which container/heap (one end only, boxing through any)
+// cannot offer.
 
 func egressLess(a, b *EgressItem) bool {
 	if a.Rank != b.Rank {

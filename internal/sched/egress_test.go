@@ -73,6 +73,23 @@ func TestEgressQueueRankOrderDrain(t *testing.T) {
 	}
 }
 
+func TestEgressQueueWorkConserving(t *testing.T) {
+	// A registered but idle heavy tenant reserves nothing: the sole
+	// backlogged tenant gets the whole link, whatever its weight.
+	q := NewEgressQueue(0)
+	_ = q.SetWeight(1, 1)
+	_ = q.SetWeight(2, 100)
+	frame := make([]byte, 100)
+	for i := 0; i < 10; i++ {
+		q.Push(1, 0, frame, 0)
+	}
+	for i := 0; i < 10; i++ {
+		if it, ok := q.Pop(); !ok || it.Tenant != 1 {
+			t.Fatal("sole backlogged tenant starved")
+		}
+	}
+}
+
 func TestEgressQueueFIFOWithinEqualRank(t *testing.T) {
 	// Distinct tenants all start idle: every first frame gets rank 0
 	// (virtual time), so pops must come back in push order.

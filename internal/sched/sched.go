@@ -1,17 +1,11 @@
-// Token buckets and the reference WFQ+PIFO scheduler; see doc.go for
-// the package contract and the EgressQueue fast path's invariants.
+// Token buckets and the per-module ingress rate limiter; see doc.go for
+// the package contract and egress.go for the §3.5 output scheduler.
 package sched
 
 import (
-	"container/heap"
-	"errors"
-	"fmt"
 	"math"
 	"sync"
 )
-
-// ErrNoSuchModule is returned when a limiter or weight is missing.
-var ErrNoSuchModule = errors.New("sched: module not configured")
 
 // TokenBucket is a standard token bucket: Rate tokens per second with a
 // Burst-sized bucket.
@@ -157,187 +151,4 @@ func (r *RateLimiter) Limit(moduleID uint16) (ModuleLimit, bool) {
 	defer r.mu.Unlock()
 	lim, ok := r.limits[moduleID]
 	return lim, ok
-}
-
-// Item is one queued packet in a PIFO.
-type Item struct {
-	// ModuleID is the frame's owning module (tenant).
-	ModuleID uint16
-	// Frame is the queued frame.
-	Frame []byte
-	// Rank orders the queue; lower drains first.
-	Rank float64
-	seq  uint64 // FIFO tiebreak for equal ranks
-}
-
-// PIFO is a push-in first-out queue: entries are pushed with a rank and
-// popped in rank order, the primitive from "Programmable Packet
-// Scheduling at Line Rate" the paper points to for inter-module
-// bandwidth sharing.
-type PIFO struct {
-	mu    sync.Mutex
-	h     pifoHeap
-	seq   uint64
-	limit int
-}
-
-// NewPIFO returns a queue holding at most limit entries (0 = unbounded).
-func NewPIFO(limit int) *PIFO {
-	return &PIFO{limit: limit}
-}
-
-// Push enqueues a frame with the given rank; it reports false when the
-// queue is full (tail drop).
-func (p *PIFO) Push(it Item) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.limit > 0 && p.h.Len() >= p.limit {
-		return false
-	}
-	it.seq = p.seq
-	p.seq++
-	heap.Push(&p.h, it)
-	return true
-}
-
-// Pop dequeues the lowest-ranked frame.
-func (p *PIFO) Pop() (Item, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.h.Len() == 0 {
-		return Item{}, false
-	}
-	return heap.Pop(&p.h).(Item), true
-}
-
-// Len reports the queue depth.
-func (p *PIFO) Len() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.h.Len()
-}
-
-type pifoHeap []Item
-
-func (h pifoHeap) Len() int { return len(h) }
-func (h pifoHeap) Less(i, j int) bool {
-	if h[i].Rank != h[j].Rank {
-		return h[i].Rank < h[j].Rank
-	}
-	return h[i].seq < h[j].seq
-}
-func (h pifoHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *pifoHeap) Push(x any)   { *h = append(*h, x.(Item)) }
-func (h *pifoHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
-
-// WFQ assigns PIFO ranks with start-time fair queueing: each module gets
-// bandwidth proportional to its weight regardless of its offered load.
-type WFQ struct {
-	mu          sync.Mutex
-	weights     map[uint16]float64
-	lastFinish  map[uint16]float64
-	virtualTime float64
-}
-
-// NewWFQ returns a scheduler with no modules registered.
-func NewWFQ() *WFQ {
-	return &WFQ{weights: make(map[uint16]float64), lastFinish: make(map[uint16]float64)}
-}
-
-// SetWeight registers a module's share weight (must be > 0).
-func (w *WFQ) SetWeight(moduleID uint16, weight float64) error {
-	if weight <= 0 {
-		return fmt.Errorf("sched: weight must be positive, got %v", weight)
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.weights[moduleID] = weight
-	return nil
-}
-
-// ClearWeight unregisters a module and prunes its virtual-finish
-// state — the unload hook. Without the prune a re-registered module
-// would inherit the stale finish time of its previous life and start
-// penalized by however far ahead of virtual time it had run.
-func (w *WFQ) ClearWeight(moduleID uint16) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	delete(w.weights, moduleID)
-	delete(w.lastFinish, moduleID)
-}
-
-// Rank computes the PIFO rank for one frame of a module: the virtual
-// start time of the frame under weighted fair queueing. OnPop must be
-// called with each dequeued item to advance virtual time.
-func (w *WFQ) Rank(moduleID uint16, frameBytes int) (float64, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	weight, ok := w.weights[moduleID]
-	if !ok {
-		return 0, fmt.Errorf("%w: %d", ErrNoSuchModule, moduleID)
-	}
-	start := math.Max(w.virtualTime, w.lastFinish[moduleID])
-	w.lastFinish[moduleID] = start + float64(frameBytes)/weight
-	return start, nil
-}
-
-// OnPop advances virtual time to the dequeued frame's rank.
-func (w *WFQ) OnPop(it Item) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if it.Rank > w.virtualTime {
-		w.virtualTime = it.Rank
-	}
-}
-
-// Scheduler couples a WFQ rank policy with a PIFO queue to share an
-// output link between modules (§3.5's suggested design).
-type Scheduler struct {
-	// WFQ assigns each frame's rank (virtual start time).
-	WFQ *WFQ
-	// PIFO holds ranked frames and drains them in rank order.
-	PIFO *PIFO
-}
-
-// NewScheduler returns a WFQ+PIFO scheduler with the given queue bound.
-func NewScheduler(queueLimit int) *Scheduler {
-	return &Scheduler{WFQ: NewWFQ(), PIFO: NewPIFO(queueLimit)}
-}
-
-// Enqueue ranks and queues one frame. The module's virtual finish time
-// is charged only once the PIFO accepts the frame: a tail-dropped
-// frame leaves the WFQ state untouched, so a module hitting a full
-// queue is not penalized on the ranks of frames it never transmitted.
-// (Holding the WFQ lock across the push keeps the rank-then-commit
-// sequence atomic against concurrent Enqueues; Dequeue never holds the
-// PIFO lock while taking the WFQ lock, so the order is deadlock-free.)
-func (s *Scheduler) Enqueue(moduleID uint16, frame []byte) error {
-	w := s.WFQ
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	weight, ok := w.weights[moduleID]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrNoSuchModule, moduleID)
-	}
-	start := math.Max(w.virtualTime, w.lastFinish[moduleID])
-	if !s.PIFO.Push(Item{ModuleID: moduleID, Frame: frame, Rank: start}) {
-		return fmt.Errorf("sched: queue full, frame of module %d dropped", moduleID)
-	}
-	w.lastFinish[moduleID] = start + float64(len(frame))/weight
-	return nil
-}
-
-// Dequeue pops the next frame to transmit.
-func (s *Scheduler) Dequeue() (Item, bool) {
-	it, ok := s.PIFO.Pop()
-	if ok {
-		s.WFQ.OnPop(it)
-	}
-	return it, ok
 }

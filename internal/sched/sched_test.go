@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"errors"
-	"math"
 	"testing"
 	"testing/quick"
 )
@@ -120,139 +118,6 @@ func TestRateLimiterRefundsOnBitReject(t *testing.T) {
 	}
 }
 
-func TestPIFOOrdering(t *testing.T) {
-	p := NewPIFO(0)
-	p.Push(Item{ModuleID: 1, Rank: 3})
-	p.Push(Item{ModuleID: 2, Rank: 1})
-	p.Push(Item{ModuleID: 3, Rank: 2})
-	var order []uint16
-	for {
-		it, ok := p.Pop()
-		if !ok {
-			break
-		}
-		order = append(order, it.ModuleID)
-	}
-	want := []uint16{2, 3, 1}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("pop order = %v, want %v", order, want)
-		}
-	}
-}
-
-func TestPIFOFIFOTiebreak(t *testing.T) {
-	p := NewPIFO(0)
-	for i := uint16(0); i < 5; i++ {
-		p.Push(Item{ModuleID: i, Rank: 7})
-	}
-	for i := uint16(0); i < 5; i++ {
-		it, _ := p.Pop()
-		if it.ModuleID != i {
-			t.Fatalf("equal ranks must pop FIFO; got module %d at position %d", it.ModuleID, i)
-		}
-	}
-}
-
-func TestPIFOTailDrop(t *testing.T) {
-	p := NewPIFO(2)
-	if !p.Push(Item{Rank: 1}) || !p.Push(Item{Rank: 2}) {
-		t.Fatal("pushes under limit failed")
-	}
-	if p.Push(Item{Rank: 0}) {
-		t.Fatal("full queue accepted a push")
-	}
-	if p.Len() != 2 {
-		t.Fatalf("len = %d", p.Len())
-	}
-}
-
-func TestWFQProportionalSharing(t *testing.T) {
-	// Weights 3:1 — with both modules backlogged, dequeues should split
-	// bytes roughly 3:1.
-	s := NewScheduler(0)
-	if err := s.WFQ.SetWeight(1, 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.WFQ.SetWeight(2, 1); err != nil {
-		t.Fatal(err)
-	}
-	frame := make([]byte, 1000)
-	for i := 0; i < 400; i++ {
-		if err := s.Enqueue(1, frame); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Enqueue(2, frame); err != nil {
-			t.Fatal(err)
-		}
-	}
-	counts := map[uint16]int{}
-	for i := 0; i < 400; i++ { // drain half the queue
-		it, ok := s.Dequeue()
-		if !ok {
-			t.Fatal("queue drained early")
-		}
-		counts[it.ModuleID]++
-	}
-	ratio := float64(counts[1]) / float64(counts[2])
-	if math.Abs(ratio-3) > 0.3 {
-		t.Errorf("dequeue ratio = %.2f (%v), want ~3", ratio, counts)
-	}
-}
-
-func TestWFQUnregisteredModule(t *testing.T) {
-	s := NewScheduler(0)
-	if err := s.Enqueue(5, make([]byte, 100)); !errors.Is(err, ErrNoSuchModule) {
-		t.Errorf("err = %v", err)
-	}
-	if err := s.WFQ.SetWeight(5, 0); err == nil {
-		t.Error("zero weight accepted")
-	}
-}
-
-func TestWFQWorkConserving(t *testing.T) {
-	// With only one backlogged module, it gets the whole link.
-	s := NewScheduler(0)
-	_ = s.WFQ.SetWeight(1, 1)
-	_ = s.WFQ.SetWeight(2, 100)
-	frame := make([]byte, 100)
-	for i := 0; i < 10; i++ {
-		if err := s.Enqueue(1, frame); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 10; i++ {
-		it, ok := s.Dequeue()
-		if !ok || it.ModuleID != 1 {
-			t.Fatal("sole backlogged module starved")
-		}
-	}
-}
-
-// Property: PIFO pops are monotone in rank.
-func TestQuickPIFOMonotone(t *testing.T) {
-	f := func(ranks []uint16) bool {
-		p := NewPIFO(0)
-		for _, r := range ranks {
-			p.Push(Item{Rank: float64(r)})
-		}
-		prev := math.Inf(-1)
-		for {
-			it, ok := p.Pop()
-			if !ok {
-				return true
-			}
-			if it.Rank < prev {
-				return false
-			}
-			prev = it.Rank
-		}
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: a token bucket never goes negative and never exceeds burst.
 func TestQuickBucketInvariant(t *testing.T) {
 	f := func(takes []uint8) bool {
@@ -269,72 +134,6 @@ func TestQuickBucketInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-// Regression (PR 4): a tail-dropped frame must not charge WFQ virtual
-// finish time. Before the fix, Rank advanced lastFinish before
-// PIFO.Push could fail, so a module hitting a full queue was penalized
-// on every future rank by frames it never transmitted.
-func TestSchedulerTailDropDoesNotChargeVirtualTime(t *testing.T) {
-	s := NewScheduler(1)
-	if err := s.WFQ.SetWeight(1, 1); err != nil {
-		t.Fatal(err)
-	}
-	frame := make([]byte, 100)
-	if err := s.Enqueue(1, frame); err != nil { // rank 0, finish 100
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ { // all tail-dropped: must charge nothing
-		if err := s.Enqueue(1, frame); err == nil {
-			t.Fatalf("push %d accepted on a full depth-1 queue", i)
-		}
-	}
-	if _, ok := s.Dequeue(); !ok {
-		t.Fatal("dequeue failed")
-	}
-	if err := s.Enqueue(1, frame); err != nil {
-		t.Fatal(err)
-	}
-	it, ok := s.Dequeue()
-	if !ok {
-		t.Fatal("dequeue failed")
-	}
-	// The accepted frame continues from the first frame's finish (100),
-	// not from 100 + 50 phantom charges.
-	if it.Rank != 100 {
-		t.Errorf("post-tail-drop rank = %v, want 100 (no phantom charges)", it.Rank)
-	}
-}
-
-// Regression (PR 4): ClearWeight must prune lastFinish so a module
-// that is unloaded and re-loaded starts fresh at virtual time.
-func TestWFQClearWeightPrunesFinishState(t *testing.T) {
-	s := NewScheduler(0)
-	if err := s.WFQ.SetWeight(3, 1); err != nil {
-		t.Fatal(err)
-	}
-	frame := make([]byte, 1000)
-	for i := 0; i < 10; i++ { // run lastFinish out to 10000
-		if err := s.Enqueue(3, frame); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.WFQ.ClearWeight(3)
-	if err := s.Enqueue(3, frame); err == nil {
-		t.Fatal("cleared module still registered")
-	}
-	if err := s.WFQ.SetWeight(3, 1); err != nil {
-		t.Fatal(err)
-	}
-	rank, err := s.WFQ.Rank(3, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Virtual time is still 0 (nothing dequeued): a re-loaded module
-	// must rank at 0, not inherit its old finish of 10000.
-	if rank != 0 {
-		t.Errorf("re-registered module rank = %v, want 0 (stale lastFinish leaked)", rank)
 	}
 }
 

@@ -232,8 +232,7 @@ type Stage struct {
 	// Hash is the deep exact-match side of the match table (§4.3): a
 	// growing cuckoo table holding per-flow entries keyed by (key,
 	// module ID), each resolving to a VLIW action address. Flow entries
-	// take precedence over CAM entries in both Process and ProcessView;
-	// ternary rules stay in the CAM.
+	// take precedence over CAM entries; ternary rules stay in the CAM.
 	Hash *tables.Cuckoo
 	// Memory is the stage's stateful memory, reached through Segments.
 	Memory   *tables.StatefulMemory
@@ -283,11 +282,13 @@ type Result struct {
 	MemOps int
 }
 
-// Process runs one PHV through the stage: key extraction (with per-module
-// mask), CAM lookup with the module ID appended, and VLIW action
-// execution. A module with no configuration in this stage is passed
-// through; a CAM miss executes no action (the prototype has no default
-// actions).
+// Process is the reference oracle for flow_test.go's differential tests
+// and stage_test.go's behaviour table; nothing serves traffic through
+// it. It resolves every table live, per call, in the most literal
+// reading of Figure 4 — overlay lookups by module ID, a masked key
+// copy, a whole-table match, alu.Execute over all 25 slots — so a bug
+// in the compiled View (PR 7's module-ID aliasing was one) shows up as a
+// disagreement with it. ViewFor + ProcessView is the serving path.
 func (s *Stage) Process(p *phv.PHV) (Result, error) {
 	var res Result
 	// Module IDs are 12 bits on the wire; normalize once so every table
@@ -459,8 +460,8 @@ func scanMatch(match []viewMatch, kw *tables.KeyWords) int {
 func (s *Stage) ViewFor(modIdx int) View {
 	// Normalize to the 12-bit wire width once; every comparison below
 	// (partition fallback, candidate precompile, flow enumeration) uses
-	// the same index, keeping ProcessView identical to Process for
-	// out-of-range module indices.
+	// the same index, so an out-of-range module index aliases onto the
+	// same module in every table.
 	modIdx &= tables.MaxModuleID
 	var v View
 	entry, ok := s.Extract.Lookup(modIdx)
@@ -503,8 +504,8 @@ func (s *Stage) ViewFor(modIdx int) View {
 	if ok {
 		// A partition configured after entries were written (raw table
 		// use) may exclude existing valid entries; fall back to the full
-		// scan then, so ProcessView stays semantically identical to
-		// Process, which always scans the whole CAM.
+		// scan then, so a valid entry of the module can match wherever
+		// it sits.
 		for a := range v.CAM {
 			if (a < lo || a >= hi) && v.CAM[a].Valid && v.CAM[a].ModID == uint16(modIdx) {
 				ok = false
@@ -531,9 +532,14 @@ func (s *Stage) ViewFor(modIdx int) View {
 	return v
 }
 
-// ProcessView is Process with the module's configuration pre-resolved
-// into v — the batched fast path. Semantics are identical to Process as
-// of the moment the View was taken.
+// ProcessView runs one PHV through the stage under the module
+// configuration resolved into v: key extraction (with the per-module
+// mask), match with the module ID appended — exact-match flow entries
+// first, then the module's CAM entries in address order — and VLIW
+// action execution. A module with no configuration in this stage
+// (v.Active false) passes through untouched; a miss executes no action
+// (the prototype has no default actions); a hit on an address with no
+// action installed is ErrNoAction.
 func (s *Stage) ProcessView(v *View, p *phv.PHV) (Result, error) {
 	var res Result
 	if !v.Active {

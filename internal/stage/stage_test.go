@@ -155,147 +155,176 @@ func setAction(slot int, imm uint16) alu.Action {
 	return a
 }
 
-func TestStageProcessHit(t *testing.T) {
-	s := newStage(t)
-	installSimple(t, s, 1, 0x1234, setAction(1, 999), 0)
+// processFunc runs one PHV through a stage.
+type processFunc func(s *Stage, p *phv.PHV) (Result, error)
 
-	var p phv.PHV
-	p.ModuleID = 1
-	p.MustSet(phv.Ref{Type: phv.Type2B, Index: 0}, 0x1234)
-	res, err := s.Process(&p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Active || !res.Hit || res.ActionAddr != 0 {
-		t.Errorf("result = %+v", res)
-	}
-	if p.MustGet(phv.Ref{Type: phv.Type2B, Index: 1}) != 999 {
-		t.Error("action did not run")
-	}
+// bothPaths runs a behaviour test against the reference oracle (Process)
+// and against the serving path (ViewFor + ProcessView), so the code that
+// handles traffic has direct expectations of its own and not only
+// "agrees with the oracle" (flow_test.go).
+func bothPaths(t *testing.T, test func(t *testing.T, process processFunc)) {
+	t.Run("oracle", func(t *testing.T) { test(t, (*Stage).Process) })
+	t.Run("view", func(t *testing.T) {
+		test(t, func(s *Stage, p *phv.PHV) (Result, error) {
+			v := s.ViewFor(int(p.ModuleID))
+			return s.ProcessView(&v, p)
+		})
+	})
+}
+
+func TestStageProcessHit(t *testing.T) {
+	bothPaths(t, func(t *testing.T, process processFunc) {
+		s := newStage(t)
+		installSimple(t, s, 1, 0x1234, setAction(1, 999), 0)
+
+		var p phv.PHV
+		p.ModuleID = 1
+		p.MustSet(phv.Ref{Type: phv.Type2B, Index: 0}, 0x1234)
+		res, err := process(s, &p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Active || !res.Hit || res.ActionAddr != 0 {
+			t.Errorf("result = %+v", res)
+		}
+		if p.MustGet(phv.Ref{Type: phv.Type2B, Index: 1}) != 999 {
+			t.Error("action did not run")
+		}
+	})
 }
 
 func TestStageProcessMissRunsNoAction(t *testing.T) {
-	s := newStage(t)
-	installSimple(t, s, 1, 0x1234, setAction(1, 999), 0)
-	var p phv.PHV
-	p.ModuleID = 1
-	p.MustSet(phv.Ref{Type: phv.Type2B, Index: 0}, 0x9999)
-	res, err := s.Process(&p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Active || res.Hit {
-		t.Errorf("result = %+v", res)
-	}
-	if p.MustGet(phv.Ref{Type: phv.Type2B, Index: 1}) != 0 {
-		t.Error("miss must not modify the PHV")
-	}
+	bothPaths(t, func(t *testing.T, process processFunc) {
+		s := newStage(t)
+		installSimple(t, s, 1, 0x1234, setAction(1, 999), 0)
+		var p phv.PHV
+		p.ModuleID = 1
+		p.MustSet(phv.Ref{Type: phv.Type2B, Index: 0}, 0x9999)
+		res, err := process(s, &p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Active || res.Hit {
+			t.Errorf("result = %+v", res)
+		}
+		if p.MustGet(phv.Ref{Type: phv.Type2B, Index: 1}) != 0 {
+			t.Error("miss must not modify the PHV")
+		}
+	})
 }
 
 func TestStageInactiveForUnconfiguredModule(t *testing.T) {
-	s := newStage(t)
-	var p phv.PHV
-	p.ModuleID = 9
-	res, err := s.Process(&p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Active {
-		t.Error("unconfigured module should pass through")
-	}
+	bothPaths(t, func(t *testing.T, process processFunc) {
+		s := newStage(t)
+		var p phv.PHV
+		p.ModuleID = 9
+		res, err := process(s, &p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Active {
+			t.Error("unconfigured module should pass through")
+		}
+	})
 }
 
 func TestStageModuleKeyIsolation(t *testing.T) {
 	// Module 2 has the same key value as module 1 but its own action.
-	s := newStage(t)
-	installSimple(t, s, 1, 7, setAction(1, 111), 0)
-	installSimple(t, s, 2, 7, setAction(1, 222), 1)
+	bothPaths(t, func(t *testing.T, process processFunc) {
+		s := newStage(t)
+		installSimple(t, s, 1, 7, setAction(1, 111), 0)
+		installSimple(t, s, 2, 7, setAction(1, 222), 1)
 
-	var p phv.PHV
-	p.ModuleID = 2
-	p.MustSet(phv.Ref{Type: phv.Type2B, Index: 0}, 7)
-	if _, err := s.Process(&p); err != nil {
-		t.Fatal(err)
-	}
-	if got := p.MustGet(phv.Ref{Type: phv.Type2B, Index: 1}); got != 222 {
-		t.Errorf("module 2 got module 1's action: %d", got)
-	}
+		var p phv.PHV
+		p.ModuleID = 2
+		p.MustSet(phv.Ref{Type: phv.Type2B, Index: 0}, 7)
+		if _, err := process(s, &p); err != nil {
+			t.Fatal(err)
+		}
+		if got := p.MustGet(phv.Ref{Type: phv.Type2B, Index: 1}); got != 222 {
+			t.Errorf("module 2 got module 1's action: %d", got)
+		}
+	})
 }
 
 func TestStagePredicateSelectsEntries(t *testing.T) {
 	// if (c2[0] > 10) set c2[1]=1 else set c2[1]=2, via predicate bit.
-	s := newStage(t)
-	ext := KeyExtractEntry{
-		PredOp: PredGt,
-		PredA:  Operand{IsContainer: true, Slot: 0},
-		PredB:  Operand{Imm: 10},
-	}
-	if err := s.Extract.Set(1, ext); err != nil {
-		t.Fatal(err)
-	}
-	var mask tables.Key
-	mask = mask.WithPredicate(true) // only predicate bit matters
-	if err := s.Mask.Set(1, mask); err != nil {
-		t.Fatal(err)
-	}
-	kTrue := tables.Key{}.WithPredicate(true)
-	kFalse := tables.Key{}
-	if err := s.Match.Write(0, tables.CAMEntry{Valid: true, ModID: 1, Key: kTrue, Mask: mask}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Actions.Set(0, setAction(1, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Match.Write(1, tables.CAMEntry{Valid: true, ModID: 1, Key: kFalse, Mask: mask}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Actions.Set(1, setAction(1, 2)); err != nil {
-		t.Fatal(err)
-	}
+	bothPaths(t, func(t *testing.T, process processFunc) {
+		s := newStage(t)
+		ext := KeyExtractEntry{
+			PredOp: PredGt,
+			PredA:  Operand{IsContainer: true, Slot: 0},
+			PredB:  Operand{Imm: 10},
+		}
+		if err := s.Extract.Set(1, ext); err != nil {
+			t.Fatal(err)
+		}
+		var mask tables.Key
+		mask = mask.WithPredicate(true) // only predicate bit matters
+		if err := s.Mask.Set(1, mask); err != nil {
+			t.Fatal(err)
+		}
+		kTrue := tables.Key{}.WithPredicate(true)
+		kFalse := tables.Key{}
+		if err := s.Match.Write(0, tables.CAMEntry{Valid: true, ModID: 1, Key: kTrue, Mask: mask}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Actions.Set(0, setAction(1, 1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Match.Write(1, tables.CAMEntry{Valid: true, ModID: 1, Key: kFalse, Mask: mask}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Actions.Set(1, setAction(1, 2)); err != nil {
+			t.Fatal(err)
+		}
 
-	var p phv.PHV
-	p.ModuleID = 1
-	p.MustSet(phv.Ref{Type: phv.Type2B, Index: 0}, 50)
-	if _, err := s.Process(&p); err != nil {
-		t.Fatal(err)
-	}
-	if got := p.MustGet(phv.Ref{Type: phv.Type2B, Index: 1}); got != 1 {
-		t.Errorf("then-branch: got %d, want 1", got)
-	}
+		var p phv.PHV
+		p.ModuleID = 1
+		p.MustSet(phv.Ref{Type: phv.Type2B, Index: 0}, 50)
+		if _, err := process(s, &p); err != nil {
+			t.Fatal(err)
+		}
+		if got := p.MustGet(phv.Ref{Type: phv.Type2B, Index: 1}); got != 1 {
+			t.Errorf("then-branch: got %d, want 1", got)
+		}
 
-	p.Zero()
-	p.ModuleID = 1
-	p.MustSet(phv.Ref{Type: phv.Type2B, Index: 0}, 5)
-	if _, err := s.Process(&p); err != nil {
-		t.Fatal(err)
-	}
-	if got := p.MustGet(phv.Ref{Type: phv.Type2B, Index: 1}); got != 2 {
-		t.Errorf("else-branch: got %d, want 2", got)
-	}
+		p.Zero()
+		p.ModuleID = 1
+		p.MustSet(phv.Ref{Type: phv.Type2B, Index: 0}, 5)
+		if _, err := process(s, &p); err != nil {
+			t.Fatal(err)
+		}
+		if got := p.MustGet(phv.Ref{Type: phv.Type2B, Index: 1}); got != 2 {
+			t.Errorf("else-branch: got %d, want 2", got)
+		}
+	})
 }
 
 func TestStageStatefulMemOps(t *testing.T) {
-	s := newStage(t)
-	if err := s.Segments.Set(1, tables.Segment{Base: 10, Range: 4}); err != nil {
-		t.Fatal(err)
-	}
-	var act alu.Action
-	act[1] = alu.Instr{Op: alu.OpLoadd, A: alu.NoOperand, Imm: 0}
-	installSimple(t, s, 1, 1, act, 0)
+	bothPaths(t, func(t *testing.T, process processFunc) {
+		s := newStage(t)
+		if err := s.Segments.Set(1, tables.Segment{Base: 10, Range: 4}); err != nil {
+			t.Fatal(err)
+		}
+		var act alu.Action
+		act[1] = alu.Instr{Op: alu.OpLoadd, A: alu.NoOperand, Imm: 0}
+		installSimple(t, s, 1, 1, act, 0)
 
-	var p phv.PHV
-	p.ModuleID = 1
-	p.MustSet(phv.Ref{Type: phv.Type2B, Index: 0}, 1)
-	res, err := s.Process(&p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MemOps != 1 {
-		t.Errorf("MemOps = %d", res.MemOps)
-	}
-	if v, _ := s.Memory.Load(10); v != 1 {
-		t.Errorf("counter at physical 10 = %d", v)
-	}
+		var p phv.PHV
+		p.ModuleID = 1
+		p.MustSet(phv.Ref{Type: phv.Type2B, Index: 0}, 1)
+		res, err := process(s, &p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.MemOps != 1 {
+			t.Errorf("MemOps = %d", res.MemOps)
+		}
+		if v, _ := s.Memory.Load(10); v != 1 {
+			t.Errorf("counter at physical 10 = %d", v)
+		}
+	})
 }
 
 func TestClearModuleRemovesEverythingAndZeroesState(t *testing.T) {
