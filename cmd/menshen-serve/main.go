@@ -434,8 +434,8 @@ func main() {
 	if len(st.Ingress) > 0 {
 		fmt.Printf("\n--- ingress ---\n")
 		for _, is := range st.Ingress {
-			fmt.Printf("%-8s %-24s received %9d (%7.2f MB)  submitted %9d  rejected %6d  short %5d  oversize %5d  decode-err %3d  conns %3d (retries %d, resets %d)\n",
-				is.Transport, is.Listen, is.Received, float64(is.ReceivedBytes)/1e6,
+			fmt.Printf("%-8s %-24s received %9d (%7.2f MB) in %9d reads  submitted %9d  rejected %6d  short %5d  oversize %5d  decode-err %3d  conns %3d (retries %d, resets %d)\n",
+				is.Transport, is.Listen, is.Received, float64(is.ReceivedBytes)/1e6, is.Reads,
 				is.Submitted, is.SubmitRejected, is.ShortDropped, is.OversizeDropped,
 				is.DecodeErrors, is.ConnsAccepted, is.AcceptRetries, is.ConnResets)
 		}

@@ -314,17 +314,22 @@ func (s WorkerStats) AvgBatch() float64 {
 // byte read off the socket into exactly one fate — the "counted, never
 // silent" discipline extended to the network edge:
 //
-//	reads = Received + ShortDropped + OversizeDropped
+//	datagrams = Received + ShortDropped + OversizeDropped
 //	Received = Submitted + SubmitRejected
 //
 // so client-sent == delivered + every counted drop class holds end to
-// end on lossless transports (TCP, Unix datagram).
+// end on lossless transports (TCP, Unix datagram). Reads is not a fate
+// but the cost side of the same ledger: datagrams / Reads is how many
+// frames each RX syscall carried.
 type IngressStats struct {
 	// Transport is the transport kind ("udp", "tcp", "unixgram",
 	// "trafficgen", ...).
 	Transport string
 	// Listen is the bound listen address (socket path for unixgram).
 	Listen string
+	// Reads counts RX syscalls that returned at least one datagram
+	// (one recvmmsg may return a burst). Stream transports leave it 0.
+	Reads uint64
 	// Received counts well-formed frames read off the transport and
 	// offered to the engine.
 	Received uint64

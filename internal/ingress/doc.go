@@ -8,21 +8,33 @@
 // ListenUnixgram, or trafficgen's scenario adapter. A Sink is anything
 // that consumes them through the engine's owned-buffer contract —
 // *engine.Engine and the root facade's *menshen.Engine both satisfy
-// it. A Source's RX loop runs Borrow → read → SubmitOwned: the kernel
-// copies the datagram or stream bytes into a pool buffer the source
-// borrowed, and from there to the wire the engine never copies the
-// frame again. The Listeners aggregate owns the serve goroutines and
-// surfaces every source's counters through Engine.RegisterIngress.
+// it. A datagram Source's RX loop runs borrow N → fill → classify →
+// SubmitBatchOwned, a burst at a time: it keeps N (32) pool buffers on
+// loan, one syscall (recvmmsg on linux/amd64 and linux/arm64, one Read
+// — a burst of one — elsewhere; internal/mmsg hides which) lets the
+// kernel copy every queued datagram into them, and the in-range frames
+// of the burst go to the engine in one call. The fill returns what is
+// queued and parks only on an empty socket, so a burst never waits to
+// fill and a trickle still sees one frame per read. The stream Source
+// runs Borrow → read → SubmitOwned per frame. Either way the kernel's
+// copy is the only copy: from there to the wire the engine never
+// copies the frame again. The Listeners aggregate owns the serve
+// goroutines and surfaces every source's counters through
+// Engine.RegisterIngress.
 //
 // # Ownership and lifetime of RX buffers
 //
-// The RX loop borrows a buffer from the sink's pool, fills it from the
-// socket, and hands it to SubmitOwned. From that call on the buffer
-// belongs to the engine — accepted or not (a rejected frame's buffer
-// is reclaimed into the pool immediately). A frame that never reaches
-// SubmitOwned (short, oversize) is Released back by the source. Either
-// way every borrowed buffer has exactly one owner at all times and the
-// steady state allocates nothing.
+// The RX loop borrows buffers from the sink's pool, fills them from the
+// socket, and hands them to SubmitOwned/SubmitBatchOwned. From that
+// call on a buffer belongs to the engine — accepted or not (a rejected
+// frame's buffer is reclaimed into the pool immediately). A stream
+// frame that never reaches SubmitOwned is Released back by the source.
+// The datagram loop holds a standing borrow instead: each round tops
+// its burst back up to N buffers; a buffer the fill left empty, or
+// filled with a short or oversize datagram, simply stays on loan for
+// the next round, and whatever is on loan when Serve returns is
+// Released then. Either way every borrowed buffer has exactly one owner
+// at all times and the steady state allocates nothing.
 //
 // Frames submitted this way ride the engine's *trusted* submit path:
 // like in-process Submit, a well-formed reconfiguration frame (UDP
@@ -40,7 +52,9 @@
 // ConnResets. Loss degrades into counters, never into blocking or
 // silence — so integration tests (and operators reading /metrics) can
 // assert exact conservation: client-sent == delivered + every counted
-// drop class.
+// drop class. Reads is the one counter that is not a fate: datagram RX
+// syscalls that returned something, so Received / Reads is the burst
+// size the socket actually delivered.
 //
 // # Backoff contract
 //

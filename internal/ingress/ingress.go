@@ -165,6 +165,7 @@ func (cfg Config) withDefaults() Config {
 // counters is the shared per-source atomic counter block behind
 // engine.IngressStats.
 type counters struct {
+	reads         atomic.Uint64
 	received      atomic.Uint64
 	receivedBytes atomic.Uint64
 	submitted     atomic.Uint64
@@ -181,6 +182,7 @@ type counters struct {
 func (c *counters) snapshotInto(st *engine.IngressStats, transport, addr string) {
 	st.Transport = transport
 	st.Listen = addr
+	st.Reads = c.reads.Load()
 	st.Received = c.received.Load()
 	st.ReceivedBytes = c.receivedBytes.Load()
 	st.Submitted = c.submitted.Load()
@@ -212,25 +214,6 @@ func submitFrame(sink Sink, c *counters, frame []byte) error {
 		c.rejected.Add(1)
 	}
 	return nil
-}
-
-// deliverFrame classifies one received datagram of n bytes held in a
-// borrowed buffer: short and oversize frames are counted and the
-// buffer Released; in-range frames go to submitFrame.
-//
-//menshen:hotpath
-func deliverFrame(sink Sink, c *counters, min, max int, buf []byte, n int) error {
-	if n < min {
-		c.short.Add(1)
-		sink.Release(buf)
-		return nil
-	}
-	if n > max {
-		c.oversize.Add(1)
-		sink.Release(buf)
-		return nil
-	}
-	return submitFrame(sink, c, buf[:n])
 }
 
 // Listeners aggregates a set of sources feeding one sink: it owns one

@@ -18,14 +18,15 @@ import (
 	"repro/internal/trafficgen"
 )
 
-// runScenario replays the canonical two-tenant scenario into a fresh
-// single-worker engine — via direct SubmitBatch when direct, else via
-// the ScenarioSource adapter — and returns each tenant's concatenated
-// post-pipeline output bytes (with a drop marker where a frame died).
-func runScenario(t *testing.T, direct bool) map[uint16][]byte {
+// captureEngine starts a single-worker engine — one shard, so
+// submission order IS processing order — with the named programs loaded
+// as tenants 1..n. Its OnBatch concatenates each tenant's post-pipeline
+// output bytes into the returned map (a 0xDD marker where a frame
+// died); read the map after Drain.
+func captureEngine(t *testing.T, programs ...string) (*menshen.Engine, map[uint16][]byte) {
 	t.Helper()
 	dev := menshen.NewDevice()
-	for i, name := range []string{"CALC", "Firewall"} {
+	for i, name := range programs {
 		p, err := p4progs.ByName(name)
 		if err != nil {
 			t.Fatal(err)
@@ -37,7 +38,7 @@ func runScenario(t *testing.T, direct bool) map[uint16][]byte {
 	var mu sync.Mutex
 	out := map[uint16][]byte{}
 	eng, err := dev.NewEngine(menshen.EngineConfig{
-		Workers:    1, // one shard: submission order IS processing order
+		Workers:    1,
 		BatchSize:  16,
 		QueueDepth: 4096,
 		OnBatch: func(_ int, tenant uint16, results []menshen.EngineResult) {
@@ -55,7 +56,17 @@ func runScenario(t *testing.T, direct bool) map[uint16][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng.Close()
+	t.Cleanup(func() { _ = eng.Close() })
+	return eng, out
+}
+
+// runScenario replays the canonical two-tenant scenario into a fresh
+// single-worker engine — via direct SubmitBatch when direct, else via
+// the ScenarioSource adapter — and returns each tenant's concatenated
+// post-pipeline output bytes (with a drop marker where a frame died).
+func runScenario(t *testing.T, direct bool) map[uint16][]byte {
+	t.Helper()
+	eng, out := captureEngine(t, "CALC", "Firewall")
 
 	mkScenario := func() *trafficgen.Scenario {
 		return trafficgen.NewScenario(7,

@@ -493,6 +493,8 @@ type ingressScalar struct {
 }
 
 var ingressScalars = []ingressScalar{
+	{"menshen_ingress_reads_total", "RX syscalls that returned at least one datagram; received frames / reads = frames per read (0 on stream transports).",
+		func(is *engine.IngressStats) uint64 { return is.Reads }},
 	{"menshen_ingress_received_frames_total", "Well-formed frames read off the transport and offered to the engine.",
 		func(is *engine.IngressStats) uint64 { return is.Received }},
 	{"menshen_ingress_received_bytes_total", "Bytes of the received frames.",

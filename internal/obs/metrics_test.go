@@ -57,7 +57,7 @@ func goldenNodes() []NodeStats {
 		// a UDP listener with dgram drop classes and a TCP listener
 		// with the stream/connection classes populated.
 		Ingress: []engine.IngressStats{
-			{Transport: "udp", Listen: "127.0.0.1:9000", Received: 800, ReceivedBytes: 51200,
+			{Transport: "udp", Listen: "127.0.0.1:9000", Reads: 90, Received: 800, ReceivedBytes: 51200,
 				Submitted: 780, SubmitRejected: 20, ShortDropped: 7, OversizeDropped: 3},
 			{Transport: "tcp", Listen: "127.0.0.1:9001", Received: 200, ReceivedBytes: 12800,
 				Submitted: 200, DecodeErrors: 2, ConnsAccepted: 5, AcceptRetries: 1, ConnResets: 3},

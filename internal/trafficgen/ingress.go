@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/ingress"
+	"repro/internal/mmsg"
 )
 
 // ScenarioSource adapts a Scenario to the ingress.Source contract:
@@ -116,6 +117,7 @@ func (s *ScenarioSource) Close() error {
 type LoadClient struct {
 	network, addr string
 	conn          net.Conn
+	mc            *mmsg.Conn // burst sender over conn; nil on streams
 	bo            ingress.Backoff
 	wbuf          []byte
 
@@ -132,11 +134,28 @@ type LoadClient struct {
 // DialLoad connects a load client to addr over network ("udp", "tcp",
 // or "unixgram") with the given redial backoff (zero = defaults).
 func DialLoad(network, addr string, bo ingress.Backoff) (*LoadClient, error) {
-	conn, err := net.Dial(network, addr)
-	if err != nil {
+	c := &LoadClient{network: network, addr: addr, bo: bo, RedialAttempts: 12}
+	if err := c.dial(); err != nil {
 		return nil, fmt.Errorf("trafficgen: dial %s %s: %w", network, addr, err)
 	}
-	return &LoadClient{network: network, addr: addr, conn: conn, bo: bo, RedialAttempts: 12}, nil
+	return c, nil
+}
+
+// dial opens the client's socket, replacing any earlier one.
+func (c *LoadClient) dial() error {
+	conn, err := net.Dial(c.network, c.addr)
+	if err != nil {
+		return err
+	}
+	var mc *mmsg.Conn
+	if !c.stream() {
+		if mc, err = mmsg.New(conn); err != nil {
+			_ = conn.Close()
+			return err
+		}
+	}
+	c.conn, c.mc = conn, mc
+	return nil
 }
 
 // stream reports whether the transport needs length-prefix framing.
@@ -149,22 +168,47 @@ func (c *LoadClient) stream() bool { return c.network == "tcp" }
 // exhausted, or an unencodable frame) — counted-fate semantics, like
 // the engine's submit paths.
 func (c *LoadClient) SendBatch(frames [][]byte) (int, error) {
+	if !c.stream() {
+		return c.sendDgrams(frames)
+	}
 	sent := 0
 	for _, f := range frames {
-		payload := f
-		if c.stream() {
-			var err error
-			c.wbuf, err = ingress.AppendFrame(c.wbuf[:0], f)
-			if err != nil {
-				c.dropped.Add(1)
-				return sent, err
-			}
-			payload = c.wbuf
+		var err error
+		c.wbuf, err = ingress.AppendFrame(c.wbuf[:0], f)
+		if err != nil {
+			c.dropped.Add(1)
+			return sent, err
 		}
-		if err := c.sendOne(payload, !c.stream()); err != nil {
+		if err := c.sendOne(c.wbuf, false); err != nil {
 			return sent, err
 		}
 		sent++
+	}
+	return sent, nil
+}
+
+// sendDgrams writes the frames one datagram each, a burst per syscall
+// where the platform has sendmmsg. A full socket parks the sender and
+// resumes where the burst stopped; a frame whose send fails outright
+// takes the single-frame path (redial, one retry, else Dropped), then
+// the rest of the batch goes on in bursts over the fresh socket.
+func (c *LoadClient) sendDgrams(frames [][]byte) (int, error) {
+	sent := 0
+	for sent < len(frames) {
+		n, err := c.mc.Send(frames[sent:])
+		var bytes uint64
+		for _, f := range frames[sent : sent+n] {
+			bytes += uint64(len(f))
+		}
+		c.sent.Add(uint64(n))
+		c.sentBytes.Add(bytes)
+		sent += n
+		if err != nil {
+			if err := c.sendOne(frames[sent], true); err != nil {
+				return sent, err
+			}
+			sent++
+		}
 	}
 	return sent, nil
 }
@@ -202,9 +246,8 @@ func (c *LoadClient) redial() error {
 	var lastErr error
 	for attempt := 0; attempt < c.RedialAttempts; attempt++ {
 		time.Sleep(c.bo.Delay(attempt))
-		conn, err := net.Dial(c.network, c.addr)
+		err := c.dial()
 		if err == nil {
-			c.conn = conn
 			c.redials.Add(1)
 			return nil
 		}
