@@ -412,8 +412,8 @@ func main() {
 
 	fmt.Printf("\n--- workers ---\n")
 	for i, ws := range st.Workers {
-		fmt.Printf("worker %2d: %9d frames in %8d batches (avg %5.1f/batch, target %2d)  p50 %8v  p99 %8v  busy %v\n",
-			i, ws.Frames, ws.Batches, ws.AvgBatch(), ws.BatchTarget,
+		fmt.Printf("worker %2d: %9d frames in %8d batches (avg %5.1f/batch)  p50 %8v  p99 %8v  busy %v\n",
+			i, ws.Frames, ws.Batches, ws.AvgBatch(),
 			ws.P50BatchLatency, ws.P99BatchLatency, ws.Busy.Round(time.Millisecond))
 	}
 

@@ -352,7 +352,7 @@ var hotPathGuards = []hotPathGuard{
 				}
 			}
 			r := bytes.NewReader(stream)
-			dec := ingress.NewStreamDecoder(r, 0, 0)
+			dec := ingress.NewStreamDecoder(r)
 			pool := &fixedPool{buf: make([]byte, 4096)}
 			decodeAll := func() {
 				r.Reset(stream)

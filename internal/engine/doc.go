@@ -41,7 +41,10 @@
 // multi-producer/single-consumer ring per tenant per worker (ring.go) —
 // the NDN-DPDK layering: input side → ring → run-to-completion worker.
 // submitBatch is reserve → copy → publish; the worker pops, processes,
-// delivers. Neither takes a lock the other can hold.
+// delivers. Neither takes a lock the other can hold. A pop takes what
+// the tenant has published, up to BatchSize, and that is the whole
+// batch-sizing rule: a trickle is served a frame at a time, a backlog
+// in full batches.
 //
 // Who owns what:
 //
@@ -51,8 +54,8 @@
 //     buffer, or a write to anything the worker reads.
 //   - slot contents are the reserving producer's until it publishes the
 //     run (one atomic store in the run's first slot), the worker's after.
-//   - head (next position to pop), the round-robin cursor, the batch
-//     target EWMA and the egress queue belong to the worker goroutine.
+//   - head (next position to pop), the round-robin cursor and the
+//     egress queue belong to the worker goroutine.
 //     head is an atomic only so producers can read how much room there is.
 //   - the fence set lives in the rings (ring.paused), stored only by the
 //     worker's control pass; worker.mu guards the copy that rings created

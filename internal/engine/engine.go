@@ -70,7 +70,10 @@ type ModuleSpec struct {
 	Placement core.Placement
 }
 
-// Config parameterizes an Engine.
+// Config parameterizes an Engine. It is declared once: the facade's
+// EngineConfig and the fabric's NodeConfig are aliases of it, and each
+// fills the fields it owns (the device: Geometry, Options, Modules; the
+// fabric: OnBatch, OnTrace, Pool) and rejects a config that sets them.
 type Config struct {
 	// Workers is the number of pipeline shards (default 4).
 	Workers int
@@ -84,14 +87,6 @@ type Config struct {
 	// full: true tail-drops the frame (counted per tenant), false blocks
 	// the submitter until the worker catches up.
 	DropOnFull bool
-	// FixedBatch disables adaptive batch sizing: workers always service
-	// up to BatchSize frames per batch. By default the per-worker batch
-	// size adapts to load — it grows toward BatchSize while the shard's
-	// rings run deep and shrinks toward 1 when they run shallow (EWMA
-	// over ring occupancy observed at each service point), trading
-	// amortization for latency only when there is a backlog to amortize
-	// over.
-	FixedBatch bool
 	// Geometry configures each worker's pipeline replica; use the
 	// device's value so shards match the loaded hardware model.
 	Geometry core.Geometry
@@ -177,16 +172,6 @@ type Config struct {
 	// DegradedWorkers until it moves again. 0 disables the watchdog
 	// (the zero-overhead default: no extra goroutine, no clock reads).
 	StallTimeout time.Duration
-
-	// FlowCacheEntries sizes each worker's exact-match flow cache (the
-	// fast path in front of hash-mode match resolution; see
-	// stage.FlowCache). 0 selects the default size, negative disables
-	// the cache. The cache only engages for modules whose flow-entry
-	// count exceeds stage.FlowScanThreshold, so small-table workloads
-	// are unaffected either way. Invalidation is automatic: entries are
-	// tagged with the replica's configuration generation, which every
-	// reconfiguration bumps.
-	FlowCacheEntries int
 }
 
 // Engine is a running dataplane: create with New, feed with Submit or
@@ -299,9 +284,10 @@ func New(cfg Config) (*Engine, error) {
 				return nil, fmt.Errorf("engine: worker %d: replaying module %d: %w", i, m.Config.ModuleID, err)
 			}
 		}
-		if cfg.FlowCacheEntries >= 0 {
-			pipe.SetFlowCache(stage.NewFlowCache(cfg.FlowCacheEntries))
-		}
+		// A default-size exact-match cache per worker, in front of
+		// hash-mode match resolution; modules below
+		// stage.FlowScanThreshold flow entries never consult it.
+		pipe.SetFlowCache(stage.NewFlowCache(0))
 		w := newWorker(i, e, pipe)
 		if len(cfg.EgressWeights) > 0 {
 			w.ensureEgress()

@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	menshen "repro"
+	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/p4progs"
 	"repro/internal/trafficgen"
 )
@@ -398,6 +400,23 @@ func TestEngineFullRingIsolation(t *testing.T) {
 		if ts.Submitted != ts.Processed+ts.PipelineDrops+ts.QueueFull {
 			t.Errorf("tenant %d: submitted %d != processed %d + dropped %d + queue-full %d",
 				id, ts.Submitted, ts.Processed, ts.PipelineDrops, ts.QueueFull)
+		}
+	}
+}
+
+// TestNewEngineRejectsDeviceOwnedFields: the shards' geometry, options
+// and module set come from the device; a config that names its own is
+// refused rather than overwritten.
+func TestNewEngineRejectsDeviceOwnedFields(t *testing.T) {
+	dev := newDevice(t, "CALC")
+	for name, cfg := range map[string]menshen.EngineConfig{
+		"Geometry": {Geometry: core.DefaultGeometry()},
+		"Options":  {Options: core.Unoptimized()},
+		"Modules":  {Modules: []engine.ModuleSpec{{}}},
+	} {
+		if eng, err := dev.NewEngine(cfg); err == nil {
+			eng.Close()
+			t.Errorf("NewEngine accepted a config that sets %s", name)
 		}
 	}
 }

@@ -105,9 +105,8 @@ func TestEngineFlowCuckooEndToEnd(t *testing.T) {
 	portCount := map[uint8]int{}
 	drops := 0
 	eng, err := dev.NewEngine(menshen.EngineConfig{
-		Workers:          4,
-		BatchSize:        8,
-		FlowCacheEntries: 0, // default-size per-worker cache
+		Workers:   4,
+		BatchSize: 8,
 		OnBatch: func(_ int, _ uint16, results []menshen.EngineResult) {
 			mu.Lock()
 			defer mu.Unlock()

@@ -33,6 +33,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/faultinject"
 	"repro/internal/reconfig"
 )
 
@@ -120,46 +121,56 @@ type control struct {
 }
 
 // issue tags one operation sequence with a fresh generation and fans it
-// out to every worker's queue. The engine lifecycle lock makes the
-// fan-out atomic with respect to Close: an issued generation is always
-// applied by every worker before it exits.
-func (e *Engine) issue(build func(gen uint64) []shardOp) (uint64, error) {
+// out to every worker's queue; an empty sequence still quiesces, as one
+// barrier. Each shard gets its own copy (enqueueOps appends by value).
+//
+// inj is the fault plan of the modeled control wire, nil for a lossless
+// one and for sequences that are engine-local bookkeeping (fences,
+// rollbacks). With a plan, every opApply is sentenced afresh per shard,
+// so one command can meet different fates on different replicas.
+// Corruption is detected-and-discarded at the shard (the wire format
+// rides UDP with a checksum; a damaged command never applies), so to
+// the counter poll it is indistinguishable from loss — which is exactly
+// the §4.1 recovery model.
+//
+// The engine lifecycle lock makes the fan-out atomic with respect to
+// Close: an issued generation is always applied by every worker before
+// it exits.
+func (e *Engine) issue(inj *faultinject.Injector, ops ...shardOp) (uint64, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed.Load() {
 		return 0, ErrClosed
 	}
 	gen := e.ctrl.tagger.Next()
-	ops := build(gen)
 	if len(ops) == 0 {
-		ops = []shardOp{{gen: gen, kind: opBarrier}}
+		ops = []shardOp{{kind: opBarrier}}
+	}
+	for i := range ops {
+		ops[i].gen = gen
 	}
 	for _, w := range e.workers {
+		if inj != nil {
+			for i := range ops {
+				if ops[i].kind != opApply {
+					continue
+				}
+				if ops[i].lost = inj.CommandFate() != faultinject.Deliver; ops[i].lost {
+					e.tel.cmdFaults.Add(1)
+				}
+			}
+		}
 		w.enqueueOps(ops)
 	}
 	return gen, nil
 }
 
-// issueEach is issue with a per-shard operation sequence: build runs
-// once per worker, so individual commands can meet different fates on
-// different shards — which is what a lossy per-replica delivery path
-// means. Used by the fault-injecting and verified fan-outs; the
-// lossless common case keeps the single shared slice of issue.
-func (e *Engine) issueEach(build func(gen uint64, wid int) []shardOp) (uint64, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed.Load() {
-		return 0, ErrClosed
+// applyOps is one opApply per command, the wire form of a burst.
+func applyOps(ops []shardOp, moduleID uint16, cmds []reconfig.Command) []shardOp {
+	for _, c := range cmds {
+		ops = append(ops, shardOp{kind: opApply, tenant: moduleID, cmd: c})
 	}
-	gen := e.ctrl.tagger.Next()
-	for wid, w := range e.workers {
-		ops := build(gen, wid)
-		if len(ops) == 0 {
-			ops = []shardOp{{gen: gen, kind: opBarrier}}
-		}
-		w.enqueueOps(ops)
-	}
-	return gen, nil
+	return ops
 }
 
 // ApplyReconfig replays a daisy-chain command batch into every running
@@ -169,30 +180,11 @@ func (e *Engine) issueEach(build func(gen uint64, wid int) []shardOp) (uint64, e
 // wait for every shard. Frames already queued when the commands are
 // issued may be processed against the old configuration (the commands
 // overtake them at the batch boundary); fence the tenant first if that
-// matters.
+// matters. With a fault plan installed (SetReconfigFault) losses are
+// counted, not recovered — this is the unverified path; use
+// ApplyVerified to survive them.
 func (e *Engine) ApplyReconfig(moduleID uint16, cmds ...reconfig.Command) (uint64, error) {
-	if inj := e.cmdFault.Load(); inj != nil {
-		// A fault plan is installed: fates differ per shard, so each
-		// worker gets its own operation slice with per-command
-		// sentences. Losses are counted, not recovered — this is the
-		// unverified path; use ApplyVerified to survive them.
-		return e.issueEach(func(gen uint64, wid int) []shardOp {
-			ops := make([]shardOp, 0, len(cmds))
-			for _, c := range cmds {
-				op := shardOp{gen: gen, kind: opApply, tenant: moduleID, cmd: c}
-				e.sentence(inj, &op)
-				ops = append(ops, op)
-			}
-			return ops
-		})
-	}
-	return e.issue(func(gen uint64) []shardOp {
-		ops := make([]shardOp, 0, len(cmds))
-		for _, c := range cmds {
-			ops = append(ops, shardOp{gen: gen, kind: opApply, tenant: moduleID, cmd: c})
-		}
-		return ops
-	})
+	return e.issue(e.cmdFault.Load(), applyOps(make([]shardOp, 0, len(cmds)), moduleID, cmds)...)
 }
 
 // ApplyReconfigFrame decodes one raw reconfiguration frame (Figure 7
@@ -232,31 +224,14 @@ func (e *Engine) LoadModuleLive(spec ModuleSpec) (uint64, error) {
 	}
 	id := spec.Config.ModuleID
 	sp := &spec
-	if inj := e.cmdFault.Load(); inj != nil {
-		return e.issueEach(func(gen uint64, wid int) []shardOp {
-			ops := make([]shardOp, 0, len(cmds)+3)
-			ops = append(ops,
-				shardOp{gen: gen, kind: opPause, tenant: id},
-				shardOp{gen: gen, kind: opPartition, tenant: id, spec: sp})
-			for _, c := range cmds {
-				op := shardOp{gen: gen, kind: opApply, tenant: id, cmd: c}
-				e.sentence(inj, &op)
-				ops = append(ops, op)
-			}
-			return append(ops, shardOp{gen: gen, kind: opResume, tenant: id})
-		})
-	}
-	gen, err := e.issue(func(gen uint64) []shardOp {
-		ops := make([]shardOp, 0, len(cmds)+3)
-		ops = append(ops,
-			shardOp{gen: gen, kind: opPause, tenant: id},
-			shardOp{gen: gen, kind: opPartition, tenant: id, spec: sp})
-		for _, c := range cmds {
-			ops = append(ops, shardOp{gen: gen, kind: opApply, tenant: id, cmd: c})
-		}
-		return append(ops, shardOp{gen: gen, kind: opResume, tenant: id})
-	})
-	if err == nil {
+	ops := make([]shardOp, 0, len(cmds)+3)
+	ops = append(ops,
+		shardOp{kind: opPause, tenant: id},
+		shardOp{kind: opPartition, tenant: id, spec: sp})
+	ops = append(applyOps(ops, id, cmds), shardOp{kind: opResume, tenant: id})
+	inj := e.cmdFault.Load()
+	gen, err := e.issue(inj, ops...)
+	if err == nil && inj == nil {
 		// Lossless delivery: once queued, every shard applies the full
 		// stream — record the spec as the module's rollback target.
 		e.setLastGood(id, sp)
@@ -273,14 +248,11 @@ func (e *Engine) LoadModuleLive(spec ModuleSpec) (uint64, error) {
 // of inheriting a stale virtual finish time or a drained bucket from
 // the tenant's previous life.
 func (e *Engine) UnloadModuleLive(moduleID uint16) (uint64, error) {
-	gen, err := e.issue(func(gen uint64) []shardOp {
-		return []shardOp{
-			{gen: gen, kind: opPause, tenant: moduleID},
-			{gen: gen, kind: opUnload, tenant: moduleID},
-			{gen: gen, kind: opEgressWeight, tenant: moduleID, weight: 0},
-			{gen: gen, kind: opResume, tenant: moduleID},
-		}
-	})
+	gen, err := e.issue(nil,
+		shardOp{kind: opPause, tenant: moduleID},
+		shardOp{kind: opUnload, tenant: moduleID},
+		shardOp{kind: opEgressWeight, tenant: moduleID, weight: 0},
+		shardOp{kind: opResume, tenant: moduleID})
 	if err == nil {
 		e.limiter.ClearLimit(moduleID)
 		e.clearLastGood(moduleID)
@@ -301,9 +273,7 @@ func (e *Engine) SetEgressWeight(tenant uint16, weight float64) (uint64, error) 
 	if weight < 0 || math.IsInf(weight, 0) || math.IsNaN(weight) {
 		return 0, fmt.Errorf("engine: egress weight must be non-negative and finite, got %v", weight)
 	}
-	return e.issue(func(gen uint64) []shardOp {
-		return []shardOp{{gen: gen, kind: opEgressWeight, tenant: tenant, weight: weight}}
-	})
+	return e.issue(nil, shardOp{kind: opEgressWeight, tenant: tenant, weight: weight})
 }
 
 // BeginTenantUpdate fences a tenant across every shard: once the
@@ -314,9 +284,7 @@ func (e *Engine) SetEgressWeight(tenant uint16, weight float64) (uint64, error) 
 // tenant's traffic. Note that Drain blocks on fenced frames, so end the
 // update before draining.
 func (e *Engine) BeginTenantUpdate(tenant uint16) (uint64, error) {
-	gen, err := e.issue(func(gen uint64) []shardOp {
-		return []shardOp{{gen: gen, kind: opPause, tenant: tenant}}
-	})
+	gen, err := e.issue(nil, shardOp{kind: opPause, tenant: tenant})
 	if err == nil {
 		e.ctrl.updating.Or(1 << (tenant & 31))
 	}
@@ -326,9 +294,7 @@ func (e *Engine) BeginTenantUpdate(tenant uint16) (uint64, error) {
 // EndTenantUpdate lifts a tenant's fence; held frames become
 // serviceable again at each shard's next batch boundary.
 func (e *Engine) EndTenantUpdate(tenant uint16) (uint64, error) {
-	gen, err := e.issue(func(gen uint64) []shardOp {
-		return []shardOp{{gen: gen, kind: opResume, tenant: tenant}}
-	})
+	gen, err := e.issue(nil, shardOp{kind: opResume, tenant: tenant})
 	if err == nil {
 		e.ctrl.updating.And(^(uint32(1) << (tenant & 31)))
 	}
@@ -339,9 +305,7 @@ func (e *Engine) EndTenantUpdate(tenant uint16) (uint64, error) {
 // tenant on every shard — the paper's drop-during-update semantics
 // (frames of the tenant are discarded, not held, while the bit is set).
 func (e *Engine) SetTenantUpdating(tenant uint16, updating bool) (uint64, error) {
-	return e.issue(func(gen uint64) []shardOp {
-		return []shardOp{{gen: gen, kind: opUpdating, tenant: tenant, flag: updating}}
-	})
+	return e.issue(nil, shardOp{kind: opUpdating, tenant: tenant, flag: updating})
 }
 
 // Quiesce issues an empty barrier operation and waits until every shard
@@ -356,7 +320,7 @@ func (e *Engine) Quiesce() error {
 // never lost) and ErrDegraded if the barrier is blocked behind a
 // stalled shard.
 func (e *Engine) QuiesceCtx(ctx context.Context) error {
-	gen, err := e.issue(func(gen uint64) []shardOp { return nil })
+	gen, err := e.issue(nil)
 	if err != nil {
 		return err
 	}

@@ -30,7 +30,10 @@ func ringAt(depth int, start uint64) *ring {
 // frames in the order it offered them, and accepted + rejected must
 // equal offered — across the position wrap-around.
 func TestRingMPSC(t *testing.T) {
-	const producers, batches, depth = 4, 400, 24 // depth 24 lives in 32 slots
+	// Each producer keeps offering until quota of its frames are in, so
+	// the consumer has to run for the producers to finish: a consumer the
+	// scheduler holds back cannot turn the run into 1 600 refusals.
+	const producers, quota, depth = 4, 1000, 24 // depth 24 lives in 32 slots
 	r := ringAt(depth, nearWrap)
 
 	var offered, accepted, rejected atomic.Uint64
@@ -40,7 +43,7 @@ func TestRingMPSC(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			seq := uint64(0) // next sequence number this producer assigns to an accepted frame
-			for b := 0; b < batches; b++ {
+			for b := 0; seq < quota; b++ {
 				n := 1 + (b+p)%7
 				offered.Add(uint64(n))
 				first, k, sealed := r.reserve(n)

@@ -255,10 +255,6 @@ type WorkerStats struct {
 	// P99BatchLatency approximates the 99th-percentile batch service
 	// time (log-bucket midpoint).
 	P99BatchLatency time.Duration
-	// BatchTarget is the worker's current adaptive batch size (equal to
-	// the configured BatchSize when adaptation is disabled or the shard
-	// is saturated; sinks toward 1 when its rings run shallow).
-	BatchTarget int
 	// Pending is the point-in-time frame count queued in the shard's RX
 	// rings (including frames held by tenant fences).
 	Pending int
@@ -511,7 +507,6 @@ func (t *telemetry) snapshotInto(st *Stats, workers []*worker, uptime time.Durat
 		ws := WorkerStats{
 			Batches:           w.stats.Batches.Load(),
 			Frames:            w.stats.Frames.Load(),
-			BatchTarget:       int(w.batchTarget.Load()),
 			Sampled:           w.stats.Sampled.Load(),
 			ReconfigGen:       w.genApplied.Load(),
 			ReconfigApplied:   w.stats.ReconfigApplied.Load(),
@@ -528,9 +523,6 @@ func (t *telemetry) snapshotInto(st *Stats, workers []*worker, uptime time.Durat
 		ws.P99BatchLatency = ws.Latency.Quantile(0.99)
 		ws.Pending = w.pending()
 		ws.EgressBacklog = int(w.egBacklog.Load())
-		if ws.BatchTarget == 0 || w.eng.cfg.FixedBatch {
-			ws.BatchTarget = w.eng.cfg.BatchSize
-		}
 		st.ReconfigApplied += ws.ReconfigApplied
 		st.ReconfigFailed += ws.ReconfigFailed
 		if ws.Sampled > 0 {

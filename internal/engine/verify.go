@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"repro/internal/ctrlplane"
-	"repro/internal/faultinject"
 	"repro/internal/reconfig"
 )
 
@@ -93,18 +92,6 @@ func (b *burstState) min() int {
 	return int(lo)
 }
 
-// sentence passes the installed fault plan's judgment on one fanned-out
-// command. Corruption is detected-and-discarded at the shard (the wire
-// format rides UDP with a checksum; a damaged command never applies),
-// so to the counter poll it is indistinguishable from loss — which is
-// exactly the §4.1 recovery model.
-func (e *Engine) sentence(inj *faultinject.Injector, op *shardOp) {
-	if inj.CommandFate() != faultinject.Deliver {
-		op.lost = true
-		e.tel.cmdFaults.Add(1)
-	}
-}
-
 // ApplyVerified replays a command burst into every running shard and
 // does not return success until every shard has confirmed applying all
 // of it: after each burst it waits for quiesce, polls the per-shard
@@ -136,20 +123,12 @@ func (e *Engine) ApplyVerified(ctx context.Context, moduleID uint16, cmds []reco
 			rep.Resent += len(cmds) - lo
 			e.tel.reconfigRetries.Add(1)
 		}
-		inj := e.cmdFault.Load()
+		ops := applyOps(make([]shardOp, 0, len(cmds)-lo), moduleID, cmds[lo:])
+		for i := range ops {
+			ops[i].burst, ops[i].seq = b, uint32(lo+i)
+		}
 		var err error
-		gen, err = e.issueEach(func(gen uint64, wid int) []shardOp {
-			ops := make([]shardOp, 0, len(cmds)-lo)
-			for i := lo; i < len(cmds); i++ {
-				op := shardOp{gen: gen, kind: opApply, tenant: moduleID, cmd: cmds[i], burst: b, seq: uint32(i)}
-				if inj != nil {
-					e.sentence(inj, &op)
-				}
-				ops = append(ops, op)
-			}
-			return ops
-		})
-		if err != nil {
+		if gen, err = e.issue(e.cmdFault.Load(), ops...); err != nil {
 			return gen, rep, err
 		}
 		if err := e.AwaitQuiesceCtx(ctx, gen); err != nil {
@@ -195,24 +174,19 @@ func (e *Engine) LoadModuleVerified(ctx context.Context, spec ModuleSpec, opts V
 	// Fence and prepare: pause the tenant, clear any previous
 	// configuration, reserve the partition. These are engine-local
 	// bookkeeping, not wire-delivered commands — the modeled lossy
-	// channel carries the daisy-chain command stream — so they ride
-	// the exempt shared path.
-	if _, err := e.issue(func(gen uint64) []shardOp {
-		ops := make([]shardOp, 0, 3)
-		ops = append(ops, shardOp{gen: gen, kind: opPause, tenant: id})
-		if old != nil {
-			ops = append(ops, shardOp{gen: gen, kind: opUnload, tenant: id})
-		}
-		return append(ops, shardOp{gen: gen, kind: opPartition, tenant: id, spec: sp})
-	}); err != nil {
+	// channel carries the daisy-chain command stream — so they are
+	// issued without the fault plan.
+	prep := []shardOp{{kind: opPause, tenant: id}}
+	if old != nil {
+		prep = append(prep, shardOp{kind: opUnload, tenant: id})
+	}
+	prep = append(prep, shardOp{kind: opPartition, tenant: id, spec: sp})
+	if _, err := e.issue(nil, prep...); err != nil {
 		return 0, VerifyReport{}, err
 	}
 	gen, rep, verr := e.ApplyVerified(ctx, id, cmds, opts)
 	if verr == nil {
-		gen, err = e.issue(func(gen uint64) []shardOp {
-			return []shardOp{{gen: gen, kind: opResume, tenant: id}}
-		})
-		if err != nil {
+		if gen, err = e.issue(nil, shardOp{kind: opResume, tenant: id}); err != nil {
 			return gen, rep, err
 		}
 		e.setLastGood(id, sp)
@@ -247,17 +221,13 @@ func (e *Engine) rollback(id uint16, old *ModuleSpec) (uint64, error) {
 			return 0, err
 		}
 	}
-	return e.issue(func(gen uint64) []shardOp {
-		ops := make([]shardOp, 0, len(oldCmds)+3)
-		ops = append(ops, shardOp{gen: gen, kind: opUnload, tenant: id})
-		if old != nil {
-			ops = append(ops, shardOp{gen: gen, kind: opPartition, tenant: id, spec: old})
-			for _, c := range oldCmds {
-				ops = append(ops, shardOp{gen: gen, kind: opApply, tenant: id, cmd: c})
-			}
-		}
-		return append(ops, shardOp{gen: gen, kind: opResume, tenant: id})
-	})
+	ops := make([]shardOp, 0, len(oldCmds)+3)
+	ops = append(ops, shardOp{kind: opUnload, tenant: id})
+	if old != nil {
+		ops = append(ops, shardOp{kind: opPartition, tenant: id, spec: old})
+		ops = applyOps(ops, id, oldCmds)
+	}
+	return e.issue(nil, append(ops, shardOp{kind: opResume, tenant: id})...)
 }
 
 // lastGoodSpec returns the module's current rollback target, nil when

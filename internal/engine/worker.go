@@ -98,14 +98,6 @@ type worker struct {
 	// (or displaced), not at the batch boundary.
 	egress *sched.EgressQueue
 	egRun  []core.BatchResult // drain delivery scratch (one tenant run)
-
-	// Adaptive batch sizing. ewma tracks servable ring occupancy in
-	// 1/16ths (fixed point); the service batch size follows it, clamped
-	// to [1, BatchSize], so a backlogged shard amortizes across full
-	// batches while a lightly loaded one turns frames around almost
-	// immediately. batchTarget publishes the current size for telemetry.
-	ewma        int
-	batchTarget atomic.Uint32
 }
 
 func newWorker(id int, e *Engine, pipe *core.Pipeline) *worker {
@@ -365,7 +357,9 @@ func (w *worker) run() {
 		// busy is raised before the pop frees the slots, so Drain never
 		// sees an empty ring and an idle worker with a batch in flight.
 		w.busy.Store(true)
-		n := r.pop(w.batch[:w.target(pending)], w.aux)
+		// The batch is whatever the tenant has published, up to BatchSize:
+		// a trickle is served a frame at a time, a backlog in full batches.
+		n := r.pop(w.batch, w.aux)
 		if w.waiters.Load() != 0 {
 			w.signalSpace() // ring space freed
 		}
@@ -599,29 +593,6 @@ func (w *worker) egressDrain() {
 		}
 	}
 	flush()
-}
-
-// target returns the current service batch size and advances the
-// occupancy EWMA with the servable backlog seen at this service point.
-// With FixedBatch set it is always BatchSize. Otherwise the EWMA (x16
-// fixed point, α=1/8) pushes the batch toward BatchSize within a few
-// batches of a deep backlog and lets an idle shard decay toward
-// single-frame service.
-func (w *worker) target(pending int) int {
-	max := w.eng.cfg.BatchSize
-	if w.eng.cfg.FixedBatch {
-		return max
-	}
-	w.ewma += (pending<<4 - w.ewma) >> 3
-	target := w.ewma >> 4
-	if target < 1 {
-		target = 1
-	}
-	if target > max {
-		target = max
-	}
-	w.batchTarget.Store(uint32(target))
-	return target
 }
 
 // pending is the frame count queued in the shard's rings, frames held

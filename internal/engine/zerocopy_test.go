@@ -8,7 +8,6 @@ package engine_test
 
 import (
 	"bytes"
-	"fmt"
 	"sync"
 	"testing"
 
@@ -255,43 +254,55 @@ func TestResultLifetimeRule(t *testing.T) {
 	}
 }
 
-// TestAdaptiveBatchTarget checks the adaptive batch sizing surface: a
-// trickle-fed engine settles at single-frame batches, while FixedBatch
-// always reports the configured BatchSize.
-func TestAdaptiveBatchTarget(t *testing.T) {
+// TestBatchFollowsOccupancy pins the worker's batch rule: a batch is
+// what the tenant's ring holds when the worker gets to it, up to
+// BatchSize. A trickle is served one frame at a time; a backlog built
+// behind a fence (so no core count or submitter speed can thin it) is
+// served in full batches.
+func TestBatchFollowsOccupancy(t *testing.T) {
+	const batchSize = 32
 	gen := trafficgen.DefaultGen("CALC", 1, 0, 4, trafficgen.NewPRNG(11))
-
-	adaptive, err := newDevice(t, "CALC").NewEngine(menshen.EngineConfig{Workers: 1, BatchSize: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer adaptive.Close()
-	for i := 0; i < 128; i++ {
-		if ok, err := adaptive.Submit(gen(i)); err != nil || !ok {
-			t.Fatalf("Submit: ok=%v err=%v", ok, err)
-		}
-		adaptive.Drain() // trickle: the ring never runs deep
-	}
-	st := adaptive.Stats()
-	if got := st.Workers[0].BatchTarget; got > 2 {
-		t.Errorf("trickle-fed adaptive batch target = %d; want <= 2", got)
-	}
-
-	fixed, err := newDevice(t, "CALC").NewEngine(menshen.EngineConfig{
-		Workers: 1, BatchSize: 32, FixedBatch: true,
+	var mu sync.Mutex
+	var sizes []int
+	eng, err := newDevice(t, "CALC").NewEngine(menshen.EngineConfig{
+		Workers: 1, BatchSize: batchSize,
+		OnBatch: func(_ int, _ uint16, results []menshen.EngineResult) {
+			mu.Lock()
+			sizes = append(sizes, len(results))
+			mu.Unlock()
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fixed.Close()
-	if ok, err := fixed.Submit(gen(0)); err != nil || !ok {
-		t.Fatalf("Submit: ok=%v err=%v", ok, err)
+	defer eng.Close()
+
+	for i := 0; i < 128; i++ {
+		if ok, err := eng.Submit(gen(i)); err != nil || !ok {
+			t.Fatalf("Submit: ok=%v err=%v", ok, err)
+		}
+		eng.Drain() // trickle: never more than one frame queued
 	}
-	fixed.Drain()
-	if got := fixed.Stats().Workers[0].BatchTarget; got != 32 {
-		t.Errorf("fixed batch target = %d; want 32", got)
+	if ws := eng.Stats().Workers[0]; ws.AvgBatch() != 1 {
+		t.Errorf("trickle-fed: %d frames in %d batches, want one frame per batch", ws.Frames, ws.Batches)
 	}
-	_ = fmt.Sprintf // keep fmt imported if assertions change
+
+	mu.Lock()
+	sizes = sizes[:0]
+	mu.Unlock()
+	sc := trafficgen.NewScenario(11, trafficgen.TenantLoad{ModuleID: 1, Program: "CALC", Flows: 4})
+	offerBacklogged(t, eng, sc, 4*batchSize, 1)
+	mu.Lock()
+	defer mu.Unlock()
+	if len(sizes) != 4 {
+		t.Errorf("backlog of %d frames served in %d batches %v, want 4", 4*batchSize, len(sizes), sizes)
+	}
+	for _, n := range sizes {
+		if n != batchSize {
+			t.Errorf("backlogged batch sizes %v, want every one %d", sizes, batchSize)
+			break
+		}
+	}
 }
 
 // The StatsInto snapshot-reuse pin lives in the "stats-snapshot" entry

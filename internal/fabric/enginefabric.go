@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -22,56 +21,17 @@ import (
 	"repro/internal/sysmod"
 )
 
-// NodeConfig configures one engine-backed fabric node; zero values take
-// the engine defaults.
-type NodeConfig struct {
-	// Workers is the node's pipeline shard count (default
-	// engine.DefaultWorkers).
-	Workers int
-	// QueueDepth bounds each per-tenant per-worker RX ring (default
-	// engine.DefaultQueueDepth).
-	QueueDepth int
-	// BatchSize is the frames per pipeline batch (default
-	// engine.DefaultBatchSize).
-	BatchSize int
-	// FixedBatch disables the node's adaptive batch sizing.
-	FixedBatch bool
-	// DropOnFull makes entry injection (InjectBatch) tail-drop at full
-	// rings instead of blocking the injecting caller. Inter-node
-	// hand-offs always tail-drop, regardless of this setting.
-	DropOnFull bool
-	// Geometry configures the node's pipeline replicas; the zero value
-	// takes the engine default.
-	Geometry core.Geometry
-	// Options configures the replicas' platform options, like Geometry.
-	Options core.Options
-	// Modules are replayed into every worker shard of the node. Each
-	// config must already be augmented with the node's system-module
-	// configuration (sysmod.Config.Augment) so the node's virtual-IP
-	// routes are installed.
-	Modules []engine.ModuleSpec
-	// EgressWeights optionally enables §3.5 egress scheduling on the
-	// node's workers; hand-offs and deliveries then happen in weighted
-	// fair rank order. See engine.Config for the companion knobs below.
-	EgressWeights map[uint16]float64
-	// EgressQueueLimit bounds the node's per-worker egress PIFO.
-	EgressQueueLimit int
-	// EgressQuantum caps frames delivered per worker service cycle.
-	EgressQuantum int
-	// EgressQuantumBytes additionally caps delivered bytes per cycle.
-	EgressQuantumBytes int
-	// StallTimeout, when > 0, arms the node engine's per-worker stall
-	// watchdog (engine.Config.StallTimeout): a wedged shard degrades to
-	// a counted, reported state instead of hanging quiesce waiters.
-	StallTimeout time.Duration
-	// TraceEvery, when > 0, samples one in every TraceEvery frames
-	// *injected* at this node (engine.Config.TraceEvery): the sampled
-	// frame's out-of-band meta word gets engine.TraceBit, which rides
-	// every inter-node hand-off, so each engine on the frame's path
-	// records a hop through the fabric's Trace sink. Set it on entry
-	// nodes; forwarded frames are never re-sampled.
-	TraceEvery int
-}
+// NodeConfig configures one engine-backed fabric node: the engine's own
+// Config, zero values taking the engine defaults. Each entry of Modules
+// must already be augmented with the node's system-module configuration
+// (sysmod.Config.Augment) so the node's virtual-IP routes are installed.
+// DropOnFull governs entry injection (InjectBatch) only — inter-node
+// hand-offs always tail-drop. TraceEvery samples frames *injected* at
+// this node; the mark rides every hand-off, so set it on entry nodes.
+// The fabric owns three fields — OnBatch forwards, OnTrace feeds
+// EngineFabric.Trace, Pool is the fabric-wide shared pool — and AddNode
+// rejects a config that sets one.
+type NodeConfig = engine.Config
 
 // metaHopMask masks the hop count out of a frame's out-of-band meta
 // word. The bits above it — engine.TraceBit — ride every hand-off
@@ -198,6 +158,9 @@ func (f *EngineFabric) AddNode(name string, sys *sysmod.Config, cfg NodeConfig) 
 	if _, dup := f.nodes[name]; dup {
 		return nil, fmt.Errorf("fabric: duplicate node %q", name)
 	}
+	if cfg.OnBatch != nil || cfg.OnTrace != nil || cfg.Pool != nil {
+		return nil, fmt.Errorf("fabric: node %q: NodeConfig.OnBatch, OnTrace and Pool are set by the fabric", name)
+	}
 	n := &EngineNode{
 		Name: name,
 		Sys:  sys,
@@ -297,42 +260,18 @@ func (f *EngineFabric) Start() error {
 				n.linkIngress[port] = ep.ingress
 			}
 		}
-		workers := n.cfg.Workers
-		if workers <= 0 {
-			workers = engine.DefaultWorkers
-		}
-		n.scratch = make([]fwdScratch, workers)
 	}
 	// Engines come up in creation order. A node's OnBatch forwards into
 	// peer engines, so no traffic may enter before Start returns — the
 	// Inject paths are the only doors and they are still closed.
 	for _, n := range f.order {
-		node := n
-		var traceHook func(engine.TraceHop)
+		cfg := n.cfg
+		cfg.Pool = f.pool
+		cfg.OnBatch = n.onBatch
 		if f.Trace != nil {
-			traceHook = func(h engine.TraceHop) { f.Trace(node.Name, h) }
+			cfg.OnTrace = func(h engine.TraceHop) { f.Trace(n.Name, h) }
 		}
-		eng, err := engine.New(engine.Config{
-			Workers:            n.cfg.Workers,
-			QueueDepth:         n.cfg.QueueDepth,
-			BatchSize:          n.cfg.BatchSize,
-			DropOnFull:         n.cfg.DropOnFull,
-			FixedBatch:         n.cfg.FixedBatch,
-			Geometry:           n.cfg.Geometry,
-			Options:            n.cfg.Options,
-			Modules:            n.cfg.Modules,
-			EgressWeights:      n.cfg.EgressWeights,
-			EgressQueueLimit:   n.cfg.EgressQueueLimit,
-			EgressQuantum:      n.cfg.EgressQuantum,
-			EgressQuantumBytes: n.cfg.EgressQuantumBytes,
-			StallTimeout:       n.cfg.StallTimeout,
-			TraceEvery:         n.cfg.TraceEvery,
-			OnTrace:            traceHook,
-			Pool:               f.pool,
-			OnBatch: func(wid int, tenant uint16, res []core.BatchResult) {
-				node.onBatch(wid, tenant, res)
-			},
-		})
+		eng, err := engine.New(cfg)
 		if err != nil {
 			for _, started := range f.order {
 				if started.Eng != nil {
@@ -342,6 +281,7 @@ func (f *EngineFabric) Start() error {
 			return fmt.Errorf("fabric: node %s: %w", n.Name, err)
 		}
 		n.Eng = eng
+		n.scratch = make([]fwdScratch, eng.Workers())
 	}
 	f.started = true
 	return nil

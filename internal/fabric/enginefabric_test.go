@@ -540,3 +540,19 @@ func TestEngineFabricTopologyFrozen(t *testing.T) {
 		t.Errorf("second Start: %v", err)
 	}
 }
+
+// TestEngineFabricRejectsFabricOwnedFields: forwarding, tracing and the
+// shared pool are the fabric's; a node config that brings its own is
+// refused rather than overwritten.
+func TestEngineFabricRejectsFabricOwnedFields(t *testing.T) {
+	ef := NewEngineFabric(nil)
+	for name, cfg := range map[string]NodeConfig{
+		"OnBatch": {OnBatch: func(int, uint16, []core.BatchResult) {}},
+		"OnTrace": {OnTrace: func(engine.TraceHop) {}},
+		"Pool":    {Pool: engine.NewPool()},
+	} {
+		if _, err := ef.AddNode(name, sysmod.NewConfig(), cfg); err == nil {
+			t.Errorf("AddNode accepted a config that sets %s", name)
+		}
+	}
+}

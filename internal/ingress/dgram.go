@@ -30,7 +30,6 @@ type dgramSource struct {
 	transport string
 	addr      string
 	conn      net.Conn
-	cfg       Config
 	ctr       counters
 	path      string // unix socket file to remove on Close ("" for UDP)
 
@@ -41,22 +40,21 @@ type dgramSource struct {
 }
 
 // newDgramSource wraps a bound packet socket as a frame source.
-func newDgramSource(transport, addr, path string, conn net.Conn, cfg Config) (*dgramSource, error) {
+func newDgramSource(transport, addr, path string, conn net.Conn) (*dgramSource, error) {
 	mc, err := mmsg.New(conn)
 	if err != nil {
 		_ = conn.Close()
 		return nil, fmt.Errorf("ingress: %s %s: %w", transport, addr, err)
 	}
-	return &dgramSource{transport: transport, addr: addr, conn: conn, cfg: cfg, path: path, fill: mc.Recv}, nil
+	return &dgramSource{transport: transport, addr: addr, conn: conn, path: path, fill: mc.Recv}, nil
 }
 
 // ListenUDP binds a UDP listen socket (e.g. "127.0.0.1:0", ":9000")
 // and returns it as a frame source. Datagrams longer than
-// cfg.MaxFrame are dropped as OversizeDropped; UDP is lossy upstream
+// DefaultMaxFrame are dropped as OversizeDropped; UDP is lossy upstream
 // of the socket, so exact conservation additionally needs a
 // cfg.ReadBuffer sized to the sender's burst (or a paced sender).
 func ListenUDP(addr string, cfg Config) (Source, error) {
-	cfg = cfg.withDefaults()
 	uaddr, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("ingress: resolve udp %s: %w", addr, err)
@@ -71,7 +69,7 @@ func ListenUDP(addr string, cfg Config) (Source, error) {
 			return nil, fmt.Errorf("ingress: set udp read buffer: %w", err)
 		}
 	}
-	return newDgramSource("udp", conn.LocalAddr().String(), "", conn, cfg)
+	return newDgramSource("udp", conn.LocalAddr().String(), "", conn)
 }
 
 // ListenUnixgram binds a Unix-datagram socket at path and returns it
@@ -80,7 +78,6 @@ func ListenUDP(addr string, cfg Config) (Source, error) {
 // the deterministic loopback used by the conservation tests. The
 // socket file is removed on Close.
 func ListenUnixgram(path string, cfg Config) (Source, error) {
-	cfg = cfg.withDefaults()
 	conn, err := net.ListenUnixgram("unixgram", &net.UnixAddr{Name: path, Net: "unixgram"})
 	if err != nil {
 		return nil, fmt.Errorf("ingress: listen unixgram %s: %w", path, err)
@@ -91,7 +88,7 @@ func ListenUnixgram(path string, cfg Config) (Source, error) {
 			return nil, fmt.Errorf("ingress: set unixgram read buffer: %w", err)
 		}
 	}
-	return newDgramSource("unixgram", path, path, conn, cfg)
+	return newDgramSource("unixgram", path, path, conn)
 }
 
 // Transport names the transport kind.
@@ -152,16 +149,16 @@ func (s *dgramSource) Serve(ctx context.Context, sink Sink) error {
 
 // rxBurst is one round of the RX loop: top the burst up to burstSize
 // borrowed buffers, fill as many as the socket has queued, and pass
-// them through the counted delivery path. Buffers ask for MaxFrame+1
-// bytes so an oversize datagram is detectable (it fills the extra
-// byte) instead of silently truncated. Buffers the fill left empty stay
-// on loan for the next round.
+// them through the counted delivery path. Buffers ask for
+// DefaultMaxFrame+1 bytes so an oversize datagram is detectable (it
+// fills the extra byte) instead of silently truncated. Buffers the fill
+// left empty stay on loan for the next round.
 //
 //menshen:hotpath
 func (s *dgramSource) rxBurst(sink Sink, b *burst) error {
 	for i := range b.bufs {
 		if b.bufs[i] == nil {
-			b.bufs[i] = sink.Borrow(s.cfg.MaxFrame + 1)
+			b.bufs[i] = sink.Borrow(DefaultMaxFrame + 1)
 		}
 	}
 	n, err := s.fill(b.bufs[:], b.sizes[:])
@@ -169,7 +166,7 @@ func (s *dgramSource) rxBurst(sink Sink, b *burst) error {
 		return err
 	}
 	s.ctr.reads.Add(1)
-	return submitBurst(sink, &s.ctr, b, classifyBurst(&s.ctr, s.cfg.MinFrame, s.cfg.MaxFrame, b, n))
+	return submitBurst(sink, &s.ctr, b, classifyBurst(&s.ctr, b, n))
 }
 
 // classifyBurst files the first n datagrams of a filled burst: short
@@ -178,14 +175,14 @@ func (s *dgramSource) rxBurst(sink Sink, b *burst) error {
 // returns how many frames it gathered.
 //
 //menshen:hotpath
-func classifyBurst(c *counters, minFrame, maxFrame int, b *burst, n int) int {
+func classifyBurst(c *counters, b *burst, n int) int {
 	k := 0
 	var short, oversize, bytes uint64
 	for i := 0; i < n; i++ {
 		switch size := b.sizes[i]; {
-		case size < minFrame:
+		case size < DefaultMinFrame:
 			short++
-		case size > maxFrame:
+		case size > DefaultMaxFrame:
 			oversize++
 		default:
 			b.frames[k] = b.bufs[i][:size]

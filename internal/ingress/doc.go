@@ -60,8 +60,17 @@
 //
 // Transient failures retry under one capped exponential schedule,
 // Backoff: delay Base<<attempt clamped to Max, reset on success. The
-// TCP accept loop uses it for transient accept errors (counted as
-// AcceptRetries) and trafficgen's LoadClient uses it for redial, so a
-// flapped listener costs bounded, decaying retry work — never a spin,
-// never a hang.
+// TCP accept loop retries transient accept errors under DefaultBackoff
+// (counted as AcceptRetries) and gives up after acceptRetries (8)
+// consecutive failures; trafficgen's LoadClient redials under the
+// Backoff it was dialed with. A flapped listener costs bounded,
+// decaying retry work — never a spin, never a hang.
+//
+// # Frame bounds
+//
+// Socket input is checked against two constants: a frame shorter than
+// DefaultMinFrame (Ethernet + 802.1Q: it cannot name a tenant) is
+// ShortDropped, one longer than DefaultMaxFrame (2047: the read buffer
+// with its overrun byte is one 2 KiB pool class) is OversizeDropped on
+// a datagram socket and a framing violation on a stream.
 package ingress

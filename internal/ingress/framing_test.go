@@ -66,7 +66,7 @@ func TestAppendFrameRoundTrip(t *testing.T) {
 	// Every chunking must decode to the identical frame sequence.
 	for _, chunk := range []int{1, 2, 3, 7, 64, len(stream)} {
 		pool := &testPool{}
-		dec := ingress.NewStreamDecoder(&chunkReader{data: stream, chunk: chunk}, 0, 0)
+		dec := ingress.NewStreamDecoder(&chunkReader{data: stream, chunk: chunk})
 		for i, want := range frames {
 			got, err := dec.Next(pool)
 			if err != nil {
@@ -100,7 +100,7 @@ func TestStreamDecoderShortFrameKeepsSync(t *testing.T) {
 	stream := []byte{0x00, 0x05, 1, 2, 3, 4, 5} // valid length, below min
 	stream, _ = ingress.AppendFrame(stream, valid)
 	pool := &testPool{}
-	dec := ingress.NewStreamDecoder(bytes.NewReader(stream), 0, 0)
+	dec := ingress.NewStreamDecoder(bytes.NewReader(stream))
 	if _, err := dec.Next(pool); !errors.Is(err, ingress.ErrShortFrame) {
 		t.Fatalf("short frame: %v, want ErrShortFrame", err)
 	}
@@ -123,7 +123,7 @@ func TestStreamDecoderFramingErrors(t *testing.T) {
 		{"beyond-max", []byte{0xff, 0xff, 0x01}, 0xffff},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			dec := ingress.NewStreamDecoder(bytes.NewReader(tc.stream), 0, 0)
+			dec := ingress.NewStreamDecoder(bytes.NewReader(tc.stream))
 			_, err := dec.Next(&testPool{})
 			var fe *ingress.FramingError
 			if !errors.As(err, &fe) {
@@ -142,7 +142,7 @@ func TestStreamDecoderFramingErrors(t *testing.T) {
 func TestStreamDecoderMidFrameCut(t *testing.T) {
 	pool := &testPool{}
 	// Cut inside the header.
-	dec := ingress.NewStreamDecoder(bytes.NewReader([]byte{0x00}), 0, 0)
+	dec := ingress.NewStreamDecoder(bytes.NewReader([]byte{0x00}))
 	if _, err := dec.Next(pool); err != io.ErrUnexpectedEOF {
 		t.Fatalf("header cut: %v, want ErrUnexpectedEOF", err)
 	}
@@ -174,7 +174,7 @@ func FuzzTCPFraming(f *testing.F) {
 	f.Add(valid[:len(valid)-3], uint8(4))                         // cut mid-payload
 	f.Fuzz(func(t *testing.T, stream []byte, chunk uint8) {
 		pool := &testPool{}
-		dec := ingress.NewStreamDecoder(&chunkReader{data: stream, chunk: int(chunk)}, 0, 0)
+		dec := ingress.NewStreamDecoder(&chunkReader{data: stream, chunk: int(chunk)})
 		frames := 0
 		// Every continued iteration consumes >= 3 stream bytes (2-byte
 		// header plus a short frame's >=1-byte payload, or a full

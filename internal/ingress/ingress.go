@@ -64,9 +64,13 @@ type Source interface {
 	Close() error
 }
 
-// DefaultBackoff is the schedule transports and clients fall back to
-// when Config.Backoff is zero: 1ms doubling to a 100ms cap.
+// DefaultBackoff is the schedule the TCP accept loop retries under, and
+// the one a zero Backoff adopts: 1ms doubling to a 100ms cap.
 var DefaultBackoff = Backoff{Base: time.Millisecond, Max: 100 * time.Millisecond}
+
+// acceptRetries bounds consecutive transient accept failures before the
+// TCP serve loop gives up.
+const acceptRetries = 8
 
 // Backoff is the capped exponential retry schedule of the ingress
 // plane (doc.go, "Backoff contract"). The zero value adopts
@@ -98,68 +102,32 @@ func (b Backoff) Delay(attempt int) time.Duration {
 	return d
 }
 
-// Default frame-size bounds for Config zero values.
+// Frame-size bounds every transport checks socket input against.
 const (
 	// DefaultMinFrame is the smallest frame a transport accepts:
 	// Ethernet + 802.1Q, the prefix that carries the tenant VLAN —
 	// anything shorter cannot be attributed to a tenant.
 	DefaultMinFrame = packet.EthernetHeaderLen + packet.VLANTagLen
 	// DefaultMaxFrame is the largest accepted frame. 2047 keeps the
-	// datagram read buffer (MaxFrame+1, for overrun detection) exactly
-	// one 2KiB pool class.
+	// datagram read buffer (DefaultMaxFrame+1, for overrun detection)
+	// exactly one 2KiB pool class.
 	DefaultMaxFrame = 2047
-	// MaxFrameLimit bounds configurable MaxFrame: the length-prefixed
-	// stream framing carries a 16-bit length.
+	// MaxFrameLimit is the longest frame the length-prefixed stream
+	// framing can carry: its length field is 16 bits.
 	MaxFrameLimit = 65535
 )
 
 // Config parameterizes a socket transport. The zero value is ready to
 // use.
 type Config struct {
-	// MinFrame is the smallest accepted frame in bytes (default
-	// DefaultMinFrame; at most 64 so stream resync can skip a short
-	// frame's payload from a fixed scratch buffer).
-	MinFrame int
-	// MaxFrame is the largest accepted frame in bytes (default
-	// DefaultMaxFrame, capped at MaxFrameLimit).
-	MaxFrame int
 	// ReadBuffer, when > 0, sets the socket's kernel receive buffer
 	// (SO_RCVBUF) — the knob that keeps a bursty UDP sender's frames
 	// queued in the kernel instead of silently dropped there.
 	ReadBuffer int
-	// Backoff is the retry schedule for transient accept failures
-	// (zero = DefaultBackoff).
-	Backoff Backoff
-	// AcceptRetries bounds consecutive transient accept failures
-	// before the TCP serve loop gives up (default 8).
-	AcceptRetries int
 	// Fault, when set on a TCP source, sentences every received frame:
 	// a Drop sentence resets the connection — deterministic, seeded
 	// connection chaos for the redial tests.
 	Fault *faultinject.Injector
-}
-
-// withDefaults returns cfg with zero values resolved.
-func (cfg Config) withDefaults() Config {
-	if cfg.MinFrame <= 0 {
-		cfg.MinFrame = DefaultMinFrame
-	}
-	if cfg.MinFrame > shortSkipMax {
-		cfg.MinFrame = shortSkipMax
-	}
-	if cfg.MaxFrame <= 0 {
-		cfg.MaxFrame = DefaultMaxFrame
-	}
-	if cfg.MaxFrame > MaxFrameLimit {
-		cfg.MaxFrame = MaxFrameLimit
-	}
-	if cfg.MaxFrame < cfg.MinFrame {
-		cfg.MaxFrame = cfg.MinFrame
-	}
-	if cfg.AcceptRetries <= 0 {
-		cfg.AcceptRetries = 8
-	}
-	return cfg
 }
 
 // counters is the shared per-source atomic counter block behind

@@ -20,15 +20,8 @@ import (
 	"repro/internal/faultinject"
 )
 
-// Stream-framing constants.
-const (
-	// headerLen is the size of the length prefix on the wire.
-	headerLen = 2
-	// shortSkipMax bounds Config.MinFrame: a valid-length frame below
-	// the minimum is consumed from a fixed scratch buffer of this size
-	// to keep the stream in sync without allocating.
-	shortSkipMax = 64
-)
+// headerLen is the size of the length prefix on the wire.
+const headerLen = 2
 
 // ErrShortFrame reports a stream frame whose declared length was valid
 // but below the transport's minimum. The decoder consumed the payload
@@ -69,19 +62,17 @@ func AppendFrame(dst, frame []byte) ([]byte, error) {
 // It is pure: no sockets, no counters — the TCP RX loop, the framing
 // unit tests, and FuzzTCPFraming all drive the same code.
 type StreamDecoder struct {
-	r        io.Reader
-	min, max int
-	hdr      [headerLen]byte
-	scratch  [shortSkipMax]byte
+	r   io.Reader
+	hdr [headerLen]byte
+	// scratch swallows a valid-length frame below the minimum, keeping
+	// the stream in sync without allocating.
+	scratch [DefaultMinFrame]byte
 }
 
 // NewStreamDecoder returns a decoder over r accepting frame lengths in
-// [min, max] (bounds resolved like Config.MinFrame/MaxFrame).
-func NewStreamDecoder(r io.Reader, min, max int) *StreamDecoder {
-	cfg := Config{MinFrame: min, MaxFrame: max}.withDefaults()
-	d := &StreamDecoder{min: cfg.MinFrame, max: cfg.MaxFrame}
-	d.Reset(r)
-	return d
+// [DefaultMinFrame, DefaultMaxFrame].
+func NewStreamDecoder(r io.Reader) *StreamDecoder {
+	return &StreamDecoder{r: r}
 }
 
 // Reset points the decoder at a new stream, reusing its state — the
@@ -92,7 +83,7 @@ func (d *StreamDecoder) Reset(r io.Reader) { d.r = r }
 // it sized to the frame. Outcomes:
 //
 //   - (frame, nil): one well-formed frame; the caller owns the buffer.
-//   - (nil, ErrShortFrame): valid length below min; payload consumed,
+//   - (nil, ErrShortFrame): valid length below the minimum; payload consumed,
 //     stream still in sync — count and continue.
 //   - (nil, *FramingError): zero or oversize length; the stream is
 //     unrecoverable — count DecodeErrors and close it.
@@ -108,10 +99,10 @@ func (d *StreamDecoder) Next(bufs BufferSource) ([]byte, error) {
 		return nil, err // io.ReadFull: EOF only at a frame boundary, else ErrUnexpectedEOF
 	}
 	n := int(binary.BigEndian.Uint16(d.hdr[:]))
-	if n == 0 || n > d.max {
-		return nil, &FramingError{Length: n, Max: d.max} //menshen:allocok terminal per-connection error, never on the steady path
+	if n == 0 || n > DefaultMaxFrame {
+		return nil, &FramingError{Length: n, Max: DefaultMaxFrame} //menshen:allocok terminal per-connection error, never on the steady path
 	}
-	if n < d.min {
+	if n < DefaultMinFrame {
 		// Consume the short payload from scratch so the stream stays
 		// framed; the caller counts the drop and keeps reading.
 		if _, err := io.ReadFull(d.r, d.scratch[:n]); err != nil {
@@ -159,7 +150,6 @@ type TCPSource struct {
 // transport lossless per surviving connection, and a connection that
 // dies mid-frame is counted (ConnResets), never silent.
 func ListenTCP(addr string, cfg Config) (*TCPSource, error) {
-	cfg = cfg.withDefaults()
 	taddr, err := net.ResolveTCPAddr("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("ingress: resolve tcp %s: %w", addr, err)
@@ -224,8 +214,8 @@ func (s *TCPSource) untrack(c net.Conn) {
 
 // Serve accepts connections until the listener closes, retrying
 // transient accept failures under the capped-backoff schedule (counted
-// as AcceptRetries) and giving up after Config.AcceptRetries
-// consecutive failures. Each connection is served on its own goroutine;
+// as AcceptRetries) and giving up after acceptRetries consecutive
+// failures. Each connection is served on its own goroutine;
 // Serve returns only after all of them have finished.
 func (s *TCPSource) Serve(ctx context.Context, sink Sink) error {
 	stop := context.AfterFunc(ctx, func() { _ = s.Close() })
@@ -238,11 +228,11 @@ func (s *TCPSource) Serve(ctx context.Context, sink Sink) error {
 			if errors.Is(err, net.ErrClosed) {
 				return nil
 			}
-			if attempt >= s.cfg.AcceptRetries {
+			if attempt >= acceptRetries {
 				return fmt.Errorf("ingress: tcp accept on %s: %w", s.addr, err)
 			}
 			s.ctr.acceptRetries.Add(1)
-			time.Sleep(s.cfg.Backoff.Delay(attempt))
+			time.Sleep(DefaultBackoff.Delay(attempt))
 			attempt++
 			continue
 		}
@@ -267,7 +257,7 @@ func (s *TCPSource) Serve(ctx context.Context, sink Sink) error {
 // stream mid-flight is ConnResets.
 func (s *TCPSource) serveConn(conn net.Conn, sink Sink) {
 	defer func() { _ = conn.Close() }()
-	dec := NewStreamDecoder(conn, s.cfg.MinFrame, s.cfg.MaxFrame)
+	dec := NewStreamDecoder(conn)
 	var framing *FramingError
 	for {
 		frame, err := dec.Next(sink)

@@ -332,8 +332,6 @@ var workerScalars = []workerScalar{
 		func(ws *engine.WorkerStats, sb *seriesBuf) { sb.valUint(ws.Frames) }},
 	{"menshen_worker_busy_seconds_total", "Estimated cumulative time inside ProcessBatch.", "counter",
 		func(ws *engine.WorkerStats, sb *seriesBuf) { sb.valFloat(ws.Busy.Seconds()) }},
-	{"menshen_worker_batch_target", "Current adaptive batch size.", "gauge",
-		func(ws *engine.WorkerStats, sb *seriesBuf) { sb.valUint(uint64(ws.BatchTarget)) }},
 	{"menshen_worker_pending_frames", "Frames queued in the shard's RX rings.", "gauge",
 		func(ws *engine.WorkerStats, sb *seriesBuf) { sb.valUint(uint64(ws.Pending)) }},
 	{"menshen_worker_egress_backlog_frames", "Frames queued in the shard's egress PIFO.", "gauge",

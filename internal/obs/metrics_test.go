@@ -33,7 +33,7 @@ func goldenNodes() []NodeStats {
 		},
 		Workers: []engine.WorkerStats{
 			{
-				Batches: 64, Frames: 1230, Busy: 1500 * 1e6, BatchTarget: 32,
+				Batches: 64, Frames: 1230, Busy: 1500 * 1e6,
 				Pending: 12, EgressBacklog: 3, Sampled: 8,
 				Latency: func() engine.LatencyHistogram {
 					var h engine.LatencyHistogram
@@ -74,7 +74,7 @@ func goldenNodes() []NodeStats {
 		Tenants: map[uint16]engine.TenantStats{
 			1: {Submitted: 50, Processed: 50, Bytes: 3200},
 		},
-		Workers: []engine.WorkerStats{{Batches: 4, Frames: 50, BatchTarget: 16}},
+		Workers: []engine.WorkerStats{{Batches: 4, Frames: 50}},
 		Uptime:  1250 * 1e6, // 1.25s
 	}
 	// Node A also carries two faulted links so the per-link families

@@ -16,7 +16,7 @@ package menshen
 //	eng.Close()
 
 import (
-	"time"
+	"errors"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -35,78 +35,11 @@ type EngineStats = engine.Stats
 // EngineStats.Ingress.
 type IngressStats = engine.IngressStats
 
-// EngineConfig configures Device.NewEngine.
-type EngineConfig struct {
-	// Workers is the number of pipeline shards (default 4).
-	Workers int
-	// QueueDepth bounds each per-tenant per-worker RX ring (default 1024).
-	QueueDepth int
-	// BatchSize is the frames per pipeline batch (default 32).
-	BatchSize int
-	// DropOnFull tail-drops at full rings instead of blocking the
-	// submitter.
-	DropOnFull bool
-	// FixedBatch disables adaptive batch sizing: workers always service
-	// up to BatchSize frames per batch. By default batch size adapts to
-	// ring occupancy — toward BatchSize under backlog, toward 1 when
-	// idle — trading amortization for latency only when there is a
-	// backlog to amortize over.
-	FixedBatch bool
-	// OnBatch, when set, observes every processed batch on the worker
-	// goroutine; results are valid only during the callback. With
-	// egress scheduling active (EgressWeights, or a live
-	// SetEgressWeight call) it instead observes frames as the egress
-	// scheduler drains them: weighted fair rank order, forwarded frames
-	// only, same per-tenant grouping and buffer lifetime.
-	OnBatch func(workerID int, tenant uint16, results []EngineResult)
-
-	// EgressWeights enables §3.5 egress scheduling: each worker ranks
-	// processed frames with tenant-weighted start-time fair queueing
-	// and drains them through a bounded push-out PIFO, so inter-tenant
-	// output bandwidth follows these weights regardless of offered
-	// load. Tenants not listed get weight 1. Nil leaves the egress
-	// stage off (zero overhead).
-	EgressWeights map[uint16]float64
-	// EgressQueueLimit bounds each worker's egress PIFO in frames
-	// (default 4*BatchSize). Overflow displaces the worst-ranked queued
-	// frame (push-out), which is what holds the drained shares at the
-	// weights under overload.
-	EgressQueueLimit int
-	// EgressQuantum caps frames delivered per worker service cycle
-	// (default BatchSize). Values below BatchSize model a TX link
-	// slower than the pipeline: the scheduler then arbitrates the
-	// backlog and the weighted shares show up in the delivered stream.
-	EgressQuantum int
-	// EgressQuantumBytes, when > 0, additionally caps each service
-	// cycle's delivered bytes — the TX link modeled in its natural
-	// unit, so mixed frame sizes drain fair shares by bytes rather
-	// than frames. At least one frame is delivered per cycle.
-	EgressQuantumBytes int
-
-	// TraceEvery enables sampled frame tracing: every TraceEvery-th
-	// submitted frame is marked with the out-of-band trace bit and
-	// reported to OnTrace per hop. 0 disables tracing (zero overhead).
-	TraceEvery int
-	// OnTrace receives one TraceHop per traced frame per engine it
-	// traverses, called on the worker goroutine; keep it cheap (the
-	// obs package's Tracer ring is the intended sink).
-	OnTrace func(TraceHop)
-
-	// StallTimeout arms the worker stall watchdog: a shard with
-	// pending work whose progress counter freezes for this long is
-	// flagged degraded — counted in Stats, and context-aware quiesce
-	// waits blocked behind it fail fast with ErrDegraded instead of
-	// hanging. 0 disables the watchdog (zero overhead).
-	StallTimeout time.Duration
-
-	// FlowCacheEntries sizes each worker's exact-match flow cache: the
-	// per-worker fast path in front of large (hash-mode) match tables.
-	// 0 selects the default size, negative disables the cache. Cached
-	// resolutions are invalidated automatically by any
-	// reconfiguration. Modules with small match tables never consult
-	// the cache, so it is free for them.
-	FlowCacheEntries int
-}
+// EngineConfig configures Device.NewEngine. It is the engine's own
+// configuration, declared once in internal/engine. The device owns
+// three of its fields — Geometry, Options and Modules come from the
+// loaded hardware model — and NewEngine rejects a config that sets one.
+type EngineConfig = engine.Config
 
 // TraceHop is one sampled frame's per-hop trace record; see
 // EngineConfig.TraceEvery.
@@ -124,32 +57,18 @@ type Engine struct {
 // same placements). To reconfigure a *running* engine, use the engine's
 // own LoadModule/UnloadModule/ApplyReconfig — modules loaded or updated
 // directly on the Device afterwards are not reflected in running
-// shards.
+// shards. A cfg that sets Geometry, Options or Modules itself is
+// rejected: shards that disagree with the device are never built.
 func (d *Device) NewEngine(cfg EngineConfig) (*Engine, error) {
-	specs := make([]engine.ModuleSpec, 0, len(d.modules))
+	if cfg.Geometry != (core.Geometry{}) || cfg.Options != (core.Options{}) || cfg.Modules != nil {
+		return nil, errors.New("menshen: EngineConfig.Geometry, Options and Modules are set from the device")
+	}
+	cfg.Geometry, cfg.Options = d.pipe.Geometry, d.pipe.Options
 	for _, id := range d.alloc.Loaded() {
 		m := d.modules[id]
-		specs = append(specs, engine.ModuleSpec{Config: m.program.Config, Placement: m.placement})
+		cfg.Modules = append(cfg.Modules, engine.ModuleSpec{Config: m.program.Config, Placement: m.placement})
 	}
-	e, err := engine.New(engine.Config{
-		Workers:            cfg.Workers,
-		QueueDepth:         cfg.QueueDepth,
-		BatchSize:          cfg.BatchSize,
-		DropOnFull:         cfg.DropOnFull,
-		FixedBatch:         cfg.FixedBatch,
-		Geometry:           d.pipe.Geometry,
-		Options:            d.pipe.Options,
-		Modules:            specs,
-		OnBatch:            cfg.OnBatch,
-		EgressWeights:      cfg.EgressWeights,
-		EgressQueueLimit:   cfg.EgressQueueLimit,
-		EgressQuantum:      cfg.EgressQuantum,
-		EgressQuantumBytes: cfg.EgressQuantumBytes,
-		TraceEvery:         cfg.TraceEvery,
-		OnTrace:            cfg.OnTrace,
-		StallTimeout:       cfg.StallTimeout,
-		FlowCacheEntries:   cfg.FlowCacheEntries,
-	})
+	e, err := engine.New(cfg)
 	if err != nil {
 		return nil, err
 	}
