@@ -61,7 +61,7 @@ func TestLintSelfClean(t *testing.T) {
 // regressions the satellite fixes removed: a scratch module that
 // depends on this repo (via a replace directive, so it works offline)
 // reintroduces a bare AwaitQuiesce method value and a discarded
-// SubmitOwned error, and the standalone driver must fail on both.
+// SubmitBatchOwned error, and the standalone driver must fail on both.
 func TestLintFiresAcrossModules(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the module as a dependency; skipped in -short")
@@ -86,9 +86,9 @@ func wire(e *menshen.Engine) ops {
 	return ops{await: e.AwaitQuiesce}
 }
 
-func pump(e *menshen.Engine, frame []byte) {
-	ok, _ := e.SubmitOwned(frame)
-	_ = ok
+func pump(e *menshen.Engine, frames [][]byte) {
+	n, _ := e.SubmitBatchOwned(frames)
+	_ = n
 }
 
 func main() {}
@@ -101,7 +101,7 @@ func main() {}
 	cmd.Dir = scratch
 	out, err := cmd.CombinedOutput()
 	if err == nil {
-		t.Fatalf("menshen-lint passed a package with a bare AwaitQuiesce and a dropped SubmitOwned error:\n%s", out)
+		t.Fatalf("menshen-lint passed a package with a bare AwaitQuiesce and a dropped SubmitBatchOwned error:\n%s", out)
 	}
 	for _, wantFinding := range []string{"ctxquiesce: bare AwaitQuiesce", "countederr: error assigned to _"} {
 		if !strings.Contains(string(out), wantFinding) {

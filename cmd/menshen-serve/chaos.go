@@ -5,132 +5,73 @@
 // churn and live verified module reloads over the traffic run. At the
 // end it asserts the chaos invariants — every injected frame is
 // delivered or counted (conservation), every verified reload converged
-// with replica parity across shards, no shard is stalled — and exits
-// non-zero on any violation, so CI can run it as a smoke test.
+// with replica parity across shards, no shard is stalled — and fails
+// the run on any violation, so CI can run it as a smoke test.
 package main
 
 import (
 	"context"
 	"fmt"
-	"os"
+	"io"
 	"time"
 
-	"repro/internal/checker"
-	"repro/internal/compiler"
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/fabric"
 	"repro/internal/faultinject"
-	"repro/internal/packet"
-	"repro/internal/sysmod"
 	"repro/internal/trafficgen"
 )
 
-// chaosRun carries the -chaos mode's parameters.
-type chaosRun struct {
-	tenants               int
-	workers, batch, queue int
-	packets, size, flows  int
-	seed                  uint64
-	loss                  float64
-	events                int
-}
+// The chaos harness's fixed shape.
+const (
+	chaosNodes  = 3
+	chaosLoss   = 0.05 // per-command loss probability on the middle node's reconfig delivery
+	chaosEvents = 12   // scheduled events: alternating egress-weight churn and verified reloads
+)
 
 // runChaos builds the chaotic fabric, drives traffic with control
-// churn, and verifies the invariants.
-func runChaos(r chaosRun) {
-	const nodes = 3
-	vip := packet.IPv4Addr{10, 9, 9, 9}
-	ids := make([]uint16, r.tenants)
-	for i := range ids {
-		ids[i] = uint16(i + 1)
-	}
-
+// churn, and verifies the invariants; a violation is returned as an
+// error after the report.
+func runChaos(ctx context.Context, cfg serveConfig, out io.Writer) error {
 	fab := fabric.NewEngineFabric(nil) // deliveries are counted, not retained
-	// The middle node's module specs are kept for the verified-reload
-	// events: a reload replays the exact spec that was unloaded.
-	midSpecs := map[uint16]engine.ModuleSpec{}
-	for i := 0; i < nodes; i++ {
-		name := fmt.Sprintf("s%d", i)
-		sys := sysmod.NewConfig()
-		port := uint8(1) // forward along the chain
-		if i == nodes-1 {
-			port = 2 // host-terminal on the last node
-		}
-		for _, id := range ids {
-			sys.AddRoute(id, vip, port)
-		}
-		alloc := checker.NewAllocator(checker.CapacityOf(core.DefaultGeometry()), nil)
-		specs := make([]engine.ModuleSpec, 0, len(ids))
-		for _, id := range ids {
-			prog, err := compiler.Compile(fabricPassthrough, compiler.Options{ModuleID: id})
-			if err != nil {
-				fatal(err)
-			}
-			if err := sys.Augment(prog.Config); err != nil {
-				fatal(err)
-			}
-			pl, err := alloc.Admit(prog.Config)
-			if err != nil {
-				fatal(err)
-			}
-			spec := engine.ModuleSpec{Config: prog.Config, Placement: pl}
-			specs = append(specs, spec)
-			if i == 1 {
-				midSpecs[id] = spec
-			}
-		}
-		if _, err := fab.AddNode(name, sys, fabric.NodeConfig{
-			Workers:      r.workers,
-			QueueDepth:   r.queue,
-			BatchSize:    r.batch,
-			Modules:      specs,
-			StallTimeout: 500 * time.Millisecond,
-		}); err != nil {
-			fatal(err)
-		}
-		if i > 0 {
-			if err := fab.Link(fmt.Sprintf("s%d", i-1), 1, name, 0); err != nil {
-				fatal(err)
-			}
-		}
+	nodes, specs, err := buildChain(fab, chaosNodes, false, fabric.NodeConfig{
+		Workers:      cfg.workers,
+		QueueDepth:   cfg.queue,
+		BatchSize:    cfg.batch,
+		StallTimeout: 500 * time.Millisecond,
+	})
+	if err != nil {
+		return err
 	}
 
 	// The first hop is a noisy cable; the second flaps on a periodic
 	// down schedule — bursty loss recovers very differently from
 	// uniform loss.
 	noisy, err := fab.FaultLink("s0", 1, faultinject.Plan{
-		Seed: r.seed*2 + 1, Drop: 0.06, Corrupt: 0.03, Delay: 0.05, Reorder: 0.08,
+		Seed: seed*2 + 1, Drop: 0.06, Corrupt: 0.03, Delay: 0.05, Reorder: 0.08,
 	})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	flappy, err := fab.FaultLink("s1", 1, faultinject.Plan{
-		Seed: r.seed*2 + 2, Flap: faultinject.Flap{Period: 2048, Down: 256},
+		Seed: seed*2 + 2, Flap: faultinject.Flap{Period: 2048, Down: 256},
 	})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if err := fab.Start(); err != nil {
-		fatal(err)
+		return err
 	}
-	mid, err := fab.Node("s1")
-	if err != nil {
-		fatal(err)
-	}
-	entry, err := fab.Node("s0")
-	if err != nil {
-		fatal(err)
-	}
+	defer func() { _ = fab.Close() }() // error paths; the report path closes it itself
+	entry, mid := nodes[0].Eng, nodes[1].Eng
 	// Seeded command loss on the middle node's control plane: every
 	// verified reload must recover through the §4.1 counter poll.
-	mid.Eng.SetReconfigFault(faultinject.New(faultinject.Plan{Seed: r.seed*2 + 3, Drop: r.loss}))
+	mid.SetReconfigFault(faultinject.New(faultinject.Plan{Seed: seed*2 + 3, Drop: chaosLoss}))
 
-	perBatch := r.batch * r.workers
-	totalBatches := (r.packets + perBatch - 1) / perBatch
-	schedule := trafficgen.ChaosSchedule(trafficgen.NewPRNG(r.seed), totalBatches, r.events, ids)
-	fmt.Printf("chaos: 3-node chain, %d tenants, %d workers/node, %d frames, %.0f%% command loss, %d events\n",
-		r.tenants, r.workers, r.packets, r.loss*100, len(schedule))
+	perBatch := cfg.batch * cfg.workers
+	totalBatches := (cfg.packets + perBatch - 1) / perBatch
+	schedule := trafficgen.ChaosSchedule(trafficgen.NewPRNG(seed), totalBatches, chaosEvents, chainTenants)
+	fmt.Fprintf(out, "chaos: 3-node chain, %d tenants, %d workers/node, %d frames, %.0f%% command loss, %d events\n",
+		len(chainTenants), cfg.workers, cfg.packets, chaosLoss*100, len(schedule))
 
 	vopts := engine.VerifyOpts{MaxAttempts: 64, Backoff: 50 * time.Microsecond, MaxBackoff: 2 * time.Millisecond}
 	var violations []string
@@ -138,28 +79,27 @@ func runChaos(r chaosRun) {
 		violations = append(violations, fmt.Sprintf(format, args...))
 	}
 
-	sc := trafficgen.FabricScenario(r.seed, vip, r.size, r.flows, ids...)
-	var frames [][]byte
 	reloads, churns := 0, 0
 	var resent, attempts uint64
 	next := 0 // next unfired schedule index
 	start := time.Now()
-	for sent, b := 0, 0; sent < r.packets; b++ {
-		for next < len(schedule) && schedule[next].AtBatch <= b {
+	injected, err := injectEntry(ctx, fab, cfg, func(b, _ int) error {
+		for ; next < len(schedule) && schedule[next].AtBatch <= b; next++ {
 			ev := schedule[next]
-			next++
 			switch ev.Kind {
 			case trafficgen.ChaosWeightChurn:
-				if _, err := entry.Eng.SetEgressWeight(ev.Tenant, ev.Weight); err != nil {
-					fatal(err)
+				if _, err := entry.SetEgressWeight(ev.Tenant, ev.Weight); err != nil {
+					return err
 				}
 				churns++
 			case trafficgen.ChaosReload:
-				if _, err := mid.Eng.UnloadModuleLive(ev.Tenant); err != nil {
-					fatal(err)
+				if _, err := mid.UnloadModuleLive(ev.Tenant); err != nil {
+					return err
 				}
-				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-				_, rep, verr := mid.Eng.LoadModuleVerified(ctx, midSpecs[ev.Tenant], vopts)
+				// A reload replays the exact spec that was unloaded
+				// (chainTenants are 1..n, so tenant t is spec t-1).
+				rctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 30*time.Second)
+				_, rep, verr := mid.LoadModuleVerified(rctx, specs[1][ev.Tenant-1], vopts)
 				cancel()
 				if verr != nil {
 					violatef("verified reload of tenant %d: %v", ev.Tenant, verr)
@@ -169,19 +109,14 @@ func runChaos(r chaosRun) {
 				reloads++
 			}
 		}
-		n := perBatch
-		if rem := r.packets - sent; n > rem {
-			n = rem
-		}
-		frames = sc.NextBatch(frames[:0], n)
-		if _, err := fab.InjectBatch("s0", 0, frames); err != nil {
-			fatal(err)
-		}
-		sent += n
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	fab.Drain()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	qerr := fab.QuiesceCtx(ctx)
+	qctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 30*time.Second)
+	qerr := fab.QuiesceCtx(qctx)
 	cancel()
 	if qerr != nil {
 		violatef("fabric quiesce: %v", qerr)
@@ -198,16 +133,15 @@ func runChaos(r chaosRun) {
 		}
 	}
 	counted := st.Delivered + st.FaultDropped + st.LinkDropped + st.TTLDropped + pipelineDrops + egressDrops
-	injected := uint64(r.packets)
 
-	fmt.Printf("\n--- chaos report (%v) ---\n", wall.Round(time.Millisecond))
+	fmt.Fprintf(out, "\n--- chaos report (%v) ---\n", wall.Round(time.Millisecond))
 	nc, fc := noisy.Counts(), flappy.Counts()
-	fmt.Printf("noisy link s0->s1:  seen %8d  dropped %6d  corrupted %6d  delayed %6d  reordered %6d\n",
+	fmt.Fprintf(out, "noisy link s0->s1:  seen %8d  dropped %6d  corrupted %6d  delayed %6d  reordered %6d\n",
 		nc.Seen, nc.Dropped, nc.Corrupted, nc.Delayed, nc.Reordered)
-	fmt.Printf("flappy link s1->s2: seen %8d  dropped %6d (periodic down windows)\n", fc.Seen, fc.Dropped)
-	fmt.Printf("frames: injected %d = delivered %d + link-faults %d + ring %d + ttl %d + pipeline %d + egress %d (counted %d)\n",
+	fmt.Fprintf(out, "flappy link s1->s2: seen %8d  dropped %6d (periodic down windows)\n", fc.Seen, fc.Dropped)
+	fmt.Fprintf(out, "frames: injected %d = delivered %d + link-faults %d + ring %d + ttl %d + pipeline %d + egress %d (counted %d)\n",
 		injected, st.Delivered, st.FaultDropped, st.LinkDropped, st.TTLDropped, pipelineDrops, egressDrops, counted)
-	if counted != injected {
+	if counted != uint64(injected) {
 		violatef("conservation: injected %d but counted %d — %d frames unaccounted for",
 			injected, counted, int64(injected)-int64(counted))
 	}
@@ -215,15 +149,15 @@ func runChaos(r chaosRun) {
 		violatef("no frames delivered end to end")
 	}
 
-	ms := mid.Eng.Stats()
-	fmt.Printf("control plane s1: %d verified reloads, %d weight churns, %d commands re-sent over %d bursts, %d faults injected, %d verify failures\n",
+	ms := mid.Stats()
+	fmt.Fprintf(out, "control plane s1: %d verified reloads, %d weight churns, %d commands re-sent over %d bursts, %d faults injected, %d verify failures\n",
 		reloads, churns, resent, attempts, ms.CmdFaultsInjected, ms.VerifyFailures)
-	if reloads > 0 && r.loss > 0 {
+	if reloads > 0 {
 		if ms.ReconfigRetries == 0 {
-			violatef("command loss %.0f%% but zero retry bursts — the fault plan never bit", r.loss*100)
+			violatef("command loss %.0f%% but zero retry bursts — the fault plan never bit", chaosLoss*100)
 		}
 		if ms.CmdFaultsInjected == 0 {
-			violatef("command loss %.0f%% but zero injected command faults", r.loss*100)
+			violatef("command loss %.0f%% but zero injected command faults", chaosLoss*100)
 		}
 	}
 	if ms.VerifyFailures != 0 {
@@ -232,42 +166,38 @@ func runChaos(r chaosRun) {
 
 	// Replica parity everywhere: after recovery every shard of every
 	// node agrees on every tenant's configuration — no torn replicas.
-	for i := 0; i < nodes; i++ {
-		name := fmt.Sprintf("s%d", i)
-		n, err := fab.Node(name)
-		if err != nil {
-			fatal(err)
-		}
+	for _, n := range nodes {
 		if ds := n.Eng.Stats().DegradedWorkers; ds != 0 {
-			violatef("node %s: %d shards still degraded after quiesce", name, ds)
+			violatef("node %s: %d shards still degraded after quiesce", n.Name, ds)
 		}
-		for _, id := range ids {
+		for _, id := range chainTenants {
 			var cs0 uint64
 			for w := 0; w < n.Eng.Workers(); w++ {
 				pipe, err := n.Eng.Pipeline(w)
 				if err != nil {
-					fatal(err)
+					return err
 				}
 				if cs := pipe.ModuleChecksum(id); w == 0 {
 					cs0 = cs
 				} else if cs != cs0 {
 					violatef("node %s tenant %d: shard %d checksum %#x != shard 0 %#x (torn replica)",
-						name, id, w, cs, cs0)
+						n.Name, id, w, cs, cs0)
 				}
 			}
 		}
 	}
 	if err := fab.Close(); err != nil {
-		fatal(err)
+		return err
 	}
 
 	if len(violations) > 0 {
-		fmt.Printf("\nchaos: FAIL — %d invariant violation(s)\n", len(violations))
+		fmt.Fprintf(out, "\nchaos: FAIL — %d invariant violation(s)\n", len(violations))
 		for _, v := range violations {
-			fmt.Println("  -", v)
+			fmt.Fprintln(out, "  -", v)
 		}
-		os.Exit(1)
+		return fmt.Errorf("chaos: %d invariant violation(s)", len(violations))
 	}
-	fmt.Printf("\nchaos: PASS — conservation holds, %d/%d reloads converged with replica parity, no stalls\n",
+	fmt.Fprintf(out, "\nchaos: PASS — conservation holds, %d/%d reloads converged with replica parity, no stalls\n",
 		reloads, reloads)
+	return nil
 }

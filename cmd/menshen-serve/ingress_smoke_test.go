@@ -1,16 +1,13 @@
-// Smoke test of the socket ingress plane end to end through the real
-// binary: build menshen-serve, run it as a pure serving daemon
-// (-packets 0, -listen-udp, management API mounted), push 200k frames
-// at the UDP listener with the trafficgen load client, scrape /metrics
-// mid-run, and assert exact conservation from the scraped counters —
-// every client-sent frame is either forwarded or sitting in a named
-// drop counter. CI runs this as its ingress smoke step.
+// Smoke test of the socket ingress plane end to end through run, in
+// process: menshen-serve as a pure serving daemon (-packets 0,
+// -listen-udp, management API mounted), frames pushed at the UDP
+// listener with the trafficgen load client, /metrics scraped mid-run,
+// and exact conservation asserted from the scraped counters — every
+// client-sent frame is either forwarded or sitting in a named drop
+// counter. CI runs this as its ingress smoke step.
 package main
 
 import (
-	"bufio"
-	"os/exec"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -21,59 +18,19 @@ import (
 
 func TestIngressUDPSmoke(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds and runs the binary; skipped in -short")
+		t.Skip("serves a UDP load through a live daemon; skipped in -short")
 	}
-	bin := filepath.Join(t.TempDir(), "menshen-serve")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("build: %v\n%s", err, out)
-	}
-
-	// -packets 0 plus -mgmt-linger runs the binary as a serving daemon:
-	// no generated load, sockets and engine alive until the test kills
-	// the process.
-	cmd := exec.Command(bin,
+	// -packets 0 plus -mgmt-linger runs as a serving daemon: no
+	// generated load, sockets and engine alive until the test cancels.
+	s := startServe(t,
 		"-listen-udp", "127.0.0.1:0",
 		"-packets", "0",
 		"-queue", "8192",
 		"-mgmt-addr", "127.0.0.1:0",
 		"-mgmt-linger", "300s")
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd.Stderr = cmd.Stdout
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		_ = cmd.Process.Kill()
-		_ = cmd.Wait()
-	}()
-
-	// The CLI prints both bound addresses before serving.
-	mgmtCh := make(chan string, 1)
-	udpCh := make(chan string, 1)
-	go func() {
-		sc := bufio.NewScanner(stdout)
-		for sc.Scan() {
-			line := sc.Text()
-			if rest, ok := strings.CutPrefix(line, "mgmt: listening on "); ok {
-				mgmtCh <- strings.TrimSpace(rest)
-			}
-			if rest, ok := strings.CutPrefix(line, "ingress: udp listening on "); ok {
-				udpCh <- strings.TrimSpace(rest)
-			}
-		}
-	}()
-	var base, udpAddr string
-	for i := 0; i < 2; i++ {
-		select {
-		case base = <-mgmtCh:
-		case udpAddr = <-udpCh:
-		case <-time.After(30 * time.Second):
-			t.Fatalf("bind lines never appeared (mgmt %q, udp %q)", base, udpAddr)
-		}
-	}
+	// Both bound addresses are printed before serving.
+	base := s.await(t, "mgmt: listening on ")
+	udpAddr := s.await(t, "ingress: udp listening on ")
 
 	client, err := trafficgen.DialLoad("udp", udpAddr, ingress.Backoff{})
 	if err != nil {
@@ -81,12 +38,12 @@ func TestIngressUDPSmoke(t *testing.T) {
 	}
 	defer client.Close()
 
-	// Push 200k frames, paced against the scraped receive counter so
-	// the kernel socket buffer (4 MiB in the serve binary) never
-	// overruns — UDP loss upstream of the socket would break the exact
+	// Push the frames, paced against the scraped receive counter so the
+	// kernel socket buffer (4 MiB in the serve binary) never overruns —
+	// UDP loss upstream of the socket would break the exact
 	// conservation this test exists to prove.
-	const total = 200000
-	const window = 8192
+	const total = ingressSmokeFrames
+	const window = ingressSmokeInFlight
 	gen := trafficgen.DefaultGen("CALC", 1, 0, 16, trafficgen.NewPRNG(29))
 	frames := make([][]byte, 512)
 	for i := range frames {
@@ -98,10 +55,7 @@ func TestIngressUDPSmoke(t *testing.T) {
 	sent := 0
 	var midRun float64
 	for sent < total {
-		n := len(frames)
-		if rem := total - sent; n > rem {
-			n = rem
-		}
+		n := min(len(frames), total-sent)
 		got, err := client.SendBatch(frames[:n])
 		if err != nil {
 			t.Fatal(err)
@@ -159,5 +113,14 @@ func TestIngressUDPSmoke(t *testing.T) {
 	}
 	if client.Dropped() != 0 {
 		t.Errorf("load client dropped %d frames on a healthy socket", client.Dropped())
+	}
+
+	// The exit report closes the same books from the engine's side.
+	out, err := s.stop()
+	if err != nil {
+		t.Fatalf("run: %v\n%s", err, out)
+	}
+	if !strings.Contains(out, "--- ingress ---") {
+		t.Errorf("exit report has no ingress section:\n%s", out)
 	}
 }

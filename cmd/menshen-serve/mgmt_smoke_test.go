@@ -1,18 +1,14 @@
-// Smoke test of the ops plane end to end through the real binary:
-// build menshen-serve, run a traffic load with the management API
-// mounted, scrape /metrics and /stats over HTTP while the engine is
-// live, POST an egress-weight mutation, and assert the
-// reconfiguration generation moved. CI runs this as its mgmt smoke
-// step.
+// Smoke test of the ops plane end to end through run, in process: a
+// traffic load with the management API mounted, /metrics and /stats
+// scraped over HTTP while the engine is live, an egress-weight
+// mutation POSTed, and the reconfiguration generation asserted to
+// move. CI runs this as its mgmt smoke step.
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"io"
 	"net/http"
-	"os/exec"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -21,51 +17,18 @@ import (
 
 func TestMgmtSmoke(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds and runs the binary; skipped in -short")
+		t.Skip("serves a traffic load and a live management API; skipped in -short")
 	}
-	bin := filepath.Join(t.TempDir(), "menshen-serve")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("build: %v\n%s", err, out)
-	}
-
-	// -mgmt-linger keeps the engine and API alive after the 50k-frame
-	// load so the scrapes and the mutation land against a live
-	// dataplane; the test kills the process when done.
-	cmd := exec.Command(bin,
+	// -mgmt-linger keeps the engine and API alive after the load so the
+	// scrapes and the mutation land against a live dataplane; the test
+	// cancels the run when done.
+	s := startServe(t,
 		"-mgmt-addr", "127.0.0.1:0",
-		"-packets", "50000",
+		"-packets", strconv.Itoa(mgmtSmokeFrames),
 		"-trace-every", "64",
 		"-mgmt-linger", "60s")
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd.Stderr = cmd.Stdout
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		_ = cmd.Process.Kill()
-		_ = cmd.Wait()
-	}()
-
-	// The serve CLI prints the bound address before traffic starts.
-	addrCh := make(chan string, 1)
-	go func() {
-		sc := bufio.NewScanner(stdout)
-		for sc.Scan() {
-			line := sc.Text()
-			if rest, ok := strings.CutPrefix(line, "mgmt: listening on "); ok {
-				addrCh <- strings.TrimSpace(rest)
-			}
-		}
-	}()
-	var base string
-	select {
-	case base = <-addrCh:
-	case <-time.After(30 * time.Second):
-		t.Fatal("mgmt address line never appeared")
-	}
+	// The bound address is printed before traffic starts.
+	base := s.await(t, "mgmt: listening on ")
 
 	// Scrape /metrics: well-formed exposition with engine series.
 	body := httpGet(t, base+"/metrics")
@@ -112,9 +75,9 @@ func TestMgmtSmoke(t *testing.T) {
 		t.Fatalf("scraped generation %v < mutation generation %d", genAfter, mut.Generation)
 	}
 
-	// Traces were sampled at 1-in-64 across 50k frames — once all of
-	// them have been processed.
-	awaitFates(t, base, 50000)
+	// Traces were sampled at 1-in-64 — once every frame has been
+	// processed.
+	awaitFates(t, base, mgmtSmokeFrames)
 	var traces struct {
 		Total uint64 `json:"total"`
 	}
@@ -122,7 +85,11 @@ func TestMgmtSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	if traces.Total == 0 {
-		t.Error("/traces recorded nothing at 1-in-64 over 50k frames")
+		t.Errorf("/traces recorded nothing at 1-in-64 over %d frames", mgmtSmokeFrames)
+	}
+
+	if out, err := s.stop(); err != nil {
+		t.Fatalf("run: %v\n%s", err, out)
 	}
 }
 

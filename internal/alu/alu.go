@@ -71,9 +71,6 @@ func (o Op) Valid() bool { return o < opMax }
 // (two container operands) rather than format (2) (container + immediate).
 func (o Op) TwoOperand() bool { return o == OpAdd || o == OpSub }
 
-// UsesMemory reports whether the opcode accesses stateful memory.
-func (o Op) UsesMemory() bool { return o == OpLoad || o == OpStore || o == OpLoadd }
-
 // Instr is one 25-bit ALU action. Format (1), two PHV operands:
 // opcode[4] containerA[5] containerB[5] reserved[11]. Format (2), one PHV
 // operand plus immediate: opcode[4] containerA[5] imm[16].

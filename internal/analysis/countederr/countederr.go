@@ -9,7 +9,7 @@
 // signal that distinguishes a full ring (expected, counted shed) from
 // a closed engine (a bug in shutdown ordering). The analyzer reports
 // any call to a counted-fate method declared in this module —
-// ForwardBatch, SubmitOwned, SubmitBatchOwned, InjectBatch, FaultLink,
+// ForwardBatch, SubmitBatchOwned, InjectBatch, FaultLink,
 // ApplyVerified, LoadModuleVerified, InsertFlowsVerified, plus the
 // ingress plane's Serve (a Source's terminal RX-loop error) and
 // SendBatch (the load client's counted-fate writes) — whose
@@ -35,7 +35,6 @@ const modulePrefix = "repro"
 // counted is the set of counted-fate method names.
 var counted = map[string]bool{
 	"ForwardBatch":        true,
-	"SubmitOwned":         true,
 	"SubmitBatchOwned":    true,
 	"InjectBatch":         true,
 	"FaultLink":           true,
@@ -49,7 +48,7 @@ var counted = map[string]bool{
 // Analyzer is the countederr analyzer.
 var Analyzer = &framework.Analyzer{
 	Name: "countederr",
-	Doc:  "report discarded error returns from counted-fate APIs (ForwardBatch, SubmitOwned, ...)",
+	Doc:  "report discarded error returns from counted-fate APIs (ForwardBatch, SubmitBatchOwned, ...)",
 	Run:  run,
 }
 

@@ -11,7 +11,7 @@ func bad(e *engine.Engine, frames [][]byte) {
 	e.ForwardBatch(frames, 0, nil)         // want "result discarded from counted-fate API ForwardBatch"
 	n, _ := e.ForwardBatch(frames, 0, nil) // want "error assigned to _"
 	_ = n
-	_, _ = e.SubmitOwned(frames[0])      // want "error assigned to _"
+	_, _ = e.SubmitBatchOwned(frames)    // want "error assigned to _"
 	go e.ForwardBatch(frames, 0, nil)    // want "discarded by go statement"
 	defer e.ForwardBatch(frames, 0, nil) // want "discarded by defer"
 }

@@ -8,8 +8,6 @@ func (e *Engine) ForwardBatch(frames [][]byte, ingress uint8, metas []uint64) (i
 	return len(frames), nil
 }
 
-func (e *Engine) SubmitOwned(frame []byte) (bool, error) { return true, nil }
-
 func (e *Engine) SubmitBatchOwned(frames [][]byte) (int, error) { return len(frames), nil }
 
 // Rebuild is NOT a counted-fate API: discarding its error is someone

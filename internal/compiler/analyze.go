@@ -712,9 +712,3 @@ func (a *analysis) checkDependencies() error {
 	}
 	return nil
 }
-
-// MinStages reports the number of stages the module occupies. Because the
-// hardware has exactly one key-extractor configuration per module per
-// stage, two tables of one module can never share a stage, so the
-// prototype's one-table-per-stage placement is also the minimum.
-func (a *analysis) MinStages() int { return len(a.placed) }

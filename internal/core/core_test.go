@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/hex"
 	"errors"
 	"testing"
@@ -433,8 +434,8 @@ func TestReconfigDuringTrafficIsRaceFree(t *testing.T) {
 
 // TestProcessInterleavedWithProcessBatch runs one frame sequence twice —
 // every frame through Process, then the same frames alternating between
-// Process and ProcessBatch runs on a second pipeline — and requires the
-// two pipelines to end in the same state: Process and ProcessBatch share
+// Process and ProcessBatchInPlace runs on a second pipeline — and
+// requires the two pipelines to end in the same state: the two share
 // the filter's round-robin position, its verdict counters and the module
 // stats, so how the frames were grouped must not be observable.
 func TestProcessInterleavedWithProcessBatch(t *testing.T) {
@@ -494,7 +495,7 @@ func TestProcessInterleavedWithProcessBatch(t *testing.T) {
 	}
 
 	// Mixed: one frame through Process, then a run of 1..4 through
-	// ProcessBatch, and so on.
+	// ProcessBatchInPlace, and so on.
 	mixed := build()
 	var got []seen
 	res := make([]BatchResult, 4)
@@ -503,7 +504,11 @@ func TestProcessInterleavedWithProcessBatch(t *testing.T) {
 		for run := 1; len(fs) > 0; run = run%4 + 1 {
 			got = append(got, viaProcess(mixed, fs[0]))
 			n := min(run, len(fs)-1)
-			if err := mixed.ProcessBatch(fs[1:1+n], 0, res); err != nil {
+			batch := make([][]byte, n) // in-place: the batch gets its own copies
+			for i, f := range fs[1 : 1+n] {
+				batch[i] = bytes.Clone(f)
+			}
+			if err := mixed.ProcessBatchInPlace(batch, 0, res); err != nil {
 				t.Fatal(err)
 			}
 			for _, r := range res[:n] {

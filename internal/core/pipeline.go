@@ -108,7 +108,7 @@ type Pipeline struct {
 	Stages   []*stage.Stage
 	Chain    *reconfig.DaisyChain
 
-	mu    sync.Mutex // serializes Process and ProcessBatch, like the ingress wire
+	mu    sync.Mutex // serializes Process and the batch path, like the ingress wire
 	stats map[uint16]*ModuleStats
 
 	// batchViews caches per-module stage configuration for the frame
@@ -318,7 +318,7 @@ type Trace struct {
 // the pipeline did to it: the per-stage results, the final PHV, the
 // filter's round-robin assignment and the activity counts a platform
 // model turns into cycles. It is a batch of one through runBatch, the
-// loop ProcessBatch runs — which method is called selects the detail
+// loop ProcessBatchInPlace runs — which method is called selects the detail
 // captured, never the code that handles the frame. The returned Output owns a fresh copy of the
 // frame: like the hardware packet buffer, the input is left untouched
 // and the deparser writes modified headers into the buffered copy. A
@@ -366,14 +366,11 @@ func (p *Pipeline) Process(data []byte, ingressPort uint8) (*Output, *Trace, err
 }
 
 // BatchResult is the reduced per-frame outcome of the batched fast path.
-// Unlike Output it carries no PHV or per-stage trace, and its Data buffer
-// is reused across ProcessBatch calls: consume (or copy) it before the
-// slice is submitted again.
+// Unlike Output it carries no PHV or per-stage trace.
 type BatchResult struct {
-	// Data is the processed frame (nil when dropped). Under ProcessBatch
-	// the buffer is owned by the result slice and recycled on the next
-	// ProcessBatch call; under ProcessBatchInPlace it aliases the
-	// submitted frame.
+	// Data is the processed frame (nil when dropped). Under
+	// ProcessBatchInPlace it aliases the submitted frame; under Process
+	// it is a fresh copy the caller owns.
 	Data []byte
 	// ModuleID is the frame's VLAN-carried module ID.
 	ModuleID uint16
@@ -398,32 +395,22 @@ type BatchResult struct {
 	// neither reads nor writes it beyond resetting it to zero for each
 	// processed frame.
 	Meta uint64
-	// buf is the reusable backing storage Data points into on success.
-	buf []byte
 }
 
-// ProcessBatch pushes a batch of frames through the pipeline under a
-// single lock acquisition, writing outcomes into res (which must be at
-// least as long as frames). It is the engine's entry point: no Output or
-// Trace is built and each res[i].Data buffer is reused across calls, so
-// steady-state processing allocates nothing.
-// The submitted frames are never written to (the deparser writes into
-// the per-result buffer). A per-frame error is recorded in res[i].Err
-// and does not abort the batch.
-func (p *Pipeline) ProcessBatch(frames [][]byte, ingressPort uint8, res []BatchResult) error {
-	return p.processBatch(frames, ingressPort, nil, res, false)
-}
-
-// ProcessBatchInPlace is ProcessBatch minus the last copy: the deparser
-// writes modified headers directly into each submitted frame, and
-// res[i].Data aliases frames[i] on success. The caller must own the
-// frame buffers (nothing else may read or write them while the batch
-// runs) and must treat their contents as replaced by the processed
-// frame. Deparsing touches only the configured writeback windows
+// ProcessBatchInPlace pushes a batch of frames through the pipeline
+// under a single lock acquisition, writing outcomes into res (which
+// must be at least as long as frames). No Output or Trace is built, so
+// steady-state processing allocates nothing. The deparser writes
+// modified headers directly into each submitted frame, and res[i].Data
+// aliases frames[i] on success. The caller must own the frame buffers
+// (nothing else may read or write them while the batch runs) and must
+// treat their contents as replaced by the processed frame. Deparsing
+// touches only the configured writeback windows
 // (parser.Program.Deparse's aliasing guarantee), so the result bytes
-// are identical to the copying path's.
+// are identical to Process's copying path. A per-frame error is
+// recorded in res[i].Err and does not abort the batch.
 func (p *Pipeline) ProcessBatchInPlace(frames [][]byte, ingressPort uint8, res []BatchResult) error {
-	return p.processBatch(frames, ingressPort, nil, res, true)
+	return p.processBatch(frames, ingressPort, nil, res)
 }
 
 // ProcessBatchInPlacePorts is ProcessBatchInPlace with a per-frame
@@ -436,7 +423,7 @@ func (p *Pipeline) ProcessBatchInPlacePorts(frames [][]byte, ports []uint8, res 
 	if len(ports) < len(frames) {
 		return fmt.Errorf("core: ports slice too short: %d ports for %d frames", len(ports), len(frames))
 	}
-	return p.processBatch(frames, 0, ports, res, true)
+	return p.processBatch(frames, 0, ports, res)
 }
 
 // batchScope accumulates the per-frame side effects of one batch —
@@ -479,18 +466,18 @@ func (b *batchScope) account(stats *ModuleStats, bytes uint64, dropped bool) {
 	b.bytes += bytes
 }
 
-func (p *Pipeline) processBatch(frames [][]byte, ingressPort uint8, ports []uint8, res []BatchResult, inPlace bool) error {
+func (p *Pipeline) processBatch(frames [][]byte, ingressPort uint8, ports []uint8, res []BatchResult) error {
 	if len(res) < len(frames) {
 		return fmt.Errorf("core: result slice too short: %d results for %d frames", len(res), len(frames))
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.runBatch(frames, ingressPort, ports, res, inPlace)
+	p.runBatch(frames, ingressPort, ports, res, true)
 	return nil
 }
 
 // runBatch is the frame path: every frame of every Process and
-// ProcessBatch call goes through this loop. Callers hold mu.
+// ProcessBatchInPlace call goes through this loop. Callers hold mu.
 func (p *Pipeline) runBatch(frames [][]byte, ingressPort uint8, ports []uint8, res []BatchResult, inPlace bool) {
 	gen := p.cfgGen.Load()
 	bf := p.scratch(len(frames))
@@ -521,7 +508,7 @@ func (p *Pipeline) runBatch(frames [][]byte, ingressPort uint8, ports []uint8, r
 	p.Filter.CommitBatch(&bs.cls)
 }
 
-// InvalidateBatchViews forces ProcessBatch to re-resolve cached module
+// InvalidateBatchViews forces the batch path to re-resolve cached module
 // configuration. Every command-path write calls it; it is exported for
 // callers that mutate stage tables directly.
 func (p *Pipeline) InvalidateBatchViews() { p.cfgGen.Add(1) }
@@ -696,10 +683,9 @@ func (p *Pipeline) prepBatchFrame(data []byte, ingressPort uint8, gen uint64, f 
 // then the deparse. The steady state allocates nothing and performs no
 // atomic operation: traffic counts accumulate into bs, and each stage's
 // Result is dropped unless Process asked for it (f.out). A stage fault
-// drops the frame with r.Err set. With inPlace unset the deparse buffer
-// is recycled from the previous use of r (the submitted frame is never
-// written); with it set the deparser writes straight into data and
-// r.Data aliases it.
+// drops the frame with r.Err set. With inPlace unset the deparser
+// writes into a fresh copy (the submitted frame is never written); with
+// it set the deparser writes straight into data and r.Data aliases it.
 func (p *Pipeline) execBatchFrame(data []byte, f *batchFrame, r *BatchResult, inPlace bool, bs *batchScope) {
 	mv, v, out := f.mv, &f.v, f.out
 	for i, st := range p.Stages {
@@ -726,8 +712,7 @@ func (p *Pipeline) execBatchFrame(data []byte, f *batchFrame, r *BatchResult, in
 
 	buf := data
 	if !inPlace {
-		buf = append(r.buf[:0], data...)
-		r.buf = buf
+		buf = append([]byte(nil), data...)
 	}
 	// A module may legitimately modify nothing; a missing deparser entry
 	// (mv.deparse == nil) means "no writebacks".
@@ -947,7 +932,7 @@ func (p *Pipeline) UnloadModule(moduleID uint16) error {
 	defer p.Filter.SetUpdating(moduleID, false)
 	// Registered after SetUpdating(false) so it runs first (LIFO): the
 	// cached views must be invalidated before the update bit clears, or
-	// a concurrent ProcessBatch could serve the unloaded module from a
+	// a concurrent batch could serve the unloaded module from a
 	// stale view against a zeroed (possibly reassigned) segment.
 	defer p.InvalidateBatchViews()
 	if err := p.Parser.Table().Clear(idx); err != nil {

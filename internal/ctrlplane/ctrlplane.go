@@ -78,9 +78,6 @@ func New(p *core.Pipeline) *Client {
 	return &Client{pipe: p, cost: DefaultCostModel(), UseWirePackets: true}
 }
 
-// SetCostModel overrides the hardware cost model.
-func (c *Client) SetCostModel(m CostModel) { c.cost = m }
-
 // CostModel returns the active cost model.
 func (c *Client) CostModel() CostModel { return c.cost }
 
@@ -280,16 +277,6 @@ func (c *Client) InsertFlow(moduleID uint16, stg int, key tables.Key, addr int) 
 	}
 	return c.push(moduleID, core.FlowCommand(stg, core.FlowEntry{
 		Valid: true, ModID: moduleID, Addr: uint16(addr), Key: key,
-	}))
-}
-
-// DeleteFlow removes one flow entry.
-func (c *Client) DeleteFlow(moduleID uint16, stg int, key tables.Key) error {
-	if stg < 0 || stg >= len(c.pipe.Stages) {
-		return fmt.Errorf("ctrlplane: stage %d out of range", stg)
-	}
-	return c.push(moduleID, core.FlowCommand(stg, core.FlowEntry{
-		Valid: false, ModID: moduleID, Key: key,
 	}))
 }
 

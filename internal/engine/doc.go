@@ -85,15 +85,33 @@
 // With its own ring a tenant's admission depends on its own occupancy
 // alone, and a rejected aggressor batch costs two loads and a counter.
 //
+// # Submit entry points
+//
+// Four exported fronts over the one submitBatch; a single frame is a
+// batch of one. Each row is a distinct caller with distinct semantics:
+//
+//	entry point       buffer  reconfig frames       full ring          caller
+//	SubmitBatch       copy    trusted (diverted)    blocks*            local host, CLI, bench
+//	SubmitBatchOwned  owned   trusted (diverted)    blocks*            socket ingress
+//	InjectBatch       copy    untrusted (filtered)  blocks*            fabric entry
+//	ForwardBatch      owned   untrusted (filtered)  never blocks       fabric hop
+//
+//	* unless Config.DropOnFull, which tail-drops instead
+//
+// "Owned" means the engine takes the buffer, accepted or not; Borrow
+// and Release are its pool. "Trusted" means a well-formed
+// reconfiguration frame goes to the control plane (§3.1's host path);
+// an untrusted port leaves it on the data path for the packet filter.
+//
 // # Buffer ownership and lifetime
 //
 // These are the invariants the zero-copy path rests on; every queued
 // buffer obeys them.
 //
 //   - Every buffer on a ring is engine-owned: either a pooled copy of
-//     a caller's frame (Submit/SubmitBatch/InjectBatch — the one copy
-//     on the frame's whole path) or a buffer the caller relinquished
-//     (SubmitOwned/SubmitBatchOwned/ForwardBatch, with Borrow as the
+//     a caller's frame (SubmitBatch/InjectBatch — the one copy on the
+//     frame's whole path) or a buffer the caller relinquished
+//     (SubmitBatchOwned/ForwardBatch, with Borrow as the
 //     intended source). Exclusive ownership is what makes in-place
 //     deparsing sound: nothing else may read or write the bytes while
 //     a batch runs.

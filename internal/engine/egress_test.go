@@ -244,8 +244,8 @@ func TestEngineEgressParityNoContention(t *testing.T) {
 	}
 	defer eng.Close()
 	for _, f := range frames {
-		if ok, err := eng.Submit(f); err != nil || !ok {
-			t.Fatalf("submit: ok=%v err=%v", ok, err)
+		if n, err := eng.SubmitBatch([][]byte{f}); err != nil || n != 1 {
+			t.Fatalf("submit: accepted=%d err=%v", n, err)
 		}
 	}
 	eng.Drain()
@@ -283,8 +283,8 @@ func TestEngineEgressOnBatchForwardedOnly(t *testing.T) {
 	// must not surface in OnBatch.
 	gen := trafficgen.DefaultGen("CALC", 9, 0, 1, trafficgen.NewPRNG(5))
 	for i := 0; i < 64; i++ {
-		if ok, err := eng.Submit(gen(i)); err != nil || !ok {
-			t.Fatalf("submit: ok=%v err=%v", ok, err)
+		if n, err := eng.SubmitBatch([][]byte{gen(i)}); err != nil || n != 1 {
+			t.Fatalf("submit: accepted=%d err=%v", n, err)
 		}
 	}
 	eng.Drain()

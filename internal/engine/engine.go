@@ -140,8 +140,8 @@ type Config struct {
 	EgressQuantumBytes int
 
 	// TraceEvery, when > 0, samples one in every TraceEvery frames
-	// entering through the local submit paths (Submit/SubmitBatch,
-	// their owned forms, and InjectBatch): the sampled frame's
+	// entering through the local submit paths (SubmitBatch, its owned
+	// form, and InjectBatch): the sampled frame's
 	// out-of-band meta word gets TraceBit, which rides to OnTrace and
 	// OnBatch and survives ForwardBatch hand-offs. Frames arriving via
 	// ForwardBatch are never re-sampled — their metas (including any
@@ -174,8 +174,8 @@ type Config struct {
 	StallTimeout time.Duration
 }
 
-// Engine is a running dataplane: create with New, feed with Submit or
-// SubmitBatch, snapshot telemetry with Stats, stop with Close.
+// Engine is a running dataplane: create with New, feed with SubmitBatch
+// (or another entry point of doc.go's table), snapshot telemetry with Stats, stop with Close.
 type Engine struct {
 	cfg     Config
 	workers []*worker
@@ -207,8 +207,8 @@ type Engine struct {
 	// and the frames landing on a multiple of TraceEvery get TraceBit.
 	traceCtr atomic.Uint64
 
-	// pool recycles frame buffers across batches: Submit copies into it,
-	// SubmitOwned borrows from it, and workers release buffers back to
+	// pool recycles frame buffers across batches: SubmitBatch copies into
+	// it, owned submitters borrow from it, and workers release buffers back to
 	// it once a batch's results have been delivered. It is private
 	// unless Config.Pool supplied a shared one.
 	pool *Pool
@@ -330,43 +330,9 @@ func (e *Engine) SetTenantLimit(tenant uint16, pps, bps float64) {
 	e.tel.hasLimits.Store(true)
 }
 
-// ClearTenantLimit removes a tenant's allowance. (The limiter fast-path
-// flag stays set; clearing it would race concurrent submitters.)
-func (e *Engine) ClearTenantLimit(tenant uint16) { e.limiter.ClearLimit(tenant) }
-
-// Submit steers one frame to its shard and enqueues it on the frame
-// tenant's ring. It reports whether the frame was accepted: false means
-// it was rate-limited or tail-dropped (counted in Stats), or the engine
-// is closed (ErrClosed). With DropOnFull unset Submit blocks while the
-// tenant's ring is full. The frame is copied into an engine-owned
-// pooled buffer, so the caller keeps ownership of (and may immediately
-// reuse) its own buffer — the copy is the one and only copy on the
-// frame's whole path; the pipeline then deparses it in place. For
-// copy-free submission, see SubmitOwned. A well-formed reconfiguration
-// frame (UDP port 0xf1f2, Figure 7) is diverted to the
-// live-reconfiguration control plane instead of the data path; see
-// ApplyReconfigFrame.
-func (e *Engine) Submit(frame []byte) (bool, error) {
-	n, err := e.SubmitBatch([][]byte{frame})
-	return n == 1, err
-}
-
-// SubmitOwned is Submit without the ingress copy: the engine takes
-// ownership of the frame buffer itself — the true zero-copy path. The
-// caller must not read or write the buffer after the call, whether the
-// frame was accepted or not (a rejected frame's buffer is reclaimed
-// into the engine pool immediately). Borrow is the intended source of
-// such buffers; together they make the steady-state path copy- and
-// allocation-free end to end. The processed bytes are deparsed directly
-// into the submitted buffer and surface as BatchResult.Data in OnBatch.
-func (e *Engine) SubmitOwned(frame []byte) (bool, error) {
-	n, err := e.SubmitBatchOwned([][]byte{frame})
-	return n == 1, err
-}
-
 // Borrow returns an n-byte buffer from the engine's pool for use with
-// SubmitOwned. Release returns one without submitting it. Buffers are
-// size-classed; steady-state Borrow/Submit cycles allocate nothing.
+// SubmitBatchOwned. Release returns one without submitting it. Buffers
+// are size-classed; steady-state Borrow/submit cycles allocate nothing.
 //
 //menshen:hotpath
 func (e *Engine) Borrow(n int) []byte { return e.pool.get(n) }
@@ -398,17 +364,32 @@ func (e *Engine) getScratch() *submitScratch {
 	}
 }
 
-// SubmitBatch steers and enqueues a batch, returning how many frames
-// were accepted. Each accepted frame is copied into an engine-owned
-// pooled buffer (see Submit for the ownership contract). It is safe to
-// call concurrently from any number of producers.
+// SubmitBatch steers each frame to its shard and enqueues it on the
+// frame tenant's ring, returning how many frames were accepted; a
+// refused frame was rate-limited or tail-dropped (counted in Stats),
+// and a closed engine returns ErrClosed. With DropOnFull unset it
+// blocks while a tenant's ring is full. Each accepted frame is copied
+// into an engine-owned pooled buffer, so the caller keeps ownership of
+// (and may immediately reuse) its own buffers — the copy is the one
+// and only copy on the frame's whole path; the pipeline then deparses
+// it in place. A well-formed reconfiguration frame (UDP port 0xf1f2,
+// Figure 7) is diverted to the live-reconfiguration control plane
+// instead of the data path; see ApplyReconfigFrame. It is safe to call
+// concurrently from any number of producers; a single frame is a batch
+// of one.
 func (e *Engine) SubmitBatch(frames [][]byte) (int, error) {
 	return e.submitBatch(frames, submitOpts{trusted: true})
 }
 
 // SubmitBatchOwned is SubmitBatch without the ingress copy: the engine
-// takes ownership of every frame buffer, accepted or not (see
-// SubmitOwned). It is the batch form of the zero-copy path.
+// takes ownership of every frame buffer itself — the true zero-copy
+// path. The caller must not read or write a buffer after the call,
+// whether its frame was accepted or not (a rejected frame's buffer is
+// reclaimed into the engine pool immediately). Borrow is the intended
+// source of such buffers; together they make the steady-state path
+// copy- and allocation-free end to end. The processed bytes are
+// deparsed directly into the submitted buffer and surface as
+// BatchResult.Data in OnBatch.
 func (e *Engine) SubmitBatchOwned(frames [][]byte) (int, error) {
 	return e.submitBatch(frames, submitOpts{owned: true, trusted: true})
 }
@@ -427,7 +408,7 @@ func (e *Engine) InjectBatch(frames [][]byte, ingress uint8) (int, error) {
 // ForwardBatch is the cross-engine hand-off: the owned, never-blocking,
 // untrusted submission path a fabric node uses to pass frames to the
 // next node. The engine takes ownership of every buffer (accepted or
-// not — a hop is a pointer move, see SubmitOwned for the buffer
+// not — a hop is a pointer move, see SubmitBatchOwned for the buffer
 // contract), attaches metas[i] as frames[i]'s out-of-band metadata
 // word (delivered as BatchResult.Meta; nil metas means all zero — the
 // fabric carries hop counts here, never in the frame; only the low 56

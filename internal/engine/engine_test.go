@@ -159,8 +159,8 @@ func TestEngineDrainOnClose(t *testing.T) {
 	}
 
 	// The engine is now closed: submissions and second Close error.
-	if _, err := eng.Submit(frames[0]); err == nil {
-		t.Error("Submit after Close succeeded")
+	if _, err := eng.SubmitBatch(frames[:1]); err == nil {
+		t.Error("SubmitBatch after Close succeeded")
 	}
 	if err := eng.Close(); err == nil {
 		t.Error("second Close succeeded")
@@ -275,8 +275,8 @@ func TestEngineParityWithSend(t *testing.T) {
 	}
 	gen = trafficgen.DefaultGen("CALC", 1, 0, 1, trafficgen.NewPRNG(11))
 	for i := 0; i < n; i++ {
-		if ok, err := eng.Submit(gen(i)); err != nil || !ok {
-			t.Fatalf("submit %d: ok=%v err=%v", i, ok, err)
+		if n, err := eng.SubmitBatch([][]byte{gen(i)}); err != nil || n != 1 {
+			t.Fatalf("submit %d: accepted=%d err=%v", i, n, err)
 		}
 	}
 	if err := eng.Close(); err != nil {
@@ -358,8 +358,8 @@ func TestEngineFullRingIsolation(t *testing.T) {
 
 	// One frame parks the worker in the callback; then A's ring takes
 	// exactly its depth.
-	if ok, err := eng.Submit(framesA[0]); err != nil || !ok {
-		t.Fatalf("primer: ok=%v err=%v", ok, err)
+	if n, err := eng.SubmitBatch([][]byte{framesA[0]}); err != nil || n != 1 {
+		t.Fatalf("primer: accepted=%d err=%v", n, err)
 	}
 	<-entered
 	if n, err := eng.SubmitBatch(framesA); err != nil || n != depth {

@@ -150,8 +150,8 @@ func TestEngineFlowCuckooEndToEnd(t *testing.T) {
 	// second round is served by that worker's flow cache.
 	for round := 0; round < 2; round++ {
 		for f := 0; f < flows; f++ {
-			if ok, err := eng.Submit(pool[f]); err != nil || !ok {
-				t.Fatalf("submit flow %d: ok=%v err=%v", f, ok, err)
+			if n, err := eng.SubmitBatch([][]byte{pool[f]}); err != nil || n != 1 {
+				t.Fatalf("submit flow %d: accepted=%d err=%v", f, n, err)
 			}
 		}
 		eng.Drain()

@@ -100,7 +100,7 @@ func newParityHarness(t *testing.T, programs ...string) *parityHarness {
 	return h
 }
 
-// traffic pushes the same frames through Device.Send and Engine.Submit.
+// traffic pushes the same frames through Device.Send and Engine.SubmitBatch.
 func (h *parityHarness) traffic(frames [][]byte) {
 	h.t.Helper()
 	for _, f := range frames {
@@ -113,8 +113,8 @@ func (h *parityHarness) traffic(frames [][]byte) {
 		} else {
 			h.refOut[res.ModuleID] = append(h.refOut[res.ModuleID], append([]byte(nil), res.Output...))
 		}
-		if ok, err := h.eng.Submit(f); err != nil || !ok {
-			h.t.Fatalf("engine Submit: ok=%v err=%v", ok, err)
+		if n, err := h.eng.SubmitBatch([][]byte{f}); err != nil || n != 1 {
+			h.t.Fatalf("engine SubmitBatch: accepted=%d err=%v", n, err)
 		}
 	}
 }
@@ -306,7 +306,7 @@ func TestParityUnloadDropsMatch(t *testing.T) {
 
 func TestParitySubmitPathReconfigFrame(t *testing.T) {
 	// Same interleaving as a pinned reconfig, but the engine side
-	// receives the command frame through Submit (mixed into the data
+	// receives the command frame through SubmitBatch (mixed into the data
 	// stream) rather than the explicit ApplyReconfig call.
 	h := newParityHarness(t, "CALC")
 	sc := trafficgen.NewScenario(37,
@@ -319,8 +319,8 @@ func TestParitySubmitPathReconfigFrame(t *testing.T) {
 	if err := h.ref.Pipeline().Chain.Push(frame); err != nil {
 		t.Fatal(err)
 	}
-	if ok, err := h.eng.Submit(frame); err != nil || !ok {
-		t.Fatalf("Submit(reconfig frame): ok=%v err=%v", ok, err)
+	if n, err := h.eng.SubmitBatch([][]byte{frame}); err != nil || n != 1 {
+		t.Fatalf("SubmitBatch(reconfig frame): accepted=%d err=%v", n, err)
 	}
 	if err := h.eng.Quiesce(); err != nil {
 		t.Fatal(err)

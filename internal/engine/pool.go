@@ -1,7 +1,7 @@
 // Buffer pool: size-classed frame buffers recycled across batches, so
 // the steady-state ingress path allocates nothing. Every buffer queued
 // on a ring is engine-owned — either a pooled copy of a caller's frame
-// (Submit/SubmitBatch) or a caller-relinquished buffer (SubmitOwned) —
+// (SubmitBatch) or a caller-relinquished buffer (SubmitBatchOwned) —
 // which is what makes in-place deparsing sound: no one but the owning
 // worker can touch the bytes while a batch runs.
 package engine
@@ -104,7 +104,7 @@ func (p *Pool) get(n int) []byte {
 }
 
 // putClass returns the retention class for a buffer, or -1 to drop it.
-// Buffers from outside the pool (SubmitOwned callers may hand over
+// Buffers from outside the pool (owned submitters may hand over
 // anything) are filed under the largest class their capacity can serve;
 // undersized ones are dropped for the GC.
 func putClass(b []byte) int {
@@ -188,8 +188,8 @@ type poolStasher struct {
 // get returns a buffer with len n, refilling the stash from the pool
 // when the class changes or the stash runs dry. hint is how many more
 // buffers the current submission could still need (including this
-// one): a refill never takes more than that, so a single-frame Submit
-// moves one buffer, not a whole stash that is flushed straight back.
+// one): a refill never takes more than that, so a batch of one moves
+// one buffer, not a whole stash that is flushed straight back.
 //
 //menshen:hotpath
 func (s *poolStasher) get(p *Pool, n, hint int) []byte {

@@ -8,7 +8,7 @@
 // unload, a tenant fence) is tagged with a monotonically increasing
 // generation (reconfig.Tagger) and appended, in issue order, to a
 // per-shard operation queue. Each worker drains its queue at batch
-// boundaries — between two ProcessBatch calls — so a shard never
+// boundaries — between two pipeline batches — so a shard never
 // observes a half-applied operation mid-batch, and applies operations
 // in exactly the order they were issued. A worker that has applied
 // generation g has applied every operation tagged ≤ g; AwaitQuiesce(g)

@@ -104,7 +104,7 @@ func TestReconfigReachesAllShards(t *testing.T) {
 }
 
 func TestReconfigSubmitFramePath(t *testing.T) {
-	// Well-formed reconfiguration frames interleaved into Submit are
+	// Well-formed reconfiguration frames interleaved into SubmitBatch are
 	// diverted to the control plane; malformed ones fall through to the
 	// data path where every shard's packet filter drops them.
 	dev := newDevice(t, "CALC")
@@ -114,9 +114,8 @@ func TestReconfigSubmitFramePath(t *testing.T) {
 	}
 	defer eng.Close()
 
-	ok, err := eng.Submit(keyMaskFrame(t, 1, 2, 0x3C))
-	if err != nil || !ok {
-		t.Fatalf("Submit(reconfig frame): ok=%v err=%v", ok, err)
+	if n, err := eng.SubmitBatch([][]byte{keyMaskFrame(t, 1, 2, 0x3C)}); err != nil || n != 1 {
+		t.Fatalf("SubmitBatch(reconfig frame): accepted=%d err=%v", n, err)
 	}
 	if err := eng.Quiesce(); err != nil {
 		t.Fatal(err)
@@ -141,8 +140,8 @@ func TestReconfigSubmitFramePath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok, err := eng.Submit(bad); err != nil || !ok {
-		t.Fatalf("Submit(malformed reconfig frame): ok=%v err=%v", ok, err)
+	if n, err := eng.SubmitBatch([][]byte{bad}); err != nil || n != 1 {
+		t.Fatalf("SubmitBatch(malformed reconfig frame): accepted=%d err=%v", n, err)
 	}
 	eng.Drain()
 	st := eng.Stats()

@@ -161,7 +161,7 @@ type telemetry struct {
 	// submit path and diverted to the control plane.
 	reconfigFrames atomic.Uint64
 	// bytesCopied counts ingress bytes copied into pooled buffers by
-	// Submit/SubmitBatch; the owned (zero-copy) path never adds to it.
+	// SubmitBatch/InjectBatch; the owned (zero-copy) paths never add to it.
 	bytesCopied atomic.Uint64
 
 	// §4.1 reliability accounting (verify.go): retry bursts re-sent by
@@ -207,7 +207,7 @@ func (t *telemetry) addTenant(id uint16) *tenantCounters {
 
 // TenantStats is a point-in-time copy of one tenant's counters.
 type TenantStats struct {
-	// Submitted counts frames offered to Submit/SubmitBatch.
+	// Submitted counts frames offered to the submit entry points.
 	Submitted uint64
 	// RateLimited counts frames the ingress token bucket rejected.
 	RateLimited uint64
@@ -246,7 +246,7 @@ type WorkerStats struct {
 	Batches uint64
 	// Frames counts frames across those batches.
 	Frames uint64
-	// Busy estimates the cumulative time spent inside ProcessBatch,
+	// Busy estimates the cumulative time spent inside pipeline batches,
 	// extrapolated from the sampled batches.
 	Busy time.Duration
 	// P50BatchLatency approximates the median batch service time
@@ -332,7 +332,7 @@ type IngressStats struct {
 	// ReceivedBytes counts the bytes of those frames.
 	ReceivedBytes uint64
 	// Submitted counts received frames the engine accepted
-	// (SubmitOwned returned true).
+	// (counted in SubmitBatchOwned's return).
 	Submitted uint64
 	// SubmitRejected counts received frames the engine refused —
 	// rate-limited or ring-full; the engine's per-tenant counters say
@@ -378,8 +378,8 @@ type Stats struct {
 	ReconfigApplied uint64
 	// ReconfigFailed sums the per-shard failed-operation counters.
 	ReconfigFailed uint64
-	// ReconfigFrames counts raw reconfiguration frames accepted via
-	// Submit.
+	// ReconfigFrames counts raw reconfiguration frames accepted via the
+	// trusted submit paths.
 	ReconfigFrames uint64
 	// Updating is the engine-level per-tenant update bitmap (bit
 	// tenant&31 set while the tenant is fenced by a
@@ -395,7 +395,7 @@ type Stats struct {
 	// PoolMisses counts buffer requests that had to allocate.
 	PoolMisses uint64
 	// BytesCopied is the total ingress bytes copied by the non-owned
-	// submit paths (Submit/SubmitBatch/InjectBatch).
+	// submit paths (SubmitBatch/InjectBatch).
 	BytesCopied uint64
 
 	// Reliability accounting (§4.1 loss recovery and the watchdog).

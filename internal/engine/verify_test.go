@@ -154,8 +154,8 @@ func TestLoadModuleVerifiedExhaustedRollsBack(t *testing.T) {
 	// The fence was lifted: the tenant's traffic still flows.
 	gen := trafficgen.DefaultGen("CALC", 1, 0, 1, trafficgen.NewPRNG(11))
 	for i := 0; i < 32; i++ {
-		if ok, err := eng.Submit(gen(i)); err != nil || !ok {
-			t.Fatalf("submit %d after rollback: ok=%v err=%v", i, ok, err)
+		if n, err := eng.SubmitBatch([][]byte{gen(i)}); err != nil || n != 1 {
+			t.Fatalf("submit %d after rollback: accepted=%d err=%v", i, n, err)
 		}
 	}
 	eng.Drain()

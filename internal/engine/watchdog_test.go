@@ -46,8 +46,8 @@ func stallEngine(t *testing.T, stallTimeout time.Duration) (*menshen.Engine, fun
 	})
 	gen := trafficgen.DefaultGen("CALC", 1, 0, 1, trafficgen.NewPRNG(11))
 	for i := 0; i < 8; i++ {
-		if ok, err := eng.Submit(gen(i)); err != nil || !ok {
-			t.Fatalf("submit %d: ok=%v err=%v", i, ok, err)
+		if n, err := eng.SubmitBatch([][]byte{gen(i)}); err != nil || n != 1 {
+			t.Fatalf("submit %d: accepted=%d err=%v", i, n, err)
 		}
 	}
 	// Only once the shard is provably wedged inside the callback (with

@@ -96,7 +96,7 @@ func makeTraffic(n int) [][]byte {
 // engine in tiny submit chunks, so every pool buffer is reused across
 // many batches, and checks (a) the engine's outputs — consumed inside
 // the callback — are byte-identical to the synchronous reference, and
-// (b) Submit's copy semantics hold: the caller's frames are unmodified
+// (b) SubmitBatch's copy semantics hold: the caller's frames are unmodified
 // afterwards even though the pipeline deparses in place.
 func TestPoolReuseParity(t *testing.T) {
 	const total = 4096
@@ -139,7 +139,7 @@ func TestPoolReuseParity(t *testing.T) {
 	}
 	for i := range frames {
 		if !bytes.Equal(frames[i], pristine[i]) {
-			t.Fatalf("frame %d: Submit mutated the caller's buffer", i)
+			t.Fatalf("frame %d: SubmitBatch mutated the caller's buffer", i)
 		}
 	}
 
@@ -178,9 +178,8 @@ func TestSubmitOwnedParity(t *testing.T) {
 	for _, f := range frames {
 		buf := eng.Borrow(len(f))
 		copy(buf, f)
-		ok, err := eng.SubmitOwned(buf)
-		if err != nil || !ok {
-			t.Fatalf("SubmitOwned: ok=%v err=%v", ok, err)
+		if n, err := eng.SubmitBatchOwned([][]byte{buf}); err != nil || n != 1 {
+			t.Fatalf("SubmitBatchOwned: accepted=%d err=%v", n, err)
 		}
 	}
 	eng.Drain()
@@ -231,8 +230,8 @@ func TestResultLifetimeRule(t *testing.T) {
 	// Submit one frame at a time and drain between submissions, so each
 	// batch completes (and releases its buffers) before the next one.
 	for i := 0; i < 64; i++ {
-		if ok, err := eng.Submit(gen(i)); err != nil || !ok {
-			t.Fatalf("Submit: ok=%v err=%v", ok, err)
+		if n, err := eng.SubmitBatch([][]byte{gen(i)}); err != nil || n != 1 {
+			t.Fatalf("SubmitBatch: accepted=%d err=%v", n, err)
 		}
 		eng.Drain()
 	}
@@ -278,8 +277,8 @@ func TestBatchFollowsOccupancy(t *testing.T) {
 	defer eng.Close()
 
 	for i := 0; i < 128; i++ {
-		if ok, err := eng.Submit(gen(i)); err != nil || !ok {
-			t.Fatalf("Submit: ok=%v err=%v", ok, err)
+		if n, err := eng.SubmitBatch([][]byte{gen(i)}); err != nil || n != 1 {
+			t.Fatalf("SubmitBatch: accepted=%d err=%v", n, err)
 		}
 		eng.Drain() // trickle: never more than one frame queued
 	}

@@ -102,7 +102,7 @@ type fwdRun struct {
 }
 
 // EngineFabric is the device graph over running engines: build it with
-// AddNode/Link, freeze the topology with Start, feed it with Inject or
+// AddNode/Link, freeze the topology with Start, feed it with
 // InjectBatch, and stop it with Close. Deliveries at host-terminal
 // ports surface through the Deliver callback; telemetry through Stats.
 type EngineFabric struct {
@@ -263,7 +263,7 @@ func (f *EngineFabric) Start() error {
 	}
 	// Engines come up in creation order. A node's OnBatch forwards into
 	// peer engines, so no traffic may enter before Start returns — the
-	// Inject paths are the only doors and they are still closed.
+	// InjectBatch is the only door and it is still closed.
 	for _, n := range f.order {
 		cfg := n.cfg
 		cfg.Pool = f.pool
@@ -453,13 +453,6 @@ func (f *EngineFabric) InjectBatch(node string, ingress uint8, frames [][]byte) 
 		return 0, fmt.Errorf("fabric: node %q: fabric not started", node)
 	}
 	return n.Eng.InjectBatch(frames, ingress)
-}
-
-// Inject pushes one frame into the fabric at (node, ingress),
-// reporting whether it was accepted.
-func (f *EngineFabric) Inject(node string, ingress uint8, frame []byte) (bool, error) {
-	acc, err := f.InjectBatch(node, ingress, [][]byte{frame})
-	return acc == 1, err
 }
 
 // Drain blocks until every frame in the fabric — queued, in a

@@ -221,10 +221,6 @@ type ledgerSink struct {
 
 func (s *ledgerSink) Borrow(n int) []byte { s.borrowed.Add(1); return make([]byte, n) }
 func (s *ledgerSink) Release([]byte)      { s.released.Add(1) }
-func (s *ledgerSink) SubmitOwned([]byte) (bool, error) {
-	s.submitted.Add(1)
-	return true, nil
-}
 func (s *ledgerSink) SubmitBatchOwned(frames [][]byte) (int, error) {
 	s.submitted.Add(int64(len(frames)))
 	return len(frames), nil

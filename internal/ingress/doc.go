@@ -16,7 +16,8 @@
 // of the burst go to the engine in one call. The fill returns what is
 // queued and parks only on an empty socket, so a burst never waits to
 // fill and a trickle still sees one frame per read. The stream Source
-// runs Borrow → read → SubmitOwned per frame. Either way the kernel's
+// runs Borrow → read → SubmitBatchOwned per frame, a batch of one.
+// Either way the kernel's
 // copy is the only copy: from there to the wire the engine never
 // copies the frame again. The Listeners aggregate owns the serve
 // goroutines and surfaces every source's counters through
@@ -25,10 +26,10 @@
 // # Ownership and lifetime of RX buffers
 //
 // The RX loop borrows buffers from the sink's pool, fills them from the
-// socket, and hands them to SubmitOwned/SubmitBatchOwned. From that
-// call on a buffer belongs to the engine — accepted or not (a rejected
-// frame's buffer is reclaimed into the pool immediately). A stream
-// frame that never reaches SubmitOwned is Released back by the source.
+// socket, and hands them to SubmitBatchOwned. From that call on a
+// buffer belongs to the engine — accepted or not (a rejected frame's
+// buffer is reclaimed into the pool immediately). A stream frame that
+// never reaches SubmitBatchOwned is Released back by the source.
 // The datagram loop holds a standing borrow instead: each round tops
 // its burst back up to N buffers; a buffer the fill left empty, or
 // filled with a short or oversize datagram, simply stays on loan for
@@ -37,7 +38,7 @@
 // at all times and the steady state allocates nothing.
 //
 // Frames submitted this way ride the engine's *trusted* submit path:
-// like in-process Submit, a well-formed reconfiguration frame (UDP
+// like in-process SubmitBatch, a well-formed reconfiguration frame (UDP
 // port 0xf1f2, Figure 7) is diverted to the control plane. An ingress
 // socket is therefore the PCIe-host analogue, not an untrusted device
 // port — deployments fronting untrusted peers must filter

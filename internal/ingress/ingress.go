@@ -30,17 +30,14 @@ type BufferSource interface {
 
 // Sink is where a Source delivers frames: the engine's owned-buffer
 // submit surface. *engine.Engine and the facade *menshen.Engine both
-// satisfy it. Every buffer passed to SubmitOwned/SubmitBatchOwned must
-// have come from Borrow, and belongs to the sink afterwards whether or
-// not the frame was accepted.
+// satisfy it. Every buffer passed to SubmitBatchOwned must have come
+// from Borrow, and belongs to the sink afterwards whether or not the
+// frame was accepted.
 type Sink interface {
 	BufferSource
-	// SubmitOwned hands one borrowed buffer to the engine; false means
-	// the frame was refused (rate-limited or ring-full, counted per
-	// tenant) and the buffer was reclaimed.
-	SubmitOwned(frame []byte) (bool, error)
-	// SubmitBatchOwned is the batch form; it returns how many frames
-	// were accepted.
+	// SubmitBatchOwned hands borrowed buffers to the engine and returns
+	// how many frames were accepted; a refused frame was rate-limited
+	// or ring-full (counted per tenant) and its buffer reclaimed.
 	SubmitBatchOwned(frames [][]byte) (int, error)
 }
 
@@ -163,20 +160,23 @@ func (c *counters) snapshotInto(st *engine.IngressStats, transport, addr string)
 	st.ConnResets = c.connResets.Load()
 }
 
-// submitFrame hands one well-formed frame to the sink and files its
-// fate: Submitted on acceptance, SubmitRejected on a counted refusal.
-// A non-nil error (the sink is closed) ends the RX loop; the buffer is
-// the sink's in every case.
+// submitFrame hands one well-formed frame to the sink as a batch of one
+// and files its fate: Submitted on acceptance, SubmitRejected on a
+// counted refusal. one is the caller's reusable one-slot batch, so the
+// call allocates nothing. A non-nil error (the sink is closed) ends the
+// RX loop; the buffer is the sink's in every case.
 //
 //menshen:hotpath
-func submitFrame(sink Sink, c *counters, frame []byte) error {
+func submitFrame(sink Sink, c *counters, one *[1][]byte, frame []byte) error {
 	c.received.Add(1)
 	c.receivedBytes.Add(uint64(len(frame)))
-	ok, err := sink.SubmitOwned(frame)
+	one[0] = frame
+	n, err := sink.SubmitBatchOwned(one[:])
+	one[0] = nil // the engine owns it now
 	if err != nil {
 		return err
 	}
-	if ok {
+	if n == 1 {
 		c.submitted.Add(1)
 	} else {
 		c.rejected.Add(1)
@@ -196,32 +196,9 @@ type Listeners struct {
 	wg      sync.WaitGroup
 }
 
-// NewListeners builds an aggregate over the given sources; Add may
-// grow it until Start.
+// NewListeners builds an aggregate over the given sources.
 func NewListeners(sources ...Source) *Listeners {
-	l := &Listeners{}
-	for _, src := range sources {
-		l.Add(src)
-	}
-	return l
-}
-
-// Add registers a source. It must be called before Start.
-func (l *Listeners) Add(src Source) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.started {
-		panic("ingress: Add after Start")
-	}
-	l.sources = append(l.sources, src)
-	l.errs = append(l.errs, nil)
-}
-
-// Sources returns the registered sources, in Add order.
-func (l *Listeners) Sources() []Source {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]Source(nil), l.sources...)
+	return &Listeners{sources: append([]Source(nil), sources...), errs: make([]error, len(sources))}
 }
 
 // Start launches one serve goroutine per source, all feeding sink.

@@ -258,6 +258,7 @@ func (s *TCPSource) Serve(ctx context.Context, sink Sink) error {
 func (s *TCPSource) serveConn(conn net.Conn, sink Sink) {
 	defer func() { _ = conn.Close() }()
 	dec := NewStreamDecoder(conn)
+	one := new([1][]byte) // the per-frame batch of one, reused for the connection
 	var framing *FramingError
 	for {
 		frame, err := dec.Next(sink)
@@ -282,7 +283,7 @@ func (s *TCPSource) serveConn(conn net.Conn, sink Sink) {
 			s.ctr.connResets.Add(1)
 			return
 		}
-		if err := submitFrame(sink, &s.ctr, frame); err != nil {
+		if err := submitFrame(sink, &s.ctr, one, frame); err != nil {
 			return // sink closed; accept loop will drain the same way
 		}
 	}

@@ -330,7 +330,7 @@ var workerScalars = []workerScalar{
 		func(ws *engine.WorkerStats, sb *seriesBuf) { sb.valUint(ws.Batches) }},
 	{"menshen_worker_frames_total", "Frames serviced by the shard.", "counter",
 		func(ws *engine.WorkerStats, sb *seriesBuf) { sb.valUint(ws.Frames) }},
-	{"menshen_worker_busy_seconds_total", "Estimated cumulative time inside ProcessBatch.", "counter",
+	{"menshen_worker_busy_seconds_total", "Estimated cumulative time inside pipeline batches.", "counter",
 		func(ws *engine.WorkerStats, sb *seriesBuf) { sb.valFloat(ws.Busy.Seconds()) }},
 	{"menshen_worker_pending_frames", "Frames queued in the shard's RX rings.", "gauge",
 		func(ws *engine.WorkerStats, sb *seriesBuf) { sb.valUint(uint64(ws.Pending)) }},

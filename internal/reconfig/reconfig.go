@@ -382,7 +382,7 @@ func (f *Filter) Classify(data []byte, numParsers int) ClassifyResult {
 // Use Filter.BeginBatch to initialize one, ClassifyBatched per frame,
 // and Filter.CommitBatch once at the end. A scope must only be used by
 // one goroutine, while no other classifier runs on the same filter
-// (core.Pipeline opens one per Process or ProcessBatch call, under the
+// (core.Pipeline opens one per Process or batch call, under the
 // pipeline lock).
 type ClassifyScope struct {
 	counts [5]uint32

@@ -166,16 +166,6 @@ func FlowScaleFrame(moduleID uint16, flow, frameBytes int) []byte {
 	return FlowPacket(moduleID, packet.IPv4Addr{10, 0, byte(moduleID), 1}, dst, sport, 80, frameBytes)
 }
 
-// FlowScaleGen returns a generator cycling over `flows` distinct flows
-// of one tenant: the depth≫CAM workload for the cuckoo match path
-// (10⁵–10⁶ exact-match flow entries, each frame matching its own).
-func FlowScaleGen(moduleID uint16, frameBytes, flows int) func(i int) []byte {
-	if flows <= 0 {
-		flows = 1
-	}
-	return func(i int) []byte { return FlowScaleFrame(moduleID, i%flows, frameBytes) }
-}
-
 // Stream is a fixed-rate packet source for one module: the netmap/
 // tcpreplay role in the Figure 10 experiment.
 type Stream struct {

@@ -339,9 +339,6 @@ func (d *Device) restoreModule(m *Module) error {
 	return nil
 }
 
-// Modules returns the loaded module IDs in ascending order.
-func (d *Device) Modules() []uint16 { return d.alloc.Loaded() }
-
 // Result is the outcome of sending one frame through the device.
 type Result struct {
 	// Output is the processed frame (nil when dropped).
@@ -484,9 +481,6 @@ func (d *Device) Pipeline() *core.Pipeline { return d.pipe }
 
 // ControlPlane exposes the control-plane client for advanced use.
 func (d *Device) ControlPlane() *ctrlplane.Client { return d.client }
-
-// PlatformModel exposes the timing model for the benchmark harness.
-func (d *Device) PlatformModel() netdev.Platform { return d.platform }
 
 // reconfigEncode is a small indirection for the benchmark harness.
 func reconfigEncode(moduleID uint16, cmd reconfig.Command) ([]byte, error) {

@@ -78,32 +78,26 @@ func (d *Device) NewEngine(cfg EngineConfig) (*Engine, error) {
 // Workers returns the number of pipeline shards.
 func (e *Engine) Workers() int { return e.eng.Workers() }
 
-// Submit steers one frame to its shard; it reports false when the frame
-// was rate-limited or tail-dropped. The frame is copied into an
-// engine-owned pooled buffer (the only copy on its whole path — the
-// pipeline deparses in place), so the caller keeps its own buffer and
-// may reuse it immediately. For copy-free submission see SubmitOwned.
-func (e *Engine) Submit(frame []byte) (bool, error) { return e.eng.Submit(frame) }
-
 // SubmitBatch steers and enqueues a batch of frames, returning how many
-// were accepted. Safe for concurrent producers. Copy semantics are
-// Submit's.
+// were accepted; a refused frame was rate-limited or tail-dropped. Each
+// frame is copied into an engine-owned pooled buffer (the only copy on
+// its whole path — the pipeline deparses in place), so the caller keeps
+// its own buffers and may reuse them immediately. Safe for concurrent
+// producers; a single frame is a batch of one. For copy-free submission
+// see SubmitBatchOwned.
 func (e *Engine) SubmitBatch(frames [][]byte) (int, error) { return e.eng.SubmitBatch(frames) }
 
-// SubmitOwned is the zero-copy submit: the engine takes ownership of
-// the buffer itself — accepted or not — and deparses the processed
-// frame directly into it. The caller must not touch the buffer after
+// SubmitBatchOwned is the zero-copy submit: the engine takes ownership
+// of every buffer itself — accepted or not — and deparses each processed
+// frame directly into it. The caller must not touch the buffers after
 // the call. Use Borrow to obtain recycled buffers; a steady-state
-// Borrow/SubmitOwned cycle copies and allocates nothing.
-func (e *Engine) SubmitOwned(frame []byte) (bool, error) { return e.eng.SubmitOwned(frame) }
-
-// SubmitBatchOwned is the batch form of SubmitOwned.
+// Borrow/SubmitBatchOwned cycle copies and allocates nothing.
 func (e *Engine) SubmitBatchOwned(frames [][]byte) (int, error) {
 	return e.eng.SubmitBatchOwned(frames)
 }
 
 // Borrow returns an n-byte buffer from the engine's size-classed pool
-// for use with SubmitOwned.
+// for use with SubmitBatchOwned.
 func (e *Engine) Borrow(n int) []byte { return e.eng.Borrow(n) }
 
 // Release returns a borrowed buffer to the pool without submitting it.
@@ -135,9 +129,6 @@ func (e *Engine) SetTenantLimit(tenant uint16, pps, bps float64) {
 	e.eng.SetTenantLimit(tenant, pps, bps)
 }
 
-// ClearTenantLimit removes a tenant's allowance.
-func (e *Engine) ClearTenantLimit(tenant uint16) { e.eng.ClearTenantLimit(tenant) }
-
 // ShardPipeline exposes one worker shard's pipeline for tests and
 // advanced inspection of per-shard state.
 func (e *Engine) ShardPipeline(workerID int) (*core.Pipeline, error) {
@@ -156,7 +147,7 @@ func (e *Engine) ShardPipeline(workerID int) (*core.Pipeline, error) {
 // ApplyReconfig injects one raw reconfiguration frame (the Figure 7
 // wire format, built by the control software) into the running engine.
 // Equivalently, reconfiguration frames may be interleaved with data
-// frames in Submit/SubmitBatch: well-formed ones are diverted to the
+// frames in SubmitBatch: well-formed ones are diverted to the
 // control plane, and malformed ones fall through to the data path where
 // the shard packet filters drop them.
 func (e *Engine) ApplyReconfig(frame []byte) (uint64, error) {
