@@ -41,7 +41,7 @@ func moduleRoot(t *testing.T) string {
 }
 
 // TestLintSelfClean is the acceptance gate CI re-runs: the whole repo,
-// test units included, must pass all four analyzers under the real
+// test units included, must pass all three analyzers under the real
 // `go vet -vettool` protocol. A regression in either the analyzers
 // (false positive) or the tree (new finding) fails here first.
 func TestLintSelfClean(t *testing.T) {
@@ -57,11 +57,11 @@ func TestLintSelfClean(t *testing.T) {
 	}
 }
 
-// TestLintFiresAcrossModules proves the suite would catch the exact
-// regressions the satellite fixes removed: a scratch module that
-// depends on this repo (via a replace directive, so it works offline)
-// reintroduces a bare AwaitQuiesce method value and a discarded
-// SubmitBatchOwned error, and the standalone driver must fail on both.
+// TestLintFiresAcrossModules proves the suite catches regressions
+// outside this module too: a scratch module that depends on this repo
+// (via a replace directive, so it works offline) allocates inside a
+// //menshen:hotpath function and discards a SubmitBatchOwned error, and
+// go vet with the lint binary as its vettool must fail on both.
 func TestLintFiresAcrossModules(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the module as a dependency; skipped in -short")
@@ -78,12 +78,9 @@ func TestLintFiresAcrossModules(t *testing.T) {
 
 import menshen "repro"
 
-type ops struct {
-	await func(gen uint64) error
-}
-
-func wire(e *menshen.Engine) ops {
-	return ops{await: e.AwaitQuiesce}
+//menshen:hotpath
+func scratchBuf(n int) []byte {
+	return make([]byte, n)
 }
 
 func pump(e *menshen.Engine, frames [][]byte) {
@@ -91,19 +88,19 @@ func pump(e *menshen.Engine, frames [][]byte) {
 	_ = n
 }
 
-func main() {}
+func main() { _ = scratchBuf }
 `
 	if err := os.WriteFile(filepath.Join(scratch, "main.go"), []byte(mainSrc), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	cmd := exec.Command(bin, "./...")
+	cmd := exec.Command("go", "vet", "-vettool="+bin, "./...")
 	cmd.Dir = scratch
 	out, err := cmd.CombinedOutput()
 	if err == nil {
-		t.Fatalf("menshen-lint passed a package with a bare AwaitQuiesce and a dropped SubmitBatchOwned error:\n%s", out)
+		t.Fatalf("menshen-lint passed a package with a hot-path make and a dropped SubmitBatchOwned error:\n%s", out)
 	}
-	for _, wantFinding := range []string{"ctxquiesce: bare AwaitQuiesce", "countederr: error assigned to _"} {
+	for _, wantFinding := range []string{"hotpath: make allocates", "countederr: error assigned to _"} {
 		if !strings.Contains(string(out), wantFinding) {
 			t.Errorf("lint output missing %q:\n%s", wantFinding, out)
 		}

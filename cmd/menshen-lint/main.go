@@ -1,32 +1,24 @@
 // Command menshen-lint machine-enforces the repo's load-bearing
-// invariants with four custom analyzers:
+// invariants with three custom analyzers:
 //
 //	hotpathalloc  //menshen:hotpath functions must not allocate
 //	atomicfield   no mixed atomic/plain access to the same field
-//	ctxquiesce    bare AwaitQuiesce/Quiesce only in tests + engine pkg
 //	countederr    counted-fate API errors must not be discarded
 //
-// Run it standalone over package patterns:
-//
-//	go run ./cmd/menshen-lint ./...
-//
-// or, the form CI uses (which also checks test files, since the go
-// command feeds vet the test units too):
+// It runs under the go command, which also feeds it the test units:
 //
 //	go install ./cmd/menshen-lint
 //	go vet -vettool=$(which menshen-lint) ./...
 //
 // Individual analyzers are selected with -hotpathalloc, -atomicfield,
-// -ctxquiesce, -countederr; with no selection all four run. See each
-// analyzer's package documentation under internal/analysis for the
-// precise rules and the //menshen:allocok / //menshen:guarded-by
-// escape hatches.
+// -countederr; with no selection all three run. See each analyzer's
+// package documentation under internal/analysis for the precise rules
+// and the //menshen:allocok / //menshen:guarded-by escape hatches.
 package main
 
 import (
 	"repro/internal/analysis/atomicfield"
 	"repro/internal/analysis/countederr"
-	"repro/internal/analysis/ctxquiesce"
 	"repro/internal/analysis/driver"
 	"repro/internal/analysis/framework"
 	"repro/internal/analysis/hotpathalloc"
@@ -36,7 +28,6 @@ func main() {
 	driver.Main([]*framework.Analyzer{
 		hotpathalloc.Analyzer,
 		atomicfield.Analyzer,
-		ctxquiesce.Analyzer,
 		countederr.Analyzer,
 	})
 }

@@ -296,9 +296,8 @@ func runEngine(ctx context.Context, cfg serveConfig, out io.Writer) error {
 			eng.SetTenantLimit(tenant, pps, bps)
 			return eng.ReconfigGen(), nil
 		},
-		// Only the Ctx-capable closure is wired: the obs server
-		// prefers it, and the bare variant would hand an HTTP
-		// handler an unbounded wait (ctxquiesce enforces this).
+		// Runs under the HTTP request's context, so a stalled shard
+		// or an abandoned request never parks a handler.
 		AwaitQuiesceCtx: eng.AwaitQuiesceCtx,
 	}, obs.Source{StatsInto: eng.StatsInto}), "", func(node string) (ingressEngine, error) {
 		if node != "" {
@@ -605,7 +604,7 @@ func runFabric(ctx context.Context, cfg serveConfig, out io.Writer) error {
 			entry.SetTenantLimit(tenant, pps, bps)
 			return entry.ReconfigGen(), nil
 		},
-		// Ctx-capable closure only; see the single-engine wiring.
+		// Under the request context; see the single-engine wiring.
 		AwaitQuiesceCtx: entry.AwaitQuiesceCtx,
 	}, sources...), "s0", func(node string) (ingressEngine, error) {
 		n, err := fab.Node(node)

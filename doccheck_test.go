@@ -31,7 +31,6 @@ var docCheckedDirs = []string{
 	"internal/analysis/hotpath",
 	"internal/analysis/hotpathalloc",
 	"internal/analysis/atomicfield",
-	"internal/analysis/ctxquiesce",
 	"internal/analysis/countederr",
 }
 

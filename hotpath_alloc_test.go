@@ -191,13 +191,12 @@ var hotPathGuards = []hotPathGuard{
 		skipRace: true,
 		run: func(t *testing.T) {
 			eng := hotEngine(t, EngineConfig{
-				Workers:          1,
-				BatchSize:        16,
-				QueueDepth:       4096,
-				DropOnFull:       true,
-				EgressWeights:    map[uint16]float64{1: 3, 2: 1},
-				EgressQueueLimit: 64,
-				EgressQuantum:    4,
+				Workers:       1,
+				BatchSize:     16,
+				QueueDepth:    4096,
+				DropOnFull:    true,
+				EgressWeights: map[uint16]float64{1: 3, 2: 1},
+				EgressQuantum: 4,
 			})
 			frames := hotTraffic(512)
 			// Warm every pool, ring, scratch, and scheduler map.

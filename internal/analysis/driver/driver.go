@@ -1,16 +1,9 @@
-// Package driver runs framework analyzers in the two modes
-// cmd/menshen-lint supports:
+// Package driver runs framework analyzers as a `go vet -vettool`:
+// cmd/go invokes the binary once per package unit and the driver
+// speaks cmd/go's unitchecker protocol (unitchecker.go). Since go vet
+// feeds the tool the test units too, test files are analyzed as well.
 //
-//   - standalone: `menshen-lint ./...` loads the named packages with
-//     `go list -export -deps -json`, type-checks each from source
-//     against its dependencies' compiler export data, and prints
-//     findings — the ergonomic local loop;
-//   - vettool: when the go command invokes the binary via `go vet
-//     -vettool=`, the driver speaks cmd/go's unitchecker protocol
-//     (unitchecker.go) — the mode CI uses, which also covers test
-//     files since go vet analyzes test units.
-//
-// Both modes are stdlib-only; see framework's package doc for why
+// The driver is stdlib-only; see framework's package doc for why
 // golang.org/x/tools is not an option here.
 package driver
 
@@ -20,14 +13,11 @@ import (
 	"flag"
 	"fmt"
 	"go/ast"
-	"go/importer"
-	"go/parser"
 	"go/token"
 	"go/types"
 	"io"
 	"log"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -35,7 +25,7 @@ import (
 	"repro/internal/analysis/framework"
 )
 
-// Main is the entry point shared by every mode; it never returns.
+// Main is the vettool entry point; it never returns.
 func Main(analyzers []*framework.Analyzer) {
 	progname := filepath.Base(os.Args[0])
 	log.SetFlags(0)
@@ -61,13 +51,6 @@ func Main(analyzers []*framework.Analyzer) {
 	}
 
 	fs := flag.NewFlagSet(progname, flag.ExitOnError)
-	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: %s [-analyzer]... [package pattern]...\n", progname)
-		fmt.Fprintf(fs.Output(), "       go vet -vettool=$(which %s) [-analyzer]... [package pattern]...\n\nanalyzers:\n", progname)
-		for _, a := range analyzers {
-			fmt.Fprintf(fs.Output(), "  -%-14s %s\n", a.Name, firstLine(a.Doc))
-		}
-	}
 	enabled := make(map[string]*bool, len(analyzers))
 	for _, a := range analyzers {
 		enabled[a.Name] = fs.Bool(a.Name, false, firstLine(a.Doc))
@@ -87,10 +70,10 @@ func Main(analyzers []*framework.Analyzer) {
 	}
 
 	rest := fs.Args()
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		runUnit(rest[0], selected) // exits
+	if len(rest) != 1 || !strings.HasSuffix(rest[0], ".cfg") {
+		log.Fatalf("run under the go command: go vet -vettool=$(which %s) [-analyzer]... [package pattern]...", progname)
 	}
-	os.Exit(runStandalone(selected, rest))
+	runUnit(rest[0], selected) // exits
 }
 
 // selfHash returns a short hex digest of the running executable.
@@ -130,105 +113,6 @@ func printFlags(analyzers []*framework.Analyzer) {
 func firstLine(s string) string {
 	line, _, _ := strings.Cut(s, "\n")
 	return line
-}
-
-// listPkg is the subset of `go list -json` output the loader needs.
-type listPkg struct {
-	ImportPath string
-	Dir        string
-	GoFiles    []string
-	Standard   bool
-	Export     string
-	DepOnly    bool
-}
-
-// runStandalone loads the named patterns via the go command and
-// analyzes every non-dependency package, returning the process exit
-// code: 0 clean, 1 findings, 2 operational failure.
-func runStandalone(analyzers []*framework.Analyzer, patterns []string) int {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	cmd := exec.Command("go", append([]string{
-		"list", "-export", "-deps",
-		"-json=ImportPath,Dir,GoFiles,Standard,Export,DepOnly",
-	}, patterns...)...)
-	cmd.Stderr = os.Stderr
-	out, err := cmd.Output()
-	if err != nil {
-		log.Printf("go list: %v", err)
-		return 2
-	}
-
-	exports := make(map[string]string)
-	var targets []*listPkg
-	dec := json.NewDecoder(strings.NewReader(string(out)))
-	for {
-		var p listPkg
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			log.Printf("parsing go list output: %v", err)
-			return 2
-		}
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-		if !p.DepOnly && !p.Standard {
-			pkg := p
-			targets = append(targets, &pkg)
-		}
-	}
-
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		file, ok := exports[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	})
-
-	exit := 0
-	for _, p := range targets {
-		diags, err := analyzePkg(fset, imp, p.ImportPath, p.Dir, p.GoFiles, analyzers)
-		if err != nil {
-			log.Printf("%s: %v", p.ImportPath, err)
-			return 2
-		}
-		if len(diags) > 0 && exit == 0 {
-			exit = 1
-		}
-		for _, d := range diags {
-			fmt.Println(d)
-		}
-	}
-	return exit
-}
-
-// analyzePkg parses and type-checks one package from source and runs
-// every analyzer over it, returning rendered diagnostics sorted by
-// position.
-func analyzePkg(fset *token.FileSet, imp types.Importer, path, dir string, goFiles []string, analyzers []*framework.Analyzer) ([]string, error) {
-	var files []*ast.File
-	for _, name := range goFiles {
-		fname := name
-		if !filepath.IsAbs(fname) {
-			fname = filepath.Join(dir, name)
-		}
-		f, err := parser.ParseFile(fset, fname, nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	info := newInfo()
-	conf := types.Config{Importer: imp}
-	pkg, err := conf.Check(path, fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("type-checking: %w", err)
-	}
-	return runAnalyzers(fset, files, pkg, info, analyzers)
 }
 
 // newInfo allocates the full set of type-checker result maps.

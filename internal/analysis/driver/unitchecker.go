@@ -141,8 +141,9 @@ func writeVetx(cfg *unitConfig) {
 }
 
 // vetSuffix strips the " [pkg.test]" decoration go vet appends to
-// in-test package variants, so analyzers comparing package paths (the
-// engine-package allowance in ctxquiesce) see the plain path.
+// in-test package variants, so analyzers comparing package paths see
+// the plain path: countederr's module scope reads the callee's package
+// path, which for a call within the unit is the unit's own.
 func vetSuffix(path string) string {
 	if i := strings.Index(path, " ["); i >= 0 {
 		return path[:i]

@@ -3,9 +3,9 @@
 // written in the upstream idiom (Analyzer / Pass / Diagnostic) without
 // adding a module dependency. The container this repo builds in has no
 // network access and an empty module cache, so vendoring x/tools is not
-// an option; the subset implemented here is exactly what the four
-// menshen analyzers and the two drivers (standalone and `go vet
-// -vettool`) need. If the module ever grows a real x/tools dependency,
+// an option; the subset implemented here is exactly what the three
+// menshen analyzers and the `go vet -vettool` driver need. If the
+// module ever grows a real x/tools dependency,
 // each analyzer ports by changing one import line.
 package framework
 

@@ -136,8 +136,9 @@
 // to per-shard queues, drained in issue order at batch boundaries —
 // a shard never observes a half-applied operation mid-batch. A shard
 // that has applied generation g has applied every operation tagged
-// ≤ g; AwaitQuiesce(g) is the engine-wide barrier. Tenant fences hold
-// (BeginTenantUpdate: frames queued, not dropped) or drop
+// ≤ g; AwaitQuiesceCtx(ctx, g) is the engine-wide barrier, bounded by
+// ctx. Tenant fences hold (BeginTenantUpdate: frames queued, not
+// dropped) or drop
 // (SetTenantUpdating: the §4.1 filter update bitmap) one tenant's
 // traffic while every other tenant keeps flowing. See reconfig.go for
 // the full model.

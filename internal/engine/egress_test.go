@@ -42,9 +42,7 @@ func offerBacklogged(t *testing.T, eng *menshen.Engine, sc *trafficgen.Scenario,
 				t.Fatal(err)
 			}
 		}
-		if err := eng.AwaitQuiesce(gen); err != nil {
-			t.Fatal(err)
-		}
+		quiesce(t, eng, gen)
 	}
 	fence(eng.BeginTenantUpdate)
 	var batch [][]byte
@@ -73,13 +71,12 @@ func runContention(t *testing.T, weights map[uint16]float64, frames int) menshen
 	}
 	dev := newDevice(t, programs...)
 	eng, err := dev.NewEngine(menshen.EngineConfig{
-		Workers:          1,
-		BatchSize:        32,
-		QueueDepth:       backlogDepth,
-		DropOnFull:       true,
-		EgressWeights:    weights,
-		EgressQueueLimit: 128,
-		EgressQuantum:    8,
+		Workers:       1,
+		BatchSize:     32,
+		QueueDepth:    backlogDepth,
+		DropOnFull:    true,
+		EgressWeights: weights,
+		EgressQuantum: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +162,6 @@ func runMixedSizeContention(t *testing.T, weights map[uint16]float64, quantumByt
 		QueueDepth:         backlogDepth,
 		DropOnFull:         true,
 		EgressWeights:      weights,
-		EgressQueueLimit:   128,
 		EgressQuantum:      64, // generous in frames: the byte cap is the bottleneck
 		EgressQuantumBytes: quantumBytes,
 	})
@@ -327,12 +323,11 @@ func contentionPhase(t *testing.T, eng *menshen.Engine, frames int) (b1, b2 uint
 // shares.
 func TestEngineSetEgressWeightLive(t *testing.T) {
 	eng, err := newDevice(t, "CALC", "CALC").NewEngine(menshen.EngineConfig{
-		Workers:          1,
-		BatchSize:        32,
-		QueueDepth:       backlogDepth,
-		DropOnFull:       true,
-		EgressQueueLimit: 128,
-		EgressQuantum:    8,
+		Workers:       1,
+		BatchSize:     32,
+		QueueDepth:    backlogDepth,
+		DropOnFull:    true,
+		EgressQuantum: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -347,9 +342,7 @@ func TestEngineSetEgressWeightLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.AwaitQuiesce(gen); err != nil {
-		t.Fatal(err)
-	}
+	quiesce(t, eng, gen)
 	b1, b2 := contentionPhase(t, eng, 40000)
 	if b1 == 0 || b2 == 0 {
 		t.Fatalf("no egress delivery after live enable: %d/%d", b1, b2)
@@ -366,9 +359,7 @@ func TestEngineSetEgressWeightLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.AwaitQuiesce(gen); err != nil {
-		t.Fatal(err)
-	}
+	quiesce(t, eng, gen)
 	b1, b2 = contentionPhase(t, eng, 40000)
 	if ratio := float64(b2) / float64(b1); math.Abs(ratio-3) > 0.45 {
 		t.Errorf("post-flip shares ratio %.2f, want ~3", ratio)
@@ -389,13 +380,12 @@ func TestEngineUnloadClearsEgressState(t *testing.T) {
 		}
 	}
 	eng, err := dev.NewEngine(menshen.EngineConfig{
-		Workers:          1,
-		BatchSize:        32,
-		QueueDepth:       backlogDepth,
-		DropOnFull:       true,
-		EgressWeights:    map[uint16]float64{1: 8, 2: 1},
-		EgressQueueLimit: 128,
-		EgressQuantum:    8,
+		Workers:       1,
+		BatchSize:     32,
+		QueueDepth:    backlogDepth,
+		DropOnFull:    true,
+		EgressWeights: map[uint16]float64{1: 8, 2: 1},
+		EgressQuantum: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -416,9 +406,7 @@ func TestEngineUnloadClearsEgressState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.AwaitQuiesce(gen); err != nil {
-		t.Fatal(err)
-	}
+	quiesce(t, eng, gen)
 	b1, b2 = contentionPhase(t, eng, 30000)
 	if ratio := float64(b1) / float64(b2); math.Abs(ratio-1) > 0.2 {
 		t.Errorf("post-reload shares ratio %.2f, want ~1 (stale weight leaked across unload)", ratio)

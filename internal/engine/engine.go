@@ -118,12 +118,6 @@ type Config struct {
 	// 1. Leave nil (and never call SetEgressWeight) to bypass the stage
 	// entirely — the zero-overhead default.
 	EgressWeights map[uint16]float64
-	// EgressQueueLimit bounds each worker's egress PIFO in frames
-	// (default 4*BatchSize). The bound uses push-out, not tail drop:
-	// overflow discards the worst-ranked queued frame, which is what
-	// keeps the queue's composition — and the drained shares — at the
-	// configured weights under overload.
-	EgressQueueLimit int
 	// EgressQuantum caps how many frames a worker delivers per service
 	// cycle (default BatchSize, i.e. one batch out per batch in —
 	// effectively work-conserving). Set it below BatchSize to model a
@@ -236,9 +230,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.Options.NumParsers == 0 {
 		cfg.Options = core.Optimized()
-	}
-	if cfg.EgressQueueLimit <= 0 {
-		cfg.EgressQueueLimit = 4 * cfg.BatchSize
 	}
 	if cfg.EgressQuantum <= 0 {
 		cfg.EgressQuantum = cfg.BatchSize

@@ -5,9 +5,11 @@
 package engine_test
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	menshen "repro"
 	"repro/internal/core"
@@ -31,6 +33,28 @@ func newDevice(t testing.TB, programs ...string) *menshen.Device {
 		}
 	}
 	return dev
+}
+
+// quiesceTimeout bounds every barrier wait in these tests, so a wedged
+// shard fails its test in seconds rather than at go test's timeout.
+const quiesceTimeout = 30 * time.Second
+
+// quiesce waits until every shard has applied generation gen — for gen
+// 0, a fresh barrier behind everything issued so far — and fails the
+// test if that takes longer than quiesceTimeout.
+func quiesce(t testing.TB, eng *menshen.Engine, gen uint64) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), quiesceTimeout)
+	defer cancel()
+	var err error
+	if gen == 0 {
+		err = eng.QuiesceCtx(ctx)
+	} else {
+		err = eng.AwaitQuiesceCtx(ctx, gen)
+	}
+	if err != nil {
+		t.Fatalf("quiesce generation %d (0 = fresh barrier): %v", gen, err)
+	}
 }
 
 func TestEngineMultiTenantConcurrent(t *testing.T) {

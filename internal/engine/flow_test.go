@@ -142,9 +142,7 @@ func TestEngineFlowCuckooEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.AwaitQuiesce(gen); err != nil {
-		t.Fatal(err)
-	}
+	quiesce(t, eng, gen)
 
 	// Two rounds: per-flow steering pins each flow to one worker, so the
 	// second round is served by that worker's flow cache.

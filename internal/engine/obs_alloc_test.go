@@ -18,13 +18,12 @@ func TestEngineZeroAllocWhileScraped(t *testing.T) {
 		t.Skip("race detector defeats sync.Pool reuse; alloc pin runs in the non-race pass")
 	}
 	eng, err := newDevice(t, "CALC", "NetCache").NewEngine(menshen.EngineConfig{
-		Workers:          1,
-		BatchSize:        16,
-		QueueDepth:       4096,
-		DropOnFull:       true,
-		EgressWeights:    map[uint16]float64{1: 3, 2: 1},
-		EgressQueueLimit: 64,
-		EgressQuantum:    4,
+		Workers:       1,
+		BatchSize:     16,
+		QueueDepth:    4096,
+		DropOnFull:    true,
+		EgressWeights: map[uint16]float64{1: 3, 2: 1},
+		EgressQuantum: 4,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,7 @@
 // 1-worker Engine, asserting byte-identical output frames per tenant,
 // identical drop counts, and identical final configuration and
 // stateful-memory state. Reconfiguration points are pinned with
-// Drain + AwaitQuiesce so both paths observe the same
+// Drain + AwaitQuiesceCtx so both paths observe the same
 // traffic/reconfig ordering (the engine path is otherwise asynchronous:
 // commands overtake queued frames at batch boundaries).
 package engine_test
@@ -124,9 +124,7 @@ func (h *parityHarness) traffic(frames [][]byte) {
 func (h *parityHarness) barrier() {
 	h.t.Helper()
 	h.eng.Drain()
-	if err := h.eng.Quiesce(); err != nil {
-		h.t.Fatal(err)
-	}
+	quiesce(h.t, h.eng, 0)
 }
 
 // reconfigFrame applies one raw reconfiguration frame to both paths at
@@ -142,9 +140,7 @@ func (h *parityHarness) reconfigFrame(frame []byte) {
 	if err != nil {
 		h.t.Fatal(err)
 	}
-	if err := h.eng.AwaitQuiesce(gen); err != nil {
-		h.t.Fatal(err)
-	}
+	quiesce(h.t, h.eng, gen)
 }
 
 // swapModule unloads the module from both paths and loads new source in
@@ -165,9 +161,7 @@ func (h *parityHarness) swapModule(source string, moduleID uint16) {
 	if err != nil {
 		h.t.Fatal(err)
 	}
-	if err := h.eng.AwaitQuiesce(gen); err != nil {
-		h.t.Fatal(err)
-	}
+	quiesce(h.t, h.eng, gen)
 }
 
 // unload removes the module from both paths.
@@ -181,9 +175,7 @@ func (h *parityHarness) unload(moduleID uint16) {
 	if err != nil {
 		h.t.Fatal(err)
 	}
-	if err := h.eng.AwaitQuiesce(gen); err != nil {
-		h.t.Fatal(err)
-	}
+	quiesce(h.t, h.eng, gen)
 }
 
 // check asserts byte-identical per-tenant outputs, identical drop
@@ -322,9 +314,7 @@ func TestParitySubmitPathReconfigFrame(t *testing.T) {
 	if n, err := h.eng.SubmitBatch([][]byte{frame}); err != nil || n != 1 {
 		t.Fatalf("SubmitBatch(reconfig frame): accepted=%d err=%v", n, err)
 	}
-	if err := h.eng.Quiesce(); err != nil {
-		t.Fatal(err)
-	}
+	quiesce(t, h.eng, 0)
 
 	h.traffic(genTraffic(sc, 100))
 	h.check(1)

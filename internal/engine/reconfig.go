@@ -11,7 +11,7 @@
 // boundaries — between two pipeline batches — so a shard never
 // observes a half-applied operation mid-batch, and applies operations
 // in exactly the order they were issued. A worker that has applied
-// generation g has applied every operation tagged ≤ g; AwaitQuiesce(g)
+// generation g has applied every operation tagged ≤ g; AwaitQuiesceCtx
 // blocks until all shards reach g, which is the engine-wide barrier the
 // tests and the serve CLI assert on.
 //
@@ -37,11 +37,11 @@ import (
 	"repro/internal/reconfig"
 )
 
-// ErrGenNotIssued is returned by AwaitQuiesce for a generation no
+// ErrGenNotIssued is returned by AwaitQuiesceCtx for a generation no
 // control operation has been tagged with yet.
 var ErrGenNotIssued = errors.New("engine: reconfiguration generation not issued")
 
-// ErrDegraded is returned by AwaitQuiesce/AwaitQuiesceCtx when the
+// ErrDegraded is returned by AwaitQuiesceCtx and QuiesceCtx when the
 // awaited generation is blocked behind a shard the watchdog has marked
 // stalled: the generation will still apply if the shard ever moves
 // again (queued control operations are never lost), but the caller
@@ -112,7 +112,7 @@ type control struct {
 	// BeginTenantUpdate / EndTenantUpdate window.
 	updating atomic.Uint32
 
-	// qmu/qcond implement AwaitQuiesce: workers broadcast after
+	// qmu/qcond implement AwaitQuiesceCtx: workers broadcast after
 	// advancing their applied generation; Close broadcasts once all
 	// workers have exited.
 	qmu   sync.Mutex
@@ -176,7 +176,7 @@ func applyOps(ops []shardOp, moduleID uint16, cmds []reconfig.Command) []shardOp
 // ApplyReconfig replays a daisy-chain command batch into every running
 // worker shard. It returns immediately with the operation's generation;
 // each shard applies the commands, in order and atomically with respect
-// to its own batches, at its next batch boundary. Use AwaitQuiesce to
+// to its own batches, at its next batch boundary. Use AwaitQuiesceCtx to
 // wait for every shard. Frames already queued when the commands are
 // issued may be processed against the old configuration (the commands
 // overtake them at the batch boundary); fence the tenant first if that
@@ -263,7 +263,7 @@ func (e *Engine) UnloadModuleLive(moduleID uint16) (uint64, error) {
 // SetEgressWeight configures a tenant's §3.5 egress WFQ weight on
 // every running worker shard, through the same generation-tagged
 // control queue as module reconfiguration: each shard applies it at a
-// batch boundary, and AwaitQuiesce on the returned generation
+// batch boundary, and AwaitQuiesceCtx on the returned generation
 // guarantees every shard schedules with the new weight. A weight of 0
 // clears the tenant (back to the implicit weight of 1, with its
 // virtual-finish state pruned). The first weight ever set switches the
@@ -308,14 +308,9 @@ func (e *Engine) SetTenantUpdating(tenant uint16, updating bool) (uint64, error)
 	return e.issue(nil, shardOp{kind: opUpdating, tenant: tenant, flag: updating})
 }
 
-// Quiesce issues an empty barrier operation and waits until every shard
-// has applied it (and therefore everything issued before it).
-func (e *Engine) Quiesce() error {
-	return e.QuiesceCtx(context.Background())
-}
-
-// QuiesceCtx is Quiesce with a deadline: it issues the barrier and
-// waits under the context, returning the context's error if it expires
+// QuiesceCtx issues an empty barrier operation and waits under the
+// context until every shard has applied it (and therefore everything
+// issued before it). It returns the context's error if ctx is done
 // first (the barrier still applies eventually — queued operations are
 // never lost) and ErrDegraded if the barrier is blocked behind a
 // stalled shard.
@@ -330,24 +325,18 @@ func (e *Engine) QuiesceCtx(ctx context.Context) error {
 // ReconfigGen returns the most recently issued generation.
 func (e *Engine) ReconfigGen() uint64 { return e.ctrl.tagger.Current() }
 
-// AwaitQuiesce blocks until every worker shard has applied the given
+// AwaitQuiesceCtx blocks until every worker shard has applied the given
 // generation — i.e. every control operation issued up to and including
-// it has reached every replica. It returns ErrGenNotIssued for a
-// generation beyond the last issued one, and ErrClosed if the engine
-// closed before the generation was reached (generations issued before
-// Close always complete: workers drain their operation queues before
-// exiting).
-func (e *Engine) AwaitQuiesce(gen uint64) error {
-	return e.AwaitQuiesceCtx(context.Background(), gen)
-}
-
-// AwaitQuiesceCtx is AwaitQuiesce with a deadline: it additionally
-// returns the context's error as soon as ctx is done, and ErrDegraded
-// when the generation is blocked behind a shard the watchdog has
-// marked stalled (see Config.StallTimeout) — in both cases without
-// waiting out the stall. A generation abandoned this way still applies
-// if the blocking shard ever moves again: control operations are
-// queued, never lost.
+// it has reached every replica — or ctx is done. It returns
+// ErrGenNotIssued for a generation beyond the last issued one, ErrClosed
+// if the engine closed before the generation was reached (generations
+// issued before Close always complete: workers drain their operation
+// queues before exiting), the context's error as soon as ctx is done,
+// and ErrDegraded when the generation is blocked behind a shard the
+// watchdog has marked stalled (see Config.StallTimeout) — in the last
+// two cases without waiting out the stall. A generation abandoned this
+// way still applies if the blocking shard ever moves again: control
+// operations are queued, never lost.
 func (e *Engine) AwaitQuiesceCtx(ctx context.Context, gen uint64) error {
 	if gen > e.ctrl.tagger.Current() {
 		return fmt.Errorf("%w: %d (last issued %d)", ErrGenNotIssued, gen, e.ctrl.tagger.Current())

@@ -6,6 +6,7 @@
 package engine_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -48,7 +49,7 @@ func programSource(t *testing.T, name string) string {
 func TestReconfigReachesAllShards(t *testing.T) {
 	// The acceptance scenario: a reconfiguration applied to a running
 	// 4-worker engine must reach every shard, observable through
-	// AwaitQuiesce plus per-shard generation counters and checksums.
+	// AwaitQuiesceCtx plus per-shard generation counters and checksums.
 	dev := newDevice(t, "CALC")
 	eng, err := dev.NewEngine(menshen.EngineConfig{Workers: 4})
 	if err != nil {
@@ -64,9 +65,7 @@ func TestReconfigReachesAllShards(t *testing.T) {
 	if gen == 0 {
 		t.Fatal("ApplyReconfig returned generation 0")
 	}
-	if err := eng.AwaitQuiesce(gen); err != nil {
-		t.Fatal(err)
-	}
+	quiesce(t, eng, gen)
 
 	var sum uint64
 	for w := 0; w < eng.Workers(); w++ {
@@ -117,9 +116,7 @@ func TestReconfigSubmitFramePath(t *testing.T) {
 	if n, err := eng.SubmitBatch([][]byte{keyMaskFrame(t, 1, 2, 0x3C)}); err != nil || n != 1 {
 		t.Fatalf("SubmitBatch(reconfig frame): accepted=%d err=%v", n, err)
 	}
-	if err := eng.Quiesce(); err != nil {
-		t.Fatal(err)
-	}
+	quiesce(t, eng, 0)
 	for w := 0; w < eng.Workers(); w++ {
 		pipe, err := eng.ShardPipeline(w)
 		if err != nil {
@@ -168,9 +165,7 @@ func TestReconfigTenantFence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.AwaitQuiesce(gen); err != nil {
-		t.Fatal(err)
-	}
+	quiesce(t, eng, gen)
 	if st := eng.Stats(); st.Updating&(1<<1) == 0 {
 		t.Error("update bitmap bit not set during fence")
 	}
@@ -240,9 +235,7 @@ func TestReconfigLiveLoadUnload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.AwaitQuiesce(gen); err != nil {
-		t.Fatal(err)
-	}
+	quiesce(t, eng, gen)
 	submit(100)
 	st = eng.Stats()
 	if st.Tenants[1].Processed != 100 {
@@ -256,9 +249,7 @@ func TestReconfigLiveLoadUnload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.AwaitQuiesce(gen); err != nil {
-		t.Fatal(err)
-	}
+	quiesce(t, eng, gen)
 	submit(100)
 	st = eng.Stats()
 	if st.Tenants[1].Processed != 200 {
@@ -283,14 +274,12 @@ func TestReconfigAfterClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Generations issued before Close are applied before workers exit.
-	if err := eng.AwaitQuiesce(gen); err != nil {
-		t.Errorf("AwaitQuiesce(pre-close gen) = %v, want nil", err)
-	}
+	quiesce(t, eng, gen)
 	if _, err := eng.ApplyReconfig(keyMaskFrame(t, 1, 2, 0x66)); err == nil {
 		t.Error("ApplyReconfig after Close succeeded")
 	}
-	if err := eng.AwaitQuiesce(gen + 100); err == nil {
-		t.Error("AwaitQuiesce(never-issued gen) succeeded")
+	if err := eng.AwaitQuiesceCtx(context.Background(), gen+100); err == nil {
+		t.Error("AwaitQuiesceCtx(never-issued gen) succeeded")
 	}
 }
 
@@ -349,7 +338,11 @@ func TestReconfigRaceChaos(t *testing.T) {
 				}
 			}
 			if i%16 == 0 {
-				if err := eng.AwaitQuiesce(gen); err != nil {
+				// Not quiesce: t.Fatal must not run off the test goroutine.
+				ctx, cancel := context.WithTimeout(context.Background(), quiesceTimeout)
+				err := eng.AwaitQuiesceCtx(ctx, gen)
+				cancel()
+				if err != nil {
 					t.Error(err)
 					return
 				}
@@ -392,9 +385,7 @@ func TestReconfigRaceChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.AwaitQuiesce(finalGen); err != nil {
-		t.Fatal(err)
-	}
+	quiesce(t, eng, finalGen)
 	eng.Drain()
 
 	st := eng.Stats()

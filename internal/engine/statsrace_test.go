@@ -5,6 +5,7 @@
 package engine_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -71,7 +72,11 @@ func TestStatsIntoConcurrentPollers(t *testing.T) {
 				t.Errorf("live reload: %v", err)
 				return
 			}
-			if err := eng.AwaitQuiesce(gen); err != nil {
+			// Not quiesce: t.Fatal must not run off the test goroutine.
+			ctx, cancel := context.WithTimeout(context.Background(), quiesceTimeout)
+			err = eng.AwaitQuiesceCtx(ctx, gen)
+			cancel()
+			if err != nil {
 				t.Errorf("quiesce: %v", err)
 				return
 			}

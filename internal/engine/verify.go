@@ -104,8 +104,9 @@ func (b *burstState) min() int {
 // it is the §4.1 delivery layer, for bursts that are safe to apply
 // incrementally (flow inserts, entry updates); wrap it in a fence or
 // use LoadModuleVerified when partial visibility matters. Context
-// cancellation aborts between bursts and while waiting (the last
-// burst still applies eventually; queued operations are never lost).
+// cancellation aborts before every burst and while waiting (an issued
+// burst still applies eventually; queued operations are never lost),
+// so a call with a done ctx issues nothing.
 func (e *Engine) ApplyVerified(ctx context.Context, moduleID uint16, cmds []reconfig.Command, opts VerifyOpts) (uint64, VerifyReport, error) {
 	opts = opts.withDefaults()
 	rep := VerifyReport{Commands: len(cmds)}
@@ -118,6 +119,13 @@ func (e *Engine) ApplyVerified(ctx context.Context, moduleID uint16, cmds []reco
 	lo := 0 // slowest shard's confirmed progress; re-sends start here
 	var gen uint64
 	for {
+		// A done ctx stops the next burst before it is issued: once
+		// issued it would still apply, and a shard that applied it
+		// before the wait looked at ctx would make a cancelled call
+		// succeed.
+		if err := ctx.Err(); err != nil {
+			return gen, rep, err
+		}
 		rep.Attempts++
 		if rep.Attempts > 1 {
 			rep.Resent += len(cmds) - lo
@@ -162,7 +170,8 @@ func (e *Engine) ApplyVerified(ctx context.Context, moduleID uint16, cmds []reco
 // and lifts the fence, so the old generation keeps serving and no
 // shard is ever left torn; the typed error (wrapping ErrVerify, or the
 // context error) reports the failure. On success the new spec becomes
-// the module's rollback target.
+// the module's rollback target. A ctx already done on entry issues
+// nothing.
 func (e *Engine) LoadModuleVerified(ctx context.Context, spec ModuleSpec, opts VerifyOpts) (uint64, VerifyReport, error) {
 	cmds, err := spec.Config.Commands(spec.Placement)
 	if err != nil {
@@ -181,6 +190,9 @@ func (e *Engine) LoadModuleVerified(ctx context.Context, spec ModuleSpec, opts V
 		prep = append(prep, shardOp{kind: opUnload, tenant: id})
 	}
 	prep = append(prep, shardOp{kind: opPartition, tenant: id, spec: sp})
+	if err := ctx.Err(); err != nil {
+		return 0, VerifyReport{}, err // nothing issued, nothing to roll back
+	}
 	if _, err := e.issue(nil, prep...); err != nil {
 		return 0, VerifyReport{}, err
 	}

@@ -15,6 +15,10 @@ import (
 	"time"
 
 	menshen "repro"
+	"repro/internal/checker"
+	"repro/internal/compiler"
+	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/trafficgen"
 )
 
@@ -77,9 +81,7 @@ func TestLoadModuleVerifiedConvergesUnderLoss(t *testing.T) {
 			t.Fatalf("reload %d: report not verified: %+v", i, vrep)
 		}
 		totalResent += vrep.Resent
-		if err := eng.AwaitQuiesce(gen); err != nil {
-			t.Fatal(err)
-		}
+		quiesce(t, eng, gen)
 		want := dev.Pipeline().ModuleChecksum(1)
 		for w, cs := range shardChecksums(t, eng, 1) {
 			if cs != want {
@@ -133,9 +135,7 @@ func TestLoadModuleVerifiedExhaustedRollsBack(t *testing.T) {
 		t.Fatalf("report %+v, want unverified after 3 attempts", vrep)
 	}
 	eng.SetReconfigFault(nil)
-	if err := eng.Quiesce(); err != nil {
-		t.Fatal(err)
-	}
+	quiesce(t, eng, 0)
 
 	// Rollback parity: the old CALC generation is intact everywhere.
 	if cs := dev.Pipeline().ModuleChecksum(1); cs != oldDev {
@@ -165,8 +165,8 @@ func TestLoadModuleVerifiedExhaustedRollsBack(t *testing.T) {
 }
 
 // TestLoadModuleVerifiedCtxCancelRollsBack: an already-cancelled
-// context aborts the verified load immediately; the rollback still
-// applies and parity holds.
+// context aborts the verified load before anything is issued, and
+// device and shards keep the old program.
 func TestLoadModuleVerifiedCtxCancelRollsBack(t *testing.T) {
 	dev := newDevice(t, "CALC")
 	eng, err := dev.NewEngine(menshen.EngineConfig{Workers: 2})
@@ -182,9 +182,7 @@ func TestLoadModuleVerifiedCtxCancelRollsBack(t *testing.T) {
 	if !errors.Is(verr, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", verr)
 	}
-	if err := eng.Quiesce(); err != nil {
-		t.Fatal(err)
-	}
+	quiesce(t, eng, 0)
 	for w, cs := range shardChecksums(t, eng, 1) {
 		if cs != oldShards[w] {
 			t.Fatalf("shard %d checksum %#x != pre-load %#x", w, cs, oldShards[w])
@@ -192,6 +190,86 @@ func TestLoadModuleVerifiedCtxCancelRollsBack(t *testing.T) {
 	}
 	if cs := dev.Pipeline().ModuleChecksum(1); cs != oldShards[0] {
 		t.Fatalf("device checksum %#x != shards' %#x", cs, oldShards[0])
+	}
+}
+
+// TestLoadModuleVerifiedCancelledIssuesNothing: a verified load whose
+// context is already done delivers no command to any shard. Were the
+// burst issued before ctx is looked at, it would still apply, and a
+// cancelled load could even succeed when every shard applied it before
+// the wait's first check. The module stays absent everywhere.
+func TestLoadModuleVerifiedCancelledIssuesNothing(t *testing.T) {
+	dev := newDevice(t, "CALC")
+	eng, err := dev.NewEngine(menshen.EngineConfig{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+
+	const id = 2
+	before := eng.Stats().Workers
+	devSum := dev.Pipeline().ModuleChecksum(id)
+	shardSums := shardChecksums(t, eng, id)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, _, _, verr := eng.LoadModuleVerified(ctx, programSource(t, "NetCache"), id, fastVerify(3))
+	if !errors.Is(verr, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", verr)
+	}
+	quiesce(t, eng, 0)
+
+	for w, ws := range eng.Stats().Workers {
+		if ws.ReconfigDelivered != before[w].ReconfigDelivered {
+			t.Errorf("shard %d: ReconfigDelivered %d -> %d after a cancelled load",
+				w, before[w].ReconfigDelivered, ws.ReconfigDelivered)
+		}
+	}
+	for w, cs := range shardChecksums(t, eng, id) {
+		if cs != shardSums[w] {
+			t.Errorf("shard %d: module %d checksum %#x, want the absent module's %#x", w, id, cs, shardSums[w])
+		}
+	}
+	if cs := dev.Pipeline().ModuleChecksum(id); cs != devSum {
+		t.Errorf("device: module %d checksum %#x, want the absent module's %#x", id, cs, devSum)
+	}
+	if err := dev.UnloadModule(id); !errors.Is(err, menshen.ErrNotLoaded) {
+		t.Errorf("device UnloadModule(%d) = %v, want ErrNotLoaded", id, err)
+	}
+}
+
+// TestEngineVerifiedCancelledIssuesNothing is the same property one
+// layer down, where the chaos harness calls it: with a done ctx the
+// engine's verified load and its burst layer issue no generation at
+// all — no fence, no burst, no rollback.
+func TestEngineVerifiedCancelledIssuesNothing(t *testing.T) {
+	prog, err := compiler.Compile(programSource(t, "CALC"), compiler.Options{ModuleID: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := checker.NewAllocator(checker.CapacityOf(core.DefaultGeometry()), nil).Admit(prog.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmds, err := prog.Config.Commands(pl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := engine.New(engine.Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := eng.LoadModuleVerified(ctx, engine.ModuleSpec{Config: prog.Config, Placement: pl}, fastVerify(3)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("LoadModuleVerified err = %v, want context.Canceled", err)
+	}
+	if _, rep, err := eng.ApplyVerified(ctx, 1, cmds, fastVerify(3)); !errors.Is(err, context.Canceled) || rep.Attempts != 0 {
+		t.Fatalf("ApplyVerified = %+v, %v; want no attempt and context.Canceled", rep, err)
+	}
+	if gen := eng.ReconfigGen(); gen != 0 {
+		t.Errorf("a cancelled verified load issued %d generations, want 0", gen)
 	}
 }
 
@@ -229,9 +307,7 @@ func TestInsertFlowsVerifiedUnderLoss(t *testing.T) {
 	if !vrep.Verified || vrep.Attempts < 2 || vrep.Resent == 0 {
 		t.Fatalf("report %+v: want verified with retries under 20%% loss", vrep)
 	}
-	if err := eng.AwaitQuiesce(gen); err != nil {
-		t.Fatal(err)
-	}
+	quiesce(t, eng, gen)
 	css := shardChecksums(t, eng, 1)
 	for w, cs := range css[1:] {
 		if cs != css[0] {

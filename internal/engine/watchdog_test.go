@@ -102,9 +102,7 @@ func TestWatchdogStalledWorker(t *testing.T) {
 	// Recovery: unblock the callback; the queued generation was never
 	// lost and the degraded state clears.
 	release()
-	if err := eng.AwaitQuiesce(gen); err != nil {
-		t.Fatal(err)
-	}
+	quiesce(t, eng, gen)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if st := eng.Stats(); st.DegradedWorkers == 0 {
@@ -139,9 +137,7 @@ func TestAwaitQuiesceCtxDeadline(t *testing.T) {
 	}
 
 	release()
-	if err := eng.AwaitQuiesce(gen); err != nil {
-		t.Fatal(err)
-	}
+	quiesce(t, eng, gen)
 	pipe, err := eng.ShardPipeline(0)
 	if err != nil {
 		t.Fatal(err)

@@ -489,16 +489,21 @@ func (w *worker) batchDone() {
 }
 
 // ensureEgress lazily creates the worker's egress scheduler (engine
-// construction, or the worker goroutine applying a weight op). Queued
-// egress frames extend the engine's worst-case in-flight buffer set,
-// so the pool's retention grows by the queue bound.
+// construction, or the worker goroutine applying a weight op). The
+// egress PIFO holds four batches. The bound uses push-out, not tail
+// drop: overflow discards the worst-ranked queued frame, which is what
+// keeps the queue's composition — and the drained shares — at the
+// configured weights under overload. Queued egress frames extend the
+// engine's worst-case in-flight buffer set, so the pool's retention
+// grows by the queue bound.
 func (w *worker) ensureEgress() {
 	if w.egress != nil {
 		return
 	}
-	w.egress = sched.NewEgressQueue(w.eng.cfg.EgressQueueLimit)
+	limit := 4 * w.eng.cfg.BatchSize
+	w.egress = sched.NewEgressQueue(limit)
 	w.egRun = make([]core.BatchResult, 0, w.eng.cfg.EgressQuantum)
-	w.eng.pool.grow(w.eng.cfg.EgressQueueLimit)
+	w.eng.pool.grow(limit)
 }
 
 // egressEnqueue pushes one processed batch's forwarded frames into the

@@ -280,9 +280,7 @@ func TestFabricChaosSoakReconfig(t *testing.T) {
 		}
 	}
 	f.Drain()
-	if err := f.Quiesce(); err != nil {
-		t.Fatal(err)
-	}
+	quiesce(t, f)
 	compareHostSets(t, ref, sink)
 }
 

@@ -50,6 +50,6 @@
 //     cross-node hand-off diverts reconfiguration frames to a control
 //     plane; they ride the data path, where each node's packet filter
 //     drops them (§3.1 secure reconfiguration). Control planes remain
-//     per node (EngineNode.Eng), with EngineFabric.Quiesce as the
+//     per node (EngineNode.Eng), with EngineFabric.QuiesceCtx as the
 //     fabric-wide barrier.
 package fabric

@@ -49,7 +49,7 @@ type EngineNode struct {
 	// remains owned by the fabric (close the fabric, not the engine);
 	// use it for per-node live reconfiguration (LoadModuleLive,
 	// SetEgressWeight, fences) — control planes stay per node, and
-	// EngineFabric.Quiesce is the fabric-wide barrier over all of them.
+	// EngineFabric.QuiesceCtx is the fabric-wide barrier over all of them.
 	Eng *engine.Engine
 
 	cfg NodeConfig
@@ -510,16 +510,11 @@ func (f *EngineFabric) flushDelayed() int {
 	return moved
 }
 
-// Quiesce waits until every node's engine has applied every control
-// operation issued so far — the fabric-wide reconfiguration barrier.
-func (f *EngineFabric) Quiesce() error {
-	return f.QuiesceCtx(context.Background())
-}
-
-// QuiesceCtx is Quiesce bounded by a context: it stops early with the
-// context's error once ctx is done, or with an engine.ErrDegraded-
-// wrapped error when some node's stall watchdog has flagged a shard
-// the barrier would wait on forever. The error names the blocking
+// QuiesceCtx waits until every node's engine has applied every control
+// operation issued so far — the fabric-wide reconfiguration barrier —
+// bounded by ctx: it stops early with the context's error once ctx is
+// done, or with an engine.ErrDegraded-wrapped error when some node's
+// stall watchdog has flagged a shard the barrier would wait on forever. The error names the blocking
 // node; operations already issued still apply if the shard recovers.
 func (f *EngineFabric) QuiesceCtx(ctx context.Context) error {
 	for _, n := range f.order {

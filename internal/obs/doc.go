@@ -26,7 +26,7 @@
 //     module load/unload, egress weights, and rate limits. Every
 //     mutation rides the engine's generation-tagged fenced control
 //     queue (see internal/engine/reconfig.go) and returns its
-//     generation, so a caller can AwaitQuiesce (or pass "wait": true
+//     generation, so a caller can AwaitQuiesceCtx (or pass "wait": true
 //     to block until every shard has applied it).
 //
 //   - Tracing. Tracer is a fixed-capacity overwrite ring of TraceHop

@@ -31,10 +31,10 @@ type Source struct {
 	LinkFaults func() map[uint8]faultinject.Counts
 }
 
-// NodeStats is one node's rendered input to WriteMetrics: a snapshot
+// nodeStats is one node's rendered input to appendMetrics: a snapshot
 // plus the optional per-worker windowed latency histograms (the delta
 // since the previous scrape) behind the window_p50/p99 gauges.
-type NodeStats struct {
+type nodeStats struct {
 	// Node is the `node` label value ("" omits the label).
 	Node string
 	// Stats is the node's telemetry snapshot.
@@ -61,7 +61,7 @@ type Exporter struct {
 	st      []engine.Stats
 	prev    [][]engine.LatencyHistogram
 	win     [][]engine.LatencyHistogram
-	nodes   []NodeStats
+	nodes   []nodeStats
 	scratch metricsScratch
 	buf     []byte
 }
@@ -74,7 +74,7 @@ func NewExporter(sources ...Source) *Exporter {
 		st:      make([]engine.Stats, len(sources)),
 		prev:    make([][]engine.LatencyHistogram, len(sources)),
 		win:     make([][]engine.LatencyHistogram, len(sources)),
-		nodes:   make([]NodeStats, len(sources)),
+		nodes:   make([]nodeStats, len(sources)),
 	}
 }
 
@@ -100,22 +100,13 @@ func (e *Exporter) Collect(w io.Writer) error {
 			e.win[i][wi] = cur.Sub(&e.prev[i][wi])
 			e.prev[i][wi] = *cur
 		}
-		e.nodes[i] = NodeStats{Node: e.sources[i].Node, Stats: &e.st[i], Window: e.win[i]}
+		e.nodes[i] = nodeStats{Node: e.sources[i].Node, Stats: &e.st[i], Window: e.win[i]}
 		if lf := e.sources[i].LinkFaults; lf != nil {
 			e.nodes[i].LinkFaults = lf()
 		}
 	}
 	e.buf = appendMetrics(e.buf[:0], e.nodes, &e.scratch)
 	_, err := w.Write(e.buf)
-	return err
-}
-
-// WriteMetrics renders prepared snapshots as one exposition document.
-// It is the stateless core of Exporter.Collect, exported for tests
-// and for callers that manage their own snapshots.
-func WriteMetrics(w io.Writer, nodes []NodeStats) error {
-	var scratch metricsScratch
-	_, err := w.Write(appendMetrics(nil, nodes, &scratch))
 	return err
 }
 
@@ -357,7 +348,7 @@ var workerScalars = []workerScalar{
 // appendMetrics renders the full exposition document: every family
 // exactly once, all of its series (across nodes, tenants, workers)
 // grouped under it.
-func appendMetrics(b []byte, nodes []NodeStats, scratch *metricsScratch) []byte {
+func appendMetrics(b []byte, nodes []nodeStats, scratch *metricsScratch) []byte {
 	sb := &scratch.sb
 	sb.b = b
 
@@ -446,7 +437,7 @@ var linkFaultKinds = []linkFaultKind{
 // probing the 0..255 egress space, so the output is deterministic
 // without sorting allocations; both families are skipped entirely when
 // no node carries an injector.
-func appendLinkFaults(sb *seriesBuf, nodes []NodeStats) {
+func appendLinkFaults(sb *seriesBuf, nodes []nodeStats) {
 	any := false
 	for ni := range nodes {
 		if len(nodes[ni].LinkFaults) > 0 {
@@ -518,7 +509,7 @@ var ingressScalars = []ingressScalar{
 // appendIngress renders the per-transport ingress counter families for
 // nodes whose engines carry registered ingress sources; with no
 // ingress anywhere every family is skipped.
-func appendIngress(sb *seriesBuf, nodes []NodeStats) {
+func appendIngress(sb *seriesBuf, nodes []nodeStats) {
 	any := false
 	for ni := range nodes {
 		if len(nodes[ni].Stats.Ingress) > 0 {
@@ -576,7 +567,7 @@ func appendWorkerHistogram(sb *seriesBuf, node string, worker uint64, h *engine.
 
 // appendWindowQuantile emits one windowed-quantile gauge per worker,
 // for the nodes that provided a window.
-func appendWindowQuantile(sb *seriesBuf, nodes []NodeStats, name string, q float64) {
+func appendWindowQuantile(sb *seriesBuf, nodes []nodeStats, name string, q float64) {
 	for ni := range nodes {
 		if nodes[ni].Window == nil {
 			continue

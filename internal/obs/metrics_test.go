@@ -18,10 +18,17 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
+// writeMetrics renders prepared snapshots as one exposition document:
+// Exporter.Collect without the scraping.
+func writeMetrics(w io.Writer, nodes []nodeStats) error {
+	_, err := w.Write(appendMetrics(nil, nodes, new(metricsScratch)))
+	return err
+}
+
 // goldenNodes builds a fully deterministic two-node snapshot set:
 // every counter class populated, exact binary fractions for the
 // derived gauges, and a node name that needs label escaping.
-func goldenNodes() []NodeStats {
+func goldenNodes() []nodeStats {
 	stA := &engine.Stats{
 		Tenants: map[uint16]engine.TenantStats{
 			1: {Submitted: 1000, RateLimited: 10, QueueFull: 5, Processed: 900,
@@ -84,7 +91,7 @@ func goldenNodes() []NodeStats {
 		1: {Seen: 500, Dropped: 40, Corrupted: 10, Delayed: 25, Reordered: 30, Held: 0},
 		3: {Seen: 200, Dropped: 200},
 	}
-	return []NodeStats{
+	return []nodeStats{
 		{Node: "s0", Stats: stA, Window: winA, LinkFaults: lfA},
 		{Node: "we\\ird\"node\n", Stats: stB}, // no window: quantile gauges omitted
 	}
@@ -95,7 +102,7 @@ func goldenNodes() []NodeStats {
 // -update` and review the diff.
 func TestMetricsGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteMetrics(&buf, goldenNodes()); err != nil {
+	if err := writeMetrics(&buf, goldenNodes()); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join("testdata", "metrics.golden")
@@ -272,7 +279,7 @@ func parseSample(t *testing.T, lineNo int, line string) string {
 // TestMetricsLintLive in server_test.go).
 func TestMetricsLint(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteMetrics(&buf, goldenNodes()); err != nil {
+	if err := writeMetrics(&buf, goldenNodes()); err != nil {
 		t.Fatal(err)
 	}
 	lintExposition(t, buf.String())
@@ -398,7 +405,7 @@ func sampleValueUint(t *testing.T, line string) uint64 {
 // control characters inside a value.
 func TestMetricsLabelEscaping(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteMetrics(&buf, goldenNodes()); err != nil {
+	if err := writeMetrics(&buf, goldenNodes()); err != nil {
 		t.Fatal(err)
 	}
 	doc := buf.String()

@@ -32,14 +32,10 @@ type Ops struct {
 	// limiter applies at ingress immediately (no shard fence), so the
 	// returned generation is the engine's current one.
 	SetTenantLimit func(tenant uint16, pps, bps float64) (uint64, error)
-	// AwaitQuiesce blocks until every shard has applied the given
-	// generation.
-	AwaitQuiesce func(gen uint64) error
-	// AwaitQuiesceCtx is the context-aware quiesce wait; when set it is
-	// preferred over AwaitQuiesce and runs under the request context,
-	// so an abandoned or timed-out HTTP request stops waiting instead
-	// of parking a handler goroutine behind a stalled shard. Wire
-	// Engine.AwaitQuiesceCtx here.
+	// AwaitQuiesceCtx blocks until every shard has applied the given
+	// generation. It runs under the request context, so an abandoned or
+	// timed-out HTTP request stops waiting instead of parking a handler
+	// goroutine behind a stalled shard. Wire Engine.AwaitQuiesceCtx here.
 	AwaitQuiesceCtx func(ctx context.Context, gen uint64) error
 }
 
@@ -193,7 +189,7 @@ func (s *Server) handleQuiesce(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	if s.ops.AwaitQuiesce == nil && s.ops.AwaitQuiesceCtx == nil {
+	if s.ops.AwaitQuiesceCtx == nil {
 		http.Error(w, "not implemented", http.StatusNotImplemented)
 		return
 	}
@@ -202,21 +198,11 @@ func (s *Server) handleQuiesce(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
 		return
 	}
-	if err := s.awaitQuiesce(r.Context(), req.Generation); err != nil {
+	if err := s.ops.AwaitQuiesceCtx(r.Context(), req.Generation); err != nil {
 		writeJSON(w, quiesceStatus(err), map[string]any{"error": err.Error()})
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"generation": req.Generation})
-}
-
-// awaitQuiesce runs the configured quiesce wait, preferring the
-// context-aware variant so a stalled shard or an abandoned request
-// cannot park the handler goroutine forever.
-func (s *Server) awaitQuiesce(ctx context.Context, gen uint64) error {
-	if s.ops.AwaitQuiesceCtx != nil {
-		return s.ops.AwaitQuiesceCtx(ctx, gen)
-	}
-	return s.ops.AwaitQuiesce(gen)
 }
 
 // quiesceStatus maps a quiesce-wait failure to an HTTP status: a
@@ -258,8 +244,8 @@ func (s *Server) mutate(w http.ResponseWriter, r *http.Request, op func(*control
 		writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
 		return
 	}
-	if req.Wait && (s.ops.AwaitQuiesce != nil || s.ops.AwaitQuiesceCtx != nil) {
-		if err := s.awaitQuiesce(r.Context(), gen); err != nil {
+	if req.Wait && s.ops.AwaitQuiesceCtx != nil {
+		if err := s.ops.AwaitQuiesceCtx(r.Context(), gen); err != nil {
 			writeJSON(w, quiesceStatus(err), map[string]any{
 				"generation": gen, "error": err.Error(),
 			})

@@ -5,6 +5,7 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -13,6 +14,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	menshen "repro"
 	"repro/internal/engine"
@@ -52,7 +54,7 @@ func liveEngine(t *testing.T, cfg menshen.EngineConfig) (*menshen.Engine, *httpt
 			eng.SetTenantLimit(tenant, pps, bps)
 			return eng.ReconfigGen(), nil
 		},
-		AwaitQuiesce: eng.AwaitQuiesce,
+		AwaitQuiesceCtx: eng.AwaitQuiesceCtx,
 	}, Source{StatsInto: eng.StatsInto})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() { ts.Close(); eng.Close() })
@@ -263,7 +265,7 @@ func TestServerErrors(t *testing.T) {
 func TestMetricsLintLive(t *testing.T) {
 	eng, ts := liveEngine(t, menshen.EngineConfig{
 		Workers: 2, BatchSize: 16, QueueDepth: 2048, DropOnFull: true,
-		EgressWeights: map[uint16]float64{1: 3, 2: 1}, EgressQueueLimit: 64, EgressQuantum: 4,
+		EgressWeights: map[uint16]float64{1: 3, 2: 1}, EgressQuantum: 4,
 	})
 	pump(t, eng, 4000)
 	eng.Drain()
@@ -283,13 +285,12 @@ func TestMetricsLintLive(t *testing.T) {
 // outrunning the worker (it does not, on a loaded box).
 func TestFairnessOverHTTP(t *testing.T) {
 	eng, ts := liveEngine(t, menshen.EngineConfig{
-		Workers:          1,
-		BatchSize:        32,
-		QueueDepth:       32768,
-		DropOnFull:       true,
-		EgressWeights:    map[uint16]float64{1: 3, 2: 1},
-		EgressQueueLimit: 128,
-		EgressQuantum:    8,
+		Workers:       1,
+		BatchSize:     32,
+		QueueDepth:    32768,
+		DropOnFull:    true,
+		EgressWeights: map[uint16]float64{1: 3, 2: 1},
+		EgressQuantum: 8,
 	})
 	// The two fences are issued back to back and only the second
 	// generation is awaited, so neither tenant is served alone for
@@ -303,8 +304,10 @@ func TestFairnessOverHTTP(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := eng.AwaitQuiesce(gen); err != nil {
-			t.Fatal(err)
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := eng.AwaitQuiesceCtx(ctx, gen); err != nil {
+			t.Fatalf("quiesce generation %d: %v", gen, err)
 		}
 	}
 	fence(eng.BeginTenantUpdate)

@@ -240,20 +240,7 @@ func (d *Device) LoadModule(source string, moduleID uint16) (*LoadReport, error)
 	if err != nil {
 		return nil, err
 	}
-	rep, err := d.client.LoadModule(prog.Config, pl)
-	if err != nil {
-		_ = d.alloc.Release(moduleID)
-		return nil, err
-	}
-	m := &Module{ID: moduleID, Name: prog.Config.Name, program: prog, placement: pl}
-	d.modules[moduleID] = m
-	return &LoadReport{
-		Module:           m,
-		CompileWall:      compileWall,
-		Commands:         rep.Commands,
-		ConfigureHW:      rep.HardwareTime,
-		EntriesGenerated: prog.EntriesGenerated,
-	}, nil
+	return d.install(prog, pl, moduleID, compileWall)
 }
 
 // LoadModuleChain compiles several module sources belonging to one
@@ -276,6 +263,12 @@ func (d *Device) LoadModuleChain(sources []string, moduleID uint16) (*LoadReport
 	if err != nil {
 		return nil, err
 	}
+	return d.install(prog, pl, moduleID, compileWall)
+}
+
+// install pushes an admitted program down the control plane and
+// records it as loaded; on a failed push the admission is released.
+func (d *Device) install(prog *compiler.Program, pl core.Placement, moduleID uint16, compileWall time.Duration) (*LoadReport, error) {
 	rep, err := d.client.LoadModule(prog.Config, pl)
 	if err != nil {
 		_ = d.alloc.Release(moduleID)

@@ -16,6 +16,7 @@ package menshen
 //	eng.Close()
 
 import (
+	"context"
 	"errors"
 
 	"repro/internal/core"
@@ -142,7 +143,7 @@ func (e *Engine) ShardPipeline(workerID int) (*core.Pipeline, error) {
 // shard's control queue, and applied at batch boundaries, so other
 // tenants' frames keep flowing throughout (§4.1's no-disruption
 // property, engine-wide). Methods return the operation's generation;
-// pass it to AwaitQuiesce to wait until every shard has applied it.
+// pass it to AwaitQuiesceCtx to wait until every shard has applied it.
 
 // ApplyReconfig injects one raw reconfiguration frame (the Figure 7
 // wire format, built by the control software) into the running engine.
@@ -154,14 +155,20 @@ func (e *Engine) ApplyReconfig(frame []byte) (uint64, error) {
 	return e.eng.ApplyReconfigFrame(frame)
 }
 
-// AwaitQuiesce blocks until every worker shard has applied the given
+// AwaitQuiesceCtx blocks until every worker shard has applied the given
 // reconfiguration generation (and therefore every operation issued
-// before it).
-func (e *Engine) AwaitQuiesce(gen uint64) error { return e.eng.AwaitQuiesce(gen) }
+// before it), bounded by ctx: it returns ctx.Err() when the context
+// expires first, and an ErrDegraded-wrapped error as soon as the stall
+// watchdog flags a shard that can never reach the generation — so no
+// caller blocks forever behind a wedged worker. The awaited operations
+// remain queued and still apply if the shard recovers.
+func (e *Engine) AwaitQuiesceCtx(ctx context.Context, gen uint64) error {
+	return e.eng.AwaitQuiesceCtx(ctx, gen)
+}
 
-// Quiesce waits until every shard has applied every operation issued so
-// far.
-func (e *Engine) Quiesce() error { return e.eng.Quiesce() }
+// QuiesceCtx waits, bounded by ctx, until every shard has applied
+// every operation issued so far.
+func (e *Engine) QuiesceCtx(ctx context.Context) error { return e.eng.QuiesceCtx(ctx) }
 
 // ReconfigGen returns the most recently issued reconfiguration
 // generation.
@@ -232,7 +239,7 @@ type FlowEntry = core.FlowEntry
 // deletions). Flow entries scale the module's exact-match depth far
 // beyond the CAM — the §4.3 cuckoo path — without consuming CAM
 // entries: each flow steers packets to one of the module's existing
-// actions. Returns the operation's generation; AwaitQuiesce on it
+// actions. Returns the operation's generation; AwaitQuiesceCtx on it
 // guarantees the flows are live on every shard. Derive keys for live
 // traffic with Device.ControlPlane().FlowKeyForFrame.
 func (e *Engine) InsertFlows(moduleID uint16, stg int, flows []FlowEntry) (uint64, error) {
@@ -247,7 +254,7 @@ func (e *Engine) InsertFlows(moduleID uint16, stg int, flows []FlowEntry) (uint6
 // SetEgressWeight configures a tenant's §3.5 egress WFQ weight live,
 // through the same generation-tagged control queue as module
 // reconfiguration: every shard applies it at a batch boundary, and
-// AwaitQuiesce on the returned generation guarantees it is in force
+// AwaitQuiesceCtx on the returned generation guarantees it is in force
 // engine-wide. Weight 0 clears the tenant back to the implicit weight
 // of 1 and prunes its virtual-finish state. The first weight ever set
 // switches delivery into egress-scheduling mode (see

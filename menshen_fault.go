@@ -73,20 +73,6 @@ type VerifyReport = engine.VerifyReport
 // CmdFaultsInjected); the *Verified methods recover them.
 func (e *Engine) SetReconfigFault(inj *FaultInjector) { e.eng.SetReconfigFault(inj) }
 
-// AwaitQuiesceCtx is AwaitQuiesce bounded by a context: it returns
-// ctx.Err() when the context expires first, and an ErrDegraded-wrapped
-// error as soon as the stall watchdog flags a shard that can never
-// reach the generation — so no caller blocks forever behind a wedged
-// worker. The awaited operations remain queued and still apply if the
-// shard recovers.
-func (e *Engine) AwaitQuiesceCtx(ctx context.Context, gen uint64) error {
-	return e.eng.AwaitQuiesceCtx(ctx, gen)
-}
-
-// QuiesceCtx waits, bounded by ctx, until every shard has applied
-// every operation issued so far.
-func (e *Engine) QuiesceCtx(ctx context.Context) error { return e.eng.QuiesceCtx(ctx) }
-
 // InsertFlowsVerified is InsertFlows through the §4.1 verified
 // delivery protocol: the flow commands are burst to every shard, each
 // shard's applied-command counter is polled after quiesce, and missing
@@ -113,8 +99,11 @@ func (e *Engine) InsertFlowsVerified(ctx context.Context, moduleID uint16, stg i
 // last-known-good configuration, the device is restored to match, and
 // the typed error (wrapping ErrVerify, or the context error) reports
 // the failure — the old generation keeps serving and no replica is
-// ever torn.
+// ever torn. A ctx already done on entry touches nothing.
 func (e *Engine) LoadModuleVerified(ctx context.Context, source string, moduleID uint16, opts VerifyOpts) (*LoadReport, uint64, VerifyReport, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, 0, VerifyReport{}, err // neither device nor shards touched
+	}
 	old := e.dev.modules[moduleID]
 	var rep *LoadReport
 	var err error
