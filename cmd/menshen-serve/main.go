@@ -286,8 +286,8 @@ func runEngine(ctx context.Context, cfg serveConfig, out io.Writer) error {
 	// Socket ingress feeds this engine through the borrowed-buffer path,
 	// alongside (or instead of) the in-process generator below.
 	detach, err := attach(cfg, obs.NewServer(tracer, obs.Ops{
-		LoadModule: func(source string, id uint16) (uint64, error) {
-			_, gen, err := eng.LoadModule(source, id)
+		LoadModule: func(ctx context.Context, source string, id uint16) (uint64, error) {
+			_, gen, _, err := eng.LoadModuleVerified(ctx, source, id, menshen.VerifyOpts{})
 			return gen, err
 		},
 		UnloadModule:    eng.UnloadModule,
@@ -312,14 +312,13 @@ func runEngine(ctx context.Context, cfg serveConfig, out io.Writer) error {
 
 	// The mid-run reconfiguration scenario: at -live-reconfig evenly
 	// spaced points in the stream, unload the last tenant from the
-	// running shards and replay its full command stream back in, while
-	// every other tenant's traffic keeps flowing. The tenant's own
-	// frames submitted during the gap drop as "no module loaded" —
-	// reported per tenant below.
+	// running shards and replay its full command stream back in through
+	// the verified path, while every other tenant's traffic keeps
+	// flowing. The tenant's own frames submitted during the gap drop as
+	// "no module loaded" — reported per tenant below.
 	reconfigEvery := max(cfg.packets/(cfg.liveReconfig+1), 1) // more reloads than packets: one per frame
 	reconfigID := loads[len(loads)-1].ModuleID
 	reconfigs := 0
-	var lastGen uint64
 
 	var sc *trafficgen.Scenario
 	if len(weightByID) > 0 {
@@ -333,11 +332,14 @@ func runEngine(ctx context.Context, cfg serveConfig, out io.Writer) error {
 			if _, err := eng.UnloadModule(reconfigID); err != nil {
 				return fmt.Errorf("live unload tenant %d: %w", reconfigID, err)
 			}
-			_, gen, err := eng.LoadModule(lastSource, reconfigID)
+			// Bounded, and not cut short by Ctrl-C: a wedged shard turns
+			// into a reported failure, not a hung process or a torn load.
+			rctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 30*time.Second)
+			_, _, _, err := eng.LoadModuleVerified(rctx, lastSource, reconfigID, menshen.VerifyOpts{})
+			cancel()
 			if err != nil {
 				return fmt.Errorf("live reload tenant %d: %w", reconfigID, err)
 			}
-			lastGen = gen
 			reconfigs++
 		}
 		return nil
@@ -345,16 +347,6 @@ func runEngine(ctx context.Context, cfg serveConfig, out io.Writer) error {
 		return err
 	}
 	eng.Drain()
-	if lastGen > 0 {
-		// Bounded wait: a wedged shard turns into a reported failure,
-		// not a hung process.
-		qctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 30*time.Second)
-		err := eng.AwaitQuiesceCtx(qctx, lastGen)
-		cancel()
-		if err != nil {
-			return fmt.Errorf("await quiesce of generation %d: %w", lastGen, err)
-		}
-	}
 	wall := time.Since(start)
 	var st menshen.EngineStats
 

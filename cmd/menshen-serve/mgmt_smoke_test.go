@@ -114,7 +114,9 @@ func httpGet(t *testing.T, url string) string {
 // fate — forwarded or counted in a drop class, summed over tenants — and
 // returns that scrape. Counters upstream of the pipeline (ingress
 // received, tenant submitted) move before a frame is processed, so they
-// cannot tell a test when the books are closed.
+// cannot tell a test when the books are closed; the failure message
+// prints ingress received beside the total sent, so a frame lost before
+// the socket is told apart from one stuck in the engine.
 func awaitFates(t *testing.T, base string, total float64) string {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
@@ -126,7 +128,8 @@ func awaitFates(t *testing.T, base string, total float64) string {
 			return doc
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("tail never drained: %v of %v frames forwarded or dropped", fates, total)
+			t.Fatalf("tail never drained: %v of %v sent frames forwarded or dropped; ingress received %v",
+				fates, total, metricSum(t, doc, "menshen_ingress_received_frames_total"))
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

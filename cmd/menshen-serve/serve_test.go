@@ -1,7 +1,7 @@
 // In-process harness for menshen-serve: the smoke tests drive run in a
 // goroutine, read the bound addresses from its report through an
 // io.Pipe, and cancel its context when done. Also here: the flag
-// table and the linger-cancel test.
+// table, the linger-cancel test and the -live-reconfig run.
 package main
 
 import (
@@ -9,6 +9,7 @@ import (
 	"context"
 	"io"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -211,6 +212,33 @@ func TestRunLingerEndsOnCancel(t *testing.T) {
 	}
 	if !strings.Contains(out, "--- totals ---") {
 		t.Errorf("no final report after cancel:\n%s", out)
+	}
+}
+
+// TestRunLiveReconfig: -live-reconfig reloads the last tenant through
+// the verified path mid-run, and the report shows every reload applied
+// with no failed command and one configuration on every shard.
+func TestRunLiveReconfig(t *testing.T) {
+	cfg, err := parseFlags([]string{"-modules", "CALC,NetCache", "-packets", "20000", "-live-reconfig", "3"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := run(context.Background(), cfg, &out); err != nil {
+		t.Fatalf("run: %v\n%s", err, out.String())
+	}
+	report := out.String()
+	if !strings.Contains(report, "tenant 2 reloaded 3 times mid-run:") || !strings.Contains(report, " 0 failed\n") {
+		t.Errorf("report does not show 3 reloads of tenant 2 with 0 failed:\n%s", report)
+	}
+	var sums []string
+	for _, line := range strings.Split(report, "\n") {
+		if _, sum, ok := strings.Cut(line, "config checksum "); ok && strings.HasPrefix(line, "worker ") {
+			sums = append(sums, sum)
+		}
+	}
+	if len(sums) != cfg.workers || len(slices.Compact(slices.Clone(sums))) != 1 {
+		t.Errorf("shard checksums %q, want one value on all %d workers:\n%s", sums, cfg.workers, report)
 	}
 }
 

@@ -69,20 +69,3 @@ control { apply(t); }
 	fmt.Println("module 2 alive:", !res.Dropped, "seq:", seq)
 	// Output: module 2 alive: true seq: 1
 }
-
-// ExampleDevice_SetRateLimit bounds one module's packet rate.
-func ExampleDevice_SetRateLimit() {
-	dev := menshen.NewDevice()
-	dev.LoadModule(exampleCalc, 1)
-	dev.SetRateLimit(1, 1, 0) // 1 packet per second
-
-	admitted := 0
-	for i := 0; i < 5; i++ { // burst at t=0
-		res, _ := dev.Send(trafficgen.CalcPacket(1, trafficgen.CalcAdd, 1, 1, 0))
-		if !res.Dropped {
-			admitted++
-		}
-	}
-	fmt.Println("admitted from burst:", admitted)
-	// Output: admitted from burst: 1
-}

@@ -12,6 +12,7 @@
 package engine_test
 
 import (
+	"context"
 	"math"
 	"sync/atomic"
 	"testing"
@@ -402,7 +403,7 @@ func TestEngineUnloadClearsEgressState(t *testing.T) {
 	if _, err := eng.UnloadModule(1); err != nil {
 		t.Fatal(err)
 	}
-	_, gen, err := eng.LoadModule(src, 1)
+	_, gen, _, err := eng.LoadModuleVerified(context.Background(), src, 1, menshen.VerifyOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

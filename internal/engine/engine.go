@@ -306,9 +306,10 @@ func New(cfg Config) (*Engine, error) {
 // sentence means that shard never applies the command — the in-process
 // analogue of a reconfiguration packet lost on the wire. The verified
 // paths (ApplyVerified, LoadModuleVerified) detect and re-send such
-// losses; the unverified paths count them (Stats.CmdFaultsInjected)
-// and leave the shortfall to the caller, exactly like firing packets
-// down a lossy daisy chain without polling the counter.
+// losses. The one unverified wire path left, a raw ApplyReconfigFrame,
+// counts them (Stats.CmdFaultsInjected) and leaves the shortfall to
+// the caller, exactly like firing a packet down a lossy daisy chain
+// without polling the counter.
 func (e *Engine) SetReconfigFault(inj *faultinject.Injector) { e.cmdFault.Store(inj) }
 
 // Workers returns the number of shards.

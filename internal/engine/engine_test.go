@@ -231,30 +231,52 @@ func TestEngineBackpressureDrop(t *testing.T) {
 }
 
 func TestEngineTenantRateLimit(t *testing.T) {
-	dev := newDevice(t, "CALC")
+	// Tenant 1 is limited, tenant 2 rides the same batches unlimited.
+	dev := newDevice(t, "CALC", "CALC")
 	eng, err := dev.NewEngine(menshen.EngineConfig{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	// 10 pps with a 1-packet burst: a burst of 1000 is mostly shed.
+	// 10 pps with a 1-packet burst: tenant 1's share of a burst of 1000
+	// is mostly shed.
 	eng.SetTenantLimit(1, 10, 0)
-	sc := trafficgen.NewScenario(5, trafficgen.TenantLoad{ModuleID: 1, Program: "CALC"})
+	sc := trafficgen.NewScenario(5,
+		trafficgen.TenantLoad{ModuleID: 1, Program: "CALC"},
+		trafficgen.TenantLoad{ModuleID: 2, Program: "CALC"})
 	frames := sc.NextBatch(nil, 1000)
 	accepted, err := eng.SubmitBatch(frames)
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng.Drain()
-	tot := eng.Stats().Totals()
-	if tot.RateLimited == 0 {
+	st := eng.Stats()
+	limited, free := st.Tenants[1], st.Tenants[2]
+	if limited.RateLimited == 0 {
 		t.Fatal("no rate-limited drops recorded")
 	}
-	if tot.RateLimited+uint64(accepted) != uint64(len(frames)) {
-		t.Errorf("rate-limited %d + accepted %d != %d submitted", tot.RateLimited, accepted, len(frames))
+	if limited.RateLimited+uint64(accepted) != uint64(len(frames)) {
+		t.Errorf("rate-limited %d + accepted %d != %d submitted", limited.RateLimited, accepted, len(frames))
 	}
-	if accepted >= len(frames)/2 {
-		t.Errorf("limiter accepted %d of %d at 10 pps", accepted, len(frames))
+	if limited.Submitted-limited.RateLimited >= limited.Submitted/2 {
+		t.Errorf("limiter accepted %d of %d at 10 pps", limited.Submitted-limited.RateLimited, limited.Submitted)
+	}
+	// The limit is tenant 1's alone: tenant 2 lost nothing.
+	if free.Submitted == 0 || free.RateLimited != 0 || free.Processed != free.Submitted {
+		t.Errorf("unlimited tenant 2: submitted %d, rate-limited %d, forwarded %d; want all forwarded",
+			free.Submitted, free.RateLimited, free.Processed)
+	}
+
+	// Zero in both dimensions lifts the limit: tenant 1's next batch is
+	// accepted in full.
+	eng.SetTenantLimit(1, 0, 0)
+	only1 := trafficgen.NewScenario(6, trafficgen.TenantLoad{ModuleID: 1, Program: "CALC"}).NextBatch(nil, 200)
+	if n, err := eng.SubmitBatch(only1); err != nil || n != len(only1) {
+		t.Fatalf("after lifting the limit: accepted %d of %d (err %v)", n, len(only1), err)
+	}
+	eng.Drain()
+	if got := eng.Stats().Tenants[1].RateLimited; got != limited.RateLimited {
+		t.Errorf("rate-limited count moved from %d to %d after the limit was lifted", limited.RateLimited, got)
 	}
 }
 

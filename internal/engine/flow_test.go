@@ -5,6 +5,7 @@
 package engine_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -138,7 +139,7 @@ func TestEngineFlowCuckooEndToEnd(t *testing.T) {
 		entries[f] = menshen.FlowEntry{Valid: true, Addr: addr, Key: key}
 		want[ports[addr]] += 2 // two traffic rounds below
 	}
-	gen, err := eng.InsertFlows(1, stg, entries)
+	gen, _, err := eng.InsertFlowsVerified(context.Background(), 1, stg, entries, menshen.VerifyOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

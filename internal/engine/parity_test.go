@@ -10,6 +10,7 @@ package engine_test
 
 import (
 	"bytes"
+	"context"
 	"sync"
 	"testing"
 
@@ -157,7 +158,7 @@ func (h *parityHarness) swapModule(source string, moduleID uint16) {
 	if _, err := h.eng.UnloadModule(moduleID); err != nil {
 		h.t.Fatal(err)
 	}
-	_, gen, err := h.eng.LoadModule(source, moduleID)
+	_, gen, _, err := h.eng.LoadModuleVerified(context.Background(), source, moduleID, menshen.VerifyOpts{})
 	if err != nil {
 		h.t.Fatal(err)
 	}

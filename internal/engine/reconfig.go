@@ -173,26 +173,15 @@ func applyOps(ops []shardOp, moduleID uint16, cmds []reconfig.Command) []shardOp
 	return ops
 }
 
-// ApplyReconfig replays a daisy-chain command batch into every running
-// worker shard. It returns immediately with the operation's generation;
-// each shard applies the commands, in order and atomically with respect
-// to its own batches, at its next batch boundary. Use AwaitQuiesceCtx to
-// wait for every shard. Frames already queued when the commands are
-// issued may be processed against the old configuration (the commands
-// overtake them at the batch boundary); fence the tenant first if that
-// matters. With a fault plan installed (SetReconfigFault) losses are
-// counted, not recovered — this is the unverified path; use
-// ApplyVerified to survive them.
-func (e *Engine) ApplyReconfig(moduleID uint16, cmds ...reconfig.Command) (uint64, error) {
-	return e.issue(e.cmdFault.Load(), applyOps(make([]shardOp, 0, len(cmds)), moduleID, cmds)...)
-}
-
 // ApplyReconfigFrame decodes one raw reconfiguration frame (Figure 7
 // wire format) and fans its command out to every shard. This is the
 // engine's trusted control interface — the software analogue of the
 // PCIe path reconfiguration packets arrive on; reconfiguration-port
 // frames arriving through the data path of each shard pipeline are
-// still dropped by its packet filter.
+// still dropped by its packet filter. It never blocks (SubmitBatch
+// diverts control frames here): it returns the generation to pass to
+// AwaitQuiesceCtx. It is the one unverified wire path — a command lost
+// to a fault plan is counted, not recovered.
 func (e *Engine) ApplyReconfigFrame(frame []byte) (uint64, error) {
 	moduleID, cmd, err := reconfig.DecodePacket(frame)
 	if err != nil {
@@ -203,45 +192,12 @@ func (e *Engine) ApplyReconfigFrame(frame []byte) (uint64, error) {
 	// caller gets its buffer back when this returns, like any other
 	// control call.
 	cmd.Payload = append([]byte(nil), cmd.Payload...)
-	return e.ApplyReconfig(moduleID, cmd)
-}
-
-// LoadModuleLive installs a module into every running shard: one fenced
-// operation covering the tenant pause, the CAM partition reservation,
-// the full §4.1 command stream, and the resume. Shards apply the whole
-// sequence at a batch boundary, so no frame of the module is ever
-// processed against a partial configuration; other tenants' frames keep
-// flowing throughout.
-//
-// LoadModuleLive assumes lossless delivery: with a fault plan installed
-// (SetReconfigFault) individual commands can be lost per shard and the
-// load lands torn — counted, not recovered. Use LoadModuleVerified on
-// a lossy control wire.
-func (e *Engine) LoadModuleLive(spec ModuleSpec) (uint64, error) {
-	cmds, err := spec.Config.Commands(spec.Placement)
-	if err != nil {
-		return 0, err
-	}
-	id := spec.Config.ModuleID
-	sp := &spec
-	ops := make([]shardOp, 0, len(cmds)+3)
-	ops = append(ops,
-		shardOp{kind: opPause, tenant: id},
-		shardOp{kind: opPartition, tenant: id, spec: sp})
-	ops = append(applyOps(ops, id, cmds), shardOp{kind: opResume, tenant: id})
-	inj := e.cmdFault.Load()
-	gen, err := e.issue(inj, ops...)
-	if err == nil && inj == nil {
-		// Lossless delivery: once queued, every shard applies the full
-		// stream — record the spec as the module's rollback target.
-		e.setLastGood(id, sp)
-	}
-	return gen, err
+	return e.issue(e.cmdFault.Load(), shardOp{kind: opApply, tenant: moduleID, cmd: cmd})
 }
 
 // UnloadModuleLive clears a module from every running shard (tables,
 // parser/deparser entries, and stateful segments zeroed), fenced the
-// same way as LoadModuleLive. Scheduler state tied to the tenant is
+// same way as LoadModuleVerified. Scheduler state tied to the tenant is
 // pruned too — its egress weight and virtual-finish time on every
 // shard, and its ingress rate limit (buckets and drop counter) at the
 // engine edge — so a later re-load starts from a clean slate instead

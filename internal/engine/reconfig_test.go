@@ -245,7 +245,7 @@ func TestReconfigLiveLoadUnload(t *testing.T) {
 		t.Errorf("after live unload: pipeline drops %d, want 100", st.Tenants[1].PipelineDrops)
 	}
 
-	_, gen, err = eng.LoadModule(programSource(t, "CALC"), 1)
+	_, gen, _, err = eng.LoadModuleVerified(context.Background(), programSource(t, "CALC"), 1, menshen.VerifyOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,17 +67,13 @@ func TestStatsIntoConcurrentPollers(t *testing.T) {
 				t.Errorf("live unload: %v", err)
 				return
 			}
-			_, gen, err := eng.LoadModule(reloadSrc, 2)
-			if err != nil {
-				t.Errorf("live reload: %v", err)
-				return
-			}
-			// Not quiesce: t.Fatal must not run off the test goroutine.
+			// The verified load returns once every shard has applied
+			// it. Not quiesce: t.Fatal must not run off the test goroutine.
 			ctx, cancel := context.WithTimeout(context.Background(), quiesceTimeout)
-			err = eng.AwaitQuiesceCtx(ctx, gen)
+			_, _, _, err := eng.LoadModuleVerified(ctx, reloadSrc, 2, menshen.VerifyOpts{})
 			cancel()
 			if err != nil {
-				t.Errorf("quiesce: %v", err)
+				t.Errorf("live reload: %v", err)
 				return
 			}
 		}

@@ -160,10 +160,10 @@ func (e *Engine) ApplyVerified(ctx context.Context, moduleID uint16, cmds []reco
 	}
 }
 
-// LoadModuleVerified is LoadModuleLive hardened against a lossy
-// control wire: the tenant is fenced for the whole procedure, the
-// command stream is delivered through ApplyVerified (counter poll,
-// suffix re-send, backoff), and only a fully confirmed load commits.
+// LoadModuleVerified is the one way a module enters running shards:
+// the tenant is fenced for the whole procedure, the command stream is
+// delivered through ApplyVerified (counter poll, suffix re-send,
+// backoff), and only a fully confirmed load commits.
 // If the retry budget runs out — or ctx expires — the engine rolls the
 // shards back to the last-known-good configuration of the module (or
 // to unloaded, for a first load) through the loss-exempt local path

@@ -27,7 +27,10 @@
 //     mutation rides the engine's generation-tagged fenced control
 //     queue (see internal/engine/reconfig.go) and returns its
 //     generation, so a caller can AwaitQuiesceCtx (or pass "wait": true
-//     to block until every shard has applied it).
+//     to block until every shard has applied it). A module load is
+//     verified (§4.1) and replaces a program already loaded under the
+//     id: it answers only once every shard has confirmed it or it has
+//     been rolled back, so "wait" is moot there.
 //
 //   - Tracing. Tracer is a fixed-capacity overwrite ring of TraceHop
 //     records. Sampling is 1-in-N at the entry engine

@@ -20,9 +20,11 @@ import (
 // clients pass it to /control/quiesce (or set "wait" in the request)
 // to block until every shard has applied it.
 type Ops struct {
-	// LoadModule compiles source and live-loads it as tenant id,
-	// returning the reconfiguration generation.
-	LoadModule func(source string, id uint16) (uint64, error)
+	// LoadModule loads source as tenant id under the request context,
+	// replacing the program already loaded under id if there is one,
+	// and returns once every shard has confirmed it or it was rolled
+	// back, so "wait" is moot. Wire Engine.LoadModuleVerified here.
+	LoadModule func(ctx context.Context, source string, id uint16) (uint64, error)
 	// UnloadModule live-unloads tenant id, returning the generation.
 	UnloadModule func(id uint16) (uint64, error)
 	// SetEgressWeight updates a tenant's §3.5 egress WFQ weight,
@@ -72,7 +74,10 @@ func NewServer(tracer *Tracer, ops Ops, sources ...Source) *Server {
 //	POST /control/rate-limit     {"tenant":N,"pps":F,"bps":F,"wait":bool}
 //	POST /control/quiesce        {"generation":N}
 //
-// Every successful mutation responds {"generation":N}.
+// Every successful mutation responds {"generation":N}; a failed one
+// answers 400, or 503 for the errors errStatus names. load-module on
+// an occupied id replaces that tenant's program, and it answers only
+// once the load is confirmed or rolled back, so its "wait" is moot.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", s.handleMetrics)
@@ -153,7 +158,7 @@ func (s *Server) handleLoadModule(w http.ResponseWriter, r *http.Request) {
 		if s.ops.LoadModule == nil {
 			return 0, errNotImplemented
 		}
-		return s.ops.LoadModule(req.Source, req.ID)
+		return s.ops.LoadModule(r.Context(), req.Source, req.ID)
 	})
 }
 
@@ -199,17 +204,18 @@ func (s *Server) handleQuiesce(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.ops.AwaitQuiesceCtx(r.Context(), req.Generation); err != nil {
-		writeJSON(w, quiesceStatus(err), map[string]any{"error": err.Error()})
+		writeJSON(w, errStatus(err), map[string]any{"error": err.Error()})
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"generation": req.Generation})
 }
 
-// quiesceStatus maps a quiesce-wait failure to an HTTP status: a
-// degraded (stalled) shard or an expired request context is a
-// service-availability problem, not a bad request.
-func quiesceStatus(err error) int {
-	if errors.Is(err, engine.ErrDegraded) ||
+// errStatus maps an operation or quiesce-wait failure to an HTTP
+// status: a failed verification, a degraded (stalled) shard or an
+// expired request context is a service-availability problem, not a bad
+// request.
+func errStatus(err error) int {
+	if errors.Is(err, engine.ErrVerify) || errors.Is(err, engine.ErrDegraded) ||
 		errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return http.StatusServiceUnavailable
 	}
@@ -241,12 +247,12 @@ func (s *Server) mutate(w http.ResponseWriter, r *http.Request, op func(*control
 		return
 	}
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
+		writeJSON(w, errStatus(err), map[string]any{"error": err.Error()})
 		return
 	}
 	if req.Wait && s.ops.AwaitQuiesceCtx != nil {
 		if err := s.ops.AwaitQuiesceCtx(r.Context(), gen); err != nil {
-			writeJSON(w, quiesceStatus(err), map[string]any{
+			writeJSON(w, errStatus(err), map[string]any{
 				"generation": gen, "error": err.Error(),
 			})
 			return

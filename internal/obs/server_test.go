@@ -7,6 +7,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -44,8 +45,8 @@ func liveEngine(t *testing.T, cfg menshen.EngineConfig) (*menshen.Engine, *httpt
 		t.Fatal(err)
 	}
 	srv := NewServer(tracer, Ops{
-		LoadModule: func(source string, id uint16) (uint64, error) {
-			_, gen, err := eng.LoadModule(source, id)
+		LoadModule: func(ctx context.Context, source string, id uint16) (uint64, error) {
+			_, gen, _, err := eng.LoadModuleVerified(ctx, source, id, menshen.VerifyOpts{})
 			return gen, err
 		},
 		UnloadModule:    eng.UnloadModule,
@@ -257,6 +258,109 @@ func TestServerErrors(t *testing.T) {
 	if code != http.StatusOK {
 		t.Errorf("read-only GET /traces = %d", code)
 	}
+}
+
+// TestLoadModuleUnderTotalLoss: with every reconfiguration command
+// lost on the control wire, POST /control/load-module answers 503 with
+// the verification failure, and neither the device nor any shard keeps
+// a trace of the attempt.
+func TestLoadModuleUnderTotalLoss(t *testing.T) {
+	eng, _ := liveEngine(t, menshen.EngineConfig{Workers: 2, BatchSize: 8})
+	// The load under test runs behind a server of its own so the test
+	// sees the op's error itself, not only its HTTP rendering.
+	loadErr := make(chan error, 1)
+	ts := httptest.NewServer(NewServer(nil, Ops{
+		LoadModule: func(ctx context.Context, source string, id uint16) (uint64, error) {
+			_, gen, _, err := eng.LoadModuleVerified(ctx, source, id, menshen.VerifyOpts{})
+			loadErr <- err
+			return gen, err
+		},
+		AwaitQuiesceCtx: eng.AwaitQuiesceCtx,
+	}).Handler())
+	defer ts.Close()
+
+	const id = 3 // a tenant the device has never loaded
+	before := shardChecksums(t, eng, id)
+
+	eng.SetReconfigFault(menshen.NewFaultInjector(menshen.FaultPlan{Seed: 3, Drop: 1.0}))
+	p, err := p4progs.ByName("CALC")
+	if err != nil {
+		t.Fatal(err)
+	}
+	load, err := json.Marshal(map[string]any{"id": id, "source": p.Source()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, out := post(t, ts.URL+"/control/load-module", string(load))
+	if code != http.StatusServiceUnavailable || out["error"] == nil {
+		t.Errorf("load-module under total loss = %d (%v), want 503 with an error", code, out)
+	}
+	if err := <-loadErr; !errors.Is(err, menshen.ErrVerify) {
+		t.Errorf("load-module error %v does not wrap ErrVerify", err)
+	}
+	eng.SetReconfigFault(nil)
+
+	if _, err := eng.UnloadModule(id); !errors.Is(err, menshen.ErrNotLoaded) {
+		t.Errorf("after the failed load, UnloadModule(%d) = %v, want ErrNotLoaded", id, err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := eng.QuiesceCtx(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for w, sum := range shardChecksums(t, eng, id) {
+		if sum != before[w] {
+			t.Errorf("shard %d: module %d checksum %#x after the failed load, %#x before", w, id, sum, before[w])
+		}
+	}
+}
+
+// TestLoadModuleReplacesOccupiedID: POST /control/load-module for an id
+// that is already loaded replaces that tenant's program on every shard
+// (load-or-replace, through the verified path), and answers only once
+// the replacement is confirmed.
+func TestLoadModuleReplacesOccupiedID(t *testing.T) {
+	eng, ts := liveEngine(t, menshen.EngineConfig{Workers: 2, BatchSize: 8})
+	const id = 1 // loaded as CALC by liveEngine
+	before := shardChecksums(t, eng, id)
+
+	p, err := p4progs.ByName("NetCache")
+	if err != nil {
+		t.Fatal(err)
+	}
+	load, err := json.Marshal(map[string]any{"id": id, "source": p.Source()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, out := post(t, ts.URL+"/control/load-module", string(load))
+	if code != http.StatusOK {
+		t.Fatalf("load-module on occupied id %d = %d (%v), want 200", id, code, out)
+	}
+	// No quiesce: the answer itself means every shard has the new program.
+	after := shardChecksums(t, eng, id)
+	for w, sum := range after {
+		if sum == before[w] {
+			t.Errorf("shard %d: module %d checksum %#x unchanged by the replacing load", w, id, sum)
+		}
+		if sum != after[0] {
+			t.Errorf("shard %d: module %d checksum %#x, shard 0 has %#x", w, id, sum, after[0])
+		}
+	}
+}
+
+// shardChecksums returns module id's configuration checksum on every
+// worker shard of eng.
+func shardChecksums(t *testing.T, eng *menshen.Engine, id uint16) []uint64 {
+	t.Helper()
+	var sums []uint64
+	for w := 0; w < eng.Workers(); w++ {
+		pipe, err := eng.ShardPipeline(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sums = append(sums, pipe.ModuleChecksum(id))
+	}
+	return sums
 }
 
 // TestMetricsLintLive runs the exposition linter over a real engine's

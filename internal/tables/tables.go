@@ -405,12 +405,15 @@ func (c *CAM) Lookup(key Key, modID uint16) (int, bool) {
 	return 0, false
 }
 
-// ClearModule invalidates every entry owned by modID. Entries of other
-// modules are untouched — the no-disruption property for match tables.
+// ClearModule invalidates every entry owned by modID and releases its
+// partition, so the address range can be reserved by another module.
+// Entries of other modules are untouched — the no-disruption property
+// for match tables.
 func (c *CAM) ClearModule(modID uint16) int {
 	modID &= MaxModuleID
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	delete(c.partition, modID)
 	next := c.cloneLocked()
 	n := 0
 	for i := range next {

@@ -27,7 +27,6 @@ import (
 	"repro/internal/netdev"
 	"repro/internal/packet"
 	"repro/internal/reconfig"
-	"repro/internal/sched"
 	"repro/internal/sysmod"
 )
 
@@ -100,8 +99,6 @@ type Device struct {
 	tm       *sysmod.TrafficManager
 	platform netdev.Platform
 	modules  map[uint16]*Module
-	limiter  *sched.RateLimiter
-	clock    float64 // simulated seconds, for the rate limiters
 }
 
 // Module is one loaded packet-processing module.
@@ -150,7 +147,6 @@ func NewDevice(opts ...Option) *Device {
 		tm:       sysmod.NewTrafficManager(sys),
 		platform: platform,
 		modules:  make(map[uint16]*Module),
-		limiter:  sched.NewRateLimiter(),
 	}
 }
 
@@ -355,34 +351,8 @@ func (d *Device) Send(frame []byte) (*Result, error) {
 	return d.SendFrom(frame, 0)
 }
 
-// SetRateLimit installs a per-module ingress allowance (§5: hardware
-// rate limiters bound each module's packet and bit rates when the
-// line-rate assumptions are violated). Zero disables a dimension.
-func (d *Device) SetRateLimit(moduleID uint16, pps, bps float64) {
-	d.limiter.SetLimit(moduleID, sched.ModuleLimit{PPS: pps, BPS: bps})
-}
-
-// ClearRateLimit removes a module's allowance.
-func (d *Device) ClearRateLimit(moduleID uint16) { d.limiter.ClearLimit(moduleID) }
-
-// AdvanceClock moves the device's simulated clock forward; the rate
-// limiters refill against it.
-func (d *Device) AdvanceClock(seconds float64) { d.clock += seconds }
-
-// RateLimitDrops reports how many frames a module's limiter rejected.
-func (d *Device) RateLimitDrops(moduleID uint16) uint64 { return d.limiter.Dropped(moduleID) }
-
 // SendFrom pushes one frame arriving on the given ingress port.
 func (d *Device) SendFrom(frame []byte, ingress uint8) (*Result, error) {
-	if vid, err := peekVLANID(frame); err == nil {
-		if !d.limiter.Allow(vid, len(frame), d.clock) {
-			return &Result{
-				Dropped:  true,
-				Reason:   "rate limited",
-				ModuleID: vid,
-			}, nil
-		}
-	}
 	out, _, err := d.pipe.Process(frame, ingress)
 	if err != nil {
 		return nil, err
@@ -478,13 +448,4 @@ func (d *Device) ControlPlane() *ctrlplane.Client { return d.client }
 // reconfigEncode is a small indirection for the benchmark harness.
 func reconfigEncode(moduleID uint16, cmd reconfig.Command) ([]byte, error) {
 	return reconfig.EncodePacket(moduleID, cmd)
-}
-
-// peekVLANID extracts the module ID for pre-pipeline policing.
-func peekVLANID(frame []byte) (uint16, error) {
-	var eth packet.Ethernet
-	if err := packet.DecodeEthernet(frame, &eth); err != nil {
-		return 0, err
-	}
-	return eth.VLANID, nil
 }

@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/reconfig"
 )
 
 // EngineResult is the per-frame outcome delivered to OnBatch. Data
@@ -56,9 +55,9 @@ type Engine struct {
 // batched engine: every worker shard replays the modules' configuration
 // into its own pipeline replica (same geometry, same platform options,
 // same placements). To reconfigure a *running* engine, use the engine's
-// own LoadModule/UnloadModule/ApplyReconfig — modules loaded or updated
-// directly on the Device afterwards are not reflected in running
-// shards. A cfg that sets Geometry, Options or Modules itself is
+// own LoadModuleVerified/UnloadModule/ApplyReconfig — modules loaded or
+// updated directly on the Device afterwards are not reflected in
+// running shards. A cfg that sets Geometry, Options or Modules itself is
 // rejected: shards that disagree with the device are never built.
 func (d *Device) NewEngine(cfg EngineConfig) (*Engine, error) {
 	if cfg.Geometry != (core.Geometry{}) || cfg.Options != (core.Options{}) || cfg.Modules != nil {
@@ -144,13 +143,16 @@ func (e *Engine) ShardPipeline(workerID int) (*core.Pipeline, error) {
 // tenants' frames keep flowing throughout (§4.1's no-disruption
 // property, engine-wide). Methods return the operation's generation;
 // pass it to AwaitQuiesceCtx to wait until every shard has applied it.
+// Modules and flow sets enter running shards only through the verified
+// §4.1 paths, LoadModuleVerified and InsertFlowsVerified.
 
 // ApplyReconfig injects one raw reconfiguration frame (the Figure 7
 // wire format, built by the control software) into the running engine.
 // Equivalently, reconfiguration frames may be interleaved with data
 // frames in SubmitBatch: well-formed ones are diverted to the
 // control plane, and malformed ones fall through to the data path where
-// the shard packet filters drop them.
+// the shard packet filters drop them. A raw frame is fire-and-forget:
+// it is the one unverified wire path (see SetReconfigFault).
 func (e *Engine) ApplyReconfig(frame []byte) (uint64, error) {
 	return e.eng.ApplyReconfigFrame(frame)
 }
@@ -173,26 +175,6 @@ func (e *Engine) QuiesceCtx(ctx context.Context) error { return e.eng.QuiesceCtx
 // ReconfigGen returns the most recently issued reconfiguration
 // generation.
 func (e *Engine) ReconfigGen() uint64 { return e.eng.ReconfigGen() }
-
-// LoadModule compiles, admits, and loads a module onto the backing
-// device, then replays its configuration live into every running worker
-// shard as one fenced operation. Other tenants keep processing frames
-// throughout. If the live fan-out fails (in practice: the engine was
-// closed concurrently), the device load is rolled back so device and
-// shards stay in agreement.
-func (e *Engine) LoadModule(source string, moduleID uint16) (*LoadReport, uint64, error) {
-	rep, err := e.dev.LoadModule(source, moduleID)
-	if err != nil {
-		return nil, 0, err
-	}
-	m := e.dev.modules[moduleID]
-	gen, err := e.eng.LoadModuleLive(engine.ModuleSpec{Config: m.program.Config, Placement: m.placement})
-	if err != nil {
-		_ = e.dev.UnloadModule(moduleID) // keep device and shards in agreement
-		return nil, 0, err
-	}
-	return rep, gen, nil
-}
 
 // UnloadModule removes a module from the backing device and clears it
 // from every running worker shard (tables and stateful segments zeroed),
@@ -228,28 +210,10 @@ func (e *Engine) SetTenantUpdating(tenant uint16, updating bool) (uint64, error)
 	return e.eng.SetTenantUpdating(tenant, updating)
 }
 
-// FlowEntry is one exact-match flow rule for InsertFlows: a match key
-// resolving to an already-installed VLIW action address. See
+// FlowEntry is one exact-match flow rule for InsertFlowsVerified: a
+// match key resolving to an already-installed VLIW action address. See
 // core.FlowEntry.
 type FlowEntry = core.FlowEntry
-
-// InsertFlows installs a batch of exact-match flow entries for one
-// module into the given stage of every running worker shard, through
-// the generation-tagged control queue (entries with Valid false are
-// deletions). Flow entries scale the module's exact-match depth far
-// beyond the CAM — the §4.3 cuckoo path — without consuming CAM
-// entries: each flow steers packets to one of the module's existing
-// actions. Returns the operation's generation; AwaitQuiesceCtx on it
-// guarantees the flows are live on every shard. Derive keys for live
-// traffic with Device.ControlPlane().FlowKeyForFrame.
-func (e *Engine) InsertFlows(moduleID uint16, stg int, flows []FlowEntry) (uint64, error) {
-	cmds := make([]reconfig.Command, len(flows))
-	for i, f := range flows {
-		f.ModID = moduleID
-		cmds[i] = core.FlowCommand(stg, f)
-	}
-	return e.eng.ApplyReconfig(moduleID, cmds...)
-}
 
 // SetEgressWeight configures a tenant's §3.5 egress WFQ weight live,
 // through the same generation-tagged control queue as module

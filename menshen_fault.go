@@ -67,19 +67,24 @@ type VerifyReport = engine.VerifyReport
 
 // SetReconfigFault installs (or, with nil, removes) a fault injector
 // on the engine's live reconfiguration fan-out: every command fanned
-// out to a worker shard — ApplyReconfig, InsertFlows, live loads —
-// draws a fate from the plan, and non-delivered commands never reach
-// the shard. Unverified paths count the losses (Stats
-// CmdFaultsInjected); the *Verified methods recover them.
+// out to a worker shard — raw ApplyReconfig frames, verified loads and
+// flow inserts — draws a fate from the plan, and non-delivered commands
+// never reach the shard. The *Verified methods recover the losses; the
+// one unverified wire path left, a raw ApplyReconfig frame, only counts
+// them (Stats CmdFaultsInjected).
 func (e *Engine) SetReconfigFault(inj *FaultInjector) { e.eng.SetReconfigFault(inj) }
 
-// InsertFlowsVerified is InsertFlows through the §4.1 verified
+// InsertFlowsVerified installs a batch of exact-match flow entries for
+// one module into the given stage of every running worker shard
+// (entries with Valid false are deletions), through the §4.1 verified
 // delivery protocol: the flow commands are burst to every shard, each
 // shard's applied-command counter is polled after quiesce, and missing
 // suffixes are re-sent with backoff until every shard confirms or the
 // retry budget runs out (typed error wrapping ErrVerify; the delivered
 // prefix stays applied — never an out-of-order subset). Flow inserts
-// are safe to apply incrementally, so no tenant fence is taken.
+// are safe to apply incrementally, so no tenant fence is taken. Each
+// flow steers packets to one of the module's existing actions (the
+// §4.3 cuckoo path); derive keys with ControlPlane().FlowKeyForFrame.
 func (e *Engine) InsertFlowsVerified(ctx context.Context, moduleID uint16, stg int, flows []FlowEntry, opts VerifyOpts) (uint64, VerifyReport, error) {
 	cmds := make([]reconfig.Command, len(flows))
 	for i, f := range flows {
@@ -89,12 +94,12 @@ func (e *Engine) InsertFlowsVerified(ctx context.Context, moduleID uint16, stg i
 	return e.eng.ApplyVerified(ctx, moduleID, cmds, opts)
 }
 
-// LoadModuleVerified is LoadModule/UpdateModule hardened against a
-// lossy control channel: the source is compiled and installed on the
-// backing device (replacing any loaded program under the same ID), and
-// then replayed into every running shard through the verified §4.1
-// protocol — fenced for the whole procedure, counter-polled, re-sent
-// with backoff. Only a fully confirmed load commits. If the retry
+// LoadModuleVerified is how a module enters a running engine: the
+// source is compiled and installed on the backing device (replacing
+// any loaded program under the same ID), and then replayed into every
+// running shard through the verified §4.1 protocol — fenced for the
+// whole procedure, counter-polled, re-sent with backoff. Only a fully
+// confirmed load commits. If the retry
 // budget runs out or ctx expires, the shards roll back to the module's
 // last-known-good configuration, the device is restored to match, and
 // the typed error (wrapping ErrVerify, or the context error) reports

