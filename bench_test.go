@@ -19,6 +19,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/netdev"
 	"repro/internal/p4progs"
+	"repro/internal/reconfig"
 	"repro/internal/tables"
 	"repro/internal/trafficgen"
 )
@@ -221,7 +222,7 @@ func BenchmarkReconfigPacketCodec(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, cmd := range cmds {
-			if _, err := reconfigEncode(1, cmd); err != nil {
+			if _, err := reconfig.EncodePacket(1, cmd); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -527,7 +527,7 @@ func TestProcessInterleavedWithProcessBatch(t *testing.T) {
 		}
 	}
 
-	for v := reconfig.VerdictData; v <= reconfig.VerdictControl; v++ {
+	for v := reconfig.VerdictData; v <= reconfig.VerdictDropUpdating; v++ {
 		if g, w := mixed.Filter.VerdictCount(v), ref.Filter.VerdictCount(v); g != w {
 			t.Errorf("verdict %v counted %d times, %d in the all-Process run", v, g, w)
 		}

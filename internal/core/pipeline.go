@@ -223,7 +223,7 @@ func New(geo Geometry, opts Options) *Pipeline {
 	p := &Pipeline{
 		Geometry: geo,
 		Options:  opts,
-		Filter:   reconfig.NewFilter(false),
+		Filter:   reconfig.NewFilter(),
 		Parser:   parser.New(geo.MaxModules),
 		Deparser: parser.NewDeparser(geo.MaxModules),
 		Stages:   make([]*stage.Stage, geo.Stages),

@@ -90,18 +90,20 @@
 // Four exported fronts over the one submitBatch; a single frame is a
 // batch of one. Each row is a distinct caller with distinct semantics:
 //
-//	entry point       buffer  reconfig frames       full ring          caller
-//	SubmitBatch       copy    trusted (diverted)    blocks*            local host, CLI, bench
-//	SubmitBatchOwned  owned   trusted (diverted)    blocks*            socket ingress
-//	InjectBatch       copy    untrusted (filtered)  blocks*            fabric entry
-//	ForwardBatch      owned   untrusted (filtered)  never blocks       fabric hop
+//	entry point       buffer  full ring          caller
+//	SubmitBatch       copy    blocks*            local host, CLI, bench
+//	SubmitBatchOwned  owned   blocks*            socket ingress
+//	InjectBatch       copy    blocks*            fabric entry
+//	ForwardBatch      owned   never blocks       fabric hop
 //
 //	* unless Config.DropOnFull, which tail-drops instead
 //
 // "Owned" means the engine takes the buffer, accepted or not; Borrow
-// and Release are its pool. "Trusted" means a well-formed
-// reconfiguration frame goes to the control plane (§3.1's host path);
-// an untrusted port leaves it on the data path for the packet filter.
+// and Release are its pool. All four are data paths: a reconfiguration
+// frame is steered to its VLAN tenant like any other and dropped by the
+// shard's packet filter (§3.1), counted in PipelineDrops.
+// Configuration reaches running shards only through the control queue
+// below.
 //
 // # Buffer ownership and lifetime
 //
@@ -137,11 +139,12 @@
 // a shard never observes a half-applied operation mid-batch. A shard
 // that has applied generation g has applied every operation tagged
 // ≤ g; AwaitQuiesceCtx(ctx, g) is the engine-wide barrier, bounded by
-// ctx. Tenant fences hold (BeginTenantUpdate: frames queued, not
-// dropped) or drop
-// (SetTenantUpdating: the §4.1 filter update bitmap) one tenant's
-// traffic while every other tenant keeps flowing. See reconfig.go for
-// the full model.
+// ctx. The one fence, an opPause/opResume pair, holds one tenant's
+// frames (queued, not dropped) while every other tenant keeps flowing;
+// BeginTenantUpdate, verified loads, unloads and rollbacks all take it,
+// and Stats.Updating shows which tenants are fenced. Commands enter the
+// queue only through the verified calls (ApplyVerified,
+// LoadModuleVerified). See reconfig.go for the full model.
 //
 // # Egress (§3.5)
 //

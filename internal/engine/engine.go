@@ -13,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/ctrlplane"
 	"repro/internal/faultinject"
-	"repro/internal/reconfig"
 	"repro/internal/sched"
 	"repro/internal/stage"
 )
@@ -305,11 +304,9 @@ func New(cfg Config) (*Engine, error) {
 // to a shard is first sentenced by the injector, and a Drop or Corrupt
 // sentence means that shard never applies the command — the in-process
 // analogue of a reconfiguration packet lost on the wire. The verified
-// paths (ApplyVerified, LoadModuleVerified) detect and re-send such
-// losses. The one unverified wire path left, a raw ApplyReconfigFrame,
-// counts them (Stats.CmdFaultsInjected) and leaves the shortfall to
-// the caller, exactly like firing a packet down a lossy daisy chain
-// without polling the counter.
+// paths (ApplyVerified, LoadModuleVerified), the only ones that carry
+// commands to running shards, detect and re-send such losses; each one
+// is counted in Stats.CmdFaultsInjected.
 func (e *Engine) SetReconfigFault(inj *faultinject.Injector) { e.cmdFault.Store(inj) }
 
 // Workers returns the number of shards.
@@ -364,13 +361,14 @@ func (e *Engine) getScratch() *submitScratch {
 // into an engine-owned pooled buffer, so the caller keeps ownership of
 // (and may immediately reuse) its own buffers — the copy is the one
 // and only copy on the frame's whole path; the pipeline then deparses
-// it in place. A well-formed reconfiguration frame (UDP port 0xf1f2,
-// Figure 7) is diverted to the live-reconfiguration control plane
-// instead of the data path; see ApplyReconfigFrame. It is safe to call
-// concurrently from any number of producers; a single frame is a batch
-// of one.
+// it in place. Like every submit entry point it is a data path: a
+// reconfiguration frame (UDP port 0xf1f2, Figure 7) is steered to its
+// VLAN tenant and dropped by the shard's packet filter (§3.1), counted
+// in PipelineDrops — configuration reaches running shards only through
+// the verified control calls. It is safe to call concurrently from any
+// number of producers; a single frame is a batch of one.
 func (e *Engine) SubmitBatch(frames [][]byte) (int, error) {
-	return e.submitBatch(frames, submitOpts{trusted: true})
+	return e.submitBatch(frames, submitOpts{})
 }
 
 // SubmitBatchOwned is SubmitBatch without the ingress copy: the engine
@@ -383,22 +381,18 @@ func (e *Engine) SubmitBatch(frames [][]byte) (int, error) {
 // deparsed directly into the submitted buffer and surface as
 // BatchResult.Data in OnBatch.
 func (e *Engine) SubmitBatchOwned(frames [][]byte) (int, error) {
-	return e.submitBatch(frames, submitOpts{owned: true, trusted: true})
+	return e.submitBatch(frames, submitOpts{owned: true})
 }
 
 // InjectBatch is SubmitBatch for frames arriving over the network at a
-// device port rather than from the local trusted host: each frame is
-// processed as if it entered the device on the given ingress port, and
-// — unlike SubmitBatch — well-formed reconfiguration frames are NOT
-// diverted to the control plane. Network ingress is untrusted (§3.1):
-// reconfiguration-port frames ride the data path, where each shard's
-// packet filter drops them. The fabric injects entry traffic here.
+// device port: each frame is processed as if it entered the device on
+// the given ingress port. The fabric injects entry traffic here.
 func (e *Engine) InjectBatch(frames [][]byte, ingress uint8) (int, error) {
 	return e.submitBatch(frames, submitOpts{ingress: ingress})
 }
 
-// ForwardBatch is the cross-engine hand-off: the owned, never-blocking,
-// untrusted submission path a fabric node uses to pass frames to the
+// ForwardBatch is the cross-engine hand-off: the owned, never-blocking
+// submission path a fabric node uses to pass frames to the
 // next node. The engine takes ownership of every buffer (accepted or
 // not — a hop is a pointer move, see SubmitBatchOwned for the buffer
 // contract), attaches metas[i] as frames[i]'s out-of-band metadata
@@ -409,9 +403,8 @@ func (e *Engine) InjectBatch(frames [][]byte, ingress uint8) (int, error) {
 // regardless of DropOnFull: a downstream engine that cannot keep up
 // sheds load (counted per tenant as QueueFull) instead of blocking
 // the upstream worker that called it — the property that keeps a
-// cyclic fabric deadlock-free. Like InjectBatch it never diverts
-// reconfiguration frames to the control plane. A non-nil metas must
-// be at least as long as frames.
+// cyclic fabric deadlock-free. A non-nil metas must be at least as
+// long as frames.
 func (e *Engine) ForwardBatch(frames [][]byte, ingress uint8, metas []uint64) (int, error) {
 	return e.submitBatch(frames, submitOpts{ingress: ingress, metas: metas, owned: true, noBlock: true})
 }
@@ -423,7 +416,6 @@ type submitOpts struct {
 	metas   []uint64 // per-frame out-of-band words (nil = all zero)
 	owned   bool     // engine takes buffer ownership (no ingress copy)
 	noBlock bool     // never block on full rings, even with DropOnFull unset
-	trusted bool     // divert well-formed reconfig frames to the control plane
 }
 
 //menshen:hotpath
@@ -451,8 +443,7 @@ func (e *Engine) submitBatch(frames [][]byte, o submitOpts) (int, error) {
 	sc := e.getScratch()
 	var tc *tenantCounters
 	lastTenant := -1
-	ctrlAccepted := 0 // reconfiguration frames accepted off the data path
-	run := uint64(0)  // Submitted frames of the current tenant run
+	run := uint64(0) // Submitted frames of the current tenant run
 	hasLimits := e.tel.hasLimits.Load()
 	var now float64
 	if hasLimits {
@@ -469,23 +460,6 @@ func (e *Engine) submitBatch(frames [][]byte, o submitOpts) (int, error) {
 		traceOrigin = e.traceCtr.Add(uint64(len(frames))) - uint64(len(frames))
 	}
 	for fi, f := range frames {
-		if o.trusted && reconfig.IsReconfigFrame(f) {
-			// Trusted control path: a well-formed reconfiguration frame
-			// submitted in-process is fanned out to every shard's
-			// control queue (the PCIe analogue). A malformed one falls
-			// through to the data path, where each shard's packet
-			// filter drops it — as does every reconfiguration frame on
-			// the untrusted Inject/Forward paths (§3.1 secure
-			// reconfiguration).
-			if _, err := e.ApplyReconfigFrame(f); err == nil {
-				e.tel.reconfigFrames.Add(1)
-				ctrlAccepted++
-				if o.owned {
-					e.pool.put(f) // the command was copied out by the control plane
-				}
-				continue
-			}
-		}
 		wid, tenant := steer(f, len(e.workers))
 		if int(tenant) != lastTenant {
 			if run > 0 {
@@ -521,7 +495,7 @@ func (e *Engine) submitBatch(frames [][]byte, o submitOpts) (int, error) {
 	if run > 0 {
 		tc.Submitted.Add(run)
 	}
-	accepted := ctrlAccepted
+	accepted := 0
 	copied := 0 // ingress bytes copied into pooled buffers
 	drop := e.cfg.DropOnFull || o.noBlock
 	for wid := range sc.frames {
@@ -621,7 +595,6 @@ func (e *Engine) StatsInto(st *Stats) {
 		}
 	}
 	st.ReconfigIssued = e.ctrl.tagger.Current()
-	st.ReconfigFrames = e.tel.reconfigFrames.Load()
 	st.Updating = e.ctrl.updating.Load()
 	st.PoolHits = e.pool.hits.Load()
 	st.PoolMisses = e.pool.misses.Load()

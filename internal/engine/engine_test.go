@@ -39,10 +39,17 @@ func newDevice(t testing.TB, programs ...string) *menshen.Device {
 // shard fails its test in seconds rather than at go test's timeout.
 const quiesceTimeout = 30 * time.Second
 
+// quiescer is the barrier surface the facade engine and the internal
+// engine share.
+type quiescer interface {
+	QuiesceCtx(ctx context.Context) error
+	AwaitQuiesceCtx(ctx context.Context, gen uint64) error
+}
+
 // quiesce waits until every shard has applied generation gen — for gen
 // 0, a fresh barrier behind everything issued so far — and fails the
 // test if that takes longer than quiesceTimeout.
-func quiesce(t testing.TB, eng *menshen.Engine, gen uint64) {
+func quiesce(t testing.TB, eng quiescer, gen uint64) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), quiesceTimeout)
 	defer cancel()

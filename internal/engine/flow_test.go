@@ -193,7 +193,8 @@ func TestEngineFlowCuckooEndToEnd(t *testing.T) {
 }
 
 // flowFrame encodes one exact-match flow install (or removal) as a raw
-// Figure 7 reconfiguration frame.
+// Figure 7 reconfiguration frame, the reference device's daisy-chain
+// input.
 func flowFrame(t *testing.T, stg int, e core.FlowEntry) []byte {
 	t.Helper()
 	frame, err := reconfig.EncodePacket(e.ModID, core.FlowCommand(stg, e))
@@ -236,21 +237,21 @@ func TestParityFlowInstallCuckoo(t *testing.T) {
 
 	traffic(1) // pre-install: everything misses the flow table
 
-	for f := 0; f < flows; f++ {
-		h.reconfigFrame(flowFrame(t, stg, core.FlowEntry{
-			Valid: true, ModID: 1, Addr: addrs[f%len(addrs)], Key: keys[f],
-		}))
+	installs := make([]menshen.FlowEntry, flows)
+	for f := range installs {
+		installs[f] = menshen.FlowEntry{Valid: true, Addr: addrs[f%len(addrs)], Key: keys[f]}
 	}
+	h.insertFlows(1, stg, installs)
 	traffic(2) // post-install, twice so the engine's cache round replays
 
 	// Remove a third of the flows and re-run: deletions must land on
 	// both paths and stale cache entries must not survive the generation
 	// bump.
+	var deletes []menshen.FlowEntry
 	for f := 0; f < flows; f += 3 {
-		h.reconfigFrame(flowFrame(t, stg, core.FlowEntry{
-			Valid: false, ModID: 1, Key: keys[f],
-		}))
+		deletes = append(deletes, menshen.FlowEntry{Key: keys[f]})
 	}
+	h.insertFlows(1, stg, deletes)
 	traffic(2)
 
 	h.check(1)

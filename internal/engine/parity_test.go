@@ -21,34 +21,60 @@ import (
 	"repro/internal/trafficgen"
 )
 
-// wildcardCAMFrame builds a raw reconfiguration frame that rewrites the
-// module's CAM entry at its partition base (in the first stage where it
-// owns match entries) to a zero-key, zero-mask entry — i.e. the action
-// at that address now matches every frame of the module. A legal,
-// behavior-changing command whose effect must be identical on both
-// paths.
-func wildcardCAMFrame(t *testing.T, dev *menshen.Device, moduleID uint16) []byte {
+// matchBase returns the stage where the module owns the most match
+// entries (its table proper; other stages carry single wildcard glue
+// entries) and the base of its CAM partition there.
+func matchBase(t *testing.T, dev *menshen.Device, moduleID uint16) (stg, lo int) {
 	t.Helper()
 	pipe := dev.Pipeline()
-	for stg := range pipe.Stages {
-		lo, _, ok := pipe.Stages[stg].Match.PartitionOf(moduleID)
-		if !ok || pipe.Stages[stg].Match.ValidCount(int(moduleID)) == 0 {
-			continue
+	stg, most := -1, 0
+	for i := range pipe.Stages {
+		if n := pipe.Stages[i].Match.ValidCount(int(moduleID)); n > most {
+			stg, most = i, n
 		}
-		frame, err := reconfig.EncodePacket(moduleID, reconfig.Command{
-			Resource: reconfig.MakeResourceID(stg, reconfig.KindCAM),
-			Index:    uint8(lo),
-			Payload: core.EncodeCAMEntry(tables.CAMEntry{
-				Valid: true, ModID: moduleID,
-			}),
-		})
+	}
+	if stg < 0 {
+		t.Fatalf("module %d owns no CAM entries", moduleID)
+	}
+	lo, _, _ = pipe.Stages[stg].Match.PartitionOf(moduleID)
+	return stg, lo
+}
+
+// wildcardCAMFrame builds a raw reconfiguration frame that would rewrite
+// the module's CAM entry at its partition base to a zero-key, zero-mask
+// entry — a legal, behavior-changing command, were it ever applied.
+func wildcardCAMFrame(t *testing.T, dev *menshen.Device, moduleID uint16) []byte {
+	t.Helper()
+	stg, lo := matchBase(t, dev, moduleID)
+	frame, err := reconfig.EncodePacket(moduleID, reconfig.Command{
+		Resource: reconfig.MakeResourceID(stg, reconfig.KindCAM),
+		Index:    uint8(lo),
+		Payload: core.EncodeCAMEntry(tables.CAMEntry{
+			Valid: true, ModID: moduleID,
+		}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
+// calcOpcodeFlows builds exact-match flows sending every CALC opcode of
+// the module to the action at its partition base in its match stage: a
+// legal, behavior-changing rewrite whose effect must be identical on
+// both paths.
+func calcOpcodeFlows(t *testing.T, dev *menshen.Device, moduleID uint16) (int, []menshen.FlowEntry) {
+	t.Helper()
+	stg, lo := matchBase(t, dev, moduleID)
+	var flows []menshen.FlowEntry
+	for op := uint16(1); op <= 3; op++ {
+		key, err := dev.ControlPlane().FlowKeyForFrame(moduleID, stg, trafficgen.CalcPacket(moduleID, op, 0, 0, 0))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return frame
+		flows = append(flows, menshen.FlowEntry{Valid: true, ModID: moduleID, Addr: uint16(lo), Key: key})
 	}
-	t.Fatalf("module %d owns no CAM entries", moduleID)
-	return nil
+	return stg, flows
 }
 
 // parityHarness drives the same stimulus through both paths and
@@ -128,16 +154,19 @@ func (h *parityHarness) barrier() {
 	quiesce(h.t, h.eng, 0)
 }
 
-// reconfigFrame applies one raw reconfiguration frame to both paths at
-// the same stream position: the reference device's daisy chain vs the
-// engine's control plane.
-func (h *parityHarness) reconfigFrame(frame []byte) {
+// insertFlows installs (or, with Valid false, removes) the module's flow
+// entries in one stage on both paths at the same stream position: the
+// reference device's daisy chain vs the engine's verified control wire.
+func (h *parityHarness) insertFlows(moduleID uint16, stg int, flows []menshen.FlowEntry) {
 	h.t.Helper()
 	h.barrier()
-	if err := h.ref.Pipeline().Chain.Push(frame); err != nil {
-		h.t.Fatal(err)
+	for _, f := range flows {
+		f.ModID = moduleID
+		if err := h.ref.Pipeline().Chain.Push(flowFrame(h.t, stg, f)); err != nil {
+			h.t.Fatal(err)
+		}
 	}
-	gen, err := h.eng.ApplyReconfig(frame)
+	gen, _, err := h.eng.InsertFlowsVerified(context.Background(), moduleID, stg, flows, menshen.VerifyOpts{})
 	if err != nil {
 		h.t.Fatal(err)
 	}
@@ -249,11 +278,11 @@ func TestParityTrafficOnly(t *testing.T) {
 
 func TestParityReconfigInterleave(t *testing.T) {
 	// The headline parity scenario: traffic and reconfiguration
-	// commands interleaved at pinned points — a raw command frame that
-	// rewrites tenant 1's CAM entry at its partition base to a
-	// match-anything entry, then a live module swap of tenant 2, each
-	// followed by more traffic. Engine output must stay byte-identical
-	// to the synchronous daisy-chain semantics throughout.
+	// commands interleaved at pinned points — flows that send every
+	// opcode of tenant 1 to the action at its partition base, then a
+	// live module swap of tenant 2, each followed by more traffic.
+	// Engine output must stay byte-identical to the synchronous
+	// daisy-chain semantics throughout.
 	h := newParityHarness(t, "CALC", "NetCache")
 	sc := trafficgen.NewScenario(29,
 		trafficgen.TenantLoad{ModuleID: 1, Program: "CALC", Flows: 4},
@@ -262,9 +291,10 @@ func TestParityReconfigInterleave(t *testing.T) {
 
 	h.traffic(genTraffic(sc, 200))
 
-	// Phase 2: rewrite tenant 1's match behavior via the raw Figure 7
-	// wire format, applied to both paths at the same stream position.
-	h.reconfigFrame(wildcardCAMFrame(t, h.ref, 1))
+	// Phase 2: rewrite tenant 1's match behavior, applied to both paths
+	// at the same stream position.
+	stg, flows := calcOpcodeFlows(t, h.ref, 1)
+	h.insertFlows(1, stg, flows)
 	h.traffic(genTraffic(sc, 200))
 
 	// Phase 3: live-swap tenant 2's program (NetCache -> Firewall).
@@ -298,29 +328,32 @@ func TestParityUnloadDropsMatch(t *testing.T) {
 }
 
 func TestParitySubmitPathReconfigFrame(t *testing.T) {
-	// Same interleaving as a pinned reconfig, but the engine side
-	// receives the command frame through SubmitBatch (mixed into the data
-	// stream) rather than the explicit ApplyReconfig call.
+	// A Figure 7 frame mixed into the traffic is data on both paths:
+	// Device.Send and Engine.SubmitBatch drop it at the packet filter,
+	// nothing is reconfigured, and the outputs stay byte-identical.
 	h := newParityHarness(t, "CALC")
 	sc := trafficgen.NewScenario(37,
 		trafficgen.TenantLoad{ModuleID: 1, Program: "CALC", Flows: 4})
+	before := h.ref.Pipeline().ModuleChecksum(1)
 
-	h.traffic(genTraffic(sc, 100))
-
-	frame := wildcardCAMFrame(t, h.ref, 1)
-	h.barrier()
-	if err := h.ref.Pipeline().Chain.Push(frame); err != nil {
-		t.Fatal(err)
+	frames := genTraffic(sc, 100)
+	frames = append(frames, wildcardCAMFrame(t, h.ref, 1))
+	h.traffic(append(frames, genTraffic(sc, 100)...))
+	// The filter drops a reconfiguration frame before reading its VLAN
+	// tag, so both paths report it under module 0.
+	h.check(0, 1)
+	if h.refDrops[0] != 1 || h.engDrops[0] != 1 {
+		t.Errorf("reconfiguration frame drops: reference %d, engine %d, want 1 each", h.refDrops[0], h.engDrops[0])
 	}
-	if n, err := h.eng.SubmitBatch([][]byte{frame}); err != nil || n != 1 {
-		t.Fatalf("SubmitBatch(reconfig frame): accepted=%d err=%v", n, err)
+	if got := h.ref.FilterVerdicts()[reconfig.VerdictDropReconfig.String()]; got != 1 {
+		t.Errorf("reference filter dropped %d reconfiguration frames, want 1", got)
 	}
-	quiesce(t, h.eng, 0)
-
-	h.traffic(genTraffic(sc, 100))
-	h.check(1)
-	if st := h.eng.Stats(); st.ReconfigFrames != 1 {
-		t.Errorf("ReconfigFrames = %d, want 1", st.ReconfigFrames)
+	st := h.eng.Stats()
+	if got := st.Tenants[1].PipelineDrops; got != 1 {
+		t.Errorf("engine: tenant 1 PipelineDrops = %d, want 1", got)
+	}
+	if cs := h.ref.Pipeline().ModuleChecksum(1); cs != before {
+		t.Errorf("reference checksum %#x, want the unconfigured %#x", cs, before)
 	}
 	if err := h.eng.Close(); err != nil {
 		t.Fatal(err)

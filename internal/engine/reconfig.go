@@ -2,7 +2,10 @@
 // shards. Where engine creation replays a module set into each replica
 // once, this path replays daisy-chain command streams into every
 // *running* shard — the paper's headline scenario of reconfiguring one
-// tenant while the pipeline carries other tenants' traffic.
+// tenant while the pipeline carries other tenants' traffic. Commands
+// enter only through the verified calls (verify.go); no submit path
+// carries them — a reconfiguration frame submitted as traffic is
+// dropped by the shard's packet filter (§3.1).
 //
 // Mechanism: every control operation (a command batch, a module load or
 // unload, a tenant fence) is tagged with a monotonically increasing
@@ -19,10 +22,9 @@
 // can be paused — its queued frames are held (not dropped) and its
 // rings are skipped by the round-robin service — so no frame of that
 // tenant is processed against a partially updated configuration, while
-// every other tenant keeps flowing. This is the queue-level analogue of
-// the packet filter's per-module update bitmap (§4.1), which remains
-// available per shard via SetTenantUpdating for the paper's
-// drop-during-update semantics.
+// every other tenant keeps flowing. This is the engine's one fence: the
+// queue-level analogue of the packet filter's per-module update bitmap
+// (§4.1), and Stats.Updating mirrors it bit for bit.
 package engine
 
 import (
@@ -64,9 +66,6 @@ const (
 	opPause
 	// opResume lifts a tenant's fence.
 	opResume
-	// opUpdating sets or clears the shard packet filter's update bit for
-	// a tenant (the §4.1 drop-during-update semantics).
-	opUpdating
 	// opEgressWeight sets (weight > 0) or clears (weight == 0) a
 	// tenant's egress WFQ weight on the shard, creating the shard's
 	// egress scheduler on first use. Applied at batch boundaries like
@@ -83,7 +82,6 @@ type shardOp struct {
 	gen    uint64
 	kind   opKind
 	tenant uint16
-	flag   bool    // opUpdating: set (true) or clear (false)
 	weight float64 // opEgressWeight: the new weight (0 clears)
 	cmd    reconfig.Command
 	spec   *ModuleSpec // opPartition (read-only, shared across shards)
@@ -108,8 +106,8 @@ type shardOp struct {
 type control struct {
 	tagger reconfig.Tagger
 	// updating is the engine-level per-tenant update bitmap: bit
-	// (tenant & 31) is set while the tenant is fenced by a
-	// BeginTenantUpdate / EndTenantUpdate window.
+	// (tenant & 31) is set from the issue of an opPause to the issue of
+	// the matching opResume, whichever call fenced the tenant.
 	updating atomic.Uint32
 
 	// qmu/qcond implement AwaitQuiesceCtx: workers broadcast after
@@ -123,6 +121,9 @@ type control struct {
 // issue tags one operation sequence with a fresh generation and fans it
 // out to every worker's queue; an empty sequence still quiesces, as one
 // barrier. Each shard gets its own copy (enqueueOps appends by value).
+// Fence operations also set (opPause) and clear (opResume) the tenant's
+// bit in the update bitmap here, so Stats.Updating sees every fence,
+// whichever call took it.
 //
 // inj is the fault plan of the modeled control wire, nil for a lossless
 // one and for sequences that are engine-local bookkeeping (fences,
@@ -148,6 +149,12 @@ func (e *Engine) issue(inj *faultinject.Injector, ops ...shardOp) (uint64, error
 	}
 	for i := range ops {
 		ops[i].gen = gen
+		switch bit := uint32(1) << (ops[i].tenant & 31); ops[i].kind {
+		case opPause:
+			e.ctrl.updating.Or(bit)
+		case opResume:
+			e.ctrl.updating.And(^bit)
+		}
 	}
 	for _, w := range e.workers {
 		if inj != nil {
@@ -171,28 +178,6 @@ func applyOps(ops []shardOp, moduleID uint16, cmds []reconfig.Command) []shardOp
 		ops = append(ops, shardOp{kind: opApply, tenant: moduleID, cmd: c})
 	}
 	return ops
-}
-
-// ApplyReconfigFrame decodes one raw reconfiguration frame (Figure 7
-// wire format) and fans its command out to every shard. This is the
-// engine's trusted control interface — the software analogue of the
-// PCIe path reconfiguration packets arrive on; reconfiguration-port
-// frames arriving through the data path of each shard pipeline are
-// still dropped by its packet filter. It never blocks (SubmitBatch
-// diverts control frames here): it returns the generation to pass to
-// AwaitQuiesceCtx. It is the one unverified wire path — a command lost
-// to a fault plan is counted, not recovered.
-func (e *Engine) ApplyReconfigFrame(frame []byte) (uint64, error) {
-	moduleID, cmd, err := reconfig.DecodePacket(frame)
-	if err != nil {
-		return 0, err
-	}
-	// The decoded payload aliases the caller's frame buffer, but shards
-	// read it later, at their own batch boundaries — copy it so the
-	// caller gets its buffer back when this returns, like any other
-	// control call.
-	cmd.Payload = append([]byte(nil), cmd.Payload...)
-	return e.issue(e.cmdFault.Load(), shardOp{kind: opApply, tenant: moduleID, cmd: cmd})
 }
 
 // UnloadModuleLive clears a module from every running shard (tables,
@@ -240,28 +225,13 @@ func (e *Engine) SetEgressWeight(tenant uint16, weight float64) (uint64, error) 
 // tenant's traffic. Note that Drain blocks on fenced frames, so end the
 // update before draining.
 func (e *Engine) BeginTenantUpdate(tenant uint16) (uint64, error) {
-	gen, err := e.issue(nil, shardOp{kind: opPause, tenant: tenant})
-	if err == nil {
-		e.ctrl.updating.Or(1 << (tenant & 31))
-	}
-	return gen, err
+	return e.issue(nil, shardOp{kind: opPause, tenant: tenant})
 }
 
 // EndTenantUpdate lifts a tenant's fence; held frames become
 // serviceable again at each shard's next batch boundary.
 func (e *Engine) EndTenantUpdate(tenant uint16) (uint64, error) {
-	gen, err := e.issue(nil, shardOp{kind: opResume, tenant: tenant})
-	if err == nil {
-		e.ctrl.updating.And(^(uint32(1) << (tenant & 31)))
-	}
-	return gen, err
-}
-
-// SetTenantUpdating sets or clears the packet filter update bit for a
-// tenant on every shard — the paper's drop-during-update semantics
-// (frames of the tenant are discarded, not held, while the bit is set).
-func (e *Engine) SetTenantUpdating(tenant uint16, updating bool) (uint64, error) {
-	return e.issue(nil, shardOp{kind: opUpdating, tenant: tenant, flag: updating})
+	return e.issue(nil, shardOp{kind: opResume, tenant: tenant})
 }
 
 // QuiesceCtx issues an empty barrier operation and waits under the
@@ -446,8 +416,6 @@ func (w *worker) drainOps() uint64 {
 			if r := rings[op.tenant]; r != nil {
 				r.paused.Store(false)
 			}
-		case opUpdating:
-			w.pipe.Filter.SetUpdating(op.tenant, op.flag)
 		case opEgressWeight:
 			if op.weight > 0 {
 				w.ensureEgress()

@@ -1,8 +1,9 @@
 // Live-reconfiguration tests: command fan-out to running shards,
-// quiesce barriers, tenant fencing, live module load/unload, the
-// Submit-path control frames, and the -race chaos scenario that
-// reconfigures one tenant in a tight loop while others sustain traffic.
-// CI runs these twice under -race (see .github/workflows/ci.yml).
+// quiesce barriers, tenant fencing, live module load/unload,
+// reconfiguration frames on the submit paths (dropped as data), and the
+// -race chaos scenario that reconfigures one tenant in a tight loop
+// while others sustain traffic. CI runs these twice under -race (see
+// .github/workflows/ci.yml).
 package engine_test
 
 import (
@@ -11,6 +12,10 @@ import (
 	"testing"
 
 	menshen "repro"
+	"repro/internal/checker"
+	"repro/internal/compiler"
+	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/p4progs"
 	"repro/internal/packet"
 	"repro/internal/reconfig"
@@ -18,23 +23,62 @@ import (
 	"repro/internal/trafficgen"
 )
 
-// keyMaskFrame builds a raw reconfiguration frame (Figure 7 wire
-// format) writing a uniform key mask for the module in the given stage.
-func keyMaskFrame(t *testing.T, moduleID uint16, stg int, fill byte) []byte {
-	t.Helper()
+// keyMaskCmd is the reconfiguration command writing a uniform key mask
+// for the module in the given stage.
+func keyMaskCmd(moduleID uint16, stg int, fill byte) reconfig.Command {
 	var mask tables.Key
 	for i := range mask {
 		mask[i] = fill
 	}
-	frame, err := reconfig.EncodePacket(moduleID, reconfig.Command{
+	return reconfig.Command{
 		Resource: reconfig.MakeResourceID(stg, reconfig.KindKeyMask),
 		Index:    uint8(moduleID),
 		Payload:  mask[:],
-	})
+	}
+}
+
+// keyMaskFrame is keyMaskCmd as a raw Figure 7 reconfiguration frame.
+func keyMaskFrame(t *testing.T, moduleID uint16, stg int, fill byte) []byte {
+	t.Helper()
+	frame, err := reconfig.EncodePacket(moduleID, keyMaskCmd(moduleID, stg, fill))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return frame
+}
+
+// newRawEngine starts an internal/engine engine with the named programs
+// admitted as modules 1..n — the layer whose ApplyVerified carries a
+// single command to every running shard. The engine closes with the
+// test.
+func newRawEngine(t *testing.T, cfg engine.Config, programs ...string) *engine.Engine {
+	t.Helper()
+	alloc := checker.NewAllocator(checker.CapacityOf(core.DefaultGeometry()), nil)
+	for i, name := range programs {
+		prog, err := compiler.Compile(programSource(t, name), compiler.Options{ModuleID: uint16(i + 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl, err := alloc.Admit(prog.Config)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Modules = append(cfg.Modules, engine.ModuleSpec{Config: prog.Config, Placement: pl})
+	}
+	eng, err := engine.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = eng.Close() })
+	return eng
+}
+
+// applyKeyMask writes a key mask on every shard through the verified
+// wire and returns the generation that carried it.
+func applyKeyMask(eng *engine.Engine, moduleID uint16, stg int, fill byte) (uint64, error) {
+	gen, _, err := eng.ApplyVerified(context.Background(), moduleID,
+		[]reconfig.Command{keyMaskCmd(moduleID, stg, fill)}, engine.VerifyOpts{})
+	return gen, err
 }
 
 func programSource(t *testing.T, name string) string {
@@ -50,26 +94,21 @@ func TestReconfigReachesAllShards(t *testing.T) {
 	// The acceptance scenario: a reconfiguration applied to a running
 	// 4-worker engine must reach every shard, observable through
 	// AwaitQuiesceCtx plus per-shard generation counters and checksums.
-	dev := newDevice(t, "CALC")
-	eng, err := dev.NewEngine(menshen.EngineConfig{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
+	eng := newRawEngine(t, engine.Config{Workers: 4}, "CALC")
 
 	const stg = 3
-	gen, err := eng.ApplyReconfig(keyMaskFrame(t, 1, stg, 0xA5))
+	gen, err := applyKeyMask(eng, 1, stg, 0xA5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gen == 0 {
-		t.Fatal("ApplyReconfig returned generation 0")
+		t.Fatal("ApplyVerified returned generation 0")
 	}
 	quiesce(t, eng, gen)
 
 	var sum uint64
 	for w := 0; w < eng.Workers(); w++ {
-		pipe, err := eng.ShardPipeline(w)
+		pipe, err := eng.Pipeline(w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,9 +142,10 @@ func TestReconfigReachesAllShards(t *testing.T) {
 }
 
 func TestReconfigSubmitFramePath(t *testing.T) {
-	// Well-formed reconfiguration frames interleaved into SubmitBatch are
-	// diverted to the control plane; malformed ones fall through to the
-	// data path where every shard's packet filter drops them.
+	// Every submit entry point is a data path: a well-formed Figure 7
+	// key-mask frame submitted through SubmitBatch or SubmitBatchOwned
+	// is steered to its VLAN tenant and dropped by the shard's packet
+	// filter, configuring nothing; so is a malformed one.
 	dev := newDevice(t, "CALC")
 	eng, err := dev.NewEngine(menshen.EngineConfig{Workers: 2})
 	if err != nil {
@@ -113,40 +153,71 @@ func TestReconfigSubmitFramePath(t *testing.T) {
 	}
 	defer eng.Close()
 
-	if n, err := eng.SubmitBatch([][]byte{keyMaskFrame(t, 1, 2, 0x3C)}); err != nil || n != 1 {
-		t.Fatalf("SubmitBatch(reconfig frame): accepted=%d err=%v", n, err)
+	const stg = 2
+	type shardState struct {
+		mask tables.Key
+		sum  uint64
 	}
-	quiesce(t, eng, 0)
-	for w := 0; w < eng.Workers(); w++ {
-		pipe, err := eng.ShardPipeline(w)
-		if err != nil {
-			t.Fatal(err)
+	shards := func() []shardState {
+		out := make([]shardState, eng.Workers())
+		for w := range out {
+			pipe, err := eng.ShardPipeline(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[w].mask, _ = pipe.Stages[stg].Mask.Lookup(1)
+			out[w].sum = pipe.ModuleChecksum(1)
 		}
-		if mask, ok := pipe.Stages[2].Mask.Lookup(1); !ok || mask[0] != 0x3C {
-			t.Errorf("shard %d: mask from Submit-path frame not applied", w)
-		}
+		return out
 	}
-	if st := eng.Stats(); st.ReconfigFrames != 1 {
-		t.Errorf("ReconfigFrames = %d, want 1", st.ReconfigFrames)
-	}
-
-	// A truncated reconfiguration-port frame is not a valid command:
-	// it must be steered as data and dropped by the shard's filter.
+	before := shards()
+	frame := keyMaskFrame(t, 1, stg, 0x3C)
+	// A truncated reconfiguration-port frame is not a valid command.
 	bad, err := packet.NewUDP(1, packet.IPv4Addr{10, 0, 0, 1}, packet.IPv4Addr{10, 0, 0, 2},
 		0xf1f1, reconfig.ReconfigUDPPort, []byte{1, 2, 3}).Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, err := eng.SubmitBatch([][]byte{bad}); err != nil || n != 1 {
-		t.Fatalf("SubmitBatch(malformed reconfig frame): accepted=%d err=%v", n, err)
+	submits := []struct {
+		name   string
+		submit func() (int, error)
+	}{
+		{"SubmitBatch", func() (int, error) { return eng.SubmitBatch([][]byte{frame}) }},
+		{"SubmitBatchOwned", func() (int, error) {
+			buf := eng.Borrow(len(frame))
+			copy(buf, frame)
+			return eng.SubmitBatchOwned([][]byte{buf[:len(frame)]})
+		}},
+		{"SubmitBatch(malformed)", func() (int, error) { return eng.SubmitBatch([][]byte{bad}) }},
 	}
-	eng.Drain()
-	st := eng.Stats()
-	if st.ReconfigFrames != 1 {
-		t.Errorf("malformed frame counted as control frame")
+	for i, s := range submits {
+		if n, err := s.submit(); err != nil || n != 1 {
+			t.Fatalf("%s(reconfig frame): accepted=%d err=%v", s.name, n, err)
+		}
+		eng.Drain()
+		st := eng.Stats()
+		if got := st.Tenants[1].PipelineDrops; got != uint64(i+1) {
+			t.Errorf("%s: tenant 1 PipelineDrops = %d, want %d", s.name, got, i+1)
+		}
+		if st.ReconfigApplied != 0 {
+			t.Errorf("%s: ReconfigApplied = %d, want 0", s.name, st.ReconfigApplied)
+		}
+		for w, got := range shards() {
+			if got != before[w] {
+				t.Errorf("%s: shard %d key mask %x checksum %#x, want %x %#x", s.name, w, got.mask, got.sum, before[w].mask, before[w].sum)
+			}
+		}
 	}
-	if got := st.Tenants[1].PipelineDrops; got != 1 {
-		t.Errorf("malformed reconfig frame: PipelineDrops = %d, want 1", got)
+	var filtered uint64
+	for w := 0; w < eng.Workers(); w++ {
+		pipe, err := eng.ShardPipeline(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		filtered += pipe.Filter.VerdictCount(reconfig.VerdictDropReconfig)
+	}
+	if filtered != uint64(len(submits)) {
+		t.Errorf("filter dropped %d reconfiguration frames, want %d", filtered, len(submits))
 	}
 }
 
@@ -184,10 +255,7 @@ func TestReconfigTenantFence(t *testing.T) {
 		t.Errorf("fenced tenant processed %d frames", st.Tenants[1].Processed)
 	}
 
-	// Reconfigure under the fence, then lift it: held frames flow.
-	if _, err := eng.ApplyReconfig(keyMaskFrame(t, 1, 3, 0xFF)); err != nil {
-		t.Fatal(err)
-	}
+	// Lift the fence: held frames flow.
 	if _, err := eng.EndTenantUpdate(1); err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +334,7 @@ func TestReconfigAfterClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen, err := eng.ApplyReconfig(keyMaskFrame(t, 1, 2, 0x55))
+	gen, err := eng.UnloadModule(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,8 +343,8 @@ func TestReconfigAfterClose(t *testing.T) {
 	}
 	// Generations issued before Close are applied before workers exit.
 	quiesce(t, eng, gen)
-	if _, err := eng.ApplyReconfig(keyMaskFrame(t, 1, 2, 0x66)); err == nil {
-		t.Error("ApplyReconfig after Close succeeded")
+	if _, _, _, err := eng.LoadModuleVerified(context.Background(), programSource(t, "CALC"), 1, menshen.VerifyOpts{}); err == nil {
+		t.Error("LoadModuleVerified after Close succeeded")
 	}
 	if err := eng.AwaitQuiesceCtx(context.Background(), gen+100); err == nil {
 		t.Error("AwaitQuiesceCtx(never-issued gen) succeeded")
@@ -285,30 +353,22 @@ func TestReconfigAfterClose(t *testing.T) {
 
 func TestReconfigRaceChaos(t *testing.T) {
 	// The chaos scenario: tenant A (1) is reconfigured in a tight loop —
-	// raw command frames, fence windows, filter-bitmap toggles — while
+	// verified key-mask writes inside and outside fence windows — while
 	// tenants B (2) and C (3) sustain traffic across 4 workers. B and C
 	// must see zero drops beyond backpressure (blocking mode: zero,
 	// full stop), and after the final quiesce every shard replica must
 	// hold an identical configuration (no torn configs).
-	dev := newDevice(t, "CALC", "CALC", "CALC")
-	eng, err := dev.NewEngine(menshen.EngineConfig{Workers: 4, BatchSize: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
+	eng := newRawEngine(t, engine.Config{Workers: 4, BatchSize: 16}, "CALC", "CALC", "CALC")
 
 	const raceIters = 150
-	frameA := keyMaskFrame(t, 1, 3, 0x0F)
-	frameB := keyMaskFrame(t, 1, 3, 0xF0)
-
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() { // reconfigurer: tenant A in a tight loop
 		defer wg.Done()
 		for i := 0; i < raceIters; i++ {
-			f := frameA
+			fill := byte(0x0F)
 			if i%2 == 1 {
-				f = frameB
+				fill = 0xF0
 			}
 			if i%10 == 0 {
 				if _, err := eng.BeginTenantUpdate(1); err != nil {
@@ -316,33 +376,12 @@ func TestReconfigRaceChaos(t *testing.T) {
 					return
 				}
 			}
-			gen, err := eng.ApplyReconfig(f)
-			if err != nil {
+			if _, err := applyKeyMask(eng, 1, 3, fill); err != nil {
 				t.Error(err)
 				return
 			}
 			if i%10 == 9 {
 				if _, err := eng.EndTenantUpdate(1); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-			if i%25 == 0 {
-				if _, err := eng.SetTenantUpdating(1, true); err != nil {
-					t.Error(err)
-					return
-				}
-				if _, err := eng.SetTenantUpdating(1, false); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-			if i%16 == 0 {
-				// Not quiesce: t.Fatal must not run off the test goroutine.
-				ctx, cancel := context.WithTimeout(context.Background(), quiesceTimeout)
-				err := eng.AwaitQuiesceCtx(ctx, gen)
-				cancel()
-				if err != nil {
 					t.Error(err)
 					return
 				}
@@ -381,7 +420,7 @@ func TestReconfigRaceChaos(t *testing.T) {
 	wg.Wait()
 
 	// Final canonical configuration, engine-wide barrier, then drain.
-	finalGen, err := eng.ApplyReconfig(frameA)
+	finalGen, err := applyKeyMask(eng, 1, 3, 0x0F)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +460,7 @@ func TestReconfigRaceChaos(t *testing.T) {
 	for _, tenant := range []uint16{1, 2, 3} {
 		var sum uint64
 		for w := 0; w < eng.Workers(); w++ {
-			pipe, err := eng.ShardPipeline(w)
+			pipe, err := eng.Pipeline(w)
 			if err != nil {
 				t.Fatal(err)
 			}

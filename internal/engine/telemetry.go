@@ -157,9 +157,6 @@ type telemetry struct {
 	// hasLimits short-circuits the rate-limiter (and its clock read) on
 	// the submit fast path until the first SetTenantLimit call.
 	hasLimits atomic.Bool
-	// reconfigFrames counts raw reconfiguration frames accepted off the
-	// submit path and diverted to the control plane.
-	reconfigFrames atomic.Uint64
 	// bytesCopied counts ingress bytes copied into pooled buffers by
 	// SubmitBatch/InjectBatch; the owned (zero-copy) paths never add to it.
 	bytesCopied atomic.Uint64
@@ -318,8 +315,7 @@ func (s WorkerStats) AvgBatch() float64 {
 // but the cost side of the same ledger: datagrams / Reads is how many
 // frames each RX syscall carried.
 type IngressStats struct {
-	// Transport is the transport kind ("udp", "tcp", "unixgram",
-	// "trafficgen", ...).
+	// Transport is the transport kind ("udp", "tcp" or "unixgram").
 	Transport string
 	// Listen is the bound listen address (socket path for unixgram).
 	Listen string
@@ -378,12 +374,10 @@ type Stats struct {
 	ReconfigApplied uint64
 	// ReconfigFailed sums the per-shard failed-operation counters.
 	ReconfigFailed uint64
-	// ReconfigFrames counts raw reconfiguration frames accepted via the
-	// trusted submit paths.
-	ReconfigFrames uint64
-	// Updating is the engine-level per-tenant update bitmap (bit
-	// tenant&31 set while the tenant is fenced by a
-	// Begin/EndTenantUpdate window).
+	// Updating is the engine-level per-tenant update bitmap: bit
+	// tenant&31 is set while the tenant is fenced — by a
+	// Begin/EndTenantUpdate window, a verified load, an unload or a
+	// rollback.
 	Updating uint32
 
 	// Buffer-pool and zero-copy accounting: a steady-state engine

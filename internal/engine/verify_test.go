@@ -164,6 +164,45 @@ func TestLoadModuleVerifiedExhaustedRollsBack(t *testing.T) {
 	}
 }
 
+// TestLoadModuleVerifiedFenceBitmap: the update bitmap sees every
+// fence, not only Begin/EndTenantUpdate windows. While a verified load
+// retries against total command loss the tenant's bit is set, and once
+// the load has rolled back and lifted its fence the bit is clear.
+func TestLoadModuleVerifiedFenceBitmap(t *testing.T) {
+	dev := newDevice(t, "CALC")
+	eng, err := dev.NewEngine(menshen.EngineConfig{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+
+	eng.SetReconfigFault(menshen.NewFaultInjector(menshen.FaultPlan{Seed: 3, Drop: 1.0}))
+	done := make(chan error, 1)
+	go func() {
+		opts := menshen.VerifyOpts{MaxAttempts: 3, Backoff: 100 * time.Millisecond, MaxBackoff: 100 * time.Millisecond}
+		_, _, _, err := eng.LoadModuleVerified(context.Background(), programSource(t, "NetCache"), 1, opts)
+		done <- err
+	}()
+	sawFence := false
+	for waiting := true; waiting; {
+		select {
+		case err := <-done:
+			if !errors.Is(err, menshen.ErrVerify) {
+				t.Fatalf("err = %v, want ErrVerify", err)
+			}
+			waiting = false
+		case <-time.After(time.Millisecond):
+			sawFence = sawFence || eng.Stats().Updating&(1<<1) != 0
+		}
+	}
+	if !sawFence {
+		t.Error("update bitmap bit never set while the verified load retried")
+	}
+	if st := eng.Stats(); st.Updating != 0 {
+		t.Errorf("update bitmap %#b after the rolled-back load, want 0", st.Updating)
+	}
+}
+
 // TestLoadModuleVerifiedCtxCancelRollsBack: an already-cancelled
 // context aborts the verified load before anything is issued, and
 // device and shards keep the old program.

@@ -67,17 +67,14 @@ func stallEngine(t *testing.T, stallTimeout time.Duration) (*menshen.Engine, fun
 func TestWatchdogStalledWorker(t *testing.T) {
 	eng, release := stallEngine(t, 10*time.Millisecond)
 
-	gen, err := eng.ApplyReconfig(keyMaskFrame(t, 1, 3, 0x5A))
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	start := time.Now()
-	werr := eng.AwaitQuiesceCtx(ctx, gen)
+	werr := eng.QuiesceCtx(ctx)
 	if !errors.Is(werr, menshen.ErrDegraded) {
-		t.Fatalf("AwaitQuiesceCtx = %v, want ErrDegraded", werr)
+		t.Fatalf("QuiesceCtx = %v, want ErrDegraded", werr)
 	}
+	gen := eng.ReconfigGen() // the barrier held back behind the stall
 	if waited := time.Since(start); waited > 10*time.Second {
 		t.Fatalf("degraded bail-out took %v", waited)
 	}
@@ -121,29 +118,24 @@ func TestWatchdogStalledWorker(t *testing.T) {
 func TestAwaitQuiesceCtxDeadline(t *testing.T) {
 	eng, release := stallEngine(t, 0)
 
-	gen, err := eng.ApplyReconfig(keyMaskFrame(t, 1, 3, 0xA5))
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	if err := eng.AwaitQuiesceCtx(ctx, gen); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("AwaitQuiesceCtx = %v, want DeadlineExceeded", err)
+	if err := eng.QuiesceCtx(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("QuiesceCtx = %v, want DeadlineExceeded", err)
 	}
+	gen := eng.ReconfigGen() // the barrier held back behind the stall
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel2()
-	if err := eng.QuiesceCtx(ctx2); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("QuiesceCtx = %v, want DeadlineExceeded", err)
+	if err := eng.AwaitQuiesceCtx(ctx2, gen); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("AwaitQuiesceCtx = %v, want DeadlineExceeded", err)
 	}
 
 	release()
 	quiesce(t, eng, gen)
-	pipe, err := eng.ShardPipeline(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mask, ok := pipe.Stages[3].Mask.Lookup(1); !ok || mask[0] != 0xA5 {
-		t.Fatalf("queued reconfig lost across the deadline: ok=%v mask[0]=%#x", ok, mask[0])
+	for w, ws := range eng.Stats().Workers {
+		if ws.ReconfigGen < gen {
+			t.Fatalf("worker %d: queued barrier lost across the deadline: applied %d, want %d", w, ws.ReconfigGen, gen)
+		}
 	}
 }
 

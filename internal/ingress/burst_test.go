@@ -10,6 +10,7 @@ import (
 	"context"
 	"net"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -17,6 +18,7 @@ import (
 	menshen "repro"
 	"repro/internal/engine"
 	"repro/internal/ingress"
+	"repro/internal/p4progs"
 	"repro/internal/reconfig"
 	"repro/internal/tables"
 	"repro/internal/trafficgen"
@@ -41,12 +43,54 @@ func listenDgram(t *testing.T, transport string) ingress.Source {
 	return src
 }
 
+// captureEngine starts a single-worker engine — one shard, so
+// submission order IS processing order — with the named programs loaded
+// as tenants 1..n. Its OnBatch concatenates each tenant's post-pipeline
+// output bytes into the returned map (a 0xDD marker where a frame
+// died); read the map after Drain.
+func captureEngine(t *testing.T, programs ...string) (*menshen.Engine, map[uint16][]byte) {
+	t.Helper()
+	dev := menshen.NewDevice()
+	for i, name := range programs {
+		p, err := p4progs.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dev.LoadModule(p.Source(), uint16(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var mu sync.Mutex
+	out := map[uint16][]byte{}
+	eng, err := dev.NewEngine(menshen.EngineConfig{
+		Workers:    1,
+		BatchSize:  16,
+		QueueDepth: 4096,
+		OnBatch: func(_ int, tenant uint16, results []menshen.EngineResult) {
+			mu.Lock()
+			defer mu.Unlock()
+			for _, r := range results {
+				if r.Dropped {
+					out[tenant] = append(out[tenant], 0xDD)
+					continue
+				}
+				out[tenant] = append(out[tenant], r.Data...)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = eng.Close() })
+	return eng, out
+}
+
 // seededMix builds the parity traffic: CALC and Firewall frames of
 // mixed sizes for two loaded tenants and one unloaded, with runts,
 // frames of exactly MaxFrame, datagrams of MaxFrame+1 and beyond, and
 // one reconfiguration-port frame (a key-mask write for the idle tenant
-// 3, so it is diverted to the control plane without touching any
-// output) at seeded positions.
+// 3, which the shard's packet filter drops as data) at seeded
+// positions.
 func seededMix(t *testing.T, seed uint64, n int) [][]byte {
 	t.Helper()
 	rng := trafficgen.NewPRNG(seed)
@@ -86,9 +130,9 @@ func seededMix(t *testing.T, seed uint64, n int) [][]byte {
 
 // mixRun is what one pass of the mix through a source leaves behind.
 type mixRun struct {
-	stats          engine.IngressStats
-	out            map[uint16][]byte // per-tenant concatenated outputs, 0xDD where a frame died
-	reconfigFrames uint64
+	stats engine.IngressStats
+	out   map[uint16][]byte // per-tenant concatenated outputs, 0xDD where a frame died
+	drops map[uint16]uint64 // per-tenant PipelineDrops
 }
 
 // runMix pushes frames through a fresh source of the given transport —
@@ -126,9 +170,11 @@ func runMix(t *testing.T, transport string, portable bool, frames [][]byte) mixR
 		t.Fatal(err)
 	}
 	eng.Drain()
-	var st menshen.EngineStats
-	eng.StatsInto(&st)
-	return mixRun{stats: snap(src), out: out, reconfigFrames: st.ReconfigFrames}
+	drops := map[uint16]uint64{}
+	for id, ts := range eng.Stats().Tenants {
+		drops[id] = ts.PipelineDrops
+	}
+	return mixRun{stats: snap(src), out: out, drops: drops}
 }
 
 // TestBurstFillParity pushes one seeded mix through the recvmmsg fill
@@ -159,8 +205,13 @@ func TestBurstFillParity(t *testing.T) {
 			if bs.ShortDropped == 0 || bs.OversizeDropped == 0 || bs.Received == 0 {
 				t.Errorf("mix did not reach every fate: %+v", bs)
 			}
-			if burst.reconfigFrames != 1 || one.reconfigFrames != 1 {
-				t.Errorf("reconfiguration frames diverted: burst %d, portable %d, want 1 each", burst.reconfigFrames, one.reconfigFrames)
+			if burst.drops[3] != 1 || one.drops[3] != 1 {
+				t.Errorf("reconfiguration frame: tenant 3 PipelineDrops burst %d, portable %d, want 1 each (filtered as data)", burst.drops[3], one.drops[3])
+			}
+			for tenant, n := range one.drops {
+				if burst.drops[tenant] != n {
+					t.Errorf("tenant %d: PipelineDrops burst %d, portable %d", tenant, burst.drops[tenant], n)
+				}
 			}
 			if len(burst.out) != len(one.out) {
 				t.Fatalf("burst run produced %d tenants, portable run %d", len(burst.out), len(one.out))

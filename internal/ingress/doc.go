@@ -4,8 +4,8 @@
 //
 // # Sources and sinks
 //
-// A Source is anything that produces frames: ListenUDP, ListenTCP,
-// ListenUnixgram, or trafficgen's scenario adapter. A Sink is anything
+// A Source is a socket that produces frames: ListenUDP, ListenTCP or
+// ListenUnixgram. A Sink is anything
 // that consumes them through the engine's owned-buffer contract —
 // *engine.Engine and the root facade's *menshen.Engine both satisfy
 // it. A datagram Source's RX loop runs borrow N → fill → classify →
@@ -37,12 +37,12 @@
 // Released then. Either way every borrowed buffer has exactly one owner
 // at all times and the steady state allocates nothing.
 //
-// Frames submitted this way ride the engine's *trusted* submit path:
-// like in-process SubmitBatch, a well-formed reconfiguration frame (UDP
-// port 0xf1f2, Figure 7) is diverted to the control plane. An ingress
-// socket is therefore the PCIe-host analogue, not an untrusted device
-// port — deployments fronting untrusted peers must filter
-// reconfiguration frames upstream or use the Inject/Forward paths.
+// Socket ingress is untrusted: SubmitBatchOwned is a data path like
+// every engine submit entry point, so a reconfiguration frame (UDP port
+// 0xf1f2, Figure 7) arriving on a socket is steered to its VLAN tenant
+// and dropped by the shard's packet filter (§3.1), counted in the
+// tenant's PipelineDrops. Configuration reaches a running engine only
+// through its verified control calls.
 //
 // # Counted, never silent
 //

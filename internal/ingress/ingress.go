@@ -41,11 +41,10 @@ type Sink interface {
 	SubmitBatchOwned(frames [][]byte) (int, error)
 }
 
-// Source is one frame producer: a socket transport or an in-process
-// generator. Sources are single-use: Serve once, then Close.
+// Source is one frame producer, a socket transport. Sources are
+// single-use: Serve once, then Close.
 type Source interface {
-	// Transport names the transport kind ("udp", "tcp", "unixgram",
-	// "trafficgen").
+	// Transport names the transport kind ("udp", "tcp" or "unixgram").
 	Transport() string
 	// Addr is the bound listen address (after a ":0" bind it carries
 	// the kernel-chosen port).

@@ -16,6 +16,8 @@ import (
 	"repro/internal/engine"
 	"repro/internal/ingress"
 	"repro/internal/p4progs"
+	"repro/internal/reconfig"
+	"repro/internal/tables"
 	"repro/internal/trafficgen"
 )
 
@@ -285,6 +287,75 @@ func TestUDPDropClasses(t *testing.T) {
 	is := snap(src)
 	if is.ShortDropped != 1 || is.OversizeDropped != 1 || is.Received != 1 {
 		t.Fatalf("fates: short %d oversize %d received %d, want 1/1/1", is.ShortDropped, is.OversizeDropped, is.Received)
+	}
+}
+
+// TestUDPReconfigFrameDropped: socket ingress is untrusted. A
+// well-formed Figure 7 key-mask frame arriving on a UDP socket is
+// submitted like any datagram, steered to its VLAN tenant and dropped
+// by the shard's packet filter — one PipelineDrops for tenant 1, and
+// every shard's key mask and module checksum unchanged.
+func TestUDPReconfigFrameDropped(t *testing.T) {
+	eng := newEngine(t, 2)
+	src, err := ingress.ListenUDP("127.0.0.1:0", ingress.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	startSource(t, eng, src)
+
+	const stg = 2
+	var mask tables.Key
+	for i := range mask {
+		mask[i] = 0x3C
+	}
+	frame, err := reconfig.EncodePacket(1, reconfig.Command{
+		Resource: reconfig.MakeResourceID(stg, reconfig.KindKeyMask),
+		Index:    1,
+		Payload:  mask[:],
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type shardState struct {
+		mask tables.Key
+		sum  uint64
+	}
+	shards := func() []shardState {
+		out := make([]shardState, eng.Workers())
+		for w := range out {
+			pipe, err := eng.ShardPipeline(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[w].mask, _ = pipe.Stages[stg].Mask.Lookup(1)
+			out[w].sum = pipe.ModuleChecksum(1)
+		}
+		return out
+	}
+	before := shards()
+
+	conn, err := net.Dial("udp", src.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "the frame to be submitted", func() bool { return snap(src).Submitted == 1 })
+	eng.Drain()
+
+	st := eng.Stats()
+	if got := st.Tenants[1].PipelineDrops; got != 1 {
+		t.Errorf("tenant 1 PipelineDrops = %d, want 1", got)
+	}
+	if st.ReconfigIssued != 0 || st.ReconfigApplied != 0 {
+		t.Errorf("reconfiguration issued %d, applied %d; want none", st.ReconfigIssued, st.ReconfigApplied)
+	}
+	for w, got := range shards() {
+		if got != before[w] {
+			t.Errorf("shard %d: key mask %x checksum %#x, want %x %#x", w, got.mask, got.sum, before[w].mask, before[w].sum)
+		}
 	}
 }
 

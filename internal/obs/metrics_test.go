@@ -54,7 +54,7 @@ func goldenNodes() []nodeStats {
 			},
 		},
 		Uptime:         2500 * 1e6, // 2.5s
-		ReconfigIssued: 3, ReconfigApplied: 6, ReconfigFailed: 1, ReconfigFrames: 2,
+		ReconfigIssued: 3, ReconfigApplied: 6, ReconfigFailed: 1,
 		ReconfigRetries: 5, VerifyFailures: 1, CmdFaultsInjected: 12,
 		DegradedWorkers: 1, DegradedEvents: 2,
 		Updating: 4,

@@ -287,9 +287,6 @@ const (
 	// update bitmap, so in-flight packets never see partial configurations
 	// (§4.1).
 	VerdictDropUpdating
-	// VerdictControl diverts untagged control traffic (e.g., BFD) to the
-	// control plane when the filter is configured to pass it (§3.1 fn 2).
-	VerdictControl
 )
 
 // String implements fmt.Stringer.
@@ -303,8 +300,6 @@ func (v Verdict) String() string {
 		return "drop-reconfig-from-data-path"
 	case VerdictDropUpdating:
 		return "drop-module-updating"
-	case VerdictControl:
-		return "to-control-plane"
 	}
 	return fmt.Sprintf("Verdict(%d)", uint8(v))
 }
@@ -318,22 +313,18 @@ func (v Verdict) String() string {
 // reconfiguration packet counter (owned by the daisy chain) — are accessed
 // by the control plane over AXI-Lite in the prototype.
 type Filter struct {
-	bitmap       atomic.Uint32
-	passUntagged bool
+	bitmap atomic.Uint32
 
 	// admitted counts the frames given VerdictData; buffer tags and
 	// parser numbers are both derived from it.
 	admitted atomic.Uint32
 
 	// Per-verdict counters for observability.
-	counts [5]atomic.Uint64
+	counts [4]atomic.Uint64
 }
 
-// NewFilter returns a packet filter. If passUntagged is true, untagged
-// frames are diverted to the control plane instead of dropped.
-func NewFilter(passUntagged bool) *Filter {
-	return &Filter{passUntagged: passUntagged}
-}
+// NewFilter returns a packet filter with an empty update bitmap.
+func NewFilter() *Filter { return &Filter{} }
 
 // SetUpdating sets or clears a module's bit in the update bitmap. While
 // set, the module's data packets are dropped so none are processed by a
@@ -385,7 +376,7 @@ func (f *Filter) Classify(data []byte, numParsers int) ClassifyResult {
 // (core.Pipeline opens one per Process or batch call, under the
 // pipeline lock).
 type ClassifyScope struct {
-	counts [5]uint32
+	counts [4]uint32
 	base   uint32 // the filter's admitted count at BeginBatch
 	data   uint32 // data-frame verdicts issued in this scope
 }
@@ -404,9 +395,7 @@ func (f *Filter) BeginBatch(s *ClassifyScope) {
 //   - a frame addressed to the reconfiguration UDP port is dropped
 //     (VerdictDropReconfig): configuration is only accepted from the
 //     control-plane interface, never from the data path;
-//   - a frame without an 802.1Q tag is dropped (VerdictDropNoVLAN), or
-//     diverted to the control plane (VerdictControl) when the filter
-//     passes untagged traffic;
+//   - a frame without an 802.1Q tag is dropped (VerdictDropNoVLAN);
 //   - a frame whose module's bit is set in the update bitmap is dropped
 //     (VerdictDropUpdating), so no frame sees a half-written
 //     configuration;
@@ -416,7 +405,7 @@ func (f *Filter) BeginBatch(s *ClassifyScope) {
 // admitted frame since the filter was created gets packet buffer n mod
 // 4 and parser n mod numParsers (numParsers is the platform's
 // parallel-parser count, 2 in the optimized design; below 1 counts as
-// 1). Dropped and diverted frames carry zero tags and a zero module ID
+// 1). Dropped frames carry zero tags and a zero module ID
 // unless the VLAN tag was read.
 func (f *Filter) ClassifyBatched(data []byte, numParsers int, s *ClassifyScope) ClassifyResult {
 	var res ClassifyResult
@@ -427,12 +416,8 @@ func (f *Filter) ClassifyBatched(data []byte, numParsers int, s *ClassifyScope) 
 	}
 	vid, err := parserVLANID(data)
 	if err != nil {
-		if f.passUntagged {
-			res.Verdict = VerdictControl
-		} else {
-			res.Verdict = VerdictDropNoVLAN
-		}
-		s.counts[res.Verdict]++
+		res.Verdict = VerdictDropNoVLAN
+		s.counts[VerdictDropNoVLAN]++
 		return res
 	}
 	res.ModuleID = vid

@@ -152,7 +152,7 @@ func dataFrame(vid uint16) []byte {
 }
 
 func TestFilterAdmitsTaggedData(t *testing.T) {
-	f := NewFilter(false)
+	f := NewFilter()
 	res := f.Classify(dataFrame(5), 2)
 	if res.Verdict != VerdictData || res.ModuleID != 5 {
 		t.Errorf("result = %+v", res)
@@ -160,7 +160,7 @@ func TestFilterAdmitsTaggedData(t *testing.T) {
 }
 
 func TestFilterDropsReconfigFromDataPath(t *testing.T) {
-	f := NewFilter(false)
+	f := NewFilter()
 	frame, _ := EncodePacket(1, Command{Resource: MakeResourceID(0, KindParser), Payload: []byte{0}})
 	res := f.Classify(frame, 2)
 	if res.Verdict != VerdictDropReconfig {
@@ -175,18 +175,14 @@ func TestFilterDropsUntagged(t *testing.T) {
 	frame := dataFrame(1)
 	// Strip VLAN tag.
 	untagged := append(append([]byte{}, frame[:12]...), frame[16:]...)
-	f := NewFilter(false)
+	f := NewFilter()
 	if res := f.Classify(untagged, 2); res.Verdict != VerdictDropNoVLAN {
 		t.Errorf("verdict = %v", res.Verdict)
-	}
-	pass := NewFilter(true)
-	if res := pass.Classify(untagged, 2); res.Verdict != VerdictControl {
-		t.Errorf("passUntagged verdict = %v", res.Verdict)
 	}
 }
 
 func TestFilterBitmapDropsOnlyMarkedModule(t *testing.T) {
-	f := NewFilter(false)
+	f := NewFilter()
 	f.SetUpdating(3, true)
 	if res := f.Classify(dataFrame(3), 2); res.Verdict != VerdictDropUpdating {
 		t.Errorf("module 3 verdict = %v", res.Verdict)
@@ -201,7 +197,7 @@ func TestFilterBitmapDropsOnlyMarkedModule(t *testing.T) {
 }
 
 func TestFilterBitmapRegister(t *testing.T) {
-	f := NewFilter(false)
+	f := NewFilter()
 	f.SetUpdating(0, true)
 	f.SetUpdating(31, true)
 	if f.Bitmap() != 1|1<<31 {
@@ -214,7 +210,7 @@ func TestFilterBitmapRegister(t *testing.T) {
 }
 
 func TestFilterRoundRobinAssignment(t *testing.T) {
-	f := NewFilter(false)
+	f := NewFilter()
 	var buffers, parsers []uint8
 	for i := 0; i < 8; i++ {
 		res := f.Classify(dataFrame(1), 2)
@@ -236,7 +232,7 @@ func TestFilterRoundRobinAssignment(t *testing.T) {
 }
 
 func TestFilterConcurrentBitmapUpdates(t *testing.T) {
-	f := NewFilter(false)
+	f := NewFilter()
 	var wg sync.WaitGroup
 	for m := uint16(0); m < 16; m++ {
 		wg.Add(1)
@@ -298,7 +294,7 @@ func TestKindStrings(t *testing.T) {
 }
 
 func TestVerdictStrings(t *testing.T) {
-	for v := VerdictData; v <= VerdictControl; v++ {
+	for v := VerdictData; v <= VerdictDropUpdating; v++ {
 		if v.String() == "" {
 			t.Errorf("Verdict(%d) empty", v)
 		}
@@ -327,7 +323,7 @@ func TestIsReconfigFrameGarbage(t *testing.T) {
 }
 
 func TestFilterVerdictCountOutOfRange(t *testing.T) {
-	f := NewFilter(false)
+	f := NewFilter()
 	if f.VerdictCount(Verdict(200)) != 0 {
 		t.Error("out-of-range verdict count nonzero")
 	}

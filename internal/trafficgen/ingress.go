@@ -1,111 +1,17 @@
-// Ingress-facing trafficgen: the Scenario-as-Source adapter (so a
-// generated workload is interchangeable with a socket transport behind
-// internal/ingress.Source) and the LoadClient, a socket-driving load
+// Ingress-facing trafficgen: the LoadClient, a socket-driving load
 // generator that pushes scenario frames at a live ingress listener —
 // the MoonGen-over-a-real-NIC role in the loopback test battery.
 package trafficgen
 
 import (
-	"context"
 	"fmt"
 	"net"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/ingress"
 	"repro/internal/mmsg"
 )
-
-// ScenarioSource adapts a Scenario to the ingress.Source contract:
-// generated frames are copied into borrowed sink buffers and submitted
-// in owned batches, exactly the path a socket transport takes after
-// the kernel copy. It exists to prove Source interchangeability — the
-// parity suite runs the same scenario through direct SubmitBatch and
-// through this adapter and demands byte-identical per-tenant outputs.
-type ScenarioSource struct {
-	sc           *Scenario
-	total, batch int
-	closed       atomic.Bool
-
-	gen   [][]byte
-	owned [][]byte
-
-	received      atomic.Uint64
-	receivedBytes atomic.Uint64
-	submitted     atomic.Uint64
-	rejected      atomic.Uint64
-}
-
-// NewScenarioSource wraps a scenario as a frame source emitting total
-// frames in batches of batch (default 32).
-func NewScenarioSource(sc *Scenario, total, batch int) *ScenarioSource {
-	if batch <= 0 {
-		batch = 32
-	}
-	return &ScenarioSource{sc: sc, total: total, batch: batch}
-}
-
-// Transport names the transport kind.
-func (s *ScenarioSource) Transport() string { return "trafficgen" }
-
-// Addr identifies the in-process generator (no socket address).
-func (s *ScenarioSource) Addr() string { return "scenario" }
-
-// Serve generates and submits the scenario's frames through the
-// borrowed-buffer path until total frames are offered, the context is
-// canceled, or Close is called.
-func (s *ScenarioSource) Serve(ctx context.Context, sink ingress.Sink) error {
-	for sent := 0; sent < s.total; {
-		if s.closed.Load() {
-			return nil
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		n := s.batch
-		if rem := s.total - sent; n > rem {
-			n = rem
-		}
-		s.gen = s.sc.NextBatch(s.gen[:0], n)
-		s.owned = s.owned[:0]
-		var bytes uint64
-		for _, f := range s.gen {
-			buf := sink.Borrow(len(f))
-			copy(buf, f)
-			s.owned = append(s.owned, buf[:len(f)])
-			bytes += uint64(len(f))
-		}
-		acc, err := sink.SubmitBatchOwned(s.owned)
-		s.received.Add(uint64(n))
-		s.receivedBytes.Add(bytes)
-		s.submitted.Add(uint64(acc))
-		s.rejected.Add(uint64(n - acc))
-		if err != nil {
-			return err
-		}
-		sent += n
-	}
-	return nil
-}
-
-// StatsInto writes the adapter's counter snapshot.
-func (s *ScenarioSource) StatsInto(st *engine.IngressStats) {
-	*st = engine.IngressStats{
-		Transport:      "trafficgen",
-		Listen:         "scenario",
-		Received:       s.received.Load(),
-		ReceivedBytes:  s.receivedBytes.Load(),
-		Submitted:      s.submitted.Load(),
-		SubmitRejected: s.rejected.Load(),
-	}
-}
-
-// Close stops Serve at the next batch boundary.
-func (s *ScenarioSource) Close() error {
-	s.closed.Store(true)
-	return nil
-}
 
 // LoadClient drives frames at an ingress listener over a real socket:
 // "udp", "unixgram" (one datagram per frame) or "tcp" (length-prefixed

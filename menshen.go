@@ -421,7 +421,7 @@ func (d *Device) SetUpdating(moduleID uint16, updating bool) {
 // the given reason.
 func (d *Device) FilterVerdicts() map[string]uint64 {
 	out := map[string]uint64{}
-	for v := reconfig.VerdictData; v <= reconfig.VerdictControl; v++ {
+	for v := reconfig.VerdictData; v <= reconfig.VerdictDropUpdating; v++ {
 		out[v.String()] = d.pipe.Filter.VerdictCount(v)
 	}
 	return out
@@ -444,8 +444,3 @@ func (d *Device) Pipeline() *core.Pipeline { return d.pipe }
 
 // ControlPlane exposes the control-plane client for advanced use.
 func (d *Device) ControlPlane() *ctrlplane.Client { return d.client }
-
-// reconfigEncode is a small indirection for the benchmark harness.
-func reconfigEncode(moduleID uint16, cmd reconfig.Command) ([]byte, error) {
-	return reconfig.EncodePacket(moduleID, cmd)
-}

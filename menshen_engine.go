@@ -55,9 +55,10 @@ type Engine struct {
 // batched engine: every worker shard replays the modules' configuration
 // into its own pipeline replica (same geometry, same platform options,
 // same placements). To reconfigure a *running* engine, use the engine's
-// own LoadModuleVerified/UnloadModule/ApplyReconfig — modules loaded or
-// updated directly on the Device afterwards are not reflected in
-// running shards. A cfg that sets Geometry, Options or Modules itself is
+// own LoadModuleVerified/InsertFlowsVerified/UnloadModule — modules
+// loaded or updated directly on the Device afterwards are not reflected
+// in running shards, and reconfiguration frames submitted as traffic are
+// dropped by the shards' packet filters. A cfg that sets Geometry, Options or Modules itself is
 // rejected: shards that disagree with the device are never built.
 func (d *Device) NewEngine(cfg EngineConfig) (*Engine, error) {
 	if cfg.Geometry != (core.Geometry{}) || cfg.Options != (core.Options{}) || cfg.Modules != nil {
@@ -146,17 +147,6 @@ func (e *Engine) ShardPipeline(workerID int) (*core.Pipeline, error) {
 // Modules and flow sets enter running shards only through the verified
 // §4.1 paths, LoadModuleVerified and InsertFlowsVerified.
 
-// ApplyReconfig injects one raw reconfiguration frame (the Figure 7
-// wire format, built by the control software) into the running engine.
-// Equivalently, reconfiguration frames may be interleaved with data
-// frames in SubmitBatch: well-formed ones are diverted to the
-// control plane, and malformed ones fall through to the data path where
-// the shard packet filters drop them. A raw frame is fire-and-forget:
-// it is the one unverified wire path (see SetReconfigFault).
-func (e *Engine) ApplyReconfig(frame []byte) (uint64, error) {
-	return e.eng.ApplyReconfigFrame(frame)
-}
-
 // AwaitQuiesceCtx blocks until every worker shard has applied the given
 // reconfiguration generation (and therefore every operation issued
 // before it), bounded by ctx: it returns ctx.Err() when the context
@@ -201,13 +191,6 @@ func (e *Engine) BeginTenantUpdate(tenant uint16) (uint64, error) {
 // EndTenantUpdate lifts a tenant's fence.
 func (e *Engine) EndTenantUpdate(tenant uint16) (uint64, error) {
 	return e.eng.EndTenantUpdate(tenant)
-}
-
-// SetTenantUpdating sets or clears the packet-filter update bit for the
-// tenant on every shard — the paper's drop-during-update semantics, as
-// opposed to the hold semantics of BeginTenantUpdate.
-func (e *Engine) SetTenantUpdating(tenant uint16, updating bool) (uint64, error) {
-	return e.eng.SetTenantUpdating(tenant, updating)
 }
 
 // FlowEntry is one exact-match flow rule for InsertFlowsVerified: a

@@ -67,11 +67,10 @@ type VerifyReport = engine.VerifyReport
 
 // SetReconfigFault installs (or, with nil, removes) a fault injector
 // on the engine's live reconfiguration fan-out: every command fanned
-// out to a worker shard — raw ApplyReconfig frames, verified loads and
-// flow inserts — draws a fate from the plan, and non-delivered commands
-// never reach the shard. The *Verified methods recover the losses; the
-// one unverified wire path left, a raw ApplyReconfig frame, only counts
-// them (Stats CmdFaultsInjected).
+// out to a worker shard by a verified load or flow insert draws a fate
+// from the plan, and non-delivered commands never reach the shard. The
+// *Verified methods, the only wire into running shards, recover the
+// losses; Stats CmdFaultsInjected counts them.
 func (e *Engine) SetReconfigFault(inj *FaultInjector) { e.eng.SetReconfigFault(inj) }
 
 // InsertFlowsVerified installs a batch of exact-match flow entries for
