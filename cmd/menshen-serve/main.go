@@ -566,11 +566,7 @@ func runFabric(ctx context.Context, cfg serveConfig, out io.Writer) error {
 	// The §3.4 control-plane check runs before traffic: a chain passes,
 	// a looping ring is refused (and the run then demonstrates the TTL
 	// bound degrading the loop into counted drops, not a hang).
-	var hops []checker.Hop
-	for _, h := range fab.ModuleRouteGraph(chainTenants[0]) {
-		hops = append(hops, checker.Hop{Dev: h.Dev, VIP: h.VIP, Next: h.Next})
-	}
-	if err := checker.CheckLoopFree(hops); err != nil {
+	if err := checker.CheckLoopFree(fab.ModuleRouteGraph(chainTenants[0])); err != nil {
 		fmt.Fprintf(out, "control plane: %v (loading anyway to exercise the TTL bound)\n", err)
 	} else {
 		fmt.Fprintln(out, "control plane: route graph verified loop-free")

@@ -1,15 +1,12 @@
 // Fabric: a tenant's module running across two Menshen switches joined
-// by a link — the multi-device setting of §3.3/§3.4. The system-level
-// module routes the tenant's virtual IP hop by hop, the control plane
-// verifies the route graph is loop-free before loading, and the frame's
-// VLAN-carried module ID is untouched in flight (the property the static
-// checker's no-VID-writes rule protects).
-//
-// The demo runs the same two-switch topology twice: first through the
-// synchronous walker (one frame at a time, full traces), then through
-// the engine-backed fabric — one concurrent engine per switch, the
-// inter-switch link an owned-buffer hand-off between the two engines —
-// and shows both deliver the tenant's traffic to the same host port.
+// by a link — the multi-device setting of §3.3/§3.4. Each switch is a
+// concurrent engine and the inter-switch link an owned-buffer hand-off
+// between the two engines (a pointer move, with hop counts carried
+// out-of-band, never in the frame). The system-level module routes the
+// tenant's virtual IP hop by hop, the control plane verifies the route
+// graph is loop-free before traffic flows, and the frame's VLAN-carried
+// module ID is untouched in flight (the property the static checker's
+// no-VID-writes rule protects).
 package main
 
 import (
@@ -20,7 +17,6 @@ import (
 	"repro/internal/checker"
 	"repro/internal/compiler"
 	"repro/internal/core"
-	"repro/internal/ctrlplane"
 	"repro/internal/engine"
 	"repro/internal/fabric"
 	"repro/internal/packet"
@@ -56,107 +52,56 @@ func compileTenant(sys *sysmod.Config, moduleID uint16) (engine.ModuleSpec, erro
 	return engine.ModuleSpec{Config: prog.Config, Placement: pl}, nil
 }
 
-// sysConfigs returns fresh per-switch system configs: s1 forwards the
-// tenant's vIP over its port 1 (the link), s2 delivers to host port 2.
-func sysConfigs(vip packet.IPv4Addr) (sys1, sys2 *sysmod.Config) {
-	sys1 = sysmod.NewConfig()
-	sys1.AddRoute(1, vip, 1)
-	sys2 = sysmod.NewConfig()
-	sys2.AddRoute(1, vip, 2)
-	return sys1, sys2
-}
-
 func main() {
 	vip := packet.IPv4Addr{10, 9, 9, 9}
 
-	// --- Part 1: the synchronous walker, one traced frame ---
-	f := fabric.New()
-	sys1, sys2 := sysConfigs(vip)
-	s1 := f.AddDevice("s1", core.NewDefault(), sys1)
-	s2 := f.AddDevice("s2", core.NewDefault(), sys2)
-	if err := f.Link("s1", 1, "s2", 0); err != nil {
-		log.Fatal(err)
-	}
-
-	// Control-plane loop check before loading (§3.4).
-	var hops []checker.Hop
-	for _, h := range f.ModuleRouteGraph(1) {
-		hops = append(hops, checker.Hop{Dev: h.Dev, VIP: h.VIP, Next: h.Next})
-	}
-	if err := checker.CheckLoopFree(hops); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("route graph verified loop-free")
-
-	for _, n := range []*fabric.Node{s1, s2} {
-		spec, err := compileTenant(n.Sys, 1)
-		if err != nil {
-			log.Fatalf("compile for %s: %v", n.Name, err)
-		}
-		if _, err := ctrlplane.New(n.Pipe).LoadModule(spec.Config, spec.Placement); err != nil {
-			log.Fatalf("load on %s: %v", n.Name, err)
-		}
-		fmt.Printf("tenant module loaded on %s\n", n.Name)
-	}
-
-	frame := trafficgen.FlowPacket(1, packet.IPv4Addr{10, 0, 0, 1}, vip, 1000, 2000, 0)
-	deliveries, traces, err := f.Inject("s1", 0, frame)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, tr := range traces {
-		fmt.Printf("  %s: ingress %d -> egress %v (dropped=%v)\n", tr.Device, tr.Ingress, tr.Egress, tr.Dropped)
-	}
-	for _, d := range deliveries {
-		var p packet.Packet
-		if err := packet.Decode(d.Frame, &p); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("delivered at %s port %d after %d inter-switch hops, VID still %d\n",
-			d.Device, d.Port, d.Hops, p.ModuleID())
-	}
-
-	// --- Part 2: the same topology as an engine fabric ---
-	// Each switch now runs a concurrent batched engine; the s1->s2 link
-	// is an asynchronous owned-buffer hand-off (a pointer move between
-	// the engines), and hop counts travel out-of-band, never in the
-	// frame.
-	fmt.Println("\nengine fabric over the same topology:")
 	// The sink runs on node worker goroutines concurrently — guard it.
 	var sinkMu sync.Mutex
-	delivered := 0
+	delivered, lastHops := 0, 0
 	lastVID := uint16(0)
 	ef := fabric.NewEngineFabric(func(d fabric.Delivery) {
 		// Frames are only valid during the callback; this sink just
-		// counts them and remembers the VID.
+		// counts them and remembers the VID and hop count.
 		var p packet.Packet
 		err := packet.Decode(d.Frame, &p)
 		sinkMu.Lock()
 		delivered++
+		lastHops = d.Hops
 		if err == nil {
 			lastVID = p.ModuleID()
 		}
 		sinkMu.Unlock()
 	})
-	esys1, esys2 := sysConfigs(vip)
+
+	// s1 forwards the tenant's vIP over its port 1 (the link), s2
+	// delivers it to host port 2.
 	for _, n := range []struct {
 		name string
-		sys  *sysmod.Config
-	}{{"s1", esys1}, {"s2", esys2}} {
-		spec, err := compileTenant(n.sys, 1)
+		port uint8
+	}{{"s1", 1}, {"s2", 2}} {
+		sys := sysmod.NewConfig()
+		sys.AddRoute(1, vip, n.port)
+		spec, err := compileTenant(sys, 1)
 		if err != nil {
-			log.Fatal(err)
+			log.Fatalf("compile for %s: %v", n.name, err)
 		}
-		if _, err := ef.AddNode(n.name, n.sys, fabric.NodeConfig{
+		if _, err := ef.AddNode(n.name, sys, fabric.NodeConfig{
 			Workers: 2,
 			Modules: []engine.ModuleSpec{spec},
 		}); err != nil {
 			log.Fatal(err)
 		}
+		fmt.Printf("tenant module compiled for %s\n", n.name)
 	}
 	if err := ef.Link("s1", 1, "s2", 0); err != nil {
 		log.Fatal(err)
 	}
+
+	// Control-plane loop check before traffic flows (§3.4).
+	if err := checker.CheckLoopFree(ef.ModuleRouteGraph(1)); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("route graph verified loop-free")
 	if err := ef.Start(); err != nil {
 		log.Fatal(err)
 	}
@@ -175,8 +120,8 @@ func main() {
 	if err := ef.Close(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("injected %d frames at s1; delivered %d at s2's host port (VID still %d)\n",
-		total, delivered, lastVID)
+	fmt.Printf("injected %d frames at s1; delivered %d at s2's host port after %d inter-switch hop(s), VID still %d\n",
+		total, delivered, lastHops, lastVID)
 	fmt.Printf("link hand-offs s1->s2: %d (zero copies per hop), link drops: %d, ttl drops: %d\n",
 		st.Forwarded, st.LinkDropped, st.TTLDropped)
 	for _, name := range []string{"s1", "s2"} {

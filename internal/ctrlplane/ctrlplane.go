@@ -66,34 +66,19 @@ func DefaultCostModel() CostModel {
 type Client struct {
 	pipe *core.Pipeline
 	cost CostModel
-
-	// UseWirePackets, when true, routes every command through the full
-	// reconfiguration-packet encode/decode path rather than the in-process
-	// fast path; the daisy chain sees byte-identical traffic to hardware.
-	UseWirePackets bool
 }
 
 // New returns a client for the pipeline with the default cost model.
 func New(p *core.Pipeline) *Client {
-	return &Client{pipe: p, cost: DefaultCostModel(), UseWirePackets: true}
+	return &Client{pipe: p, cost: DefaultCostModel()}
 }
-
-// CostModel returns the active cost model.
-func (c *Client) CostModel() CostModel { return c.cost }
-
-// MaxLoadAttempts bounds the §4.1 retry loop: if reconfiguration packets
-// are dropped, the whole procedure restarts (with the module's data
-// packets still dropped) until the counter verifies or the bound is hit.
-const MaxLoadAttempts = 8
 
 // Report describes one completed control-plane operation: how many
 // commands were issued and the modeled hardware time it would take on the
 // FPGA prototype.
 type Report struct {
+	// Commands counts the reconfiguration packets the operation sent.
 	Commands int
-	// Attempts is how many times the procedure ran (>1 when
-	// reconfiguration packets were lost and the counter check failed).
-	Attempts int
 	// HardwareTime is the modeled prototype time: AXI-Lite register
 	// traffic plus daisy-chain packet delivery plus software overhead.
 	HardwareTime time.Duration
@@ -111,29 +96,29 @@ func axilWritesFor(payload []byte) int {
 	return (bits + 31) / 32
 }
 
-// push delivers one command to the daisy chain, optionally via the wire
-// format.
+// push encodes one command as a reconfiguration packet and sends it down
+// the daisy chain, so the chain sees byte-identical traffic to hardware.
 func (c *Client) push(moduleID uint16, cmd reconfig.Command) error {
-	if c.UseWirePackets {
-		frame, err := reconfig.EncodePacket(moduleID, cmd)
-		if err != nil {
-			return err
-		}
-		return c.pipe.Chain.Push(frame)
+	frame, err := reconfig.EncodePacket(moduleID, cmd)
+	if err != nil {
+		return err
 	}
-	return c.pipe.Chain.PushCommand(cmd)
+	return c.pipe.Chain.Push(frame)
 }
 
-// LoadModule runs the full secure reconfiguration procedure for a module:
+// LoadModule runs the secure reconfiguration procedure for a module:
 //
 //  1. read the reconfiguration packet counter,
 //  2. set the module's bit in the update bitmap (its data packets drop),
 //  3. send every configuration entry as a reconfiguration packet,
-//  4. poll the counter to verify all packets arrived (retrying the whole
-//     procedure if any were lost),
+//  4. poll the counter to verify all packets arrived,
 //  5. clear the bitmap bit.
 //
-// Other modules process packets throughout — the no-disruption property.
+// A counter shortfall fails the load with ErrVerify; the bitmap bit is
+// cleared on every exit. The in-process daisy chain loses nothing, so
+// the device makes one pass; re-sending after loss is the live path's
+// job (engine.ApplyVerified). Other modules process packets throughout —
+// the no-disruption property.
 func (c *Client) LoadModule(m *core.ModuleConfig, pl core.Placement) (Report, error) {
 	start := time.Now()
 	var rep Report
@@ -148,35 +133,19 @@ func (c *Client) LoadModule(m *core.ModuleConfig, pl core.Placement) (Report, er
 
 	c.pipe.Filter.SetUpdating(m.ModuleID, true)        // AXI-L write
 	defer c.pipe.Filter.SetUpdating(m.ModuleID, false) // AXI-L write
-	axilOps := 2
-
-	// §4.1: if reconfiguration packets are dropped before they reach the
-	// pipeline, the counter does not advance by the expected amount and
-	// the entire procedure restarts, with the module's packets still
-	// being dropped until reconfiguration succeeds.
-	verified := false
-	for attempt := 1; attempt <= MaxLoadAttempts; attempt++ {
-		rep.Attempts = attempt
-		before := c.pipe.Chain.Counter() // AXI-L read
-		axilOps++
-		for _, cmd := range cmds {
-			if err := c.push(m.ModuleID, cmd); err != nil {
-				return rep, fmt.Errorf("command %v[%d]: %w", cmd.Resource, cmd.Index, err)
-			}
-			rep.AXILOnlyTime += time.Duration(axilWritesFor(cmd.Payload)) * c.cost.AXILWrite
+	before := c.pipe.Chain.Counter()                   // AXI-L read
+	for _, cmd := range cmds {
+		if err := c.push(m.ModuleID, cmd); err != nil {
+			return rep, fmt.Errorf("command %v[%d]: %w", cmd.Resource, cmd.Index, err)
 		}
-		after := c.pipe.Chain.Counter() // AXI-L poll
-		axilOps++
-		rep.Commands += len(cmds)
-		if after-before == uint32(len(cmds)) {
-			verified = true
-			break
-		}
+		rep.AXILOnlyTime += time.Duration(axilWritesFor(cmd.Payload)) * c.cost.AXILWrite
 	}
-	if !verified {
-		return rep, fmt.Errorf("%w: %d attempts of %d packets each", ErrVerify, rep.Attempts, len(cmds))
+	rep.Commands = len(cmds)
+	if got := c.pipe.Chain.Counter() - before; got != uint32(len(cmds)) { // AXI-L poll
+		return rep, fmt.Errorf("%w: counter advanced %d for %d packets", ErrVerify, got, len(cmds))
 	}
 
+	const axilOps = 4 // the two bitmap writes, the counter read and the poll
 	rep.HardwareTime = time.Duration(rep.Commands)*(c.cost.DaisyPacket+c.cost.SoftwarePerEntry) +
 		time.Duration(axilOps)*c.cost.AXILRead
 	rep.AXILOnlyTime += time.Duration(rep.Commands)*c.cost.SoftwarePerEntry +

@@ -78,6 +78,20 @@ func TestLoadModuleBitmapClearedAfter(t *testing.T) {
 	if p.Filter.Bitmap() != 0 {
 		t.Errorf("bitmap = %#x after load", p.Filter.Bitmap())
 	}
+
+	// A failed load clears the bit too: stage 1's key extractor carries
+	// a predicate opcode the pipeline rejects.
+	bad := testModule(2, 1)
+	bad.Stages[1].Extract = stage.KeyExtractEntry{PredOp: 15}
+	pl := placement()
+	pl.CAMBase[1] = 1
+	pl.SegBase[1] = 4
+	if _, err := c.LoadModule(bad, pl); err == nil {
+		t.Fatal("load with a rejected command succeeded")
+	}
+	if p.Filter.Bitmap() != 0 {
+		t.Errorf("bitmap = %#x after failed load", p.Filter.Bitmap())
+	}
 }
 
 func TestInsertAndDeleteRule(t *testing.T) {
@@ -170,19 +184,6 @@ func TestSweepTimesScaleWithEntries(t *testing.T) {
 	}
 }
 
-func TestFastPathWithoutWirePackets(t *testing.T) {
-	p := core.NewDefault()
-	c := New(p)
-	c.UseWirePackets = false
-	if _, err := c.LoadModule(testModule(3, 2), placement()); err != nil {
-		t.Fatal(err)
-	}
-	out, _, err := p.Process(frame(3, 1), 0)
-	if err != nil || out.Dropped {
-		t.Fatalf("fast path load broken: %v %+v", err, out)
-	}
-}
-
 func TestUnloadViaClient(t *testing.T) {
 	p := core.NewDefault()
 	c := New(p)
@@ -216,57 +217,38 @@ func TestStats(t *testing.T) {
 	}
 }
 
-func TestLoadModuleRetriesOnPacketLoss(t *testing.T) {
-	p := core.NewDefault()
-	c := New(p)
-	// Drop the 3rd packet of the first attempt only.
-	dropped := false
-	p.Chain.SetLossFunc(func(seq uint64) bool {
-		if seq == 2 && !dropped {
-			dropped = true
-			return true
-		}
-		return false
-	})
-	rep, err := c.LoadModule(testModule(1, 2), placement())
-	if err != nil {
-		t.Fatalf("load with one lost packet: %v", err)
-	}
-	if rep.Attempts != 2 {
-		t.Errorf("attempts = %d, want 2", rep.Attempts)
-	}
-	if p.Chain.Lost() != 1 {
-		t.Errorf("lost = %d", p.Chain.Lost())
-	}
-	// The module works after the retried load.
-	out, _, err := p.Process(frame(1, 1), 0)
-	if err != nil || out.Dropped {
-		t.Fatalf("processing after retried load: %v %+v", err, out)
-	}
-}
-
-func TestLoadModuleGivesUpAfterMaxAttempts(t *testing.T) {
-	p := core.NewDefault()
-	c := New(p)
-	p.Chain.SetLossFunc(func(seq uint64) bool { return true }) // lose everything
-	_, err := c.LoadModule(testModule(1, 1), placement())
-	if !errors.Is(err, ErrVerify) {
-		t.Fatalf("err = %v, want ErrVerify", err)
-	}
-	// The bitmap must be cleared even on failure (deferred).
-	if p.Filter.Bitmap() != 0 {
-		t.Errorf("bitmap = %#x after failed load", p.Filter.Bitmap())
-	}
-}
-
+// A lossless load is a single pass: the chain counter advances by
+// exactly the commands the report says were sent.
 func TestLoadModuleSingleAttemptWhenLossless(t *testing.T) {
 	p := core.NewDefault()
 	c := New(p)
-	rep, err := c.LoadModule(testModule(1, 1), placement())
+	before := p.Chain.Counter()
+	rep, err := c.LoadModule(testModule(1, 3), placement())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Attempts != 1 {
-		t.Errorf("attempts = %d", rep.Attempts)
+	if got := p.Chain.Counter() - before; got != uint32(rep.Commands) {
+		t.Errorf("counter advanced %d, report says %d commands", got, rep.Commands)
+	}
+}
+
+// The device makes one pass, so a load the pipeline refuses gives up on
+// that first attempt: it stops at the rejected command and resends
+// nothing.
+func TestLoadModuleGivesUpAfterMaxAttempts(t *testing.T) {
+	p := core.NewDefault()
+	c := New(p)
+	bad := testModule(1, 1)
+	bad.Stages[1].Extract = stage.KeyExtractEntry{PredOp: 15}
+	cmds, err := bad.Commands(placement())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := p.Chain.Counter()
+	if _, err := c.LoadModule(bad, placement()); err == nil {
+		t.Fatal("load with a rejected command succeeded")
+	}
+	if sent := p.Chain.Counter() - before; sent >= uint32(len(cmds)) {
+		t.Errorf("chain saw %d packets for a %d-command load that failed part way", sent, len(cmds))
 	}
 }

@@ -184,10 +184,10 @@ func applyOps(ops []shardOp, moduleID uint16, cmds []reconfig.Command) []shardOp
 // parser/deparser entries, and stateful segments zeroed), fenced the
 // same way as LoadModuleVerified. Scheduler state tied to the tenant is
 // pruned too — its egress weight and virtual-finish time on every
-// shard, and its ingress rate limit (buckets and drop counter) at the
-// engine edge — so a later re-load starts from a clean slate instead
-// of inheriting a stale virtual finish time or a drained bucket from
-// the tenant's previous life.
+// shard, and its ingress rate-limit buckets at the engine edge — so a
+// later re-load starts from a clean slate instead of inheriting a stale
+// virtual finish time or a drained bucket from the tenant's previous
+// life.
 func (e *Engine) UnloadModuleLive(moduleID uint16) (uint64, error) {
 	gen, err := e.issue(nil,
 		shardOp{kind: opPause, tenant: moduleID},

@@ -1,17 +1,18 @@
-// Verified reconfiguration: the engine-side §4.1 loss-recovery
-// protocol. The device-level control plane (ctrlplane.LoadModule)
-// already pushes commands down the daisy chain, polls the chain
-// counter, and retries whole loads on shortfall; this file is the same
-// protocol for the *live* multi-shard path, where each worker replica
-// is its own lossy delivery target. A verified burst tags every
-// command with a sequence number and a shared progress tracker; each
-// shard applies commands strictly in order (go-back-N: duplicates from
-// retries are skipped by sequence number, successors of a lost command
-// are discarded), so a shard's progress is always a contiguous prefix
-// of the burst and the issuer can re-send just the missing suffix —
-// with capped exponential backoff and a bounded retry budget, after
-// which the typed ErrVerify surfaces and a verified load rolls back to
-// the last-known-good configuration instead of leaving a torn replica.
+// Verified reconfiguration: the §4.1 loss-recovery protocol, and the
+// one retry loop in the tree. The device-level control plane
+// (ctrlplane.LoadModule) pushes commands once down a lossless
+// in-process daisy chain and checks the counter; the live multi-shard
+// path is where commands get lost, because each worker replica is its
+// own delivery target under the engine's faultinject plan. A verified
+// burst tags every command with a sequence number and a shared
+// progress tracker; each shard applies commands strictly in order
+// (go-back-N: duplicates from retries are skipped by sequence number,
+// successors of a lost command are discarded), so a shard's progress is
+// always a contiguous prefix of the burst and the issuer can re-send
+// just the missing suffix — with capped exponential backoff and a
+// bounded retry budget, after which the typed ErrVerify surfaces and a
+// verified load rolls back to the last-known-good configuration instead
+// of leaving a torn replica.
 package engine
 
 import (
@@ -31,12 +32,14 @@ import (
 // sentinel, so callers match either with one errors.Is.
 var ErrVerify = ctrlplane.ErrVerify
 
+// maxAttempts is the default §4.1 retry budget, in bursts.
+const maxAttempts = 8
+
 // VerifyOpts tunes a verified reconfiguration; zero values take the
-// defaults (the ctrlplane retry budget, 50µs initial backoff capped at
-// 5ms).
+// defaults (8 bursts, 50µs initial backoff capped at 5ms).
 type VerifyOpts struct {
 	// MaxAttempts bounds the total bursts sent, first try included
-	// (default ctrlplane.MaxLoadAttempts).
+	// (default 8).
 	MaxAttempts int
 	// Backoff is the wait before the first retry burst; it doubles per
 	// retry (default 50µs).
@@ -47,7 +50,7 @@ type VerifyOpts struct {
 
 func (o VerifyOpts) withDefaults() VerifyOpts {
 	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = ctrlplane.MaxLoadAttempts
+		o.MaxAttempts = maxAttempts
 	}
 	if o.Backoff <= 0 {
 		o.Backoff = 50 * time.Microsecond

@@ -4,8 +4,8 @@
 // -race soak that churns egress weights and live-reloads a tenant over
 // a 5% lossy control channel while a data link flaps, proving verified
 // reconfiguration converges with retries and post-recovery outputs are
-// byte-identical to the synchronous reference. CI runs this file twice
-// under -race via the 'Chaos|Verify|Watchdog' step.
+// byte-identical to the synchronous reference walk. CI runs this file
+// twice under -race via the 'Chaos|Verify|Watchdog' step.
 package fabric
 
 import (
@@ -124,7 +124,7 @@ func TestFabricChaosConservation(t *testing.T) {
 // weight churn at the entry node. Everything must converge: reloads
 // verified (with observed retries), no degraded shards, conservation
 // intact — and a post-recovery traffic batch must be byte-identical,
-// per host, to the synchronous reference fabric.
+// per host, to the synchronous reference walk.
 func TestFabricChaosSoakReconfig(t *testing.T) {
 	const soakFrames = 3000
 	const recoveryFrames = 400
@@ -132,9 +132,9 @@ func TestFabricChaosSoakReconfig(t *testing.T) {
 
 	// Synchronous reference for the post-recovery batch only.
 	recovery := parityTraffic(recoveryFrames, 1, 2)
-	ref, refDrops := collectSync(t, spec.buildSync(t), "s0", 0, recovery)
+	ref, refDrops := collectRef(t, spec.buildRef(t), "s0", 0, recovery)
 	if len(refDrops) != 0 {
-		t.Fatalf("setup: sync walk dropped frames: %v", refDrops)
+		t.Fatalf("setup: reference walk dropped frames: %v", refDrops)
 	}
 
 	sink := newHostSink()
@@ -268,7 +268,7 @@ func TestFabricChaosSoakReconfig(t *testing.T) {
 
 	// Recovery parity: clear the sink, drive the reference batch, and
 	// compare per-host frame multisets (workers race on order) with the
-	// synchronous fabric's output.
+	// reference walk's output.
 	sink.mu.Lock()
 	sink.frames = map[string][][]byte{}
 	sink.hops = map[string][]int{}
@@ -298,14 +298,14 @@ func compareHostSets(t *testing.T, ref map[string][][]byte, sink *hostSink) {
 		got := append([][]byte(nil), sink.frames[k]...)
 		want = append([][]byte(nil), want...)
 		if len(got) != len(want) {
-			t.Errorf("host %s: engine delivered %d frames, sync delivered %d", k, len(got), len(want))
+			t.Errorf("host %s: engine delivered %d frames, reference delivered %d", k, len(got), len(want))
 			continue
 		}
 		sortFrames(got)
 		sortFrames(want)
 		for i := range want {
 			if !bytes.Equal(got[i], want[i]) {
-				t.Errorf("host %s: frame multiset differs from sync output (first at sorted index %d: %s)",
+				t.Errorf("host %s: frame multiset differs from the reference (first at sorted index %d: %s)",
 					k, i, diffByte(got[i], want[i]))
 				break
 			}
@@ -313,7 +313,7 @@ func compareHostSets(t *testing.T, ref map[string][][]byte, sink *hostSink) {
 	}
 	for k := range sink.frames {
 		if _, ok := ref[k]; !ok {
-			t.Errorf("host %s: engine delivered %d frames, sync delivered none", k, len(sink.frames[k]))
+			t.Errorf("host %s: engine delivered %d frames, reference delivered none", k, len(sink.frames[k]))
 		}
 	}
 }

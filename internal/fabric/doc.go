@@ -7,19 +7,14 @@
 // before loading them (§3.4).
 //
 // The fabric is a directed port graph: (device, egress port) either
-// ends at a host or enters another device at some ingress port. The
-// package provides the graph in two executions:
-//
-//   - Fabric, the synchronous reference: Inject walks one frame (and
-//     its multicast copies) breadth-first through each device's full
-//     Process path until every copy reaches a terminal port or is
-//     dropped.
-//   - EngineFabric, the concurrent dataplane: one engine.Engine per
-//     node, fed in batches; a node's egress stage classifies processed
-//     frames by egress port and re-submits linked-port frames into the
-//     downstream node's engine, host-terminal frames to the Deliver
-//     sink. The parity suite holds the two executions to byte-identical
-//     per-host outputs over identical traffic.
+// ends at a host or enters another device at some ingress port.
+// EngineFabric runs it as a concurrent dataplane: one engine.Engine per
+// node, fed in batches; a node's egress stage classifies processed
+// frames by egress port and re-submits linked-port frames into the
+// downstream node's engine, host-terminal frames to the Deliver sink.
+// The package's parity tests hold it to byte-identical per-host outputs
+// against a synchronous reference walk that takes each frame (and its
+// multicast copies) breadth-first through full per-device pipelines.
 //
 // # Invariants of the engine-backed fabric
 //
@@ -35,10 +30,9 @@
 //     (MaxHops) is carried next to the buffer in BatchResult.Meta,
 //     never written into the frame: the bytes on a link are exactly
 //     the tenant's frame, VID intact (§3.3/§3.4). A frame that
-//     reaches the bound is dropped and counted (TTLDropped — the
-//     counted form of ErrTTLExceeded), so even a routing loop the
-//     §3.4 check would have refused degrades into accounted loss, not
-//     a hang.
+//     reaches the bound is dropped and counted (TTLDropped), so even a
+//     routing loop the §3.4 check would have refused degrades into
+//     accounted loss, not a hang.
 //   - Inter-node backpressure never blocks. A downstream node's full
 //     ring sheds the hand-off (drop-and-count, LinkDropped +
 //     downstream QueueFull) instead of blocking the upstream worker

@@ -11,15 +11,45 @@ package fabric
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/checker"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/faultinject"
 	"repro/internal/sysmod"
 )
+
+// Errors returned by topology calls.
+var (
+	// ErrUnknownDevice names a node that was never added.
+	ErrUnknownDevice = errors.New("fabric: unknown device")
+	// ErrStarted is returned by topology mutations after Start.
+	ErrStarted = errors.New("fabric: already started")
+)
+
+// MaxHops bounds a frame's walk through the fabric: a frame still in
+// flight after MaxHops devices is dropped and counted (TTLDropped).
+const MaxHops = 16
+
+// Delivery is one frame arriving at a terminal (host-facing) port.
+type Delivery struct {
+	// Device and Port locate the host-facing port the frame left on.
+	Device string
+	// Port is the terminal egress port.
+	Port uint8
+	// Tenant is the frame's module (VLAN) ID.
+	Tenant uint16
+	// Frame is the delivered frame, valid only for the duration of the
+	// Deliver callback (the engine reclaims the buffer afterwards) —
+	// copy anything retained.
+	Frame []byte
+	// Hops counts inter-device link crossings the frame made.
+	Hops int
+}
 
 // NodeConfig configures one engine-backed fabric node: the engine's own
 // Config, zero values taking the engine defaults. Each entry of Modules
@@ -182,9 +212,10 @@ func (f *EngineFabric) Link(from string, egress uint8, to string, ingress uint8)
 	if f.started {
 		return ErrStarted
 	}
-	has := func(name string) bool { _, ok := f.nodes[name]; return ok }
-	if err := checkKnown(has, from, to); err != nil {
-		return err
+	for _, name := range []string{from, to} {
+		if _, ok := f.nodes[name]; !ok {
+			return fmt.Errorf("%w: %q", ErrUnknownDevice, name)
+		}
 	}
 	f.topo.addLink(from, egress, to, ingress)
 	return nil
@@ -231,15 +262,21 @@ func (f *EngineFabric) Node(name string) (*EngineNode, error) {
 }
 
 // ModuleRouteGraph collects a module's inter-device forwarding graph
-// for the §3.4 loop-freedom check. Run it (through
-// checker.CheckLoopFree) before Start: a loop the check would have
-// refused degrades, at runtime, into TTL-counted drops.
-func (f *EngineFabric) ModuleRouteGraph(moduleID uint16) []RouteHop {
-	sys := make(map[string]*sysmod.Config, len(f.nodes))
-	for name, n := range f.nodes {
-		sys[name] = n.Sys
+// from the nodes' system-module routes and the fabric's links, the
+// input to checker.CheckLoopFree (§3.4). Run the check before Start: a
+// loop it would have refused degrades, at runtime, into TTL-counted
+// drops.
+func (f *EngineFabric) ModuleRouteGraph(moduleID uint16) []checker.Hop {
+	var hops []checker.Hop
+	for _, n := range f.order {
+		for _, r := range n.Sys.Routes[moduleID] {
+			// An unlinked port delivers locally: the chain ends there.
+			if ep, linked := f.topo.next(n.Name, r.Port); linked {
+				hops = append(hops, checker.Hop{Dev: n.Name, VIP: r.VIP.Uint32(), Next: ep.device})
+			}
+		}
 	}
-	return f.topo.moduleRouteGraph(sys, moduleID)
+	return hops
 }
 
 // Start freezes the topology, resolves every node's link table, and
@@ -370,10 +407,9 @@ func (n *EngineNode) classify(sc *fwdScratch, r *core.BatchResult, tenant uint16
 		return
 	}
 	if hops+1 >= MaxHops {
-		// The TTL bound (the runtime backstop behind ErrTTLExceeded):
-		// the frame has traversed MaxHops devices, so it is counted
-		// and dropped instead of looping forever. The buffer stays
-		// with the engine, which reclaims it after the callback.
+		// The TTL bound: the frame has traversed MaxHops devices, so it
+		// is counted and dropped instead of looping forever. The buffer
+		// stays with the engine, which reclaims it after the callback.
 		n.ttlDropped.Add(1)
 		return
 	}
@@ -556,8 +592,7 @@ type NodeStats struct {
 	// full (or the downstream engine closed) — the never-block
 	// backpressure policy made visible.
 	LinkDropped uint64
-	// TTLDropped counts frames dropped at the MaxHops bound (the
-	// counted form of ErrTTLExceeded).
+	// TTLDropped counts frames dropped at the MaxHops bound.
 	TTLDropped uint64
 	// Delivered counts frames that reached this node's host-terminal
 	// ports.

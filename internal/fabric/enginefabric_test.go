@@ -1,5 +1,5 @@
 // EngineFabric suite: the parity harness driving identical topologies
-// and traffic through the synchronous walker and the engine-backed
+// and traffic through a synchronous reference walk and the engine-backed
 // fabric (byte-identical per-host outputs, matching drop counts), plus
 // the loop/TTL, backpressure, multicast, and concurrency behaviors the
 // asynchronous execution adds. CI runs this file under -race.
@@ -44,7 +44,7 @@ func tenantSpec(t testing.TB, alloc *checker.Allocator, sys *sysmod.Config, modu
 	return engine.ModuleSpec{Config: prog.Config, Placement: pl}
 }
 
-// fabricSpec describes one topology once, so the sync and engine
+// fabricSpec describes one topology once, so the reference and engine
 // builds cannot drift apart.
 type fabricSpec struct {
 	nodes map[string]*sysmod.Config // name -> routes/groups
@@ -81,29 +81,74 @@ func (s *fabricSpec) link(from string, egress uint8, to string, ingress uint8) {
 	s.links = append(s.links, [4]any{from, egress, to, ingress})
 }
 
-// buildSync instantiates the spec as a synchronous Fabric.
-func (s *fabricSpec) buildSync(t *testing.T) *Fabric {
+// refFabric is the parity suites' synchronous reference: one
+// core.Pipeline per node over the same topology EngineFabric uses.
+type refFabric struct {
+	pipes map[string]*core.Pipeline
+	tms   map[string]*sysmod.TrafficManager
+	topo  topology
+}
+
+// errRefTTL is the reference walk's verdict on a forwarding loop.
+var errRefTTL = errors.New("reference walk: frame still in flight after MaxHops devices")
+
+// buildRef instantiates the spec as the synchronous reference.
+func (s *fabricSpec) buildRef(t *testing.T) *refFabric {
 	t.Helper()
-	f := New()
+	r := &refFabric{pipes: map[string]*core.Pipeline{}, tms: map[string]*sysmod.TrafficManager{}, topo: newTopology()}
 	for _, name := range s.names {
-		f.AddDevice(name, core.NewDefault(), s.nodes[name])
-	}
-	for _, l := range s.links {
-		if err := f.Link(l[0].(string), l[1].(uint8), l[2].(string), l[3].(uint8)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, name := range s.names {
-		n, _ := f.Node(name)
-		alloc := checker.NewAllocator(checker.CapacityOf(n.Pipe.Geometry), nil)
+		pipe := core.NewDefault()
+		r.pipes[name], r.tms[name] = pipe, sysmod.NewTrafficManager(s.nodes[name])
+		alloc := checker.NewAllocator(checker.CapacityOf(pipe.Geometry), nil)
 		for _, id := range s.loads[name] {
-			spec := tenantSpec(t, alloc, n.Sys, id)
-			if _, err := ctrlplane.New(n.Pipe).LoadModule(spec.Config, spec.Placement); err != nil {
+			spec := tenantSpec(t, alloc, s.nodes[name], id)
+			if _, err := ctrlplane.New(pipe).LoadModule(spec.Config, spec.Placement); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	return f
+	for _, l := range s.links {
+		r.topo.addLink(l[0].(string), l[1].(uint8), l[2].(string), l[3].(uint8))
+	}
+	return r
+}
+
+// walk takes one frame from (entry, ingress) breadth-first through full
+// pipelines until every multicast copy reaches a terminal port or is
+// dropped, appending deliveries to out (keyed like hostSink) and
+// counting drops per device.
+func (r *refFabric) walk(entry string, ingress uint8, frame []byte, out map[string][][]byte, drops map[string]int) error {
+	type work struct {
+		dev     string
+		ingress uint8
+		frame   []byte
+		hops    int
+	}
+	queue := []work{{entry, ingress, frame, 0}}
+	for len(queue) > 0 {
+		w := queue[0]
+		queue = queue[1:]
+		if w.hops >= MaxHops {
+			return errRefTTL
+		}
+		res, _, err := r.pipes[w.dev].Process(w.frame, w.ingress)
+		if err != nil {
+			return fmt.Errorf("device %s: %w", w.dev, err)
+		}
+		if res.Dropped {
+			drops[w.dev]++
+			continue
+		}
+		for _, port := range r.tms[w.dev].Expand(res.EgressPort) {
+			if ep, linked := r.topo.next(w.dev, port); linked {
+				queue = append(queue, work{ep.device, ep.ingress, res.Data, w.hops + 1})
+			} else {
+				k := hostKey(w.dev, port, res.ModuleID)
+				out[k] = append(out[k], append([]byte(nil), res.Data...))
+			}
+		}
+	}
+	return nil
 }
 
 // buildEngine instantiates the spec as a started EngineFabric whose
@@ -173,33 +218,23 @@ func (h *hostSink) deliver(d Delivery) {
 	h.count++
 }
 
-// collectSync runs frames one at a time through the synchronous walker
-// and returns the same per-host map the engine sink produces, plus the
-// per-device drop counts from the traces.
-func collectSync(t *testing.T, f *Fabric, entry string, ingress uint8, frames [][]byte) (map[string][][]byte, map[string]int) {
+// collectRef walks frames one at a time through the reference and
+// returns the same per-host map the engine sink produces, plus the
+// per-device drop counts.
+func collectRef(t *testing.T, r *refFabric, entry string, ingress uint8, frames [][]byte) (map[string][][]byte, map[string]int) {
 	t.Helper()
 	out := map[string][][]byte{}
 	drops := map[string]int{}
 	for _, fr := range frames {
-		deliveries, traces, err := f.Inject(entry, ingress, fr)
-		if err != nil {
+		if err := r.walk(entry, ingress, fr, out, drops); err != nil {
 			t.Fatal(err)
-		}
-		for _, d := range deliveries {
-			k := hostKey(d.Device, d.Port, d.Tenant)
-			out[k] = append(out[k], append([]byte(nil), d.Frame...))
-		}
-		for _, tr := range traces {
-			if tr.Dropped {
-				drops[tr.Device]++
-			}
 		}
 	}
 	return out, drops
 }
 
 // compareHosts asserts the engine sink saw byte-identical per-host
-// frame sequences to the synchronous reference.
+// frame sequences to the reference.
 func compareHosts(t *testing.T, ref map[string][][]byte, sink *hostSink) {
 	t.Helper()
 	sink.mu.Lock()
@@ -207,19 +242,19 @@ func compareHosts(t *testing.T, ref map[string][][]byte, sink *hostSink) {
 	for k, want := range ref {
 		got := sink.frames[k]
 		if len(got) != len(want) {
-			t.Errorf("host %s: engine delivered %d frames, sync delivered %d", k, len(got), len(want))
+			t.Errorf("host %s: engine delivered %d frames, reference delivered %d", k, len(got), len(want))
 			continue
 		}
 		for i := range want {
 			if !bytes.Equal(got[i], want[i]) {
-				t.Errorf("host %s frame %d: engine output differs from sync output", k, i)
+				t.Errorf("host %s frame %d: engine output differs from the reference", k, i)
 				break
 			}
 		}
 	}
 	for k := range sink.frames {
 		if _, ok := ref[k]; !ok {
-			t.Errorf("host %s: engine delivered %d frames, sync delivered none", k, len(sink.frames[k]))
+			t.Errorf("host %s: engine delivered %d frames, reference delivered none", k, len(sink.frames[k]))
 		}
 	}
 }
@@ -257,20 +292,29 @@ func parityTraffic(n int, tenants ...uint16) [][]byte {
 }
 
 // TestEngineFabricParityChain is the acceptance parity scenario: a
-// 3-node chain, two tenants, identical traffic through both fabric
-// executions; per-host outputs must be byte-identical, with zero drops
-// anywhere on the engine path.
+// 3-node chain, two tenants, identical traffic through the reference
+// and the engine fabric; per-host outputs must be byte-identical, with
+// zero drops anywhere on the engine path, and every delivered frame
+// must still carry its tenant's VID (§3.4: a VID rewritten in flight
+// would hit another module's tables downstream).
 func TestEngineFabricParityChain(t *testing.T) {
 	const frames = 600
 	spec := chainSpec(3, parityVIP, 1, 2)
 	traffic := parityTraffic(frames, 1, 2)
 
-	ref, refDrops := collectSync(t, spec.buildSync(t), "s0", 0, traffic)
+	ref, refDrops := collectRef(t, spec.buildRef(t), "s0", 0, traffic)
 	if len(refDrops) != 0 {
-		t.Fatalf("setup: sync walk dropped frames: %v", refDrops)
+		t.Fatalf("setup: reference walk dropped frames: %v", refDrops)
 	}
 
-	ef, sink := spec.buildEngine(t, NodeConfig{Workers: 1, BatchSize: 16})
+	sink := newHostSink()
+	ef := spec.buildEngineWith(t, NodeConfig{Workers: 1, BatchSize: 16}, func(d Delivery) {
+		var p packet.Packet
+		if err := packet.Decode(d.Frame, &p); err != nil || p.ModuleID() != d.Tenant {
+			t.Errorf("frame delivered at %s for tenant %d carries VID %d (decode: %v)", d.Device, d.Tenant, p.ModuleID(), err)
+		}
+		sink.deliver(d)
+	})
 	for i := 0; i < frames; i += 32 {
 		end := min(i+32, frames)
 		if acc, err := ef.InjectBatch("s0", 0, traffic[i:end]); err != nil || acc != end-i {
@@ -315,17 +359,16 @@ func TestEngineFabricParityChain(t *testing.T) {
 }
 
 // TestEngineFabricParityDrops: frames of a tenant with no module
-// loaded drop at the first node in both executions, with matching
-// counts.
+// loaded drop at the first node in the reference and the engine
+// fabric, with matching counts.
 func TestEngineFabricParityDrops(t *testing.T) {
 	const frames = 120
 	spec := chainSpec(2, parityVIP, 1)
 	traffic := parityTraffic(frames, 1, 7) // tenant 7 is never loaded
 
-	sf := spec.buildSync(t)
-	ref, refDrops := collectSync(t, sf, "s0", 0, traffic)
+	ref, refDrops := collectRef(t, spec.buildRef(t), "s0", 0, traffic)
 	if refDrops["s0"] == 0 {
-		t.Fatal("setup: sync walk dropped nothing at s0")
+		t.Fatal("setup: reference walk dropped nothing at s0")
 	}
 
 	ef, sink := spec.buildEngine(t, NodeConfig{Workers: 1})
@@ -338,14 +381,14 @@ func TestEngineFabricParityDrops(t *testing.T) {
 
 	compareHosts(t, ref, sink)
 	if got := st.Nodes["s0"].Engine.Tenants[7].PipelineDrops; got != uint64(refDrops["s0"]) {
-		t.Errorf("engine dropped %d unknown-tenant frames at s0, sync dropped %d", got, refDrops["s0"])
+		t.Errorf("engine dropped %d unknown-tenant frames at s0, reference dropped %d", got, refDrops["s0"])
 	}
 }
 
 // TestEngineFabricParityMulticast: a multicast group fanning out to a
 // local host port and a link must deliver the same frames at the same
-// hosts in both executions — the replication copy is the only copy a
-// hop may cost.
+// hosts as the reference — the replication copy is the only copy a hop
+// may cost.
 func TestEngineFabricParityMulticast(t *testing.T) {
 	const frames = 200
 	groupVIP := packet.IPv4Addr{224, 0, 0, 9}
@@ -362,7 +405,7 @@ func TestEngineFabricParityMulticast(t *testing.T) {
 	sc := trafficgen.FabricScenario(7, groupVIP, 0, 4, 1)
 	traffic := sc.NextBatch(nil, frames)
 
-	ref, _ := collectSync(t, s.buildSync(t), "s0", 0, traffic)
+	ref, _ := collectRef(t, s.buildRef(t), "s0", 0, traffic)
 
 	ef, sink := s.buildEngine(t, NodeConfig{Workers: 1})
 	if _, err := ef.InjectBatch("s0", 0, traffic); err != nil {
@@ -378,9 +421,11 @@ func TestEngineFabricParityMulticast(t *testing.T) {
 	}
 }
 
-// TestEngineFabricLoopTTL: a cyclic route the §3.4 check refuses must,
-// when loaded anyway, surface on the engine path as counted TTL drops
-// — Drain terminates (no hang) and no frame is silently lost.
+// TestEngineFabricLoopTTL: a cyclic route the §3.4 check refuses (see
+// TestRoutingLoopDetectedByControlPlane) must, when loaded anyway,
+// surface on the engine path as counted TTL drops — Drain terminates
+// (no hang) and no frame is silently lost — where the reference walk
+// reports the loop.
 func TestEngineFabricLoopTTL(t *testing.T) {
 	const frames = 64
 	s := newSpec()
@@ -391,22 +436,13 @@ func TestEngineFabricLoopTTL(t *testing.T) {
 	s.link("s0", 1, "s1", 0)
 	s.link("s1", 1, "s0", 0)
 
-	// The control plane refuses this topology...
-	ef, sink := s.buildEngine(t, NodeConfig{Workers: 1})
-	var hops []checker.Hop
-	for _, h := range ef.ModuleRouteGraph(1) {
-		hops = append(hops, checker.Hop{Dev: h.Dev, VIP: h.VIP, Next: h.Next})
-	}
-	if err := checker.CheckLoopFree(hops); !errors.Is(err, checker.ErrRouteLoop) {
-		t.Fatalf("loop not detected by control plane: %v", err)
-	}
-
-	// ...and the sync walker errors out on it.
-	if _, _, err := s.buildSync(t).Inject("s0", 0, parityTraffic(1, 1)[0]); !errors.Is(err, ErrTTLExceeded) {
-		t.Fatalf("sync walk: err = %v, want ErrTTLExceeded", err)
+	err := s.buildRef(t).walk("s0", 0, parityTraffic(1, 1)[0], map[string][][]byte{}, map[string]int{})
+	if !errors.Is(err, errRefTTL) {
+		t.Fatalf("reference walk: err = %v, want errRefTTL", err)
 	}
 
 	// The engine fabric must neither hang nor lose frames silently.
+	ef, sink := s.buildEngine(t, NodeConfig{Workers: 1})
 	traffic := parityTraffic(frames, 1)
 	if acc, err := ef.InjectBatch("s0", 0, traffic); err != nil || acc != frames {
 		t.Fatalf("inject: acc=%d err=%v", acc, err)

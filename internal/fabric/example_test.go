@@ -76,11 +76,7 @@ func Example_engineFabric() {
 
 	// The §3.4 control-plane check: the tenant's route graph must be
 	// loop-free before traffic flows.
-	var hops []checker.Hop
-	for _, h := range fab.ModuleRouteGraph(1) {
-		hops = append(hops, checker.Hop{Dev: h.Dev, VIP: h.VIP, Next: h.Next})
-	}
-	if err := checker.CheckLoopFree(hops); err != nil {
+	if err := checker.CheckLoopFree(fab.ModuleRouteGraph(1)); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("route graph verified loop-free")

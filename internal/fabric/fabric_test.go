@@ -5,9 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/checker"
-	"repro/internal/compiler"
-	"repro/internal/core"
-	"repro/internal/ctrlplane"
+	"repro/internal/faultinject"
 	"repro/internal/packet"
 	"repro/internal/sysmod"
 	"repro/internal/trafficgen"
@@ -24,183 +22,133 @@ table t { actions = { nop_a; } size = 1; }
 control { apply(t); }
 `
 
-// loadTenant compiles and loads the passthrough module on a node.
-func loadTenant(t *testing.T, n *Node, moduleID uint16) {
+// sendOne injects one frame of the tenant at s0 port 0, drains the
+// fabric, and returns its stats.
+func sendOne(t *testing.T, f *EngineFabric, tenant uint16, vip packet.IPv4Addr) FabricStats {
 	t.Helper()
-	prog, err := compiler.Compile(passthroughSrc, compiler.Options{ModuleID: moduleID})
-	if err != nil {
-		t.Fatal(err)
+	frame := trafficgen.FlowPacket(tenant, [4]byte{10, 0, 0, 1}, vip, 1000, 2000, 0)
+	if acc, err := f.InjectBatch("s0", 0, [][]byte{frame}); err != nil || acc != 1 {
+		t.Fatalf("inject: acc=%d err=%v", acc, err)
 	}
-	if err := n.Sys.Augment(prog.Config); err != nil {
-		t.Fatal(err)
-	}
-	alloc := checker.NewAllocator(checker.CapacityOf(n.Pipe.Geometry), nil)
-	pl, err := alloc.Admit(prog.Config)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ctrlplane.New(n.Pipe).LoadModule(prog.Config, pl); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// twoSwitchFabric builds s1 --(port1 -> port0)--> s2 with tenant 1 loaded
-// on both and a vIP routed across.
-func twoSwitchFabric(t *testing.T) (*Fabric, packet.IPv4Addr) {
-	t.Helper()
-	f := New()
-	vip := packet.IPv4Addr{10, 9, 9, 9}
-
-	sys1 := sysmod.NewConfig()
-	sys1.AddRoute(1, vip, 1) // s1: vip -> port 1 (link to s2)
-	s1 := f.AddDevice("s1", core.NewDefault(), sys1)
-
-	sys2 := sysmod.NewConfig()
-	sys2.AddRoute(1, vip, 2) // s2: vip -> port 2 (host)
-	s2 := f.AddDevice("s2", core.NewDefault(), sys2)
-
-	if err := f.Link("s1", 1, "s2", 0); err != nil {
-		t.Fatal(err)
-	}
-	loadTenant(t, s1, 1)
-	loadTenant(t, s2, 1)
-	return f, vip
+	f.Drain()
+	return f.Stats()
 }
 
 func TestForwardAcrossDevices(t *testing.T) {
-	f, vip := twoSwitchFabric(t)
-	frame := trafficgen.FlowPacket(1, [4]byte{10, 0, 0, 1}, vip, 1000, 2000, 0)
-	deliveries, traces, err := f.Inject("s1", 0, frame)
-	if err != nil {
-		t.Fatal(err)
+	f, sink := chainSpec(2, parityVIP, 1).buildEngine(t, NodeConfig{Workers: 1})
+	defer f.Close()
+	st := sendOne(t, f, 1, parityVIP)
+	if st.Delivered != 1 || st.Forwarded != 1 {
+		t.Fatalf("delivered %d, forwarded %d; want 1, 1", st.Delivered, st.Forwarded)
 	}
-	if len(deliveries) != 1 {
-		t.Fatalf("deliveries = %+v", deliveries)
-	}
-	d := deliveries[0]
-	if d.Device != "s2" || d.Port != 2 || d.Hops != 1 {
-		t.Errorf("delivery = %+v", d)
-	}
-	if len(traces) != 2 {
-		t.Errorf("traces = %+v", traces)
+	if hops := sink.hops[hostKey("s1", 2, 1)]; len(hops) != 1 || hops[0] != 1 {
+		t.Errorf("host s1/2/t1 saw hop counts %v, want [1]", hops)
 	}
 }
 
+// TestVIDSurvivesAcrossDevices: §3.4 — a frame keeps its tenant's VID
+// on every hop, so each device's tables see the module that sent it.
 func TestVIDSurvivesAcrossDevices(t *testing.T) {
-	// §3.4: the VID must be unchanged on the wire between devices, or
-	// module A's packets could hit module B's tables downstream. Verify
-	// the frame delivered at s2 still carries VLAN ID 1.
-	f, vip := twoSwitchFabric(t)
-	frame := trafficgen.FlowPacket(1, [4]byte{10, 0, 0, 1}, vip, 1000, 2000, 0)
-	deliveries, _, err := f.Inject("s1", 0, frame)
-	if err != nil {
-		t.Fatal(err)
+	f, sink := chainSpec(3, parityVIP, 1, 2).buildEngine(t, NodeConfig{Workers: 1})
+	defer f.Close()
+	for _, tenant := range []uint16{1, 2} {
+		sendOne(t, f, tenant, parityVIP)
 	}
-	var p packet.Packet
-	if err := packet.Decode(deliveries[0].Frame, &p); err != nil {
-		t.Fatal(err)
-	}
-	if p.ModuleID() != 1 {
-		t.Errorf("VID changed in flight: %d", p.ModuleID())
+	for _, tenant := range []uint16{1, 2} {
+		k := hostKey("s2", 2, tenant)
+		if len(sink.frames[k]) != 1 {
+			t.Fatalf("host %s got %d frames, want 1", k, len(sink.frames[k]))
+		}
+		var p packet.Packet
+		if err := packet.Decode(sink.frames[k][0], &p); err != nil {
+			t.Fatal(err)
+		}
+		if p.ModuleID() != tenant {
+			t.Errorf("tenant %d frame arrived at s2 with VID %d", tenant, p.ModuleID())
+		}
 	}
 }
 
 func TestUnknownModuleDropsAtFirstDevice(t *testing.T) {
-	f, vip := twoSwitchFabric(t)
-	frame := trafficgen.FlowPacket(7, [4]byte{10, 0, 0, 1}, vip, 1000, 2000, 0)
-	deliveries, traces, err := f.Inject("s1", 0, frame)
-	if err != nil {
-		t.Fatal(err)
+	f, _ := chainSpec(2, parityVIP, 1).buildEngine(t, NodeConfig{Workers: 1})
+	defer f.Close()
+	st := sendOne(t, f, 7, parityVIP)
+	if st.Delivered != 0 || st.Forwarded != 0 {
+		t.Errorf("delivered %d, forwarded %d; want 0, 0", st.Delivered, st.Forwarded)
 	}
-	if len(deliveries) != 0 {
-		t.Errorf("deliveries = %+v", deliveries)
-	}
-	if len(traces) != 1 || !traces[0].Dropped {
-		t.Errorf("traces = %+v", traces)
+	if got := st.Nodes["s0"].Engine.Tenants[7].PipelineDrops; got != 1 {
+		t.Errorf("s0 dropped %d frames of tenant 7, want 1", got)
 	}
 }
 
+// TestRoutingLoopDetectedByControlPlane: the §3.4 check passes a chain
+// and refuses a module whose routes send a vIP around a cycle
+// (TestEngineFabricLoopTTL loads such a cycle anyway).
 func TestRoutingLoopDetectedByControlPlane(t *testing.T) {
-	// Misconfigure: s1 routes the vip to s2, s2 routes it back to s1.
-	f := New()
-	vip := packet.IPv4Addr{10, 9, 9, 9}
-	sys1 := sysmod.NewConfig()
-	sys1.AddRoute(1, vip, 1)
-	s1 := f.AddDevice("s1", core.NewDefault(), sys1)
-	sys2 := sysmod.NewConfig()
-	sys2.AddRoute(1, vip, 1)
-	s2 := f.AddDevice("s2", core.NewDefault(), sys2)
-	if err := f.Link("s1", 1, "s2", 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Link("s2", 1, "s1", 0); err != nil {
-		t.Fatal(err)
+	chain, _ := chainSpec(3, parityVIP, 1).buildEngine(t, NodeConfig{Workers: 1})
+	defer chain.Close()
+	if hops := chain.ModuleRouteGraph(1); len(hops) != 2 {
+		t.Errorf("chain route graph = %+v, want two linked hops", hops)
+	} else if err := checker.CheckLoopFree(hops); err != nil {
+		t.Errorf("chain refused: %v", err)
 	}
 
-	// The §3.4 control-plane check catches it before loading.
-	var hops []checker.Hop
-	for _, h := range f.ModuleRouteGraph(1) {
-		hops = append(hops, checker.Hop{Dev: h.Dev, VIP: h.VIP, Next: h.Next})
+	// Misconfigure: s0 routes the vip to s1, s1 routes it back to s0.
+	loop := NewEngineFabric(nil)
+	for _, name := range []string{"s0", "s1"} {
+		sys := sysmod.NewConfig()
+		sys.AddRoute(1, parityVIP, 1)
+		if _, err := loop.AddNode(name, sys, NodeConfig{}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := checker.CheckLoopFree(hops); !errors.Is(err, checker.ErrRouteLoop) {
+	if err := loop.Link("s0", 1, "s1", 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := loop.Link("s1", 1, "s0", 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := checker.CheckLoopFree(loop.ModuleRouteGraph(1)); !errors.Is(err, checker.ErrRouteLoop) {
 		t.Fatalf("loop not detected: %v", err)
-	}
-
-	// And if an operator loads it anyway, the TTL bound terminates the
-	// walk instead of looping forever.
-	loadTenant(t, s1, 1)
-	loadTenant(t, s2, 1)
-	frame := trafficgen.FlowPacket(1, [4]byte{10, 0, 0, 1}, vip, 1000, 2000, 0)
-	_, _, err := f.Inject("s1", 0, frame)
-	if !errors.Is(err, ErrTTLExceeded) {
-		t.Fatalf("err = %v, want ErrTTLExceeded", err)
 	}
 }
 
 func TestMulticastFansOutAcrossFabric(t *testing.T) {
-	f := New()
 	vip := packet.IPv4Addr{224, 0, 0, 9}
-	sys1 := sysmod.NewConfig()
-	sys1.AddRoute(1, vip, 200) // group port
-	sys1.AddMulticastGroup(200, []uint8{1, 3})
-	s1 := f.AddDevice("s1", core.NewDefault(), sys1)
-	sys2 := sysmod.NewConfig()
-	sys2.AddRoute(1, vip, 5)
-	s2 := f.AddDevice("s2", core.NewDefault(), sys2)
-	if err := f.Link("s1", 1, "s2", 0); err != nil {
-		t.Fatal(err)
-	}
-	loadTenant(t, s1, 1)
-	loadTenant(t, s2, 1)
+	s := newSpec()
+	s.node("s0").AddRoute(1, vip, 200) // group port
+	s.node("s0").AddMulticastGroup(200, []uint8{1, 3})
+	s.node("s1").AddRoute(1, vip, 5)
+	s.loads["s0"] = []uint16{1}
+	s.loads["s1"] = []uint16{1}
+	s.link("s0", 1, "s1", 0)
+	f, sink := s.buildEngine(t, NodeConfig{Workers: 1})
+	defer f.Close()
 
-	frame := trafficgen.FlowPacket(1, [4]byte{10, 0, 0, 1}, vip, 1, 2, 0)
-	deliveries, _, err := f.Inject("s1", 0, frame)
-	if err != nil {
-		t.Fatal(err)
+	// One copy to the local host port 3, one across the link delivered
+	// at s1 port 5.
+	if st := sendOne(t, f, 1, vip); st.Delivered != 2 {
+		t.Fatalf("delivered %d, want 2", st.Delivered)
 	}
-	// One copy to the local host port 3, one across the link delivered at
-	// s2 port 5.
-	if len(deliveries) != 2 {
-		t.Fatalf("deliveries = %+v", deliveries)
-	}
-	seen := map[string]uint8{}
-	for _, d := range deliveries {
-		seen[d.Device] = d.Port
-	}
-	if seen["s1"] != 3 || seen["s2"] != 5 {
-		t.Errorf("deliveries = %+v", deliveries)
+	for _, k := range []string{hostKey("s0", 3, 1), hostKey("s1", 5, 1)} {
+		if n := len(sink.frames[k]); n != 1 {
+			t.Errorf("host %s got %d frames, want 1", k, n)
+		}
 	}
 }
 
 func TestFabricErrors(t *testing.T) {
-	f := New()
+	f := NewEngineFabric(nil)
 	if err := f.Link("a", 0, "b", 0); !errors.Is(err, ErrUnknownDevice) {
 		t.Errorf("link unknown: %v", err)
 	}
 	if _, err := f.Node("a"); !errors.Is(err, ErrUnknownDevice) {
 		t.Errorf("node unknown: %v", err)
 	}
-	if _, _, err := f.Inject("a", 0, nil); !errors.Is(err, ErrUnknownDevice) {
+	if _, err := f.InjectBatch("a", 0, nil); !errors.Is(err, ErrUnknownDevice) {
 		t.Errorf("inject unknown: %v", err)
+	}
+	if _, err := f.FaultLink("a", 0, faultinject.Plan{}); !errors.Is(err, ErrUnknownDevice) {
+		t.Errorf("fault unknown: %v", err)
 	}
 }

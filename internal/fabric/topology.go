@@ -1,14 +1,6 @@
-// Directed port graph shared by the synchronous walker (Fabric) and
-// the engine-backed fabric (EngineFabric); both feed the same §3.4
-// control-plane loop-freedom check from it.
+// The directed port graph EngineFabric forwards over and collects
+// §3.4 route graphs from.
 package fabric
-
-import (
-	"fmt"
-
-	"repro/internal/packet"
-	"repro/internal/sysmod"
-)
 
 // endpoint is the far side of a directed link.
 type endpoint struct {
@@ -16,9 +8,9 @@ type endpoint struct {
 	ingress uint8
 }
 
-// topology is the directed port graph shared by both fabric flavors:
-// (device, egress port) either ends at a host (no entry) or enters
-// another device at some ingress port.
+// topology is the fabric's directed port graph: (device, egress port)
+// either ends at a host (no entry) or enters another device at some
+// ingress port.
 type topology struct {
 	// links maps (device, egress port) -> next hop.
 	links map[string]map[uint8]endpoint
@@ -40,50 +32,4 @@ func (t *topology) addLink(from string, egress uint8, to string, ingress uint8) 
 func (t *topology) next(dev string, egress uint8) (endpoint, bool) {
 	ep, ok := t.links[dev][egress]
 	return ep, ok
-}
-
-// RouteHop mirrors checker.Hop for route collection.
-type RouteHop struct {
-	// Dev is the device the hop leaves.
-	Dev string
-	// VIP is the virtual IP the route matches, in host byte order.
-	VIP uint32
-	// Next is the device the hop enters.
-	Next string
-}
-
-// moduleRouteGraph collects a module's inter-device forwarding graph
-// from the per-device system-module routes and the fabric's links — the
-// input to the control-plane loop-freedom check (§3.4).
-func (t *topology) moduleRouteGraph(sys map[string]*sysmod.Config, moduleID uint16) []RouteHop {
-	var hops []RouteHop
-	for name, cfg := range sys {
-		for _, r := range cfg.Routes[moduleID] {
-			ep, linked := t.next(name, r.Port)
-			if !linked {
-				continue // local delivery: chain terminates
-			}
-			hops = append(hops, RouteHop{
-				Dev:  name,
-				VIP:  binaryAddr(r.VIP),
-				Next: ep.device,
-			})
-		}
-	}
-	return hops
-}
-
-func binaryAddr(a packet.IPv4Addr) uint32 {
-	return uint32(a[0])<<24 | uint32(a[1])<<16 | uint32(a[2])<<8 | uint32(a[3])
-}
-
-// checkKnown verifies both endpoints of a prospective link exist.
-func checkKnown(has func(string) bool, from, to string) error {
-	if !has(from) {
-		return fmt.Errorf("%w: %q", ErrUnknownDevice, from)
-	}
-	if !has(to) {
-		return fmt.Errorf("%w: %q", ErrUnknownDevice, to)
-	}
-	return nil
 }

@@ -15,7 +15,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/packet"
@@ -104,9 +103,13 @@ func (r ResourceID) String() string {
 // Command is one decoded reconfiguration command: write Payload into entry
 // Index of resource Resource.
 type Command struct {
+	// Resource names the table the command writes.
 	Resource ResourceID
-	Index    uint8
-	Payload  []byte
+	// Index is the entry within that table (a module ID for per-module
+	// tables, an address for CAM and VLIW entries).
+	Index uint8
+	// Payload is the entry's encoded contents.
+	Payload []byte
 }
 
 // Wire layout of the UDP payload (Figure 7): ResourceID+reserved packs
@@ -175,6 +178,7 @@ func IsReconfigFrame(data []byte) bool {
 // pipeline implements this; the daisy chain calls it for each command as
 // the command "passes" the target element.
 type Sink interface {
+	// Apply writes one command into the element it addresses.
 	Apply(cmd Command) error
 }
 
@@ -198,20 +202,12 @@ func (t *Tagger) Current() uint64 { return t.gen.Load() }
 // DaisyChain models the separate configuration pipeline of §3.1. Commands
 // are applied strictly in order and the reconfiguration packet counter is
 // incremented for each packet that traverses the chain, whether or not it
-// applied cleanly, matching the hardware counter the software polls.
-//
-// A loss function can be installed to model reconfiguration packets being
-// dropped before they reach the pipeline (§4.1): a dropped packet neither
-// applies nor increments the counter, which is exactly how the software
-// detects the loss and restarts the procedure.
+// applied cleanly, matching the hardware counter the software polls. The
+// in-process chain loses nothing; loss and its recovery are modelled on
+// the engine's live path (faultinject plans under engine.ApplyVerified).
 type DaisyChain struct {
 	sink    Sink
 	counter atomic.Uint32
-
-	mu     sync.Mutex
-	lose   func(seq uint64) bool
-	pushed uint64
-	lost   atomic.Uint64
 }
 
 // NewDaisyChain returns a chain feeding the given sink.
@@ -219,50 +215,11 @@ func NewDaisyChain(sink Sink) *DaisyChain {
 	return &DaisyChain{sink: sink}
 }
 
-// SetLossFunc installs a fault injector: lose is called with a
-// monotonically increasing push sequence number and returns true to drop
-// that packet. Pass nil to restore lossless delivery.
-func (d *DaisyChain) SetLossFunc(lose func(seq uint64) bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.lose = lose
-}
-
-// Lost reports how many packets the fault injector has dropped.
-func (d *DaisyChain) Lost() uint64 { return d.lost.Load() }
-
-// dropNext consumes one sequence number and reports whether to drop.
-func (d *DaisyChain) dropNext() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	seq := d.pushed
-	d.pushed++
-	if d.lose != nil && d.lose(seq) {
-		d.lost.Add(1)
-		return true
-	}
-	return false
-}
-
 // Push decodes one reconfiguration frame and applies its command.
 func (d *DaisyChain) Push(frame []byte) error {
 	_, cmd, err := DecodePacket(frame)
 	if err != nil {
 		return err
-	}
-	if d.dropNext() {
-		return nil // lost in flight: no apply, no counter increment
-	}
-	d.counter.Add(1)
-	return d.sink.Apply(cmd)
-}
-
-// PushCommand applies an already-decoded command (the control plane's
-// in-process fast path; counts like a packet and is subject to the same
-// fault injector).
-func (d *DaisyChain) PushCommand(cmd Command) error {
-	if d.dropNext() {
-		return nil
 	}
 	d.counter.Add(1)
 	return d.sink.Apply(cmd)
@@ -350,10 +307,10 @@ func (f *Filter) Bitmap() uint32 { return f.bitmap.Load() }
 
 // ClassifyResult is the filter's output for one frame.
 type ClassifyResult struct {
-	Verdict   Verdict
-	ModuleID  uint16
-	BufferTag uint8 // packet buffer 0-3 (§3.2)
-	ParserNum uint8 // which of the parallel parsers receives the frame
+	Verdict   Verdict // the filter's decision
+	ModuleID  uint16  // the frame's VLAN ID, zero if the tag was not read
+	BufferTag uint8   // packet buffer 0-3 (§3.2)
+	ParserNum uint8   // which of the parallel parsers receives the frame
 }
 
 // Classify runs the filter over one data-path frame as a scope of one:

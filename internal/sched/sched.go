@@ -48,21 +48,17 @@ type ModuleLimit struct {
 
 // RateLimiter enforces per-module packet and bit rates at ingress.
 type RateLimiter struct {
-	mu      sync.Mutex
-	limits  map[uint16]ModuleLimit
-	pkts    map[uint16]*TokenBucket
-	bits    map[uint16]*TokenBucket
-	dropped map[uint16]uint64
+	mu   sync.Mutex
+	pkts map[uint16]*TokenBucket
+	bits map[uint16]*TokenBucket
 }
 
 // NewRateLimiter returns an empty limiter: unconfigured modules are
 // unlimited.
 func NewRateLimiter() *RateLimiter {
 	return &RateLimiter{
-		limits:  make(map[uint16]ModuleLimit),
-		pkts:    make(map[uint16]*TokenBucket),
-		bits:    make(map[uint16]*TokenBucket),
-		dropped: make(map[uint16]uint64),
+		pkts: make(map[uint16]*TokenBucket),
+		bits: make(map[uint16]*TokenBucket),
 	}
 }
 
@@ -74,7 +70,6 @@ func NewRateLimiter() *RateLimiter {
 func (r *RateLimiter) SetLimit(moduleID uint16, lim ModuleLimit) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.limits[moduleID] = lim
 	if lim.PPS > 0 {
 		r.pkts[moduleID] = replaceBucket(r.pkts[moduleID], lim.PPS, math.Max(1, lim.PPS/100))
 	} else {
@@ -98,17 +93,14 @@ func replaceBucket(old *TokenBucket, rate, burst float64) *TokenBucket {
 	return b
 }
 
-// ClearLimit removes a module's allowance and prunes every per-module
-// entry, including its drop counter — the unload hook: a later
-// re-install starts from a clean slate instead of inheriting state
-// from the module's previous life.
+// ClearLimit removes a module's allowance and its buckets — the unload
+// hook: a later re-install starts with a full bucket instead of
+// inheriting the fill of the module's previous life.
 func (r *RateLimiter) ClearLimit(moduleID uint16) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	delete(r.limits, moduleID)
 	delete(r.pkts, moduleID)
 	delete(r.bits, moduleID)
-	delete(r.dropped, moduleID)
 }
 
 // Allow charges one frame of the given size at time now (seconds) and
@@ -125,30 +117,13 @@ func (r *RateLimiter) Allow(moduleID uint16, frameBytes int, now float64) bool {
 	bitsNeeded := float64(frameBytes * 8)
 	// Peek both before charging either.
 	if pb != nil && !pb.Take(1, now) {
-		r.dropped[moduleID]++
 		return false
 	}
 	if bb != nil && !bb.Take(bitsNeeded, now) {
 		if pb != nil {
 			pb.tokens++ // refund the packet token
 		}
-		r.dropped[moduleID]++
 		return false
 	}
 	return true
-}
-
-// Dropped reports how many frames were rejected for a module.
-func (r *RateLimiter) Dropped(moduleID uint16) uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped[moduleID]
-}
-
-// Limit returns a module's configured allowance.
-func (r *RateLimiter) Limit(moduleID uint16) (ModuleLimit, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	lim, ok := r.limits[moduleID]
-	return lim, ok
 }

@@ -48,9 +48,6 @@ func TestRateLimiterPPS(t *testing.T) {
 	if admitted < 4 || admitted > 8 {
 		t.Errorf("admitted = %d, want ~5-6", admitted)
 	}
-	if r.Dropped(1) != uint64(50-admitted) {
-		t.Errorf("dropped = %d", r.Dropped(1))
-	}
 }
 
 func TestRateLimiterBPS(t *testing.T) {
@@ -76,8 +73,9 @@ func TestRateLimiterUnlimitedByDefault(t *testing.T) {
 		}
 	}
 	r.SetLimit(9, ModuleLimit{PPS: 1})
-	if _, ok := r.Limit(9); !ok {
-		t.Fatal("limit not recorded")
+	r.Allow(9, 1500, 0) // spends the one-packet burst
+	if r.Allow(9, 1500, 0) {
+		t.Fatal("installed limit not enforced")
 	}
 	r.ClearLimit(9)
 	for i := 0; i < 100; i++ {
@@ -169,19 +167,19 @@ func TestRateLimiterSetLimitPreservesFill(t *testing.T) {
 	}
 }
 
-// Regression (PR 4): ClearLimit prunes the drop counter, so a module
-// unloaded and later re-installed does not inherit its previous life's
-// drop history.
-func TestRateLimiterClearLimitPrunesDropCounter(t *testing.T) {
+// Regression (PR 4): ClearLimit prunes the module's buckets, so a limit
+// re-installed after an unload starts with a full bucket instead of the
+// drained one from the module's previous life (a plain re-apply keeps
+// the fill, see TestRateLimiterSetLimitPreservesFill).
+func TestRateLimiterClearLimitStartsFull(t *testing.T) {
 	r := NewRateLimiter()
-	r.SetLimit(5, ModuleLimit{PPS: 1})
-	r.Allow(5, 100, 0)
-	r.Allow(5, 100, 0) // dropped
-	if r.Dropped(5) == 0 {
-		t.Fatal("setup: no drop recorded")
+	r.SetLimit(5, ModuleLimit{PPS: 1}) // burst floor: 1 packet
+	if !r.Allow(5, 100, 0) || r.Allow(5, 100, 0) {
+		t.Fatal("setup: the one-packet burst should pass, then the bucket be empty")
 	}
 	r.ClearLimit(5)
-	if got := r.Dropped(5); got != 0 {
-		t.Errorf("Dropped = %d after ClearLimit, want 0", got)
+	r.SetLimit(5, ModuleLimit{PPS: 1})
+	if !r.Allow(5, 100, 0) {
+		t.Error("limit re-installed after ClearLimit inherited the drained bucket")
 	}
 }

@@ -335,7 +335,8 @@ func (s *Stage) Process(p *phv.PHV) (Result, error) {
 }
 
 // View caches one module's per-stage configuration: the key-extractor
-// entry, key mask, and a CAM snapshot bounded to the module's partition.
+// entry, key mask, and the module's match candidates precompiled from a
+// CAM snapshot bounded to its partition.
 // A batch of one module's packets resolves the configuration once and
 // then skips the per-packet overlay lookups — the software analogue of
 // §3.2's latency masking, where the module ID travels ahead of the PHV
@@ -351,11 +352,6 @@ type View struct {
 	Entry   KeyExtractEntry
 	HasMask bool
 	Mask    tables.Key
-	// CAM is the match-table snapshot; only [CamLo, CamHi) can hold the
-	// module's entries (its space partition), so the scan is bounded by
-	// the module's own entry count.
-	CAM          []tables.CAMEntry
-	CamLo, CamHi int
 	// match is the module's precompiled candidate list: its valid CAM
 	// entries (in address order, so ternary priority is preserved) with
 	// the per-packet key masking and ternary compare fused into one
@@ -499,30 +495,32 @@ func (s *Stage) ViewFor(modIdx int) View {
 		}
 	}
 
-	v.CAM = s.Match.Entries()
+	// Only [lo, hi) of the CAM snapshot can hold the module's entries
+	// (its space partition), so the scan is bounded by the module's own
+	// entry count.
+	cam := s.Match.Entries()
 	lo, hi, ok := s.Match.PartitionOf(uint16(modIdx))
 	if ok {
 		// A partition configured after entries were written (raw table
 		// use) may exclude existing valid entries; fall back to the full
 		// scan then, so a valid entry of the module can match wherever
 		// it sits.
-		for a := range v.CAM {
-			if (a < lo || a >= hi) && v.CAM[a].Valid && v.CAM[a].ModID == uint16(modIdx) {
+		for a := range cam {
+			if (a < lo || a >= hi) && cam[a].Valid && cam[a].ModID == uint16(modIdx) {
 				ok = false
 				break
 			}
 		}
 	}
 	if !ok {
-		lo, hi = 0, len(v.CAM)
+		lo, hi = 0, len(cam)
 	}
-	v.CamLo, v.CamHi = lo, hi
 	// Precompile the candidate list: only the module's own valid entries
 	// can ever match (Matches checks ModID exactly), so the per-packet
 	// scan is bounded by the module's entry count and skips the
 	// validity/module checks entirely.
 	for a := lo; a < hi; a++ {
-		e := &v.CAM[a]
+		e := &cam[a]
 		if !e.Valid || e.ModID != uint16(modIdx) {
 			continue
 		}
