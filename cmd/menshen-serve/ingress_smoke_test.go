@@ -2,9 +2,9 @@
 // process: menshen-serve as a pure serving daemon (-packets 0,
 // -listen-udp, management API mounted), frames pushed at the UDP
 // listener with the trafficgen load client, /metrics scraped mid-run,
-// and exact conservation asserted from the scraped counters — every
-// client-sent frame is either forwarded or sitting in a named drop
-// counter. CI runs this as its ingress smoke step.
+// and exact conservation asserted from the scraped fate ledger — every
+// client-sent frame has exactly one fate — and again by run's own
+// ledger check on exit. CI runs this as its ingress smoke step.
 package main
 
 import (
@@ -96,34 +96,23 @@ func TestIngressUDPSmoke(t *testing.T) {
 	if got := get("menshen_ingress_received_frames_total"); got != total {
 		t.Errorf("ingress received %v frames, client sent %d", got, total)
 	}
-	for name, want := range map[string]float64{
-		"menshen_ingress_short_frames_total":    0,
-		"menshen_ingress_oversize_frames_total": 0,
-		"menshen_ingress_rejected_frames_total": 0,
-	} {
-		if got := get(name); got != want {
-			t.Errorf("%s = %v, want %v", name, got, want)
+	for fate, want := range map[string]float64{"submitted": total, "rejected": 0, "short": 0, "oversize": 0} {
+		series := `menshen_ingress_frames_total{transport="udp",listen="` + udpAddr + `",fate="` + fate + `"}`
+		if got := get(series); got != want {
+			t.Errorf("%s = %v, want %v", series, got, want)
 		}
 	}
-	if sub := get("menshen_ingress_submitted_frames_total"); sub != total {
-		t.Errorf("ingress submitted %v, want %d", sub, total)
-	}
-	// Engine side: tenant 1 saw exactly the submitted frames, and every
-	// frame is forwarded or in a named drop counter.
-	tenantSub := get("menshen_tenant_submitted_frames_total")
-	if tenantSub != total {
-		t.Errorf("tenant submitted %v, want %d", tenantSub, total)
-	}
-	forwarded := get("menshen_tenant_forwarded_frames_total")
-	dropped := get("menshen_tenant_dropped_frames_total")
-	if forwarded+dropped != tenantSub {
-		t.Errorf("conservation: forwarded %v + dropped %v != submitted %v", forwarded, dropped, tenantSub)
+	// Engine side: tenant 1 saw exactly the submitted frames, and
+	// awaitFates found exactly that many frames with a fate.
+	if sub := get("menshen_tenant_submitted_frames_total"); sub != total {
+		t.Errorf("tenant submitted %v, want %d", sub, total)
 	}
 	if client.Dropped() != 0 {
 		t.Errorf("load client dropped %d frames on a healthy socket", client.Dropped())
 	}
 
-	// The exit report closes the same books from the engine's side.
+	// The exit report closes the same books from the engine's side: run
+	// fails if a tenant's or a transport's ledger does not balance.
 	out, err := s.stop()
 	if err != nil {
 		t.Fatalf("run: %v\n%s", err, out)

@@ -390,13 +390,7 @@ func runEngine(ctx context.Context, cfg serveConfig, out io.Writer) error {
 	}
 
 	fmt.Fprintf(out, "\n--- tenants ---\n")
-	for _, id := range st.TenantIDs() {
-		ts := st.Tenants[id]
-		fmt.Fprintf(out, "tenant %2d: submitted %9d  forwarded %9d  dropped %7d (rate %d, queue %d, pipeline %d)  %7.2f MB\n",
-			id, ts.Submitted, ts.Processed, ts.Dropped(),
-			ts.RateLimited, ts.QueueFull, ts.PipelineDrops,
-			float64(ts.Bytes)/1e6)
-	}
+	printTenants(out, "", &st)
 
 	fmt.Fprintf(out, "\n--- workers ---\n")
 	for i, ws := range st.Workers {
@@ -411,22 +405,15 @@ func runEngine(ctx context.Context, cfg serveConfig, out io.Writer) error {
 		for _, w := range weightByID {
 			weightSum += w
 		}
-		for _, id := range st.TenantIDs() {
-			ts := st.Tenants[id]
-			fmt.Fprintf(out, "tenant %2d: weight %4.1f  queued %9d  shed %9d  delivered %9d  share %.3f (weight share %.3f)\n",
-				id, weightByID[id], ts.EgressQueued, ts.EgressDropped, ts.EgressDelivered,
-				st.EgressShare(id), weightByID[id]/weightSum)
+		for _, id := range st.TenantIDs() { // shed and delivered frames are the ledger's egress_drop and forwarded
+			fmt.Fprintf(out, "tenant %2d: weight %4.1f  queued %9d  share %.3f (weight share %.3f)\n",
+				id, weightByID[id], st.Tenants[id].EgressQueued, st.EgressShare(id), weightByID[id]/weightSum)
 		}
 	}
 
 	if len(st.Ingress) > 0 {
 		fmt.Fprintf(out, "\n--- ingress ---\n")
-		for _, is := range st.Ingress {
-			fmt.Fprintf(out, "%-8s %-24s received %9d (%7.2f MB) in %9d reads  submitted %9d  rejected %6d  short %5d  oversize %5d  decode-err %3d  conns %3d (retries %d, resets %d)\n",
-				is.Transport, is.Listen, is.Received, float64(is.ReceivedBytes)/1e6, is.Reads,
-				is.Submitted, is.SubmitRejected, is.ShortDropped, is.OversizeDropped,
-				is.DecodeErrors, is.ConnsAccepted, is.AcceptRetries, is.ConnResets)
-		}
+		printIngress(out, "", &st)
 	}
 
 	fmt.Fprintf(out, "\n--- zero-copy ---\n")
@@ -441,7 +428,34 @@ func runEngine(ctx context.Context, cfg serveConfig, out io.Writer) error {
 		float64(tot.Bytes)*8/wall.Seconds()/1e9)
 	fmt.Fprintf(out, "modeled hardware line: %.1f Gbit/s at %d-byte frames (%s)\n",
 		dev.ThroughputGbps(modeledFrame), modeledFrame, dev.Platform())
-	return nil
+	return st.Conserved()
+}
+
+// printTenants writes one exit-report row per tenant of st: its
+// submitted frames, then every fate of its ledger by name.
+func printTenants(out io.Writer, indent string, st *engine.Stats) {
+	for _, id := range st.TenantIDs() {
+		ts := st.Tenants[id]
+		fmt.Fprintf(out, "%stenant %2d: submitted %9d", indent, id, ts.Submitted)
+		for f, n := range ts.Fates() {
+			fmt.Fprintf(out, "  %s %d", engine.TenantFates[f], n)
+		}
+		fmt.Fprintf(out, "  %.2f MB\n", float64(ts.Bytes)/1e6)
+	}
+}
+
+// printIngress writes one exit-report row per ingress transport of st:
+// what it read, each fate of its ledger, then its connection events.
+func printIngress(out io.Writer, indent string, st *engine.Stats) {
+	for _, is := range st.Ingress {
+		fmt.Fprintf(out, "%s%s %s: received %d (%.2f MB) in %d reads",
+			indent, is.Transport, is.Listen, is.Received, float64(is.ReceivedBytes)/1e6, is.Reads)
+		for f, n := range is.Fates() {
+			fmt.Fprintf(out, "  %s %d", engine.IngressFates[f], n)
+		}
+		fmt.Fprintf(out, "  decode-err %d  conns %d (retries %d, resets %d)\n",
+			is.DecodeErrors, is.ConnsAccepted, is.AcceptRetries, is.ConnResets)
+	}
 }
 
 // fabricPassthrough is the tenant module every fabric node runs: it
@@ -626,19 +640,15 @@ func runFabric(ctx context.Context, cfg serveConfig, out io.Writer) error {
 	}
 
 	fmt.Fprintf(out, "\n--- nodes ---\n")
+	var unbalanced error // the first node whose drained ledger does not balance
 	for _, n := range nodes {
 		ns := st.Nodes[n.Name]
 		fmt.Fprintf(out, "node %s: forwarded %9d  link-dropped %7d  ttl-dropped %7d  delivered %9d\n",
 			n.Name, ns.Forwarded, ns.LinkDropped, ns.TTLDropped, ns.Delivered)
-		for _, id := range ns.Engine.TenantIDs() {
-			ts := ns.Engine.Tenants[id]
-			fmt.Fprintf(out, "  tenant %2d: in %9d  forwarded %9d  dropped %7d (queue %d, pipeline %d)\n",
-				id, ts.Submitted, ts.Processed, ts.Dropped(), ts.QueueFull, ts.PipelineDrops)
-		}
-		for _, is := range ns.Engine.Ingress {
-			fmt.Fprintf(out, "  ingress %s %s: received %d  submitted %d  rejected %d  short %d  oversize %d  decode-err %d  resets %d\n",
-				is.Transport, is.Listen, is.Received, is.Submitted, is.SubmitRejected,
-				is.ShortDropped, is.OversizeDropped, is.DecodeErrors, is.ConnResets)
+		printTenants(out, "  ", &ns.Engine)
+		printIngress(out, "  ingress ", &ns.Engine)
+		if err := ns.Engine.Conserved(); err != nil && unbalanced == nil {
+			unbalanced = fmt.Errorf("node %s: %w", n.Name, err)
 		}
 	}
 
@@ -648,7 +658,7 @@ func runFabric(ctx context.Context, cfg serveConfig, out io.Writer) error {
 		st.Forwarded, st.Delivered, st.LinkDropped, st.TTLDropped)
 	fmt.Fprintf(out, "%.2f Mpps end to end (per injected frame, %d pipelines deep)\n",
 		float64(injected)/wall.Seconds()/1e6, cfg.fabric)
-	return nil
+	return unbalanced
 }
 
 // ingressEngine is what a -listen-* source feeds: the facade engine in

@@ -110,25 +110,29 @@ func httpGet(t *testing.T, url string) string {
 	return string(body)
 }
 
-// awaitFates polls /metrics until total frames have reached a terminal
-// fate — forwarded or counted in a drop class, summed over tenants — and
-// returns that scrape. Counters upstream of the pipeline (ingress
-// received, tenant submitted) move before a frame is processed, so they
-// cannot tell a test when the books are closed; the failure message
-// prints ingress received beside the total sent, so a frame lost before
-// the socket is told apart from one stuck in the engine.
+// awaitFates polls /metrics until exactly total frames have reached a
+// terminal fate — menshen_tenant_frames_total summed over tenants and
+// fates, plus menshen_tenant_forwarded_frames — and returns that
+// scrape; a sum past total is a double count and fails at once.
+// Counters upstream of the pipeline (ingress received, tenant
+// submitted) move before a frame is processed, so they cannot tell a
+// test when the books are closed; the failure message prints ingress
+// received beside the total sent, so a frame lost before the socket is
+// told apart from one stuck in the engine.
 func awaitFates(t *testing.T, base string, total float64) string {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		doc := httpGet(t, base+"/metrics")
-		fates := metricSum(t, doc, "menshen_tenant_forwarded_frames_total") +
-			metricSum(t, doc, "menshen_tenant_dropped_frames_total")
-		if fates >= total {
+		fates := metricSum(t, doc, "menshen_tenant_frames_total") + metricSum(t, doc, "menshen_tenant_forwarded_frames")
+		if fates == total {
 			return doc
 		}
+		if fates > total {
+			t.Fatalf("%v frames have a fate, but only %v were sent", fates, total)
+		}
 		if time.Now().After(deadline) {
-			t.Fatalf("tail never drained: %v of %v sent frames forwarded or dropped; ingress received %v",
+			t.Fatalf("tail never drained: %v of %v sent frames have a fate; ingress received %v",
 				fates, total, metricSum(t, doc, "menshen_ingress_received_frames_total"))
 		}
 		time.Sleep(5 * time.Millisecond)

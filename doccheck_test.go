@@ -27,6 +27,8 @@ var docCheckedDirs = []string{
 	"internal/obs",
 	"internal/ingress",
 	"internal/faultinject",
+	"internal/trafficgen",
+	"internal/mmsg",
 	"internal/analysis/framework",
 	"internal/analysis/analysistest",
 	"internal/analysis/driver",

@@ -64,6 +64,19 @@ func quiesce(t testing.TB, eng quiescer, gen uint64) {
 	}
 }
 
+// checkAllAccepted pins a drained tenant that refused nothing: n frames
+// submitted, none rate-limited or queue-full, and (Conserved) each of
+// them ended in a fate past the ring.
+func checkAllAccepted(t testing.TB, st engine.Stats, tenant uint16, n int) {
+	t.Helper()
+	if ts := st.Tenants[tenant]; ts.Submitted != uint64(n) || ts.RateLimited != 0 || ts.QueueFull != 0 {
+		t.Errorf("tenant %d: fates %v of %d submitted, want all %d accepted", tenant, ts.Fates(), ts.Submitted, n)
+	}
+	if err := st.Conserved(); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestEngineMultiTenantConcurrent(t *testing.T) {
 	dev := newDevice(t, "CALC", "NetCache")
 	var forwarded atomic.Uint64
@@ -113,12 +126,12 @@ func TestEngineMultiTenantConcurrent(t *testing.T) {
 	st := eng.Stats()
 	tot := st.Totals()
 	want := uint64(producers * perProducer)
-	if tot.Submitted != want {
-		t.Errorf("Submitted = %d, want %d", tot.Submitted, want)
+	if tot.Submitted != want || accepted.Load() != want || tot.RateLimited != 0 || tot.QueueFull != 0 {
+		t.Errorf("submitted %d, accepted %d (rate-limited %d, queue-full %d), want all %d accepted",
+			tot.Submitted, accepted.Load(), tot.RateLimited, tot.QueueFull, want)
 	}
-	if tot.Processed+tot.PipelineDrops != accepted.Load() {
-		t.Errorf("Processed+PipelineDrops = %d+%d, want accepted %d",
-			tot.Processed, tot.PipelineDrops, accepted.Load())
+	if err := st.Conserved(); err != nil {
+		t.Error(err)
 	}
 	if forwarded.Load() != tot.Processed {
 		t.Errorf("OnBatch forwarded %d != stats Processed %d", forwarded.Load(), tot.Processed)
@@ -162,10 +175,7 @@ func TestEngineBlockingSubmitLargerThanRing(t *testing.T) {
 		t.Fatalf("SubmitBatch: n=%d err=%v", n, err)
 	}
 	eng.Drain()
-	st := eng.Stats()
-	if got := st.Tenants[1].Processed + st.Tenants[1].PipelineDrops; got != uint64(len(frames)) {
-		t.Errorf("processed+dropped = %d, want %d", got, len(frames))
-	}
+	checkAllAccepted(t, eng.Stats(), 1, len(frames))
 }
 
 func TestEngineDrainOnClose(t *testing.T) {
@@ -184,10 +194,10 @@ func TestEngineDrainOnClose(t *testing.T) {
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
-	tot := eng.Stats().Totals()
-	if got := tot.Processed + tot.PipelineDrops; got != uint64(n) {
-		t.Errorf("after Close: processed+dropped = %d, want %d accepted", got, n)
+	if n != len(frames) {
+		t.Fatalf("blocking SubmitBatch accepted %d of %d", n, len(frames))
 	}
+	checkAllAccepted(t, eng.Stats(), 1, n)
 
 	// The engine is now closed: submissions and second Close error.
 	if _, err := eng.SubmitBatch(frames[:1]); err == nil {
@@ -228,12 +238,12 @@ func TestEngineBackpressureDrop(t *testing.T) {
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
-	tot := eng.Stats().Totals()
-	if tot.QueueFull == 0 {
-		t.Error("no QueueFull drops recorded")
+	st := eng.Stats()
+	if tot := st.Totals(); tot.QueueFull != uint64(len(frames)-accepted) {
+		t.Errorf("QueueFull = %d, want the %d refused", tot.QueueFull, len(frames)-accepted)
 	}
-	if got := tot.Processed + tot.PipelineDrops; got != uint64(accepted) {
-		t.Errorf("processed+dropped = %d, want %d", got, accepted)
+	if err := st.Conserved(); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -262,8 +272,8 @@ func TestEngineTenantRateLimit(t *testing.T) {
 	if limited.RateLimited == 0 {
 		t.Fatal("no rate-limited drops recorded")
 	}
-	if limited.RateLimited+uint64(accepted) != uint64(len(frames)) {
-		t.Errorf("rate-limited %d + accepted %d != %d submitted", limited.RateLimited, accepted, len(frames))
+	if refused := uint64(len(frames) - accepted); refused != limited.RateLimited {
+		t.Errorf("%d of %d frames refused, but tenant 1 was rate-limited %d", refused, len(frames), limited.RateLimited)
 	}
 	if limited.Submitted-limited.RateLimited >= limited.Submitted/2 {
 		t.Errorf("limiter accepted %d of %d at 10 pps", limited.Submitted-limited.RateLimited, limited.Submitted)
@@ -445,14 +455,12 @@ func TestEngineFullRingIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := eng.Stats()
+	if err := st.Conserved(); err != nil {
+		t.Error(err)
+	}
 	for id, want := range map[uint16]uint64{1: 1 + depth, 2: uint64(len(framesB))} {
-		ts := st.Tenants[id]
-		if got := ts.Processed + ts.PipelineDrops; got != want {
-			t.Errorf("tenant %d: processed+dropped = %d, want the %d accepted", id, got, want)
-		}
-		if ts.Submitted != ts.Processed+ts.PipelineDrops+ts.QueueFull {
-			t.Errorf("tenant %d: submitted %d != processed %d + dropped %d + queue-full %d",
-				id, ts.Submitted, ts.Processed, ts.PipelineDrops, ts.QueueFull)
+		if ts := st.Tenants[id]; ts.Submitted-ts.QueueFull != want {
+			t.Errorf("tenant %d: submitted %d - queue-full %d, want the %d accepted", id, ts.Submitted, ts.QueueFull, want)
 		}
 	}
 }

@@ -3,6 +3,7 @@
 package engine
 
 import (
+	"fmt"
 	"maps"
 	"math"
 	"math/bits"
@@ -218,8 +219,9 @@ type TenantStats struct {
 	Bytes uint64
 
 	// Egress scheduling counters (all zero when no egress weights are
-	// set). Note Processed counts pipeline output — a frame shed at
-	// egress appears in both Processed and EgressDropped.
+	// set). Processed counts pipeline output, so a frame shed at egress
+	// is in both Processed and EgressDropped; the ledger (Fates) files
+	// it once, as egress_drop.
 
 	// EgressQueued counts frames admitted to the §3.5 egress stage.
 	EgressQueued uint64
@@ -232,9 +234,20 @@ type TenantStats struct {
 	EgressBytes uint64
 }
 
-// Dropped is the tenant's total drop count across all causes.
-func (s TenantStats) Dropped() uint64 {
-	return s.RateLimited + s.QueueFull + s.PipelineDrops + s.EgressDropped
+// TenantFates labels the fates a submitted frame can end in, in the
+// order of TenantStats.Fates, the ledger derived from the counters.
+// forwarded stays last.
+var TenantFates = [...]string{"rate_limited", "queue_full", "pipeline_drop", "egress_drop", "forwarded"}
+
+// Fates is the tenant's ledger, in TenantFates order; forwarded is
+// Processed − EgressDropped, saturating. The fates sum to Submitted
+// only once drained: a live snapshot reads the counters one by one
+// while frames move, so its sum can trail or pass Submitted. Every
+// fate but forwarded only grows; forwarded includes frames still
+// queued at egress, and a push-out moves one of them to egress_drop.
+func (s TenantStats) Fates() [len(TenantFates)]uint64 {
+	fwd := s.Processed - min(s.EgressDropped, s.Processed)
+	return [...]uint64{s.RateLimited, s.QueueFull, s.PipelineDrops, s.EgressDropped, fwd}
 }
 
 // WorkerStats is a point-in-time copy of one worker's counters.
@@ -310,7 +323,7 @@ func (s WorkerStats) AvgBatch() float64 {
 //	datagrams = Received + ShortDropped + OversizeDropped
 //	Received = Submitted + SubmitRejected
 //
-// so client-sent == delivered + every counted drop class holds end to
+// Fates is that ledger, so client-sent == the fates' sum holds end to
 // end on lossless transports (TCP, Unix datagram). Reads is not a fate
 // but the cost side of the same ledger: datagrams / Reads is how many
 // frames each RX syscall carried.
@@ -353,6 +366,15 @@ type IngressStats struct {
 	// error or a cut mid-frame): the in-flight remainder is the
 	// counted — not silent — loss of a lossy link.
 	ConnResets uint64
+}
+
+// IngressFates labels the fates of a frame a transport read, in
+// IngressStats.Fates order.
+var IngressFates = [...]string{"submitted", "rejected", "short", "oversize"}
+
+// Fates is the transport's ledger, in IngressFates order.
+func (s IngressStats) Fates() [len(IngressFates)]uint64 {
+	return [...]uint64{s.Submitted, s.SubmitRejected, s.ShortDropped, s.OversizeDropped}
 }
 
 // Stats is a snapshot of the whole engine.
@@ -420,6 +442,27 @@ func (s Stats) PoolHitRate() float64 {
 		return 0
 	}
 	return float64(s.PoolHits) / float64(total)
+}
+
+// Conserved checks both ledgers of a snapshot taken after Drain: each
+// tenant's fates sum to its Submitted, and each transport's Received is
+// its Submitted plus SubmitRejected. The error names an imbalance.
+func (s Stats) Conserved() error {
+	for id, ts := range s.Tenants {
+		var sum uint64
+		for _, n := range ts.Fates() {
+			sum += n
+		}
+		if sum != ts.Submitted {
+			return fmt.Errorf("engine: tenant %d: fates %v sum to %d of %d submitted", id, ts.Fates(), sum, ts.Submitted)
+		}
+	}
+	for _, is := range s.Ingress {
+		if is.Received != is.Submitted+is.SubmitRejected {
+			return fmt.Errorf("engine: ingress %s %s: received %d != %d submitted + %d rejected", is.Transport, is.Listen, is.Received, is.Submitted, is.SubmitRejected)
+		}
+	}
+	return nil
 }
 
 // TenantIDs returns the snapshot's tenant IDs in ascending order.

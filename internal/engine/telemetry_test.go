@@ -5,6 +5,7 @@ package engine_test
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -154,5 +155,40 @@ func TestEngineStatsLatencySnapshot(t *testing.T) {
 	}
 	if sampled == 0 {
 		t.Fatal("no batches were latency-sampled across 8192 frames")
+	}
+}
+
+// TestLedgerCoversEveryCounter is the fate ledger's drift guard: every
+// field of TenantStats and IngressStats, set alone, moves the ledger (a
+// fate, or a total Conserved checks) unless it is on the short list of
+// fields that are not fates. A new drop counter cannot ship without a
+// fate.
+func TestLedgerCoversEveryCounter(t *testing.T) {
+	notFates := map[string]bool{
+		"Bytes": true, "EgressBytes": true, "ReceivedBytes": true, // sizes, not frames
+		"EgressQueued": true, "EgressDelivered": true, // the egress stage's view of egress_drop and forwarded
+		"Transport": true, "Listen": true, "Reads": true, // labels and the RX syscall cost
+		// Connection events: a framing error or reset loses a stream's rest, never read as frames.
+		"DecodeErrors": true, "ConnsAccepted": true, "AcceptRetries": true, "ConnResets": true,
+	}
+	for _, typ := range []reflect.Type{reflect.TypeFor[engine.TenantStats](), reflect.TypeFor[engine.IngressStats]()} {
+		for i := range typ.NumField() {
+			v := reflect.New(typ).Elem()
+			if v.Field(i).Kind() == reflect.Uint64 {
+				v.Field(i).SetUint(1)
+			}
+			var st engine.Stats
+			var fated bool
+			switch x := v.Interface().(type) {
+			case engine.TenantStats:
+				st.Tenants, fated = map[uint16]engine.TenantStats{1: x}, x.Fates() != [len(engine.TenantFates)]uint64{}
+			case engine.IngressStats:
+				st.Ingress, fated = []engine.IngressStats{x}, x.Fates() != [len(engine.IngressFates)]uint64{}
+			}
+			name := typ.Field(i).Name
+			if inLedger := fated || st.Conserved() != nil; inLedger == notFates[name] {
+				t.Errorf("%s.%s: seen by the ledger %v, on the not-a-fate list %v: give it a fate or list it", typ.Name(), name, inLedger, notFates[name])
+			}
+		}
 	}
 }

@@ -23,19 +23,6 @@ import (
 	"repro/internal/faultinject"
 )
 
-// drops sums every counted terminal-loss class across the fabric:
-// pipeline discards, egress push-out, ring sheds, TTL kills, and
-// injected faults.
-func chaosDrops(st FabricStats) uint64 {
-	total := st.FaultDropped + st.LinkDropped + st.TTLDropped
-	for _, ns := range st.Nodes {
-		for _, ts := range ns.Engine.Tenants {
-			total += ts.PipelineDrops + ts.EgressDropped
-		}
-	}
-	return total
-}
-
 // TestFabricChaosConservation: a 3-node chain with a noisy first link
 // (drop/corrupt/delay/reorder) and a periodically flapping second link
 // must account for every injected frame as a delivery or a counted
@@ -91,9 +78,8 @@ func TestFabricChaosConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got := st.Delivered + chaosDrops(st); got != frames {
-		t.Errorf("conservation broken: delivered %d + counted drops %d = %d, injected %d",
-			st.Delivered, chaosDrops(st), got, frames)
+	if got := st.Accounted(); got != frames {
+		t.Errorf("conservation broken: %d frames accounted (%d delivered), injected %d", got, st.Delivered, frames)
 	}
 	if st.Delivered == 0 {
 		t.Error("nothing survived the chaos plans — fault rates should leave survivors")
@@ -234,9 +220,9 @@ func TestFabricChaosSoakReconfig(t *testing.T) {
 	// and filler frame delivered or counted, nothing wedged.
 	soakSt := f.Stats()
 	injected := uint64(soakFrames + filler)
-	if got := soakSt.Delivered + chaosDrops(soakSt); got != injected {
-		t.Fatalf("soak conservation broken: delivered %d + drops %d = %d, injected %d",
-			soakSt.Delivered, chaosDrops(soakSt), got, injected)
+	if got := soakSt.Accounted(); got != injected {
+		t.Fatalf("soak conservation broken: %d frames accounted (%d delivered), injected %d",
+			got, soakSt.Delivered, injected)
 	}
 	st1 := s1.Eng.Stats()
 	if st1.ReconfigRetries == 0 || st1.CmdFaultsInjected == 0 {

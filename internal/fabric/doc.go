@@ -35,9 +35,10 @@
 //     accounted loss, not a hang.
 //   - Inter-node backpressure never blocks. A downstream node's full
 //     ring sheds the hand-off (drop-and-count, LinkDropped +
-//     downstream QueueFull) instead of blocking the upstream worker
-//     inside its OnBatch; combined with the TTL bound this keeps any
-//     topology — including cyclic ones — deadlock-free. Only the
+//     downstream QueueFull, which FabricStats.Accounted counts once)
+//     instead of blocking the upstream worker inside its OnBatch;
+//     combined with the TTL bound this keeps any topology — including
+//     cyclic ones — deadlock-free. Only the
 //     fabric's edge (InjectBatch with DropOnFull unset) may block, and
 //     that blocks the injecting caller, never a worker.
 //   - Network ingress is untrusted. Neither InjectBatch nor the

@@ -590,7 +590,8 @@ type NodeStats struct {
 	Forwarded uint64
 	// LinkDropped counts frames shed because a downstream ring was
 	// full (or the downstream engine closed) — the never-block
-	// backpressure policy made visible.
+	// backpressure policy made visible. The receiver also counts each
+	// as RateLimited or QueueFull; Accounted counts it once, here.
 	LinkDropped uint64
 	// TTLDropped counts frames dropped at the MaxHops bound.
 	TTLDropped uint64
@@ -620,6 +621,21 @@ type FabricStats struct {
 	// Forwarded, LinkDropped, TTLDropped, Delivered, and FaultDropped
 	// sum the per-node counters of the same names.
 	Forwarded, LinkDropped, TTLDropped, Delivered, FaultDropped uint64
+}
+
+// Accounted sums the fabric's fates once: deliveries, fault, link and
+// TTL drops, plus every node's pipeline_drop and egress_drop tenant
+// fates. After Drain it equals the frames the fabric accepted (a
+// multicast replica counts as a frame of its own). A refused hand-off
+// is LinkDropped at the sender and also RateLimited or QueueFull at the
+// receiver; the ledger counts it once, as LinkDropped.
+func (s FabricStats) Accounted() uint64 {
+	total := s.Delivered + s.FaultDropped + s.LinkDropped + s.TTLDropped
+	for _, ns := range s.Nodes {
+		t := ns.Engine.Totals()
+		total += t.PipelineDrops + t.EgressDropped
+	}
+	return total
 }
 
 // Stats snapshots every node's engine telemetry plus the fabric's

@@ -153,19 +153,15 @@ func runMix(t *testing.T, transport string, portable bool, frames [][]byte) mixR
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	fates := func() uint64 {
-		is := snap(src)
-		return is.Received + is.ShortDropped + is.OversizeDropped
-	}
 	for i, f := range frames {
 		if _, err := conn.Write(f); err != nil {
 			t.Fatal(err)
 		}
 		if i%64 == 63 { // stay far inside the UDP receive buffer
-			waitUntil(t, "receiver to keep pace", func() bool { return fates()+64 > uint64(i) })
+			waitUntil(t, "receiver to keep pace", func() bool { return settled(snap(src))+64 > uint64(i) })
 		}
 	}
-	waitUntil(t, "every datagram to meet its fate", func() bool { return fates() == uint64(len(frames)) })
+	waitUntil(t, "every datagram to meet its fate", func() bool { return settled(snap(src)) == uint64(len(frames)) })
 	if err := ing.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +223,7 @@ func TestBurstFillParity(t *testing.T) {
 
 // TestBurstNeverWaits sends datagrams one at a time, each only after
 // the last met its fate: every one must come back from its own read —
-// Reads == Received + ShortDropped + OversizeDropped — because the fill
+// Reads == the frames settled — because the fill
 // returns what is queued instead of waiting for a burst to fill.
 func TestBurstNeverWaits(t *testing.T) {
 	for _, transport := range dgramTransports {
@@ -247,10 +243,7 @@ func TestBurstNeverWaits(t *testing.T) {
 				if _, err := conn.Write(f); err != nil {
 					t.Fatal(err)
 				}
-				waitUntil(t, "the datagram to meet its fate", func() bool {
-					is := snap(src)
-					return is.Received+is.ShortDropped+is.OversizeDropped == uint64(i+1)
-				})
+				waitUntil(t, "the datagram to meet its fate", func() bool { return settled(snap(src)) == uint64(i+1) })
 			}
 			is := snap(src)
 			if is.ShortDropped != 1 || is.OversizeDropped != 1 || is.Received != 98 {
@@ -305,10 +298,7 @@ func TestBurstShutdownReturnsBuffers(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				waitUntil(t, "all datagrams read", func() bool {
-					is := snap(src)
-					return is.Received+is.ShortDropped == uint64(len(frames))
-				})
+				waitUntil(t, "all datagrams read", func() bool { return settled(snap(src)) == uint64(len(frames)) })
 				// The loop is now parked in (or on its way into) the
 				// empty socket, holding a full burst of buffers.
 				if how == "close" {

@@ -46,16 +46,16 @@
 //
 // # Counted, never silent
 //
-// Every byte read off a transport lands in exactly one counter fate
-// (engine.IngressStats): well-formed frames are Received and then
-// either Submitted or SubmitRejected; malformed input is ShortDropped,
-// OversizeDropped, or DecodeErrors; a stream cut mid-frame is a
-// ConnResets. Loss degrades into counters, never into blocking or
-// silence — so integration tests (and operators reading /metrics) can
-// assert exact conservation: client-sent == delivered + every counted
-// drop class. Reads is the one counter that is not a fate: datagram RX
-// syscalls that returned something, so Received / Reads is the burst
-// size the socket actually delivered.
+// Every frame read off a transport ends in exactly one fate of the
+// engine's ingress ledger (engine.IngressStats.Fates): submitted or
+// rejected by the engine (together, Received), or dropped unsubmitted
+// as short or oversize. Beside the ledger, a stream framing violation
+// counts DecodeErrors and a stream cut mid-frame ConnResets. Loss
+// degrades into counters, never into blocking or silence, so a drained
+// engine's Stats.Conserved (and /metrics'
+// menshen_ingress_frames_total{fate}) states exact conservation:
+// client-sent == the fates' sum. Reads is not a fate: RX syscalls that
+// returned something, so Received / Reads is the burst size.
 //
 // # Backoff contract
 //

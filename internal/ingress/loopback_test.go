@@ -81,40 +81,45 @@ func snap(src ingress.Source) engine.IngressStats {
 	return st
 }
 
-// assertConservation closes the books for a single-source engine run:
-// the transport's read ledger balances, the engine saw exactly the
-// accepted frames, and every engine-side fate is counted.
-func assertConservation(t *testing.T, eng *menshen.Engine, is engine.IngressStats, sent uint64) {
+// settled is the number of frames a transport has read and settled:
+// its ingress fates summed.
+func settled(is engine.IngressStats) uint64 {
+	var n uint64
+	for _, v := range is.Fates() {
+		n += v
+	}
+	return n
+}
+
+// assertConservation waits until the transport has read every sent
+// frame, stops the listeners, drains the engine and closes the books
+// for the single-source run: the transport's fates sum to what was
+// sent, the engine saw exactly the frames it received, and both ledgers
+// balance. It returns the transport's final counters.
+func assertConservation(t *testing.T, eng *menshen.Engine, ing *ingress.Listeners, src ingress.Source, sent uint64) engine.IngressStats {
 	t.Helper()
-	if got := is.Received + is.ShortDropped + is.OversizeDropped; got != sent {
-		t.Errorf("transport ledger: received %d + short %d + oversize %d = %d, want %d sent",
-			is.Received, is.ShortDropped, is.OversizeDropped, got, sent)
+	waitUntil(t, "all frames received", func() bool { return snap(src).Received == sent })
+	if err := ing.Close(); err != nil {
+		t.Fatalf("close listeners: %v", err)
 	}
-	if is.Submitted+is.SubmitRejected != is.Received {
-		t.Errorf("submit ledger: submitted %d + rejected %d != received %d",
-			is.Submitted, is.SubmitRejected, is.Received)
+	eng.Drain()
+	is := snap(src)
+	if got := settled(is); got != sent {
+		t.Errorf("transport ledger: fates %v sum to %d, want %d sent", is.Fates(), got, sent)
 	}
-	var st menshen.EngineStats
-	eng.StatsInto(&st)
-	var tenantSubmitted, tenantProcessed, tenantDropped uint64
-	for _, id := range st.TenantIDs() {
-		ts := st.Tenants[id]
-		tenantSubmitted += ts.Submitted
-		tenantProcessed += ts.Processed
-		tenantDropped += ts.Dropped()
+	st := eng.Stats()
+	if err := st.Conserved(); err != nil {
+		t.Error(err)
 	}
-	if tenantSubmitted != is.Received {
-		t.Errorf("engine saw %d frames, transport received %d", tenantSubmitted, is.Received)
-	}
-	if tenantProcessed+tenantDropped != tenantSubmitted {
-		t.Errorf("engine ledger: processed %d + dropped %d != submitted %d",
-			tenantProcessed, tenantDropped, tenantSubmitted)
+	if tot := st.Totals(); tot.Submitted != is.Received {
+		t.Errorf("engine saw %d frames, transport received %d", tot.Submitted, is.Received)
 	}
 	// The registered filler surfaces the same counters through the
 	// engine snapshot (and so through /metrics).
 	if len(st.Ingress) != 1 || st.Ingress[0].Received != is.Received {
 		t.Errorf("EngineStats.Ingress = %+v, want one entry with Received %d", st.Ingress, is.Received)
 	}
+	return is
 }
 
 // sendPaced pushes frames through client, pacing against the source's
@@ -155,16 +160,10 @@ func TestUDPLoopbackConservation(t *testing.T) {
 
 	const total = 20000
 	sendPaced(t, client, src, calcFrames(total, 9), 2048)
-	waitUntil(t, "all frames received", func() bool { return snap(src).Received == total })
-
-	if err := ing.Close(); err != nil {
-		t.Fatalf("close listeners: %v", err)
-	}
-	eng.Drain()
 	if client.Sent() != total || client.Dropped() != 0 {
 		t.Fatalf("client sent %d dropped %d, want %d/0", client.Sent(), client.Dropped(), total)
 	}
-	assertConservation(t, eng, snap(src), total)
+	assertConservation(t, eng, ing, src, total)
 }
 
 func TestTCPLoopbackConservation(t *testing.T) {
@@ -205,17 +204,10 @@ func TestTCPLoopbackConservation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitUntil(t, "all frames received", func() bool { return snap(src).Received == 2*perClient })
-
-	if err := ing.Close(); err != nil {
-		t.Fatalf("close listeners: %v", err)
-	}
-	eng.Drain()
-	is := snap(src)
+	is := assertConservation(t, eng, ing, src, 2*perClient)
 	if is.ConnsAccepted != 2 || is.ConnResets != 0 || is.DecodeErrors != 0 {
 		t.Errorf("conns %d resets %d decode-errs %d, want 2/0/0", is.ConnsAccepted, is.ConnResets, is.DecodeErrors)
 	}
-	assertConservation(t, eng, is, 2*perClient)
 }
 
 func TestUnixgramLoopbackConservation(t *testing.T) {
@@ -244,13 +236,7 @@ func TestUnixgramLoopbackConservation(t *testing.T) {
 		}
 		sent += n
 	}
-	waitUntil(t, "all frames received", func() bool { return snap(src).Received == total })
-
-	if err := ing.Close(); err != nil {
-		t.Fatalf("close listeners: %v", err)
-	}
-	eng.Drain()
-	assertConservation(t, eng, snap(src), total)
+	assertConservation(t, eng, ing, src, total)
 }
 
 // TestUDPDropClasses drives one datagram into each counted fate: a
@@ -281,8 +267,7 @@ func TestUDPDropClasses(t *testing.T) {
 		}
 	}
 	waitUntil(t, "all fates counted", func() bool {
-		is := snap(src)
-		return is.ShortDropped+is.OversizeDropped+is.Received == 3
+		return settled(snap(src)) == 3
 	})
 	is := snap(src)
 	if is.ShortDropped != 1 || is.OversizeDropped != 1 || is.Received != 1 {

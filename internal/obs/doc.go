@@ -11,10 +11,11 @@
 //   - Metrics. An Exporter snapshots one or more engines with
 //     Engine.StatsInto — which reuses the receiver's map and slices,
 //     so a scraper polling at 10 Hz costs the dataplane no
-//     allocations — and renders per-tenant counters (forwarded /
-//     dropped / egress bytes+frames), per-worker gauges (batch
-//     target, ring occupancy), reconfiguration generations, pool hit
-//     rates, and each worker's log2 batch-latency histogram as
+//     allocations — and renders per-tenant counters (the fate
+//     ledger, its forwarded fate a gauge; egress bytes+frames),
+//     per-worker gauges (batch target, ring occupancy),
+//     reconfiguration generations, pool hit rates, and each worker's
+//     log2 batch-latency histogram as
 //     cumulative Prometheus buckets. Exporter.Collect itself appends
 //     into a retained buffer: a warm scrape allocates nothing either.
 //     Multiple sources (fabric nodes) render into one family set,

@@ -273,6 +273,12 @@ var engineScalars = []engineScalar{
 		func(st *engine.Stats, sb *seriesBuf) { sb.valUint(st.DegradedEvents) }},
 }
 
+// fateForwarded indexes the forwarded fate, the last of
+// engine.TenantFates and the only one that can fall between scrapes, so
+// it is the gauge menshen_tenant_forwarded_frames while every other
+// fate is a menshen_tenant_frames_total counter.
+const fateForwarded = len(engine.TenantFates) - 1
+
 // tenantScalar is one per-tenant family.
 type tenantScalar struct {
 	name, help, typ string
@@ -282,22 +288,14 @@ type tenantScalar struct {
 var tenantScalars = []tenantScalar{
 	{"menshen_tenant_submitted_frames_total", "Frames offered to the submit paths.", "counter",
 		func(_ *engine.Stats, _ uint16, ts engine.TenantStats, sb *seriesBuf) { sb.valUint(ts.Submitted) }},
-	{"menshen_tenant_rate_limited_frames_total", "Frames rejected by the ingress token bucket.", "counter",
-		func(_ *engine.Stats, _ uint16, ts engine.TenantStats, sb *seriesBuf) { sb.valUint(ts.RateLimited) }},
-	{"menshen_tenant_queue_full_frames_total", "Frames tail-dropped at a full RX ring.", "counter",
-		func(_ *engine.Stats, _ uint16, ts engine.TenantStats, sb *seriesBuf) { sb.valUint(ts.QueueFull) }},
-	{"menshen_tenant_forwarded_frames_total", "Frames the pipeline forwarded.", "counter",
-		func(_ *engine.Stats, _ uint16, ts engine.TenantStats, sb *seriesBuf) { sb.valUint(ts.Processed) }},
-	{"menshen_tenant_pipeline_dropped_frames_total", "Frames the pipeline discarded.", "counter",
-		func(_ *engine.Stats, _ uint16, ts engine.TenantStats, sb *seriesBuf) { sb.valUint(ts.PipelineDrops) }},
-	{"menshen_tenant_dropped_frames_total", "Total drops across all causes (rate, ring, pipeline, egress).", "counter",
-		func(_ *engine.Stats, _ uint16, ts engine.TenantStats, sb *seriesBuf) { sb.valUint(ts.Dropped()) }},
+	{"menshen_tenant_forwarded_frames", "Frames in the forwarded fate: pipeline output not shed at egress. A gauge: a push-out moves a frame still queued at egress to egress_drop.", "gauge",
+		func(_ *engine.Stats, _ uint16, ts engine.TenantStats, sb *seriesBuf) {
+			sb.valUint(ts.Fates()[fateForwarded])
+		}},
 	{"menshen_tenant_forwarded_bytes_total", "Bytes the pipeline forwarded.", "counter",
 		func(_ *engine.Stats, _ uint16, ts engine.TenantStats, sb *seriesBuf) { sb.valUint(ts.Bytes) }},
 	{"menshen_tenant_egress_queued_frames_total", "Frames admitted to the egress WFQ+PIFO stage.", "counter",
 		func(_ *engine.Stats, _ uint16, ts engine.TenantStats, sb *seriesBuf) { sb.valUint(ts.EgressQueued) }},
-	{"menshen_tenant_egress_dropped_frames_total", "Frames shed by the egress stage (push-out or reject).", "counter",
-		func(_ *engine.Stats, _ uint16, ts engine.TenantStats, sb *seriesBuf) { sb.valUint(ts.EgressDropped) }},
 	{"menshen_tenant_egress_delivered_frames_total", "Frames transmitted in weighted fair order.", "counter",
 		func(_ *engine.Stats, _ uint16, ts engine.TenantStats, sb *seriesBuf) { sb.valUint(ts.EgressDelivered) }},
 	{"menshen_tenant_egress_bytes_total", "Bytes transmitted in weighted fair order.", "counter",
@@ -380,6 +378,20 @@ func appendMetrics(b []byte, nodes []nodeStats, scratch *metricsScratch) []byte 
 				sb.start(m.name, nodes[ni].Node)
 				sb.labelUint("tenant", uint64(id))
 				m.val(st, id, st.Tenants[id], sb)
+			}
+		}
+	}
+
+	const fates = "menshen_tenant_frames_total"
+	sb.family(fates, "Frames dropped, by fate; once drained, these and menshen_tenant_forwarded_frames sum to the tenant's submitted frames.", "counter")
+	for ni := range nodes {
+		for _, id := range scratch.ids[ni] {
+			all := nodes[ni].Stats.Tenants[id].Fates()
+			for f, n := range all[:fateForwarded] {
+				sb.start(fates, nodes[ni].Node)
+				sb.labelUint("tenant", uint64(id))
+				sb.labelStr("fate", engine.TenantFates[f])
+				sb.valUint(n)
 			}
 		}
 	}
@@ -486,14 +498,6 @@ var ingressScalars = []ingressScalar{
 		func(is *engine.IngressStats) uint64 { return is.Received }},
 	{"menshen_ingress_received_bytes_total", "Bytes of the received frames.",
 		func(is *engine.IngressStats) uint64 { return is.ReceivedBytes }},
-	{"menshen_ingress_submitted_frames_total", "Received frames the engine accepted.",
-		func(is *engine.IngressStats) uint64 { return is.Submitted }},
-	{"menshen_ingress_rejected_frames_total", "Received frames the engine refused (rate-limited or ring-full).",
-		func(is *engine.IngressStats) uint64 { return is.SubmitRejected }},
-	{"menshen_ingress_short_frames_total", "Frames below the transport minimum, dropped before submission.",
-		func(is *engine.IngressStats) uint64 { return is.ShortDropped }},
-	{"menshen_ingress_oversize_frames_total", "Datagrams above the transport maximum, dropped before submission.",
-		func(is *engine.IngressStats) uint64 { return is.OversizeDropped }},
 	{"menshen_ingress_decode_errors_total", "Unrecoverable stream-framing violations (each closes its connection).",
 		func(is *engine.IngressStats) uint64 { return is.DecodeErrors }},
 	{"menshen_ingress_conns_accepted_total", "Stream connections accepted.",
@@ -527,6 +531,19 @@ func appendIngress(sb *seriesBuf, nodes []nodeStats) {
 				sb.labelStr("transport", is.Transport)
 				sb.labelStr("listen", is.Listen)
 				sb.valUint(m.val(is))
+			}
+		}
+	}
+	const fates = "menshen_ingress_frames_total"
+	sb.family(fates, "Frames the transport read, by terminal fate; received = submitted + rejected.", "counter")
+	for ni := range nodes {
+		for _, is := range nodes[ni].Stats.Ingress {
+			for f, n := range is.Fates() {
+				sb.start(fates, nodes[ni].Node)
+				sb.labelStr("transport", is.Transport)
+				sb.labelStr("listen", is.Listen)
+				sb.labelStr("fate", engine.IngressFates[f])
+				sb.valUint(n)
 			}
 		}
 	}

@@ -26,12 +26,13 @@ func writeMetrics(w io.Writer, nodes []nodeStats) error {
 }
 
 // goldenNodes builds a fully deterministic two-node snapshot set:
-// every counter class populated, exact binary fractions for the
-// derived gauges, and a node name that needs label escaping.
+// every counter class populated, every fate ledger balanced (a drained
+// snapshot), exact binary fractions for the derived gauges, and a node
+// name that needs label escaping.
 func goldenNodes() []nodeStats {
 	stA := &engine.Stats{
 		Tenants: map[uint16]engine.TenantStats{
-			1: {Submitted: 1000, RateLimited: 10, QueueFull: 5, Processed: 900,
+			1: {Submitted: 930, RateLimited: 10, QueueFull: 5, Processed: 900,
 				PipelineDrops: 15, Bytes: 57600, EgressQueued: 900, EgressDropped: 150,
 				EgressDelivered: 750, EgressBytes: 48000},
 			7: {Submitted: 400, Processed: 330, PipelineDrops: 70, Bytes: 21120,
@@ -416,6 +417,32 @@ func TestMetricsLabelEscaping(t *testing.T) {
 		if strings.Contains(line, `we\ird`) && !strings.Contains(line, `we\\ird`) {
 			t.Errorf("unescaped backslash leaked: %q", line)
 		}
+	}
+}
+
+// TestMetricsCountersMonotoneAcrossPushOut scrapes twice across an
+// egress push-out of an idle tenant's queued frames: its Processed
+// stands still while its EgressDropped rises, so its forwarded fate
+// falls. No counter series may fall with it.
+func TestMetricsCountersMonotoneAcrossPushOut(t *testing.T) {
+	before := engine.TenantStats{Submitted: 10, Processed: 10, EgressQueued: 10, EgressDelivered: 4}
+	after := before
+	after.EgressDropped = 3 // queued frames displaced by another tenant's
+	var was map[string]uint64
+	for _, ts := range []engine.TenantStats{before, after} {
+		st := &engine.Stats{Tenants: map[uint16]engine.TenantStats{1: ts}}
+		doc := appendMetrics(nil, []nodeStats{{Node: "s0", Stats: st}}, new(metricsScratch))
+		now, typ := map[string]uint64{}, ""
+		for _, line := range strings.Split(string(doc), "\n") {
+			if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+				_, typ, _ = strings.Cut(rest, " ")
+			} else if series, _, ok := strings.Cut(line, " "); ok && typ == "counter" && line[0] != '#' {
+				if now[series] = sampleValueUint(t, line); was != nil && now[series] < was[series] {
+					t.Errorf("counter %s fell from %d to %d across a push-out", series, was[series], now[series])
+				}
+			}
+		}
+		was = now
 	}
 }
 

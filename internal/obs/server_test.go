@@ -62,6 +62,31 @@ func liveEngine(t *testing.T, cfg menshen.EngineConfig) (*menshen.Engine, *httpt
 	return eng, ts
 }
 
+// pumpFenced queues the pump load behind a fence on both tenants, then
+// lifts it: egress contention is built, not raced for. Only the second
+// fence's generation is awaited, so neither tenant is served alone.
+func pumpFenced(t *testing.T, eng *menshen.Engine, frames int) {
+	t.Helper()
+	fence := func(op func(uint16) (uint64, error)) {
+		t.Helper()
+		var gen uint64
+		for id := uint16(1); id <= 2; id++ {
+			var err error
+			if gen, err = op(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := eng.AwaitQuiesceCtx(ctx, gen); err != nil {
+			t.Fatalf("quiesce generation %d: %v", gen, err)
+		}
+	}
+	fence(eng.BeginTenantUpdate)
+	pump(t, eng, frames)
+	fence(eng.EndTenantUpdate)
+}
+
 // pump pushes an equal two-tenant contention load through eng.
 func pump(t *testing.T, eng *menshen.Engine, frames int) {
 	t.Helper()
@@ -121,8 +146,8 @@ func TestServerEndpoints(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("GET /metrics = %d", code)
 	}
-	if !strings.Contains(string(body), "menshen_tenant_forwarded_frames_total{tenant=\"1\"}") {
-		t.Error("/metrics missing per-tenant forwarded counter")
+	if !strings.Contains(string(body), `menshen_tenant_forwarded_frames{tenant="1"}`) {
+		t.Error("/metrics missing per-tenant forwarded fate")
 	}
 
 	// /stats: the full snapshot as JSON.
@@ -396,27 +421,7 @@ func TestFairnessOverHTTP(t *testing.T) {
 		EgressWeights: map[uint16]float64{1: 3, 2: 1},
 		EgressQuantum: 8,
 	})
-	// The two fences are issued back to back and only the second
-	// generation is awaited, so neither tenant is served alone for
-	// longer than the gap between two calls.
-	fence := func(op func(uint16) (uint64, error)) {
-		t.Helper()
-		var gen uint64
-		for id := uint16(1); id <= 2; id++ {
-			var err error
-			if gen, err = op(id); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := eng.AwaitQuiesceCtx(ctx, gen); err != nil {
-			t.Fatalf("quiesce generation %d: %v", gen, err)
-		}
-	}
-	fence(eng.BeginTenantUpdate)
-	pump(t, eng, 40000)
-	fence(eng.EndTenantUpdate)
+	pumpFenced(t, eng, 40000)
 
 	// Scrape mid-run: the endpoint must serve cleanly while workers
 	// are hot (the share may not have converged yet — only check form).
@@ -431,28 +436,13 @@ func TestFairnessOverHTTP(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("GET /metrics = %d", code)
 	}
-	share := map[uint16]float64{}
-	for _, line := range strings.Split(string(body), "\n") {
-		if !strings.HasPrefix(line, "menshen_tenant_egress_share{") {
-			continue
-		}
-		var tenant int
-		if _, err := fmt.Sscanf(line[strings.Index(line, "{"):strings.Index(line, "}")+1], `{tenant="%d"}`, &tenant); err != nil {
-			t.Fatalf("parse %q: %v", line, err)
-		}
-		v, err := strconv.ParseFloat(line[strings.LastIndex(line, " ")+1:], 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		share[uint16(tenant)] = v
-	}
+	share := tenantSums(t, body, "menshen_tenant_egress_share")
 	if len(share) != 2 {
 		t.Fatalf("found %d egress share series, want 2: %v", len(share), share)
 	}
-	for tenant, want := range map[uint16]float64{1: 0.75, 2: 0.25} {
-		got := share[tenant]
-		if got < want*0.9 || got > want*1.1 {
-			t.Errorf("tenant %d egress share over HTTP = %.3f, want %.3f ±10%%", tenant, got, want)
+	for tenant, want := range map[string]float64{"1": 0.75, "2": 0.25} {
+		if got := share[tenant]; got < want*0.9 || got > want*1.1 {
+			t.Errorf("tenant %s egress share over HTTP = %.3f, want %.3f ±10%%", tenant, got, want)
 		}
 	}
 
@@ -460,9 +450,52 @@ func TestFairnessOverHTTP(t *testing.T) {
 	// the same counters.
 	var st menshen.EngineStats
 	eng.StatsInto(&st)
-	if direct := st.EgressShare(1); absDiff(direct, share[1]) > 0.02 {
-		t.Errorf("HTTP share %.3f vs direct %.3f diverge", share[1], direct)
+	if direct := st.EgressShare(1); absDiff(direct, share["1"]) > 0.02 {
+		t.Errorf("HTTP share %.3f vs direct %.3f diverge", share["1"], direct)
 	}
+}
+
+// TestTenantFatesOverHTTP: on a real engine that sheds at egress, the
+// scraped fate ledger balances — per tenant, menshen_tenant_frames_total
+// summed over its fates plus menshen_tenant_forwarded_frames equals
+// menshen_tenant_submitted_frames_total.
+func TestTenantFatesOverHTTP(t *testing.T) {
+	eng, ts := liveEngine(t, menshen.EngineConfig{Workers: 1, BatchSize: 32, QueueDepth: 8192,
+		DropOnFull: true, EgressWeights: map[uint16]float64{1: 3, 2: 1}, EgressQuantum: 8})
+	pumpFenced(t, eng, 8000)
+	eng.Drain()
+	_, body := get(t, ts.URL+"/metrics")
+	submitted := tenantSums(t, body, "menshen_tenant_submitted_frames_total")
+	fates := tenantSums(t, body, "menshen_tenant_frames_total")
+	forwarded := tenantSums(t, body, "menshen_tenant_forwarded_frames")
+	if tot := eng.Stats().Totals(); len(submitted) != 2 || tot.EgressDropped == 0 {
+		t.Fatalf("want two tenants shedding at egress: submitted %v, egress drops %d", submitted, tot.EgressDropped)
+	}
+	for tenant, want := range submitted {
+		if got := fates[tenant] + forwarded[tenant]; got != want {
+			t.Errorf("tenant %s: fates sum to %v, submitted %v", tenant, got, want)
+		}
+	}
+}
+
+// tenantSums reads one family from an exposition document, summing its
+// samples per tenant label.
+func tenantSums(t *testing.T, doc []byte, family string) map[string]float64 {
+	t.Helper()
+	sums := map[string]float64{}
+	for _, line := range strings.Split(string(doc), "\n") {
+		rest, ok := strings.CutPrefix(line, family+`{tenant="`)
+		if !ok {
+			continue
+		}
+		tenant, _, _ := strings.Cut(rest, `"`)
+		v, err := strconv.ParseFloat(line[strings.LastIndex(line, " ")+1:], 64)
+		if err != nil {
+			t.Fatalf("parse %q: %v", line, err)
+		}
+		sums[tenant] += v
+	}
+	return sums
 }
 
 func absDiff(a, b float64) float64 {

@@ -34,10 +34,10 @@ type TenantLoad struct {
 // Scenario interleaves several tenants' streams by weighted round
 // robin, deterministically (seeded PRNG).
 type Scenario struct {
-	Tenants []TenantLoad
-	counts  []int // frames emitted per tenant
-	rr      int   // current tenant
-	quota   int   // frames left in the current tenant's turn
+	Tenants []TenantLoad // the interleaved tenants, in round-robin order
+	counts  []int        // frames emitted per tenant
+	rr      int          // current tenant
+	quota   int          // frames left in the current tenant's turn
 }
 
 // NewScenario builds a scenario; tenants with zero Weight default to 1,

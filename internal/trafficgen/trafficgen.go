@@ -187,14 +187,14 @@ func (s Stream) PPS() float64 {
 // Mix is a set of concurrent streams sharing one link, scheduled by
 // deficit round robin over a simulated timeline.
 type Mix struct {
-	Streams []Stream
+	Streams []Stream // the streams sharing the link
 }
 
 // Slot is one scheduled transmission.
 type Slot struct {
-	StreamIdx int
+	StreamIdx int     // index into Mix.Streams of the sending stream
 	Time      float64 // seconds since start
-	Frame     []byte
+	Frame     []byte  // the frame transmitted
 }
 
 // Schedule emits the interleaved transmission sequence for a duration.
