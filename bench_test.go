@@ -11,6 +11,7 @@ package menshen
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/compiler"
@@ -20,6 +21,7 @@ import (
 	"repro/internal/netdev"
 	"repro/internal/p4progs"
 	"repro/internal/reconfig"
+	"repro/internal/stage"
 	"repro/internal/tables"
 	"repro/internal/trafficgen"
 )
@@ -234,7 +236,7 @@ func BenchmarkReconfigPacketCodec(b *testing.B) {
 func BenchmarkMatchCAMvsCuckoo(b *testing.B) {
 	for _, depth := range []int{16, 256} {
 		cam := tables.NewCAM(depth)
-		ck := tables.NewCuckoo(depth) // 2*depth slots
+		ck := tables.NewCuckoo(2 * depth) // 2*depth slots, half full once the keys are in
 		var keys []tables.Key
 		for i := 0; i < depth; i++ {
 			var k tables.Key
@@ -260,6 +262,136 @@ func BenchmarkMatchCAMvsCuckoo(b *testing.B) {
 					b.Fatal("miss")
 				}
 			}
+		})
+	}
+}
+
+// lbFixture is a device with the Load Balancing program loaded as
+// module 1, the stage holding its match table, and the action addresses
+// of its four to_port actions (ports 1..4, in order).
+type lbFixture struct {
+	dev   *Device
+	stg   int
+	addrs [4]uint16
+}
+
+// newLBFixture loads Load Balancing and resolves its table stage and
+// to_port actions from the program's baseline tuples, without sending a
+// frame.
+func newLBFixture(tb testing.TB) *lbFixture {
+	tb.Helper()
+	lb, err := p4progs.ByName("Load Balancing")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	fx := &lbFixture{dev: NewDevice(), stg: -1}
+	if _, err := fx.dev.LoadModule(lb.Source(), 1); err != nil {
+		tb.Fatal(err)
+	}
+	pipe, cp := fx.dev.Pipeline(), fx.dev.ControlPlane()
+	best := 0
+	for i := range pipe.Stages {
+		if n := pipe.Stages[i].Match.ValidCount(1); n > best {
+			fx.stg, best = i, n
+		}
+	}
+	if fx.stg < 0 {
+		tb.Fatal("Load Balancing has no match stage")
+	}
+	for i := range fx.addrs {
+		f := trafficgen.FlowPacket(1, [4]byte{10, 0, 1, 1}, [4]byte{10, 0, 0, 10}, uint16(1000+i), 80, 0)
+		key, err := cp.FlowKeyForFrame(1, fx.stg, f)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		addr, ok := pipe.Stages[fx.stg].Match.Lookup(key, 1)
+		if !ok {
+			tb.Fatalf("baseline tuple %d missed the CAM", i)
+		}
+		fx.addrs[i] = uint16(addr)
+	}
+	return fx
+}
+
+// flowEntries derives one flow entry per frame: the frame's match key
+// steered to to_port(1 + i%4).
+func (fx *lbFixture) flowEntries(tb testing.TB, frames [][]byte) []FlowEntry {
+	tb.Helper()
+	cp := fx.dev.ControlPlane()
+	flows := make([]FlowEntry, len(frames))
+	for i, f := range frames {
+		key, err := cp.FlowKeyForFrame(1, fx.stg, f)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		flows[i] = FlowEntry{Valid: true, ModID: 1, Key: key, Addr: fx.addrs[i%4]}
+	}
+	return flows
+}
+
+// BenchmarkProcessBatchFlows is the in-process form of the benchmark's
+// flows256k_* workloads: Load Balancing with 2^18 flows on the cuckoo
+// side of its match stage, the default flow cache, and 32-frame batches
+// drawn uniformly or by Zipf(1.1) popularity. Every flow has its own
+// separately allocated 64 B frame, so a batch's frames are cold the way
+// received frames are, and the working set (frames, cuckoo buckets) is
+// far beyond the flow cache.
+func BenchmarkProcessBatchFlows(b *testing.B) {
+	const flows, batch = 1 << 18, 32
+	fx := newLBFixture(b)
+	frames := make([][]byte, flows)
+	for f := range frames {
+		frames[f] = trafficgen.FlowScaleFrame(1, f, 64)
+	}
+	cp := fx.dev.ControlPlane()
+	for _, fe := range fx.flowEntries(b, frames) {
+		if err := cp.InsertFlow(1, fx.stg, fe.Key, int(fe.Addr)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	pipe := fx.dev.Pipeline()
+	pipe.SetFlowCache(stage.NewFlowCache(0))
+
+	rng := rand.New(rand.NewSource(1))
+	perm := rng.Perm(flows) // popular flows scattered, not adjacent in memory
+	zipf := rand.NewZipf(rng, 1.1, 1, flows-1)
+	draws := map[string]func() int{
+		"uniform": func() int { return rng.Intn(flows) },
+		"zipf":    func() int { return perm[zipf.Uint64()] },
+	}
+	for _, name := range []string{"uniform", "zipf"} {
+		seq := make([]int, 8*flows)
+		for i := range seq {
+			seq[i] = draws[name]()
+		}
+		b.Run(name, func(b *testing.B) {
+			in := make([][]byte, batch)
+			res := make([]core.BatchResult, batch)
+			wrong, pos := 0, 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if pos+batch > len(seq) {
+					pos = 0
+				}
+				ids := seq[pos : pos+batch]
+				pos += batch
+				for k, f := range ids {
+					in[k] = frames[f]
+				}
+				if err := pipe.ProcessBatchInPlace(in, 0, res); err != nil {
+					b.Fatal(err)
+				}
+				for k, f := range ids {
+					if res[k].Dropped || res[k].EgressPort != uint8(1+f%4) {
+						wrong++
+					}
+				}
+			}
+			b.StopTimer()
+			if wrong > 0 {
+				b.Fatalf("%d frames dropped or steered to the wrong port", wrong)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/frame")
 		})
 	}
 }

@@ -10,6 +10,7 @@ package menshen
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -26,6 +27,7 @@ import (
 	"repro/internal/ingress"
 	"repro/internal/packet"
 	"repro/internal/sched"
+	"repro/internal/stage"
 	"repro/internal/sysmod"
 	"repro/internal/tables"
 	"repro/internal/trafficgen"
@@ -84,10 +86,10 @@ var hotPathGuards = []hotPathGuard{
 	{
 		name: "cuckoo-lookup",
 		covers: []string{
+			"internal/tables.(*Cuckoo).BucketLines",
 			"internal/tables.(*Cuckoo).Lookup",
 			"internal/tables.(*Cuckoo).LookupWords",
 			"internal/tables.(*Cuckoo).LookupWordsBatch",
-			"internal/tables.(*Cuckoo).PrefetchWords",
 			"internal/tables.probe",
 			"internal/tables.slotKWEqual",
 		},
@@ -107,7 +109,9 @@ var hotPathGuards = []hotPathGuard{
 			out := make([]int32, len(kws))
 			allocs := testing.AllocsPerRun(100, func() {
 				kw := keys[7].Words()
-				c.PrefetchWords(&kw, 1)
+				for _, w := range c.BucketLines(&kw, 1) {
+					_ = w.Load()
+				}
 				if _, ok := c.LookupWords(&kw, 1); !ok {
 					t.Fatal("warm LookupWords missed")
 				}
@@ -182,11 +186,6 @@ var hotPathGuards = []hotPathGuard{
 			"internal/engine.fnvAdd",
 			"internal/engine.mix64",
 			"internal/engine.steer",
-			// The per-worker flow cache runs inside the worker's stage
-			// execution, so this cycle is also its runtime budget.
-			"internal/stage.(*FlowCache).lookup",
-			"internal/stage.(*FlowCache).prefetch",
-			"internal/stage.(*FlowCache).store",
 		},
 		skipRace: true,
 		run: func(t *testing.T) {
@@ -284,6 +283,67 @@ var hotPathGuards = []hotPathGuard{
 			})
 			if allocs != 0 {
 				t.Errorf("ProcessBatchInPlace allocates %.1f times per batch; want 0", allocs)
+			}
+		},
+	},
+	{
+		// A warm batch whose module resolves flows by hash: Load
+		// Balancing with more flow entries than stage.FlowScanThreshold,
+		// installed into a running engine's shard through the verified
+		// path, processed on that shard's pipeline (its flow cache
+		// attached) while the idle worker sleeps. This is the one guard
+		// that runs the flow cache and the batch loop's gather step.
+		name: "hash-mode-batch",
+		covers: []string{
+			"internal/stage.(*FlowCache).lookup",
+			"internal/stage.(*FlowCache).slotTag",
+			"internal/stage.(*FlowCache).store",
+			"internal/stage.(*Gather).Touch",
+			"internal/stage.(*View).GatherFlow",
+			"internal/stage.(*View).flowLines",
+		},
+		run: func(t *testing.T) {
+			fx := newLBFixture(t)
+			eng, err := fx.dev.NewEngine(EngineConfig{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { eng.Close() })
+			frames := make([][]byte, 2*stage.FlowScanThreshold)
+			for i := range frames {
+				frames[i] = trafficgen.FlowScaleFrame(1, i, 64)
+			}
+			if _, _, err := eng.InsertFlowsVerified(context.Background(), 1, fx.stg, fx.flowEntries(t, frames), VerifyOpts{}); err != nil {
+				t.Fatal(err)
+			}
+			pipe, err := eng.eng.Pipeline(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v := pipe.Stages[fx.stg].ViewFor(1); !v.HashMode() {
+				t.Fatal("Load Balancing's flow stage is not in hash mode")
+			}
+			res := make([]core.BatchResult, len(frames))
+			// Warm up: resolve module views, fill the flow cache.
+			if err := pipe.ProcessBatchInPlace(frames, 0, res); err != nil {
+				t.Fatal(err)
+			}
+			for i := range frames {
+				if res[i].Dropped || res[i].EgressPort != uint8(1+i%4) {
+					t.Fatalf("flow %d: dropped %v, egress port %d; its flow selects port %d", i, res[i].Dropped, res[i].EgressPort, 1+i%4)
+				}
+			}
+			hits0, _ := pipe.FlowCacheStats()
+			allocs := testing.AllocsPerRun(100, func() {
+				if err := pipe.ProcessBatchInPlace(frames, 0, res); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("hash-mode ProcessBatchInPlace allocates %.1f times per batch; want 0", allocs)
+			}
+			if hits, _ := pipe.FlowCacheStats(); hits == hits0 {
+				t.Error("the flow cache was never hit: the guard did not run the hash-mode match path")
 			}
 		},
 	},

@@ -18,6 +18,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/alu"
+	"repro/internal/packet"
 	"repro/internal/parser"
 	"repro/internal/phv"
 	"repro/internal/reconfig"
@@ -123,16 +124,23 @@ type Pipeline struct {
 	// is owned by this pipeline's batch caller — the engine gives each
 	// worker replica its own — and is only touched under mu.
 	flowCache *stage.FlowCache
-	// batchScratch is the two-pass batch loop's per-frame state (parsed
-	// PHVs, resolved views), reused across batches and by Process for
-	// its batch of one (guarded by mu).
+	// batchScratch is the batch loop's per-frame state (parsed PHVs,
+	// resolved views), reused across batches and by Process for its
+	// batch of one (guarded by mu).
 	batchScratch []batchFrame
+	// gather is the batch loop's step-2 scratch: the flow-cache slots
+	// and cuckoo bucket lines of every hash-mode stage of every frame
+	// (guarded by mu).
+	gather stage.Gather
+	// headerSink receives the bytes step 0 loads, so the compiler keeps
+	// the loads (guarded by mu).
+	headerSink byte
 }
 
-// batchFrame is one frame's pass-1 outcome in the two-pass batch loop:
-// the parsed PHV and the module's resolved views, or done when the
-// frame already reached a terminal verdict (filtered, unknown module,
-// parse error) recorded in its BatchResult.
+// batchFrame is one frame's step-1 outcome in the batch loop: the
+// parsed PHV and the module's resolved views, or done when the frame
+// already reached a terminal verdict (filtered, unknown module, parse
+// error) recorded in its BatchResult.
 type batchFrame struct {
 	v    phv.PHV
 	mv   *moduleViews
@@ -210,6 +218,9 @@ type moduleViews struct {
 	parseProg   parser.Program
 	deparseProg parser.Program
 	stats       *ModuleStats
+	// hashed is true when any of the views is in hash mode; batches of
+	// modules without one skip the batch loop's gather step.
+	hashed bool
 }
 
 // New returns a Menshen pipeline with the given geometry and options.
@@ -478,27 +489,52 @@ func (p *Pipeline) processBatch(frames [][]byte, ingressPort uint8, ports []uint
 
 // runBatch is the frame path: every frame of every Process and
 // ProcessBatchInPlace call goes through this loop. Callers hold mu.
+//
+// The batch runs in four steps, each a loop over the whole batch, so
+// that the cold loads of one step — frame headers, then flow-cache
+// slots and cuckoo buckets that span megabytes at million-flow scale —
+// are issued back to back and their misses overlap, instead of each
+// frame's classify → parse → extract → hash chain waiting out its own
+// misses one frame at a time (group prefetching, Chen et al., ICDE
+// '04). The configuration is frozen for the whole batch (mu is held
+// and the filter diverts reconfiguration frames to the command path),
+// and per-stage stateful memory is only touched in step 3, in frame
+// order, so the split is invisible to module semantics.
 func (p *Pipeline) runBatch(frames [][]byte, ingressPort uint8, ports []uint8, res []BatchResult, inPlace bool) {
 	gen := p.cfgGen.Load()
 	bf := p.scratch(len(frames))
 	var bs batchScope
 	p.Filter.BeginBatch(&bs.cls)
-	// Pass 1: classify and parse every frame, and prefetch the flow
-	// table's candidate buckets, so pass 2's hash probes — random reads
-	// into tables that span megabytes at million-flow scale — find warm
-	// lines instead of serializing a memory round-trip per frame. The
-	// configuration is frozen for the whole batch (mu is held and the
-	// filter diverts reconfiguration frames to the command path), and
-	// per-stage stateful memory is only touched in pass 2, in frame
-	// order, so the split is invisible to module semantics.
+	// Step 0: load every frame's header window, which classify and parse
+	// read next.
+	p.headerSink = touchHeaders(frames)
+	// Step 1: classify and parse every frame.
+	hashed := false
 	for i, data := range frames {
 		port := ingressPort
 		if ports != nil {
 			port = ports[i]
 		}
-		p.prepBatchFrame(data, port, gen, &bf[i], &res[i], &bs)
+		f := &bf[i]
+		p.prepBatchFrame(data, port, gen, f, &res[i], &bs)
+		hashed = hashed || !f.done && f.mv.hashed
 	}
-	// Pass 2: run the stage pipeline and deparse, in frame order.
+	// Step 2: gather the flow-cache slot and cuckoo bucket lines each
+	// hash-mode stage will read for each frame, then load them all.
+	// Batches with no hash-mode stage skip it.
+	if hashed {
+		for i := range bf {
+			f := &bf[i]
+			if f.done || !f.mv.hashed {
+				continue
+			}
+			for s := range f.mv.views {
+				f.mv.views[s].GatherFlow(&p.gather, &f.v)
+			}
+		}
+		p.gather.Touch()
+	}
+	// Step 3: run the stage pipeline and deparse, in frame order.
 	for i, data := range frames {
 		if !bf[i].done {
 			p.execBatchFrame(data, &bf[i], &res[i], inPlace, &bs)
@@ -506,6 +542,21 @@ func (p *Pipeline) runBatch(frames [][]byte, ingressPort uint8, ports []uint8, r
 	}
 	bs.flushStats()
 	p.Filter.CommitBatch(&bs.cls)
+}
+
+// touchHeaders loads each frame's header window — the first
+// packet.HeaderWindow bytes, all that classify and parse read — and
+// returns the loaded bytes folded together for the caller to keep. A
+// window of at most 128 bytes spans at most three 64-byte cache lines,
+// so loading its first, middle and last bytes touches every line.
+func touchHeaders(frames [][]byte) byte {
+	var x byte
+	for _, d := range frames {
+		if n := min(len(d), packet.HeaderWindow); n > 0 {
+			x ^= d[0] ^ d[n/2] ^ d[n-1]
+		}
+	}
+	return x
 }
 
 // InvalidateBatchViews forces the batch path to re-resolve cached module
@@ -605,11 +656,11 @@ func (p *Pipeline) ModuleChecksum(moduleID uint16) uint64 {
 	return h.Sum64()
 }
 
-// prepBatchFrame is the two-pass batch loop's pass 1 for one frame:
-// classify, resolve (or reuse) the module's cached per-stage
-// configuration, parse into f.v, and issue the speculative flow-table
-// prefetches. Terminal verdicts (filtered, unknown module, parse
-// error) are recorded in r and marked done so pass 2 skips the frame.
+// prepBatchFrame is the batch loop's step 1 for one frame: classify,
+// resolve (or reuse) the module's cached per-stage configuration, and
+// parse into f.v. Terminal verdicts (filtered, unknown module, parse
+// error) are recorded in r and marked done so steps 2 and 3 skip the
+// frame.
 func (p *Pipeline) prepBatchFrame(data []byte, ingressPort uint8, gen uint64, f *batchFrame, r *BatchResult, bs *batchScope) {
 	r.Data = nil
 	r.EgressPort = 0
@@ -640,11 +691,13 @@ func (p *Pipeline) prepBatchFrame(data []byte, ingressPort uint8, gen uint64, f 
 
 	mv := &p.batchViews[cls.ModuleID]
 	if mv.gen != gen {
+		mv.hashed = false
 		for i, st := range p.Stages {
 			mv.views[i] = st.ViewFor(int(cls.ModuleID))
 			if p.flowCache != nil {
 				mv.views[i].AttachFlowCache(p.flowCache, gen, uint8(i))
 			}
+			mv.hashed = mv.hashed || mv.views[i].HashMode()
 		}
 		mv.parse, _ = p.Parser.EntryRef(int(cls.ModuleID))
 		mv.deparse, _ = p.Deparser.EntryRef(int(cls.ModuleID))
@@ -673,12 +726,9 @@ func (p *Pipeline) prepBatchFrame(data []byte, ingressPort uint8, gen uint64, f 
 	f.v.SetBufferTag(cls.BufferTag)
 	f.mv = mv
 	f.done = false
-	for i := range mv.views {
-		mv.views[i].PrefetchFlow(&f.v)
-	}
 }
 
-// execBatchFrame is pass 2 for one frame: the stage pipeline, in
+// execBatchFrame is step 3 for one frame: the stage pipeline, in
 // order, stopping at the first stage whose action discards the frame,
 // then the deparse. The steady state allocates nothing and performs no
 // atomic operation: traffic counts accumulate into bs, and each stage's

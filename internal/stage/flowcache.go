@@ -5,11 +5,7 @@
 
 package stage
 
-import (
-	"sync/atomic"
-
-	"repro/internal/tables"
-)
+import "repro/internal/tables"
 
 // flowCacheDefaultEntries sizes a cache when the caller passes 0.
 const flowCacheDefaultEntries = 1 << 16
@@ -90,7 +86,6 @@ func flowTag(stg uint8, mod uint16, kw *tables.KeyWords) uint64 {
 // return is false when the slot is empty, stale, or holds another key.
 //
 //menshen:hotpath
-//menshen:guarded-by the owning worker goroutine (the cache is per-worker state; prefetch's atomic load exists only to defeat dead-code elimination)
 func (fc *FlowCache) lookup(gen uint64, stg uint8, mod uint16, kw *tables.KeyWords) (int, bool) {
 	tag := flowTag(stg, mod, kw)
 	s := &fc.slots[tag&fc.mask]
@@ -106,18 +101,15 @@ func (fc *FlowCache) lookup(gen uint64, stg uint8, mod uint16, kw *tables.KeyWor
 // whatever occupied the slot.
 //
 //menshen:hotpath
-//menshen:guarded-by the owning worker goroutine (see lookup)
 func (fc *FlowCache) store(gen uint64, stg uint8, mod uint16, kw *tables.KeyWords, addr int32) {
 	tag := flowTag(stg, mod, kw)
 	fc.slots[tag&fc.mask] = flowSlot{tag: tag, gen: uint32(gen), addr: addr}
 }
 
-// prefetch touches the slot a later lookup of the same key will read,
-// so the batched pipeline's prefetch pass pulls the line alongside the
-// cuckoo buckets. The load is atomic only so the compiler cannot
-// discard it as dead — the cache itself stays single-goroutine.
+// slotTag returns the tag word of the slot a later lookup of the same
+// key reads; it computes the address and loads nothing.
 //
 //menshen:hotpath
-func (fc *FlowCache) prefetch(_ uint64, stg uint8, mod uint16, kw *tables.KeyWords) {
-	_ = atomic.LoadUint64(&fc.slots[flowTag(stg, mod, kw)&fc.mask].tag)
+func (fc *FlowCache) slotTag(stg uint8, mod uint16, kw *tables.KeyWords) *uint64 {
+	return &fc.slots[flowTag(stg, mod, kw)&fc.mask].tag
 }

@@ -8,6 +8,7 @@ package stage
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/alu"
 	"repro/internal/phv"
@@ -399,27 +400,64 @@ func (v *View) AttachFlowCache(fc *FlowCache, gen uint64, stg uint8) {
 	v.cacheStage = stg
 }
 
-// PrefetchFlow speculatively warms the memory a hash-mode match will
-// touch for this PHV: the flow cache line and the cuckoo table's two
-// candidate buckets. The batched pipeline calls it for every frame in
-// a batch before executing any of them, so the per-frame bucket reads
-// — random accesses into a table that can span megabytes at million-
-// flow scale — overlap in the memory system instead of serializing.
+// HashMode reports whether the view resolves exact-match flows through
+// the cuckoo probe (the module has more than FlowScanThreshold flow
+// entries here) — the only mode with memory for GatherFlow to gather.
+func (v *View) HashMode() bool { return v.hash != nil }
+
+// Gather is a batch's worth of match addresses: the flow-cache slots
+// and cuckoo bucket lines its hash-mode stages will read, collected by
+// View.GatherFlow for every frame before any of them executes. Touch
+// then loads them back to back, so up to a line-fill buffer's worth of
+// misses overlap in the memory system instead of one frame's chain of
+// dependent misses at a time (group prefetching, Chen et al., ICDE
+// '04). A Gather is not safe for concurrent use; a pipeline owns one
+// and uses it under its batch lock.
+type Gather struct {
+	slots []*uint64
+	lines []*atomic.Uint64
+}
+
+// Touch loads every gathered word and empties the gather. The slot
+// loads are atomic only so the compiler cannot discard them as dead;
+// the cache itself stays single-goroutine. Emptying clears the
+// pointers, so a gather never keeps a replaced cache or a grown
+// table's old bucket arrays alive.
+//
+//menshen:hotpath
+func (g *Gather) Touch() {
+	for _, w := range g.slots {
+		_ = atomic.LoadUint64(w)
+	}
+	for _, w := range g.lines {
+		_ = w.Load()
+	}
+	clear(g.slots)
+	clear(g.lines)
+	g.slots, g.lines = g.slots[:0], g.lines[:0]
+}
+
+// flowLines returns the memory a hash-mode match of this PHV will read:
+// the flow-cache slot's tag word (nil without a cache) and the words
+// starting the cuckoo table's candidate bucket lines. It is the one
+// place those addresses are computed, for GatherFlow and PrefetchFlow.
 // The extraction is speculative (an earlier stage's action could still
-// rewrite a key field), which only costs a wasted prefetch; resolution
-// in ProcessView re-extracts and re-probes authoritatively. No-op
+// rewrite a key field), which only costs a wasted load; resolution in
+// ProcessView re-extracts and re-probes authoritatively. ok is false
 // outside hash mode.
-func (v *View) PrefetchFlow(p *phv.PHV) {
+//
+//menshen:hotpath
+func (v *View) flowLines(p *phv.PHV) (slot *uint64, lines [4]*atomic.Uint64, ok bool) {
 	if !v.Active || v.hash == nil {
-		return
+		return nil, lines, false
 	}
 	var key tables.Key
 	if err := v.Entry.ExtractKeyInto(p, &key); err != nil {
-		return
+		return nil, lines, false
 	}
 	kw := key.Words()
 	if v.cache != nil {
-		v.cache.prefetch(v.cacheGen, v.cacheStage, v.hashMod, &kw)
+		slot = v.cache.slotTag(v.cacheStage, v.hashMod, &kw)
 	}
 	mkw := tables.KeyWords{
 		kw[0] & v.hashMask[0],
@@ -427,7 +465,39 @@ func (v *View) PrefetchFlow(p *phv.PHV) {
 		kw[2] & v.hashMask[2],
 		kw[3] & v.hashMask[3],
 	}
-	v.hash.PrefetchWords(&mkw, v.hashMod)
+	return slot, v.hash.BucketLines(&mkw, v.hashMod), true
+}
+
+// GatherFlow appends to g the memory a hash-mode match of this PHV will
+// read (see flowLines). No-op outside hash mode.
+//
+//menshen:hotpath
+func (v *View) GatherFlow(g *Gather, p *phv.PHV) {
+	slot, lines, ok := v.flowLines(p)
+	if !ok {
+		return
+	}
+	if slot != nil {
+		g.slots = append(g.slots, slot) //menshen:allocok the pipeline's gather grows to its largest batch once and is reused
+	}
+	g.lines = append(g.lines, lines[:]...) //menshen:allocok the pipeline's gather grows to its largest batch once and is reused
+}
+
+// PrefetchFlow loads, right away, the memory GatherFlow would gather
+// for this PHV. It is the one-frame form for callers that drive the
+// stages themselves; the pipeline's batch loop gathers a whole batch
+// before loading any of it. No-op outside hash mode.
+func (v *View) PrefetchFlow(p *phv.PHV) {
+	slot, lines, ok := v.flowLines(p)
+	if !ok {
+		return
+	}
+	if slot != nil {
+		_ = atomic.LoadUint64(slot)
+	}
+	for _, w := range lines {
+		_ = w.Load()
+	}
 }
 
 // viewMatch is one precompiled match candidate of a View (a CAM entry

@@ -244,29 +244,26 @@ func probe(st *cuckooState, kw *KeyWords, modID uint16) (int, bool) {
 	return 0, false
 }
 
-// PrefetchWords touches the cache lines of both candidate buckets for
-// (kw, modID) without examining them. The batched pipeline calls it one
-// pass ahead of frame execution, so by the time LookupWords runs for
-// the frame its two dependent bucket reads hit warm lines instead of
-// each paying a serialized memory round-trip; with a whole batch's
-// prefetches issued back to back the misses overlap in the memory
-// system. The loads are plain atomic reads — a concurrent writer is
-// harmless, and a stale line is re-fetched by the real probe.
+// BucketLines returns the words that start each cache line a
+// LookupWords probe of (kw, modID) reads: both candidate buckets, two
+// lines each. It computes addresses only and loads nothing from the
+// buckets. The batched pipeline gathers every frame's lines this way
+// and then loads them back to back (stage.Gather.Touch), so the misses
+// of a whole batch are in flight together instead of one frame's at a
+// time. The words come from the state published now; if a writer grows
+// the table before the probe, the probe reads the new arrays and the
+// loads were merely wasted.
 //
 //menshen:hotpath
-func (c *Cuckoo) PrefetchWords(kw *KeyWords, modID uint16) {
+func (c *Cuckoo) BucketLines(kw *KeyWords, modID uint16) [4]*atomic.Uint64 {
 	modID &= MaxModuleID
 	st := c.state.Load()
 	hb := cuckooHashBase(kw, modID)
 	b0 := st.slots[0][int(cuckooMix(hb^cuckooSalt(0))&st.mask)*cuckooWays:][:cuckooWays]
 	b1 := st.slots[1][int(cuckooMix(hb^cuckooSalt(1))&st.mask)*cuckooWays:][:cuckooWays]
 	// Slots are 32 bytes, so a 4-way bucket is exactly two cache lines
-	// and slots 0 and 2 start them — touching those covers the whole
-	// bucket.
-	_ = b0[0].ctrl.Load()
-	_ = b0[2].ctrl.Load()
-	_ = b1[0].ctrl.Load()
-	_ = b1[2].ctrl.Load()
+	// and slots 0 and 2 start them.
+	return [4]*atomic.Uint64{&b0[0].ctrl, &b0[2].ctrl, &b1[0].ctrl, &b1[2].ctrl}
 }
 
 // cuckooReadRetries is how many seqlock rounds a reader attempts before
