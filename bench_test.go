@@ -109,6 +109,48 @@ func BenchmarkFig10Reconfigure(b *testing.B) {
 	}
 }
 
+// BenchmarkFig10ReconfigureBesideFlows is the Figure 10 event beside
+// another tenant's flow table: each op is one live update of a
+// flow-less spare tenant (NetCache) while Load Balancing holds 0 or 2^18
+// entries on the cuckoo side of its match stage. Isolation means the
+// two cost the same — clearing the spare tenant's entries must not walk
+// its neighbour's.
+func BenchmarkFig10ReconfigureBesideFlows(b *testing.B) {
+	nc, err := p4progs.ByName("NetCache")
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := nc.Source()
+	for _, flows := range []int{0, 1 << 18} {
+		b.Run(fmt.Sprintf("flows=%d", flows), func(b *testing.B) {
+			fx := newLBFixture(b)
+			frames := make([][]byte, flows)
+			for f := range frames {
+				frames[f] = trafficgen.FlowScaleFrame(1, f, 64)
+			}
+			cp := fx.dev.ControlPlane()
+			for _, fe := range fx.flowEntries(b, frames) {
+				if err := cp.InsertFlow(1, fx.stg, fe.Key, int(fe.Addr)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if _, err := fx.dev.LoadModule(src, 2); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := fx.dev.UpdateModule(src, 2); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if n := fx.dev.Pipeline().Stages[fx.stg].Hash.ModuleEntries(1); n != flows {
+				b.Fatalf("Load Balancing holds %d flows after the reloads, want %d", n, flows)
+			}
+		})
+	}
+}
+
 // BenchmarkFig11Process measures functional pipeline processing across
 // the Figure 11 packet-size sweep on each platform model.
 func BenchmarkFig11Process(b *testing.B) {

@@ -192,6 +192,126 @@ func TestEngineFlowCuckooEndToEnd(t *testing.T) {
 	}
 }
 
+// TestReloadBesideFlowsLeavesThemAlone is the §4.1 no-disruption claim
+// on the match layer: on a 2-worker engine, whose shards share one
+// cuckoo per stage, verified reloads of a flow-less NetCache tenant
+// leave Load Balancing's hash-mode flows — count, configuration
+// checksum, and each flow's egress port — exactly as they were.
+// Unloading Load Balancing then empties the shared table once for all
+// shards.
+func TestReloadBesideFlowsLeavesThemAlone(t *testing.T) {
+	const flows = 4 * stage.FlowScanThreshold
+	dev := newDevice(t, "Load Balancing", "NetCache")
+	stg := lbStage(t, dev)
+	addrs := lbActionAddrs(t, dev, stg)
+	var mu sync.Mutex
+	var last menshen.EngineResult
+	eng, err := dev.NewEngine(menshen.EngineConfig{
+		Workers: 2,
+		OnBatch: func(_ int, _ uint16, results []menshen.EngineResult) {
+			mu.Lock()
+			defer mu.Unlock()
+			last = results[len(results)-1]
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+
+	cp := dev.ControlPlane()
+	pool := make([][]byte, flows)
+	entries := make([]menshen.FlowEntry, flows)
+	for f := range pool {
+		pool[f] = trafficgen.FlowScaleFrame(1, f, 0)
+		key, err := cp.FlowKeyForFrame(1, stg, pool[f])
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries[f] = menshen.FlowEntry{Valid: true, Addr: addrs[f%len(addrs)], Key: key}
+	}
+	ctx := context.Background()
+	gen, _, err := eng.InsertFlowsVerified(ctx, 1, stg, entries, menshen.VerifyOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	quiesce(t, eng, gen)
+
+	shards := make([]*core.Pipeline, eng.Workers())
+	for w := range shards {
+		if shards[w], err = eng.ShardPipeline(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	table := shards[0].Stages[stg].Hash
+	for w, pipe := range shards {
+		if pipe.Stages[stg].Hash != table {
+			t.Fatalf("shard %d does not share shard 0's flow table", w)
+		}
+		if v := pipe.Stages[stg].ViewFor(1); !v.HashMode() {
+			t.Fatalf("shard %d: Load Balancing's flow stage is not in hash mode", w)
+		}
+	}
+	// egress sends each flow alone and records where it left.
+	egress := func() []uint8 {
+		t.Helper()
+		out := make([]uint8, flows)
+		for f := range pool {
+			if n, err := eng.SubmitBatch([][]byte{pool[f]}); err != nil || n != 1 {
+				t.Fatalf("submit flow %d: accepted=%d err=%v", f, n, err)
+			}
+			eng.Drain()
+			mu.Lock()
+			if last.Dropped {
+				mu.Unlock()
+				t.Fatalf("flow %d dropped", f)
+			}
+			out[f] = last.EgressPort
+			mu.Unlock()
+		}
+		return out
+	}
+	wantPorts := egress()
+	wantSums := shardChecksums(t, eng, 1)
+
+	nc := programSource(t, "NetCache")
+	for r := 0; r < 5; r++ {
+		_, gen, _, err := eng.LoadModuleVerified(ctx, nc, 2, menshen.VerifyOpts{})
+		if err != nil {
+			t.Fatalf("reload %d: %v", r, err)
+		}
+		quiesce(t, eng, gen)
+		if n := table.ModuleEntries(1); n != flows {
+			t.Fatalf("reload %d: Load Balancing holds %d flows, want %d", r, n, flows)
+		}
+		for w, cs := range shardChecksums(t, eng, 1) {
+			if cs != wantSums[w] {
+				t.Fatalf("reload %d: shard %d checksum %#x, was %#x", r, w, cs, wantSums[w])
+			}
+		}
+	}
+	for f, port := range egress() {
+		if port != wantPorts[f] {
+			t.Fatalf("flow %d leaves on port %d after the reloads, was %d", f, port, wantPorts[f])
+		}
+	}
+
+	gen, err = eng.UnloadModule(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	quiesce(t, eng, gen)
+	if n := table.Used(); n != 0 {
+		t.Fatalf("shared flow table holds %d entries after unloading its only flow tenant", n)
+	}
+	css := shardChecksums(t, eng, 1)
+	for w, cs := range css[1:] {
+		if cs != css[0] {
+			t.Fatalf("shard %d checksum %#x != shard 0 %#x after unload", w+1, cs, css[0])
+		}
+	}
+}
+
 // flowFrame encodes one exact-match flow install (or removal) as a raw
 // Figure 7 reconfiguration frame, the reference device's daisy-chain
 // input.

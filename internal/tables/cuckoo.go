@@ -357,7 +357,10 @@ type CuckooEntry struct {
 
 // ModuleFlows enumerates modID's entries in deterministic table order
 // (side, bucket, way). It is a control-path operation: it takes the
-// writer mutex and allocates the result.
+// writer mutex and allocates the result. Its cost is the module's own
+// entries, not the table's: O(1) for a module with none, otherwise a
+// scan that stops as soon as it has seen the module's count of entries
+// (exact, because every writer holds c.mu — see moduleSlots).
 func (c *Cuckoo) ModuleFlows(modID uint16) []CuckooEntry {
 	modID &= MaxModuleID
 	c.mu.Lock()
@@ -367,6 +370,22 @@ func (c *Cuckoo) ModuleFlows(modID uint16) []CuckooEntry {
 		return nil
 	}
 	out := make([]CuckooEntry, 0, n)
+	c.moduleSlots(modID, n, func(s *cuckooSlot, ctrl uint64) {
+		out = append(out, CuckooEntry{
+			Words: KeyWords{s.kw[0].Load(), s.kw[1].Load(), s.kw[2].Load(), ctrl >> 24 & 0xff},
+			Addr:  int32(ctrl & cuckooAddrMask),
+		})
+	})
+	return out
+}
+
+// moduleSlots calls fn on each of modID's n slots in (side, bucket,
+// way) order and stops at the n-th, so the scan ends at the module's
+// last entry rather than at the table's end. n must be the module's
+// entry count, which is exact under c.mu: a new key adds 1, DeleteWords
+// subtracts 1, ClearModule subtracts what it cleared, and growth
+// rehashes without touching it. Caller holds c.mu.
+func (c *Cuckoo) moduleSlots(modID uint16, n int, fn func(s *cuckooSlot, ctrl uint64)) {
 	st := c.state.Load()
 	want := uint64(modID) << 32
 	for side := 0; side < 2; side++ {
@@ -376,13 +395,12 @@ func (c *Cuckoo) ModuleFlows(modID uint16) []CuckooEntry {
 			if ctrl&cuckooValid == 0 || ctrl&cuckooModMask != want {
 				continue
 			}
-			out = append(out, CuckooEntry{
-				Words: KeyWords{s.kw[0].Load(), s.kw[1].Load(), s.kw[2].Load(), ctrl >> 24 & 0xff},
-				Addr:  int32(ctrl & cuckooAddrMask),
-			})
+			fn(s, ctrl)
+			if n--; n == 0 {
+				return
+			}
 		}
 	}
-	return out
 }
 
 // findLocked returns the slot holding (kw, modID) in st, or nil. Caller
@@ -602,25 +620,21 @@ func (c *Cuckoo) DeleteWords(kw *KeyWords, modID uint16) bool {
 }
 
 // ClearModule removes every entry of a module, returning the count — the
-// same per-module clearing contract as the CAM.
+// same per-module clearing contract as the CAM. Like ModuleFlows it costs
+// the module's own entries: a module with none returns 0 at once, with
+// no seqlock window opened and no slot touched, so reloading a flow-less
+// tenant never walks its neighbours' flows; otherwise the scan stops at
+// the module's last entry.
 func (c *Cuckoo) ClearModule(modID uint16) int {
 	modID &= MaxModuleID
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := c.state.Load()
-	want := uint64(modID) << 32
-	n := 0
-	c.version.Add(1)
-	for side := 0; side < 2; side++ {
-		for i := range st.slots[side] {
-			s := &st.slots[side][i]
-			ctrl := s.ctrl.Load()
-			if ctrl&cuckooValid != 0 && ctrl&cuckooModMask == want {
-				s.ctrl.Store(0)
-				n++
-			}
-		}
+	n := int(c.counts[modID].Load())
+	if n == 0 {
+		return 0
 	}
+	c.version.Add(1)
+	c.moduleSlots(modID, n, func(s *cuckooSlot, _ uint64) { s.ctrl.Store(0) })
 	c.version.Add(1)
 	c.used.Add(int64(-n))
 	c.counts[modID].Add(int32(-n))

@@ -3,7 +3,8 @@ package tables
 // Property, differential, and fuzz coverage for the cuckoo table: the
 // rollback guarantee of failed inserts, agreement with the CAM on the
 // shared exact-match contract, batch/scalar lookup equivalence, growth,
-// and wait-free readers under a writer storm (meaningful under -race).
+// per-module scans that stop at the module's count, and wait-free
+// readers under a writer storm (meaningful under -race).
 
 import (
 	"errors"
@@ -321,9 +322,155 @@ func TestCuckooConcurrentReaders(t *testing.T) {
 	wg.Wait()
 }
 
+// refModuleFlows is the full-table scan ModuleFlows used to be: every
+// slot of both sides in (side, bucket, way) order, no early stop. The
+// tests hold the counted scan to it.
+func refModuleFlows(c *Cuckoo, modID uint16) []CuckooEntry {
+	var out []CuckooEntry
+	st := c.state.Load()
+	for side := 0; side < 2; side++ {
+		for i := range st.slots[side] {
+			kw, ctrl := loadSlot(&st.slots[side][i])
+			if ctrl&cuckooValid != 0 && uint16(ctrl>>32&MaxModuleID) == modID {
+				out = append(out, CuckooEntry{Words: kw, Addr: int32(ctrl & cuckooAddrMask)})
+			}
+		}
+	}
+	return out
+}
+
+func entriesEqual(a, b []CuckooEntry) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestCuckooClearEmptyModuleTouchesNothing pins the O(1) path: clearing
+// a module with no entries beside a populated one returns 0 without
+// opening a seqlock window or writing a slot.
+func TestCuckooClearEmptyModuleTouchesNothing(t *testing.T) {
+	c := NewGrowingCuckoo(64)
+	for i := uint32(0); i < 500; i++ {
+		if err := c.Insert(ckey(i), 1, int(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v, used, before := c.version.Load(), c.Used(), dumpCuckoo(c)
+	if n := c.ClearModule(2); n != 0 {
+		t.Fatalf("ClearModule(2) = %d, want 0", n)
+	}
+	if got := c.version.Load(); got != v {
+		t.Fatalf("seqlock version %d -> %d: an empty clear opened a window", v, got)
+	}
+	if c.Used() != used || !dumpsEqual(before, dumpCuckoo(c)) {
+		t.Fatal("an empty clear changed the table")
+	}
+	if flows := c.ModuleFlows(2); flows != nil {
+		t.Fatalf("ModuleFlows(2) = %v, want nil", flows)
+	}
+}
+
+// TestCuckooLastSlotEntryIsFound places a module's only entry in the
+// last slot of side 1 — the end of the (side, bucket, way) order — so a
+// scan that stops early on a miscount would miss it.
+func TestCuckooLastSlotEntryIsFound(t *testing.T) {
+	c := NewCuckoo(64)
+	for i := uint32(0); i < 20; i++ {
+		if err := c.Insert(ckey(i), 1, int(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := c.state.Load()
+	// A key whose side-1 bucket is the last one, so a probe finds it in
+	// that bucket's last way.
+	var key Key
+	for v := uint32(1000); ; v++ {
+		key = ckey(v)
+		kw := key.Words()
+		if int(cuckooHash(1, &kw, 2)&st.mask) == st.nb-1 {
+			break
+		}
+	}
+	kw := key.Words()
+	last := &st.slots[1][len(st.slots[1])-1]
+	if last.ctrl.Load() != 0 {
+		t.Fatal("setup: last slot of side 1 already occupied")
+	}
+	c.mu.Lock()
+	storeSlot(last, &kw, cuckooCtrl(2, 77, cuckooFP(cuckooHash(0, &kw, 2)), kw[3]))
+	c.used.Add(1)
+	c.counts[2].Add(1)
+	c.mu.Unlock()
+
+	if addr, ok := c.Lookup(key, 2); !ok || addr != 77 {
+		t.Fatalf("setup: lookup = %d,%v", addr, ok)
+	}
+	flows := c.ModuleFlows(2)
+	if len(flows) != 1 || flows[0].Words != kw || flows[0].Addr != 77 {
+		t.Fatalf("ModuleFlows(2) = %v, want the last-slot entry", flows)
+	}
+	if n := c.ClearModule(2); n != 1 {
+		t.Fatalf("ClearModule(2) = %d, want 1", n)
+	}
+	if last.ctrl.Load() != 0 || c.ModuleEntries(2) != 0 || c.Used() != 20 {
+		t.Fatalf("last slot ctrl=%#x entries=%d used=%d after clear",
+			last.ctrl.Load(), c.ModuleEntries(2), c.Used())
+	}
+	if _, ok := c.Lookup(key, 2); ok {
+		t.Fatal("cleared entry still matches")
+	}
+}
+
+// TestCuckooModuleFlowsMatchesFullScan holds the counted ModuleFlows to
+// a reference full scan — same entries, same order — across inserts,
+// deletes, module clears and growth over several interleaved modules.
+func TestCuckooModuleFlowsMatchesFullScan(t *testing.T) {
+	c := NewGrowingCuckoo(16)
+	rng := newTestPRNG(7)
+	mods := []uint16{1, 2, 3, MaxModuleID}
+	check := func(op int) {
+		t.Helper()
+		for _, m := range mods {
+			got, want := c.ModuleFlows(m), refModuleFlows(c, m)
+			if !entriesEqual(got, want) {
+				t.Fatalf("op %d: ModuleFlows(%d) has %d entries, full scan %d (or order differs)",
+					op, m, len(got), len(want))
+			}
+			if c.ModuleEntries(m) != len(want) {
+				t.Fatalf("op %d: ModuleEntries(%d) = %d, full scan %d", op, m, c.ModuleEntries(m), len(want))
+			}
+		}
+	}
+	for op := 0; op < 3000; op++ {
+		m := mods[rng.next()%uint64(len(mods))]
+		key := ckey(uint32(rng.next() % 2048))
+		switch r := rng.next() % 64; {
+		case r < 44:
+			if err := c.Insert(key, m, int(rng.next()%1000)); err != nil {
+				t.Fatal(err)
+			}
+		case r < 63:
+			c.Delete(key, m)
+		default:
+			c.ClearModule(m)
+		}
+		if op%50 == 0 {
+			check(op)
+		}
+	}
+	check(3000)
+}
+
 // FuzzCuckoo interprets the fuzz input as an op stream (insert, delete,
 // clear, lookup) replayed against a map oracle, checking lookup
-// agreement and occupancy accounting after every op.
+// agreement, occupancy accounting, and that each module's count matches
+// what ModuleFlows enumerates after every op.
 func FuzzCuckoo(f *testing.F) {
 	f.Add([]byte{0x00, 0x01, 0x02, 0x03, 0x10, 0x11, 0x40, 0x01, 0x80, 0x02, 0xc0, 0x01})
 	f.Add([]byte{0x00, 0x05, 0x00, 0x05, 0x40, 0x05, 0x40, 0x05})
@@ -371,6 +518,11 @@ func FuzzCuckoo(f *testing.F) {
 			}
 			if c.Used() != len(oracle) {
 				t.Fatalf("op %d: used=%d oracle=%d", i, c.Used(), len(oracle))
+			}
+			for m := uint16(1); m <= 3; m++ {
+				if n := c.ModuleEntries(m); n != len(c.ModuleFlows(m)) {
+					t.Fatalf("op %d: ModuleEntries(%d)=%d, ModuleFlows has %d", i, m, n, len(c.ModuleFlows(m)))
+				}
 			}
 		}
 	})

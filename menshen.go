@@ -283,15 +283,26 @@ func (d *Device) install(prog *compiler.Program, pl core.Placement, moduleID uin
 
 // UpdateModule replaces a loaded module's program through the secure
 // reconfiguration procedure: the module's own packets drop during the
-// update; no other module is disturbed.
+// update; no other module is disturbed. If the new source fails to
+// compile, admit or load, the old program is put back at its old
+// placement and the load error is returned; the old program's flow
+// entries and stateful memory, cleared by the unload, are not.
 func (d *Device) UpdateModule(source string, moduleID uint16) (*LoadReport, error) {
-	if _, ok := d.modules[moduleID]; !ok {
+	old, ok := d.modules[moduleID]
+	if !ok {
 		return nil, fmt.Errorf("%w: id %d", ErrNotLoaded, moduleID)
 	}
 	if err := d.UnloadModule(moduleID); err != nil {
 		return nil, err
 	}
-	return d.LoadModule(source, moduleID)
+	rep, err := d.LoadModule(source, moduleID)
+	if err != nil {
+		if rerr := d.restoreModule(old); rerr != nil {
+			return nil, fmt.Errorf("restoring module %d after failed update: %w (update failed with %w)", moduleID, rerr, err)
+		}
+		return nil, err
+	}
+	return rep, nil
 }
 
 // UnloadModule removes a module and frees its resources (including
@@ -312,10 +323,11 @@ func (d *Device) UnloadModule(moduleID uint16) error {
 
 // restoreModule reinstalls a previously loaded module at its recorded
 // placement — the device half of the rollback after a failed verified
-// reload. The compiled program is reused as-is (it was augmented and
-// admitted when originally loaded), the allocator reclaims the exact
-// old spans, and the configuration is pushed back down the device's
-// own verified channel.
+// reload, and UpdateModule's undo when the new source fails. The
+// compiled program is reused as-is (it was augmented and admitted when
+// originally loaded), the allocator reclaims the exact old spans, and
+// the configuration is pushed back down the device's own verified
+// channel.
 func (d *Device) restoreModule(m *Module) error {
 	if err := d.alloc.Restore(m.program.Config, m.placement); err != nil {
 		return err

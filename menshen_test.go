@@ -1,6 +1,8 @@
 package menshen
 
 import (
+	"bytes"
+	"context"
 	"errors"
 	"testing"
 
@@ -268,6 +270,76 @@ func TestReconfigureWithoutDisruption(t *testing.T) {
 	got, _ := trafficgen.CalcResult(res.Output)
 	if got != 5 {
 		t.Errorf("CALC result after update = %d, want 5", got)
+	}
+}
+
+// TestUpdateModuleFailedKeepsTenant: an update whose source does not
+// compile returns the error and leaves the old program serving — the
+// unload it began with is undone, so the tenant's output is unchanged.
+func TestUpdateModuleFailedKeepsTenant(t *testing.T) {
+	d := NewDevice()
+	mustLoad(t, d, "CALC", 1)
+	frame := trafficgen.CalcPacket(1, trafficgen.CalcAdd, 20, 22, 0)
+	before, err := d.Send(frame)
+	if err != nil || before.Dropped {
+		t.Fatalf("baseline send: %v, dropped=%v", err, before.Dropped)
+	}
+	if _, err := d.UpdateModule("garbage", 1); err == nil {
+		t.Fatal("UpdateModule with a bad source succeeded")
+	}
+	after, err := d.Send(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Dropped || !bytes.Equal(after.Output, before.Output) {
+		t.Fatalf("tenant output changed by a failed update: dropped=%v (%s)", after.Dropped, after.Reason)
+	}
+	if err := d.UnloadModule(1); err != nil {
+		t.Fatalf("UnloadModule after a failed update: %v", err)
+	}
+}
+
+// TestLoadModuleVerifiedBadSourceKeepsTenant: a verified reload whose
+// source does not compile leaves device and shards agreeing on the old
+// program, so a later unload reaches both — the device still knows the
+// tenant, and every shard drops its configuration.
+func TestLoadModuleVerifiedBadSourceKeepsTenant(t *testing.T) {
+	d := NewDevice()
+	mustLoad(t, d, "CALC", 1)
+	eng, err := d.NewEngine(EngineConfig{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	ctx := context.Background()
+	if _, _, _, err := eng.LoadModuleVerified(ctx, "garbage", 1, VerifyOpts{}); err == nil {
+		t.Fatal("LoadModuleVerified with a bad source succeeded")
+	}
+	want := d.Pipeline().ModuleChecksum(1)
+	for w := 0; w < eng.Workers(); w++ {
+		pipe, err := eng.ShardPipeline(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cs := pipe.ModuleChecksum(1); cs != want {
+			t.Fatalf("shard %d checksum %#x != device %#x after a failed reload", w, cs, want)
+		}
+	}
+	gen, err := eng.UnloadModule(1)
+	if err != nil {
+		t.Fatalf("UnloadModule after a failed reload: %v", err)
+	}
+	if err := eng.AwaitQuiesceCtx(ctx, gen); err != nil {
+		t.Fatal(err)
+	}
+	for w := 0; w < eng.Workers(); w++ {
+		pipe, err := eng.ShardPipeline(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := pipe.Parser.Table().Lookup(1); ok {
+			t.Fatalf("shard %d still holds the tenant's parser entry after unload", w)
+		}
 	}
 }
 
