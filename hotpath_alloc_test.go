@@ -269,6 +269,15 @@ var hotPathGuards = []hotPathGuard{
 		// the annotated engine path; its pin predates the annotations
 		// and keeps covering the shared stage-execution core.
 		name: "process-batch-in-place",
+		covers: []string{
+			"internal/alu.ExecuteSlots",
+			"internal/alu.executeOne",
+			"internal/alu.operand",
+			"internal/parser.(*Program).Parse",
+			"internal/phv.(*PHV).SetWord",
+			"internal/phv.(*PHV).Word",
+			"internal/stage.(*KeyExtractEntry).ExtractKeyWords",
+		},
 		run: func(t *testing.T) {
 			dev, frames, res := batchFixture(t, 32)
 			pipe := dev.Pipeline()
@@ -283,6 +292,47 @@ var hotPathGuards = []hotPathGuard{
 			})
 			if allocs != 0 {
 				t.Errorf("ProcessBatchInPlace allocates %.1f times per batch; want 0", allocs)
+			}
+		},
+	},
+	{
+		// A warm batch of a module whose every frame faults: its
+		// stateful op addresses word 5 of a 1-word segment, so the ALU
+		// turns the op into a no-op. The fault must cost the shared
+		// worker nothing; a module that only hurts itself must not push
+		// garbage onto its neighbours. The table is applied under a
+		// predicate, so the guard also runs the key extractor's
+		// predicate operands.
+		name: "segment-fault-batch",
+		covers: []string{
+			"internal/stage.(*KeyExtractEntry).predicate",
+			"internal/stage.Operand.value",
+			"internal/tables.(*SegmentTable).Translate",
+		},
+		run: func(t *testing.T) {
+			dev := NewDevice()
+			if _, err := dev.LoadModule(segFaultSrc, 1); err != nil {
+				t.Fatal(err)
+			}
+			frames := make([][]byte, 32)
+			for i := range frames {
+				frames[i] = trafficgen.KVPacket(1, 1, 5, uint32(i), 0)
+			}
+			res := make([]core.BatchResult, len(frames))
+			pipe := dev.Pipeline()
+			if err := pipe.ProcessBatchInPlace(frames, 0, res); err != nil {
+				t.Fatal(err)
+			}
+			if v, err := trafficgen.KVValue(res[3].Data); err != nil || v != 3 {
+				t.Fatalf("faulting op wrote its destination: value %d (%v); want 3", v, err)
+			}
+			allocs := testing.AllocsPerRun(100, func() {
+				if err := pipe.ProcessBatchInPlace(frames, 0, res); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("a batch of segment-faulting frames allocates %.1f times; want 0", allocs)
 			}
 		},
 	},
@@ -495,6 +545,18 @@ type fixedPool struct{ buf []byte }
 
 func (p *fixedPool) Borrow(n int) []byte { return p.buf[:n] }
 func (p *fixedPool) Release([]byte)      {}
+
+// segFaultSrc counts into register word kv_h.key of a 1-word register,
+// so any frame with key > 0 faults in the segment table.
+const segFaultSrc = `
+module segfault;
+header kv_h { op : 16; key : 16; value : 32; }
+register r[1];
+parser { extract kv_h at 46; }
+action bump() { kv_h.value = r[kv_h.key]++; }
+table t { actions = { bump; } size = 1; }
+control { if (kv_h.op == 1) { apply(t); } }
+`
 
 // hotChainSrc is the passthrough tenant program the fabric guard loads
 // on every node of its chain.

@@ -4,6 +4,9 @@
 //
 // There is one ALU per PHV container; each ALU's output is hard-wired to
 // its own container, so only the operand side needs a crossbar (§3.1).
+// ExecuteSlots is the one word-width kernel that serves traffic;
+// Execute is the literal oracle the stage tests compare it against, and
+// a test-only byte-wise reference interpreter checks the kernel itself.
 package alu
 
 import (
@@ -322,6 +325,11 @@ type Env struct {
 	ModIdx   int
 }
 
+// errMetaOperand rejects the metadata container as an integer operand.
+var errMetaOperand = errors.New("alu: metadata container is not a valid operand")
+
+const metaSlot = phv.NumContainers - 1 // the metadata container's ALU slot
+
 // Execute is the reference oracle behind stage.Process (see there):
 // ExecuteSlots without the precompiled slot list or the single-writer
 // shortcut — it walks all 25 slots and always snapshots the PHV. Nothing
@@ -329,119 +337,110 @@ type Env struct {
 func Execute(a *Action, env *Env) (memOps int, err error) {
 	in := *env.PHV // snapshot: all operands read pre-action values
 	for slot := range a {
-		instr := a[slot]
-		if instr.Op == OpNop {
+		if a[slot].Op == OpNop {
 			continue
 		}
-		destRef, rerr := phv.RefForALU(slot)
-		if rerr != nil {
-			return memOps, rerr
-		}
-		if ferr := executeOne(slot, instr, destRef, &in, env, &memOps); ferr != nil {
-			return memOps, ferr
+		if err := executeOne(a, slot, &in, env, &memOps); err != nil {
+			return memOps, err
 		}
 	}
 	return memOps, nil
 }
 
 // ExecuteSlots runs one VLIW action, visiting only its non-nop slots
-// (the list Table.Ref precompiles). Every ALU reads the PHV as it was
+// (the list Table.Ref precompiles), with operands and results moved at
+// container width (phv.Word/SetWord). Every ALU reads the PHV as it was
 // before the action and the results are committed together, mirroring
 // the hardware where all 25 ALUs consume the same input vector in
 // parallel; a single-instruction action skips the snapshot, since with
 // one writer there is no read-after-write hazard to guard against.
 // Memory-op faults (segment violations) turn the individual operation
-// into a no-op, so a misconfigured or malicious module can never touch
-// state outside its segment. The returned count is the number of
-// stateful-memory operations performed (used by cycle accounting).
+// into a no-op costing no allocation, so a misconfigured or malicious
+// module can neither touch state outside its segment nor burden its
+// worker. The returned count is the number of stateful-memory
+// operations performed (used by cycle accounting).
+//
+//menshen:hotpath
 func ExecuteSlots(a *Action, slots []uint8, env *Env) (memOps int, err error) {
 	switch len(slots) {
 	case 0:
 		return 0, nil
 	case 1:
-		slot := int(slots[0])
-		destRef, rerr := phv.RefForALU(slot)
-		if rerr != nil {
-			return 0, rerr
-		}
-		err = executeOne(slot, a[slot], destRef, env.PHV, env, &memOps)
+		err = executeOne(a, int(slots[0]), env.PHV, env, &memOps)
 		return memOps, err
 	}
 	in := *env.PHV // snapshot: all operands read pre-action values
 	for _, s := range slots {
-		slot := int(s)
-		destRef, rerr := phv.RefForALU(slot)
-		if rerr != nil {
-			return memOps, rerr
-		}
-		if ferr := executeOne(slot, a[slot], destRef, &in, env, &memOps); ferr != nil {
-			return memOps, ferr
+		if err := executeOne(a, int(s), &in, env, &memOps); err != nil {
+			return memOps, err
 		}
 	}
 	return memOps, nil
 }
 
-func executeOne(slot int, instr Instr, destRef phv.Ref, in *phv.PHV, env *Env, memOps *int) error {
+// operand resolves an operand slot against the pre-action PHV in: a
+// container's word, zero for NoOperand, an error for the metadata slot
+// and the unused slots 25-30.
+//
+//menshen:hotpath
+func operand(in *phv.PHV, s uint8) (uint64, error) {
+	switch {
+	case s < metaSlot:
+		return in.Word(int(s)), nil
+	case s == NoOperand:
+		return 0, nil
+	case s == metaSlot:
+		return 0, errMetaOperand
+	}
+	return 0, fmt.Errorf("%w: ALU slot %d", phv.ErrBadRef, s) //menshen:allocok only an action that skipped Action.Validate names slots 25-30
+}
+
+// executeOne runs the instruction in ALU slot slot of a, reading
+// operands from in and writing the slot's own container in env.PHV.
+//
+//menshen:hotpath
+func executeOne(a *Action, slot int, in *phv.PHV, env *Env, memOps *int) error {
+	if slot > metaSlot {
+		return fmt.Errorf("%w: ALU slot %d", phv.ErrBadRef, slot) //menshen:allocok only a hand-built slot list reaches it; Table.Ref's lists hold slots 0-24
+	}
 	// The metadata container has no integer ALU datapath; only the
 	// platform ops (port, discard) may target it.
-	if destRef.Type == phv.TypeMeta && instr.Op != OpPort && instr.Op != OpDiscard && instr.Op != OpNop {
-		return fmt.Errorf("alu: slot %d (metadata) cannot execute %v", slot, instr.Op)
+	if op := a[slot].Op; slot == metaSlot && op != OpPort && op != OpDiscard && op != OpNop {
+		return fmt.Errorf("alu: slot %d (metadata) cannot execute %v", slot, op) //menshen:allocok only a hand-written action reaches it: the compiler gives the metadata slot port and discard alone
 	}
-
-	operand := func(s uint8) (uint64, error) {
-		if s == NoOperand {
-			return 0, nil
-		}
-		r, err := phv.RefForALU(int(s))
-		if err != nil {
-			return 0, err
-		}
-		if r.Type == phv.TypeMeta {
-			return 0, fmt.Errorf("alu: metadata container is not a valid operand")
-		}
-		return in.Get(r)
-	}
+	instr := &a[slot]
 
 	switch instr.Op {
-	case OpAdd, OpSub:
-		av, err := operand(instr.A)
+	case OpAdd, OpSub, OpAddi, OpSubi:
+		av, err := operand(in, instr.A)
 		if err != nil {
 			return err
 		}
-		bv, err := operand(instr.B)
-		if err != nil {
-			return err
+		bv := uint64(instr.Imm)
+		if instr.Op.TwoOperand() {
+			if bv, err = operand(in, instr.B); err != nil {
+				return err
+			}
 		}
-		v := av + bv
-		if instr.Op == OpSub {
-			v = av - bv
+		if instr.Op == OpSub || instr.Op == OpSubi {
+			bv = -bv
 		}
-		return env.PHV.Set(destRef, v)
-
-	case OpAddi, OpSubi:
-		av, err := operand(instr.A)
-		if err != nil {
-			return err
-		}
-		v := av + uint64(instr.Imm)
-		if instr.Op == OpSubi {
-			v = av - uint64(instr.Imm)
-		}
-		return env.PHV.Set(destRef, v)
+		env.PHV.SetWord(slot, av+bv)
+		return nil
 
 	case OpSet:
-		return env.PHV.Set(destRef, uint64(instr.Imm))
+		env.PHV.SetWord(slot, uint64(instr.Imm))
+		return nil
 
 	case OpLoad, OpStore, OpLoadd:
 		if env.Memory == nil || env.Segments == nil {
 			return ErrNoSegment
 		}
-		av, err := operand(instr.A)
+		av, err := operand(in, instr.A)
 		if err != nil {
 			return err
 		}
-		local := av + uint64(instr.Imm)
-		phys, terr := env.Segments.Translate(env.ModIdx, local)
+		phys, terr := env.Segments.Translate(env.ModIdx, av+uint64(instr.Imm))
 		if terr != nil {
 			// Segment fault: the op becomes a no-op. Isolation beats
 			// completeness here — the module only hurts itself.
@@ -450,27 +449,17 @@ func executeOne(slot int, instr Instr, destRef phv.Ref, in *phv.PHV, env *Env, m
 		*memOps++
 		switch instr.Op {
 		case OpLoad:
-			v, lerr := env.Memory.Load(phys)
-			if lerr != nil {
-				return nil
+			if v, lerr := env.Memory.Load(phys); lerr == nil {
+				env.PHV.SetWord(slot, v)
 			}
-			return env.PHV.Set(destRef, v)
 		case OpStore:
-			cur, gerr := in.Get(destRef)
-			if gerr != nil {
-				return gerr
-			}
-			if serr := env.Memory.Store(phys, cur); serr != nil {
-				return nil
-			}
-			return nil
+			_ = env.Memory.Store(phys, in.Word(slot))
 		default: // OpLoadd
-			v, lerr := env.Memory.LoadAddStore(phys)
-			if lerr != nil {
-				return nil
+			if v, lerr := env.Memory.LoadAddStore(phys); lerr == nil {
+				env.PHV.SetWord(slot, v)
 			}
-			return env.PHV.Set(destRef, v)
 		}
+		return nil
 
 	case OpPort:
 		env.PHV.SetEgress(uint8(instr.Imm))
@@ -480,5 +469,5 @@ func executeOne(slot int, instr Instr, destRef phv.Ref, in *phv.PHV, env *Env, m
 		env.PHV.Discard()
 		return nil
 	}
-	return fmt.Errorf("alu: slot %d: invalid opcode %d", slot, instr.Op)
+	return fmt.Errorf("alu: slot %d: invalid opcode %d", slot, instr.Op) //menshen:allocok only an action that skipped Action.Validate reaches it
 }

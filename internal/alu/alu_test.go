@@ -2,6 +2,8 @@ package alu
 
 import (
 	"errors"
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -347,4 +349,285 @@ func TestQuickAddSubInverse(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// The kernel's own check: ExecuteSlots (and the Execute oracle, which
+// shares its kernel) against refExecute, a reference interpreter written
+// literally over phv.RefForALU and the containers' big-endian bytes.
+
+// refEnv is the reference interpreter's view of the stage: a plain copy
+// of stateful memory (nil: the module has none) and the module's segment.
+type refEnv struct {
+	mem    []uint64
+	seg    tables.Segment
+	hasSeg bool
+	seen   map[string]bool // features exercised; nil when not tracked
+}
+
+func (e *refEnv) saw(feature string) {
+	if e.seen != nil {
+		e.seen[feature] = true
+	}
+}
+
+// refExecute runs slots of a over p in order, every operand read from
+// the PHV as it was before the action, reporting what it exercised.
+func refExecute(a *Action, slots []uint8, p *phv.PHV, e *refEnv) (memOps int, err error) {
+	in := *p
+	written := map[uint8]bool{}
+	get := func(s uint8) (uint64, error) {
+		if s == NoOperand {
+			e.saw("no-operand")
+			return 0, nil
+		}
+		r, err := phv.RefForALU(int(s))
+		if err != nil {
+			return 0, err
+		}
+		if r.Type == phv.TypeMeta {
+			e.saw("meta-operand")
+			return 0, errors.New("metadata operand")
+		}
+		if written[s] {
+			e.saw("read-before-write")
+		}
+		b, _ := in.Bytes(r)
+		var v uint64
+		for _, x := range b {
+			v = v<<8 | uint64(x)
+		}
+		return v, nil
+	}
+	for _, s := range slots {
+		dest, err := phv.RefForALU(int(s))
+		if err != nil {
+			return memOps, err
+		}
+		instr := a[s]
+		if dest.Type == phv.TypeMeta && instr.Op != OpPort && instr.Op != OpDiscard && instr.Op != OpNop {
+			e.saw("meta-dest")
+			return memOps, errors.New("metadata destination")
+		}
+		put := func(v uint64) {
+			b, _ := p.Bytes(dest)
+			if len(b) == phv.Size6B && v>>48 != 0 {
+				e.saw("wrap-48")
+			}
+			e.saw("write-" + dest.Type.String())
+			for i := len(b) - 1; i >= 0; i-- {
+				b[i] = byte(v)
+				v >>= 8
+			}
+			written[s] = true
+		}
+		imm := uint64(instr.Imm)
+		switch instr.Op {
+		case OpAdd, OpSub:
+			x, err := get(instr.A)
+			if err != nil {
+				return memOps, err
+			}
+			y, err := get(instr.B)
+			if err != nil {
+				return memOps, err
+			}
+			if instr.Op == OpAdd {
+				put(x + y)
+			} else {
+				put(x - y)
+			}
+		case OpAddi, OpSubi:
+			x, err := get(instr.A)
+			if err != nil {
+				return memOps, err
+			}
+			if instr.Op == OpAddi {
+				put(x + imm)
+			} else {
+				put(x - imm)
+			}
+		case OpSet:
+			put(imm)
+		case OpLoad, OpStore, OpLoadd:
+			if e.mem == nil {
+				return memOps, ErrNoSegment
+			}
+			x, err := get(instr.A)
+			if err != nil {
+				return memOps, err
+			}
+			addr := x + imm
+			if !e.hasSeg || addr >= uint64(e.seg.Range) {
+				e.saw("mem-outside-segment")
+				break
+			}
+			e.saw("mem-inside-segment")
+			memOps++
+			phys := uint64(e.seg.Base) + addr
+			if phys >= uint64(len(e.mem)) {
+				break
+			}
+			switch instr.Op {
+			case OpLoad:
+				put(e.mem[phys])
+			case OpStore:
+				b, _ := in.Bytes(dest)
+				var v uint64
+				for _, x := range b {
+					v = v<<8 | uint64(x)
+				}
+				e.mem[phys] = v
+			default:
+				e.mem[phys]++
+				put(e.mem[phys])
+			}
+		case OpPort:
+			p.Meta[phv.MetaOffDstPort] = byte(instr.Imm)
+		case OpDiscard:
+			p.Meta[phv.MetaOffDiscard] = 1
+		default:
+			return memOps, errors.New("invalid opcode")
+		}
+		e.saw("op-" + instr.Op.String())
+	}
+	return memOps, nil
+}
+
+// aluCase is one differential case decoded from fuzz bytes.
+type aluCase struct {
+	action Action
+	slots  []uint8
+	pre    phv.PHV
+	seg    tables.Segment
+	hasSeg bool
+	noMem  bool
+}
+
+// decodeALUCase reads a case from data, zero-extended: segment base,
+// segment range, flags, instruction count, five bytes per instruction
+// (slot, opcode, operand A, two immediate bytes whose low five bits
+// double as operand B), then the PHV's container bytes. The slot list
+// is Table.Set's: each written slot once, in order, nops left out;
+// slot byte values map so that 25 is the one out-of-range slot, and
+// opcodes so that Op(11) is the one invalid opcode.
+func decodeALUCase(data []byte) aluCase {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	var c aluCase
+	c.seg = tables.Segment{Base: next() % aluMemWords, Range: next() % (aluMemWords + 4)}
+	flags := next()
+	c.hasSeg, c.noMem = flags&1 == 0, flags&6 == 6
+	listed := map[uint8]bool{}
+	for n := next() % 7; n > 0; n-- {
+		slot, op, a := next()%32, Op(next()%12), next()%32
+		hi, lo := next(), next()
+		if slot > 25 {
+			slot -= 8
+		}
+		imm := uint16(lo)
+		if hi&0x80 != 0 {
+			imm |= uint16(hi) << 8
+		}
+		if op == OpNop || listed[slot] {
+			continue
+		}
+		listed[slot] = true
+		c.slots = append(c.slots, slot)
+		if int(slot) < phv.NumContainers {
+			c.action[slot] = Instr{Op: op, A: a, B: lo % 32, Imm: imm}
+		}
+	}
+	for i := range c.pre.C2 {
+		c.pre.C2[i] = [phv.Size2B]byte{next(), next()}
+	}
+	for i := range c.pre.C4 {
+		c.pre.C4[i] = [phv.Size4B]byte{next(), next(), next(), next()}
+	}
+	for i := range c.pre.C6 {
+		c.pre.C6[i] = [phv.Size6B]byte{next(), next(), next(), next(), next(), next()}
+	}
+	return c
+}
+
+const aluMemWords = 16
+
+// checkALUCase runs c through ExecuteSlots and refExecute and reports
+// any difference in PHV bytes, memory words, memOps or erroring.
+func checkALUCase(t *testing.T, c aluCase, seen map[string]bool) {
+	t.Helper()
+	seg := tables.NewSegmentTable(4)
+	if c.hasSeg {
+		if err := seg.Set(1, c.seg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mem := tables.NewStatefulMemory(aluMemWords)
+	ref := &refEnv{seg: c.seg, hasSeg: c.hasSeg, seen: seen}
+	for i := 0; i < aluMemWords; i++ {
+		if err := mem.Store(uint64(i), uint64(i)*0x0101_0101_0101); err != nil {
+			t.Fatal(err)
+		}
+	}
+	env := &Env{PHV: new(phv.PHV), Memory: mem, Segments: seg, ModIdx: 1}
+	if c.noMem {
+		env.Memory = nil
+	} else {
+		ref.mem = mem.Snapshot()
+	}
+	*env.PHV = c.pre
+	want := c.pre
+	gotOps, gotErr := ExecuteSlots(&c.action, c.slots, env)
+	wantOps, wantErr := refExecute(&c.action, c.slots, &want, ref)
+	if (gotErr != nil) != (wantErr != nil) || gotOps != wantOps {
+		t.Fatalf("slots %v of %v: ExecuteSlots = (%d, %v), reference = (%d, %v)", c.slots, c.action, gotOps, gotErr, wantOps, wantErr)
+	}
+	if *env.PHV != want {
+		t.Fatalf("slots %v of %v: PHV\n got %+v\nwant %+v", c.slots, c.action, *env.PHV, want)
+	}
+	if !c.noMem {
+		if got := mem.Snapshot(); !slices.Equal(got, ref.mem) {
+			t.Fatalf("slots %v of %v: memory\n got %v\nwant %v", c.slots, c.action, got, ref.mem)
+		}
+	}
+}
+
+// TestExecuteSlotsMatchesReference runs random actions through both
+// interpreters and checks that the cases covered every opcode, every
+// container width, 48-bit wrap-around, NoOperand, both metadata errors,
+// multi-slot read-before-write and memory ops inside and outside the
+// segment.
+func TestExecuteSlotsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	seen := map[string]bool{}
+	buf := make([]byte, 4+6*5+96)
+	for i := 0; i < 20000; i++ {
+		for j := range buf {
+			buf[j] = byte(rng.Uint32())
+		}
+		checkALUCase(t, decodeALUCase(buf), seen)
+	}
+	want := []string{"no-operand", "meta-operand", "meta-dest", "read-before-write", "wrap-48",
+		"write-2B", "write-4B", "write-6B", "mem-inside-segment", "mem-outside-segment"}
+	for op := OpAdd; op < opMax; op++ {
+		want = append(want, "op-"+op.String())
+	}
+	for _, f := range want {
+		if !seen[f] {
+			t.Errorf("no random case exercised %s", f)
+		}
+	}
+}
+
+// FuzzExecuteSlots is TestExecuteSlotsMatchesReference under the
+// fuzzer; testdata/fuzz/FuzzExecuteSlots holds its seed corpus.
+func FuzzExecuteSlots(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkALUCase(t, decodeALUCase(data), nil)
+	})
 }

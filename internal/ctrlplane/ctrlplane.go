@@ -296,7 +296,7 @@ func (c *Client) ReadCounter(moduleID uint16, stg int, localAddr uint64) (uint64
 	st := c.pipe.Stages[stg]
 	phys, err := st.Segments.Translate(int(moduleID), localAddr)
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("ctrlplane: module %d stage %d address %d: %w", moduleID, stg, localAddr, err)
 	}
 	return st.Memory.Load(phys)
 }

@@ -153,6 +153,38 @@ func TestParseShortPacketZeroFills(t *testing.T) {
 	}
 }
 
+// TestParseWindowAtFrameEnd covers the three ways a window meets the
+// end of the frame: ending exactly at it (copied whole), straddling it
+// (the tail zero-filled) and starting past it (all zero).
+func TestParseWindowAtFrameEnd(t *testing.T) {
+	frame := packet.NewUDP(0, packet.IPv4Addr{}, packet.IPv4Addr{}, 1, 2, []byte{0xa1, 0xb2, 0xc3, 0xd4, 0xe5, 0xf6}).MustBuild()
+	n := len(frame) // 52: the payload is the last six bytes
+	for _, c := range []struct {
+		name string
+		off  int
+		want uint64
+	}{
+		{"ends at len", n - 6, 0xa1b2c3d4e5f6},
+		{"straddles len", n - 4, 0xc3d4e5f60000},
+		{"starts at len", n, 0},
+		{"starts past len", n + 3, 0},
+	} {
+		p := New(4)
+		var e Entry
+		e.Actions[0] = Action{Offset: uint8(c.off), Dest: phv.Ref{Type: phv.Type6B, Index: 2}, Valid: true}
+		if err := p.Set(0, e); err != nil {
+			t.Fatal(err)
+		}
+		var v phv.PHV
+		if err := p.Parse(frame, 0, &v); err != nil {
+			t.Fatal(err)
+		}
+		if got := v.MustGet(phv.Ref{Type: phv.Type6B, Index: 2}); got != c.want {
+			t.Errorf("%s (offset %d of %d): container = %#x, want %#x", c.name, c.off, n, got, c.want)
+		}
+	}
+}
+
 func TestParseNoConfig(t *testing.T) {
 	p := New(4)
 	var v phv.PHV

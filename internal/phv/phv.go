@@ -9,6 +9,7 @@
 package phv
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -151,15 +152,10 @@ func (p *PHV) Get(r Ref) (uint64, error) {
 	if r.Type == TypeMeta {
 		return 0, fmt.Errorf("%w: metadata container has no integer value", ErrBadRef)
 	}
-	b, err := p.Bytes(r)
-	if err != nil {
-		return 0, err
+	if !r.Valid() {
+		return 0, fmt.Errorf("%w: %v", ErrBadRef, r)
 	}
-	var v uint64
-	for _, x := range b {
-		v = v<<8 | uint64(x)
-	}
-	return v, nil
+	return p.Word(int(r.Type)*NumPerType + int(r.Index)), nil
 }
 
 // Set stores v into the container in big-endian order, truncating to the
@@ -168,15 +164,44 @@ func (p *PHV) Set(r Ref, v uint64) error {
 	if r.Type == TypeMeta {
 		return fmt.Errorf("%w: metadata container has no integer value", ErrBadRef)
 	}
-	b, err := p.Bytes(r)
-	if err != nil {
-		return err
+	if !r.Valid() {
+		return fmt.Errorf("%w: %v", ErrBadRef, r)
 	}
-	for i := len(b) - 1; i >= 0; i-- {
-		b[i] = byte(v)
-		v >>= 8
-	}
+	p.SetWord(int(r.Type)*NumPerType+int(r.Index), v)
 	return nil
+}
+
+// Word returns the value of the container in ALU slot slot (0-23; the
+// metadata slot has none, and callers resolve slots first): one
+// big-endian load at the container's width, a 6-byte container as 2+4.
+//
+//menshen:hotpath
+func (p *PHV) Word(slot int) uint64 {
+	switch {
+	case slot < NumPerType:
+		return uint64(binary.BigEndian.Uint16(p.C2[slot][:]))
+	case slot < 2*NumPerType:
+		return uint64(binary.BigEndian.Uint32(p.C4[slot-NumPerType][:]))
+	}
+	c := &p.C6[slot-2*NumPerType]
+	return uint64(binary.BigEndian.Uint16(c[:]))<<32 | uint64(binary.BigEndian.Uint32(c[2:]))
+}
+
+// SetWord stores v into the container in ALU slot slot (0-23) in
+// big-endian order, truncating like the hardware's wrap-around.
+//
+//menshen:hotpath
+func (p *PHV) SetWord(slot int, v uint64) {
+	switch {
+	case slot < NumPerType:
+		binary.BigEndian.PutUint16(p.C2[slot][:], uint16(v))
+	case slot < 2*NumPerType:
+		binary.BigEndian.PutUint32(p.C4[slot-NumPerType][:], uint32(v))
+	default:
+		c := &p.C6[slot-2*NumPerType]
+		binary.BigEndian.PutUint16(c[:], uint16(v>>32))
+		binary.BigEndian.PutUint32(c[2:], uint32(v))
+	}
 }
 
 // MustGet is Get for references known to be valid; it panics otherwise.

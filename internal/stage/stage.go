@@ -6,6 +6,7 @@
 package stage
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -45,19 +46,22 @@ func DecodeOperand(v uint8) Operand {
 	return Operand{Imm: v & 0x7f}
 }
 
+// errMetaPredicate rejects the metadata container as a predicate operand.
+var errMetaPredicate = errors.New("stage: metadata container is not a valid predicate operand")
+
 // value resolves the operand against a PHV.
+//
+//menshen:hotpath
 func (o Operand) value(p *phv.PHV) (uint64, error) {
-	if !o.IsContainer {
+	switch {
+	case !o.IsContainer:
 		return uint64(o.Imm), nil
+	case int(o.Slot) < phv.NumContainers-1:
+		return p.Word(int(o.Slot)), nil
+	case int(o.Slot) == phv.NumContainers-1:
+		return 0, errMetaPredicate
 	}
-	r, err := phv.RefForALU(int(o.Slot))
-	if err != nil {
-		return 0, err
-	}
-	if r.Type == phv.TypeMeta {
-		return 0, fmt.Errorf("stage: metadata container is not a valid predicate operand")
-	}
-	return p.Get(r)
+	return 0, fmt.Errorf("%w: ALU slot %d", phv.ErrBadRef, o.Slot) //menshen:allocok only an entry naming slots 25-31, which no compiled program installs, reaches it
 }
 
 // PredOp is the 4-bit comparison opcode for conditional execution (§4.1).
@@ -184,40 +188,57 @@ func (e KeyExtractEntry) Validate() error {
 }
 
 // ExtractKey builds the padded 193-bit lookup key from the PHV: container
-// concatenation plus the predicate bit.
+// concatenation plus the predicate bit. It is the literal byte form, for
+// the control plane and the Stage.Process oracle; the serving path
+// builds the same key as words with ExtractKeyWords.
 func (e KeyExtractEntry) ExtractKey(p *phv.PHV) (tables.Key, error) {
 	var k tables.Key
-	err := e.ExtractKeyInto(p, &k)
+	copy(k[0:], p.C6[e.C6[0]&0x7][:])
+	copy(k[6:], p.C6[e.C6[1]&0x7][:])
+	copy(k[12:], p.C4[e.C4[0]&0x7][:])
+	copy(k[16:], p.C4[e.C4[1]&0x7][:])
+	copy(k[20:], p.C2[e.C2[0]&0x7][:])
+	copy(k[22:], p.C2[e.C2[1]&0x7][:])
+	bit, err := e.predicate(p)
+	k[24] = bit
 	return k, err
 }
 
-// ExtractKeyInto is ExtractKey writing through k — the per-packet path,
-// where returning 25-byte keys by value costs a stack copy per call.
-// The container copies are written at constant offsets so the compiler
-// lowers them to direct loads/stores.
-func (e *KeyExtractEntry) ExtractKeyInto(p *phv.PHV, k *tables.Key) error {
-	*(*[phv.Size6B]byte)(k[0:]) = p.C6[e.C6[0]&0x7]
-	*(*[phv.Size6B]byte)(k[6:]) = p.C6[e.C6[1]&0x7]
-	*(*[phv.Size4B]byte)(k[12:]) = p.C4[e.C4[0]&0x7]
-	*(*[phv.Size4B]byte)(k[16:]) = p.C4[e.C4[1]&0x7]
-	*(*[phv.Size2B]byte)(k[20:]) = p.C2[e.C2[0]&0x7]
-	*(*[phv.Size2B]byte)(k[22:]) = p.C2[e.C2[1]&0x7]
-	k[24] = 0
+// ExtractKeyWords builds the lookup key straight into its word form
+// (tables.KeyWords: little-endian words over key bytes 0-23, then the
+// predicate byte), loading each selected container at width, so it
+// equals ExtractKey(p).Words() without the 25-byte key between them.
+//
+//menshen:hotpath
+func (e *KeyExtractEntry) ExtractKeyWords(p *phv.PHV, kw *tables.KeyWords) error {
+	a6, b6 := &p.C6[e.C6[0]&0x7], &p.C6[e.C6[1]&0x7]
+	a4, b4 := &p.C4[e.C4[0]&0x7], &p.C4[e.C4[1]&0x7]
+	a2, b2 := &p.C2[e.C2[0]&0x7], &p.C2[e.C2[1]&0x7]
+	le := binary.LittleEndian
+	kw[0] = uint64(le.Uint32(a6[:])) | uint64(le.Uint16(a6[4:]))<<32 | uint64(le.Uint16(b6[:]))<<48
+	kw[1] = uint64(le.Uint32(b6[2:])) | uint64(le.Uint32(a4[:]))<<32
+	kw[2] = uint64(le.Uint32(b4[:])) | uint64(le.Uint16(a2[:]))<<32 | uint64(le.Uint16(b2[:]))<<48
+	bit, err := e.predicate(p)
+	kw[3] = uint64(bit)
+	return err
+}
 
-	if e.PredOp != PredNone {
-		av, err := e.PredA.value(p)
-		if err != nil {
-			return err
-		}
-		bv, err := e.PredB.value(p)
-		if err != nil {
-			return err
-		}
-		if e.PredOp.Eval(av, bv) {
-			k[24] = 0x01
-		}
+// predicate evaluates the entry's predicate into the key's last byte.
+//
+//menshen:hotpath
+func (e *KeyExtractEntry) predicate(p *phv.PHV) (byte, error) {
+	if e.PredOp == PredNone {
+		return 0, nil
 	}
-	return nil
+	av, err := e.PredA.value(p)
+	if err != nil {
+		return 0, err
+	}
+	bv, err := e.PredB.value(p)
+	if err == nil && e.PredOp.Eval(av, bv) {
+		return 0x01, nil
+	}
+	return 0, err
 }
 
 // Stage is one match-action stage with Menshen's isolation primitives.
@@ -451,11 +472,10 @@ func (v *View) flowLines(p *phv.PHV) (slot *uint64, lines [4]*atomic.Uint64, ok 
 	if !v.Active || v.hash == nil {
 		return nil, lines, false
 	}
-	var key tables.Key
-	if err := v.Entry.ExtractKeyInto(p, &key); err != nil {
+	var kw tables.KeyWords
+	if err := v.Entry.ExtractKeyWords(p, &kw); err != nil {
 		return nil, lines, false
 	}
-	kw := key.Words()
 	if v.cache != nil {
 		slot = v.cache.slotTag(v.cacheStage, v.hashMod, &kw)
 	}
@@ -615,11 +635,10 @@ func (s *Stage) ProcessView(v *View, p *phv.PHV) (Result, error) {
 	}
 	res.Active = true
 
-	var key tables.Key
-	if err := v.Entry.ExtractKeyInto(p, &key); err != nil {
+	var kw tables.KeyWords
+	if err := v.Entry.ExtractKeyWords(p, &kw); err != nil {
 		return res, err
 	}
-	kw := key.Words()
 
 	addr := -1
 	cached := false

@@ -1,6 +1,7 @@
 package stage
 
 import (
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
@@ -120,6 +121,67 @@ func TestExtractKeyPredicate(t *testing.T) {
 	k, _ = e.ExtractKey(&p)
 	if k.Predicate() {
 		t.Error("50 > 51 should clear predicate")
+	}
+}
+
+// TestExtractKeyWordsMatchesExtractKey holds the serving path's
+// word-form extraction to the literal byte form: over a stride through
+// all 8^6 container-index choices, every predicate opcode, and
+// predicate operands that are immediates, containers of each width,
+// the metadata container and the unused slots 25-31 (both errors).
+func TestExtractKeyWordsMatchesExtractKey(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 4))
+	var p phv.PHV
+	fill := func(b []byte) {
+		for i := range b {
+			b[i] = byte(rng.Uint32())
+		}
+	}
+	for i := range p.C2 {
+		fill(p.C2[i][:])
+		fill(p.C4[i][:])
+		fill(p.C6[i][:])
+	}
+	fill(p.Meta[:])
+	p.C2[3] = p.C2[4] // equal operands, so == and <= can hold
+	seen := map[string]bool{}
+	for choice := 0; choice < 1<<18; choice += 61 {
+		e := KeyExtractEntry{
+			C6: [2]uint8{uint8(choice) & 7, uint8(choice>>3) & 7},
+			C4: [2]uint8{uint8(choice>>6) & 7, uint8(choice>>9) & 7},
+			C2: [2]uint8{uint8(choice>>12) & 7, uint8(choice>>15) & 7},
+		}
+		for op := PredNone; op < predMax; op++ {
+			e.PredOp = op
+			e.PredA = DecodeOperand(uint8(rng.Uint32()))
+			e.PredB = DecodeOperand(uint8(rng.Uint32()))
+			if choice%7 == 0 {
+				e.PredA, e.PredB = Operand{IsContainer: true, Slot: 3}, Operand{IsContainer: true, Slot: 4}
+			}
+			k, kerr := e.ExtractKey(&p)
+			var kw tables.KeyWords
+			werr := e.ExtractKeyWords(&p, &kw)
+			if want := k.Words(); kw != want || (kerr == nil) != (werr == nil) {
+				t.Fatalf("%+v: ExtractKeyWords = %x (%v), ExtractKey().Words() = %x (%v)", e, kw, werr, want, kerr)
+			}
+			switch {
+			case kerr != nil:
+				seen["error"] = true
+			case k.Predicate():
+				seen["true "+op.String()] = true
+			default:
+				seen["false "+op.String()] = true
+			}
+		}
+	}
+	want := []string{"error", "false none"}
+	for op := PredEq; op < predMax; op++ {
+		want = append(want, "true "+op.String(), "false "+op.String())
+	}
+	for _, f := range want {
+		if !seen[f] {
+			t.Errorf("no sampled entry exercised %q", f)
+		}
 	}
 }
 

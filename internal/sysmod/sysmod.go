@@ -280,7 +280,7 @@ func PacketCount(p *core.Pipeline, moduleID uint16) (uint64, error) {
 	st := p.Stages[FirstStage]
 	phys, err := st.Segments.Translate(int(moduleID), 0)
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("sysmod: module %d stage %d packet counter: %w", moduleID, FirstStage, err)
 	}
 	return st.Memory.Load(phys)
 }

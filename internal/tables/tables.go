@@ -486,14 +486,17 @@ func (s *SegmentTable) Lookup(idx int) (Segment, bool) { return s.overlay.Lookup
 // Translate converts a module-local address to a physical address,
 // faulting if the module has no segment or the address exceeds its range.
 // A faulting access must not touch another module's state; callers treat
-// the error as a per-packet no-op or drop.
+// the error as a per-packet no-op or drop. The errors are bare sentinels,
+// so a module whose every frame faults costs its worker no allocation.
+//
+//menshen:hotpath
 func (s *SegmentTable) Translate(idx int, addr uint64) (uint64, error) {
 	seg, ok := s.overlay.Lookup(idx)
 	if !ok {
-		return 0, fmt.Errorf("%w: module index %d has no segment", ErrNoEntry, idx)
+		return 0, ErrNoEntry
 	}
 	if addr >= uint64(seg.Range) {
-		return 0, fmt.Errorf("%w: address %d >= range %d (module index %d)", ErrSegFault, addr, seg.Range, idx)
+		return 0, ErrSegFault
 	}
 	return uint64(seg.Base) + addr, nil
 }
