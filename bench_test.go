@@ -287,7 +287,7 @@ func BenchmarkMatchCAMvsCuckoo(b *testing.B) {
 			if err := cam.Write(i, tables.CAMEntry{Valid: true, ModID: 1, Key: k, Mask: tables.FullMask()}); err != nil {
 				b.Fatal(err)
 			}
-			if err := ck.Insert(k, 1, i); err != nil {
+			if err := ck.Insert(k, i); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -300,7 +300,8 @@ func BenchmarkMatchCAMvsCuckoo(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("Cuckoo/depth=%d", depth), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, hit := ck.Lookup(keys[i%depth], 1); !hit {
+				kw := keys[i%depth].Words()
+				if _, hit := ck.LookupWords(&kw); !hit {
 					b.Fatal("miss")
 				}
 			}
@@ -373,11 +374,12 @@ func (fx *lbFixture) flowEntries(tb testing.TB, frames [][]byte) []FlowEntry {
 
 // BenchmarkProcessBatchFlows is the in-process form of the benchmark's
 // flows256k_* workloads: Load Balancing with 2^18 flows on the cuckoo
-// side of its match stage, the default flow cache, and 32-frame batches
-// drawn uniformly or by Zipf(1.1) popularity. Every flow has its own
-// separately allocated 64 B frame, so a batch's frames are cold the way
-// received frames are, and the working set (frames, cuckoo buckets) is
-// far beyond the flow cache.
+// side of its match stage and 32-frame batches drawn uniformly or by
+// Zipf(1.1) popularity, each with a fresh default flow cache
+// (cache=on, as engine workers run) and without one (cache=off). Every
+// flow has its own separately allocated 64 B frame, so a batch's frames
+// are cold the way received frames are, and the working set (frames,
+// cuckoo buckets) is far beyond the flow cache.
 func BenchmarkProcessBatchFlows(b *testing.B) {
 	const flows, batch = 1 << 18, 32
 	fx := newLBFixture(b)
@@ -392,7 +394,6 @@ func BenchmarkProcessBatchFlows(b *testing.B) {
 		}
 	}
 	pipe := fx.dev.Pipeline()
-	pipe.SetFlowCache(stage.NewFlowCache(0))
 
 	rng := rand.New(rand.NewSource(1))
 	perm := rng.Perm(flows) // popular flows scattered, not adjacent in memory
@@ -406,34 +407,41 @@ func BenchmarkProcessBatchFlows(b *testing.B) {
 		for i := range seq {
 			seq[i] = draws[name]()
 		}
-		b.Run(name, func(b *testing.B) {
-			in := make([][]byte, batch)
-			res := make([]core.BatchResult, batch)
-			wrong, pos := 0, 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if pos+batch > len(seq) {
-					pos = 0
-				}
-				ids := seq[pos : pos+batch]
-				pos += batch
-				for k, f := range ids {
-					in[k] = frames[f]
-				}
-				if err := pipe.ProcessBatchInPlace(in, 0, res); err != nil {
-					b.Fatal(err)
-				}
-				for k, f := range ids {
-					if res[k].Dropped || res[k].EgressPort != uint8(1+f%4) {
-						wrong++
+		for _, cache := range []string{"on", "off"} {
+			var fc *stage.FlowCache
+			if cache == "on" {
+				fc = stage.NewFlowCache(0)
+			}
+			pipe.SetFlowCache(fc)
+			b.Run(name+"/cache="+cache, func(b *testing.B) {
+				in := make([][]byte, batch)
+				res := make([]core.BatchResult, batch)
+				wrong, pos := 0, 0
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if pos+batch > len(seq) {
+						pos = 0
+					}
+					ids := seq[pos : pos+batch]
+					pos += batch
+					for k, f := range ids {
+						in[k] = frames[f]
+					}
+					if err := pipe.ProcessBatchInPlace(in, 0, res); err != nil {
+						b.Fatal(err)
+					}
+					for k, f := range ids {
+						if res[k].Dropped || res[k].EgressPort != uint8(1+f%4) {
+							wrong++
+						}
 					}
 				}
-			}
-			b.StopTimer()
-			if wrong > 0 {
-				b.Fatalf("%d frames dropped or steered to the wrong port", wrong)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/frame")
-		})
+				b.StopTimer()
+				if wrong > 0 {
+					b.Fatalf("%d frames dropped or steered to the wrong port", wrong)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/frame")
+			})
+		}
 	}
 }

@@ -87,18 +87,23 @@ var hotPathGuards = []hotPathGuard{
 		name: "cuckoo-lookup",
 		covers: []string{
 			"internal/tables.(*Cuckoo).BucketLines",
-			"internal/tables.(*Cuckoo).Lookup",
 			"internal/tables.(*Cuckoo).LookupWords",
 			"internal/tables.(*Cuckoo).LookupWordsBatch",
+			"internal/tables.(*FlowTables).LookupWords",
+			"internal/tables.(*FlowTables).LookupWordsBatch",
 			"internal/tables.probe",
 			"internal/tables.slotKWEqual",
 		},
 		run: func(t *testing.T) {
-			c := tables.NewCuckoo(1024)
+			ft := tables.NewFlowTables(tables.OverlayDepth)
+			c, err := ft.Open(1)
+			if err != nil {
+				t.Fatal(err)
+			}
 			keys := make([]tables.Key, 512)
 			for i := range keys {
 				binary.LittleEndian.PutUint64(keys[i][:8], uint64(i)*0x9e3779b97f4a7c15+1)
-				if err := c.Insert(keys[i], 1, i); err != nil {
+				if err := c.Insert(keys[i], i); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -109,17 +114,20 @@ var hotPathGuards = []hotPathGuard{
 			out := make([]int32, len(kws))
 			allocs := testing.AllocsPerRun(100, func() {
 				kw := keys[7].Words()
-				for _, w := range c.BucketLines(&kw, 1) {
+				for _, w := range c.BucketLines(&kw) {
 					_ = w.Load()
 				}
-				if _, ok := c.LookupWords(&kw, 1); !ok {
+				if _, ok := c.LookupWords(&kw); !ok {
 					t.Fatal("warm LookupWords missed")
 				}
-				if _, ok := c.Lookup(keys[11], 1); !ok {
-					t.Fatal("warm Lookup missed")
+				if _, ok := ft.LookupWords(&kw, 1); !ok {
+					t.Fatal("warm FlowTables.LookupWords missed")
 				}
-				if hits := c.LookupWordsBatch(1, kws, out); hits != len(kws) {
+				if hits := c.LookupWordsBatch(kws, out); hits != len(kws) {
 					t.Fatalf("batch lookup hit %d of %d", hits, len(kws))
+				}
+				if hits := ft.LookupWordsBatch(1, kws, out); hits != len(kws) {
+					t.Fatalf("FlowTables batch lookup hit %d of %d", hits, len(kws))
 				}
 			})
 			if allocs != 0 {

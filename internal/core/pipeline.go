@@ -160,19 +160,21 @@ func (p *Pipeline) scratch(n int) []batchFrame {
 	return p.batchScratch[:n]
 }
 
-// ShareFlowTables points every stage's exact-match flow table (the
-// cuckoo side) at the donor pipeline's corresponding table. The engine
+// ShareFlowTables points every stage's exact-match side (its per-module
+// directory of cuckoo tables) at the donor pipeline's, so each
+// (stage, tenant) flow table is one object for every shard. The engine
 // calls it once per extra worker replica before any worker starts:
 // flow entries are configuration, not per-flow state, and the cuckoo's
 // reads are wait-free, so replicas can resolve flows out of one shared
-// structure instead of each holding a megabytes-deep copy per 10⁵-10⁶
-// flow tenant. Replayed flow commands fanned out to every shard become
-// idempotent re-inserts of the same entry. A side effect of sharing is
-// that a hash-mode probe on one shard may observe an entry slightly
-// before that shard's own copy of the install command lands (the
-// entry's own shard already published it); scan-mode candidate lists
-// and the flow cache still roll forward only at the shard's own
-// generation bump, exactly as with private tables.
+// table instead of each holding a megabytes-deep copy per 10⁵-10⁶
+// flow tenant. Tenants still share nothing: each table has its own
+// writer lock and seqlock. Replayed flow commands fanned out to every
+// shard become idempotent re-inserts of the same entry, and the first
+// shard to apply an unload drops the tenant's table for all. A
+// hash-mode probe on one shard may therefore observe an install
+// slightly before that shard's own copy of the command lands;
+// scan-mode candidate lists and the flow cache still roll forward only
+// at the shard's own generation bump, exactly as with private tables.
 func (p *Pipeline) ShareFlowTables(donor *Pipeline) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -630,13 +632,13 @@ func (p *Pipeline) ModuleChecksum(moduleID uint16) uint64 {
 				h.Write(a.Encode())
 			}
 		}
-		if st.Hash != nil {
+		if flows := st.Hash.Table(moduleID & tables.MaxModuleID); flows != nil {
 			// Flow entries are folded in order-independently (XOR of
 			// per-entry hashes): two replicas fed the same flow commands
 			// hold the same entry set but may lay their buckets out
 			// differently after growth/relocation.
 			var fold uint64
-			for _, fe := range st.Hash.ModuleFlows(moduleID & tables.MaxModuleID) {
+			for _, fe := range flows.Entries() {
 				eh := fnv.New64a()
 				var b [8]byte
 				for _, w := range fe.Words {

@@ -260,9 +260,9 @@ func New(cfg Config) (*Engine, error) {
 	for i := 0; i < cfg.Workers; i++ {
 		pipe := core.New(cfg.Geometry, cfg.Options)
 		// All shards resolve exact-match flows out of one shared cuckoo
-		// table per stage (wait-free reads): at million-flow scale a
-		// per-replica copy would multiply a megabytes-deep table by the
-		// worker count and thrash the cache hierarchy.
+		// table per (stage, tenant) (wait-free reads): at million-flow
+		// scale a per-replica copy would multiply a megabytes-deep table
+		// by the worker count and thrash the cache hierarchy.
 		if flowDonor == nil {
 			flowDonor = pipe
 		} else {

@@ -6,6 +6,7 @@ package engine_test
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -194,11 +195,11 @@ func TestEngineFlowCuckooEndToEnd(t *testing.T) {
 
 // TestReloadBesideFlowsLeavesThemAlone is the §4.1 no-disruption claim
 // on the match layer: on a 2-worker engine, whose shards share one
-// cuckoo per stage, verified reloads of a flow-less NetCache tenant
-// leave Load Balancing's hash-mode flows — count, configuration
-// checksum, and each flow's egress port — exactly as they were.
-// Unloading Load Balancing then empties the shared table once for all
-// shards.
+// cuckoo table per (stage, tenant), verified reloads and then the
+// unload of a flow-less NetCache tenant leave Load Balancing's
+// hash-mode flows — the table object, count, configuration checksum,
+// and each flow's egress port — exactly as they were. Unloading Load
+// Balancing then drops its table once for all shards.
 func TestReloadBesideFlowsLeavesThemAlone(t *testing.T) {
 	const flows = 4 * stage.FlowScanThreshold
 	dev := newDevice(t, "Load Balancing", "NetCache")
@@ -243,10 +244,11 @@ func TestReloadBesideFlowsLeavesThemAlone(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	table := shards[0].Stages[stg].Hash
+	dir := shards[0].Stages[stg].Hash
+	lbTable := dir.Table(1)
 	for w, pipe := range shards {
-		if pipe.Stages[stg].Hash != table {
-			t.Fatalf("shard %d does not share shard 0's flow table", w)
+		if pipe.Stages[stg].Hash != dir {
+			t.Fatalf("shard %d does not share shard 0's flow tables", w)
 		}
 		if v := pipe.Stages[stg].ViewFor(1); !v.HashMode() {
 			t.Fatalf("shard %d: Load Balancing's flow stage is not in hash mode", w)
@@ -273,6 +275,25 @@ func TestReloadBesideFlowsLeavesThemAlone(t *testing.T) {
 	}
 	wantPorts := egress()
 	wantSums := shardChecksums(t, eng, 1)
+	// untouched checks that, after step, Load Balancing's flow table is
+	// the same object on every shard, holds every flow, and the shards'
+	// configuration checksums have not moved.
+	untouched := func(step string) {
+		t.Helper()
+		for w, pipe := range shards {
+			if pipe.Stages[stg].Hash.Table(1) != lbTable {
+				t.Fatalf("%s: shard %d's Load Balancing flow table was replaced", step, w)
+			}
+		}
+		if n := dir.ModuleEntries(1); n != flows {
+			t.Fatalf("%s: Load Balancing holds %d flows, want %d", step, n, flows)
+		}
+		for w, cs := range shardChecksums(t, eng, 1) {
+			if cs != wantSums[w] {
+				t.Fatalf("%s: shard %d checksum %#x, was %#x", step, w, cs, wantSums[w])
+			}
+		}
+	}
 
 	nc := programSource(t, "NetCache")
 	for r := 0; r < 5; r++ {
@@ -281,28 +302,26 @@ func TestReloadBesideFlowsLeavesThemAlone(t *testing.T) {
 			t.Fatalf("reload %d: %v", r, err)
 		}
 		quiesce(t, eng, gen)
-		if n := table.ModuleEntries(1); n != flows {
-			t.Fatalf("reload %d: Load Balancing holds %d flows, want %d", r, n, flows)
-		}
-		for w, cs := range shardChecksums(t, eng, 1) {
-			if cs != wantSums[w] {
-				t.Fatalf("reload %d: shard %d checksum %#x, was %#x", r, w, cs, wantSums[w])
-			}
-		}
+		untouched(fmt.Sprintf("reload %d", r))
 	}
 	for f, port := range egress() {
 		if port != wantPorts[f] {
 			t.Fatalf("flow %d leaves on port %d after the reloads, was %d", f, port, wantPorts[f])
 		}
 	}
+	if gen, err = eng.UnloadModule(2); err != nil {
+		t.Fatal(err)
+	}
+	quiesce(t, eng, gen)
+	untouched("unloading NetCache")
 
 	gen, err = eng.UnloadModule(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	quiesce(t, eng, gen)
-	if n := table.Used(); n != 0 {
-		t.Fatalf("shared flow table holds %d entries after unloading its only flow tenant", n)
+	if n := dir.ModuleEntries(1); n != 0 || dir.Table(1) != nil {
+		t.Fatalf("Load Balancing still holds %d flows after its unload", n)
 	}
 	css := shardChecksums(t, eng, 1)
 	for w, cs := range css[1:] {

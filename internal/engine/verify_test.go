@@ -360,7 +360,8 @@ func TestInsertFlowsVerifiedUnderLoss(t *testing.T) {
 			t.Fatal(err)
 		}
 		for f := 0; f < flows; f += 7 {
-			addr, ok := pipe.Stages[stg].Hash.Lookup(entries[f].Key, 1)
+			kw := entries[f].Key.Words()
+			addr, ok := pipe.Stages[stg].Hash.LookupWords(&kw, 1)
 			if !ok || uint16(addr) != entries[f].Addr {
 				t.Fatalf("shard %d flow %d: ok=%v addr=%d want %d", w, f, ok, addr, entries[f].Addr)
 			}

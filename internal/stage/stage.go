@@ -251,11 +251,12 @@ type Stage struct {
 	// indexes. Both are space-partitioned across modules.
 	Match   *tables.CAM
 	Actions *alu.Table
-	// Hash is the deep exact-match side of the match table (§4.3): a
-	// growing cuckoo table holding per-flow entries keyed by (key,
-	// module ID), each resolving to a VLIW action address. Flow entries
-	// take precedence over CAM entries; ternary rules stay in the CAM.
-	Hash *tables.Cuckoo
+	// Hash is the deep exact-match side of the match table (§4.3): one
+	// growing cuckoo table per module, each holding the module's
+	// per-flow entries, each entry resolving to a VLIW action address.
+	// Flow entries take precedence over CAM entries; ternary rules stay
+	// in the CAM.
+	Hash *tables.FlowTables
 	// Memory is the stage's stateful memory, reached through Segments.
 	Memory   *tables.StatefulMemory
 	Segments *tables.SegmentTable
@@ -284,7 +285,7 @@ func New(cfg Config) *Stage {
 		Mask:     tables.NewOverlay[tables.Key](cfg.OverlayDepth),
 		Match:    tables.NewCAM(cfg.CAMDepth),
 		Actions:  alu.NewTable(cfg.CAMDepth),
-		Hash:     tables.NewGrowingCuckoo(cfg.CAMDepth),
+		Hash:     tables.NewFlowTables(cfg.OverlayDepth),
 		Memory:   tables.NewStatefulMemory(cfg.MemoryWords),
 		Segments: tables.NewSegmentTable(cfg.OverlayDepth),
 	}
@@ -333,10 +334,8 @@ func (s *Stage) Process(p *phv.PHV) (Result, error) {
 
 	// Flow entries (the deep exact-match side) take precedence over CAM
 	// entries; the CAM resolves ternary rules and compiled defaults.
-	addr, hit := 0, false
-	if s.Hash != nil && s.Hash.ModuleEntries(uint16(modIdx)) > 0 {
-		addr, hit = s.Hash.Lookup(key, uint16(modIdx))
-	}
+	kw := key.Words()
+	addr, hit := s.Hash.LookupWords(&kw, uint16(modIdx))
 	if !hit {
 		addr, hit = s.Match.Lookup(key, uint16(modIdx))
 	}
@@ -384,9 +383,10 @@ type View struct {
 	// the CAM candidates (flow entries take precedence, and being
 	// unique-keyed at most one can match).
 	match []viewMatch
-	// hash is non-nil in hash mode (flow count above FlowScanThreshold):
-	// ProcessView probes it with the module-masked key words before
-	// falling back to the CAM candidate scan.
+	// hash is the module's flow table in hash mode (flow count above
+	// FlowScanThreshold), nil otherwise: ProcessView probes it with the
+	// module-masked key words before falling back to the CAM candidate
+	// scan. hashMod keys the flow cache.
 	hash     *tables.Cuckoo
 	hashMod  uint16
 	hashMask tables.KeyWords
@@ -485,7 +485,7 @@ func (v *View) flowLines(p *phv.PHV) (slot *uint64, lines [4]*atomic.Uint64, ok 
 		kw[2] & v.hashMask[2],
 		kw[3] & v.hashMask[3],
 	}
-	return slot, v.hash.BucketLines(&mkw, v.hashMod), true
+	return slot, v.hash.BucketLines(&mkw), true
 }
 
 // GatherFlow appends to g the memory a hash-mode match of this PHV will
@@ -560,28 +560,21 @@ func (s *Stage) ViewFor(modIdx int) View {
 
 	// Exact-match flow entries resolve ahead of the CAM. A handful are
 	// folded into the word-scan candidate list; past FlowScanThreshold
-	// the view switches to hash mode and probes the cuckoo table.
-	flows := 0
-	if s.Hash != nil {
-		flows = s.Hash.ModuleEntries(uint16(modIdx))
-	}
-	switch {
-	case flows > FlowScanThreshold:
-		v.hash = s.Hash
-		v.hashMod = uint16(modIdx)
-		mask := tables.FullMask()
-		if v.HasMask {
-			mask = v.Mask
-		}
-		v.hashMask = mask.Words()
-	case flows > 0:
+	// the view switches to hash mode and probes the module's table.
+	if flows := s.Hash.Table(uint16(modIdx)); flows != nil {
 		mask := tables.FullMask()
 		if v.HasMask {
 			mask = v.Mask
 		}
 		mw := mask.Words()
-		for _, fe := range s.Hash.ModuleFlows(uint16(modIdx)) {
-			v.match = append(v.match, viewMatch{mask: mw, want: fe.Words, addr: fe.Addr})
+		if flows.Used() > FlowScanThreshold {
+			v.hash = flows
+			v.hashMod = uint16(modIdx)
+			v.hashMask = mw
+		} else {
+			for _, fe := range flows.Entries() {
+				v.match = append(v.match, viewMatch{mask: mw, want: fe.Words, addr: fe.Addr})
+			}
 		}
 	}
 
@@ -656,7 +649,7 @@ func (s *Stage) ProcessView(v *View, p *phv.PHV) (Result, error) {
 				kw[2] & v.hashMask[2],
 				kw[3] & v.hashMask[3],
 			}
-			if a, ok := v.hash.LookupWords(&mkw, v.hashMod); ok {
+			if a, ok := v.hash.LookupWords(&mkw); ok {
 				addr = a
 			} else {
 				addr = scanMatch(v.match, &kw)
@@ -714,9 +707,7 @@ func (s *Stage) ClearModule(modIdx int) error {
 		}
 	}
 	s.Match.ClearModule(uint16(modIdx))
-	if s.Hash != nil {
-		s.Hash.ClearModule(uint16(modIdx))
-	}
+	s.Hash.ClearModule(uint16(modIdx))
 	return nil
 }
 
@@ -727,16 +718,19 @@ func (s *Stage) ClearModule(modIdx int) error {
 // flow entry steers a packet to an existing action without consuming
 // CAM depth.
 func (s *Stage) WriteFlow(valid bool, modID uint16, key tables.Key, addr int) error {
-	if s.Hash == nil {
-		return errors.New("stage: no hash match table")
-	}
 	modID &= tables.MaxModuleID
 	if !valid {
-		s.Hash.Delete(key, modID)
+		if t := s.Hash.Table(modID); t != nil {
+			t.Delete(key)
+		}
 		return nil
 	}
 	if addr < 0 || addr >= s.Actions.Depth() {
 		return fmt.Errorf("stage: flow action address %d out of range (depth %d)", addr, s.Actions.Depth())
 	}
-	return s.Hash.Insert(key, modID, addr)
+	t, err := s.Hash.Open(modID)
+	if err != nil {
+		return err
+	}
+	return t.Insert(key, addr)
 }

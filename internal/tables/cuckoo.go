@@ -1,17 +1,20 @@
 // Cuckoo-hash exact matching: the §4.3 alternative to the CAM ("the
 // depth can be improved by using a hash table, rather than a CAM, for
-// exact matching, e.g., cuckoo hashing"). The module ID is matched along
-// with the key, preserving Menshen's isolation property, and each entry
-// carries an action address, decoupling table depth from the VLIW table.
+// exact matching, e.g., cuckoo hashing"). A Cuckoo is one module's
+// table, and FlowTables holds one per module the way an overlay holds
+// one entry per module, so isolation is by construction and a slot
+// stores no module ID. Each entry carries an action address, decoupling
+// table depth from the VLIW table.
 //
 // Reads follow the same wait-free discipline as the CAM: the bucket
 // array is published behind an atomic pointer and every slot word is
-// accessed atomically, with a table-wide seqlock (an even/odd version
-// counter) detecting concurrent mutation. Lookup therefore takes no
-// lock and performs zero allocations; writers (the reconfiguration
-// path) serialize on a mutex and bump the version around each mutation.
-// A reader that keeps losing the seqlock race falls back to the writer
-// mutex, so reads cannot livelock under a mutation storm.
+// accessed atomically, with a per-table seqlock (an even/odd version
+// counter) detecting concurrent mutation, so one module's writes never
+// make another module's readers retry. Lookup therefore takes no lock
+// and performs zero allocations; writers (the reconfiguration path)
+// serialize on the table's mutex and bump the version around each
+// mutation. A reader that keeps losing the seqlock race falls back to
+// the writer mutex, so reads cannot livelock under a mutation storm.
 
 package tables
 
@@ -39,12 +42,12 @@ const cuckooWays = 4
 // is written last when a slot becomes valid (publish-after-key
 // ordering).
 type cuckooSlot struct {
-	// ctrl packs valid (bit 63), a 19-bit key fingerprint (bits
-	// 44..62), the module ID (bits 32..43), key word 3 — the tail byte
-	// (bits 24..31) — and the action address (low 24 bits). Zero means
-	// empty. The fingerprint lets a probe reject a non-matching slot on
-	// the single ctrl load — everything above the address is compared
-	// as one word — without touching the key words.
+	// ctrl packs valid (bit 63), a 31-bit key fingerprint (bits
+	// 32..62), key word 3 — the tail byte (bits 24..31) — and the
+	// action address (low 24 bits). Zero means empty. The fingerprint
+	// lets a probe reject a non-matching slot on the single ctrl load —
+	// everything above the address is compared as one word — without
+	// touching the key words.
 	ctrl atomic.Uint64
 	kw   [3]atomic.Uint64
 }
@@ -54,10 +57,8 @@ const (
 	cuckooAddrBits = 24
 	cuckooAddrMask = uint64(1)<<cuckooAddrBits - 1
 	// cuckooMatchMask selects the ctrl bits a lookup must match: valid,
-	// fingerprint, module ID, and key tail byte — everything but addr.
+	// fingerprint and key tail byte — everything but addr.
 	cuckooMatchMask = ^cuckooAddrMask
-	// cuckooModMask selects the module-ID field for per-module sweeps.
-	cuckooModMask = uint64(MaxModuleID) << 32
 )
 
 // MaxCuckooAddr is the largest action address a cuckoo entry can carry
@@ -65,12 +66,12 @@ const (
 // of flow entries).
 const MaxCuckooAddr = 1<<cuckooAddrBits - 1
 
-// cuckooCtrl packs a slot's control word. fp is the 19-bit key
-// fingerprint (the top bits of the side-0 hash), so it is a pure
-// function of (kw, modID) and survives relocation between sides; kw3 is
-// the key's tail-byte word.
-func cuckooCtrl(modID uint16, addr int, fp, kw3 uint64) uint64 {
-	return cuckooValid | fp<<44 | uint64(modID)<<32 | (kw3&0xff)<<24 | uint64(addr)&cuckooAddrMask
+// cuckooCtrl packs a slot's control word without the address: valid,
+// the 31-bit key fingerprint (the top bits of the side-0 hash, so a
+// pure function of kw that survives relocation between sides) and the
+// key's tail byte. It is also the word a probe matches against.
+func cuckooCtrl(kw *KeyWords) uint64 {
+	return cuckooValid | cuckooFP(cuckooHash(0, kw))<<32 | (kw[3]&0xff)<<24
 }
 
 // cuckooState is one published generation of the bucket arrays. Growth
@@ -91,10 +92,9 @@ func newCuckooState(nb int) *cuckooState {
 }
 
 // Cuckoo is a two-choice, 4-way set-associative cuckoo hash table
-// mapping (key, module ID) to an action address. Exact match only; like
-// the CAM, lookups of one module can never return another module's
-// entries. Lookups are wait-free (no lock, zero allocations); writers
-// serialize on an internal mutex.
+// mapping a key to an action address: one module's flow table. Exact
+// match only. Lookups are wait-free (no lock, zero allocations);
+// writers serialize on an internal mutex.
 type Cuckoo struct {
 	mu    sync.Mutex // serializes writers
 	state atomic.Pointer[cuckooState]
@@ -102,8 +102,6 @@ type Cuckoo struct {
 	// snapshot it before and after probing and retry on change.
 	version atomic.Uint64
 	used    atomic.Int64
-	// counts tracks per-module entry counts for cheap ModuleEntries.
-	counts [MaxModuleID + 1]atomic.Int32
 	// maxKicks bounds the relocation chain.
 	maxKicks int
 	// grow, when set, lets Insert double the bucket count instead of
@@ -145,24 +143,18 @@ func (c *Cuckoo) Capacity() int {
 	return 2 * st.nb * cuckooWays
 }
 
-// Used returns the number of occupied slots.
+// Used returns the number of occupied slots. It is a single atomic
+// load, cheap enough for view resolution to choose between the CAM
+// word-scan and the hash-probe match mode.
 func (c *Cuckoo) Used() int { return int(c.used.Load()) }
 
-// ModuleEntries returns the number of entries owned by modID. It is a
-// single atomic load, cheap enough for the view-resolution path to
-// decide between the CAM word-scan and the hash-probe match mode.
-func (c *Cuckoo) ModuleEntries(modID uint16) int {
-	return int(c.counts[modID&MaxModuleID].Load())
-}
-
-// cuckooHashBase mixes the key words and module ID with word-wise
-// FNV-1a. Word-wise FNV leaves the low bits weakly mixed (the multiply
-// only carries entropy upward), so each side finishes the base with
-// cuckooMix before indexing.
-func cuckooHashBase(kw *KeyWords, modID uint16) uint64 {
+// cuckooHashBase mixes the key words with word-wise FNV-1a. Word-wise
+// FNV leaves the low bits weakly mixed (the multiply only carries
+// entropy upward), so each side finishes the base with cuckooMix
+// before indexing.
+func cuckooHashBase(kw *KeyWords) uint64 {
 	const prime64 = 1099511628211
 	h := uint64(14695981039346656037)
-	h = (h ^ uint64(modID)) * prime64
 	h = (h ^ kw[0]) * prime64
 	h = (h ^ kw[1]) * prime64
 	h = (h ^ kw[2]) * prime64
@@ -186,16 +178,16 @@ func cuckooMix(h uint64) uint64 {
 func cuckooSalt(side int) uint64 { return uint64(side+1) * 0x9e3779b97f4a7c15 }
 
 // cuckooHash is the per-side hash: bucket index is hash & state mask,
-// and the top 19 bits of the side-0 hash double as the slot
+// and the top 31 bits of the side-0 hash double as the slot
 // fingerprint.
-func cuckooHash(side int, kw *KeyWords, modID uint16) uint64 {
-	return cuckooMix(cuckooHashBase(kw, modID) ^ cuckooSalt(side))
+func cuckooHash(side int, kw *KeyWords) uint64 {
+	return cuckooMix(cuckooHashBase(kw) ^ cuckooSalt(side))
 }
 
-// cuckooFP returns the 19-bit fingerprint stored in a slot's ctrl word:
+// cuckooFP returns the 31-bit fingerprint stored in a slot's ctrl word:
 // the top bits of the side-0 hash, independent of the masked low bits
 // that pick the bucket.
-func cuckooFP(h0 uint64) uint64 { return h0 >> 45 }
+func cuckooFP(h0 uint64) uint64 { return h0 >> 33 }
 
 // slotKWEqual reports whether the slot's stored key words equal kw's
 // words 0-2 (word 3 lives in ctrl and is matched there). All loads are
@@ -209,21 +201,21 @@ func slotKWEqual(s *cuckooSlot, kw *KeyWords) bool {
 		s.kw[2].Load() == kw[2]
 }
 
-// probe scans both candidate buckets of kw in st for (kw, modID) and
-// returns the stored address. The hit path rejects slots on a single
-// masked compare of the ctrl word (valid + fingerprint + module ID +
-// key tail byte); the remaining key words are only loaded on a
-// fingerprint match. Both buckets' first lines are touched up front so
-// their cache misses overlap instead of serializing.
+// probe scans both candidate buckets of kw in st and returns the
+// stored address. The hit path rejects slots on a single masked compare
+// of the ctrl word (valid + fingerprint + key tail byte); the remaining
+// key words are only loaded on a fingerprint match. Both buckets' first
+// lines are touched up front so their cache misses overlap instead of
+// serializing.
 //
 //menshen:hotpath
-func probe(st *cuckooState, kw *KeyWords, modID uint16) (int, bool) {
-	hb := cuckooHashBase(kw, modID)
+func probe(st *cuckooState, kw *KeyWords) (int, bool) {
+	hb := cuckooHashBase(kw)
 	h0 := cuckooMix(hb ^ cuckooSalt(0))
 	b0 := st.slots[0][int(h0&st.mask)*cuckooWays:][:cuckooWays]
 	b1 := st.slots[1][int(cuckooMix(hb^cuckooSalt(1))&st.mask)*cuckooWays:][:cuckooWays]
 	spec := b1[0].ctrl.Load() // start side 1's fetch before scanning side 0
-	want := cuckooValid | cuckooFP(h0)<<44 | uint64(modID)<<32 | (kw[3]&0xff)<<24
+	want := cuckooValid | cuckooFP(h0)<<32 | (kw[3]&0xff)<<24
 	for w := range b0 {
 		s := &b0[w]
 		ctrl := s.ctrl.Load()
@@ -245,7 +237,7 @@ func probe(st *cuckooState, kw *KeyWords, modID uint16) (int, bool) {
 }
 
 // BucketLines returns the words that start each cache line a
-// LookupWords probe of (kw, modID) reads: both candidate buckets, two
+// LookupWords probe of kw reads: both candidate buckets, two
 // lines each. It computes addresses only and loads nothing from the
 // buckets. The batched pipeline gathers every frame's lines this way
 // and then loads them back to back (stage.Gather.Touch), so the misses
@@ -255,10 +247,9 @@ func probe(st *cuckooState, kw *KeyWords, modID uint16) (int, bool) {
 // loads were merely wasted.
 //
 //menshen:hotpath
-func (c *Cuckoo) BucketLines(kw *KeyWords, modID uint16) [4]*atomic.Uint64 {
-	modID &= MaxModuleID
+func (c *Cuckoo) BucketLines(kw *KeyWords) [4]*atomic.Uint64 {
 	st := c.state.Load()
-	hb := cuckooHashBase(kw, modID)
+	hb := cuckooHashBase(kw)
 	b0 := st.slots[0][int(cuckooMix(hb^cuckooSalt(0))&st.mask)*cuckooWays:][:cuckooWays]
 	b1 := st.slots[1][int(cuckooMix(hb^cuckooSalt(1))&st.mask)*cuckooWays:][:cuckooWays]
 	// Slots are 32 bytes, so a 4-way bucket is exactly two cache lines
@@ -270,20 +261,19 @@ func (c *Cuckoo) BucketLines(kw *KeyWords, modID uint16) [4]*atomic.Uint64 {
 // falling back to the writer mutex.
 const cuckooReadRetries = 8
 
-// LookupWords returns the action address for (kw, modID), where kw is
-// the already-masked key in word form. It is the hot-path entry point:
-// no lock, no allocation, wait-free unless a writer is mid-mutation.
+// LookupWords returns the action address for kw, the already-masked
+// key in word form. It is the hot-path entry point: no lock, no
+// allocation, wait-free unless a writer of this table is mid-mutation.
 //
 //menshen:hotpath
-func (c *Cuckoo) LookupWords(kw *KeyWords, modID uint16) (int, bool) {
-	modID &= MaxModuleID
+func (c *Cuckoo) LookupWords(kw *KeyWords) (int, bool) {
 	for try := 0; try < cuckooReadRetries; try++ {
 		v1 := c.version.Load()
 		if v1&1 != 0 {
 			continue
 		}
 		st := c.state.Load()
-		addr, ok := probe(st, kw, modID)
+		addr, ok := probe(st, kw)
 		if c.version.Load() == v1 {
 			return addr, ok
 		}
@@ -291,27 +281,18 @@ func (c *Cuckoo) LookupWords(kw *KeyWords, modID uint16) (int, bool) {
 	// A writer kept invalidating the optimistic read; serialize with it.
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return probe(c.state.Load(), kw, modID)
+	return probe(c.state.Load(), kw)
 }
 
-// Lookup returns the action address for (key, modID).
-//
-//menshen:hotpath
-func (c *Cuckoo) Lookup(key Key, modID uint16) (int, bool) {
-	kw := key.Words()
-	return c.LookupWords(&kw, modID)
-}
-
-// LookupWordsBatch resolves a group of already-masked keys for one
-// module in a single seqlock round: out[i] receives the address for
-// kws[i] or -1 on miss, and the hit count is returned. Grouping the
+// LookupWordsBatch resolves a group of already-masked keys in a single
+// seqlock round: out[i] receives the address for kws[i] or -1 on miss,
+// and the hit count is returned. Grouping the
 // probes amortizes the version handshake across the batch — the
 // software analogue of issuing the batch's hash reads back to back.
 // out must be at least as long as kws.
 //
 //menshen:hotpath
-func (c *Cuckoo) LookupWordsBatch(modID uint16, kws []KeyWords, out []int32) int {
-	modID &= MaxModuleID
+func (c *Cuckoo) LookupWordsBatch(kws []KeyWords, out []int32) int {
 	hits := 0
 	for try := 0; try < cuckooReadRetries; try++ {
 		v1 := c.version.Load()
@@ -321,7 +302,7 @@ func (c *Cuckoo) LookupWordsBatch(modID uint16, kws []KeyWords, out []int32) int
 		st := c.state.Load()
 		hits = 0
 		for i := range kws {
-			if addr, ok := probe(st, &kws[i], modID); ok {
+			if addr, ok := probe(st, &kws[i]); ok {
 				out[i] = int32(addr)
 				hits++
 			} else {
@@ -337,7 +318,7 @@ func (c *Cuckoo) LookupWordsBatch(modID uint16, kws []KeyWords, out []int32) int
 	st := c.state.Load()
 	hits = 0
 	for i := range kws {
-		if addr, ok := probe(st, &kws[i], modID); ok {
+		if addr, ok := probe(st, &kws[i]); ok {
 			out[i] = int32(addr)
 			hits++
 		} else {
@@ -348,73 +329,45 @@ func (c *Cuckoo) LookupWordsBatch(modID uint16, kws []KeyWords, out []int32) int
 }
 
 // CuckooEntry is one enumerated entry: the stored key in word form and
-// its action address. ModuleFlows returns these for view precompilation
+// its action address. Entries returns these for view precompilation
 // and checksumming.
 type CuckooEntry struct {
 	Words KeyWords
 	Addr  int32
 }
 
-// ModuleFlows enumerates modID's entries in deterministic table order
-// (side, bucket, way). It is a control-path operation: it takes the
-// writer mutex and allocates the result. Its cost is the module's own
-// entries, not the table's: O(1) for a module with none, otherwise a
-// scan that stops as soon as it has seen the module's count of entries
-// (exact, because every writer holds c.mu — see moduleSlots).
-func (c *Cuckoo) ModuleFlows(modID uint16) []CuckooEntry {
-	modID &= MaxModuleID
+// Entries enumerates the table in deterministic table order (side,
+// bucket, way), or returns nil when it is empty. It is a control-path
+// operation: it takes the writer mutex and allocates the result.
+func (c *Cuckoo) Entries() []CuckooEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := int(c.counts[modID].Load())
+	n := c.Used()
 	if n == 0 {
 		return nil
 	}
 	out := make([]CuckooEntry, 0, n)
-	c.moduleSlots(modID, n, func(s *cuckooSlot, ctrl uint64) {
-		out = append(out, CuckooEntry{
-			Words: KeyWords{s.kw[0].Load(), s.kw[1].Load(), s.kw[2].Load(), ctrl >> 24 & 0xff},
-			Addr:  int32(ctrl & cuckooAddrMask),
-		})
-	})
-	return out
-}
-
-// moduleSlots calls fn on each of modID's n slots in (side, bucket,
-// way) order and stops at the n-th, so the scan ends at the module's
-// last entry rather than at the table's end. n must be the module's
-// entry count, which is exact under c.mu: a new key adds 1, DeleteWords
-// subtracts 1, ClearModule subtracts what it cleared, and growth
-// rehashes without touching it. Caller holds c.mu.
-func (c *Cuckoo) moduleSlots(modID uint16, n int, fn func(s *cuckooSlot, ctrl uint64)) {
 	st := c.state.Load()
-	want := uint64(modID) << 32
 	for side := 0; side < 2; side++ {
 		for i := range st.slots[side] {
-			s := &st.slots[side][i]
-			ctrl := s.ctrl.Load()
-			if ctrl&cuckooValid == 0 || ctrl&cuckooModMask != want {
-				continue
-			}
-			fn(s, ctrl)
-			if n--; n == 0 {
-				return
+			if kw, ctrl := loadSlot(&st.slots[side][i]); ctrl&cuckooValid != 0 {
+				out = append(out, CuckooEntry{Words: kw, Addr: int32(ctrl & cuckooAddrMask)})
 			}
 		}
 	}
+	return out
 }
 
-// findLocked returns the slot holding (kw, modID) in st, or nil. Caller
-// holds c.mu.
-func findLocked(st *cuckooState, kw *KeyWords, modID uint16) *cuckooSlot {
-	want := uint64(modID)<<32 | (kw[3]&0xff)<<24
-	const mask = cuckooModMask | 0xff<<24
+// findLocked returns the slot holding kw in st, or nil. Caller holds
+// c.mu.
+func findLocked(st *cuckooState, kw *KeyWords) *cuckooSlot {
+	want := cuckooCtrl(kw)
 	for side := 0; side < 2; side++ {
-		base := int(cuckooHash(side, kw, modID)&st.mask) * cuckooWays
+		base := int(cuckooHash(side, kw)&st.mask) * cuckooWays
 		slots := st.slots[side][base : base+cuckooWays]
 		for w := range slots {
 			s := &slots[w]
-			ctrl := s.ctrl.Load()
-			if ctrl&cuckooValid != 0 && ctrl&mask == want && slotKWEqual(s, kw) {
+			if s.ctrl.Load()&cuckooMatchMask == want && slotKWEqual(s, kw) {
 				return s
 			}
 		}
@@ -442,29 +395,23 @@ func loadSlot(s *cuckooSlot) (kw KeyWords, ctrl uint64) {
 	return kw, ctrl
 }
 
-// Insert places (key, modID) -> addr, relocating existing entries as
-// needed. Duplicate keys update the stored address in place. On failure
-// every eviction is rolled back, leaving the table unchanged; a growing
-// table doubles its buckets instead of failing.
-func (c *Cuckoo) Insert(key Key, modID uint16, addr int) error {
-	kw := key.Words()
-	return c.InsertWords(&kw, modID, addr)
-}
-
-// InsertWords is Insert taking the key in word form (the form flow
-// installs arrive in when derived from live packets).
-func (c *Cuckoo) InsertWords(kw *KeyWords, modID uint16, addr int) error {
+// Insert places key -> addr, relocating existing entries as needed.
+// A duplicate key updates the stored address in place. On failure every
+// eviction is rolled back, leaving the table unchanged; a growing table
+// doubles its buckets instead of failing.
+func (c *Cuckoo) Insert(key Key, addr int) error {
 	if addr < 0 || addr > MaxCuckooAddr {
 		return fmt.Errorf("tables: cuckoo action address %d outside [0, %d]", addr, MaxCuckooAddr)
 	}
-	modID &= MaxModuleID
+	kw := key.Words()
+	ctrl := cuckooCtrl(&kw) | uint64(addr)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
 	st := c.state.Load()
-	if s := findLocked(st, kw, modID); s != nil {
+	if s := findLocked(st, &kw); s != nil {
 		c.version.Add(1)
-		s.ctrl.Store(cuckooCtrl(modID, addr, cuckooFP(cuckooHash(0, kw, modID)), kw[3]))
+		s.ctrl.Store(ctrl)
 		c.version.Add(1)
 		return nil
 	}
@@ -475,9 +422,8 @@ func (c *Cuckoo) InsertWords(kw *KeyWords, modID uint16, addr int) error {
 			c.growLocked()
 			st = c.state.Load()
 		}
-		if c.insertLocked(st, kw, modID, addr) {
+		if c.insertLocked(st, &kw, ctrl) {
 			c.used.Add(1)
-			c.counts[modID].Add(1)
 			return nil
 		}
 		if !c.grow {
@@ -488,26 +434,24 @@ func (c *Cuckoo) InsertWords(kw *KeyWords, modID uint16, addr int) error {
 	}
 }
 
-// insertLocked attempts a cuckoo placement of (kw, modID, addr) into
-// st, evicting at most c.maxKicks entries. On failure the eviction path
-// is walked backwards so the table is byte-identical to before the
+// insertLocked attempts a cuckoo placement of kw with its ctrl word
+// into st, evicting at most c.maxKicks entries. On failure the eviction
+// path is walked backwards so the table is byte-identical to before the
 // call. Caller holds c.mu; the whole relocation chain runs inside one
 // seqlock window so readers never observe a half-moved entry.
-func (c *Cuckoo) insertLocked(st *cuckooState, kw *KeyWords, modID uint16, addr int) bool {
+func (c *Cuckoo) insertLocked(st *cuckooState, kw *KeyWords, ctrl uint64) bool {
 	type step struct {
 		side, base, way int
 	}
 	var path []step
-	curKW := *kw
-	curCtrl := cuckooCtrl(modID, addr, cuckooFP(cuckooHash(0, kw, modID)), kw[3])
+	curKW, curCtrl := *kw, ctrl
 
 	c.version.Add(1)
 	defer c.version.Add(1)
 
 	side := 0
 	for kick := 0; kick < c.maxKicks; kick++ {
-		curMod := uint16(curCtrl >> 32 & MaxModuleID)
-		base := int(cuckooHash(side, &curKW, curMod)&st.mask) * cuckooWays
+		base := int(cuckooHash(side, &curKW)&st.mask) * cuckooWays
 		slots := st.slots[side][base : base+cuckooWays]
 		for w := range slots {
 			if slots[w].ctrl.Load()&cuckooValid == 0 {
@@ -554,8 +498,7 @@ func (c *Cuckoo) growLocked() {
 				if ctrl&cuckooValid == 0 {
 					continue
 				}
-				modID := uint16(ctrl >> 32 & MaxModuleID)
-				if !c.insertIntoState(fresh, &kw, modID, int(ctrl&cuckooAddrMask)) {
+				if !c.insertIntoState(fresh, &kw, ctrl) {
 					ok = false
 					break rehash
 				}
@@ -573,14 +516,11 @@ func (c *Cuckoo) growLocked() {
 
 // insertIntoState is insertLocked against a not-yet-published state (no
 // seqlock window needed — nothing can be reading it).
-func (c *Cuckoo) insertIntoState(st *cuckooState, kw *KeyWords, modID uint16, addr int) bool {
-	type step struct{ side, base, way int }
-	curKW := *kw
-	curCtrl := cuckooCtrl(modID, addr, cuckooFP(cuckooHash(0, kw, modID)), kw[3])
+func (c *Cuckoo) insertIntoState(st *cuckooState, kw *KeyWords, ctrl uint64) bool {
+	curKW, curCtrl := *kw, ctrl
 	side := 0
 	for kick := 0; kick < c.maxKicks; kick++ {
-		curMod := uint16(curCtrl >> 32 & MaxModuleID)
-		base := int(cuckooHash(side, &curKW, curMod)&st.mask) * cuckooWays
+		base := int(cuckooHash(side, &curKW)&st.mask) * cuckooWays
 		slots := st.slots[side][base : base+cuckooWays]
 		for w := range slots {
 			if slots[w].ctrl.Load()&cuckooValid == 0 {
@@ -597,46 +537,109 @@ func (c *Cuckoo) insertIntoState(st *cuckooState, kw *KeyWords, modID uint16, ad
 	return false
 }
 
-// Delete removes (key, modID).
-func (c *Cuckoo) Delete(key Key, modID uint16) bool {
+// Delete removes key, reporting whether it was present.
+func (c *Cuckoo) Delete(key Key) bool {
 	kw := key.Words()
-	return c.DeleteWords(&kw, modID)
-}
-
-// DeleteWords is Delete taking the key in word form.
-func (c *Cuckoo) DeleteWords(kw *KeyWords, modID uint16) bool {
-	modID &= MaxModuleID
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if s := findLocked(c.state.Load(), kw, modID); s != nil {
+	if s := findLocked(c.state.Load(), &kw); s != nil {
 		c.version.Add(1)
 		s.ctrl.Store(0)
 		c.version.Add(1)
 		c.used.Add(-1)
-		c.counts[modID].Add(-1)
 		return true
 	}
 	return false
 }
 
-// ClearModule removes every entry of a module, returning the count — the
-// same per-module clearing contract as the CAM. Like ModuleFlows it costs
-// the module's own entries: a module with none returns 0 at once, with
-// no seqlock window opened and no slot touched, so reloading a flow-less
-// tenant never walks its neighbours' flows; otherwise the scan stops at
-// the module's last entry.
-func (c *Cuckoo) ClearModule(modID uint16) int {
-	modID &= MaxModuleID
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := int(c.counts[modID].Load())
-	if n == 0 {
+// FlowTables is a stage's exact-match side: one growing Cuckoo per
+// module, held in a directory sized like the stage's overlays, so the
+// flow tables are space-partitioned the way the CAM and the overlays
+// are (§3.1). Each module's table has its own writer mutex and seqlock:
+// one module's inserts, growth or unload never make another module's
+// readers retry or wait. Table is wait-free (one atomic load); Open and
+// ClearModule serialize on the directory's mutex.
+type FlowTables struct {
+	mu     sync.Mutex // serializes Open and ClearModule
+	tables []atomic.Pointer[Cuckoo]
+}
+
+// NewFlowTables returns a directory for module indices [0, depth); use
+// OverlayDepth for the paper's geometry.
+func NewFlowTables(depth int) *FlowTables {
+	return &FlowTables{tables: make([]atomic.Pointer[Cuckoo], depth)}
+}
+
+// Table returns mod's flow table, or nil when it has none (no flow yet,
+// cleared, or mod past the directory's depth).
+func (f *FlowTables) Table(mod uint16) *Cuckoo {
+	if int(mod) >= len(f.tables) {
+		return nil
+	}
+	return f.tables[mod].Load()
+}
+
+// Open returns mod's flow table, creating it on the module's first
+// flow. A module index at or past the depth is ErrIndexRange, as on the
+// overlays.
+func (f *FlowTables) Open(mod uint16) (*Cuckoo, error) {
+	if int(mod) >= len(f.tables) {
+		return nil, fmt.Errorf("%w: flow table index %d (depth %d)", ErrIndexRange, mod, len(f.tables))
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	t := f.tables[mod].Load()
+	if t == nil {
+		t = NewGrowingCuckoo(CAMDepth)
+		f.tables[mod].Store(t)
+	}
+	return t, nil
+}
+
+// ClearModule drops mod's flow table and returns how many entries it
+// held — the same per-module clearing contract as the CAM. It swaps one
+// pointer: O(1), and no other module's table is touched. Readers still
+// holding the dropped table finish against it.
+func (f *FlowTables) ClearModule(mod uint16) int {
+	if int(mod) >= len(f.tables) {
 		return 0
 	}
-	c.version.Add(1)
-	c.moduleSlots(modID, n, func(s *cuckooSlot, _ uint64) { s.ctrl.Store(0) })
-	c.version.Add(1)
-	c.used.Add(int64(-n))
-	c.counts[modID].Add(int32(-n))
-	return n
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if t := f.tables[mod].Swap(nil); t != nil {
+		return t.Used()
+	}
+	return 0
+}
+
+// ModuleEntries returns the number of mod's flow entries.
+func (f *FlowTables) ModuleEntries(mod uint16) int {
+	if t := f.Table(mod); t != nil {
+		return t.Used()
+	}
+	return 0
+}
+
+// LookupWords probes mod's flow table for kw (see Cuckoo.LookupWords).
+//
+//menshen:hotpath
+func (f *FlowTables) LookupWords(kw *KeyWords, mod uint16) (int, bool) {
+	if t := f.Table(mod); t != nil {
+		return t.LookupWords(kw)
+	}
+	return 0, false
+}
+
+// LookupWordsBatch probes mod's flow table for every key of kws (see
+// Cuckoo.LookupWordsBatch); without a table every out[i] is -1.
+//
+//menshen:hotpath
+func (f *FlowTables) LookupWordsBatch(mod uint16, kws []KeyWords, out []int32) int {
+	if t := f.Table(mod); t != nil {
+		return t.LookupWordsBatch(kws, out)
+	}
+	for i := range kws {
+		out[i] = -1
+	}
+	return 0
 }

@@ -1,15 +1,17 @@
 package tables
 
-// Property, differential, and fuzz coverage for the cuckoo table: the
-// rollback guarantee of failed inserts, agreement with the CAM on the
-// shared exact-match contract, batch/scalar lookup equivalence, growth,
-// per-module scans that stop at the module's count, and wait-free
-// readers under a writer storm (meaningful under -race).
+// Property, differential, and fuzz coverage for the cuckoo table and
+// its per-module directory: the rollback guarantee of failed inserts,
+// agreement with the CAM on the shared exact-match contract,
+// batch/scalar lookup equivalence, growth, one module's writer never
+// reaching a neighbour's table, and wait-free readers under a writer
+// storm (meaningful under -race).
 
 import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 )
 
 // dumpCuckoo snapshots every slot word of the published state plus the
@@ -49,7 +51,7 @@ func TestCuckooFailedInsertRollsBack(t *testing.T) {
 	for i := uint32(0); i < 4096 && failures < 32; i++ {
 		before := dumpCuckoo(c)
 		usedBefore := c.Used()
-		err := c.Insert(ckey(i*2654435761+1), 7, int(i))
+		err := c.Insert(ckey(i*2654435761+1), int(i))
 		if err == nil {
 			continue
 		}
@@ -70,7 +72,7 @@ func TestCuckooFailedInsertRollsBack(t *testing.T) {
 	// Everything that was accepted must still be intact after the storm
 	// of rejected inserts.
 	for i := uint32(0); i < 4096; i++ {
-		if addr, ok := c.Lookup(ckey(i*2654435761+1), 7); ok && addr != int(i) {
+		if addr, ok := lookup(c, ckey(i*2654435761+1)); ok && addr != int(i) {
 			t.Fatalf("key %d: addr %d, want %d", i, addr, int(i))
 		}
 	}
@@ -81,12 +83,12 @@ func TestCuckooFailedInsertRollsBack(t *testing.T) {
 // sets driven through random inserts, updates, deletes, and module
 // clears must answer every lookup identically. The CAM is configured
 // with full masks so both sides implement the same exact-match
-// contract.
+// contract; the flow side is a directory deep enough for module 4095.
 func TestCuckooCAMParity(t *testing.T) {
 	const depth = 64
 	rng := newTestPRNG(42)
 	cam := NewCAM(depth)
-	ck := NewCuckoo(4 * depth) // roomy: the CAM's depth is the limiter
+	ck := NewFlowTables(MaxModuleID + 1)
 	type ent struct {
 		key Key
 		mod uint16
@@ -97,7 +99,7 @@ func TestCuckooCAMParity(t *testing.T) {
 	lookupBoth := func(key Key, mod uint16) {
 		t.Helper()
 		ca, cok := cam.Lookup(key, mod)
-		ha, hok := ck.Lookup(key, mod)
+		ha, hok := ftLookup(ck, key, mod)
 		if cok != hok || (cok && ca != ha) {
 			t.Fatalf("divergence for mod %d: CAM (%d,%v) vs cuckoo (%d,%v)", mod, ca, cok, ha, hok)
 		}
@@ -126,15 +128,13 @@ func TestCuckooCAMParity(t *testing.T) {
 			if old, ok := installed[addr]; ok {
 				// The CAM write overwrites the slot; mirror by removing
 				// the displaced entry from the cuckoo side.
-				ck.Delete(old.key, old.mod)
+				ck.Table(old.mod).Delete(old.key)
 				delete(installed, addr)
 			}
 			if err := cam.Write(addr, CAMEntry{Valid: true, ModID: mod, Key: key, Mask: FullMask()}); err != nil {
 				t.Fatal(err)
 			}
-			if err := ck.Insert(key, mod, addr); err != nil {
-				t.Fatal(err)
-			}
+			ftInsert(t, ck, key, mod, addr)
 			installed[addr] = ent{key, mod}
 		case 2: // delete a random address
 			addr := int(rng.next() % depth)
@@ -145,7 +145,7 @@ func TestCuckooCAMParity(t *testing.T) {
 			if err := cam.Write(addr, CAMEntry{}); err != nil {
 				t.Fatal(err)
 			}
-			if !ck.Delete(e.key, e.mod) {
+			if !ck.Table(e.mod).Delete(e.key) {
 				t.Fatalf("cuckoo lost entry at CAM addr %d", addr)
 			}
 			delete(installed, addr)
@@ -197,7 +197,7 @@ func TestCuckooLookupWordsBatchMatchesLookup(t *testing.T) {
 	c := NewGrowingCuckoo(64)
 	const n = 200
 	for i := uint32(0); i < n; i++ {
-		if err := c.Insert(ckey(i), 9, int(i)+100); err != nil {
+		if err := c.Insert(ckey(i), int(i)+100); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -207,12 +207,12 @@ func TestCuckooLookupWordsBatchMatchesLookup(t *testing.T) {
 		kws = append(kws, k.Words())
 	}
 	out := make([]int32, len(kws))
-	hits := c.LookupWordsBatch(9, kws, out)
+	hits := c.LookupWordsBatch(kws, out)
 	if hits != n {
 		t.Fatalf("batch hits = %d, want %d", hits, n)
 	}
 	for i := range kws {
-		addr, ok := c.LookupWords(&kws[i], 9)
+		addr, ok := c.LookupWords(&kws[i])
 		switch {
 		case ok && out[i] != int32(addr):
 			t.Fatalf("kw %d: batch %d, scalar %d", i, out[i], addr)
@@ -220,9 +220,10 @@ func TestCuckooLookupWordsBatchMatchesLookup(t *testing.T) {
 			t.Fatalf("kw %d: batch %d for scalar miss", i, out[i])
 		}
 	}
-	// A different module must miss everything through the batch path too.
-	if hits := c.LookupWordsBatch(8, kws, out); hits != 0 {
-		t.Fatalf("module 8 batch hits = %d, want 0", hits)
+	// A module with no table misses everything through the batch path,
+	// and the miss is written out.
+	if hits := NewFlowTables(OverlayDepth).LookupWordsBatch(8, kws, out); hits != 0 || out[0] != -1 {
+		t.Fatalf("module 8 batch hits = %d (out[0] %d), want 0 (-1)", hits, out[0])
 	}
 }
 
@@ -234,52 +235,54 @@ func TestCuckooGrowthKeepsAllEntries(t *testing.T) {
 	startCap := c.Capacity()
 	const n = 50000
 	for i := uint32(0); i < n; i++ {
-		if err := c.Insert(ckey(i), 3, int(i)); err != nil {
+		if err := c.Insert(ckey(i), int(i)); err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
 	}
 	if c.Capacity() <= startCap {
 		t.Fatalf("capacity did not grow: %d", c.Capacity())
 	}
-	if c.Used() != n || c.ModuleEntries(3) != n {
-		t.Fatalf("used=%d moduleEntries=%d, want %d", c.Used(), c.ModuleEntries(3), n)
+	if c.Used() != n {
+		t.Fatalf("used=%d, want %d", c.Used(), n)
 	}
 	for i := uint32(0); i < n; i++ {
-		addr, ok := c.Lookup(ckey(i), 3)
+		addr, ok := lookup(c, ckey(i))
 		if !ok || addr != int(i) {
 			t.Fatalf("lookup %d after growth = %d,%v", i, addr, ok)
 		}
 	}
 }
 
-// TestCuckooModuleIDMaskingWraps pins the 12-bit module-ID domain:
-// inserts and lookups beyond MaxModuleID alias onto the masked ID, the
-// same normalization the CAM and the stages apply.
-func TestCuckooModuleIDMaskingWraps(t *testing.T) {
-	c := NewCuckoo(16)
-	if err := c.Insert(ckey(1), MaxModuleID+1+5, 42); err != nil {
-		t.Fatal(err)
+// TestFlowTablesRejectsOutOfDepthModule pins the directory's bounds: a
+// module index at or past the depth gets the overlays' ErrIndexRange
+// from Open and has no table, rather than aliasing onto another
+// module's (the stages mask to the 12-bit wire width first).
+func TestFlowTablesRejectsOutOfDepthModule(t *testing.T) {
+	f := NewFlowTables(OverlayDepth)
+	ftInsert(t, f, ckey(1), 5, 42)
+	for _, mod := range []uint16{OverlayDepth, OverlayDepth + 5, MaxModuleID + 1 + 5} {
+		if _, err := f.Open(mod); !errors.Is(err, ErrIndexRange) {
+			t.Fatalf("Open(%d) = %v, want ErrIndexRange", mod, err)
+		}
+		if _, ok := ftLookup(f, ckey(1), mod); ok || f.Table(mod) != nil || f.ModuleEntries(mod) != 0 || f.ClearModule(mod) != 0 {
+			t.Fatalf("module %d reaches a table", mod)
+		}
 	}
-	if addr, ok := c.Lookup(ckey(1), 5); !ok || addr != 42 {
-		t.Fatalf("masked lookup = %d,%v", addr, ok)
-	}
-	if c.ModuleEntries(MaxModuleID+1+5) != 1 || c.ModuleEntries(5) != 1 {
-		t.Fatal("ModuleEntries not masked")
-	}
-	if !c.Delete(ckey(1), MaxModuleID+1+5) {
-		t.Fatal("masked delete failed")
+	if addr, ok := ftLookup(f, ckey(1), 5); !ok || addr != 42 {
+		t.Fatalf("module 5 lookup = %d,%v", addr, ok)
 	}
 }
 
 // TestCuckooConcurrentReaders hammers the wait-free read path while a
-// writer inserts, deletes, and forces growth. Run under -race this
-// checks the atomic slot discipline; the assertion here is only that a
-// reader never observes a torn entry (a hit with the wrong address).
+// writer inserts, deletes, and forces growth of the same table. Run
+// under -race this checks the atomic slot discipline; the assertion
+// here is only that a reader never observes a torn entry (a hit with
+// the wrong address).
 func TestCuckooConcurrentReaders(t *testing.T) {
 	c := NewGrowingCuckoo(CAMDepth)
 	const stable = 256
 	for i := uint32(0); i < stable; i++ {
-		if err := c.Insert(ckey(i), 1, int(i)); err != nil {
+		if err := c.Insert(ckey(i), int(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -297,186 +300,103 @@ func TestCuckooConcurrentReaders(t *testing.T) {
 				default:
 				}
 				i := uint32(rng.next() % stable)
-				if addr, ok := c.Lookup(ckey(i), 1); ok && addr != int(i) {
+				if addr, ok := lookup(c, ckey(i)); ok && addr != int(i) {
 					t.Errorf("torn read: key %d -> addr %d", i, addr)
 					return
 				}
 				k0, k1 := ckey(i), ckey(i+1)
 				kws := []KeyWords{k0.Words(), k1.Words()}
 				out := make([]int32, 2)
-				c.LookupWordsBatch(1, kws, out)
+				c.LookupWordsBatch(kws, out)
 			}
 		}(uint64(r + 1))
 	}
-	// Writer: churn a disjoint key range (module 2) so growth and
-	// relocation shuffle the shared arrays under the readers.
+	// Writer: churn a disjoint key range so growth and relocation
+	// shuffle the arrays under the readers.
 	for round := 0; round < 50; round++ {
 		for i := uint32(0); i < 512; i++ {
-			if err := c.Insert(ckey(10000+i), 2, int(i)); err != nil {
+			if err := c.Insert(ckey(10000+i), int(i)); err != nil {
 				t.Error(err)
 			}
 		}
-		c.ClearModule(2)
+		for i := uint32(0); i < 512; i++ {
+			c.Delete(ckey(10000 + i))
+		}
 	}
 	close(done)
 	wg.Wait()
 }
 
-// refModuleFlows is the full-table scan ModuleFlows used to be: every
-// slot of both sides in (side, bucket, way) order, no early stop. The
-// tests hold the counted scan to it.
-func refModuleFlows(c *Cuckoo, modID uint16) []CuckooEntry {
-	var out []CuckooEntry
-	st := c.state.Load()
-	for side := 0; side < 2; side++ {
-		for i := range st.slots[side] {
-			kw, ctrl := loadSlot(&st.slots[side][i])
-			if ctrl&cuckooValid != 0 && uint16(ctrl>>32&MaxModuleID) == modID {
-				out = append(out, CuckooEntry{Words: kw, Addr: int32(ctrl & cuckooAddrMask)})
-			}
-		}
+// TestFlowTablesWriterDoesNotStallNeighbour pins what the per-module
+// directory is for: nothing module A's writer does to A's table — hold
+// it mid-mutation, grow it, drop it — stalls module B's readers or
+// touches B's table.
+func TestFlowTablesWriterDoesNotStallNeighbour(t *testing.T) {
+	const modA, modB = 1, 2
+	f := NewFlowTables(OverlayDepth)
+	ftInsert(t, f, ckey(7), modA, 1)
+	for i := uint32(0); i < 100; i++ {
+		ftInsert(t, f, ckey(i), modB, int(i)+1000)
 	}
-	return out
-}
+	a, b := f.Table(modA), f.Table(modB)
 
-func entriesEqual(a, b []CuckooEntry) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	// A's writer is mid-mutation: its mutex held, its seqlock odd.
+	a.mu.Lock()
+	a.version.Add(1)
+	got := make(chan bool, 1)
+	go func() {
+		addr, ok := ftLookup(f, ckey(7), modB)
+		got <- ok && addr == 1007
+	}()
+	select {
+	case ok := <-got:
+		if !ok {
+			t.Error("B's lookup missed while A was mid-write")
 		}
+	case <-time.After(time.Second):
+		t.Error("B's lookup blocked behind A's writer")
 	}
-	return true
-}
+	a.version.Add(1)
+	a.mu.Unlock()
 
-// TestCuckooClearEmptyModuleTouchesNothing pins the O(1) path: clearing
-// a module with no entries beside a populated one returns 0 without
-// opening a seqlock window or writing a slot.
-func TestCuckooClearEmptyModuleTouchesNothing(t *testing.T) {
-	c := NewGrowingCuckoo(64)
-	for i := uint32(0); i < 500; i++ {
-		if err := c.Insert(ckey(i), 1, int(i)); err != nil {
+	// A grows far past its initial capacity; B's table does not move.
+	capA, capB, verB, dumpB := a.Capacity(), b.Capacity(), b.version.Load(), dumpCuckoo(b)
+	const n = 50001
+	for i := uint32(0); i < n; i++ {
+		if err := a.Insert(ckey(i), int(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	v, used, before := c.version.Load(), c.Used(), dumpCuckoo(c)
-	if n := c.ClearModule(2); n != 0 {
-		t.Fatalf("ClearModule(2) = %d, want 0", n)
+	if a.Capacity() <= capA {
+		t.Fatalf("A did not grow: capacity %d", a.Capacity())
 	}
-	if got := c.version.Load(); got != v {
-		t.Fatalf("seqlock version %d -> %d: an empty clear opened a window", v, got)
+	if b.Capacity() != capB || b.version.Load() != verB || !dumpsEqual(dumpB, dumpCuckoo(b)) {
+		t.Fatal("A's growth changed B's table")
 	}
-	if c.Used() != used || !dumpsEqual(before, dumpCuckoo(c)) {
-		t.Fatal("an empty clear changed the table")
-	}
-	if flows := c.ModuleFlows(2); flows != nil {
-		t.Fatalf("ModuleFlows(2) = %v, want nil", flows)
-	}
-}
 
-// TestCuckooLastSlotEntryIsFound places a module's only entry in the
-// last slot of side 1 — the end of the (side, bucket, way) order — so a
-// scan that stops early on a miscount would miss it.
-func TestCuckooLastSlotEntryIsFound(t *testing.T) {
-	c := NewCuckoo(64)
-	for i := uint32(0); i < 20; i++ {
-		if err := c.Insert(ckey(i), 1, int(i)); err != nil {
-			t.Fatal(err)
-		}
+	// Dropping A leaves B's table the same object, byte for byte.
+	if cleared := f.ClearModule(modA); cleared != n {
+		t.Fatalf("ClearModule(A) = %d, want %d", cleared, n)
 	}
-	st := c.state.Load()
-	// A key whose side-1 bucket is the last one, so a probe finds it in
-	// that bucket's last way.
-	var key Key
-	for v := uint32(1000); ; v++ {
-		key = ckey(v)
-		kw := key.Words()
-		if int(cuckooHash(1, &kw, 2)&st.mask) == st.nb-1 {
-			break
-		}
+	if f.Table(modB) != b || b.version.Load() != verB || !dumpsEqual(dumpB, dumpCuckoo(b)) {
+		t.Fatal("ClearModule(A) changed B's table")
 	}
-	kw := key.Words()
-	last := &st.slots[1][len(st.slots[1])-1]
-	if last.ctrl.Load() != 0 {
-		t.Fatal("setup: last slot of side 1 already occupied")
+	if _, ok := ftLookup(f, ckey(7), modA); ok {
+		t.Fatal("A's flow survived its clear")
 	}
-	c.mu.Lock()
-	storeSlot(last, &kw, cuckooCtrl(2, 77, cuckooFP(cuckooHash(0, &kw, 2)), kw[3]))
-	c.used.Add(1)
-	c.counts[2].Add(1)
-	c.mu.Unlock()
-
-	if addr, ok := c.Lookup(key, 2); !ok || addr != 77 {
-		t.Fatalf("setup: lookup = %d,%v", addr, ok)
-	}
-	flows := c.ModuleFlows(2)
-	if len(flows) != 1 || flows[0].Words != kw || flows[0].Addr != 77 {
-		t.Fatalf("ModuleFlows(2) = %v, want the last-slot entry", flows)
-	}
-	if n := c.ClearModule(2); n != 1 {
-		t.Fatalf("ClearModule(2) = %d, want 1", n)
-	}
-	if last.ctrl.Load() != 0 || c.ModuleEntries(2) != 0 || c.Used() != 20 {
-		t.Fatalf("last slot ctrl=%#x entries=%d used=%d after clear",
-			last.ctrl.Load(), c.ModuleEntries(2), c.Used())
-	}
-	if _, ok := c.Lookup(key, 2); ok {
-		t.Fatal("cleared entry still matches")
-	}
-}
-
-// TestCuckooModuleFlowsMatchesFullScan holds the counted ModuleFlows to
-// a reference full scan — same entries, same order — across inserts,
-// deletes, module clears and growth over several interleaved modules.
-func TestCuckooModuleFlowsMatchesFullScan(t *testing.T) {
-	c := NewGrowingCuckoo(16)
-	rng := newTestPRNG(7)
-	mods := []uint16{1, 2, 3, MaxModuleID}
-	check := func(op int) {
-		t.Helper()
-		for _, m := range mods {
-			got, want := c.ModuleFlows(m), refModuleFlows(c, m)
-			if !entriesEqual(got, want) {
-				t.Fatalf("op %d: ModuleFlows(%d) has %d entries, full scan %d (or order differs)",
-					op, m, len(got), len(want))
-			}
-			if c.ModuleEntries(m) != len(want) {
-				t.Fatalf("op %d: ModuleEntries(%d) = %d, full scan %d", op, m, c.ModuleEntries(m), len(want))
-			}
-		}
-	}
-	for op := 0; op < 3000; op++ {
-		m := mods[rng.next()%uint64(len(mods))]
-		key := ckey(uint32(rng.next() % 2048))
-		switch r := rng.next() % 64; {
-		case r < 44:
-			if err := c.Insert(key, m, int(rng.next()%1000)); err != nil {
-				t.Fatal(err)
-			}
-		case r < 63:
-			c.Delete(key, m)
-		default:
-			c.ClearModule(m)
-		}
-		if op%50 == 0 {
-			check(op)
-		}
-	}
-	check(3000)
 }
 
 // FuzzCuckoo interprets the fuzz input as an op stream (insert, delete,
-// clear, lookup) replayed against a map oracle, checking lookup
-// agreement, occupancy accounting, and that each module's count matches
-// what ModuleFlows enumerates after every op.
+// clear, lookup) over modules 1-3 of a FlowTables, replayed against a
+// map oracle, checking lookup agreement, occupancy accounting, and that
+// each module's count matches what its table's Entries enumerates after
+// every op.
 func FuzzCuckoo(f *testing.F) {
 	f.Add([]byte{0x00, 0x01, 0x02, 0x03, 0x10, 0x11, 0x40, 0x01, 0x80, 0x02, 0xc0, 0x01})
 	f.Add([]byte{0x00, 0x05, 0x00, 0x05, 0x40, 0x05, 0x40, 0x05})
 	f.Add([]byte{0x00, 0xff, 0x80, 0xff, 0xc0, 0x00, 0x00, 0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c := NewGrowingCuckoo(8)
+		c := NewFlowTables(OverlayDepth)
 		type ref struct {
 			key byte
 			mod uint16
@@ -488,13 +408,11 @@ func FuzzCuckoo(f *testing.F) {
 			r := ref{arg, mod}
 			switch op {
 			case 0: // insert / update
-				if err := c.Insert(key, mod, int(arg)+int(mod)*1000); err != nil {
-					t.Fatalf("op %d: %v", i, err)
-				}
+				ftInsert(t, c, key, mod, int(arg)+int(mod)*1000)
 				oracle[r] = int(arg) + int(mod)*1000
 			case 1: // delete
 				_, want := oracle[r]
-				if got := c.Delete(key, mod); got != want {
+				if got := c.Table(mod) != nil && c.Table(mod).Delete(key); got != want {
 					t.Fatalf("op %d: delete=%v oracle=%v", i, got, want)
 				}
 				delete(oracle, r)
@@ -511,18 +429,21 @@ func FuzzCuckoo(f *testing.F) {
 				}
 			case 3: // lookup only
 			}
-			addr, ok := c.Lookup(key, mod)
+			addr, ok := ftLookup(c, key, mod)
 			waddr, wok := oracle[r]
 			if ok != wok || (ok && addr != waddr) {
 				t.Fatalf("op %d: lookup (%d,%v) oracle (%d,%v)", i, addr, ok, waddr, wok)
 			}
-			if c.Used() != len(oracle) {
-				t.Fatalf("op %d: used=%d oracle=%d", i, c.Used(), len(oracle))
-			}
+			used := 0
 			for m := uint16(1); m <= 3; m++ {
-				if n := c.ModuleEntries(m); n != len(c.ModuleFlows(m)) {
-					t.Fatalf("op %d: ModuleEntries(%d)=%d, ModuleFlows has %d", i, m, n, len(c.ModuleFlows(m)))
+				n := c.ModuleEntries(m)
+				used += n
+				if tab := c.Table(m); tab != nil && n != len(tab.Entries()) {
+					t.Fatalf("op %d: ModuleEntries(%d)=%d, Entries has %d", i, m, n, len(tab.Entries()))
 				}
+			}
+			if used != len(oracle) {
+				t.Fatalf("op %d: used=%d oracle=%d", i, used, len(oracle))
 			}
 		}
 	})

@@ -12,10 +12,34 @@ func ckey(v uint32) Key {
 	return k
 }
 
+// lookup probes c for key in its word form.
+func lookup(c *Cuckoo, key Key) (int, bool) {
+	kw := key.Words()
+	return c.LookupWords(&kw)
+}
+
+// ftLookup probes module mod's table in f for key.
+func ftLookup(f *FlowTables, key Key, mod uint16) (int, bool) {
+	kw := key.Words()
+	return f.LookupWords(&kw, mod)
+}
+
+// ftInsert installs key -> addr in module mod's table, opening it.
+func ftInsert(t *testing.T, f *FlowTables, key Key, mod uint16, addr int) {
+	t.Helper()
+	c, err := f.Open(mod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Insert(key, addr); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCuckooInsertLookup(t *testing.T) {
 	c := NewCuckoo(96)
 	for i := uint32(0); i < 80; i++ { // 83% load
-		if err := c.Insert(ckey(i), 1, int(i)); err != nil {
+		if err := c.Insert(ckey(i), int(i)); err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
 	}
@@ -23,46 +47,48 @@ func TestCuckooInsertLookup(t *testing.T) {
 		t.Errorf("used = %d", c.Used())
 	}
 	for i := uint32(0); i < 80; i++ {
-		addr, ok := c.Lookup(ckey(i), 1)
+		addr, ok := lookup(c, ckey(i))
 		if !ok || addr != int(i) {
 			t.Fatalf("lookup %d = %d,%v", i, addr, ok)
 		}
 	}
-	if _, ok := c.Lookup(ckey(999), 1); ok {
+	if _, ok := lookup(c, ckey(999)); ok {
 		t.Error("absent key found")
 	}
 }
 
+// TestCuckooModuleIsolation: the same key installed by two modules
+// resolves to each module's own address, and a third module with no
+// table misses.
 func TestCuckooModuleIsolation(t *testing.T) {
-	c := NewCuckoo(16)
-	if err := c.Insert(ckey(7), 1, 10); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Insert(ckey(7), 2, 20); err != nil {
-		t.Fatal(err)
-	}
-	a1, _ := c.Lookup(ckey(7), 1)
-	a2, _ := c.Lookup(ckey(7), 2)
+	f := NewFlowTables(OverlayDepth)
+	ftInsert(t, f, ckey(7), 1, 10)
+	ftInsert(t, f, ckey(7), 2, 20)
+	a1, _ := ftLookup(f, ckey(7), 1)
+	a2, _ := ftLookup(f, ckey(7), 2)
 	if a1 != 10 || a2 != 20 {
 		t.Errorf("cross-module confusion: %d %d", a1, a2)
 	}
-	if _, ok := c.Lookup(ckey(7), 3); ok {
+	if _, ok := ftLookup(f, ckey(7), 3); ok {
 		t.Error("module 3 matched another module's entry")
+	}
+	if f.Table(3) != nil {
+		t.Error("a lookup created module 3's table")
 	}
 }
 
 func TestCuckooUpdateInPlace(t *testing.T) {
 	c := NewCuckoo(8)
-	if err := c.Insert(ckey(1), 1, 5); err != nil {
+	if err := c.Insert(ckey(1), 5); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Insert(ckey(1), 1, 9); err != nil {
+	if err := c.Insert(ckey(1), 9); err != nil {
 		t.Fatal(err)
 	}
 	if c.Used() != 1 {
 		t.Errorf("duplicate insert grew table: used=%d", c.Used())
 	}
-	addr, _ := c.Lookup(ckey(1), 1)
+	addr, _ := lookup(c, ckey(1))
 	if addr != 9 {
 		t.Errorf("addr = %d", addr)
 	}
@@ -70,31 +96,40 @@ func TestCuckooUpdateInPlace(t *testing.T) {
 
 func TestCuckooDelete(t *testing.T) {
 	c := NewCuckoo(8)
-	_ = c.Insert(ckey(1), 1, 5)
-	if !c.Delete(ckey(1), 1) {
+	_ = c.Insert(ckey(1), 5)
+	if !c.Delete(ckey(1)) {
 		t.Fatal("delete failed")
 	}
-	if c.Delete(ckey(1), 1) {
+	if c.Delete(ckey(1)) {
 		t.Fatal("double delete succeeded")
 	}
-	if _, ok := c.Lookup(ckey(1), 1); ok {
+	if _, ok := lookup(c, ckey(1)); ok {
 		t.Fatal("deleted key found")
 	}
 }
 
+// TestCuckooClearModule: clearing a module drops its table and counts
+// its entries; the other module keeps every entry, and a second clear
+// finds nothing.
 func TestCuckooClearModule(t *testing.T) {
-	c := NewCuckoo(32)
+	f := NewFlowTables(OverlayDepth)
 	for i := uint32(0); i < 10; i++ {
-		_ = c.Insert(ckey(i), uint16(i%2), int(i))
+		ftInsert(t, f, ckey(i), uint16(i%2), int(i))
 	}
-	if n := c.ClearModule(0); n != 5 {
+	if n := f.ClearModule(0); n != 5 {
 		t.Errorf("cleared %d, want 5", n)
 	}
+	if f.Table(0) != nil || f.ModuleEntries(0) != 0 || f.ModuleEntries(1) != 5 {
+		t.Errorf("after clear: table(0)=%p entries %d/%d", f.Table(0), f.ModuleEntries(0), f.ModuleEntries(1))
+	}
 	for i := uint32(0); i < 10; i++ {
-		_, ok := c.Lookup(ckey(i), uint16(i%2))
+		_, ok := ftLookup(f, ckey(i), uint16(i%2))
 		if (i%2 == 0) == ok {
 			t.Errorf("key %d: ok=%v", i, ok)
 		}
+	}
+	if n := f.ClearModule(0); n != 0 {
+		t.Errorf("second clear = %d, want 0", n)
 	}
 }
 
@@ -104,7 +139,7 @@ func TestCuckooFillsWellBeyondCAMDepth(t *testing.T) {
 	c := NewCuckoo(256)
 	inserted := 0
 	for i := uint32(0); i < 250; i++ {
-		if err := c.Insert(ckey(i*2654435761), 3, int(i)); err != nil {
+		if err := c.Insert(ckey(i*2654435761), int(i)); err != nil {
 			if !errors.Is(err, ErrCuckooFull) {
 				t.Fatal(err)
 			}
@@ -127,7 +162,7 @@ func TestQuickCuckooConsistency(t *testing.T) {
 			if len(want) > 56 {
 				break
 			}
-			if err := c.Insert(ckey(k), 1, i); err != nil {
+			if err := c.Insert(ckey(k), i); err != nil {
 				continue
 			}
 			want[k] = i
@@ -135,14 +170,14 @@ func TestQuickCuckooConsistency(t *testing.T) {
 		for _, d := range deletes {
 			k := uint32(d)
 			if _, present := want[k]; present {
-				if !c.Delete(ckey(k), 1) {
+				if !c.Delete(ckey(k)) {
 					return false
 				}
 				delete(want, k)
 			}
 		}
 		for k, addr := range want {
-			got, ok := c.Lookup(ckey(k), 1)
+			got, ok := lookup(c, ckey(k))
 			if !ok || got != addr {
 				return false
 			}

@@ -12,8 +12,8 @@
 //     millions of entries) but exact-match only. A stage pairs them:
 //     ternary and compiled rules live in the CAM, high-cardinality flow
 //     entries live in the cuckoo side, and flow entries take precedence
-//     on lookup. Both match the module ID along with the key, so the
-//     isolation property is identical.
+//     on lookup. The CAM matches the module ID along with the key; the
+//     cuckoo side (FlowTables) holds one table per module instead.
 //   - SegmentTable: per-module base/range translation for stateful memory.
 //   - StatefulMemory: the per-stage persistent state RAM.
 //
