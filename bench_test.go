@@ -12,6 +12,7 @@ package menshen
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/compiler"
@@ -370,6 +371,49 @@ func (fx *lbFixture) flowEntries(tb testing.TB, frames [][]byte) []FlowEntry {
 		flows[i] = FlowEntry{Valid: true, ModID: 1, Key: key, Addr: fx.addrs[i%4]}
 	}
 	return flows
+}
+
+// BenchmarkInsertFlows is the in-process form of the flows256k_*
+// workloads' set-up: each op is a fresh device with Load Balancing
+// loaded and then 2^18 flows, each keyed by FlowKeyForFrame and
+// installed by ctrlplane.InsertFlow as its own reconfiguration packet.
+// Only the installs are timed; it reports ns/flow and allocs/flow.
+func BenchmarkInsertFlows(b *testing.B) {
+	const flows = 1 << 18
+	frames := make([][]byte, flows)
+	for f := range frames {
+		frames[f] = trafficgen.FlowScaleFrame(1, f, 64)
+	}
+	var ms runtime.MemStats
+	var mallocs uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		fx := newLBFixture(b)
+		cp := fx.dev.ControlPlane()
+		runtime.ReadMemStats(&ms)
+		mallocs -= ms.Mallocs
+		b.StartTimer()
+		for f, frame := range frames {
+			key, err := cp.FlowKeyForFrame(1, fx.stg, frame)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := cp.InsertFlow(1, fx.stg, key, int(fx.addrs[f%4])); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&ms)
+		mallocs += ms.Mallocs
+		if n := fx.dev.Pipeline().Stages[fx.stg].Hash.ModuleEntries(1); n != flows {
+			b.Fatalf("Load Balancing holds %d flows, want %d", n, flows)
+		}
+		b.StartTimer()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*flows), "ns/flow")
+	b.ReportMetric(float64(mallocs)/float64(b.N*flows), "allocs/flow")
 }
 
 // BenchmarkProcessBatchFlows is the in-process form of the benchmark's

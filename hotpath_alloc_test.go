@@ -92,6 +92,7 @@ var hotPathGuards = []hotPathGuard{
 			"internal/tables.(*FlowTables).LookupWords",
 			"internal/tables.(*FlowTables).LookupWordsBatch",
 			"internal/tables.probe",
+			"internal/tables.probeBatch",
 			"internal/tables.slotKWEqual",
 		},
 		run: func(t *testing.T) {

@@ -262,14 +262,9 @@ func (c *Client) FlowKeyForFrame(moduleID uint16, stg int, frame []byte) (tables
 		return key, fmt.Errorf("ctrlplane: stage %d out of range", stg)
 	}
 	idx := int(moduleID) & tables.MaxModuleID
-	pe, ok := c.pipe.Parser.EntryRef(idx)
-	if !ok {
-		return key, fmt.Errorf("ctrlplane: module %d has no parser entry", moduleID)
-	}
 	var v phv.PHV
-	prog := pe.Compile()
-	if err := prog.Parse(frame, &v); err != nil {
-		return key, err
+	if err := c.pipe.Parser.Parse(frame, idx, &v); err != nil {
+		return key, fmt.Errorf("ctrlplane: module %d: %w", moduleID, err)
 	}
 	v.ModuleID = moduleID
 	st := c.pipe.Stages[stg]

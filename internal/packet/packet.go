@@ -439,42 +439,54 @@ func NewTCP(moduleID uint16, src, dst IPv4Addr, srcPort, dstPort uint16, payload
 	return b
 }
 
-// Build serializes the frame into a new buffer.
+// Build serializes the frame into a new buffer (of Size bytes, if set).
 func (b *Builder) Build() ([]byte, error) {
-	l4 := UDPHeaderLen
+	n := b.headerLen() + len(b.Payload)
+	if b.Size != 0 && b.Size < n {
+		return nil, fmt.Errorf("packet: frame needs %d bytes but Size is %d", n, b.Size)
+	}
+	buf := make([]byte, max(n, b.Size))
+	if err := b.BuildInto(buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// headerLen is the frame's Ethernet+VLAN+IPv4+L4 header length.
+func (b *Builder) headerLen() int {
 	if b.IsTCP {
-		l4 = TCPHeaderLen
+		return StandardHeaderLen - UDPHeaderLen + TCPHeaderLen
 	}
-	n := EthernetHeaderLen + VLANTagLen + IPv4HeaderLen + l4 + len(b.Payload)
-	size := n
-	if b.Size != 0 {
-		if b.Size < n {
-			return nil, fmt.Errorf("packet: frame needs %d bytes but Size is %d", n, b.Size)
-		}
-		size = b.Size
+	return StandardHeaderLen
+}
+
+// BuildInto serializes the frame into buf, which is the whole frame:
+// the IPv4 and UDP lengths come from len(buf), Payload is copied after
+// the headers, and bytes past it are left as they are. A caller that
+// has written its payload in place leaves Payload nil, so the frame is
+// its one buffer. Size is ignored.
+func (b *Builder) BuildInto(buf []byte) error {
+	hdr := b.headerLen()
+	if len(buf) < hdr+len(b.Payload) {
+		return fmt.Errorf("packet: frame needs %d bytes but the buffer has %d", hdr+len(b.Payload), len(buf))
 	}
-	buf := make([]byte, size)
 	off, err := b.Eth.Serialize(buf)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	b.IP.TotalLen = uint16(size - off)
+	b.IP.TotalLen = uint16(len(buf) - off)
 	if _, err := b.IP.Serialize(buf[off:]); err != nil {
-		return nil, err
+		return err
 	}
-	l4Off := off + IPv4HeaderLen
+	l4 := buf[off+IPv4HeaderLen:]
 	if b.IsTCP {
-		if _, err := b.TCP.Serialize(buf[l4Off:]); err != nil {
-			return nil, err
-		}
+		_, err = b.TCP.Serialize(l4)
 	} else {
-		b.UDP.Length = uint16(size - l4Off)
-		if _, err := b.UDP.Serialize(buf[l4Off:]); err != nil {
-			return nil, err
-		}
+		b.UDP.Length = uint16(len(l4))
+		_, err = b.UDP.Serialize(l4)
 	}
-	copy(buf[l4Off+l4:], b.Payload)
-	return buf, nil
+	copy(buf[hdr:], b.Payload)
+	return err
 }
 
 // MustBuild is Build but panics on error; for tests and fixed fixtures.

@@ -213,10 +213,11 @@ func copyWindow(dst, data []byte, off int) {
 // Program is an Entry compiled to its valid actions with the container
 // references pre-resolved: a frame runs only the configured
 // extractions/writebacks and pays no per-action validity or range
-// checks. A Program is immutable after Compile and safe for concurrent
-// use.
+// checks. Its steps live in a fixed array, so Compile allocates nothing.
+// A Program is immutable after Compile and safe for concurrent use.
 type Program struct {
-	steps []progStep
+	steps [ActionsPerEntry]progStep
+	n     uint8 // steps in use
 }
 
 // progStep is one compiled parse/deparse action. Entries are validated
@@ -235,7 +236,8 @@ func (e *Entry) Compile() Program {
 		if !a.Valid {
 			continue
 		}
-		pr.steps = append(pr.steps, progStep{off: a.Offset, typ: a.Dest.Type, idx: a.Dest.Index})
+		pr.steps[pr.n] = progStep{off: a.Offset, typ: a.Dest.Type, idx: a.Dest.Index}
+		pr.n++
 	}
 	return pr
 }
@@ -271,8 +273,7 @@ func (pr *Program) Parse(data []byte, v *phv.PHV) error {
 		return ErrTooLong
 	}
 	v.SetPacketLen(uint16(len(data)))
-	for i := range pr.steps {
-		st := &pr.steps[i]
+	for _, st := range pr.steps[:pr.n] {
 		off := int(st.off)
 		switch {
 		case off+st.typ.Width() > len(data):
@@ -301,8 +302,7 @@ func (pr *Program) Parse(data []byte, v *phv.PHV) error {
 // deparsing into the submitted buffer is byte-identical to deparsing
 // into a fresh copy of it.
 func (pr *Program) Deparse(data []byte, v *phv.PHV) {
-	for i := range pr.steps {
-		st := &pr.steps[i]
+	for _, st := range pr.steps[:pr.n] {
 		src := st.container(v)
 		off := int(st.off)
 		n := len(src)

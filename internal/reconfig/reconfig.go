@@ -127,16 +127,20 @@ var (
 
 // EncodePacket builds a full reconfiguration frame: the standard
 // Ethernet/VLAN/IPv4/UDP headers (VLAN ID carries the module being
-// configured, informationally) followed by the command payload.
+// configured, informationally) followed by the command payload, written
+// in place: the frame is the one allocation.
 func EncodePacket(moduleID uint16, cmd Command) ([]byte, error) {
-	body := make([]byte, payloadHeaderLen+len(cmd.Payload))
+	frame := make([]byte, packet.StandardHeaderLen+payloadHeaderLen+len(cmd.Payload))
+	body := frame[packet.StandardHeaderLen:]
 	binary.BigEndian.PutUint16(body[0:], uint16(cmd.Resource)<<4) // 12 bits + 4 reserved
 	body[2] = cmd.Index
 	copy(body[payloadHeaderLen:], cmd.Payload)
-	b := packet.NewUDP(moduleID,
-		packet.IPv4Addr{10, 0, 0, 1}, packet.IPv4Addr{10, 0, 0, 2},
-		0xf1f1, ReconfigUDPPort, body)
-	return b.Build()
+	b := packet.NewUDP(moduleID, packet.IPv4Addr{10, 0, 0, 1}, packet.IPv4Addr{10, 0, 0, 2},
+		0xf1f1, ReconfigUDPPort, nil)
+	if err := b.BuildInto(frame); err != nil {
+		return nil, err
+	}
+	return frame, nil
 }
 
 // DecodePacket parses a frame as a reconfiguration packet. It returns

@@ -15,6 +15,11 @@
 // serialize on the table's mutex and bump the version around each
 // mutation. A reader that keeps losing the seqlock race falls back to
 // the writer mutex, so reads cannot livelock under a mutation storm.
+//
+// Insert hashes the key once and scans its two buckets once, for a
+// duplicate and a free slot; only when both are full does it walk a
+// relocation chain, capped at a constant. Growth splits each bucket in
+// two: it cannot overflow, so it never fails and never walks.
 
 package tables
 
@@ -66,14 +71,6 @@ const (
 // of flow entries).
 const MaxCuckooAddr = 1<<cuckooAddrBits - 1
 
-// cuckooCtrl packs a slot's control word without the address: valid,
-// the 31-bit key fingerprint (the top bits of the side-0 hash, so a
-// pure function of kw that survives relocation between sides) and the
-// key's tail byte. It is also the word a probe matches against.
-func cuckooCtrl(kw *KeyWords) uint64 {
-	return cuckooValid | cuckooFP(cuckooHash(0, kw))<<32 | (kw[3]&0xff)<<24
-}
-
 // cuckooState is one published generation of the bucket arrays. Growth
 // builds a fresh state and republishes the pointer; the arrays
 // themselves are mutated in place (slot-atomically) by inserts and
@@ -102,8 +99,6 @@ type Cuckoo struct {
 	// snapshot it before and after probing and retry on change.
 	version atomic.Uint64
 	used    atomic.Int64
-	// maxKicks bounds the relocation chain.
-	maxKicks int
 	// grow, when set, lets Insert double the bucket count instead of
 	// failing when the relocation bound is hit or the load factor
 	// crosses the growth threshold.
@@ -121,16 +116,16 @@ func NewCuckoo(capacity int) *Cuckoo {
 	for nb < need {
 		nb *= 2
 	}
-	c := &Cuckoo{maxKicks: 8 * nb * cuckooWays}
+	c := &Cuckoo{}
 	c.state.Store(newCuckooState(nb))
 	return c
 }
 
 // NewGrowingCuckoo returns a table that starts at the given capacity
-// and doubles its bucket arrays when insertion pressure demands it, so
-// ErrCuckooFull is effectively unreachable. Stages use this form: a
-// module's exact-match flow count is unknown up front and may reach
-// millions.
+// and doubles its bucket arrays when insertion pressure demands it; a
+// doubling cannot fail, so Insert never returns ErrCuckooFull. Stages
+// use this form: a module's exact-match flow count is unknown up front
+// and may reach millions.
 func NewGrowingCuckoo(capacity int) *Cuckoo {
 	c := NewCuckoo(capacity)
 	c.grow = true
@@ -293,30 +288,26 @@ func (c *Cuckoo) LookupWords(kw *KeyWords) (int, bool) {
 //
 //menshen:hotpath
 func (c *Cuckoo) LookupWordsBatch(kws []KeyWords, out []int32) int {
-	hits := 0
 	for try := 0; try < cuckooReadRetries; try++ {
 		v1 := c.version.Load()
 		if v1&1 != 0 {
 			continue
 		}
-		st := c.state.Load()
-		hits = 0
-		for i := range kws {
-			if addr, ok := probe(st, &kws[i]); ok {
-				out[i] = int32(addr)
-				hits++
-			} else {
-				out[i] = -1
-			}
-		}
+		hits := probeBatch(c.state.Load(), kws, out)
 		if c.version.Load() == v1 {
 			return hits
 		}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := c.state.Load()
-	hits = 0
+	return probeBatch(c.state.Load(), kws, out)
+}
+
+// probeBatch probes st for every key of kws (see LookupWordsBatch).
+//
+//menshen:hotpath
+func probeBatch(st *cuckooState, kws []KeyWords, out []int32) int {
+	hits := 0
 	for i := range kws {
 		if addr, ok := probe(st, &kws[i]); ok {
 			out[i] = int32(addr)
@@ -358,33 +349,48 @@ func (c *Cuckoo) Entries() []CuckooEntry {
 	return out
 }
 
-// findLocked returns the slot holding kw in st, or nil. Caller holds
-// c.mu.
-func findLocked(st *cuckooState, kw *KeyWords) *cuckooSlot {
-	want := cuckooCtrl(kw)
-	for side := 0; side < 2; side++ {
-		base := int(cuckooHash(side, kw)&st.mask) * cuckooWays
-		slots := st.slots[side][base : base+cuckooWays]
-		for w := range slots {
-			s := &slots[w]
-			if s.ctrl.Load()&cuckooMatchMask == want && slotKWEqual(s, kw) {
-				return s
+// locate scans kw's two buckets in st once, from one hash base. It
+// returns kw's match word (valid, fingerprint, tail byte), the slot
+// holding kw (or nil) and the first free slot, side 0 first (nil when
+// both buckets are full). Caller holds c.mu.
+func locate(st *cuckooState, kw *KeyWords) (want uint64, hit, free *cuckooSlot) {
+	hb := cuckooHashBase(kw)
+	h0 := cuckooMix(hb ^ cuckooSalt(0))
+	want = cuckooValid | cuckooFP(h0)<<32 | (kw[3]&0xff)<<24
+	for side, h := range [2]uint64{h0, cuckooMix(hb ^ cuckooSalt(1))} {
+		b := st.slots[side][int(h&st.mask)*cuckooWays:][:cuckooWays]
+		for w := range b {
+			s := &b[w]
+			ctrl := s.ctrl.Load()
+			if ctrl&cuckooMatchMask == want && slotKWEqual(s, kw) {
+				return want, s, nil
+			}
+			if ctrl&cuckooValid == 0 && free == nil {
+				free = s
 			}
 		}
 	}
-	return nil
+	return want, nil, free
 }
 
-// storeSlot writes the entry into s with publish-after-key ordering:
-// the slot is invalidated, key words 0-2 land, then the ctrl word —
-// which carries key word 3 alongside the metadata — makes it visible.
-// Caller holds c.mu inside a seqlock window.
+// storeSlot writes the entry into the empty slot s with publish-after-key
+// ordering: key words 0-2 land, then the ctrl word (key word 3 and the
+// metadata) makes it visible. Caller holds c.mu inside a seqlock
+// window, or owns an unpublished state.
 func storeSlot(s *cuckooSlot, kw *KeyWords, ctrl uint64) {
-	s.ctrl.Store(0)
 	s.kw[0].Store(kw[0])
 	s.kw[1].Store(kw[1])
 	s.kw[2].Store(kw[2])
 	s.ctrl.Store(ctrl)
+}
+
+// swapSlot replaces s's entry with (kw, ctrl) and returns the entry it
+// held. Caller holds c.mu inside a seqlock window.
+func swapSlot(s *cuckooSlot, kw *KeyWords, ctrl uint64) (KeyWords, uint64) {
+	oKW, oCtrl := loadSlot(s)
+	s.ctrl.Store(0)
+	storeSlot(s, kw, ctrl)
+	return oKW, oCtrl
 }
 
 // loadSlot reads the slot's full contents, reconstituting key word 3
@@ -395,64 +401,73 @@ func loadSlot(s *cuckooSlot) (kw KeyWords, ctrl uint64) {
 	return kw, ctrl
 }
 
-// Insert places key -> addr, relocating existing entries as needed.
-// A duplicate key updates the stored address in place. On failure every
-// eviction is rolled back, leaving the table unchanged; a growing table
-// doubles its buckets instead of failing.
+// cuckooMaxKicks caps the relocation walk, which runs with the writer
+// mutex held and the seqlock odd: its length is how long one insert can
+// stall the table's readers, so it must not grow with the table.
+const cuckooMaxKicks = 512
+
+// cuckooKicks is the relocation bound for nb buckets per side: eight
+// kicks per slot of one side, up to the cap.
+func cuckooKicks(nb int) int { return min(8*nb*cuckooWays, cuckooMaxKicks) }
+
+// Insert places key -> addr with one probe: a single pass over both
+// candidate buckets finds a duplicate (updated in place) or the first
+// free slot, filled inside one seqlock window. Only when both buckets
+// are full does it walk a relocation chain, of at most cuckooKicks
+// evictions. On failure every eviction is rolled back, leaving the table
+// unchanged; a growing table doubles its buckets instead of failing.
 func (c *Cuckoo) Insert(key Key, addr int) error {
 	if addr < 0 || addr > MaxCuckooAddr {
 		return fmt.Errorf("tables: cuckoo action address %d outside [0, %d]", addr, MaxCuckooAddr)
 	}
 	kw := key.Words()
-	ctrl := cuckooCtrl(&kw) | uint64(addr)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-
-	st := c.state.Load()
-	if s := findLocked(st, &kw); s != nil {
-		c.version.Add(1)
-		s.ctrl.Store(ctrl)
-		c.version.Add(1)
-		return nil
-	}
-
 	for {
-		if c.grow && int(c.used.Load())*8 >= c.Capacity()*7 {
+		st := c.state.Load()
+		want, hit, free := locate(st, &kw)
+		ctrl := want | uint64(addr)
+		switch {
+		case hit != nil:
+			c.version.Add(1)
+			hit.ctrl.Store(ctrl)
+			c.version.Add(1)
+			return nil
+		case c.grow && int(c.used.Load())*8 >= 2*st.nb*cuckooWays*7:
 			// Above ~87% load relocation chains get long; double early.
 			c.growLocked()
-			st = c.state.Load()
+			continue
+		case free != nil:
+			c.version.Add(1)
+			storeSlot(free, &kw, ctrl)
+			c.version.Add(1)
+		case !c.relocateLocked(st, &kw, ctrl):
+			if !c.grow {
+				return fmt.Errorf("%w: after %d kicks", ErrCuckooFull, cuckooKicks(st.nb))
+			}
+			c.growLocked()
+			continue
 		}
-		if c.insertLocked(st, &kw, ctrl) {
-			c.used.Add(1)
-			return nil
-		}
-		if !c.grow {
-			return fmt.Errorf("%w: after %d kicks", ErrCuckooFull, c.maxKicks)
-		}
-		c.growLocked()
-		st = c.state.Load()
+		c.used.Add(1)
+		return nil
 	}
 }
 
-// insertLocked attempts a cuckoo placement of kw with its ctrl word
-// into st, evicting at most c.maxKicks entries. On failure the eviction
-// path is walked backwards so the table is byte-identical to before the
-// call. Caller holds c.mu; the whole relocation chain runs inside one
+// relocateLocked places kw with its ctrl word into st by a cuckoo walk
+// from side 0, evicting at most cuckooKicks(st.nb) entries. On failure
+// the eviction path is walked backwards so the table is byte-identical
+// to before the call. Caller holds c.mu; the whole walk runs inside one
 // seqlock window so readers never observe a half-moved entry.
-func (c *Cuckoo) insertLocked(st *cuckooState, kw *KeyWords, ctrl uint64) bool {
-	type step struct {
-		side, base, way int
-	}
-	var path []step
+func (c *Cuckoo) relocateLocked(st *cuckooState, kw *KeyWords, ctrl uint64) bool {
+	path := make([]*cuckooSlot, 0, cuckooMaxKicks)
 	curKW, curCtrl := *kw, ctrl
 
 	c.version.Add(1)
 	defer c.version.Add(1)
 
 	side := 0
-	for kick := 0; kick < c.maxKicks; kick++ {
-		base := int(cuckooHash(side, &curKW)&st.mask) * cuckooWays
-		slots := st.slots[side][base : base+cuckooWays]
+	for kick := 0; kick < cuckooKicks(st.nb); kick++ {
+		slots := st.slots[side][int(cuckooHash(side, &curKW)&st.mask)*cuckooWays:][:cuckooWays]
 		for w := range slots {
 			if slots[w].ctrl.Load()&cuckooValid == 0 {
 				storeSlot(&slots[w], &curKW, curCtrl)
@@ -461,80 +476,48 @@ func (c *Cuckoo) insertLocked(st *cuckooState, kw *KeyWords, ctrl uint64) bool {
 		}
 		// Bucket full: evict a deterministic victim and continue on the
 		// other side.
-		w := kick % cuckooWays
-		path = append(path, step{side, base, w})
-		vKW, vCtrl := loadSlot(&slots[w])
-		storeSlot(&slots[w], &curKW, curCtrl)
-		curKW, curCtrl = vKW, vCtrl
+		s := &slots[kick%cuckooWays]
+		path = append(path, s)
+		curKW, curCtrl = swapSlot(s, &curKW, curCtrl)
 		side = 1 - side
 	}
 	// Failure: walk the eviction path backwards, undoing each swap, so
 	// the displaced survivor chain is restored and the new key is out.
 	for i := len(path) - 1; i >= 0; i-- {
-		p := path[i]
-		s := &st.slots[p.side][p.base+p.way]
-		oKW, oCtrl := loadSlot(s)
-		storeSlot(s, &curKW, curCtrl)
-		curKW, curCtrl = oKW, oCtrl
+		curKW, curCtrl = swapSlot(path[i], &curKW, curCtrl)
 	}
 	return false
 }
 
-// growLocked doubles the bucket count and rehashes every entry into a
-// fresh state, republishing the snapshot pointer. Rehash into double
-// capacity at <50% load cannot hit the relocation bound in practice;
-// if it ever does, the bucket count doubles again. Caller holds c.mu.
+// growLocked doubles the bucket count by splitting every bucket, then
+// publishes the fresh state. Bucket counts are powers of two, so an
+// entry in bucket b of side s belongs in bucket b or b+nb of the same
+// side afterwards, as the next bit of its side-s hash decides. Each new
+// bucket receives entries from one old bucket only, at most cuckooWays
+// of them: the split cannot overflow and cannot fail. Caller holds c.mu.
 func (c *Cuckoo) growLocked() {
 	old := c.state.Load()
-	nb := old.nb * 2
-	for {
-		fresh := newCuckooState(nb)
-		c.maxKicks = 8 * nb * cuckooWays
-		ok := true
-	rehash:
-		for side := 0; side < 2; side++ {
-			for i := range old.slots[side] {
-				kw, ctrl := loadSlot(&old.slots[side][i])
+	fresh := newCuckooState(old.nb * 2)
+	for side := range old.slots {
+		for b := 0; b < old.nb; b++ {
+			var n [2]int // entries placed in bucket b and in b+nb
+			for w := 0; w < cuckooWays; w++ {
+				kw, ctrl := loadSlot(&old.slots[side][b*cuckooWays+w])
 				if ctrl&cuckooValid == 0 {
 					continue
 				}
-				if !c.insertIntoState(fresh, &kw, ctrl) {
-					ok = false
-					break rehash
+				hi := 0
+				if cuckooHash(side, &kw)&uint64(old.nb) != 0 {
+					hi = 1
 				}
+				storeSlot(&fresh.slots[side][(b+hi*old.nb)*cuckooWays+n[hi]], &kw, ctrl)
+				n[hi]++
 			}
 		}
-		if ok {
-			c.version.Add(1)
-			c.state.Store(fresh)
-			c.version.Add(1)
-			return
-		}
-		nb *= 2
 	}
-}
-
-// insertIntoState is insertLocked against a not-yet-published state (no
-// seqlock window needed — nothing can be reading it).
-func (c *Cuckoo) insertIntoState(st *cuckooState, kw *KeyWords, ctrl uint64) bool {
-	curKW, curCtrl := *kw, ctrl
-	side := 0
-	for kick := 0; kick < c.maxKicks; kick++ {
-		base := int(cuckooHash(side, &curKW)&st.mask) * cuckooWays
-		slots := st.slots[side][base : base+cuckooWays]
-		for w := range slots {
-			if slots[w].ctrl.Load()&cuckooValid == 0 {
-				storeSlot(&slots[w], &curKW, curCtrl)
-				return true
-			}
-		}
-		w := kick % cuckooWays
-		vKW, vCtrl := loadSlot(&slots[w])
-		storeSlot(&slots[w], &curKW, curCtrl)
-		curKW, curCtrl = vKW, vCtrl
-		side = 1 - side
-	}
-	return false
+	c.version.Add(1)
+	c.state.Store(fresh)
+	c.version.Add(1)
 }
 
 // Delete removes key, reporting whether it was present.
@@ -542,7 +525,7 @@ func (c *Cuckoo) Delete(key Key) bool {
 	kw := key.Words()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if s := findLocked(c.state.Load(), &kw); s != nil {
+	if _, s, _ := locate(c.state.Load(), &kw); s != nil {
 		c.version.Add(1)
 		s.ctrl.Store(0)
 		c.version.Add(1)
@@ -557,10 +540,11 @@ func (c *Cuckoo) Delete(key Key) bool {
 // flow tables are space-partitioned the way the CAM and the overlays
 // are (§3.1). Each module's table has its own writer mutex and seqlock:
 // one module's inserts, growth or unload never make another module's
-// readers retry or wait. Table is wait-free (one atomic load); Open and
-// ClearModule serialize on the directory's mutex.
+// readers retry or wait. Table is wait-free (one atomic load), and so is
+// Open of a table that exists; creation and ClearModule serialize on the
+// directory's mutex.
 type FlowTables struct {
-	mu     sync.Mutex // serializes Open and ClearModule
+	mu     sync.Mutex // serializes table creation and ClearModule
 	tables []atomic.Pointer[Cuckoo]
 }
 
@@ -581,10 +565,14 @@ func (f *FlowTables) Table(mod uint16) *Cuckoo {
 
 // Open returns mod's flow table, creating it on the module's first
 // flow. A module index at or past the depth is ErrIndexRange, as on the
-// overlays.
+// overlays. A table that exists costs one atomic load; only creation
+// takes the directory's mutex.
 func (f *FlowTables) Open(mod uint16) (*Cuckoo, error) {
 	if int(mod) >= len(f.tables) {
 		return nil, fmt.Errorf("%w: flow table index %d (depth %d)", ErrIndexRange, mod, len(f.tables))
+	}
+	if t := f.tables[mod].Load(); t != nil {
+		return t, nil
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -9,6 +9,8 @@ package tables
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -74,6 +76,164 @@ func TestCuckooFailedInsertRollsBack(t *testing.T) {
 	for i := uint32(0); i < 4096; i++ {
 		if addr, ok := lookup(c, ckey(i*2654435761+1)); ok && addr != int(i) {
 			t.Fatalf("key %d: addr %d, want %d", i, addr, int(i))
+		}
+	}
+}
+
+// TestCuckooRelocationWalkIsBounded fills a large fixed table to its
+// first rejection: the walk that gave up stopped at the constant cap,
+// not at a bound that grows with the table (the table's readers wait
+// out the whole walk), the rejection rolled back byte for byte, and the
+// cap still lets the table fill past 90%.
+func TestCuckooRelocationWalkIsBounded(t *testing.T) {
+	c := NewCuckoo(1 << 17)
+	var err error
+	n := uint32(0)
+	for ; err == nil; n++ {
+		err = c.Insert(ckey(n*2654435761+7), int(n&MaxCuckooAddr))
+	}
+	failed := n - 1
+	if !errors.Is(err, ErrCuckooFull) {
+		t.Fatalf("insert %d: %v", failed, err)
+	}
+	msg := err.Error()
+	var kicks int
+	if _, serr := fmt.Sscanf(msg[strings.LastIndex(msg, "after "):], "after %d kicks", &kicks); serr != nil {
+		t.Fatalf("error %q reports no kick count: %v", msg, serr)
+	}
+	if kicks > cuckooMaxKicks {
+		t.Errorf("the rejected insert walked %d kicks, want <= %d", kicks, cuckooMaxKicks)
+	}
+	load := float64(c.Used()) / float64(c.Capacity())
+	t.Logf("first rejection at %.1f%% load, after %d kicks", load*100, kicks)
+	if load < 0.9 {
+		t.Errorf("first rejection at %.1f%% load, want >= 90%%", load*100)
+	}
+	// The same insert against the rolled-back table walks the same chain
+	// and fails the same way, leaving every slot as it was.
+	before := dumpCuckoo(c)
+	if err := c.Insert(ckey(failed*2654435761+7), 1); !errors.Is(err, ErrCuckooFull) {
+		t.Fatalf("repeated insert: %v", err)
+	}
+	if !dumpsEqual(before, dumpCuckoo(c)) || c.Used() != int(failed) {
+		t.Fatal("a rejected insert left the table modified")
+	}
+	for i := uint32(0); i < failed; i++ {
+		if addr, ok := lookup(c, ckey(i*2654435761+7)); !ok || addr != int(i&MaxCuckooAddr) {
+			t.Fatalf("key %d: %d,%v after the rejections", i, addr, ok)
+		}
+	}
+}
+
+// TestCuckooInsertTakesFreeSlotBeforeEvicting: when a key's side-0
+// bucket is full and its side-1 bucket has room, the insert fills that
+// room and moves nothing, so exactly one slot changes.
+func TestCuckooInsertTakesFreeSlotBeforeEvicting(t *testing.T) {
+	c := NewCuckoo(64)
+	bucket0 := func(k Key) uint64 {
+		kw := k.Words()
+		return cuckooHash(0, &kw) & c.state.Load().mask
+	}
+	newKey := ckey(1 << 20)
+	filled := 0
+	for i := uint32(0); filled < cuckooWays; i++ {
+		if k := ckey(i); bucket0(k) == bucket0(newKey) {
+			if err := c.Insert(k, int(i)); err != nil {
+				t.Fatal(err)
+			}
+			filled++
+		}
+	}
+	before := dumpCuckoo(c)
+	if err := c.Insert(newKey, 99); err != nil {
+		t.Fatal(err)
+	}
+	after := dumpCuckoo(c)
+	changed := 0
+	for i := 2; i < len(before); i += 4 { // skip nb and used; 4 words a slot
+		if !dumpsEqual(before[i:i+4], after[i:i+4]) {
+			changed++
+		}
+	}
+	if changed != 1 || c.Used() != cuckooWays+1 {
+		t.Fatalf("insert into a full side-0 bucket changed %d slots (used %d), want 1 (%d)", changed, c.Used(), cuckooWays+1)
+	}
+	if addr, ok := lookup(c, newKey); !ok || addr != 99 {
+		t.Fatalf("new key: %d,%v", addr, ok)
+	}
+}
+
+// cuckooSides maps every stored key of c's published state to the side
+// holding it, and checks that it sits in its own bucket of that side.
+func cuckooSides(t *testing.T, c *Cuckoo) map[KeyWords]int {
+	t.Helper()
+	st := c.state.Load()
+	sides := map[KeyWords]int{}
+	for side := range st.slots {
+		for i := range st.slots[side] {
+			kw, ctrl := loadSlot(&st.slots[side][i])
+			if ctrl&cuckooValid == 0 {
+				continue
+			}
+			if b := int(cuckooHash(side, &kw) & st.mask); b != i/cuckooWays {
+				t.Fatalf("key %x sits in bucket %d of side %d, hashes to %d", kw, i/cuckooWays, side, b)
+			}
+			sides[kw] = side
+		}
+	}
+	return sides
+}
+
+// TestCuckooGrowthSplitsInPlace: a doubling splits each bucket. Every
+// entry lands in its own bucket of the side it had before, the entry
+// set and Used() are unchanged, and the doubling publishes exactly one
+// state (one seqlock window). Through Insert, growth doubles once.
+func TestCuckooGrowthSplitsInPlace(t *testing.T) {
+	c := NewGrowingCuckoo(CAMDepth)
+	next := uint32(0)
+	for doubling := 0; doubling < 6; doubling++ {
+		// Fill through one Insert-driven doubling, then to 75% of the
+		// doubled table, below the growth threshold.
+		for start := c.Capacity(); c.Capacity() == start || c.Used()*4 < c.Capacity()*3; {
+			capBefore := c.Capacity()
+			if err := c.Insert(ckey(next*2654435761), int(next)); err != nil {
+				t.Fatal(err)
+			}
+			next++
+			if got := c.Capacity(); got != capBefore && got != 2*capBefore {
+				t.Fatalf("one insert grew the table %d -> %d slots", capBefore, got)
+			}
+		}
+		sides, used, entries := cuckooSides(t, c), c.Used(), c.Entries()
+		st, ver := c.state.Load(), c.version.Load()
+		c.mu.Lock()
+		c.growLocked()
+		c.mu.Unlock()
+		if c.state.Load().nb != 2*st.nb || c.version.Load() != ver+2 {
+			t.Fatalf("doubling %d: nb %d -> %d, version +%d; want one doubling in one window",
+				doubling, st.nb, c.state.Load().nb, c.version.Load()-ver)
+		}
+		after := cuckooSides(t, c)
+		if c.Used() != used || len(after) != len(sides) {
+			t.Fatalf("doubling %d: used %d -> %d, keys %d -> %d", doubling, used, c.Used(), len(sides), len(after))
+		}
+		for kw, side := range sides {
+			if got, ok := after[kw]; !ok || got != side {
+				t.Fatalf("doubling %d: key %x moved from side %d to %d (present %v)", doubling, kw, side, got, ok)
+			}
+		}
+		got := c.Entries()
+		want := map[CuckooEntry]bool{}
+		for _, e := range entries {
+			want[e] = true
+		}
+		for _, e := range got {
+			if !want[e] {
+				t.Fatalf("doubling %d: entry %+v appeared", doubling, e)
+			}
+		}
+		if len(got) != len(entries) {
+			t.Fatalf("doubling %d: %d entries, want %d", doubling, len(got), len(entries))
 		}
 	}
 }
