@@ -10,6 +10,7 @@ package menshen
 // produced by cmd/menshen-bench and internal/experiments.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -108,6 +109,44 @@ func BenchmarkFig10Reconfigure(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkReloadLive is the live reload a running engine's tenant sees:
+// an idle one-worker engine serving CALC and NetCache, and each op is
+// UnloadModule + LoadModuleVerified + AwaitQuiesceCtx of NetCache — the
+// device update plus the same commands replayed on the shard, the path
+// tenants_noisy_reconfig times as reconfig_p50_ms.
+func BenchmarkReloadLive(b *testing.B) {
+	dev := newLoadedDevice(b, PlatformCorundumOptimized)
+	nc, err := p4progs.ByName("NetCache")
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := nc.Source()
+	if _, err := dev.LoadModule(src, 2); err != nil {
+		b.Fatal(err)
+	}
+	eng, err := dev.NewEngine(EngineConfig{Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.UnloadModule(2); err != nil {
+			b.Fatal(err)
+		}
+		_, gen, _, err := eng.LoadModuleVerified(ctx, src, 2, VerifyOpts{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := eng.AwaitQuiesceCtx(ctx, gen); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/op")
 }
 
 // BenchmarkFig10ReconfigureBesideFlows is the Figure 10 event beside

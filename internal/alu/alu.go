@@ -10,10 +10,9 @@
 package alu
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/phv"
 	"repro/internal/tables"
@@ -160,27 +159,47 @@ const ActionBits = phv.NumContainers * InstrBits // 625
 const ActionBytes = (ActionBits + 7) / 8 // 79
 
 // Encode packs the action into ActionBytes bytes (instructions in slot
-// order, big-endian bit packing).
+// order, big-endian bit packing). The instructions stream through a
+// 64-bit accumulator that is flushed 32 bits at a time.
 func (a *Action) Encode() []byte {
 	out := make([]byte, ActionBytes)
-	bit := 0
-	for _, in := range a {
-		putBits(out, bit, InstrBits, uint64(in.Encode()))
-		bit += InstrBits
+	var acc uint64 // the low n bits are pending
+	n, o := 0, 0
+	for i := range a {
+		acc = acc<<InstrBits | uint64(a[i].Encode())
+		if n += InstrBits; n >= 32 {
+			n -= 32
+			binary.BigEndian.PutUint32(out[o:], uint32(acc>>n))
+			o += 4
+		}
+	}
+	// The last n bits fill the tail bytes MSB-first; the pad bits stay 0.
+	for acc <<= 64 - n; o < len(out); o++ {
+		out[o] = byte(acc >> 56)
+		acc <<= 8
 	}
 	return out
 }
 
-// DecodeAction unpacks an action from its wire format.
+// DecodeAction unpacks an action from its wire format, refilling a
+// 64-bit accumulator 32 bits at a time.
 func DecodeAction(b []byte) (Action, error) {
 	var a Action
 	if len(b) < ActionBytes {
 		return a, fmt.Errorf("alu: action needs %d bytes, have %d", ActionBytes, len(b))
 	}
-	bit := 0
+	var buf [ActionBytes + 1]byte // whole 32-bit refills cover the tail
+	copy(buf[:], b)
+	var acc uint64 // the low n bits are pending
+	n, o := 0, 0
 	for i := range a {
-		a[i] = DecodeInstr(uint32(getBits(b, bit, InstrBits)))
-		bit += InstrBits
+		if n < InstrBits {
+			acc = acc<<32 | uint64(binary.BigEndian.Uint32(buf[o:]))
+			n += 32
+			o += 4
+		}
+		n -= InstrBits
+		a[i] = DecodeInstr(uint32(acc>>n) & (1<<InstrBits - 1))
 	}
 	return a, nil
 }
@@ -195,120 +214,73 @@ func (a *Action) Validate() error {
 	return nil
 }
 
-// putBits writes the low n bits of v into buf starting at bit offset off
-// (MSB-first within the buffer).
-func putBits(buf []byte, off, n int, v uint64) {
-	for i := 0; i < n; i++ {
-		bit := v >> (n - 1 - i) & 1
-		idx := off + i
-		if bit != 0 {
-			buf[idx/8] |= 0x80 >> (idx % 8)
-		} else {
-			buf[idx/8] &^= 0x80 >> (idx % 8)
-		}
-	}
-}
-
-// getBits reads n bits from buf starting at bit offset off (MSB-first).
-func getBits(buf []byte, off, n int) uint64 {
-	var v uint64
-	for i := 0; i < n; i++ {
-		idx := off + i
-		v <<= 1
-		if buf[idx/8]&(0x80>>(idx%8)) != 0 {
-			v |= 1
-		}
-	}
-	return v
-}
-
 // Table is the per-stage VLIW action table: CAM lookup results index it.
 // Like the match table it is space-partitioned across modules, but since
 // the CAM address is the action address the CAM's partitioning covers it.
-// Entries are published as copy-on-write snapshots (like
-// tables.Overlay), so the per-packet read path — including the
-// zero-copy Ref used by the batched engine — is safe against a
-// concurrent daisy-chain writer without locks.
+// Its addresses are published one by one through a tables.Overlay: a
+// write allocates one immutable entry and installs it with one atomic
+// pointer store, so it costs that entry alone, and the per-packet read
+// path — including the zero-copy Ref used by the batched engine — is one
+// atomic load, safe against a concurrent daisy-chain writer without
+// locks.
 type Table struct {
-	mu      sync.Mutex // serializes writers
-	entries atomic.Pointer[[]tableEntry]
+	entries *tables.Overlay[tableEntry]
 }
 
 // tableEntry is one action plus its precomputed non-nop instruction
 // slots (so the per-packet path skips the scan over all 25 VLIW
-// lanes).
+// lanes), held inline so an entry is one allocation.
 type tableEntry struct {
 	action Action
-	valid  bool
-	slots  []uint8
+	slots  [phv.NumContainers]uint8
+	nslots uint8
 }
 
 // NewTable returns an action table with the given depth (the prototype
 // uses tables.CAMDepth = 16).
 func NewTable(depth int) *Table {
-	t := &Table{}
-	entries := make([]tableEntry, depth)
-	t.entries.Store(&entries)
-	return t
+	return &Table{entries: tables.NewOverlay[tableEntry](depth)}
 }
 
 // Depth returns the number of action slots.
-func (t *Table) Depth() int { return len(*t.entries.Load()) }
-
-// mutate copies the current snapshot, installs e at addr, and
-// publishes the copy.
-func (t *Table) mutate(addr int, e tableEntry) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	cur := *t.entries.Load()
-	if addr < 0 || addr >= len(cur) {
-		return fmt.Errorf("%w: action address %d (depth %d)", tables.ErrIndexRange, addr, len(cur))
-	}
-	next := make([]tableEntry, len(cur))
-	copy(next, cur)
-	next[addr] = e
-	t.entries.Store(&next)
-	return nil
-}
+func (t *Table) Depth() int { return t.entries.Depth() }
 
 // Set installs the action at addr.
 func (t *Table) Set(addr int, a Action) error {
 	if err := a.Validate(); err != nil {
 		return err
 	}
-	var slots []uint8
+	e := tableEntry{action: a}
 	for slot := range a {
 		if a[slot].Op != OpNop {
-			slots = append(slots, uint8(slot))
+			e.slots[e.nslots] = uint8(slot)
+			e.nslots++
 		}
 	}
-	return t.mutate(addr, tableEntry{action: a, valid: true, slots: slots})
+	return t.entries.Set(addr, e)
 }
 
 // Clear invalidates the action at addr.
-func (t *Table) Clear(addr int) error {
-	return t.mutate(addr, tableEntry{})
-}
+func (t *Table) Clear(addr int) error { return t.entries.Clear(addr) }
 
 // Lookup returns the action at addr.
 func (t *Table) Lookup(addr int) (Action, bool) {
-	entries := *t.entries.Load()
-	if addr < 0 || addr >= len(entries) || !entries[addr].valid {
-		return Action{}, false
+	if e, ok := t.entries.Ref(addr); ok {
+		return e.action, true
 	}
-	return entries[addr].action, true
+	return Action{}, false
 }
 
 // Ref returns a pointer to the action at addr plus its precompiled
 // non-nop slot list, skipping the copy of the wide (625-bit) VLIW entry
-// on the per-packet path. The pointees live in an immutable snapshot
-// and must be treated as read-only.
+// on the per-packet path. The pointees are immutable and must be treated
+// as read-only.
 func (t *Table) Ref(addr int) (*Action, []uint8, bool) {
-	entries := *t.entries.Load()
-	if addr < 0 || addr >= len(entries) || !entries[addr].valid {
+	e, ok := t.entries.Ref(addr)
+	if !ok {
 		return nil, nil, false
 	}
-	return &entries[addr].action, entries[addr].slots, true
+	return &e.action, e.slots[:e.nslots:e.nslots], true
 }
 
 // ErrNoSegment is returned when a memory-op executes for a module with no

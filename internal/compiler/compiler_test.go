@@ -465,6 +465,32 @@ func TestLexerErrors(t *testing.T) {
 	}
 }
 
+// TestLexerRejectsHighBytes pins ASCII identifiers: a byte >= 0x80 is
+// never part of an identifier, and the error names that byte at its own
+// line:col instead of decoding it as a Latin-1 letter.
+func TestLexerRejectsHighBytes(t *testing.T) {
+	for _, tc := range []struct {
+		src, want string
+	}{
+		{"a\xffb", "1:2: unexpected byte 0xff"},
+		{"café x", "1:4: unexpected byte 0xc3"},
+		{"x;\n  é", "2:3: unexpected byte 0xc3"},
+		{"_a9Z z", ""},
+	} {
+		toks, err := lexAll(tc.src)
+		if tc.want == "" {
+			if err != nil || len(toks) != 3 || toks[0].text != "_a9Z" {
+				t.Errorf("lexAll(%q) = %v, %v; want identifiers _a9Z, z", tc.src, toks, err)
+			}
+			continue
+		}
+		var se *SyntaxError
+		if !errors.As(err, &se) || err.Error() != tc.want {
+			t.Errorf("lexAll(%q) = %v, %v; want SyntaxError %q", tc.src, toks, err, tc.want)
+		}
+	}
+}
+
 func TestCommandsGeneratedFromConfig(t *testing.T) {
 	p := compileOK(t, calcSrc)
 	pl := core.Placement{

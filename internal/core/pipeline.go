@@ -207,8 +207,8 @@ func (p *Pipeline) FlowCacheStats() (hits, misses uint64) {
 }
 
 // moduleViews is one module's cached configuration across all stages,
-// plus its parser/deparser entries (nil when not installed; snapshot
-// refs are immutable) and their compiled programs.
+// plus its parser/deparser entries (nil when not installed; installed
+// entries are immutable) and their compiled programs.
 type moduleViews struct {
 	gen     uint64 // cfgGen the views were resolved at (0 = never)
 	views   []stage.View

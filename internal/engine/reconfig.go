@@ -360,7 +360,8 @@ func (w *worker) enqueueOps(ops []shardOp) {
 // returns the last one's generation. The worker loop calls it at a
 // batch boundary and holds w.mu throughout, so a fence and the creation
 // of the fenced tenant's ring cannot interleave; pipeline writes use
-// the tables' own copy-on-write synchronization. opsQueued drops only
+// the tables' own publication (per-entry atomic pointers, the CAM's
+// snapshot array, the flow tables' seqlocks). opsQueued drops only
 // once the operations are applied: until then the watchdog counts them
 // as pending work.
 func (w *worker) drainOps() uint64 {

@@ -1,10 +1,13 @@
 package p4progs
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 
 	"repro/internal/compiler"
+	"repro/internal/core"
 )
 
 func TestAllProgramsCompile(t *testing.T) {
@@ -101,5 +104,45 @@ func TestSourcesAreDeterministic(t *testing.T) {
 	}
 	if a.WithSize(5) == a.WithSize(6) {
 		t.Error("WithSize ignored")
+	}
+}
+
+// commandDigests pins the reconfiguration command stream of every
+// program (Table 3, then System-level; module ID = position + 1, every
+// CAM partition and memory segment at base 0): the SHA-256 of each
+// command's resource ID, index and payload, in stream order. A codec
+// change (the VLIW action packing among them) that moves one wire byte
+// of any command fails it.
+var commandDigests = map[string]string{
+	"CALC":           "5a7e4d91fabe790510c857621802f74280635564f707dc5019f8dcd17eb4e5ea",
+	"Firewall":       "97d77cd1774fa9be2875204f77c5e3b7ce0a2b38ab738696297470bc17155469",
+	"Load Balancing": "1545b6bf08e37e5e0d91ecc5e92ba2c0915598661b4e465c9a9c7f11f13f11da",
+	"Multicast":      "71fcc006a7c61acf2156c34a116324fca0330fc311a8cb4946575b8665140cf0",
+	"NetCache":       "7b7e078da5fc3f2e243bcf63d95d99f8c44754cd38d2573d933529d4b78efa2f",
+	"NetChain":       "a2e2816c366e9729d50d0f8b37be40d3f9f8be6f58dd84955a075a4dd36a0816",
+	"QoS":            "e659e5f21634c365ed1de4aad4ce01411e205540fdab4fe5879cffebf29366a2",
+	"Source Routing": "c32d03cfe90a3458cb3cb4524fec88ebe847aa579767fc2184a67c8b03da7739",
+	"System-level":   "1f8134504a18763fdf04754daf278df71db199b9ecf085d46fb00d7290042837",
+}
+
+func TestCommandStreamGolden(t *testing.T) {
+	pl := core.Placement{CAMBase: make([]int, core.NumStages), SegBase: make([]uint8, core.NumStages)}
+	for i, p := range All() {
+		prog, err := compiler.Compile(p.Source(), compiler.Options{ModuleID: uint16(i + 1)})
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		cmds, err := prog.Config.Commands(pl)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		h := sha256.New()
+		for _, c := range cmds {
+			h.Write([]byte{byte(c.Resource >> 8), byte(c.Resource), c.Index, byte(len(c.Payload))})
+			h.Write(c.Payload)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != commandDigests[p.Name] {
+			t.Errorf("%s: %d commands digest to %s, want %s", p.Name, len(cmds), got, commandDigests[p.Name])
+		}
 	}
 }

@@ -680,7 +680,9 @@ func (s *Stage) ProcessView(v *View, p *phv.PHV) (Result, error) {
 // ClearModule removes every per-module configuration and match entry for
 // the module index, and zeroes its stateful-memory segment so no state
 // leaks to a future tenant of the same slice. Other modules' entries are
-// untouched.
+// untouched, and the cost is the module's own: overlay and action slots
+// are cleared one by one, and the CAM republishes its array only where
+// the module holds entries.
 func (s *Stage) ClearModule(modIdx int) error {
 	// Normalize once, like ViewFor: the CAM stores 12-bit module IDs, so
 	// the action sweep below must compare in the same domain.
@@ -699,8 +701,9 @@ func (s *Stage) ClearModule(modIdx int) error {
 	if err := s.Segments.Clear(modIdx); err != nil {
 		return err
 	}
-	for addr := 0; addr < s.Actions.Depth(); addr++ {
-		if e, err := s.Match.Entry(addr); err == nil && e.Valid && int(e.ModID) == modIdx {
+	entries := s.Match.Entries()
+	for addr := range min(len(entries), s.Actions.Depth()) {
+		if e := &entries[addr]; e.Valid && int(e.ModID) == modIdx {
 			if err := s.Actions.Clear(addr); err != nil {
 				return err
 			}

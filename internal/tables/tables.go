@@ -149,97 +149,69 @@ func FullMask() Key {
 
 // Overlay is a per-module configuration array: Menshen's core isolation
 // primitive for shared resources. Depth bounds the number of modules; an
-// entry must be explicitly valid to be used. Overlay is safe for one
-// writer (the daisy chain) concurrent with readers (packet processing):
-// writers install a fresh copy-on-write snapshot of the array, so the
-// per-packet read path is wait-free (one atomic load) — the software
-// analogue of the SRAM's single-cycle read port. Menshen's packet filter
-// additionally guarantees the module being rewritten has no in-flight
-// packets.
+// entry must be explicitly valid to be used. Each slot is published on
+// its own: a write allocates the new entry and installs it with one
+// atomic pointer store (nil is invalid), so rewriting one module's entry
+// costs that entry alone and never copies its neighbours'. The
+// per-packet read path is one atomic load, wait-free — the software
+// analogue of the SRAM's single-cycle read port. An installed entry is
+// never modified in place, so a reader sees either the old or the new
+// entry whole. Menshen's packet filter additionally guarantees the
+// module being rewritten has no in-flight packets.
 type Overlay[T any] struct {
-	mu      sync.Mutex // serializes writers
-	entries atomic.Pointer[[]overlayEntry[T]]
-}
-
-type overlayEntry[T any] struct {
-	valid bool
-	val   T
+	slots []atomic.Pointer[T]
 }
 
 // NewOverlay returns an overlay table with the given depth (use
 // OverlayDepth for the paper's geometry).
 func NewOverlay[T any](depth int) *Overlay[T] {
-	o := &Overlay[T]{}
-	entries := make([]overlayEntry[T], depth)
-	o.entries.Store(&entries)
-	return o
+	return &Overlay[T]{slots: make([]atomic.Pointer[T], depth)}
 }
 
 // Depth returns the number of entry slots.
-func (o *Overlay[T]) Depth() int { return len(*o.entries.Load()) }
+func (o *Overlay[T]) Depth() int { return len(o.slots) }
 
 // Lookup returns the configuration for the given module index.
 func (o *Overlay[T]) Lookup(idx int) (T, bool) {
-	entries := *o.entries.Load()
-	if idx < 0 || idx >= len(entries) {
-		var zero T
-		return zero, false
+	if p, ok := o.Ref(idx); ok {
+		return *p, true
 	}
-	e := &entries[idx]
-	if !e.valid {
-		var zero T
-		return zero, false
-	}
-	return e.val, true
+	var zero T
+	return zero, false
 }
 
-// Ref returns a pointer to the entry's value inside the current
-// snapshot. Snapshots are immutable (writers publish fresh copies), so
-// the pointee never changes; callers must treat it as read-only. Used
-// by batched fast paths to skip copying wide entries per packet.
+// Ref returns a pointer to the entry's value. Entries are immutable
+// (writers publish fresh ones), so the pointee never changes; callers
+// must treat it as read-only. Used by batched fast paths to skip copying
+// wide entries per packet.
 func (o *Overlay[T]) Ref(idx int) (*T, bool) {
-	entries := *o.entries.Load()
-	if idx < 0 || idx >= len(entries) {
+	if idx < 0 || idx >= len(o.slots) {
 		return nil, false
 	}
-	e := &entries[idx]
-	if !e.valid {
-		return nil, false
-	}
-	return &e.val, true
+	p := o.slots[idx].Load()
+	return p, p != nil
 }
 
-// mutate copies the current snapshot, applies f at idx, and publishes the
-// copy.
-func (o *Overlay[T]) mutate(idx int, e overlayEntry[T]) error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	cur := *o.entries.Load()
-	if idx < 0 || idx >= len(cur) {
-		return fmt.Errorf("%w: overlay index %d (depth %d)", ErrIndexRange, idx, len(cur))
+// publish installs p (nil: invalid) at idx.
+func (o *Overlay[T]) publish(idx int, p *T) error {
+	if idx < 0 || idx >= len(o.slots) {
+		return fmt.Errorf("%w: entry %d (depth %d)", ErrIndexRange, idx, len(o.slots))
 	}
-	next := make([]overlayEntry[T], len(cur))
-	copy(next, cur)
-	next[idx] = e
-	o.entries.Store(&next)
+	o.slots[idx].Store(p)
 	return nil
 }
 
 // Set installs a configuration at the given module index.
-func (o *Overlay[T]) Set(idx int, v T) error {
-	return o.mutate(idx, overlayEntry[T]{valid: true, val: v})
-}
+func (o *Overlay[T]) Set(idx int, v T) error { return o.publish(idx, &v) }
 
 // Clear invalidates the entry at idx.
-func (o *Overlay[T]) Clear(idx int) error {
-	return o.mutate(idx, overlayEntry[T]{})
-}
+func (o *Overlay[T]) Clear(idx int) error { return o.publish(idx, nil) }
 
 // ValidCount returns the number of installed entries.
 func (o *Overlay[T]) ValidCount() int {
 	n := 0
-	for _, e := range *o.entries.Load() {
-		if e.valid {
+	for i := range o.slots {
+		if o.slots[i].Load() != nil {
 			n++
 		}
 	}
@@ -282,9 +254,10 @@ func (e *CAMEntry) Matches(key Key, modID uint16) bool {
 // For ternary matches the lowest address wins (the priority convention of
 // the Xilinx IP, Appendix B). Addresses are allocated to modules in
 // contiguous chunks so one module's rule updates never disturb another's.
-// Like Overlay, the entry array is published as a copy-on-write snapshot
-// so per-packet lookups are wait-free while the daisy chain rewrites
-// entries.
+// Unlike Overlay, the entry array is published as one copy-on-write
+// snapshot: Lookup scans every entry, so it must see a contiguous,
+// consistent array. Per-packet lookups stay wait-free while the daisy
+// chain rewrites entries.
 type CAM struct {
 	mu      sync.Mutex // serializes writers
 	entries atomic.Pointer[[]CAMEntry]
@@ -408,21 +381,26 @@ func (c *CAM) Lookup(key Key, modID uint16) (int, bool) {
 // ClearModule invalidates every entry owned by modID and releases its
 // partition, so the address range can be reserved by another module.
 // Entries of other modules are untouched — the no-disruption property
-// for match tables.
+// for match tables. A module with no entries here publishes nothing.
 func (c *CAM) ClearModule(modID uint16) int {
 	modID &= MaxModuleID
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.partition, modID)
-	next := c.cloneLocked()
+	var next []CAMEntry // cloned at the module's first entry
 	n := 0
-	for i := range next {
-		if next[i].Valid && next[i].ModID == modID {
+	for i, e := range *c.entries.Load() {
+		if e.Valid && e.ModID == modID {
+			if next == nil {
+				next = c.cloneLocked()
+			}
 			next[i] = CAMEntry{}
 			n++
 		}
 	}
-	c.entries.Store(&next)
+	if next != nil {
+		c.entries.Store(&next)
+	}
 	return n
 }
 

@@ -2,6 +2,9 @@ package tables
 
 import (
 	"errors"
+	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -70,6 +73,100 @@ func TestOverlayBounds(t *testing.T) {
 	}
 	if _, ok := o.Lookup(100); ok {
 		t.Error("out-of-range lookup should miss")
+	}
+}
+
+// wideEntry stands in for the wide overlay entries (parser and
+// key-extract programs): a torn read would mix its words.
+type wideEntry [16]uint64
+
+func wideOf(v uint64) wideEntry {
+	var e wideEntry
+	for i := range e {
+		e[i] = v
+	}
+	return e
+}
+
+// TestOverlayWriteCostsOneEntry pins per-entry publication: a Set
+// allocates the new entry alone whatever the depth, and the read path
+// allocates nothing.
+func TestOverlayWriteCostsOneEntry(t *testing.T) {
+	for _, depth := range []int{16, 4096} {
+		o := NewOverlay[wideEntry](depth)
+		v := wideOf(7)
+		if n := testing.AllocsPerRun(100, func() { _ = o.Set(depth/2, v) }); n != 1 {
+			t.Errorf("depth %d: Set allocates %.1f times, want 1", depth, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { _ = o.Clear(depth - 1) }); n != 0 {
+			t.Errorf("depth %d: Clear allocates %.1f times, want 0", depth, n)
+		}
+		var sink uint64
+		if n := testing.AllocsPerRun(100, func() {
+			e, _ := o.Lookup(depth / 2)
+			r, _ := o.Ref(depth / 2)
+			sink += e[0] + r[15]
+		}); n != 0 {
+			t.Errorf("depth %d: Lookup+Ref allocate %.1f times, want 0", depth, n)
+		}
+		if sink == 0 {
+			t.Fatal("reads saw no entry")
+		}
+	}
+}
+
+// TestOverlayConcurrentWholeEntries races readers against one writer
+// that alternates two whole values at one index and sets and clears its
+// neighbour: every read sees one of the written values whole, or an
+// invalid entry, never a mix.
+func TestOverlayConcurrentWholeEntries(t *testing.T) {
+	const idx, writes = 3, 20000
+	o := NewOverlay[wideEntry](8)
+	if err := o.Set(idx, wideOf(1)); err != nil {
+		t.Fatal(err)
+	}
+	whole := func(e wideEntry, want ...uint64) bool {
+		for _, w := range want {
+			if e == wideOf(w) {
+				return true
+			}
+		}
+		return false
+	}
+	var done atomic.Bool
+	var reads atomic.Int64
+	var wg sync.WaitGroup
+	errs := make(chan string, 4)
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !done.Load() {
+				if e, ok := o.Lookup(idx); !ok || !whole(e, 1, 2) {
+					errs <- fmt.Sprintf("Lookup(%d) = %v, %v", idx, e[:2], ok)
+					return
+				}
+				if p, ok := o.Ref(idx + 1); ok && !whole(*p, 3) {
+					errs <- fmt.Sprintf("Ref(%d) saw a torn entry %v", idx+1, p[:2])
+					return
+				}
+				reads.Add(1)
+			}
+		}()
+	}
+	for i := 0; (i < writes || reads.Load() < writes) && len(errs) == 0; i++ {
+		_ = o.Set(idx, wideOf(uint64(1+i%2)))
+		if i%2 == 0 {
+			_ = o.Set(idx+1, wideOf(3))
+		} else {
+			_ = o.Clear(idx + 1)
+		}
+	}
+	done.Store(true)
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }
 
@@ -192,6 +289,11 @@ func TestCAMClearModule(t *testing.T) {
 	}
 	if c.ValidCount(1) != 2 {
 		t.Error("module 1 entries disturbed by module 0 clear")
+	}
+	// A module with no entries leaves the published array as it was.
+	before := &c.Entries()[0]
+	if n := c.ClearModule(7); n != 0 || &c.Entries()[0] != before {
+		t.Errorf("ClearModule(7) of an absent module removed %d and republished: %v", n, &c.Entries()[0] != before)
 	}
 }
 
