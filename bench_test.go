@@ -414,45 +414,90 @@ func (fx *lbFixture) flowEntries(tb testing.TB, frames [][]byte) []FlowEntry {
 
 // BenchmarkInsertFlows is the in-process form of the flows256k_*
 // workloads' set-up: each op is a fresh device with Load Balancing
-// loaded and then 2^18 flows, each keyed by FlowKeyForFrame and
-// installed by ctrlplane.InsertFlow as its own reconfiguration packet.
-// Only the installs are timed; it reports ns/flow and allocs/flow.
+// loaded and then 2^18 flows installed; only the installs are timed.
+// The device arm keys each flow by FlowKeyForFrame and installs it by
+// ctrlplane.InsertFlow as its own reconfiguration packet; it reports
+// ns/flow and allocs/flow. The engine arm installs the same flows into
+// a 2-worker engine through InsertFlowsVerified, every shard into
+// tables of its own; it reports ns/flow and the size of the flow
+// tables, the distinct tables' slots at 32 B each, in MiB.
 func BenchmarkInsertFlows(b *testing.B) {
 	const flows = 1 << 18
 	frames := make([][]byte, flows)
 	for f := range frames {
 		frames[f] = trafficgen.FlowScaleFrame(1, f, 64)
 	}
-	var ms runtime.MemStats
-	var mallocs uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	b.Run("device", func(b *testing.B) {
+		var ms runtime.MemStats
+		var mallocs uint64
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			fx := newLBFixture(b)
+			cp := fx.dev.ControlPlane()
+			runtime.ReadMemStats(&ms)
+			mallocs -= ms.Mallocs
+			b.StartTimer()
+			for f, frame := range frames {
+				key, err := cp.FlowKeyForFrame(1, fx.stg, frame)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := cp.InsertFlow(1, fx.stg, key, int(fx.addrs[f%4])); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&ms)
+			mallocs += ms.Mallocs
+			if n := fx.dev.Pipeline().Stages[fx.stg].Hash.ModuleEntries(1); n != flows {
+				b.Fatalf("Load Balancing holds %d flows, want %d", n, flows)
+			}
+			b.StartTimer()
+		}
 		b.StopTimer()
-		fx := newLBFixture(b)
-		cp := fx.dev.ControlPlane()
-		runtime.ReadMemStats(&ms)
-		mallocs -= ms.Mallocs
-		b.StartTimer()
-		for f, frame := range frames {
-			key, err := cp.FlowKeyForFrame(1, fx.stg, frame)
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*flows), "ns/flow")
+		b.ReportMetric(float64(mallocs)/float64(b.N*flows), "allocs/flow")
+	})
+	b.Run("engine/workers=2", func(b *testing.B) {
+		var mib float64
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			fx := newLBFixture(b)
+			entries := fx.flowEntries(b, frames)
+			eng, err := fx.dev.NewEngine(EngineConfig{Workers: 2})
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := cp.InsertFlow(1, fx.stg, key, int(fx.addrs[f%4])); err != nil {
+			b.StartTimer()
+			if _, _, err := eng.InsertFlowsVerified(context.Background(), 1, fx.stg, entries, VerifyOpts{}); err != nil {
 				b.Fatal(err)
 			}
+			b.StopTimer()
+			distinct := map[*tables.Cuckoo]bool{}
+			for w := 0; w < eng.Workers(); w++ {
+				pipe, err := eng.ShardPipeline(w)
+				if err != nil {
+					b.Fatal(err)
+				}
+				t := pipe.Stages[fx.stg].Hash.Table(1)
+				if t == nil || t.Used() != flows {
+					b.Fatalf("shard %d does not hold the %d flows", w, flows)
+				}
+				distinct[t] = true
+			}
+			mib = 0
+			for t := range distinct {
+				mib += float64(t.Capacity()*32) / (1 << 20)
+			}
+			if err := eng.Close(); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
 		}
 		b.StopTimer()
-		runtime.ReadMemStats(&ms)
-		mallocs += ms.Mallocs
-		if n := fx.dev.Pipeline().Stages[fx.stg].Hash.ModuleEntries(1); n != flows {
-			b.Fatalf("Load Balancing holds %d flows, want %d", n, flows)
-		}
-		b.StartTimer()
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*flows), "ns/flow")
-	b.ReportMetric(float64(mallocs)/float64(b.N*flows), "allocs/flow")
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*flows), "ns/flow")
+		b.ReportMetric(mib, "MiB")
+	})
 }
 
 // BenchmarkProcessBatchFlows is the in-process form of the benchmark's

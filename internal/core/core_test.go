@@ -432,6 +432,101 @@ func TestReconfigDuringTrafficIsRaceFree(t *testing.T) {
 	<-done
 }
 
+// TestFlowWritesDuringTrafficAreRaceFree is the flow-table form of the
+// test above: the pipeline owns its flow tables and guards them with
+// its batch lock. While module 1's flow commands arrive down the daisy
+// chain — inserts enough to double its table several times, deletes,
+// and the inserts again — batches of module 1 and module 2 frames run
+// through the gather and match steps. Module 2 resolves its flows in
+// hash mode, and every module 2 frame must leave on the port its flow
+// names. Under -race this checks the lock discipline.
+func TestFlowWritesDuringTrafficAreRaceFree(t *testing.T) {
+	const flows2 = 4 * stage.FlowScanThreshold
+	fieldKey := func(v uint16) tables.Key {
+		var k tables.Key
+		k[20], k[21] = byte(v>>8), byte(v)
+		return k
+	}
+	p := NewDefault()
+	loadDirect(t, p, minimalModule(1, 7, setC2(1, 11)), defaultPlacement())
+	// Module 2 owns CAM addresses [1,5) of stage 1: four port actions
+	// behind keys no frame carries, so only its flows reach them.
+	m2 := minimalModule(2, 0, alu.Action{})
+	m2.Stages[1].Rules = nil
+	for i := uint16(0); i < 4; i++ {
+		var a alu.Action
+		a[24] = alu.Instr{Op: alu.OpPort, Imm: 1 + i}
+		m2.Stages[1].Rules = append(m2.Stages[1].Rules, Rule{Key: fieldKey(0xff00 + i), Mask: m2.Stages[1].Mask, Action: a})
+	}
+	pl2 := defaultPlacement()
+	pl2.CAMBase[1] = 1
+	loadDirect(t, p, m2, pl2)
+	push := func(valid bool, mod, v, addr uint16) error {
+		frame, err := reconfig.EncodePacket(mod, FlowCommand(1, FlowEntry{Valid: valid, ModID: mod, Addr: addr, Key: fieldKey(v)}))
+		if err != nil {
+			return err
+		}
+		return p.Chain.Push(frame)
+	}
+	for v := uint16(1); v <= flows2; v++ {
+		if err := push(true, 2, v, 1+v%4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if v := p.Stages[1].ViewFor(2); !v.HashMode() {
+		t.Fatal("module 2 is not in hash mode")
+	}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for round := 0; round < 2; round++ {
+			for v := uint16(0); v < 512; v++ {
+				if err := push(true, 1, v, 0); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			for v := uint16(0); v < 512; v += 2 {
+				if err := push(false, 1, v, 0); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	}()
+	frames := make([][]byte, 8)
+	res := make([]BatchResult, len(frames))
+	for i, running := 0, true; running || i < 50; i++ {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		for f := range frames {
+			v := uint16(i*len(frames)+f)%flows2 + 1
+			if f%2 == 0 {
+				frames[f] = dataFrame(1, v)
+			} else {
+				frames[f] = dataFrame(2, v)
+			}
+		}
+		if err := p.ProcessBatchInPlace(frames, 0, res); err != nil {
+			t.Fatal(err)
+		}
+		for f := 1; f < len(frames); f += 2 {
+			v := uint16(i*len(frames)+f)%flows2 + 1
+			if r := &res[f]; r.Dropped || r.EgressPort != uint8(1+v%4) {
+				t.Fatalf("module 2 frame with field %d: dropped %v, port %d; its flow names port %d", v, r.Dropped, r.EgressPort, 1+v%4)
+			}
+		}
+	}
+	// Each round ends with the odd keys installed, in a grown table.
+	if c := p.Stages[1].Hash.Table(1); c == nil || c.Used() != 256 || c.Capacity() < 512 {
+		t.Fatal("module 1's flow table does not hold 256 flows in at least 512 slots")
+	}
+}
+
 // TestProcessInterleavedWithProcessBatch runs one frame sequence twice —
 // every frame through Process, then the same frames alternating between
 // Process and ProcessBatchInPlace runs on a second pipeline — and

@@ -109,7 +109,13 @@ type Pipeline struct {
 	Stages   []*stage.Stage
 	Chain    *reconfig.DaisyChain
 
-	mu    sync.Mutex // serializes Process and the batch path, like the ingress wire
+	// mu is the batch lock. It serializes Process and the batch path,
+	// like the ingress wire, and it guards the stages' flow tables
+	// (stage.Stage.Hash), which the pipeline owns outright: Apply's flow
+	// writes and UnloadModule's clears take it, so a flow write waits
+	// for the batch in flight. Engine shards each own a pipeline, so a
+	// shard's worker is its flow tables' one reader and one writer.
+	mu    sync.Mutex
 	stats map[uint16]*ModuleStats
 
 	// batchViews caches per-module stage configuration for the frame
@@ -158,30 +164,6 @@ func (p *Pipeline) scratch(n int) []batchFrame {
 		p.batchScratch = make([]batchFrame, n)
 	}
 	return p.batchScratch[:n]
-}
-
-// ShareFlowTables points every stage's exact-match side (its per-module
-// directory of cuckoo tables) at the donor pipeline's, so each
-// (stage, tenant) flow table is one object for every shard. The engine
-// calls it once per extra worker replica before any worker starts:
-// flow entries are configuration, not per-flow state, and the cuckoo's
-// reads are wait-free, so replicas can resolve flows out of one shared
-// table instead of each holding a megabytes-deep copy per 10⁵-10⁶
-// flow tenant. Tenants still share nothing: each table has its own
-// writer lock and seqlock. Replayed flow commands fanned out to every
-// shard become idempotent re-inserts of the same entry, and the first
-// shard to apply an unload drops the tenant's table for all. A
-// hash-mode probe on one shard may therefore observe an install
-// slightly before that shard's own copy of the command lands;
-// scan-mode candidate lists and the flow cache still roll forward only
-// at the shard's own generation bump, exactly as with private tables.
-func (p *Pipeline) ShareFlowTables(donor *Pipeline) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for i, st := range p.Stages {
-		st.Hash = donor.Stages[i].Hash
-	}
-	p.InvalidateBatchViews()
 }
 
 // SetFlowCache installs (or, with nil, removes) the pipeline's
@@ -581,8 +563,11 @@ func (p *Pipeline) ConfigGen() uint64 { return p.cfgGen.Load() }
 // Stateful memory contents are deliberately excluded (per-flow state is
 // sharded and legitimately diverges between replicas). Call it at a
 // quiesce point: concurrent reconfiguration yields an unspecified (but
-// crash-free) result.
+// crash-free) result. It takes the batch lock, which guards the flow
+// tables it enumerates.
 func (p *Pipeline) ModuleChecksum(moduleID uint16) uint64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	h := fnv.New64a()
 	u64 := func(v uint64) {
 		var b [8]byte
@@ -968,6 +953,8 @@ func (p *Pipeline) Apply(cmd reconfig.Command) error {
 				}
 			}
 		}
+		p.mu.Lock()
+		defer p.mu.Unlock()
 		return st.WriteFlow(e.Valid, e.ModID, e.Key, int(e.Addr))
 	}
 	return fmt.Errorf("%w: unknown resource kind %d", ErrBadCommand, kind)
@@ -993,6 +980,8 @@ func (p *Pipeline) UnloadModule(moduleID uint16) error {
 	if err := p.Deparser.Table().Clear(idx); err != nil {
 		return err
 	}
+	p.mu.Lock() // the stage clears drop the module's flow tables
+	defer p.mu.Unlock()
 	for i, st := range p.Stages {
 		if err := st.ClearModule(idx); err != nil {
 			return fmt.Errorf("stage %d: %w", i, err)

@@ -256,18 +256,8 @@ func New(cfg Config) (*Engine, error) {
 	// drain-and-refill cycle of the whole engine.
 	e.pool.grow(cfg.Workers*4*cfg.BatchSize + 2*poolStash)
 	e.ctrl.qcond = sync.NewCond(&e.ctrl.qmu)
-	var flowDonor *core.Pipeline
 	for i := 0; i < cfg.Workers; i++ {
 		pipe := core.New(cfg.Geometry, cfg.Options)
-		// All shards resolve exact-match flows out of one shared cuckoo
-		// table per (stage, tenant) (wait-free reads): at million-flow
-		// scale a per-replica copy would multiply a megabytes-deep table
-		// by the worker count and thrash the cache hierarchy.
-		if flowDonor == nil {
-			flowDonor = pipe
-		} else {
-			pipe.ShareFlowTables(flowDonor)
-		}
 		client := ctrlplane.New(pipe)
 		for _, m := range cfg.Modules {
 			if _, err := client.LoadModule(m.Config, m.Placement); err != nil {

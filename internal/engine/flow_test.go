@@ -12,6 +12,8 @@ import (
 
 	menshen "repro"
 	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/faultinject"
 	"repro/internal/packet"
 	"repro/internal/reconfig"
 	"repro/internal/stage"
@@ -194,12 +196,12 @@ func TestEngineFlowCuckooEndToEnd(t *testing.T) {
 }
 
 // TestReloadBesideFlowsLeavesThemAlone is the §4.1 no-disruption claim
-// on the match layer: on a 2-worker engine, whose shards share one
-// cuckoo table per (stage, tenant), verified reloads and then the
+// on the match layer: on a 2-worker engine, where each shard owns its
+// own cuckoo table per (stage, tenant), verified reloads and then the
 // unload of a flow-less NetCache tenant leave Load Balancing's
-// hash-mode flows — the table object, count, configuration checksum,
-// and each flow's egress port — exactly as they were. Unloading Load
-// Balancing then drops its table once for all shards.
+// hash-mode flows — each shard's table object, count, configuration
+// checksum, and each flow's egress port — exactly as they were.
+// Unloading Load Balancing then drops each shard's own table.
 func TestReloadBesideFlowsLeavesThemAlone(t *testing.T) {
 	const flows = 4 * stage.FlowScanThreshold
 	dev := newDevice(t, "Load Balancing", "NetCache")
@@ -244,11 +246,13 @@ func TestReloadBesideFlowsLeavesThemAlone(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	dir := shards[0].Stages[stg].Hash
-	lbTable := dir.Table(1)
+	lbTables := make([]*tables.Cuckoo, len(shards))
 	for w, pipe := range shards {
-		if pipe.Stages[stg].Hash != dir {
-			t.Fatalf("shard %d does not share shard 0's flow tables", w)
+		lbTables[w] = pipe.Stages[stg].Hash.Table(1)
+		for o := range w {
+			if lbTables[w] == lbTables[o] {
+				t.Fatalf("shards %d and %d share one Load Balancing flow table", o, w)
+			}
 		}
 		if v := pipe.Stages[stg].ViewFor(1); !v.HashMode() {
 			t.Fatalf("shard %d: Load Balancing's flow stage is not in hash mode", w)
@@ -275,18 +279,18 @@ func TestReloadBesideFlowsLeavesThemAlone(t *testing.T) {
 	}
 	wantPorts := egress()
 	wantSums := shardChecksums(t, eng, 1)
-	// untouched checks that, after step, Load Balancing's flow table is
-	// the same object on every shard, holds every flow, and the shards'
+	// untouched checks that, after step, each shard still has its own
+	// Load Balancing flow table, holding every flow, and the shards'
 	// configuration checksums have not moved.
 	untouched := func(step string) {
 		t.Helper()
 		for w, pipe := range shards {
-			if pipe.Stages[stg].Hash.Table(1) != lbTable {
+			if pipe.Stages[stg].Hash.Table(1) != lbTables[w] {
 				t.Fatalf("%s: shard %d's Load Balancing flow table was replaced", step, w)
 			}
-		}
-		if n := dir.ModuleEntries(1); n != flows {
-			t.Fatalf("%s: Load Balancing holds %d flows, want %d", step, n, flows)
+			if n := lbTables[w].Used(); n != flows {
+				t.Fatalf("%s: shard %d's Load Balancing table holds %d flows, want %d", step, w, n, flows)
+			}
 		}
 		for w, cs := range shardChecksums(t, eng, 1) {
 			if cs != wantSums[w] {
@@ -320,14 +324,73 @@ func TestReloadBesideFlowsLeavesThemAlone(t *testing.T) {
 		t.Fatal(err)
 	}
 	quiesce(t, eng, gen)
-	if n := dir.ModuleEntries(1); n != 0 || dir.Table(1) != nil {
-		t.Fatalf("Load Balancing still holds %d flows after its unload", n)
+	for w, pipe := range shards {
+		if dir := pipe.Stages[stg].Hash; dir.Table(1) != nil {
+			t.Fatalf("shard %d still holds %d Load Balancing flows after its unload", w, dir.ModuleEntries(1))
+		}
 	}
 	css := shardChecksums(t, eng, 1)
 	for w, cs := range css[1:] {
 		if cs != css[0] {
 			t.Fatalf("shard %d checksum %#x != shard 0 %#x after unload", w+1, cs, css[0])
 		}
+	}
+}
+
+// TestLostFlowCommandShowsOnItsShard: each shard owns its flow tables,
+// so a flow command the control wire lost on one shard is missing from
+// that shard alone. On a 2-worker engine whose fault plan drops about
+// half the commands, one unverified burst of flow inserts leaves each
+// shard's Load Balancing table holding exactly the inserts that shard
+// applied (its ReconfigApplied delta), and ModuleChecksum tells the two
+// shards apart — the replica-parity check sees the loss.
+func TestLostFlowCommandShowsOnItsShard(t *testing.T) {
+	const flows = 4 * stage.FlowScanThreshold
+	eng := newRawEngine(t, engine.Config{Workers: 2}, "Load Balancing")
+	shards := make([]*core.Pipeline, eng.Workers())
+	for w := range shards {
+		var err error
+		if shards[w], err = eng.Pipeline(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stg, best := -1, 0
+	for i, st := range shards[0].Stages {
+		if n := st.Match.ValidCount(1); n > best {
+			stg, best = i, n
+		}
+	}
+	lo, _, ok := shards[0].Stages[stg].Match.PartitionOf(1)
+	if !ok {
+		t.Fatal("Load Balancing has no CAM partition in its table stage")
+	}
+	cmds := make([]reconfig.Command, flows)
+	for f := range cmds {
+		var key tables.Key
+		key[0], key[1] = byte(f>>8), byte(f)
+		cmds[f] = core.FlowCommand(stg, core.FlowEntry{Valid: true, ModID: 1, Addr: uint16(lo), Key: key})
+	}
+
+	before := eng.Stats()
+	eng.SetReconfigFault(faultinject.New(faultinject.Plan{Seed: 11, Drop: 0.5}))
+	gen, err := eng.ApplyUnverified(1, cmds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	quiesce(t, eng, gen)
+	after := eng.Stats()
+	for w, pipe := range shards {
+		applied := int(after.Workers[w].ReconfigApplied - before.Workers[w].ReconfigApplied)
+		t.Logf("shard %d applied %d of %d flow inserts", w, applied, flows)
+		if applied == 0 || applied == flows {
+			t.Fatalf("shard %d applied %d of %d flow inserts; the fault plan should drop about half", w, applied, flows)
+		}
+		if n := pipe.Stages[stg].Hash.ModuleEntries(1); n != applied {
+			t.Errorf("shard %d holds %d Load Balancing flows, but applied %d inserts", w, n, applied)
+		}
+	}
+	if cs := shards[0].ModuleChecksum(1); cs == shards[1].ModuleChecksum(1) {
+		t.Errorf("both shards report checksum %#x after losing different flow commands", cs)
 	}
 }
 

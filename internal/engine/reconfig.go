@@ -361,7 +361,9 @@ func (w *worker) enqueueOps(ops []shardOp) {
 // batch boundary and holds w.mu throughout, so a fence and the creation
 // of the fenced tenant's ring cannot interleave; pipeline writes use
 // the tables' own publication (per-entry atomic pointers, the CAM's
-// snapshot array, the flow tables' seqlocks). opsQueued drops only
+// snapshot array), and flow writes take the pipeline's batch lock over
+// flow tables this shard alone owns — run between batches, they never
+// wait on it. opsQueued drops only
 // once the operations are applied: until then the watchdog counts them
 // as pending work.
 func (w *worker) drainOps() uint64 {

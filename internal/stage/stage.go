@@ -255,7 +255,9 @@ type Stage struct {
 	// growing cuckoo table per module, each holding the module's
 	// per-flow entries, each entry resolving to a VLIW action address.
 	// Flow entries take precedence over CAM entries; ternary rules stay
-	// in the CAM.
+	// in the CAM. The tables are not safe for concurrent use: the
+	// pipeline holding the stage owns them and reads and writes them
+	// only under its batch lock.
 	Hash *tables.FlowTables
 	// Memory is the stage's stateful memory, reached through Segments.
 	Memory   *tables.StatefulMemory
@@ -433,29 +435,25 @@ func (v *View) HashMode() bool { return v.hash != nil }
 // misses overlap in the memory system instead of one frame's chain of
 // dependent misses at a time (group prefetching, Chen et al., ICDE
 // '04). A Gather is not safe for concurrent use; a pipeline owns one
-// and uses it under its batch lock.
+// and uses it under its batch lock, the lock that also guards the flow
+// tables whose lines it gathers.
 type Gather struct {
-	slots []*uint64
-	lines []*atomic.Uint64
+	words []*uint64
 }
 
-// Touch loads every gathered word and empties the gather. The slot
-// loads are atomic only so the compiler cannot discard them as dead;
-// the cache itself stays single-goroutine. Emptying clears the
+// Touch loads every gathered word and empties the gather. The loads
+// are atomic only so the compiler cannot discard them as dead; the
+// cache and the flow tables stay single-goroutine. Emptying clears the
 // pointers, so a gather never keeps a replaced cache or a grown
 // table's old bucket arrays alive.
 //
 //menshen:hotpath
 func (g *Gather) Touch() {
-	for _, w := range g.slots {
+	for _, w := range g.words {
 		_ = atomic.LoadUint64(w)
 	}
-	for _, w := range g.lines {
-		_ = w.Load()
-	}
-	clear(g.slots)
-	clear(g.lines)
-	g.slots, g.lines = g.slots[:0], g.lines[:0]
+	clear(g.words)
+	g.words = g.words[:0]
 }
 
 // flowLines returns the memory a hash-mode match of this PHV will read:
@@ -468,7 +466,7 @@ func (g *Gather) Touch() {
 // outside hash mode.
 //
 //menshen:hotpath
-func (v *View) flowLines(p *phv.PHV) (slot *uint64, lines [4]*atomic.Uint64, ok bool) {
+func (v *View) flowLines(p *phv.PHV) (slot *uint64, lines [4]*uint64, ok bool) {
 	if !v.Active || v.hash == nil {
 		return nil, lines, false
 	}
@@ -498,9 +496,9 @@ func (v *View) GatherFlow(g *Gather, p *phv.PHV) {
 		return
 	}
 	if slot != nil {
-		g.slots = append(g.slots, slot) //menshen:allocok the pipeline's gather grows to its largest batch once and is reused
+		g.words = append(g.words, slot) //menshen:allocok the pipeline's gather grows to its largest batch once and is reused
 	}
-	g.lines = append(g.lines, lines[:]...) //menshen:allocok the pipeline's gather grows to its largest batch once and is reused
+	g.words = append(g.words, lines[:]...) //menshen:allocok the pipeline's gather grows to its largest batch once and is reused
 }
 
 // PrefetchFlow loads, right away, the memory GatherFlow would gather
@@ -516,7 +514,7 @@ func (v *View) PrefetchFlow(p *phv.PHV) {
 		_ = atomic.LoadUint64(slot)
 	}
 	for _, w := range lines {
-		_ = w.Load()
+		_ = atomic.LoadUint64(w)
 	}
 }
 

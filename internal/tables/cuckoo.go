@@ -6,15 +6,12 @@
 // stores no module ID. Each entry carries an action address, decoupling
 // table depth from the VLIW table.
 //
-// Reads follow the same wait-free discipline as the CAM: the bucket
-// array is published behind an atomic pointer and every slot word is
-// accessed atomically, with a per-table seqlock (an even/odd version
-// counter) detecting concurrent mutation, so one module's writes never
-// make another module's readers retry. Lookup therefore takes no lock
-// and performs zero allocations; writers (the reconfiguration path)
-// serialize on the table's mutex and bump the version around each
-// mutation. A reader that keeps losing the seqlock race falls back to
-// the writer mutex, so reads cannot livelock under a mutation storm.
+// A table has one owner: the pipeline whose stage holds it, which reads
+// and writes it only under its batch lock. Every engine shard owns its
+// own tables (run-to-completion, as NDN-DPDK's forwarding threads own
+// their table partitions), so its worker is the one reader and the one
+// writer. A table is therefore plain memory: no lock, no seqlock, no
+// atomic slot words. Lookup performs zero allocations.
 //
 // Insert hashes the key once and scans its two buckets once, for a
 // duplicate and a free slot; only when both are full does it walk a
@@ -26,8 +23,6 @@ package tables
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 )
 
 // ErrCuckooFull is returned when insertion cannot place an entry after
@@ -42,10 +37,7 @@ const cuckooWays = 4
 // cuckooSlot is one bucket slot, sized to exactly 32 bytes so a 4-way
 // bucket spans two cache lines. Only key words 0-2 are stored here: a
 // KeyWords' word 3 is the key's single tail byte (see the KeyWords
-// doc), so it rides inside ctrl instead of burning a fourth word. Every
-// field is an atomic so concurrent readers are race-free; the ctrl word
-// is written last when a slot becomes valid (publish-after-key
-// ordering).
+// doc), so it rides inside ctrl instead of burning a fourth word.
 type cuckooSlot struct {
 	// ctrl packs valid (bit 63), a 31-bit key fingerprint (bits
 	// 32..62), key word 3 — the tail byte (bits 24..31) — and the
@@ -53,8 +45,8 @@ type cuckooSlot struct {
 	// lets a probe reject a non-matching slot on the single ctrl load —
 	// everything above the address is compared as one word — without
 	// touching the key words.
-	ctrl atomic.Uint64
-	kw   [3]atomic.Uint64
+	ctrl uint64
+	kw   [3]uint64
 }
 
 const (
@@ -71,10 +63,8 @@ const (
 // of flow entries).
 const MaxCuckooAddr = 1<<cuckooAddrBits - 1
 
-// cuckooState is one published generation of the bucket arrays. Growth
-// builds a fresh state and republishes the pointer; the arrays
-// themselves are mutated in place (slot-atomically) by inserts and
-// deletes.
+// cuckooState is the table's bucket arrays. Growth replaces it with a
+// state twice the size; inserts and deletes write it in place.
 type cuckooState struct {
 	nb    int    // buckets per side; always a power of two
 	mask  uint64 // nb - 1: bucket index is hash & mask, no division
@@ -90,19 +80,15 @@ func newCuckooState(nb int) *cuckooState {
 
 // Cuckoo is a two-choice, 4-way set-associative cuckoo hash table
 // mapping a key to an action address: one module's flow table. Exact
-// match only. Lookups are wait-free (no lock, zero allocations);
-// writers serialize on an internal mutex.
+// match only. It is not safe for concurrent use: its owner serializes
+// every read and write (a pipeline does so under its batch lock).
 type Cuckoo struct {
-	mu    sync.Mutex // serializes writers
-	state atomic.Pointer[cuckooState]
-	// version is the seqlock: odd while a writer is mutating. Readers
-	// snapshot it before and after probing and retry on change.
-	version atomic.Uint64
-	used    atomic.Int64
-	// grow, when set, lets Insert double the bucket count instead of
-	// failing when the relocation bound is hit or the load factor
+	state *cuckooState
+	used  int
+	// growable, when set, lets Insert double the bucket count instead
+	// of failing when the relocation bound is hit or the load factor
 	// crosses the growth threshold.
-	grow bool
+	growable bool
 }
 
 // NewCuckoo returns a fixed-capacity table with room for about
@@ -116,9 +102,7 @@ func NewCuckoo(capacity int) *Cuckoo {
 	for nb < need {
 		nb *= 2
 	}
-	c := &Cuckoo{}
-	c.state.Store(newCuckooState(nb))
-	return c
+	return &Cuckoo{state: newCuckooState(nb)}
 }
 
 // NewGrowingCuckoo returns a table that starts at the given capacity
@@ -128,20 +112,17 @@ func NewCuckoo(capacity int) *Cuckoo {
 // and may reach millions.
 func NewGrowingCuckoo(capacity int) *Cuckoo {
 	c := NewCuckoo(capacity)
-	c.grow = true
+	c.growable = true
 	return c
 }
 
 // Capacity returns the total slot count.
-func (c *Cuckoo) Capacity() int {
-	st := c.state.Load()
-	return 2 * st.nb * cuckooWays
-}
+func (c *Cuckoo) Capacity() int { return 2 * c.state.nb * cuckooWays }
 
-// Used returns the number of occupied slots. It is a single atomic
-// load, cheap enough for view resolution to choose between the CAM
-// word-scan and the hash-probe match mode.
-func (c *Cuckoo) Used() int { return int(c.used.Load()) }
+// Used returns the number of occupied slots, cheap enough for view
+// resolution to choose between the CAM word-scan and the hash-probe
+// match mode.
+func (c *Cuckoo) Used() int { return c.used }
 
 // cuckooHashBase mixes the key words with word-wise FNV-1a. Word-wise
 // FNV leaves the low bits weakly mixed (the multiply only carries
@@ -185,50 +166,21 @@ func cuckooHash(side int, kw *KeyWords) uint64 {
 func cuckooFP(h0 uint64) uint64 { return h0 >> 33 }
 
 // slotKWEqual reports whether the slot's stored key words equal kw's
-// words 0-2 (word 3 lives in ctrl and is matched there). All loads are
-// atomic so concurrent mutation is race-free; the caller's seqlock
-// check rejects torn reads.
+// words 0-2 (word 3 lives in ctrl and is matched there).
 //
 //menshen:hotpath
 func slotKWEqual(s *cuckooSlot, kw *KeyWords) bool {
-	return s.kw[0].Load() == kw[0] &&
-		s.kw[1].Load() == kw[1] &&
-		s.kw[2].Load() == kw[2]
+	return s.kw[0] == kw[0] && s.kw[1] == kw[1] && s.kw[2] == kw[2]
 }
 
-// probe scans both candidate buckets of kw in st and returns the
-// stored address. The hit path rejects slots on a single masked compare
-// of the ctrl word (valid + fingerprint + key tail byte); the remaining
-// key words are only loaded on a fingerprint match. Both buckets' first
-// lines are touched up front so their cache misses overlap instead of
-// serializing.
-//
-//menshen:hotpath
-func probe(st *cuckooState, kw *KeyWords) (int, bool) {
-	hb := cuckooHashBase(kw)
-	h0 := cuckooMix(hb ^ cuckooSalt(0))
-	b0 := st.slots[0][int(h0&st.mask)*cuckooWays:][:cuckooWays]
-	b1 := st.slots[1][int(cuckooMix(hb^cuckooSalt(1))&st.mask)*cuckooWays:][:cuckooWays]
-	spec := b1[0].ctrl.Load() // start side 1's fetch before scanning side 0
-	want := cuckooValid | cuckooFP(h0)<<32 | (kw[3]&0xff)<<24
-	for w := range b0 {
-		s := &b0[w]
-		ctrl := s.ctrl.Load()
-		if ctrl&cuckooMatchMask == want && slotKWEqual(s, kw) {
-			return int(ctrl & cuckooAddrMask), true
-		}
-	}
-	for w := range b1 {
-		s := &b1[w]
-		ctrl := spec
-		if w != 0 {
-			ctrl = s.ctrl.Load()
-		}
-		if ctrl&cuckooMatchMask == want && slotKWEqual(s, kw) {
-			return int(ctrl & cuckooAddrMask), true
-		}
-	}
-	return 0, false
+// makeSlot is the slot holding kw with the given ctrl word.
+func makeSlot(kw *KeyWords, ctrl uint64) cuckooSlot {
+	return cuckooSlot{ctrl: ctrl, kw: [3]uint64{kw[0], kw[1], kw[2]}}
+}
+
+// words reconstitutes the slot's key, word 3 from the ctrl word.
+func (s *cuckooSlot) words() KeyWords {
+	return KeyWords{s.kw[0], s.kw[1], s.kw[2], s.ctrl >> 24 & 0xff}
 }
 
 // BucketLines returns the words that start each cache line a
@@ -237,79 +189,63 @@ func probe(st *cuckooState, kw *KeyWords) (int, bool) {
 // buckets. The batched pipeline gathers every frame's lines this way
 // and then loads them back to back (stage.Gather.Touch), so the misses
 // of a whole batch are in flight together instead of one frame's at a
-// time. The words come from the state published now; if a writer grows
-// the table before the probe, the probe reads the new arrays and the
-// loads were merely wasted.
+// time.
 //
 //menshen:hotpath
-func (c *Cuckoo) BucketLines(kw *KeyWords) [4]*atomic.Uint64 {
-	st := c.state.Load()
+func (c *Cuckoo) BucketLines(kw *KeyWords) [4]*uint64 {
+	st := c.state
 	hb := cuckooHashBase(kw)
 	b0 := st.slots[0][int(cuckooMix(hb^cuckooSalt(0))&st.mask)*cuckooWays:][:cuckooWays]
 	b1 := st.slots[1][int(cuckooMix(hb^cuckooSalt(1))&st.mask)*cuckooWays:][:cuckooWays]
 	// Slots are 32 bytes, so a 4-way bucket is exactly two cache lines
 	// and slots 0 and 2 start them.
-	return [4]*atomic.Uint64{&b0[0].ctrl, &b0[2].ctrl, &b1[0].ctrl, &b1[2].ctrl}
+	return [4]*uint64{&b0[0].ctrl, &b0[2].ctrl, &b1[0].ctrl, &b1[2].ctrl}
 }
 
-// cuckooReadRetries is how many seqlock rounds a reader attempts before
-// falling back to the writer mutex.
-const cuckooReadRetries = 8
-
 // LookupWords returns the action address for kw, the already-masked
-// key in word form. It is the hot-path entry point: no lock, no
-// allocation, wait-free unless a writer of this table is mid-mutation.
+// key in word form. It is the hot-path entry point: no allocation. The
+// probe scans both candidate buckets, rejecting slots on a single
+// masked compare of the ctrl word (valid + fingerprint + key tail
+// byte); the remaining key words are only loaded on a fingerprint
+// match. Side 1's first ctrl word is loaded up front so both buckets'
+// cache misses overlap instead of serializing.
 //
 //menshen:hotpath
 func (c *Cuckoo) LookupWords(kw *KeyWords) (int, bool) {
-	for try := 0; try < cuckooReadRetries; try++ {
-		v1 := c.version.Load()
-		if v1&1 != 0 {
-			continue
-		}
-		st := c.state.Load()
-		addr, ok := probe(st, kw)
-		if c.version.Load() == v1 {
-			return addr, ok
+	st := c.state
+	hb := cuckooHashBase(kw)
+	h0 := cuckooMix(hb ^ cuckooSalt(0))
+	b0 := st.slots[0][int(h0&st.mask)*cuckooWays:][:cuckooWays]
+	b1 := st.slots[1][int(cuckooMix(hb^cuckooSalt(1))&st.mask)*cuckooWays:][:cuckooWays]
+	spec := b1[0].ctrl // start side 1's fetch before scanning side 0
+	want := cuckooValid | cuckooFP(h0)<<32 | (kw[3]&0xff)<<24
+	for w := range b0 {
+		s := &b0[w]
+		if s.ctrl&cuckooMatchMask == want && slotKWEqual(s, kw) {
+			return int(s.ctrl & cuckooAddrMask), true
 		}
 	}
-	// A writer kept invalidating the optimistic read; serialize with it.
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return probe(c.state.Load(), kw)
+	if spec&cuckooMatchMask == want && slotKWEqual(&b1[0], kw) {
+		return int(spec & cuckooAddrMask), true
+	}
+	for w := 1; w < cuckooWays; w++ {
+		s := &b1[w]
+		if s.ctrl&cuckooMatchMask == want && slotKWEqual(s, kw) {
+			return int(s.ctrl & cuckooAddrMask), true
+		}
+	}
+	return 0, false
 }
 
-// LookupWordsBatch resolves a group of already-masked keys in a single
-// seqlock round: out[i] receives the address for kws[i] or -1 on miss,
-// and the hit count is returned. Grouping the
-// probes amortizes the version handshake across the batch — the
-// software analogue of issuing the batch's hash reads back to back.
-// out must be at least as long as kws.
+// LookupWordsBatch resolves a group of already-masked keys: out[i]
+// receives the address for kws[i] or -1 on miss, and the hit count is
+// returned. out must be at least as long as kws.
 //
 //menshen:hotpath
 func (c *Cuckoo) LookupWordsBatch(kws []KeyWords, out []int32) int {
-	for try := 0; try < cuckooReadRetries; try++ {
-		v1 := c.version.Load()
-		if v1&1 != 0 {
-			continue
-		}
-		hits := probeBatch(c.state.Load(), kws, out)
-		if c.version.Load() == v1 {
-			return hits
-		}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return probeBatch(c.state.Load(), kws, out)
-}
-
-// probeBatch probes st for every key of kws (see LookupWordsBatch).
-//
-//menshen:hotpath
-func probeBatch(st *cuckooState, kws []KeyWords, out []int32) int {
 	hits := 0
 	for i := range kws {
-		if addr, ok := probe(st, &kws[i]); ok {
+		if addr, ok := c.LookupWords(&kws[i]); ok {
 			out[i] = int32(addr)
 			hits++
 		} else {
@@ -329,20 +265,16 @@ type CuckooEntry struct {
 
 // Entries enumerates the table in deterministic table order (side,
 // bucket, way), or returns nil when it is empty. It is a control-path
-// operation: it takes the writer mutex and allocates the result.
+// operation and allocates the result.
 func (c *Cuckoo) Entries() []CuckooEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := c.Used()
-	if n == 0 {
+	if c.used == 0 {
 		return nil
 	}
-	out := make([]CuckooEntry, 0, n)
-	st := c.state.Load()
-	for side := 0; side < 2; side++ {
-		for i := range st.slots[side] {
-			if kw, ctrl := loadSlot(&st.slots[side][i]); ctrl&cuckooValid != 0 {
-				out = append(out, CuckooEntry{Words: kw, Addr: int32(ctrl & cuckooAddrMask)})
+	out := make([]CuckooEntry, 0, c.used)
+	for side := range c.state.slots {
+		for i := range c.state.slots[side] {
+			if s := &c.state.slots[side][i]; s.ctrl&cuckooValid != 0 {
+				out = append(out, CuckooEntry{Words: s.words(), Addr: int32(s.ctrl & cuckooAddrMask)})
 			}
 		}
 	}
@@ -352,7 +284,7 @@ func (c *Cuckoo) Entries() []CuckooEntry {
 // locate scans kw's two buckets in st once, from one hash base. It
 // returns kw's match word (valid, fingerprint, tail byte), the slot
 // holding kw (or nil) and the first free slot, side 0 first (nil when
-// both buckets are full). Caller holds c.mu.
+// both buckets are full).
 func locate(st *cuckooState, kw *KeyWords) (want uint64, hit, free *cuckooSlot) {
 	hb := cuckooHashBase(kw)
 	h0 := cuckooMix(hb ^ cuckooSalt(0))
@@ -361,11 +293,10 @@ func locate(st *cuckooState, kw *KeyWords) (want uint64, hit, free *cuckooSlot) 
 		b := st.slots[side][int(h&st.mask)*cuckooWays:][:cuckooWays]
 		for w := range b {
 			s := &b[w]
-			ctrl := s.ctrl.Load()
-			if ctrl&cuckooMatchMask == want && slotKWEqual(s, kw) {
+			if s.ctrl&cuckooMatchMask == want && slotKWEqual(s, kw) {
 				return want, s, nil
 			}
-			if ctrl&cuckooValid == 0 && free == nil {
+			if s.ctrl&cuckooValid == 0 && free == nil {
 				free = s
 			}
 		}
@@ -373,37 +304,8 @@ func locate(st *cuckooState, kw *KeyWords) (want uint64, hit, free *cuckooSlot) 
 	return want, nil, free
 }
 
-// storeSlot writes the entry into the empty slot s with publish-after-key
-// ordering: key words 0-2 land, then the ctrl word (key word 3 and the
-// metadata) makes it visible. Caller holds c.mu inside a seqlock
-// window, or owns an unpublished state.
-func storeSlot(s *cuckooSlot, kw *KeyWords, ctrl uint64) {
-	s.kw[0].Store(kw[0])
-	s.kw[1].Store(kw[1])
-	s.kw[2].Store(kw[2])
-	s.ctrl.Store(ctrl)
-}
-
-// swapSlot replaces s's entry with (kw, ctrl) and returns the entry it
-// held. Caller holds c.mu inside a seqlock window.
-func swapSlot(s *cuckooSlot, kw *KeyWords, ctrl uint64) (KeyWords, uint64) {
-	oKW, oCtrl := loadSlot(s)
-	s.ctrl.Store(0)
-	storeSlot(s, kw, ctrl)
-	return oKW, oCtrl
-}
-
-// loadSlot reads the slot's full contents, reconstituting key word 3
-// from the ctrl word (caller holds c.mu).
-func loadSlot(s *cuckooSlot) (kw KeyWords, ctrl uint64) {
-	ctrl = s.ctrl.Load()
-	kw = KeyWords{s.kw[0].Load(), s.kw[1].Load(), s.kw[2].Load(), ctrl >> 24 & 0xff}
-	return kw, ctrl
-}
-
-// cuckooMaxKicks caps the relocation walk, which runs with the writer
-// mutex held and the seqlock odd: its length is how long one insert can
-// stall the table's readers, so it must not grow with the table.
+// cuckooMaxKicks caps the relocation walk: its length is what one
+// insert can cost, so it must not grow with the table.
 const cuckooMaxKicks = 512
 
 // cuckooKicks is the relocation bound for nb buckets per side: eight
@@ -412,65 +314,54 @@ func cuckooKicks(nb int) int { return min(8*nb*cuckooWays, cuckooMaxKicks) }
 
 // Insert places key -> addr with one probe: a single pass over both
 // candidate buckets finds a duplicate (updated in place) or the first
-// free slot, filled inside one seqlock window. Only when both buckets
-// are full does it walk a relocation chain, of at most cuckooKicks
-// evictions. On failure every eviction is rolled back, leaving the table
-// unchanged; a growing table doubles its buckets instead of failing.
+// free slot. Only when both buckets are full does it walk a relocation
+// chain, of at most cuckooKicks evictions. On failure every eviction is
+// rolled back, leaving the table unchanged; a growing table doubles its
+// buckets instead of failing.
 func (c *Cuckoo) Insert(key Key, addr int) error {
 	if addr < 0 || addr > MaxCuckooAddr {
 		return fmt.Errorf("tables: cuckoo action address %d outside [0, %d]", addr, MaxCuckooAddr)
 	}
 	kw := key.Words()
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	for {
-		st := c.state.Load()
+		st := c.state
 		want, hit, free := locate(st, &kw)
 		ctrl := want | uint64(addr)
 		switch {
 		case hit != nil:
-			c.version.Add(1)
-			hit.ctrl.Store(ctrl)
-			c.version.Add(1)
+			hit.ctrl = ctrl
 			return nil
-		case c.grow && int(c.used.Load())*8 >= 2*st.nb*cuckooWays*7:
+		case c.growable && c.used*8 >= 2*st.nb*cuckooWays*7:
 			// Above ~87% load relocation chains get long; double early.
-			c.growLocked()
+			c.grow()
 			continue
 		case free != nil:
-			c.version.Add(1)
-			storeSlot(free, &kw, ctrl)
-			c.version.Add(1)
-		case !c.relocateLocked(st, &kw, ctrl):
-			if !c.grow {
+			*free = makeSlot(&kw, ctrl)
+		case !c.relocate(makeSlot(&kw, ctrl)):
+			if !c.growable {
 				return fmt.Errorf("%w: after %d kicks", ErrCuckooFull, cuckooKicks(st.nb))
 			}
-			c.growLocked()
+			c.grow()
 			continue
 		}
-		c.used.Add(1)
+		c.used++
 		return nil
 	}
 }
 
-// relocateLocked places kw with its ctrl word into st by a cuckoo walk
-// from side 0, evicting at most cuckooKicks(st.nb) entries. On failure
-// the eviction path is walked backwards so the table is byte-identical
-// to before the call. Caller holds c.mu; the whole walk runs inside one
-// seqlock window so readers never observe a half-moved entry.
-func (c *Cuckoo) relocateLocked(st *cuckooState, kw *KeyWords, ctrl uint64) bool {
+// relocate places cur by a cuckoo walk from side 0, evicting at most
+// cuckooKicks entries. On failure the eviction path is walked backwards
+// so the table is byte-identical to before the call.
+func (c *Cuckoo) relocate(cur cuckooSlot) bool {
+	st := c.state
 	path := make([]*cuckooSlot, 0, cuckooMaxKicks)
-	curKW, curCtrl := *kw, ctrl
-
-	c.version.Add(1)
-	defer c.version.Add(1)
-
 	side := 0
 	for kick := 0; kick < cuckooKicks(st.nb); kick++ {
-		slots := st.slots[side][int(cuckooHash(side, &curKW)&st.mask)*cuckooWays:][:cuckooWays]
+		kw := cur.words()
+		slots := st.slots[side][int(cuckooHash(side, &kw)&st.mask)*cuckooWays:][:cuckooWays]
 		for w := range slots {
-			if slots[w].ctrl.Load()&cuckooValid == 0 {
-				storeSlot(&slots[w], &curKW, curCtrl)
+			if slots[w].ctrl&cuckooValid == 0 {
+				slots[w] = cur
 				return true
 			}
 		}
@@ -478,58 +369,52 @@ func (c *Cuckoo) relocateLocked(st *cuckooState, kw *KeyWords, ctrl uint64) bool
 		// other side.
 		s := &slots[kick%cuckooWays]
 		path = append(path, s)
-		curKW, curCtrl = swapSlot(s, &curKW, curCtrl)
+		cur, *s = *s, cur
 		side = 1 - side
 	}
 	// Failure: walk the eviction path backwards, undoing each swap, so
 	// the displaced survivor chain is restored and the new key is out.
 	for i := len(path) - 1; i >= 0; i-- {
-		curKW, curCtrl = swapSlot(path[i], &curKW, curCtrl)
+		cur, *path[i] = *path[i], cur
 	}
 	return false
 }
 
-// growLocked doubles the bucket count by splitting every bucket, then
-// publishes the fresh state. Bucket counts are powers of two, so an
-// entry in bucket b of side s belongs in bucket b or b+nb of the same
-// side afterwards, as the next bit of its side-s hash decides. Each new
-// bucket receives entries from one old bucket only, at most cuckooWays
-// of them: the split cannot overflow and cannot fail. Caller holds c.mu.
-func (c *Cuckoo) growLocked() {
-	old := c.state.Load()
+// grow doubles the bucket count by splitting every bucket. Bucket
+// counts are powers of two, so an entry in bucket b of side s belongs
+// in bucket b or b+nb of the same side afterwards, as the next bit of
+// its side-s hash decides. Each new bucket receives entries from one
+// old bucket only, at most cuckooWays of them: the split cannot
+// overflow and cannot fail.
+func (c *Cuckoo) grow() {
+	old := c.state
 	fresh := newCuckooState(old.nb * 2)
 	for side := range old.slots {
 		for b := 0; b < old.nb; b++ {
 			var n [2]int // entries placed in bucket b and in b+nb
-			for w := 0; w < cuckooWays; w++ {
-				kw, ctrl := loadSlot(&old.slots[side][b*cuckooWays+w])
-				if ctrl&cuckooValid == 0 {
+			for _, s := range old.slots[side][b*cuckooWays:][:cuckooWays] {
+				if s.ctrl&cuckooValid == 0 {
 					continue
 				}
+				kw := s.words()
 				hi := 0
 				if cuckooHash(side, &kw)&uint64(old.nb) != 0 {
 					hi = 1
 				}
-				storeSlot(&fresh.slots[side][(b+hi*old.nb)*cuckooWays+n[hi]], &kw, ctrl)
+				fresh.slots[side][(b+hi*old.nb)*cuckooWays+n[hi]] = s
 				n[hi]++
 			}
 		}
 	}
-	c.version.Add(1)
-	c.state.Store(fresh)
-	c.version.Add(1)
+	c.state = fresh
 }
 
 // Delete removes key, reporting whether it was present.
 func (c *Cuckoo) Delete(key Key) bool {
 	kw := key.Words()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, s, _ := locate(c.state.Load(), &kw); s != nil {
-		c.version.Add(1)
-		s.ctrl.Store(0)
-		c.version.Add(1)
-		c.used.Add(-1)
+	if _, s, _ := locate(c.state, &kw); s != nil {
+		s.ctrl = 0
+		c.used--
 		return true
 	}
 	return false
@@ -538,20 +423,18 @@ func (c *Cuckoo) Delete(key Key) bool {
 // FlowTables is a stage's exact-match side: one growing Cuckoo per
 // module, held in a directory sized like the stage's overlays, so the
 // flow tables are space-partitioned the way the CAM and the overlays
-// are (§3.1). Each module's table has its own writer mutex and seqlock:
-// one module's inserts, growth or unload never make another module's
-// readers retry or wait. Table is wait-free (one atomic load), and so is
-// Open of a table that exists; creation and ClearModule serialize on the
-// directory's mutex.
+// are (§3.1): one module's inserts, growth or unload never touch
+// another module's table. Like its tables, a directory has one owner,
+// which serializes every call (a pipeline does so under its batch
+// lock).
 type FlowTables struct {
-	mu     sync.Mutex // serializes table creation and ClearModule
-	tables []atomic.Pointer[Cuckoo]
+	tables []*Cuckoo
 }
 
 // NewFlowTables returns a directory for module indices [0, depth); use
 // OverlayDepth for the paper's geometry.
 func NewFlowTables(depth int) *FlowTables {
-	return &FlowTables{tables: make([]atomic.Pointer[Cuckoo], depth)}
+	return &FlowTables{tables: make([]*Cuckoo, depth)}
 }
 
 // Table returns mod's flow table, or nil when it has none (no flow yet,
@@ -560,44 +443,32 @@ func (f *FlowTables) Table(mod uint16) *Cuckoo {
 	if int(mod) >= len(f.tables) {
 		return nil
 	}
-	return f.tables[mod].Load()
+	return f.tables[mod]
 }
 
 // Open returns mod's flow table, creating it on the module's first
 // flow. A module index at or past the depth is ErrIndexRange, as on the
-// overlays. A table that exists costs one atomic load; only creation
-// takes the directory's mutex.
+// overlays.
 func (f *FlowTables) Open(mod uint16) (*Cuckoo, error) {
 	if int(mod) >= len(f.tables) {
 		return nil, fmt.Errorf("%w: flow table index %d (depth %d)", ErrIndexRange, mod, len(f.tables))
 	}
-	if t := f.tables[mod].Load(); t != nil {
-		return t, nil
+	if f.tables[mod] == nil {
+		f.tables[mod] = NewGrowingCuckoo(CAMDepth)
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	t := f.tables[mod].Load()
-	if t == nil {
-		t = NewGrowingCuckoo(CAMDepth)
-		f.tables[mod].Store(t)
-	}
-	return t, nil
+	return f.tables[mod], nil
 }
 
 // ClearModule drops mod's flow table and returns how many entries it
-// held — the same per-module clearing contract as the CAM. It swaps one
-// pointer: O(1), and no other module's table is touched. Readers still
-// holding the dropped table finish against it.
+// held — the same per-module clearing contract as the CAM. It drops one
+// pointer: O(1), and no other module's table is touched.
 func (f *FlowTables) ClearModule(mod uint16) int {
-	if int(mod) >= len(f.tables) {
+	t := f.Table(mod)
+	if t == nil {
 		return 0
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if t := f.tables[mod].Swap(nil); t != nil {
-		return t.Used()
-	}
-	return 0
+	f.tables[mod] = nil
+	return t.Used()
 }
 
 // ModuleEntries returns the number of mod's flow entries.
