@@ -117,11 +117,18 @@ type stageAlloc struct {
 	memSpans []span
 }
 
-func (s *stageAlloc) firstFit(spans []span, size, limit int) (int, bool) {
+// firstFit finds the lowest free offset for size units below limit,
+// treating the spans of module skip as free.
+func firstFit(spans []span, skip uint16, size, limit int) (int, bool) {
 	if size == 0 {
 		return 0, true
 	}
-	sorted := append([]span(nil), spans...)
+	sorted := make([]span, 0, len(spans))
+	for _, sp := range spans {
+		if sp.mod != skip {
+			sorted = append(sorted, sp)
+		}
+	}
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].lo < sorted[j].lo })
 	at := 0
 	for _, sp := range sorted {
@@ -170,53 +177,60 @@ func (a *Allocator) Loaded() []uint16 {
 	return out
 }
 
-// Admit checks the module against capacity and policy and allocates its
-// placement. The module is recorded as loaded on success.
+// Admit places a module that is not loaded yet and records it: Place,
+// then Record.
 func (a *Allocator) Admit(m *core.ModuleConfig) (core.Placement, error) {
-	var pl core.Placement
 	if _, dup := a.loaded[m.ModuleID]; dup {
-		return pl, fmt.Errorf("%w: id %d", ErrDuplicate, m.ModuleID)
+		return core.Placement{}, fmt.Errorf("%w: id %d", ErrDuplicate, m.ModuleID)
 	}
+	pl, err := a.Place(m)
+	if err == nil {
+		a.Record(m, pl)
+	}
+	return pl, err
+}
+
+// Place checks the module against capacity and policy and finds its
+// placement, recording nothing. The module's own loaded resources, if
+// any, count as free: a reload is placed as if the old program were
+// gone, which it will be when the reload commits (Release, then
+// Record).
+func (a *Allocator) Place(m *core.ModuleConfig) (core.Placement, error) {
+	var pl core.Placement
 	if int(m.ModuleID) >= a.cap.Modules {
 		return pl, fmt.Errorf("%w: module ID %d exceeds the %d-module overlay depth",
 			ErrAdmission, m.ModuleID, a.cap.Modules)
 	}
-	if len(a.loaded) >= a.cap.Modules {
+	existing := make([]core.ResourceDemand, 0, len(a.loaded))
+	for id, d := range a.loaded {
+		if id != m.ModuleID {
+			existing = append(existing, d)
+		}
+	}
+	if len(existing) >= a.cap.Modules {
 		return pl, fmt.Errorf("%w: all %d module slots in use", ErrAdmission, a.cap.Modules)
 	}
 	if len(m.Stages) > a.cap.Stages {
 		return pl, fmt.Errorf("%w: module uses %d stages, pipeline has %d",
 			ErrAdmission, len(m.Stages), a.cap.Stages)
 	}
-
-	demand := m.Demand()
-	existing := make([]core.ResourceDemand, 0, len(a.loaded))
-	for _, d := range a.loaded {
-		existing = append(existing, d)
-	}
-	if err := a.policy.Admit(a.cap, existing, demand); err != nil {
+	if err := a.policy.Admit(a.cap, existing, m.Demand()); err != nil {
 		return pl, fmt.Errorf("policy %s: %w", a.policy.Name(), err)
 	}
 
-	// Tentatively place every stage; commit only if all fit.
 	pl.CAMBase = make([]int, len(m.Stages))
 	pl.SegBase = make([]uint8, len(m.Stages))
-	type commit struct {
-		stage    int
-		cam, mem span
-	}
-	var commits []commit
 	for s, sc := range m.Stages {
 		if !sc.Used {
 			continue
 		}
 		st := &a.stages[s]
-		camAt, ok := st.firstFit(st.camSpans, sc.PartitionSize(), a.cap.CAMPerStage)
+		camAt, ok := firstFit(st.camSpans, m.ModuleID, sc.PartitionSize(), a.cap.CAMPerStage)
 		if !ok {
 			return core.Placement{}, fmt.Errorf("%w: stage %d cannot fit %d match entries (CAM depth %d)",
 				ErrAdmission, s, sc.PartitionSize(), a.cap.CAMPerStage)
 		}
-		memAt, ok := st.firstFit(st.memSpans, int(sc.SegmentWords), a.cap.MemPerStage)
+		memAt, ok := firstFit(st.memSpans, m.ModuleID, int(sc.SegmentWords), a.cap.MemPerStage)
 		if !ok {
 			return core.Placement{}, fmt.Errorf("%w: stage %d cannot fit %d stateful words (memory %d)",
 				ErrAdmission, s, sc.SegmentWords, a.cap.MemPerStage)
@@ -227,78 +241,27 @@ func (a *Allocator) Admit(m *core.ModuleConfig) (core.Placement, error) {
 		}
 		pl.CAMBase[s] = camAt
 		pl.SegBase[s] = uint8(memAt)
-		commits = append(commits, commit{
-			stage: s,
-			cam:   span{mod: m.ModuleID, lo: camAt, hi: camAt + sc.PartitionSize()},
-			mem:   span{mod: m.ModuleID, lo: memAt, hi: memAt + int(sc.SegmentWords)},
-		})
 	}
-	for _, c := range commits {
-		st := &a.stages[c.stage]
-		if c.cam.hi > c.cam.lo {
-			st.camSpans = append(st.camSpans, c.cam)
-		}
-		if c.mem.hi > c.mem.lo {
-			st.memSpans = append(st.memSpans, c.mem)
-		}
-	}
-	a.loaded[m.ModuleID] = demand
 	return pl, nil
 }
 
-// Restore re-records a module at an exact placement it held before,
-// bypassing placement search and policy admission. It is the rollback
-// path after a failed verified reload: the module's old resources were
-// freed moments ago and must be reclaimed at the same bases the running
-// shards rolled back to, not wherever first-fit would now put them. The
-// requested spans are still checked against current occupancy, so a
-// conflicting concurrent load surfaces as ErrAdmission rather than
-// silent overlap.
-func (a *Allocator) Restore(m *core.ModuleConfig, pl core.Placement) error {
-	if _, dup := a.loaded[m.ModuleID]; dup {
-		return fmt.Errorf("%w: id %d", ErrDuplicate, m.ModuleID)
-	}
-	type commit struct {
-		stage    int
-		cam, mem span
-	}
-	var commits []commit
+// Record marks a module loaded at a placement Place returned for it.
+// Nothing may be recorded in between, and a module already loaded must
+// be released first.
+func (a *Allocator) Record(m *core.ModuleConfig, pl core.Placement) {
 	for s, sc := range m.Stages {
 		if !sc.Used {
 			continue
 		}
 		st := &a.stages[s]
-		cam := span{mod: m.ModuleID, lo: pl.CAMBase[s], hi: pl.CAMBase[s] + sc.PartitionSize()}
-		mem := span{mod: m.ModuleID, lo: int(pl.SegBase[s]), hi: int(pl.SegBase[s]) + int(sc.SegmentWords)}
-		if overlaps(st.camSpans, cam) || overlaps(st.memSpans, mem) {
-			return fmt.Errorf("%w: stage %d placement no longer free for module %d",
-				ErrAdmission, s, m.ModuleID)
+		if n := sc.PartitionSize(); n > 0 {
+			st.camSpans = append(st.camSpans, span{mod: m.ModuleID, lo: pl.CAMBase[s], hi: pl.CAMBase[s] + n})
 		}
-		commits = append(commits, commit{stage: s, cam: cam, mem: mem})
-	}
-	for _, c := range commits {
-		st := &a.stages[c.stage]
-		if c.cam.hi > c.cam.lo {
-			st.camSpans = append(st.camSpans, c.cam)
-		}
-		if c.mem.hi > c.mem.lo {
-			st.memSpans = append(st.memSpans, c.mem)
+		if n := int(sc.SegmentWords); n > 0 {
+			st.memSpans = append(st.memSpans, span{mod: m.ModuleID, lo: int(pl.SegBase[s]), hi: int(pl.SegBase[s]) + n})
 		}
 	}
 	a.loaded[m.ModuleID] = m.Demand()
-	return nil
-}
-
-func overlaps(spans []span, s span) bool {
-	if s.hi <= s.lo {
-		return false
-	}
-	for _, sp := range spans {
-		if s.lo < sp.hi && sp.lo < s.hi {
-			return true
-		}
-	}
-	return false
 }
 
 // Release frees a module's allocations.

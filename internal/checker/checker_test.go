@@ -234,3 +234,56 @@ func TestZeroDemandModuleAdmits(t *testing.T) {
 		t.Errorf("empty module: %v", err)
 	}
 }
+
+// TestPlaceReloadTreatsOwnSpansAsFree: a loaded module's reload is
+// placed as if its old spans were gone — at the same first-fit base,
+// and with room to grow into them — while Admit still refuses the
+// loaded ID.
+func TestPlaceReloadTreatsOwnSpansAsFree(t *testing.T) {
+	a := NewAllocator(capacity(), nil)
+	if _, err := a.Admit(demandModule(1, 1, 10, 100)); err != nil {
+		t.Fatal(err)
+	}
+	pl, err := a.Place(demandModule(1, 1, 16, 200)) // the whole CAM, grown memory
+	if err != nil {
+		t.Fatalf("reload placement: %v", err)
+	}
+	if pl.CAMBase[1] != 0 || pl.SegBase[1] != 0 {
+		t.Errorf("reload placement = %+v, want the freed bases 0", pl)
+	}
+	if _, err := a.Place(demandModule(2, 1, 16, 0)); !errors.Is(err, ErrAdmission) {
+		t.Errorf("a neighbour's placement over the loaded spans: err = %v, want ErrAdmission", err)
+	}
+	if _, err := a.Admit(demandModule(1, 1, 10, 100)); !errors.Is(err, ErrDuplicate) {
+		t.Errorf("Admit of the loaded ID: err = %v, want ErrDuplicate", err)
+	}
+}
+
+// TestPlaceRecordsNothing: Place is side-effect free — Loaded, the
+// utilization and a neighbour's next Admit are as if it never ran.
+func TestPlaceRecordsNothing(t *testing.T) {
+	a := NewAllocator(capacity(), nil)
+	if _, err := a.Admit(demandModule(1, 1, 6, 10)); err != nil {
+		t.Fatal(err)
+	}
+	before := a.Utilization()
+	placed, err := a.Place(demandModule(2, 1, 4, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := a.Loaded(); len(got) != 1 || got[0] != 1 {
+		t.Errorf("Loaded after Place = %v, want [1]", got)
+	}
+	for k, v := range a.Utilization() {
+		if v != before[k] {
+			t.Errorf("utilization %s moved %v -> %v after Place", k, before[k], v)
+		}
+	}
+	pl, err := a.Admit(demandModule(3, 1, 4, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pl.CAMBase[1] != placed.CAMBase[1] || pl.SegBase[1] != placed.SegBase[1] {
+		t.Errorf("neighbour admitted at %+v, want the unrecorded placement %+v", pl, placed)
+	}
+}

@@ -186,11 +186,6 @@ type Engine struct {
 	// the verified paths recover from.
 	cmdFault atomic.Pointer[faultinject.Injector]
 
-	// lastGood tracks, per tenant, the most recent module spec every
-	// shard is known to have applied completely — the rollback target
-	// when a verified load exhausts its retry budget. Guarded by mu.
-	lastGood map[uint16]*ModuleSpec
-
 	// watchStop stops the stall watchdog goroutine (nil when
 	// Config.StallTimeout is 0 and no watchdog runs).
 	watchStop chan struct{}
@@ -238,17 +233,11 @@ func New(cfg Config) (*Engine, error) {
 		pool = NewPool()
 	}
 	e := &Engine{
-		cfg:      cfg,
-		tel:      newTelemetry(),
-		limiter:  sched.NewRateLimiter(),
-		start:    time.Now(),
-		pool:     pool,
-		lastGood: make(map[uint16]*ModuleSpec),
-	}
-	for i := range cfg.Modules {
-		// Modules replayed at creation are complete on every shard by
-		// construction — the initial rollback targets.
-		e.lastGood[cfg.Modules[i].Config.ModuleID] = &cfg.Modules[i]
+		cfg:     cfg,
+		tel:     newTelemetry(),
+		limiter: sched.NewRateLimiter(),
+		start:   time.Now(),
+		pool:    pool,
 	}
 	// Base retention: in-flight batches and submitter stashes. Each
 	// per-tenant ring a worker creates grows the limit by its depth

@@ -1,6 +1,10 @@
 package engine
 
-import "repro/internal/reconfig"
+import (
+	"sync/atomic"
+
+	"repro/internal/reconfig"
+)
 
 // Test-only exports: internals the external test package (engine_test)
 // exercises directly. engine_test exists so tests can import packages
@@ -13,5 +17,11 @@ var Steer = steer
 // own fate on each shard, so a shard can miss any subset of the burst.
 // It is the bare wire under ApplyVerified's delivery protocol.
 func (e *Engine) ApplyUnverified(moduleID uint16, cmds []reconfig.Command) (uint64, error) {
-	return e.issue(e.cmdFault.Load(), applyOps(nil, moduleID, cmds)...)
+	ops := make([]shardOp, len(cmds))
+	for i, c := range cmds {
+		// A burst of one per command, so no loss holds back the next.
+		b := &burstState{progress: make([]atomic.Uint32, len(e.workers))}
+		ops[i] = shardOp{kind: opApply, tenant: moduleID, cmd: c, burst: b}
+	}
+	return e.issue(e.cmdFault.Load(), ops...)
 }

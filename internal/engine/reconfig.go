@@ -18,10 +18,13 @@
 // blocks until all shards reach g, which is the engine-wide barrier the
 // tests and the serve CLI assert on.
 //
-// Fencing: a tenant whose configuration spans multiple control calls
-// can be paused — its queued frames are held (not dropped) and its
-// rings are skipped by the round-robin service — so no frame of that
-// tenant is processed against a partially updated configuration, while
+// Make before break: a load stages its commands on every shard and
+// commits them in one opCommit, which lands whole in one drainOps turn
+// like an unload, so neither needs a fence (verify.go).
+//
+// Fencing: a caller whose update spans multiple control calls can pause
+// a tenant with BeginTenantUpdate — its queued frames are held (not
+// dropped) and its rings are skipped by the round-robin service — while
 // every other tenant keeps flowing. This is the engine's one fence: the
 // queue-level analogue of the packet filter's per-module update bitmap
 // (§4.1), and Stats.Updating mirrors it bit for bit.
@@ -55,10 +58,13 @@ var ErrDegraded = errors.New("engine: degraded (stalled worker shard)")
 type opKind uint8
 
 const (
-	// opApply applies one reconfiguration command to the shard pipeline.
+	// opApply delivers one command of a verified burst: applied to the
+	// shard pipeline, or held in the burst's staging buffer when the
+	// burst is a staged load.
 	opApply opKind = iota
-	// opPartition reserves a module's CAM address ranges.
-	opPartition
+	// opCommit swaps a staged load in: unload the module, reserve the
+	// new program's CAM address ranges, apply the staged commands.
+	opCommit
 	// opUnload clears a module from the shard pipeline.
 	opUnload
 	// opPause fences a tenant: queued frames are held, the tenant's
@@ -84,15 +90,16 @@ type shardOp struct {
 	tenant uint16
 	weight float64 // opEgressWeight: the new weight (0 clears)
 	cmd    reconfig.Command
-	spec   *ModuleSpec // opPartition (read-only, shared across shards)
+	spec   *ModuleSpec // opCommit (read-only, shared across shards)
 
-	// Verified-burst fields (verify.go). burst, when non-nil, makes
-	// this opApply part of a go-back-N verified burst: seq is the
-	// command's position in the burst, and the shard applies it only
-	// when it is the next in-order command (earlier = duplicate from a
-	// retry, later = a predecessor was lost; both are skipped), so the
-	// shard's burst progress is always a contiguous prefix length —
-	// the property that makes "re-send the missing suffix" correct.
+	// Verified-burst fields (verify.go). burst is the go-back-N
+	// verified burst an opApply belongs to (and the staged load an
+	// opCommit commits): seq is the command's position in the burst,
+	// and the shard takes it only when it is the next in-order command
+	// (earlier = duplicate from a retry, later = a predecessor was
+	// lost; both are skipped), so the shard's burst progress is always
+	// a contiguous prefix length — the property that makes "re-send the
+	// missing suffix" correct.
 	burst *burstState
 	seq   uint32
 	// lost marks a command the fault injector sentenced to loss or
@@ -107,7 +114,7 @@ type control struct {
 	tagger reconfig.Tagger
 	// updating is the engine-level per-tenant update bitmap: bit
 	// (tenant & 31) is set from the issue of an opPause to the issue of
-	// the matching opResume, whichever call fenced the tenant.
+	// the matching opResume (BeginTenantUpdate, EndTenantUpdate).
 	updating atomic.Uint32
 
 	// qmu/qcond implement AwaitQuiesceCtx: workers broadcast after
@@ -122,13 +129,12 @@ type control struct {
 // out to every worker's queue; an empty sequence still quiesces, as one
 // barrier. Each shard gets its own copy (enqueueOps appends by value).
 // Fence operations also set (opPause) and clear (opResume) the tenant's
-// bit in the update bitmap here, so Stats.Updating sees every fence,
-// whichever call took it.
+// bit in the update bitmap here, so Stats.Updating sees every fence.
 //
 // inj is the fault plan of the modeled control wire, nil for a lossless
 // one and for sequences that are engine-local bookkeeping (fences,
-// rollbacks). With a plan, every opApply is sentenced afresh per shard,
-// so one command can meet different fates on different replicas.
+// commits, unloads). With a plan, every opApply is sentenced afresh per
+// shard, so one command can meet different fates on different replicas.
 // Corruption is detected-and-discarded at the shard (the wire format
 // rides UDP with a checksum; a damaged command never applies), so to
 // the counter poll it is indistinguishable from loss — which is exactly
@@ -172,31 +178,21 @@ func (e *Engine) issue(inj *faultinject.Injector, ops ...shardOp) (uint64, error
 	return gen, nil
 }
 
-// applyOps is one opApply per command, the wire form of a burst.
-func applyOps(ops []shardOp, moduleID uint16, cmds []reconfig.Command) []shardOp {
-	for _, c := range cmds {
-		ops = append(ops, shardOp{kind: opApply, tenant: moduleID, cmd: c})
-	}
-	return ops
-}
-
 // UnloadModuleLive clears a module from every running shard (tables,
-// parser/deparser entries, and stateful segments zeroed), fenced the
-// same way as LoadModuleVerified. Scheduler state tied to the tenant is
-// pruned too — its egress weight and virtual-finish time on every
-// shard, and its ingress rate-limit buckets at the engine edge — so a
-// later re-load starts from a clean slate instead of inheriting a stale
-// virtual finish time or a drained bucket from the tenant's previous
-// life.
+// parser/deparser entries, and stateful segments zeroed). Each shard
+// applies the unload in one drainOps turn, between two batches, so it
+// needs no fence: a frame of the tenant sees the module whole or not at
+// all. Scheduler state tied to the tenant is pruned too — its egress
+// weight and virtual-finish time on every shard, and its ingress
+// rate-limit buckets at the engine edge — so a later re-load starts
+// from a clean slate instead of inheriting a stale virtual finish time
+// or a drained bucket from the tenant's previous life.
 func (e *Engine) UnloadModuleLive(moduleID uint16) (uint64, error) {
 	gen, err := e.issue(nil,
-		shardOp{kind: opPause, tenant: moduleID},
 		shardOp{kind: opUnload, tenant: moduleID},
-		shardOp{kind: opEgressWeight, tenant: moduleID, weight: 0},
-		shardOp{kind: opResume, tenant: moduleID})
+		shardOp{kind: opEgressWeight, tenant: moduleID, weight: 0})
 	if err == nil {
 		e.limiter.ClearLimit(moduleID)
-		e.clearLastGood(moduleID)
 	}
 	return gen, err
 }
@@ -377,36 +373,37 @@ func (w *worker) drainOps() uint64 {
 		var err error
 		switch op.kind {
 		case opApply:
-			if op.lost {
-				// Injected loss: the command never reached this shard.
-				// The generation still advances (the op rode the
-				// queue), but the delivered counter does not — the
-				// shortfall the verified paths poll for.
-				break
-			}
-			if b := op.burst; b != nil {
-				cur := b.progress[w.id].Load()
-				if op.seq != cur {
-					// Go-back-N: seq < cur is a duplicate from a retry
-					// burst (already applied — skip, idempotence by
-					// sequence number); seq > cur means a predecessor
-					// was lost and this command is discarded so the
-					// shard's progress stays a contiguous prefix.
-					break
-				}
-				w.cmdSeen.Add(1)
-				if err = w.pipe.Apply(op.cmd); err == nil {
-					w.stats.ReconfigApplied.Add(1)
-					b.progress[w.id].Store(cur + 1)
-				}
+			// Injected loss: the command never reached this shard. The
+			// generation still advances (the op rode the queue), but
+			// the delivered counter does not — the shortfall the
+			// verified paths poll for. Go-back-N: seq < cur is a
+			// duplicate from a retry burst (already taken — skip,
+			// idempotence by sequence number); seq > cur means a
+			// predecessor was lost and this command is discarded so
+			// the shard's progress stays a contiguous prefix.
+			b := op.burst
+			cur := b.progress[w.id].Load()
+			if op.lost || op.seq != cur {
 				break
 			}
 			w.cmdSeen.Add(1)
-			if err = w.pipe.Apply(op.cmd); err == nil {
-				w.stats.ReconfigApplied.Add(1)
+			if b.staged != nil {
+				b.staged[w.id] = append(b.staged[w.id], op.cmd)
+			} else if err = w.apply(op.cmd); err != nil {
+				break
 			}
-		case opPartition:
-			err = w.pipe.Partition(op.spec.Config, op.spec.Placement)
+			b.progress[w.id].Store(cur + 1)
+		case opCommit:
+			cmds := op.burst.staged[w.id]
+			op.burst.staged[w.id] = nil
+			if err = w.pipe.UnloadModule(op.tenant); err == nil {
+				err = w.pipe.Partition(op.spec.Config, op.spec.Placement)
+			}
+			for i := 0; err == nil && i < len(cmds); i++ {
+				if w.apply(cmds[i]) != nil {
+					w.stats.ReconfigFailed.Add(1)
+				}
+			}
 		case opUnload:
 			err = w.pipe.UnloadModule(op.tenant)
 		case opPause:
@@ -434,4 +431,14 @@ func (w *worker) drainOps() uint64 {
 	}
 	w.opsQueued.Add(-int64(len(ops)))
 	return ops[len(ops)-1].gen
+}
+
+// apply applies one command to the shard pipeline, counting it in
+// ReconfigApplied when it succeeds.
+func (w *worker) apply(cmd reconfig.Command) error {
+	err := w.pipe.Apply(cmd)
+	if err == nil {
+		w.stats.ReconfigApplied.Add(1)
+	}
+	return err
 }

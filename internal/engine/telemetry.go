@@ -397,9 +397,9 @@ type Stats struct {
 	// ReconfigFailed sums the per-shard failed-operation counters.
 	ReconfigFailed uint64
 	// Updating is the engine-level per-tenant update bitmap: bit
-	// tenant&31 is set while the tenant is fenced — by a
-	// Begin/EndTenantUpdate window, a verified load, an unload or a
-	// rollback.
+	// tenant&31 is set while the tenant is fenced by a
+	// Begin/EndTenantUpdate window. Verified loads and unloads take no
+	// fence: each lands whole at one batch boundary per shard.
 	Updating uint32
 
 	// Buffer-pool and zero-copy accounting: a steady-state engine
@@ -419,9 +419,10 @@ type Stats struct {
 	// ReconfigRetries counts retry bursts the verified paths re-sent
 	// after a counter poll detected command loss.
 	ReconfigRetries uint64
-	// VerifyFailures counts verified loads that exhausted their retry
-	// budget (each returned a typed error wrapping ctrlplane.ErrVerify
-	// and rolled back to the last-known-good configuration).
+	// VerifyFailures counts verified bursts that exhausted their retry
+	// budget, each returning a typed error wrapping ctrlplane.ErrVerify:
+	// a failed load commits nothing, a failed ApplyVerified keeps its
+	// delivered prefix.
 	VerifyFailures uint64
 	// CmdFaultsInjected counts reconfiguration commands the installed
 	// fault plan (SetReconfigFault) dropped or corrupted on fan-out.

@@ -10,9 +10,9 @@
 // successors of a lost command are discarded), so a shard's progress is
 // always a contiguous prefix of the burst and the issuer can re-send
 // just the missing suffix — with capped exponential backoff and a
-// bounded retry budget, after which the typed ErrVerify surfaces and a
-// verified load rolls back to the last-known-good configuration instead
-// of leaving a torn replica.
+// bounded retry budget, after which the typed ErrVerify surfaces. A
+// verified load stages its stream and commits only once every shard
+// holds all of it, so a failed load never leaves a torn replica.
 package engine
 
 import (
@@ -77,11 +77,15 @@ type VerifyReport struct {
 }
 
 // burstState is one verified burst's shared progress tracker:
-// progress[w] is worker w's contiguously applied command count, only
+// progress[w] is worker w's contiguously delivered command count, only
 // ever written by that worker and polled by the issuer after each
-// quiesce.
+// quiesce. A staged burst (non-nil staged) is a module load: worker w
+// appends each in-order command to staged[w] instead of applying it,
+// and the load's opCommit applies them. Only worker w touches
+// staged[w].
 type burstState struct {
 	progress []atomic.Uint32
+	staged   [][]reconfig.Command
 }
 
 // min is the slowest shard's progress — the §4.1 counter poll.
@@ -97,27 +101,31 @@ func (b *burstState) min() int {
 
 // ApplyVerified replays a command burst into every running shard and
 // does not return success until every shard has confirmed applying all
-// of it: after each burst it waits for quiesce, polls the per-shard
-// burst progress (the engine mirror of reconfig.DaisyChain.Counter()),
-// and re-sends the missing suffix with capped exponential backoff up
-// to opts.MaxAttempts bursts. On exhaustion it returns a typed error
-// wrapping ErrVerify; the commands delivered so far remain applied (a
+// of it (see deliver). On exhaustion it returns a typed error wrapping
+// ErrVerify; the commands delivered so far remain applied (a
 // contiguous prefix on every shard — never an out-of-order subset).
-// Unlike LoadModuleVerified it does not fence the tenant or roll back:
-// it is the §4.1 delivery layer, for bursts that are safe to apply
-// incrementally (flow inserts, entry updates); wrap it in a fence or
-// use LoadModuleVerified when partial visibility matters. Context
-// cancellation aborts before every burst and while waiting (an issued
-// burst still applies eventually; queued operations are never lost),
-// so a call with a done ctx issues nothing.
+// It is the §4.1 delivery layer for bursts that are safe to apply
+// incrementally (flow inserts, entry updates); a module load, where
+// partial visibility matters, goes through LoadModuleVerified.
 func (e *Engine) ApplyVerified(ctx context.Context, moduleID uint16, cmds []reconfig.Command, opts VerifyOpts) (uint64, VerifyReport, error) {
+	return e.deliver(ctx, moduleID, cmds, opts, &burstState{progress: make([]atomic.Uint32, len(e.workers))})
+}
+
+// deliver is the §4.1 loop: it sends the burst to every shard, waits
+// for quiesce, polls the per-shard burst progress (the engine mirror
+// of reconfig.DaisyChain.Counter()), and re-sends the missing suffix
+// with capped exponential backoff up to opts.MaxAttempts bursts, after
+// which it returns a typed error wrapping ErrVerify. Context
+// cancellation aborts before every burst and while waiting (an issued
+// burst still reaches the shards eventually; queued operations are
+// never lost), so a call with a done ctx issues nothing.
+func (e *Engine) deliver(ctx context.Context, moduleID uint16, cmds []reconfig.Command, opts VerifyOpts, b *burstState) (uint64, VerifyReport, error) {
 	opts = opts.withDefaults()
 	rep := VerifyReport{Commands: len(cmds)}
 	if len(cmds) == 0 {
 		rep.Verified = true
 		return 0, rep, nil
 	}
-	b := &burstState{progress: make([]atomic.Uint32, len(e.workers))}
 	backoff := opts.Backoff
 	lo := 0 // slowest shard's confirmed progress; re-sends start here
 	var gen uint64
@@ -134,9 +142,9 @@ func (e *Engine) ApplyVerified(ctx context.Context, moduleID uint16, cmds []reco
 			rep.Resent += len(cmds) - lo
 			e.tel.reconfigRetries.Add(1)
 		}
-		ops := applyOps(make([]shardOp, 0, len(cmds)-lo), moduleID, cmds[lo:])
+		ops := make([]shardOp, len(cmds)-lo)
 		for i := range ops {
-			ops[i].burst, ops[i].seq = b, uint32(lo+i)
+			ops[i] = shardOp{kind: opApply, tenant: moduleID, cmd: cmds[lo+i], burst: b, seq: uint32(lo + i)}
 		}
 		var err error
 		if gen, err = e.issue(e.cmdFault.Load(), ops...); err != nil {
@@ -163,108 +171,41 @@ func (e *Engine) ApplyVerified(ctx context.Context, moduleID uint16, cmds []reco
 	}
 }
 
-// LoadModuleVerified is the one way a module enters running shards:
-// the tenant is fenced for the whole procedure, the command stream is
-// delivered through ApplyVerified (counter poll, suffix re-send,
-// backoff), and only a fully confirmed load commits.
-// If the retry budget runs out — or ctx expires — the engine rolls the
-// shards back to the last-known-good configuration of the module (or
-// to unloaded, for a first load) through the loss-exempt local path
-// and lifts the fence, so the old generation keeps serving and no
-// shard is ever left torn; the typed error (wrapping ErrVerify, or the
-// context error) reports the failure. On success the new spec becomes
-// the module's rollback target. A ctx already done on entry issues
-// nothing.
+// LoadModuleVerified is the one way a module enters running shards,
+// make before break: the command stream is delivered through the §4.1
+// loop into a per-shard staging buffer while the old program keeps
+// serving, and only once every shard has confirmed all of it does one
+// opCommit — unload, partition, apply the staged commands — land on
+// each shard at a batch boundary; it returns once every shard has
+// applied it. A load that exhausts its retry budget (ErrVerify) or
+// whose ctx ends during delivery commits nothing, so there is nothing
+// to roll back and no fence to hold; a ctx done on entry issues
+// nothing. Once the report says Verified the commit stands: a ctx or
+// stall that cuts the wait short is returned, and the commit still
+// applies at the returned generation. A staged command that fails at
+// commit counts in ReconfigFailed; a compiled program cannot produce
+// one, as the device applies the same stream.
 func (e *Engine) LoadModuleVerified(ctx context.Context, spec ModuleSpec, opts VerifyOpts) (uint64, VerifyReport, error) {
 	cmds, err := spec.Config.Commands(spec.Placement)
 	if err != nil {
 		return 0, VerifyReport{}, err
 	}
+	b := &burstState{
+		progress: make([]atomic.Uint32, len(e.workers)),
+		staged:   make([][]reconfig.Command, len(e.workers)),
+	}
+	for w := range b.staged {
+		b.staged[w] = make([]reconfig.Command, 0, len(cmds))
+	}
 	id := spec.Config.ModuleID
-	sp := &spec
-	old := e.lastGoodSpec(id)
-	// Fence and prepare: pause the tenant, clear any previous
-	// configuration, reserve the partition. These are engine-local
-	// bookkeeping, not wire-delivered commands — the modeled lossy
-	// channel carries the daisy-chain command stream — so they are
-	// issued without the fault plan.
-	prep := []shardOp{{kind: opPause, tenant: id}}
-	if old != nil {
-		prep = append(prep, shardOp{kind: opUnload, tenant: id})
+	gen, rep, err := e.deliver(ctx, id, cmds, opts, b)
+	if err != nil {
+		return gen, rep, err
 	}
-	prep = append(prep, shardOp{kind: opPartition, tenant: id, spec: sp})
-	if err := ctx.Err(); err != nil {
-		return 0, VerifyReport{}, err // nothing issued, nothing to roll back
+	if gen, err = e.issue(nil, shardOp{kind: opCommit, tenant: id, spec: &spec, burst: b}); err != nil {
+		return gen, rep, err
 	}
-	if _, err := e.issue(nil, prep...); err != nil {
-		return 0, VerifyReport{}, err
-	}
-	gen, rep, verr := e.ApplyVerified(ctx, id, cmds, opts)
-	if verr == nil {
-		if gen, err = e.issue(nil, shardOp{kind: opResume, tenant: id}); err != nil {
-			return gen, rep, err
-		}
-		e.setLastGood(id, sp)
-		return gen, rep, nil
-	}
-	// Verification failed: restore the pre-load state on every shard —
-	// drop the partial configuration, re-apply the last-known-good one
-	// from the engine's own copy (local state restoration, not wire
-	// traffic), resume the tenant. The rollback ops are queued behind
-	// everything the failed load issued, so ordering alone guarantees
-	// no shard ends torn, even if the caller's ctx is already dead.
-	rgen, rerr := e.rollback(id, old)
-	if rerr == nil {
-		gen = rgen
-		// Best-effort confirmation; with an expired ctx the rollback
-		// still applies (queued operations are never lost).
-		if werr := e.AwaitQuiesceCtx(ctx, rgen); werr != nil && ctx.Err() == nil {
-			return gen, rep, fmt.Errorf("awaiting rollback: %w (load failed with %w)", werr, verr)
-		}
-	}
-	return gen, rep, verr
-}
-
-// rollback queues the restore sequence for one tenant: unload the
-// partial configuration and, when a last-known-good spec exists,
-// re-partition and re-apply it, then lift the fence.
-func (e *Engine) rollback(id uint16, old *ModuleSpec) (uint64, error) {
-	var oldCmds []reconfig.Command
-	if old != nil {
-		var err error
-		if oldCmds, err = old.Config.Commands(old.Placement); err != nil {
-			return 0, err
-		}
-	}
-	ops := make([]shardOp, 0, len(oldCmds)+3)
-	ops = append(ops, shardOp{kind: opUnload, tenant: id})
-	if old != nil {
-		ops = append(ops, shardOp{kind: opPartition, tenant: id, spec: old})
-		ops = applyOps(ops, id, oldCmds)
-	}
-	return e.issue(nil, append(ops, shardOp{kind: opResume, tenant: id})...)
-}
-
-// lastGoodSpec returns the module's current rollback target, nil when
-// the module has never completed a load.
-func (e *Engine) lastGoodSpec(id uint16) *ModuleSpec {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.lastGood[id]
-}
-
-// setLastGood records a fully confirmed spec as the rollback target.
-func (e *Engine) setLastGood(id uint16, sp *ModuleSpec) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.lastGood[id] = sp
-}
-
-// clearLastGood forgets a module's rollback target (unload).
-func (e *Engine) clearLastGood(id uint16) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	delete(e.lastGood, id)
+	return gen, rep, e.AwaitQuiesceCtx(ctx, gen)
 }
 
 // sleepCtx sleeps d or until ctx is done, whichever comes first.

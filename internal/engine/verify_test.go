@@ -2,15 +2,18 @@
 // seeded command loss against LoadModuleVerified and
 // InsertFlowsVerified, proving convergence with retries under
 // sustained loss (checksum parity on every shard and the reference
-// device), typed-error rollback on budget exhaustion with the old
-// generation still serving, and never a torn replica. CI runs these
-// twice under -race via the 'Chaos|Verify|Watchdog' step.
+// device), a typed error on budget exhaustion with the old generation
+// still serving — program, flows and stateful memory — and never a
+// torn replica. CI runs these twice under -race via the
+// 'Chaos|Verif|Watchdog' step.
 package engine_test
 
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -106,9 +109,9 @@ func TestLoadModuleVerifiedConvergesUnderLoss(t *testing.T) {
 }
 
 // TestLoadModuleVerifiedExhaustedRollsBack: with total command loss the
-// retry budget runs out; the typed ErrVerify surfaces, every shard and
-// the device roll back to the old program, and the tenant still serves
-// traffic (the fence was lifted).
+// retry budget runs out; the typed ErrVerify surfaces, nothing is
+// committed — every shard and the device keep the old program — and
+// the tenant still serves traffic.
 func TestLoadModuleVerifiedExhaustedRollsBack(t *testing.T) {
 	dev := newDevice(t, "CALC")
 	var processed int
@@ -137,13 +140,13 @@ func TestLoadModuleVerifiedExhaustedRollsBack(t *testing.T) {
 	eng.SetReconfigFault(nil)
 	quiesce(t, eng, 0)
 
-	// Rollback parity: the old CALC generation is intact everywhere.
+	// The old CALC generation is intact everywhere.
 	if cs := dev.Pipeline().ModuleChecksum(1); cs != oldDev {
 		t.Fatalf("device checksum %#x != pre-load %#x", cs, oldDev)
 	}
 	for w, cs := range shardChecksums(t, eng, 1) {
 		if cs != oldShards[w] {
-			t.Fatalf("shard %d checksum %#x != pre-load %#x (torn rollback)", w, cs, oldShards[w])
+			t.Fatalf("shard %d checksum %#x != pre-load %#x (torn replica)", w, cs, oldShards[w])
 		}
 	}
 	st := eng.Stats()
@@ -151,30 +154,42 @@ func TestLoadModuleVerifiedExhaustedRollsBack(t *testing.T) {
 		t.Fatalf("VerifyFailures = %d, want 1", st.VerifyFailures)
 	}
 
-	// The fence was lifted: the tenant's traffic still flows.
+	// The tenant's traffic still flows.
 	gen := trafficgen.DefaultGen("CALC", 1, 0, 1, trafficgen.NewPRNG(11))
 	for i := 0; i < 32; i++ {
 		if n, err := eng.SubmitBatch([][]byte{gen(i)}); err != nil || n != 1 {
-			t.Fatalf("submit %d after rollback: accepted=%d err=%v", i, n, err)
+			t.Fatalf("submit %d after the failed load: accepted=%d err=%v", i, n, err)
 		}
 	}
 	eng.Drain()
 	if processed != 32 {
-		t.Fatalf("processed %d frames after rollback, want 32", processed)
+		t.Fatalf("processed %d frames after the failed load, want 32", processed)
 	}
 }
 
-// TestLoadModuleVerifiedFenceBitmap: the update bitmap sees every
-// fence, not only Begin/EndTenantUpdate windows. While a verified load
-// retries against total command loss the tenant's bit is set, and once
-// the load has rolled back and lifted its fence the bit is clear.
-func TestLoadModuleVerifiedFenceBitmap(t *testing.T) {
+// TestLoadModuleVerifiedHoldsNoFrames: a verified reload stages its
+// commands while the old program keeps serving, so no fence is taken.
+// While a reload of a loaded tenant retries against total command loss,
+// the update bitmap stays clear and the tenant's frames keep being
+// processed by the old program before the load returns.
+func TestLoadModuleVerifiedHoldsNoFrames(t *testing.T) {
 	dev := newDevice(t, "CALC")
-	eng, err := dev.NewEngine(menshen.EngineConfig{Workers: 2})
+	var served atomic.Int64
+	eng, err := dev.NewEngine(menshen.EngineConfig{
+		Workers: 2,
+		OnBatch: func(_ int, _ uint16, results []menshen.EngineResult) {
+			for i := range results {
+				if !results[i].Dropped {
+					served.Add(1)
+				}
+			}
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
+	oldShards := shardChecksums(t, eng, 1)
 
 	eng.SetReconfigFault(menshen.NewFaultInjector(menshen.FaultPlan{Seed: 3, Drop: 1.0}))
 	done := make(chan error, 1)
@@ -183,23 +198,42 @@ func TestLoadModuleVerifiedFenceBitmap(t *testing.T) {
 		_, _, _, err := eng.LoadModuleVerified(context.Background(), programSource(t, "NetCache"), 1, opts)
 		done <- err
 	}()
-	sawFence := false
-	for waiting := true; waiting; {
+	gen := trafficgen.DefaultGen("CALC", 1, 0, 1, trafficgen.NewPRNG(11))
+	// grew: the served count rose past its reading 20ms in, once the
+	// load is under way, in a read taken at least 1ms before the load
+	// returned (the select below takes done the moment it is ready).
+	// The load sleeps through two 100ms backoffs.
+	start, base, grew := time.Now(), int64(-1), false
+	for i := 0; ; i++ {
+		if u := eng.Stats().Updating; u != 0 {
+			t.Fatalf("update bitmap %#b while the verified load retried, want 0", u)
+		}
+		if _, err := eng.SubmitBatch([][]byte{gen(i)}); err != nil {
+			t.Fatal(err)
+		}
+		n := served.Load()
 		select {
 		case err := <-done:
 			if !errors.Is(err, menshen.ErrVerify) {
 				t.Fatalf("err = %v, want ErrVerify", err)
 			}
-			waiting = false
 		case <-time.After(time.Millisecond):
-			sawFence = sawFence || eng.Stats().Updating&(1<<1) != 0
+			if base < 0 && time.Since(start) > 20*time.Millisecond {
+				base = n
+			}
+			grew = grew || (base >= 0 && n > base)
+			continue
 		}
+		break
 	}
-	if !sawFence {
-		t.Error("update bitmap bit never set while the verified load retried")
+	if !grew {
+		t.Fatal("the reloading tenant's frames were not served while the load retried")
 	}
-	if st := eng.Stats(); st.Updating != 0 {
-		t.Errorf("update bitmap %#b after the rolled-back load, want 0", st.Updating)
+	eng.Drain()
+	for w, cs := range shardChecksums(t, eng, 1) {
+		if cs != oldShards[w] {
+			t.Fatalf("shard %d checksum %#x != pre-load %#x", w, cs, oldShards[w])
+		}
 	}
 }
 
@@ -279,7 +313,7 @@ func TestLoadModuleVerifiedCancelledIssuesNothing(t *testing.T) {
 // TestEngineVerifiedCancelledIssuesNothing is the same property one
 // layer down, where the chaos harness calls it: with a done ctx the
 // engine's verified load and its burst layer issue no generation at
-// all — no fence, no burst, no rollback.
+// all — no burst, no commit.
 func TestEngineVerifiedCancelledIssuesNothing(t *testing.T) {
 	prog, err := compiler.Compile(programSource(t, "CALC"), compiler.Options{ModuleID: 1})
 	if err != nil {
@@ -364,6 +398,95 @@ func TestInsertFlowsVerifiedUnderLoss(t *testing.T) {
 			addr, ok := pipe.Stages[stg].Hash.LookupWords(&kw, 1)
 			if !ok || uint16(addr) != entries[f].Addr {
 				t.Fatalf("shard %d flow %d: ok=%v addr=%d want %d", w, f, ok, addr, entries[f].Addr)
+			}
+		}
+	}
+}
+
+// TestLoadModuleVerifiedFailureKeepsFlowsAndMemory: a reload that
+// exhausts its retry budget commits nothing, so every shard keeps the
+// tenant's program, all of its verified flow inserts and its stateful
+// memory byte for byte.
+func TestLoadModuleVerifiedFailureKeepsFlowsAndMemory(t *testing.T) {
+	dev := newDevice(t, "Load Balancing")
+	stg := lbStage(t, dev)
+	addrs := lbActionAddrs(t, dev, stg)
+	eng, err := dev.NewEngine(menshen.EngineConfig{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+
+	const flows = 64
+	entries := make([]menshen.FlowEntry, flows)
+	for f := range entries {
+		key, err := dev.ControlPlane().FlowKeyForFrame(1, stg, trafficgen.FlowScaleFrame(1, f, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries[f] = menshen.FlowEntry{Valid: true, Addr: addrs[f%len(addrs)], Key: key}
+	}
+	ctx := context.Background()
+	gen, _, err := eng.InsertFlowsVerified(ctx, 1, stg, entries, fastVerify(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	quiesce(t, eng, gen)
+	// Traffic moves the system-level packet counters in stateful memory.
+	for f := 0; f < flows; f++ {
+		if _, err := eng.SubmitBatch([][]byte{trafficgen.FlowScaleFrame(1, f, 0)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.Drain()
+
+	memory := func(pipe *core.Pipeline) [][]uint64 {
+		out := make([][]uint64, len(pipe.Stages))
+		for s := range pipe.Stages {
+			out[s] = pipe.Stages[s].Memory.Snapshot()
+		}
+		return out
+	}
+	sums := shardChecksums(t, eng, 1)
+	mems := make([][][]uint64, eng.Workers())
+	for w := range mems {
+		pipe, err := eng.ShardPipeline(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mems[w] = memory(pipe)
+	}
+
+	eng.SetReconfigFault(menshen.NewFaultInjector(menshen.FaultPlan{Seed: 5, Drop: 1.0}))
+	if _, _, _, err := eng.LoadModuleVerified(ctx, programSource(t, "Load Balancing"), 1, fastVerify(3)); !errors.Is(err, menshen.ErrVerify) {
+		t.Fatalf("err = %v, want ErrVerify", err)
+	}
+	eng.SetReconfigFault(nil)
+	quiesce(t, eng, 0)
+
+	for w, cs := range shardChecksums(t, eng, 1) {
+		if cs != sums[w] {
+			t.Errorf("shard %d checksum %#x != pre-load %#x", w, cs, sums[w])
+		}
+	}
+	for w := range mems {
+		pipe, err := eng.ShardPipeline(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held := 0
+		for f := range entries {
+			kw := entries[f].Key.Words()
+			if addr, ok := pipe.Stages[stg].Hash.LookupWords(&kw, 1); ok && uint16(addr) == entries[f].Addr {
+				held++
+			}
+		}
+		if held != flows {
+			t.Errorf("shard %d holds %d of %d flows after the failed reload", w, held, flows)
+		}
+		for s, words := range memory(pipe) {
+			if !slices.Equal(words, mems[w][s]) {
+				t.Errorf("shard %d stage %d: stateful memory changed by the failed reload", w, s)
 			}
 		}
 	}

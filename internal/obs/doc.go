@@ -25,13 +25,14 @@
 //     full engine.Stats snapshot as JSON), GET /traces, and
 //     GET /debug/pprof/*, plus POST endpoints for live mutation:
 //     module load/unload, egress weights, and rate limits. Every
-//     mutation rides the engine's generation-tagged fenced control
-//     queue (see internal/engine/reconfig.go) and returns its
+//     mutation rides the engine's generation-tagged control queue
+//     (see internal/engine/reconfig.go) and returns its
 //     generation, so a caller can AwaitQuiesceCtx (or pass "wait": true
 //     to block until every shard has applied it). A module load is
 //     verified (§4.1) and replaces a program already loaded under the
-//     id: it answers only once every shard has confirmed it or it has
-//     been rolled back, so "wait" is moot there.
+//     id: it answers only once every shard has confirmed and committed
+//     it or it has failed and committed nothing, so "wait" is moot
+//     there.
 //
 //   - Tracing. Tracer is a fixed-capacity overwrite ring of TraceHop
 //     records. Sampling is 1-in-N at the entry engine

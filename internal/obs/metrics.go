@@ -263,7 +263,7 @@ var engineScalars = []engineScalar{
 		func(st *engine.Stats, sb *seriesBuf) { sb.valUint(st.BytesCopied) }},
 	{"menshen_reconfig_retries_total", "Verified-reconfiguration retry bursts (suffix re-sends after a counter mismatch).", "counter",
 		func(st *engine.Stats, sb *seriesBuf) { sb.valUint(st.ReconfigRetries) }},
-	{"menshen_reconfig_verify_failures_total", "Verified reconfigurations that exhausted their retry budget and rolled back.", "counter",
+	{"menshen_reconfig_verify_failures_total", "Verified reconfigurations that exhausted their retry budget.", "counter",
 		func(st *engine.Stats, sb *seriesBuf) { sb.valUint(st.VerifyFailures) }},
 	{"menshen_fault_injected_total", "Reconfiguration commands consumed (dropped or corrupted) by the installed fault plan.", "counter",
 		func(st *engine.Stats, sb *seriesBuf) { sb.valUint(st.CmdFaultsInjected) }},

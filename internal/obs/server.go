@@ -22,8 +22,9 @@ import (
 type Ops struct {
 	// LoadModule loads source as tenant id under the request context,
 	// replacing the program already loaded under id if there is one,
-	// and returns once every shard has confirmed it or it was rolled
-	// back, so "wait" is moot. Wire Engine.LoadModuleVerified here.
+	// and returns once every shard has committed it or it failed and
+	// committed nothing, so "wait" is moot. Wire
+	// Engine.LoadModuleVerified here.
 	LoadModule func(ctx context.Context, source string, id uint16) (uint64, error)
 	// UnloadModule live-unloads tenant id, returning the generation.
 	UnloadModule func(id uint16) (uint64, error)
@@ -77,7 +78,8 @@ func NewServer(tracer *Tracer, ops Ops, sources ...Source) *Server {
 // Every successful mutation responds {"generation":N}; a failed one
 // answers 400, or 503 for the errors errStatus names. load-module on
 // an occupied id replaces that tenant's program, and it answers only
-// once the load is confirmed or rolled back, so its "wait" is moot.
+// once the load is committed or has failed leaving the old program in
+// place, so its "wait" is moot.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", s.handleMetrics)

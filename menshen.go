@@ -199,6 +199,19 @@ func (d *Device) LoadModule(source string, moduleID uint16) (*LoadReport, error)
 	if _, dup := d.modules[moduleID]; dup {
 		return nil, fmt.Errorf("menshen: module %d already loaded (use UpdateModule)", moduleID)
 	}
+	rep, err := d.prepare(source, moduleID)
+	if err != nil {
+		return nil, err
+	}
+	return d.commit(rep)
+}
+
+// prepare compiles and places a module without touching the device:
+// the system-level tables are merged in and the checker places the
+// program (treating an old program under the same ID as gone), with a
+// placement search over later start stages when it does not fit. The
+// report it returns carries the program to commit.
+func (d *Device) prepare(source string, moduleID uint16) (*LoadReport, error) {
 	start := time.Now()
 	prog, err := compiler.Compile(source, compiler.Options{ModuleID: moduleID})
 	if err != nil {
@@ -209,7 +222,7 @@ func (d *Device) LoadModule(source string, moduleID uint16) (*LoadReport, error)
 	if err := d.sys.Augment(prog.Config); err != nil {
 		return nil, err
 	}
-	pl, err := d.alloc.Admit(prog.Config)
+	pl, err := d.alloc.Place(prog.Config)
 	if errors.Is(err, checker.ErrAdmission) {
 		// Placement search: recompile with later start stages so
 		// single-table modules spread across the tenant stages instead of
@@ -227,7 +240,7 @@ func (d *Device) LoadModule(source string, moduleID uint16) (*LoadReport, error)
 				break
 			}
 			var pl2 core.Placement
-			pl2, err = d.alloc.Admit(prog2.Config)
+			pl2, err = d.alloc.Place(prog2.Config)
 			if err == nil {
 				prog, pl = prog2, pl2
 			}
@@ -236,7 +249,14 @@ func (d *Device) LoadModule(source string, moduleID uint16) (*LoadReport, error)
 	if err != nil {
 		return nil, err
 	}
-	return d.install(prog, pl, moduleID, compileWall)
+	return newReport(prog, pl, compileWall), nil
+}
+
+// newReport wraps a placed program as the LoadReport that commit fills
+// in.
+func newReport(prog *compiler.Program, pl core.Placement, compileWall time.Duration) *LoadReport {
+	m := &Module{ID: prog.Config.ModuleID, Name: prog.Config.Name, program: prog, placement: pl}
+	return &LoadReport{Module: m, CompileWall: compileWall, EntriesGenerated: prog.EntriesGenerated}
 }
 
 // LoadModuleChain compiles several module sources belonging to one
@@ -255,54 +275,50 @@ func (d *Device) LoadModuleChain(sources []string, moduleID uint16) (*LoadReport
 	if err := d.sys.Augment(prog.Config); err != nil {
 		return nil, err
 	}
-	pl, err := d.alloc.Admit(prog.Config)
+	pl, err := d.alloc.Place(prog.Config)
 	if err != nil {
 		return nil, err
 	}
-	return d.install(prog, pl, moduleID, compileWall)
+	return d.commit(newReport(prog, pl, compileWall))
 }
 
-// install pushes an admitted program down the control plane and
-// records it as loaded; on a failed push the admission is released.
-func (d *Device) install(prog *compiler.Program, pl core.Placement, moduleID uint16, compileWall time.Duration) (*LoadReport, error) {
-	rep, err := d.client.LoadModule(prog.Config, pl)
+// commit installs a prepared module: it unloads any program loaded
+// under the same ID, records the new placement and pushes the program
+// down the control plane. On a failed push the placement is released.
+func (d *Device) commit(rep *LoadReport) (*LoadReport, error) {
+	m := rep.Module
+	if _, ok := d.modules[m.ID]; ok {
+		if err := d.UnloadModule(m.ID); err != nil {
+			return nil, err
+		}
+	}
+	d.alloc.Record(m.program.Config, m.placement)
+	crep, err := d.client.LoadModule(m.program.Config, m.placement)
 	if err != nil {
-		_ = d.alloc.Release(moduleID)
+		_ = d.alloc.Release(m.ID)
 		return nil, err
 	}
-	m := &Module{ID: moduleID, Name: prog.Config.Name, program: prog, placement: pl}
-	d.modules[moduleID] = m
-	return &LoadReport{
-		Module:           m,
-		CompileWall:      compileWall,
-		Commands:         rep.Commands,
-		ConfigureHW:      rep.HardwareTime,
-		EntriesGenerated: prog.EntriesGenerated,
-	}, nil
+	d.modules[m.ID] = m
+	rep.Commands, rep.ConfigureHW = crep.Commands, crep.HardwareTime
+	return rep, nil
 }
 
 // UpdateModule replaces a loaded module's program through the secure
-// reconfiguration procedure: the module's own packets drop during the
-// update; no other module is disturbed. If the new source fails to
-// compile, admit or load, the old program is put back at its old
-// placement and the load error is returned; the old program's flow
-// entries and stateful memory, cleared by the unload, are not.
+// reconfiguration procedure, make before break: the new source is
+// compiled and placed first, and only then is the old program unloaded
+// and the new one pushed; no other module is disturbed. If the new
+// source fails to compile or place, the old program is untouched — its
+// flow entries and stateful memory included — and the error is
+// returned.
 func (d *Device) UpdateModule(source string, moduleID uint16) (*LoadReport, error) {
-	old, ok := d.modules[moduleID]
-	if !ok {
+	if _, ok := d.modules[moduleID]; !ok {
 		return nil, fmt.Errorf("%w: id %d", ErrNotLoaded, moduleID)
 	}
-	if err := d.UnloadModule(moduleID); err != nil {
-		return nil, err
-	}
-	rep, err := d.LoadModule(source, moduleID)
+	rep, err := d.prepare(source, moduleID)
 	if err != nil {
-		if rerr := d.restoreModule(old); rerr != nil {
-			return nil, fmt.Errorf("restoring module %d after failed update: %w (update failed with %w)", moduleID, rerr, err)
-		}
 		return nil, err
 	}
-	return rep, nil
+	return d.commit(rep)
 }
 
 // UnloadModule removes a module and frees its resources (including
@@ -318,25 +334,6 @@ func (d *Device) UnloadModule(moduleID uint16) error {
 		return err
 	}
 	delete(d.modules, moduleID)
-	return nil
-}
-
-// restoreModule reinstalls a previously loaded module at its recorded
-// placement — the device half of the rollback after a failed verified
-// reload, and UpdateModule's undo when the new source fails. The
-// compiled program is reused as-is (it was augmented and admitted when
-// originally loaded), the allocator reclaims the exact old spans, and
-// the configuration is pushed back down the device's own verified
-// channel.
-func (d *Device) restoreModule(m *Module) error {
-	if err := d.alloc.Restore(m.program.Config, m.placement); err != nil {
-		return err
-	}
-	if _, err := d.client.LoadModule(m.program.Config, m.placement); err != nil {
-		_ = d.alloc.Release(m.ID)
-		return err
-	}
-	d.modules[m.ID] = m
 	return nil
 }
 

@@ -18,6 +18,7 @@ package menshen
 import (
 	"context"
 	"errors"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -49,6 +50,7 @@ type TraceHop = engine.TraceHop
 type Engine struct {
 	eng *engine.Engine
 	dev *Device
+	ctl sync.Mutex // serializes LoadModuleVerified and UnloadModule over dev
 }
 
 // NewEngine snapshots the device's loaded modules into a concurrent
@@ -170,8 +172,10 @@ func (e *Engine) ReconfigGen() uint64 { return e.eng.ReconfigGen() }
 // from every running worker shard (tables and stateful segments zeroed),
 // without disturbing other tenants. The live fan-out only fails when
 // the engine is closed — its shards are terminal then, so the device
-// unload is not rolled back.
+// unload stands.
 func (e *Engine) UnloadModule(moduleID uint16) (uint64, error) {
+	e.ctl.Lock()
+	defer e.ctl.Unlock()
 	if err := e.dev.UnloadModule(moduleID); err != nil {
 		return 0, err
 	}

@@ -7,13 +7,13 @@ package menshen
 // it on the engine's command fan-out, and the *Verified methods run the
 // paper's §4.1 recovery protocol over it — per-shard applied-command
 // counters polled after each burst, missing-suffix re-send with capped
-// exponential backoff, and a bounded retry budget after which the load
-// rolls back to the last-known-good configuration (typed ErrVerify)
-// instead of leaving any shard torn.
+// exponential backoff, and a bounded retry budget after which the typed
+// ErrVerify surfaces. A verified load stages its commands on every
+// shard and commits only once all of them hold the whole stream, so a
+// failed load leaves nothing to roll back and no shard torn.
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -93,45 +93,35 @@ func (e *Engine) InsertFlowsVerified(ctx context.Context, moduleID uint16, stg i
 	return e.eng.ApplyVerified(ctx, moduleID, cmds, opts)
 }
 
-// LoadModuleVerified is how a module enters a running engine: the
-// source is compiled and installed on the backing device (replacing
-// any loaded program under the same ID), and then replayed into every
-// running shard through the verified §4.1 protocol — fenced for the
-// whole procedure, counter-polled, re-sent with backoff. Only a fully
-// confirmed load commits. If the retry
-// budget runs out or ctx expires, the shards roll back to the module's
-// last-known-good configuration, the device is restored to match, and
-// the typed error (wrapping ErrVerify, or the context error) reports
-// the failure — the old generation keeps serving and no replica is
-// ever torn. A ctx already done on entry touches nothing.
+// LoadModuleVerified is how a module enters a running engine, make
+// before break: the source is compiled and placed without touching the
+// device, staged on every shard through the verified §4.1 protocol
+// while any old program keeps serving, and only then committed — on
+// the shards (see engine.LoadModuleVerified), then on the device —
+// replacing any program loaded under the same ID. A bad source, an
+// exhausted retry budget (ErrVerify) or a ctx that ends before every
+// shard holds the stream commits nothing: device and shards keep the
+// old program, its flows and its stateful memory. Once the report says
+// Verified, device and shards both commit. Loads and unloads through
+// the engine are serialized.
 func (e *Engine) LoadModuleVerified(ctx context.Context, source string, moduleID uint16, opts VerifyOpts) (*LoadReport, uint64, VerifyReport, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, 0, VerifyReport{}, err // neither device nor shards touched
-	}
-	old := e.dev.modules[moduleID]
-	var rep *LoadReport
-	var err error
-	if old != nil {
-		rep, err = e.dev.UpdateModule(source, moduleID)
-	} else {
-		rep, err = e.dev.LoadModule(source, moduleID)
-	}
+	e.ctl.Lock()
+	defer e.ctl.Unlock()
+	rep, err := e.dev.prepare(source, moduleID)
 	if err != nil {
 		return nil, 0, VerifyReport{}, err
 	}
-	m := e.dev.modules[moduleID]
-	gen, vrep, verr := e.eng.LoadModuleVerified(ctx,
+	m := rep.Module
+	gen, vrep, err := e.eng.LoadModuleVerified(ctx,
 		engine.ModuleSpec{Config: m.program.Config, Placement: m.placement}, opts)
-	if verr != nil {
-		// The shards rolled back to the last-known-good configuration;
-		// put the device back in agreement with them.
-		_ = e.dev.UnloadModule(moduleID)
-		if old != nil {
-			if rerr := e.dev.restoreModule(old); rerr != nil {
-				return nil, gen, vrep, fmt.Errorf("restoring device module after failed load: %w (load failed with %w)", rerr, verr)
-			}
+	if vrep.Verified { // the shards' commit is issued: the device follows
+		var cerr error
+		if rep, cerr = e.dev.commit(rep); err == nil {
+			err = cerr
 		}
-		return nil, gen, vrep, verr
+	}
+	if err != nil {
+		return nil, gen, vrep, err
 	}
 	return rep, gen, vrep, nil
 }

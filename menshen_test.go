@@ -343,6 +343,70 @@ func TestLoadModuleVerifiedBadSourceKeepsTenant(t *testing.T) {
 	}
 }
 
+// TestUpdateModuleFailedKeepsState: an update whose source does not
+// compile touches nothing, so the old program's stateful memory
+// survives it.
+func TestUpdateModuleFailedKeepsState(t *testing.T) {
+	d := NewDevice()
+	mustLoad(t, d, "NetCache", 3)
+	if _, err := d.Send(trafficgen.KVPacket(3, trafficgen.KVPut, 9, 1234, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.UpdateModule("garbage", 3); err == nil {
+		t.Fatal("UpdateModule with a bad source succeeded")
+	}
+	if v, err := d.ReadRegister(3, "cache", 9); err != nil || v != 1234 {
+		t.Fatalf("cache[9] = %d, %v after a failed update, want 1234", v, err)
+	}
+}
+
+// TestConcurrentVerifiedLoadsAreRaceFree: verified loads of two
+// tenants from two goroutines share one device and its allocator;
+// the facade serializes them, so both land, each shard agrees with the
+// device, and the race detector stays quiet.
+func TestConcurrentVerifiedLoadsAreRaceFree(t *testing.T) {
+	d := NewDevice()
+	mustLoad(t, d, "CALC", 1)
+	eng, err := d.NewEngine(EngineConfig{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	ctx := context.Background()
+	names := map[uint16]string{2: "CALC", 3: "NetCache"}
+	errs := make(chan error, len(names))
+	for id, name := range names {
+		prog, err := p4progs.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			_, _, _, err := eng.LoadModuleVerified(ctx, prog.Source(), id, VerifyOpts{})
+			errs <- err
+		}()
+	}
+	for range names {
+		if err := <-errs; err != nil {
+			t.Fatalf("LoadModuleVerified: %v", err)
+		}
+	}
+	if err := eng.QuiesceCtx(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for id := range names {
+		want := d.Pipeline().ModuleChecksum(id)
+		for w := 0; w < eng.Workers(); w++ {
+			pipe, err := eng.ShardPipeline(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cs := pipe.ModuleChecksum(id); cs != want {
+				t.Fatalf("module %d: shard %d checksum %#x != device %#x", id, w, cs, want)
+			}
+		}
+	}
+}
+
 func TestUpdateBitmapDropsOnlyUpdatingModule(t *testing.T) {
 	d := NewDevice()
 	mustLoad(t, d, "CALC", 1)
