@@ -75,7 +75,11 @@ func BenchmarkFig9Configure(b *testing.B) {
 					CAMBase: make([]int, core.NumStages),
 					SegBase: make([]uint8, core.NumStages),
 				}
-				if _, err := client.LoadModule(prog.Config, pl); err != nil {
+				cmds, err := prog.Config.Commands(pl)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := client.LoadModule(prog.Config, pl, cmds); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -306,7 +310,7 @@ func BenchmarkReconfigPacketCodec(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, cmd := range cmds {
-			if _, err := reconfig.EncodePacket(1, cmd); err != nil {
+			if _, err := reconfig.AppendPacket(nil, 1, cmd); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -98,8 +98,13 @@ func runChaos(ctx context.Context, cfg serveConfig, out io.Writer) error {
 				}
 				// A reload replays the exact spec that was unloaded
 				// (chainTenants are 1..n, so tenant t is spec t-1).
+				spec := specs[1][ev.Tenant-1]
+				cmds, err := spec.Config.Commands(spec.Placement)
+				if err != nil {
+					return err
+				}
 				rctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 30*time.Second)
-				_, rep, verr := mid.LoadModuleVerified(rctx, specs[1][ev.Tenant-1], vopts)
+				_, rep, verr := mid.LoadModuleVerified(rctx, spec, cmds, vopts)
 				cancel()
 				if verr != nil {
 					violatef("verified reload of tenant %d: %v", ev.Tenant, verr)

@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/phv"
 	"repro/internal/tables"
@@ -158,11 +159,13 @@ const ActionBits = phv.NumContainers * InstrBits // 625
 // ActionBytes is ActionBits rounded up to whole bytes.
 const ActionBytes = (ActionBits + 7) / 8 // 79
 
-// Encode packs the action into ActionBytes bytes (instructions in slot
-// order, big-endian bit packing). The instructions stream through a
-// 64-bit accumulator that is flushed 32 bits at a time.
-func (a *Action) Encode() []byte {
-	out := make([]byte, ActionBytes)
+// AppendEncode appends the action's ActionBytes-byte wire form to dst
+// (instructions in slot order, big-endian bit packing). The
+// instructions stream through a 64-bit accumulator that is flushed 32
+// bits at a time.
+func (a *Action) AppendEncode(dst []byte) []byte {
+	dst = slices.Grow(dst, ActionBytes)
+	out := dst[len(dst) : len(dst)+ActionBytes]
 	var acc uint64 // the low n bits are pending
 	n, o := 0, 0
 	for i := range a {
@@ -178,7 +181,7 @@ func (a *Action) Encode() []byte {
 		out[o] = byte(acc >> 56)
 		acc <<= 8
 	}
-	return out
+	return dst[:len(dst)+ActionBytes]
 }
 
 // DecodeAction unpacks an action from its wire format, refilling a

@@ -59,7 +59,7 @@ func TestActionEncodeDecodeRoundTrip(t *testing.T) {
 	a[0] = Instr{Op: OpAdd, A: 1, B: 2}
 	a[10] = Instr{Op: OpSet, A: NoOperand, Imm: 0xabcd}
 	a[24] = Instr{Op: OpPort, A: 24, Imm: 3}
-	enc := a.Encode()
+	enc := a.AppendEncode(nil)
 	if len(enc) != ActionBytes {
 		t.Fatalf("encoded length %d, want %d", len(enc), ActionBytes)
 	}
@@ -319,7 +319,7 @@ func TestQuickActionRoundTrip(t *testing.T) {
 			}
 			a[i] = in
 		}
-		back, err := DecodeAction(a.Encode())
+		back, err := DecodeAction(a.AppendEncode(nil))
 		return err == nil && back == a
 	}
 	if err := quick.Check(f, nil); err != nil {

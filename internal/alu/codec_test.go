@@ -11,7 +11,7 @@ import (
 
 // refPutBits writes the low n bits of v into buf starting at bit offset
 // off (MSB-first within the buffer): the bit-serial reference the
-// word-wide Action.Encode must match.
+// word-wide Action.AppendEncode must match.
 func refPutBits(buf []byte, off, n int, v uint64) {
 	for i := 0; i < n; i++ {
 		bit := v >> (n - 1 - i) & 1
@@ -71,7 +71,7 @@ func checkActionCodec(t *testing.T, data []byte) {
 	if want := refDecode(data); got != want {
 		t.Fatalf("DecodeAction(% x)\n = %v\nwant %v", data, got, want)
 	}
-	if enc, want := got.Encode(), refEncode(&got); !bytes.Equal(enc, want) {
+	if enc, want := got.AppendEncode(nil), refEncode(&got); !bytes.Equal(enc, want) {
 		t.Fatalf("Encode(%v)\n = % x\nwant % x", got, enc, want)
 	}
 }

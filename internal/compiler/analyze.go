@@ -3,7 +3,9 @@ package compiler
 import (
 	"errors"
 	"fmt"
+	"slices"
 
+	"repro/internal/core"
 	"repro/internal/packet"
 	"repro/internal/phv"
 	"repro/internal/sysmod"
@@ -47,6 +49,13 @@ type fieldInfo struct {
 	decl      *Field
 }
 
+// headerInfo is one header's run in analysis.fields.
+type headerInfo struct {
+	decl      *Header
+	first     int // index of its first field in analysis.fields
+	extracted bool
+}
+
 // regInfo is the resolved layout of one register.
 type regInfo struct {
 	words int
@@ -62,9 +71,15 @@ type tableInfo struct {
 	pred      int // -1 none, 1 then-branch, 0 else-branch
 	cond      *Condition
 	keySlots  keyLayout
-	actions   map[string]*Action
 	entryKeys int // entries to generate (max of size and explicit)
+	// reads and writes are the ALU slots the table's key, condition and
+	// actions read, and its actions write: one bit per slot.
+	reads, writes uint32
 }
+
+// maxKeyFields bounds a table's key fields: two per container class,
+// one per key-extractor slot.
+const maxKeyFields = 6
 
 // keyLayout records which container goes in which key-extractor slot and
 // where each key field lands in the 24-byte key.
@@ -73,33 +88,84 @@ type keyLayout struct {
 	c4   [2]uint8
 	c2   [2]uint8
 	used [6]bool // c6[0] c6[1] c4[0] c4[1] c2[0] c2[1]
+	n    int     // key fields
 	// fieldPos[i] is the key byte offset of table key field i.
-	fieldPos []int
+	fieldPos [maxKeyFields]int
 	// fieldWidth[i] is the byte width of key field i.
-	fieldWidth []int
+	fieldWidth [maxKeyFields]int
 }
 
 // slotKeyOffsets are the key byte offsets of the six extractor slots, in
 // the concatenation order 1st6B 2nd6B 1st4B 2nd4B 1st2B 2nd2B (§4.1).
 var slotKeyOffsets = [6]int{0, 6, 12, 16, 20, 22}
 
+// symKind separates the module's name spaces, which share one map.
+type symKind uint8
+
+const (
+	symHeader symKind = iota
+	symField
+	symRegister
+	symAction
+	symTable
+)
+
+// symKey names one declaration; a field's key carries its header's
+// name in name and its own in field.
+type symKey struct {
+	kind        symKind
+	name, field string
+}
+
 // analysis is the fully resolved module, ready for code generation.
+// Every table in it is sized from the AST once.
 type analysis struct {
-	mod     *Module
-	fields  map[string]map[string]*fieldInfo // header -> field
-	headers map[string]*Header
-	regs    map[string]*regInfo
-	actions map[string]*Action
-	tables  map[string]*tableInfo
+	mod *Module
+	// syms maps each declared name to its index in headers, fields,
+	// regs, mod.Actions or tables, by kind.
+	syms    map[symKey]int
+	headers []headerInfo // parallel to mod.Headers
+	fields  []fieldInfo  // every header's fields, headers in source order
+	regs    []regInfo    // parallel to mod.Registers
+	tables  []tableInfo  // parallel to mod.Tables
 	// ordered tenant tables with their absolute stages, in control order.
 	placed []*tableInfo
 	// parse actions in source order (field granularity).
-	parses []parseItem
+	parses []*fieldInfo
 	limits Limits
 }
 
-type parseItem struct {
-	field *fieldInfo
+// declare records name k at index i; it reports false when k is taken.
+func (a *analysis) declare(k symKey, i int) bool {
+	if _, dup := a.syms[k]; dup {
+		return false
+	}
+	a.syms[k] = i
+	return true
+}
+
+// lookup returns the index of name in kind's name space.
+func (a *analysis) lookup(kind symKind, name string) (int, bool) {
+	i, ok := a.syms[symKey{kind: kind, name: name}]
+	return i, ok
+}
+
+// action returns the action declared as name.
+func (a *analysis) action(name string) (*Action, bool) {
+	i, ok := a.lookup(symAction, name)
+	if !ok {
+		return nil, false
+	}
+	return &a.mod.Actions[i], true
+}
+
+// reg returns the register declared as name.
+func (a *analysis) reg(name string) (*regInfo, bool) {
+	i, ok := a.lookup(symRegister, name)
+	if !ok {
+		return nil, false
+	}
+	return &a.regs[i], true
 }
 
 // Limits are the per-module resource bounds the resource checker enforces
@@ -140,13 +206,19 @@ func DefaultLimits() Limits {
 // analyze resolves names, allocates containers, places tables into
 // stages, and runs the static and resource checks.
 func analyze(m *Module, limits Limits) (*analysis, error) {
+	nFields := 0
+	for i := range m.Headers {
+		nFields += len(m.Headers[i].Fields)
+	}
 	a := &analysis{
 		mod:     m,
-		fields:  map[string]map[string]*fieldInfo{},
-		headers: map[string]*Header{},
-		regs:    map[string]*regInfo{},
-		actions: map[string]*Action{},
-		tables:  map[string]*tableInfo{},
+		syms:    make(map[symKey]int, len(m.Headers)+nFields+len(m.Registers)+len(m.Actions)+len(m.Tables)),
+		headers: make([]headerInfo, len(m.Headers)),
+		fields:  make([]fieldInfo, nFields),
+		regs:    make([]regInfo, len(m.Registers)),
+		tables:  make([]tableInfo, len(m.Tables)),
+		placed:  make([]*tableInfo, 0, len(m.Tables)),
+		parses:  make([]*fieldInfo, 0, nFields),
 		limits:  limits,
 	}
 	if err := a.resolveHeaders(); err != nil {
@@ -178,48 +250,42 @@ func analyze(m *Module, limits Limits) (*analysis, error) {
 
 // resolveHeaders allocates a PHV container per field.
 func (a *analysis) resolveHeaders() error {
-	// Free containers per class, skipping the system-reserved ones.
-	var free2, free4, free6 []uint8
-	for i := uint8(0); i < phv.NumPerType; i++ {
-		if !reservedRefs[phv.Ref{Type: phv.Type2B, Index: i}] {
-			free2 = append(free2, i)
+	// next[t] is the next container of class t to offer; the
+	// system-reserved ones are skipped.
+	var next [3]uint8
+	take := func(t phv.ContainerType, f *Field) (phv.Ref, error) {
+		for next[t] < phv.NumPerType {
+			r := phv.Ref{Type: t, Index: next[t]}
+			next[t]++
+			if !reservedRefs[r] {
+				return r, nil
+			}
 		}
-		if !reservedRefs[phv.Ref{Type: phv.Type4B, Index: i}] {
-			free4 = append(free4, i)
-		}
-		if !reservedRefs[phv.Ref{Type: phv.Type6B, Index: i}] {
-			free6 = append(free6, i)
-		}
+		return phv.Ref{}, fmt.Errorf("%w: out of %v containers (field %s, line %d)",
+			ErrResource, t, f.Name, f.Line)
 	}
-	take := func(free *[]uint8, t phv.ContainerType, f *Field) (phv.Ref, error) {
-		if len(*free) == 0 {
-			return phv.Ref{}, fmt.Errorf("%w: out of %v containers (field %s, line %d)",
-				ErrResource, t, f.Name, f.Line)
-		}
-		r := phv.Ref{Type: t, Index: (*free)[0]}
-		*free = (*free)[1:]
-		return r, nil
-	}
-	for _, h := range a.mod.Headers {
-		if _, dup := a.headers[h.Name]; dup {
+	fi := 0
+	for hi := range a.mod.Headers {
+		h := &a.mod.Headers[hi]
+		if !a.declare(symKey{kind: symHeader, name: h.Name}, hi) {
 			return fmt.Errorf("%w: duplicate header %q (line %d)", ErrSemantic, h.Name, h.Line)
 		}
-		a.headers[h.Name] = h
-		a.fields[h.Name] = map[string]*fieldInfo{}
+		a.headers[hi] = headerInfo{decl: h, first: fi}
 		off := 0
-		for _, f := range h.Fields {
-			if _, dup := a.fields[h.Name][f.Name]; dup {
+		for i := range h.Fields {
+			f := &h.Fields[i]
+			if !a.declare(symKey{kind: symField, name: h.Name, field: f.Name}, fi) {
 				return fmt.Errorf("%w: duplicate field %s.%s (line %d)", ErrSemantic, h.Name, f.Name, f.Line)
 			}
 			var ref phv.Ref
 			var err error
 			switch f.Width {
 			case 16:
-				ref, err = take(&free2, phv.Type2B, f)
+				ref, err = take(phv.Type2B, f)
 			case 32:
-				ref, err = take(&free4, phv.Type4B, f)
+				ref, err = take(phv.Type4B, f)
 			case 48:
-				ref, err = take(&free6, phv.Type6B, f)
+				ref, err = take(phv.Type6B, f)
 			default:
 				return fmt.Errorf("%w: field %s.%s has width %d; containers support 16, 32, or 48 bits (line %d)",
 					ErrSemantic, h.Name, f.Name, f.Width, f.Line)
@@ -228,9 +294,8 @@ func (a *analysis) resolveHeaders() error {
 				return err
 			}
 			slot, _ := phv.ALUIndex(ref)
-			a.fields[h.Name][f.Name] = &fieldInfo{
-				ref: ref, slot: slot, frameOff: off, width: f.Width, decl: f,
-			}
+			a.fields[fi] = fieldInfo{ref: ref, slot: slot, frameOff: off, width: f.Width, decl: f}
+			fi++
 			off += f.Width / 8
 		}
 	}
@@ -240,29 +305,30 @@ func (a *analysis) resolveHeaders() error {
 // resolveParser binds extracts to headers, fixes frame offsets, and runs
 // the VID-protection static check plus the parse-action budget check.
 func (a *analysis) resolveParser() error {
-	extracted := map[string]bool{}
-	for _, ex := range a.mod.Parser {
-		h, ok := a.headers[ex.Header]
+	for i := range a.mod.Parser {
+		ex := &a.mod.Parser[i]
+		hi, ok := a.lookup(symHeader, ex.Header)
 		if !ok {
 			return fmt.Errorf("%w: parser extracts unknown header %q (line %d)", ErrSemantic, ex.Header, ex.Line)
 		}
-		if extracted[ex.Header] {
+		h := &a.headers[hi]
+		if h.extracted {
 			return fmt.Errorf("%w: header %q extracted twice (line %d)", ErrSemantic, ex.Header, ex.Line)
 		}
-		extracted[ex.Header] = true
+		h.extracted = true
 		if ex.Offset < protectedPrefix {
 			return fmt.Errorf("%w: extracting %q at offset %d overlaps the Ethernet/VLAN headers; "+
 				"modules may not read or modify their VID (line %d)", ErrStatic, ex.Header, ex.Offset, ex.Line)
 		}
-		for _, f := range h.Fields {
-			fi := a.fields[ex.Header][f.Name]
+		for j := range h.decl.Fields {
+			fi := &a.fields[h.first+j]
 			fi.frameOff += ex.Offset
 			fi.extracted = true
 			if fi.frameOff+fi.width/8 > packet.HeaderWindow {
 				return fmt.Errorf("%w: field %s.%s at bytes [%d,%d) exceeds the %d-byte parser window (line %d)",
-					ErrResource, ex.Header, f.Name, fi.frameOff, fi.frameOff+fi.width/8, packet.HeaderWindow, f.Line)
+					ErrResource, ex.Header, fi.decl.Name, fi.frameOff, fi.frameOff+fi.width/8, packet.HeaderWindow, fi.decl.Line)
 			}
-			a.parses = append(a.parses, parseItem{field: fi})
+			a.parses = append(a.parses, fi)
 		}
 	}
 	if len(a.parses) > a.limits.ParserActions {
@@ -274,43 +340,51 @@ func (a *analysis) resolveParser() error {
 }
 
 func (a *analysis) resolveRegisters() error {
-	for _, r := range a.mod.Registers {
-		if _, dup := a.regs[r.Name]; dup {
+	for i := range a.mod.Registers {
+		r := &a.mod.Registers[i]
+		if !a.declare(symKey{kind: symRegister, name: r.Name}, i) {
 			return fmt.Errorf("%w: duplicate register %q (line %d)", ErrSemantic, r.Name, r.Line)
 		}
 		if r.Words <= 0 || r.Words > a.limits.MemoryWordsPerStage {
 			return fmt.Errorf("%w: register %q has %d words; per-stage share is %d (line %d)",
 				ErrResource, r.Name, r.Words, a.limits.MemoryWordsPerStage, r.Line)
 		}
-		a.regs[r.Name] = &regInfo{words: r.Words, stage: -1, decl: r}
+		a.regs[i] = regInfo{words: r.Words, stage: -1, decl: r}
 	}
 	return nil
 }
 
+// field returns the field fr names.
+func (a *analysis) field(fr FieldRef) (*fieldInfo, bool) {
+	i, ok := a.syms[symKey{kind: symField, name: fr.Header, field: fr.Field}]
+	if !ok {
+		return nil, false
+	}
+	return &a.fields[i], true
+}
+
 // lookupField resolves a field reference.
 func (a *analysis) lookupField(fr FieldRef) (*fieldInfo, error) {
-	hf, ok := a.fields[fr.Header]
-	if !ok {
+	if fi, ok := a.field(fr); ok {
+		return fi, nil
+	}
+	if _, ok := a.lookup(symHeader, fr.Header); !ok {
 		return nil, fmt.Errorf("%w: unknown header %q (line %d)", ErrSemantic, fr.Header, fr.Line)
 	}
-	fi, ok := hf[fr.Field]
-	if !ok {
-		return nil, fmt.Errorf("%w: header %q has no field %q (line %d)", ErrSemantic, fr.Header, fr.Field, fr.Line)
-	}
-	return fi, nil
+	return nil, fmt.Errorf("%w: header %q has no field %q (line %d)", ErrSemantic, fr.Header, fr.Field, fr.Line)
 }
 
 // resolveActions checks every statement: names resolve, operands type-
 // check, no recirculation, one ALU per destination container.
 func (a *analysis) resolveActions() error {
-	for _, act := range a.mod.Actions {
-		if _, dup := a.actions[act.Name]; dup {
+	for i := range a.mod.Actions {
+		act := &a.mod.Actions[i]
+		if !a.declare(symKey{kind: symAction, name: act.Name}, i) {
 			return fmt.Errorf("%w: duplicate action %q (line %d)", ErrSemantic, act.Name, act.Line)
 		}
-		a.actions[act.Name] = act
-		destSlots := map[int]int{} // slot -> line
-		for _, s := range act.Body {
-			if err := a.checkStmt(act, s, destSlots); err != nil {
+		var destSlots [phv.NumContainers]int // slot -> line of its writer; 0 free
+		for j := range act.Body {
+			if err := a.checkStmt(act, &act.Body[j], &destSlots); err != nil {
 				return err
 			}
 		}
@@ -318,9 +392,9 @@ func (a *analysis) resolveActions() error {
 	return nil
 }
 
-func (a *analysis) checkStmt(act *Action, s *Stmt, destSlots map[int]int) error {
+func (a *analysis) checkStmt(act *Action, s *Stmt, destSlots *[phv.NumContainers]int) error {
 	claimSlot := func(slot, line int) error {
-		if prev, busy := destSlots[slot]; busy {
+		if prev := destSlots[slot]; prev != 0 {
 			return fmt.Errorf("%w: action %q writes the same container twice "+
 				"(lines %d and %d); there is one ALU per container", ErrSemantic, act.Name, prev, line)
 		}
@@ -355,7 +429,7 @@ func (a *analysis) checkStmt(act *Action, s *Stmt, destSlots map[int]int) error 
 	case StmtDrop:
 		return claimSlot(3*phv.NumPerType, s.Line) // metadata ALU
 	case StmtSetPort:
-		if err := checkOpnd(s.Port); err != nil {
+		if err := checkOpnd(s.A); err != nil {
 			return err
 		}
 		return claimSlot(3*phv.NumPerType, s.Line)
@@ -388,7 +462,7 @@ func (a *analysis) checkStmt(act *Action, s *Stmt, destSlots map[int]int) error 
 			return err
 		}
 		if s.Kind == StmtLoad || s.Reg != "" {
-			if _, ok := a.regs[s.Reg]; !ok {
+			if _, ok := a.reg(s.Reg); !ok {
 				return fmt.Errorf("%w: unknown register %q (line %d)", ErrSemantic, s.Reg, s.Line)
 			}
 		}
@@ -401,7 +475,7 @@ func (a *analysis) checkStmt(act *Action, s *Stmt, destSlots map[int]int) error 
 		if err := claimSlot(fi.slot, s.Line); err != nil {
 			return err
 		}
-		if _, ok := a.regs[s.Reg]; !ok {
+		if _, ok := a.reg(s.Reg); !ok {
 			return fmt.Errorf("%w: unknown register %q (line %d)", ErrSemantic, s.Reg, s.Line)
 		}
 		return checkAddr(s.Addr)
@@ -412,11 +486,13 @@ func (a *analysis) checkStmt(act *Action, s *Stmt, destSlots map[int]int) error 
 // resolveTables checks keys, action lists, entry shapes, and computes key
 // layouts and entry counts.
 func (a *analysis) resolveTables() error {
-	for _, t := range a.mod.Tables {
-		if _, dup := a.tables[t.Name]; dup {
+	for i := range a.mod.Tables {
+		t := &a.mod.Tables[i]
+		if !a.declare(symKey{kind: symTable, name: t.Name}, i) {
 			return fmt.Errorf("%w: duplicate table %q (line %d)", ErrSemantic, t.Name, t.Line)
 		}
-		ti := &tableInfo{decl: t, stage: -1, pred: -1, actions: map[string]*Action{}}
+		ti := &a.tables[i]
+		*ti = tableInfo{decl: t, stage: -1, pred: -1}
 
 		// Key layout: assign key fields to extractor slots per class.
 		var n6, n4, n2 int
@@ -453,23 +529,24 @@ func (a *analysis) resolveTables() error {
 				slotIdx = 4 + n2
 				n2++
 			}
-			ti.keySlots.used[slotIdx] = true
-			ti.keySlots.fieldPos = append(ti.keySlots.fieldPos, slotKeyOffsets[slotIdx])
-			ti.keySlots.fieldWidth = append(ti.keySlots.fieldWidth, fi.width/8)
+			ks := &ti.keySlots
+			ks.used[slotIdx] = true
+			ks.fieldPos[ks.n] = slotKeyOffsets[slotIdx]
+			ks.fieldWidth[ks.n] = fi.width / 8
+			ks.n++
 		}
 
 		if len(t.Actions) == 0 {
 			return fmt.Errorf("%w: table %q declares no actions (line %d)", ErrSemantic, t.Name, t.Line)
 		}
 		for _, an := range t.Actions {
-			act, ok := a.actions[an]
-			if !ok {
+			if _, ok := a.action(an); !ok {
 				return fmt.Errorf("%w: table %q lists unknown action %q (line %d)", ErrSemantic, t.Name, an, t.Line)
 			}
-			ti.actions[an] = act
 		}
 
-		for _, e := range t.Entries {
+		for j := range t.Entries {
+			e := &t.Entries[j]
 			if len(e.KeyVals) != len(t.Keys) {
 				return fmt.Errorf("%w: entry at line %d has %d key values; table %q keys on %d fields",
 					ErrSemantic, e.Line, len(e.KeyVals), t.Name, len(t.Keys))
@@ -482,11 +559,11 @@ func (a *analysis) resolveTables() error {
 					}
 				}
 			}
-			act, ok := ti.actions[e.Action]
-			if !ok {
+			if !slices.Contains(t.Actions, e.Action) {
 				return fmt.Errorf("%w: entry at line %d uses action %q not in table %q's action list",
 					ErrSemantic, e.Line, e.Action, t.Name)
 			}
+			act, _ := a.action(e.Action)
 			if len(e.Args) != len(act.Params) {
 				return fmt.Errorf("%w: entry at line %d passes %d args; action %q takes %d",
 					ErrSemantic, e.Line, len(e.Args), e.Action, len(act.Params))
@@ -510,7 +587,6 @@ func (a *analysis) resolveTables() error {
 			return fmt.Errorf("%w: table %q asks for %d entries; its CAM share is %d (line %d)",
 				ErrResource, t.Name, ti.entryKeys, a.limits.EntriesPerTable, t.Line)
 		}
-		a.tables[t.Name] = ti
 	}
 	return nil
 }
@@ -528,17 +604,16 @@ func (a *analysis) placeControl() error {
 		}
 		next = s
 	}
-	applied := map[string]bool{}
 
 	place := func(name string, cond *Condition, pred int, line int) error {
-		ti, ok := a.tables[name]
+		i, ok := a.lookup(symTable, name)
 		if !ok {
 			return fmt.Errorf("%w: control applies unknown table %q (line %d)", ErrSemantic, name, line)
 		}
-		if applied[name] {
+		ti := &a.tables[i]
+		if ti.stage != -1 {
 			return fmt.Errorf("%w: table %q applied twice; RMT is feed-forward (line %d)", ErrSemantic, name, line)
 		}
-		applied[name] = true
 		if next > hi {
 			return fmt.Errorf("%w: control needs more than %d tenant stages (line %d)",
 				ErrResource, hi-lo+1, line)
@@ -551,7 +626,8 @@ func (a *analysis) placeControl() error {
 		return nil
 	}
 
-	for _, cs := range a.mod.Control {
+	for i := range a.mod.Control {
+		cs := &a.mod.Control[i]
 		if cs.Cond == nil {
 			if err := place(cs.Table, nil, -1, cs.Line); err != nil {
 				return err
@@ -590,12 +666,14 @@ func (a *analysis) placeControl() error {
 func (a *analysis) placeRegisters() error {
 	// Walk tables in stage order; claim registers used by their actions.
 	for _, ti := range a.placed {
-		for _, act := range ti.actions {
-			for _, s := range act.Body {
+		for _, an := range ti.decl.Actions {
+			act, _ := a.action(an)
+			for j := range act.Body {
+				s := &act.Body[j]
 				if s.Reg == "" {
 					continue
 				}
-				ri := a.regs[s.Reg]
+				ri, _ := a.reg(s.Reg)
 				if ri.stage == -1 {
 					ri.stage = ti.stage
 				} else if ri.stage != ti.stage {
@@ -607,9 +685,9 @@ func (a *analysis) placeRegisters() error {
 		}
 	}
 	// Per-stage base assignment + per-stage budget check.
-	perStage := map[int]int{}
-	for _, r := range a.mod.Registers {
-		ri := a.regs[r.Name]
+	var perStage [core.NumStages]int
+	for i := range a.regs {
+		ri := &a.regs[i]
 		if ri.stage == -1 {
 			continue // declared but unused: takes no memory
 		}
@@ -629,55 +707,41 @@ func (a *analysis) placeRegisters() error {
 // U matches or reads a field written by table T's actions, U must be in a
 // strictly later stage.
 func (a *analysis) checkDependencies() error {
-	writtenBy := func(ti *tableInfo) map[int]bool {
-		out := map[int]bool{}
-		for _, act := range ti.actions {
-			for _, s := range act.Body {
-				switch s.Kind {
-				case StmtAssign, StmtLoad, StmtLoadd:
-					if fi, err := a.lookupField(s.Dest); err == nil {
-						out[fi.slot] = true
-					}
-				}
-			}
+	slotBit := func(fr FieldRef) uint32 {
+		if fi, ok := a.field(fr); ok {
+			return 1 << fi.slot
 		}
-		return out
+		return 0
 	}
-	readsOf := func(ti *tableInfo) map[int]bool {
-		out := map[int]bool{}
+	for _, ti := range a.placed {
 		for _, kf := range ti.decl.Keys {
-			if fi, err := a.lookupField(kf); err == nil {
-				out[fi.slot] = true
-			}
+			ti.reads |= slotBit(kf)
 		}
 		if ti.cond != nil {
-			if fi, err := a.lookupField(ti.cond.A); err == nil {
-				out[fi.slot] = true
-			}
+			ti.reads |= slotBit(ti.cond.A)
 			if ti.cond.B.Kind == OpndField {
-				if fi, err := a.lookupField(ti.cond.B.Field); err == nil {
-					out[fi.slot] = true
-				}
+				ti.reads |= slotBit(ti.cond.B.Field)
 			}
 		}
-		// Action operand reads also order stages (action dependency).
-		for _, act := range ti.actions {
-			for _, s := range act.Body {
-				for _, o := range []Operand{s.A, s.B} {
+		for _, an := range ti.decl.Actions {
+			act, _ := a.action(an)
+			for j := range act.Body {
+				s := &act.Body[j]
+				switch s.Kind {
+				case StmtAssign, StmtLoad, StmtLoadd:
+					ti.writes |= slotBit(s.Dest)
+				}
+				// Action operand reads also order stages (action dependency).
+				for _, o := range [2]*Operand{&s.A, &s.B} {
 					if o.Kind == OpndField {
-						if fi, err := a.lookupField(o.Field); err == nil {
-							out[fi.slot] = true
-						}
+						ti.reads |= slotBit(o.Field)
 					}
 				}
 				if s.Addr.HasField {
-					if fi, err := a.lookupField(s.Addr.Field); err == nil {
-						out[fi.slot] = true
-					}
+					ti.reads |= slotBit(s.Addr.Field)
 				}
 			}
 		}
-		return out
 	}
 
 	// Verify the placement invariant: every dependent pair is ordered. A
@@ -687,24 +751,8 @@ func (a *analysis) checkDependencies() error {
 	// guarantees this, but verify explicitly so any future placement
 	// optimization cannot silently break it.
 	for i, t := range a.placed {
-		w := writtenBy(t)
 		for _, u := range a.placed[i+1:] {
-			dependent := false
-			for slot := range readsOf(u) {
-				if w[slot] {
-					dependent = true
-					break
-				}
-			}
-			if !dependent {
-				for slot := range writtenBy(u) {
-					if w[slot] {
-						dependent = true
-						break
-					}
-				}
-			}
-			if dependent && u.stage <= t.stage {
+			if (u.reads|u.writes)&t.writes != 0 && u.stage <= t.stage {
 				return fmt.Errorf("%w: table %q depends on %q but is placed in stage %d <= %d",
 					ErrSemantic, u.decl.Name, t.decl.Name, u.stage, t.stage)
 			}

@@ -34,18 +34,18 @@ package compiler
 // Module is a parsed module.
 type Module struct {
 	Name      string
-	Headers   []*Header
-	Registers []*Register
-	Parser    []*Extract
-	Actions   []*Action
-	Tables    []*Table
+	Headers   []Header
+	Registers []Register
+	Parser    []Extract
+	Actions   []Action
+	Tables    []Table
 	Control   []ControlStmt
 }
 
 // Header is a header type declaration.
 type Header struct {
 	Name   string
-	Fields []*Field
+	Fields []Field
 	Line   int
 }
 
@@ -135,12 +135,11 @@ type AddrExpr struct {
 type Stmt struct {
 	Kind StmtKind
 	Dest FieldRef // assign/load/loadd destination; store data source
-	A    Operand  // first operand for assigns
+	A    Operand  // first operand for assigns; set_port's operand
 	Op   BinOp
 	B    Operand // second operand for assigns
 	Reg  string  // register name for load/store/loadd
 	Addr AddrExpr
-	Port Operand // set_port operand
 	Line int
 }
 
@@ -148,7 +147,7 @@ type Stmt struct {
 type Action struct {
 	Name   string
 	Params []string
-	Body   []*Stmt
+	Body   []Stmt
 	Line   int
 }
 
@@ -158,7 +157,7 @@ type Table struct {
 	Keys    []FieldRef
 	Actions []string
 	Size    int
-	Entries []*Entry
+	Entries []Entry
 	// Ternary marks the table as ternary-matching (Appendix B): entries
 	// may carry per-field masks and the lowest CAM address wins.
 	Ternary bool

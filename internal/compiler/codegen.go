@@ -77,8 +77,7 @@ func CompileAST(mod *Module, opts Options) (*Program, error) {
 	// Parser and deparser entries (identical formats, §3.1). Only fields
 	// the module actually extracts travel in the PHV.
 	var pe parser.Entry
-	for i, item := range a.parses {
-		fi := item.field
+	for i, fi := range a.parses {
 		pe.Actions[i] = parser.Action{
 			Offset: uint8(fi.frameOff),
 			Dest:   fi.ref,
@@ -89,11 +88,11 @@ func CompileAST(mod *Module, opts Options) (*Program, error) {
 	cfg.Deparser = pe
 
 	prog := &Program{Config: cfg, Source: mod, StagesUsed: len(a.placed)}
-	for _, r := range mod.Registers {
-		ri := a.regs[r.Name]
-		prog.Registers = append(prog.Registers, RegisterInfo{
-			Name: r.Name, Stage: ri.stage, Base: ri.base, Words: ri.words,
-		})
+	if len(a.regs) > 0 {
+		prog.Registers = make([]RegisterInfo, len(a.regs))
+		for i, ri := range a.regs {
+			prog.Registers[i] = RegisterInfo{Name: ri.decl.Name, Stage: ri.stage, Base: ri.base, Words: ri.words}
+		}
 	}
 
 	for _, ti := range a.placed {
@@ -158,11 +157,17 @@ func (a *analysis) genStage(ti *tableInfo) (core.StageConfig, int, error) {
 	// table keeps source order (the lowest CAM address wins, Appendix B)
 	// and reserves — rather than fills — its remaining slots so the
 	// control plane can insert prioritized rules later.
-	seen := make(map[tables.Key]bool, ti.entryKeys)
+	entries := ti.decl.Entries
+	n := ti.entryKeys
+	if ti.decl.Ternary {
+		n = len(entries)
+	}
+	sc.Rules = make([]core.Rule, 0, n)
 	predBit := ti.pred == 1 // else-branch entries carry a clear bit
 	usePred := ti.cond != nil
 
-	for _, e := range ti.decl.Entries {
+	for i := range entries {
+		e := &entries[i]
 		key, err := a.buildKey(ti, e.KeyVals, usePred && predBit)
 		if err != nil {
 			return sc, 0, fmt.Errorf("entry at line %d: %w", e.Line, err)
@@ -174,14 +179,12 @@ func (a *analysis) genStage(ti *tableInfo) (core.StageConfig, int, error) {
 				return sc, 0, fmt.Errorf("entry at line %d: %w", e.Line, err)
 			}
 			key = key.Masked(entryMask).WithPredicate(usePred && predBit)
-		} else {
-			if seen[key] {
-				return sc, 0, fmt.Errorf("%w: duplicate key in table %q (line %d); exact-match entries must be distinct",
-					ErrSemantic, ti.decl.Name, e.Line)
-			}
-			seen[key] = true
+		} else if hasKey(sc.Rules, key) {
+			return sc, 0, fmt.Errorf("%w: duplicate key in table %q (line %d); exact-match entries must be distinct",
+				ErrSemantic, ti.decl.Name, e.Line)
 		}
-		action, err := a.genAction(ti, a.actions[e.Action], e.Args)
+		act, _ := a.action(e.Action)
+		action, err := a.genAction(act, e.Args)
 		if err != nil {
 			return sc, 0, fmt.Errorf("entry at line %d: %w", e.Line, err)
 		}
@@ -199,58 +202,78 @@ func (a *analysis) genStage(ti *tableInfo) (core.StageConfig, int, error) {
 	// Filler entries: fresh, mutually distinct keys bound to the first
 	// action with zeroed arguments. Generating (rather than inheriting)
 	// them guarantees no information leaks from a previous module.
-	fillerAct := a.actions[ti.decl.Actions[0]]
-	fillerArgs := make([]uint64, len(fillerAct.Params))
-	fillerAction, err := a.genAction(ti, fillerAct, fillerArgs)
+	fillerAct, _ := a.action(ti.decl.Actions[0])
+	var zeros [8]uint64
+	fillerArgs := zeros[:0]
+	if n := len(fillerAct.Params); n <= len(zeros) {
+		fillerArgs = zeros[:n]
+	} else {
+		fillerArgs = make([]uint64, n)
+	}
+	fillerAction, err := a.genAction(fillerAct, fillerArgs)
 	if err != nil {
 		return sc, 0, err
 	}
-	next := uint64(1)
-	for len(sc.Rules) < ti.entryKeys {
-		kv := make([]uint64, len(ti.decl.Keys))
-		if len(kv) == 0 {
-			// A keyless table holds exactly one (match-all via mask) entry.
-			if len(sc.Rules) > 0 {
-				return sc, 0, fmt.Errorf("%w: table %q has no key fields but size %d > 1",
-					ErrSemantic, ti.decl.Name, ti.entryKeys)
-			}
-			key, err := a.buildKey(ti, kv, usePred && predBit)
+	ks := &ti.keySlots
+	if ks.n == 0 {
+		// A keyless table holds exactly one (match-all via mask) entry.
+		if len(sc.Rules) == 0 {
+			key, err := a.buildKey(ti, nil, usePred && predBit)
 			if err != nil {
 				return sc, 0, err
 			}
 			sc.Rules = append(sc.Rules, core.Rule{Key: key, Mask: mask, Action: fillerAction})
-			break
+		} else if len(sc.Rules) < ti.entryKeys {
+			return sc, 0, fmt.Errorf("%w: table %q has no key fields but size %d > 1",
+				ErrSemantic, ti.decl.Name, ti.entryKeys)
 		}
-		// Spread the counter across the first key field, clamped to its
-		// width; overflow walks into subsequent fields.
+		return sc, len(sc.Rules), nil
+	}
+	// Counter next becomes the key fields' values by spreading its bits
+	// across them: the low bits fill the first field up to its width,
+	// the next bits the second, and so on. Within the fields' total
+	// width that map is one-to-one, and buildKey writes each value into
+	// its own bytes at full width, so distinct counters below
+	// 2^totalBits give distinct keys. The filler keys thus need no check
+	// among themselves, only against the explicit entries, which hold
+	// sc.Rules[:explicit] and come from the source.
+	explicit := len(sc.Rules)
+	totalBits := 0
+	for i := range ks.n {
+		totalBits += ks.fieldWidth[i] * 8
+	}
+	var kv [maxKeyFields]uint64
+	for next := uint64(1); len(sc.Rules) < ti.entryKeys; next++ {
+		if totalBits < 64 && next>>uint(totalBits) != 0 {
+			return sc, 0, fmt.Errorf("%w: table %q needs %d distinct keys; its key fields hold %d bits",
+				ErrResource, ti.decl.Name, ti.entryKeys, totalBits)
+		}
 		rem := next
-		for i := range kv {
-			w := uint(ti.keySlots.fieldWidth[i] * 8)
-			var fieldMax uint64
-			if w >= 64 {
-				fieldMax = ^uint64(0)
-			} else {
-				fieldMax = 1<<w - 1
-			}
-			kv[i] = rem & fieldMax
-			if w >= 64 {
-				rem = 0
-			} else {
-				rem >>= w
-			}
+		for i := range ks.n {
+			w := uint(ks.fieldWidth[i] * 8) // at most 48
+			kv[i], rem = rem&(1<<w-1), rem>>w
 		}
-		next++
-		key, err := a.buildKey(ti, kv, usePred && predBit)
+		key, err := a.buildKey(ti, kv[:ks.n], usePred && predBit)
 		if err != nil {
 			return sc, 0, err
 		}
-		if seen[key] {
+		if hasKey(sc.Rules[:explicit], key) {
 			continue
 		}
-		seen[key] = true
 		sc.Rules = append(sc.Rules, core.Rule{Key: key, Mask: mask, Action: fillerAction})
 	}
 	return sc, len(sc.Rules), nil
+}
+
+// hasKey reports whether one of rules matches key exactly. The rules it
+// scans are a table's explicit entries, at most its CAM share.
+func hasKey(rules []core.Rule, key tables.Key) bool {
+	for i := range rules {
+		if rules[i].Key == key {
+			return true
+		}
+	}
+	return false
 }
 
 // genPredicate lowers a control condition to key-extractor predicate
@@ -294,8 +317,8 @@ func (a *analysis) genPredicate(c *Condition) (stage.PredOp, stage.Operand, stag
 // table is conditioned.
 func (a *analysis) buildEntryMask(ti *tableInfo, masks []uint64, usePred bool) (tables.Key, error) {
 	var m tables.Key
-	if len(masks) != len(ti.keySlots.fieldPos) {
-		return m, fmt.Errorf("%w: %d masks for %d key fields", ErrSemantic, len(masks), len(ti.keySlots.fieldPos))
+	if len(masks) != ti.keySlots.n {
+		return m, fmt.Errorf("%w: %d masks for %d key fields", ErrSemantic, len(masks), ti.keySlots.n)
 	}
 	for i, mv := range masks {
 		off := ti.keySlots.fieldPos[i]
@@ -315,8 +338,8 @@ func (a *analysis) buildEntryMask(ti *tableInfo, masks []uint64, usePred bool) (
 // sets the predicate bit.
 func (a *analysis) buildKey(ti *tableInfo, vals []uint64, pred bool) (tables.Key, error) {
 	var k tables.Key
-	if len(vals) != len(ti.keySlots.fieldPos) {
-		return k, fmt.Errorf("%w: %d key values for %d key fields", ErrSemantic, len(vals), len(ti.keySlots.fieldPos))
+	if len(vals) != ti.keySlots.n {
+		return k, fmt.Errorf("%w: %d key values for %d key fields", ErrSemantic, len(vals), ti.keySlots.n)
 	}
 	for i, v := range vals {
 		off := ti.keySlots.fieldPos[i]
@@ -330,15 +353,21 @@ func (a *analysis) buildKey(ti *tableInfo, vals []uint64, pred bool) (tables.Key
 }
 
 // genAction lowers one action (with bound arguments) to a VLIW action.
-func (a *analysis) genAction(ti *tableInfo, act *Action, args []uint64) (alu.Action, error) {
+func (a *analysis) genAction(act *Action, args []uint64) (alu.Action, error) {
 	var out alu.Action
 	if len(args) != len(act.Params) {
 		return out, fmt.Errorf("%w: action %q takes %d params, got %d args",
 			ErrSemantic, act.Name, len(act.Params), len(args))
 	}
-	bind := map[string]uint64{}
-	for i, p := range act.Params {
-		bind[p] = args[i]
+	// bind returns the argument of a parameter; the last of two
+	// parameters with one name wins.
+	bind := func(name string) (uint64, bool) {
+		for i := len(act.Params) - 1; i >= 0; i-- {
+			if act.Params[i] == name {
+				return args[i], true
+			}
+		}
+		return 0, false
 	}
 	imm16 := func(o Operand) (uint16, error) {
 		switch o.Kind {
@@ -348,7 +377,7 @@ func (a *analysis) genAction(ti *tableInfo, act *Action, args []uint64) (alu.Act
 			}
 			return uint16(o.Value), nil
 		case OpndParam:
-			v, ok := bind[o.Param]
+			v, ok := bind(o.Param)
 			if !ok {
 				return 0, fmt.Errorf("%w: unbound parameter %q", ErrSemantic, o.Param)
 			}
@@ -369,7 +398,7 @@ func (a *analysis) genAction(ti *tableInfo, act *Action, args []uint64) (alu.Act
 	addrOperands := func(ad AddrExpr, regName string) (uint8, uint16, error) {
 		base := uint64(0)
 		if regName != "" {
-			ri, ok := a.regs[regName]
+			ri, ok := a.reg(regName)
 			if !ok {
 				return 0, 0, fmt.Errorf("%w: unknown register %q", ErrSemantic, regName)
 			}
@@ -395,12 +424,13 @@ func (a *analysis) genAction(ti *tableInfo, act *Action, args []uint64) (alu.Act
 	}
 
 	metaSlot := 3 * phv.NumPerType
-	for _, s := range act.Body {
+	for i := range act.Body {
+		s := &act.Body[i]
 		switch s.Kind {
 		case StmtDrop:
 			out[metaSlot] = alu.Instr{Op: alu.OpDiscard, A: uint8(metaSlot)}
 		case StmtSetPort:
-			v, err := imm16(s.Port)
+			v, err := imm16(s.A)
 			if err != nil {
 				return out, err
 			}
@@ -410,7 +440,7 @@ func (a *analysis) genAction(ti *tableInfo, act *Action, args []uint64) (alu.Act
 			if err != nil {
 				return out, err
 			}
-			in, err := lowerAssign(s, bind, fieldSlot, imm16)
+			in, err := lowerAssign(s, fieldSlot, imm16)
 			if err != nil {
 				return out, err
 			}
@@ -451,8 +481,7 @@ func (a *analysis) genAction(ti *tableInfo, act *Action, args []uint64) (alu.Act
 }
 
 // lowerAssign lowers `dest = a [op b]` to one ALU instruction.
-func lowerAssign(s *Stmt, bind map[string]uint64,
-	fieldSlot func(FieldRef) (uint8, error), imm16 func(Operand) (uint16, error)) (alu.Instr, error) {
+func lowerAssign(s *Stmt, fieldSlot func(FieldRef) (uint8, error), imm16 func(Operand) (uint16, error)) (alu.Instr, error) {
 
 	isField := func(o Operand) bool { return o.Kind == OpndField }
 

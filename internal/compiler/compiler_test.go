@@ -762,3 +762,72 @@ control { if (h_h.a > h_h.b) { apply(t); } }
 		t.Errorf("field-field condition lowered to %+v", ext)
 	}
 }
+
+// lexAll tokenizes the whole input, EOF token included, stopping at the
+// first lexical error.
+func lexAll(src string) ([]token, error) {
+	l := &lexer{src: src, line: 1, col: 1}
+	var toks []token
+	for {
+		t, err := l.next()
+		if err != nil {
+			return nil, err
+		}
+		toks = append(toks, t)
+		if t.kind == tokEOF {
+			return toks, nil
+		}
+	}
+}
+
+// TestNumberLiteralOverflow pins that a literal above 2^64-1 is a
+// lexical error: 2^64+1, in decimal or hex, once wrapped to key 1 and
+// compiled.
+func TestNumberLiteralOverflow(t *testing.T) {
+	for _, lit := range []string{"18446744073709551617", "0x10000000000000001", "18446744073709551616", "99999999999999999999"} {
+		src := strings.Replace(calcSrc, "(1) -> do_add", "("+lit+") -> do_add", 1)
+		_, err := Compile(src, Options{ModuleID: 1})
+		var se *SyntaxError
+		if !errors.As(err, &se) || !strings.Contains(se.Msg, "bad number") {
+			t.Errorf("literal %s: err = %v, want a bad number SyntaxError", lit, err)
+		}
+	}
+	for _, lit := range []string{"18446744073709551615", "0xffffffffffffffff", "0xFFFFFFFFFFFFFFFF"} {
+		toks, err := lexAll(lit)
+		if err != nil || toks[0].num != ^uint64(0) {
+			t.Errorf("lexAll(%s) = %v, %v; want 2^64-1", lit, toks, err)
+		}
+	}
+}
+
+// TestLexErrorOutranksEarlierParseError pins the error a streaming
+// parse reports: a lexical error anywhere in the source wins over a
+// parse error before it, as when the source was lexed whole first.
+func TestLexErrorOutranksEarlierParseError(t *testing.T) {
+	_, err := Parse("module m; bogus ; @")
+	var se *SyntaxError
+	if !errors.As(err, &se) || se.Msg != `unexpected character '@'` {
+		t.Fatalf("err = %v, want the lexer's unexpected character '@'", err)
+	}
+	if _, err := Parse("module m; bogus ;"); err == nil || !strings.Contains(err.Error(), "expected declaration") {
+		t.Fatalf("err = %v, want the parse error", err)
+	}
+}
+
+// TestFillerKeySpaceExhausted pins that a table asking for more
+// entries than its key fields can tell apart is a resource error, not a
+// hang: the test table keys on one 16-bit field, and filler counters
+// start at 1, so its 65536 key values fill size 65535 and no more.
+func TestFillerKeySpaceExhausted(t *testing.T) {
+	limits := DefaultLimits()
+	limits.EntriesPerTable = 1 << 16
+	src := strings.Replace(calcSrc, "size = 4;", "size = 65536;", 1)
+	if _, err := Compile(src, Options{ModuleID: 1, Limits: limits}); !errors.Is(err, ErrResource) {
+		t.Fatalf("err = %v, want ErrResource", err)
+	}
+	src = strings.Replace(calcSrc, "size = 4;", "size = 65535;", 1)
+	p, err := Compile(src, Options{ModuleID: 1, Limits: limits})
+	if err != nil || p.EntriesGenerated != 65535 {
+		t.Fatalf("size 65535: err %v; want 65535 distinct keys", err)
+	}
+}

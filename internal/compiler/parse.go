@@ -1,730 +1,522 @@
 package compiler
 
-// parser consumes the token stream into a Module AST.
+import "slices"
+
+// astParser turns the lexer's token stream into a Module AST. It pulls
+// tokens one at a time and looks one token past the current one, never
+// further and never back, so the source is lexed once and no token
+// slice is built. AST lists are cut from pools (see pool), a few
+// backing arrays per kind for the whole module.
+//
+// Errors are sticky: the first one is kept in err; from then on next,
+// expect, ident and number consume nothing and accept reports true, so
+// every list loop ends and the grammar reads straight through to Parse,
+// which returns the first error, exactly where it arose.
 type astParser struct {
-	toks []token
-	pos  int
+	lx     lexer
+	tok    token // the current token
+	peek   token // the one token of lookahead
+	lexErr error // the lexer's first error; the stream ends there
+	err    error // the first parse error
+
+	fields  pool[Field]
+	stmts   pool[Stmt]
+	entries pool[Entry]
+	names   pool[string]   // action parameters and table action lists
+	keys    pool[FieldRef] // table keys
+	nums    pool[uint64]   // entry key values, masks and arguments
+}
+
+// pool is one growing backing array that the parser cuts AST lists of
+// one element type from: a list is the run appended since its start.
+// Lists of one type never nest, so each run is contiguous; a backing
+// array that grows leaves the lists already cut from the old one
+// intact, since nothing appends there again. A module's lists of one
+// type thus cost a few allocations in all, not one or more each.
+type pool[T any] []T
+
+// cut returns the run appended since start, capped so that appending
+// to it cannot reach the pool.
+func (p pool[T]) cut(start int) []T { return p[start:len(p):len(p)] }
+
+// add appends v to a module-level list, giving a new list room for
+// two: a module declares few of each kind.
+func add[T any](list []T, v T) []T {
+	if list == nil {
+		list = make([]T, 0, 2)
+	}
+	return append(list, v)
 }
 
 // Parse parses module source text into an AST.
 func Parse(src string) (*Module, error) {
-	toks, err := lexAll(src)
-	if err != nil {
-		return nil, err
+	p := astParser{
+		lx:      lexer{src: src, line: 1, col: 1},
+		fields:  make(pool[Field], 0, 4),
+		stmts:   make(pool[Stmt], 0, 4),
+		entries: make(pool[Entry], 0, 4),
+		names:   make(pool[string], 0, 4),
+		keys:    make(pool[FieldRef], 0, 2),
+		nums:    make(pool[uint64], 0, 8),
 	}
-	p := &astParser{toks: toks}
-	return p.module()
+	p.advance() // the first token into peek
+	p.advance() // and on into tok
+	m := p.module()
+	if p.err != nil {
+		// A lexical error anywhere in the source outranks a parse
+		// error before it: Parse reports the source's lexical errors
+		// first, as a parser over a whole token slice would.
+		for p.lexErr == nil && p.peek.kind != tokEOF {
+			p.advance()
+		}
+	}
+	if p.lexErr != nil {
+		return nil, p.lexErr
+	}
+	if p.err != nil {
+		return nil, p.err
+	}
+	return m, nil
 }
 
-func (p *astParser) cur() token  { return p.toks[p.pos] }
-func (p *astParser) next() token { t := p.toks[p.pos]; p.pos++; return t }
+// advance moves to the next token. A lexical error ends the stream:
+// it is kept in p.lexErr and the parser sees end of input.
+func (p *astParser) advance() {
+	p.tok = p.peek
+	if p.lexErr != nil {
+		return
+	}
+	t, err := p.lx.next()
+	if err != nil {
+		p.lexErr = err
+		t = token{kind: tokEOF, line: p.lx.line, col: p.lx.col}
+	}
+	p.peek = t
+}
 
+// fail records err unless an earlier error stands.
+func (p *astParser) fail(err error) {
+	if p.err == nil {
+		p.err = err
+	}
+}
+
+// next consumes and returns the current token.
+func (p *astParser) next() token {
+	t := p.tok
+	if p.err == nil {
+		p.advance()
+	}
+	return t
+}
+
+// accept consumes the current token if it is text.
 func (p *astParser) accept(text string) bool {
-	if p.cur().kind != tokEOF && p.cur().text == text {
-		p.pos++
+	if p.err != nil {
+		return true
+	}
+	if p.tok.kind != tokEOF && p.tok.text == text {
+		p.advance()
 		return true
 	}
 	return false
 }
 
-func (p *astParser) expect(text string) (token, error) {
-	t := p.cur()
-	if t.text != text || t.kind == tokEOF {
-		return t, errAt(t, "expected %q, found %v", text, t)
+func (p *astParser) expect(text string) token {
+	if t := p.tok; p.err == nil && (t.text != text || t.kind == tokEOF) {
+		p.fail(errAt(t, "expected %q, found %v", text, t))
 	}
-	p.pos++
-	return t, nil
+	return p.next()
 }
 
-func (p *astParser) ident() (token, error) {
-	t := p.cur()
-	if t.kind != tokIdent {
-		return t, errAt(t, "expected identifier, found %v", t)
+func (p *astParser) ident() token {
+	if t := p.tok; p.err == nil && t.kind != tokIdent {
+		p.fail(errAt(t, "expected identifier, found %v", t))
 	}
-	p.pos++
-	return t, nil
+	return p.next()
 }
 
-func (p *astParser) number() (token, error) {
-	t := p.cur()
-	if t.kind != tokNumber {
-		return t, errAt(t, "expected number, found %v", t)
+func (p *astParser) number() token {
+	if t := p.tok; p.err == nil && t.kind != tokNumber {
+		p.fail(errAt(t, "expected number, found %v", t))
 	}
-	p.pos++
-	return t, nil
+	return p.next()
 }
 
-func (p *astParser) module() (*Module, error) {
+func (p *astParser) module() *Module {
 	m := &Module{}
-	if _, err := p.expect("module"); err != nil {
-		return nil, err
-	}
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	m.Name = name.text
-	if _, err := p.expect(";"); err != nil {
-		return nil, err
-	}
-
-	for p.cur().kind != tokEOF {
-		t := p.cur()
-		switch t.text {
+	p.expect("module")
+	m.Name = p.ident().text
+	p.expect(";")
+	for p.err == nil && p.tok.kind != tokEOF {
+		switch t := p.tok; t.text {
 		case "header":
-			h, err := p.header()
-			if err != nil {
-				return nil, err
-			}
-			m.Headers = append(m.Headers, h)
+			m.Headers = add(m.Headers, p.header())
 		case "register":
-			r, err := p.register()
-			if err != nil {
-				return nil, err
-			}
-			m.Registers = append(m.Registers, r)
+			m.Registers = add(m.Registers, p.register())
 		case "parser":
-			ex, err := p.parserBlock()
-			if err != nil {
-				return nil, err
-			}
-			m.Parser = append(m.Parser, ex...)
+			p.parserBlock(m)
 		case "action":
-			a, err := p.action()
-			if err != nil {
-				return nil, err
-			}
-			m.Actions = append(m.Actions, a)
+			m.Actions = add(m.Actions, p.action())
 		case "table":
-			tb, err := p.table()
-			if err != nil {
-				return nil, err
-			}
-			m.Tables = append(m.Tables, tb)
+			m.Tables = add(m.Tables, p.table())
 		case "control":
-			cs, err := p.control()
-			if err != nil {
-				return nil, err
-			}
-			m.Control = append(m.Control, cs...)
+			p.control(m)
 		default:
-			return nil, errAt(t, "expected declaration, found %v", t)
+			p.fail(errAt(t, "expected declaration, found %v", t))
 		}
 	}
-	return m, nil
+	return m
 }
 
-func (p *astParser) header() (*Header, error) {
-	kw, _ := p.expect("header")
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect("{"); err != nil {
-		return nil, err
-	}
-	h := &Header{Name: name.text, Line: kw.line}
+func (p *astParser) header() Header {
+	h := Header{Line: p.next().line}
+	h.Name = p.ident().text
+	p.expect("{")
+	start := len(p.fields)
 	for !p.accept("}") {
-		fn, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(":"); err != nil {
-			return nil, err
-		}
-		w, err := p.number()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(";"); err != nil {
-			return nil, err
-		}
-		h.Fields = append(h.Fields, &Field{Name: fn.text, Width: int(w.num), Line: fn.line})
+		fn := p.ident()
+		p.expect(":")
+		w := p.number()
+		p.expect(";")
+		p.fields = append(p.fields, Field{Name: fn.text, Width: int(w.num), Line: fn.line})
 	}
-	return h, nil
+	h.Fields = p.fields.cut(start)
+	return h
 }
 
-func (p *astParser) register() (*Register, error) {
-	kw, _ := p.expect("register")
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect("["); err != nil {
-		return nil, err
-	}
-	n, err := p.number()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect("]"); err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(";"); err != nil {
-		return nil, err
-	}
-	return &Register{Name: name.text, Words: int(n.num), Line: kw.line}, nil
+func (p *astParser) register() Register {
+	r := Register{Line: p.next().line}
+	r.Name = p.ident().text
+	p.expect("[")
+	r.Words = int(p.number().num)
+	p.expect("]")
+	p.expect(";")
+	return r
 }
 
-func (p *astParser) parserBlock() ([]*Extract, error) {
-	if _, err := p.expect("parser"); err != nil {
-		return nil, err
-	}
-	if _, err := p.expect("{"); err != nil {
-		return nil, err
-	}
-	var out []*Extract
+// parserBlock appends the block's extracts to m.Parser.
+func (p *astParser) parserBlock(m *Module) {
+	p.next()
+	p.expect("{")
 	for !p.accept("}") {
-		kw, err := p.expect("extract")
-		if err != nil {
-			return nil, err
-		}
-		h, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect("at"); err != nil {
-			return nil, err
-		}
-		off, err := p.number()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(";"); err != nil {
-			return nil, err
-		}
-		out = append(out, &Extract{Header: h.text, Offset: int(off.num), Line: kw.line})
+		ex := Extract{Line: p.expect("extract").line}
+		ex.Header = p.ident().text
+		p.expect("at")
+		ex.Offset = int(p.number().num)
+		p.expect(";")
+		m.Parser = add(m.Parser, ex)
 	}
-	return out, nil
 }
 
 // fieldRef parses HDR.FIELD.
-func (p *astParser) fieldRef() (FieldRef, error) {
-	h, err := p.ident()
-	if err != nil {
-		return FieldRef{}, err
-	}
-	if _, err := p.expect("."); err != nil {
-		return FieldRef{}, err
-	}
-	f, err := p.ident()
-	if err != nil {
-		return FieldRef{}, err
-	}
-	return FieldRef{Header: h.text, Field: f.text, Line: h.line}, nil
+func (p *astParser) fieldRef() FieldRef {
+	h := p.ident()
+	p.expect(".")
+	return FieldRef{Header: h.text, Field: p.ident().text, Line: h.line}
 }
 
-// operand parses FIELD | NUMBER | PARAM (bare identifier).
-func (p *astParser) operand(params map[string]bool) (Operand, error) {
-	t := p.cur()
-	switch t.kind {
-	case tokNumber:
-		p.pos++
-		return Operand{Kind: OpndConst, Value: t.num, Line: t.line}, nil
-	case tokIdent:
-		// FIELD if followed by '.', otherwise a parameter.
-		if p.pos+1 < len(p.toks) && p.toks[p.pos+1].text == "." {
-			fr, err := p.fieldRef()
-			if err != nil {
-				return Operand{}, err
-			}
-			return Operand{Kind: OpndField, Field: fr, Line: fr.Line}, nil
+// operand parses FIELD | NUMBER | PARAM, a bare identifier that must
+// name one of params.
+func (p *astParser) operand(params []string) Operand {
+	switch t := p.tok; {
+	case p.err != nil:
+	case t.kind == tokNumber:
+		p.advance()
+		return Operand{Kind: OpndConst, Value: t.num, Line: t.line}
+	case t.kind == tokIdent && p.peek.text == ".": // a field
+		fr := p.fieldRef()
+		return Operand{Kind: OpndField, Field: fr, Line: fr.Line}
+	case t.kind == tokIdent:
+		p.advance()
+		if !slices.Contains(params, t.text) {
+			p.fail(errAt(t, "unknown identifier %q (not a parameter; fields are written hdr.field)", t.text))
 		}
-		p.pos++
-		if params != nil && !params[t.text] {
-			return Operand{}, errAt(t, "unknown identifier %q (not a parameter; fields are written hdr.field)", t.text)
-		}
-		return Operand{Kind: OpndParam, Param: t.text, Line: t.line}, nil
+		return Operand{Kind: OpndParam, Param: t.text, Line: t.line}
+	default:
+		p.fail(errAt(t, "expected operand, found %v", t))
 	}
-	return Operand{}, errAt(t, "expected operand, found %v", t)
+	return Operand{}
 }
 
-func (p *astParser) action() (*Action, error) {
-	kw, _ := p.expect("action")
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	a := &Action{Name: name.text, Line: kw.line}
-	if _, err := p.expect("("); err != nil {
-		return nil, err
-	}
-	params := map[string]bool{}
+func (p *astParser) action() Action {
+	a := Action{Line: p.next().line}
+	a.Name = p.ident().text
+	p.expect("(")
+	start := len(p.names)
 	for !p.accept(")") {
-		if len(a.Params) > 0 {
-			if _, err := p.expect(","); err != nil {
-				return nil, err
-			}
+		if len(p.names) > start {
+			p.expect(",")
 		}
-		pn, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		a.Params = append(a.Params, pn.text)
-		params[pn.text] = true
+		p.names = append(p.names, p.ident().text)
 	}
-	if _, err := p.expect("{"); err != nil {
-		return nil, err
-	}
+	a.Params = p.names.cut(start)
+	p.expect("{")
+	start = len(p.stmts)
 	for !p.accept("}") {
-		s, err := p.stmt(params)
-		if err != nil {
-			return nil, err
-		}
-		a.Body = append(a.Body, s)
+		p.stmts = append(p.stmts, p.stmt(a.Params))
 	}
-	return a, nil
+	a.Body = p.stmts.cut(start)
+	return a
 }
 
 // stmt parses one action statement.
-func (p *astParser) stmt(params map[string]bool) (*Stmt, error) {
-	t := p.cur()
+func (p *astParser) stmt(params []string) Stmt {
+	t := p.tok
+	s := Stmt{Line: t.line}
 
 	// Platform calls.
 	switch t.text {
 	case "set_port":
-		p.pos++
-		if _, err := p.expect("("); err != nil {
-			return nil, err
+		p.advance()
+		p.expect("(")
+		s.Kind, s.A = StmtSetPort, p.operand(params)
+		if s.A.Kind == OpndField {
+			p.fail(errAt(t, "set_port takes a constant or parameter"))
 		}
-		op, err := p.operand(params)
-		if err != nil {
-			return nil, err
-		}
-		if op.Kind == OpndField {
-			return nil, errAt(t, "set_port takes a constant or parameter")
-		}
-		if _, err := p.expect(")"); err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(";"); err != nil {
-			return nil, err
-		}
-		return &Stmt{Kind: StmtSetPort, Port: op, Line: t.line}, nil
+		p.expect(")")
+		p.expect(";")
+		return s
 	case "drop", "recirculate":
-		p.pos++
-		if _, err := p.expect("("); err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(")"); err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(";"); err != nil {
-			return nil, err
-		}
-		k := StmtDrop
+		p.advance()
+		p.expect("(")
+		p.expect(")")
+		p.expect(";")
+		s.Kind = StmtDrop
 		if t.text == "recirculate" {
-			k = StmtRecirculate
+			s.Kind = StmtRecirculate
 		}
-		return &Stmt{Kind: k, Line: t.line}, nil
+		return s
 	}
 
 	// Either an assignment to a field (hdr.f = ...) or a store (reg[...] = f).
 	if t.kind != tokIdent {
-		return nil, errAt(t, "expected statement, found %v", t)
+		p.fail(errAt(t, "expected statement, found %v", t))
+		return s
 	}
-	if p.pos+1 < len(p.toks) && p.toks[p.pos+1].text == "[" {
+	if p.peek.text == "[" {
 		// Store: REG [ addr ] = FIELD ;
-		reg := p.next()
-		if _, err := p.expect("["); err != nil {
-			return nil, err
-		}
-		addr, err := p.addrExpr(params)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect("]"); err != nil {
-			return nil, err
-		}
-		if _, err := p.expect("="); err != nil {
-			return nil, err
-		}
-		src, err := p.fieldRef()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(";"); err != nil {
-			return nil, err
-		}
-		return &Stmt{Kind: StmtStore, Reg: reg.text, Addr: addr, Dest: src, Line: t.line}, nil
+		s.Kind, s.Reg = StmtStore, p.next().text
+		p.expect("[")
+		s.Addr = p.addrExpr(params)
+		p.expect("]")
+		p.expect("=")
+		s.Dest = p.fieldRef()
+		p.expect(";")
+		return s
 	}
 
-	dest, err := p.fieldRef()
-	if err != nil {
-		return nil, err
+	s.Dest = p.fieldRef()
+	p.expect("=")
+	switch {
+	case p.tok.text == "loadd": // loadd(addr)
+		p.advance()
+		p.expect("(")
+		s.Kind, s.Addr = StmtLoadd, p.addrExpr(params)
+		p.expect(")")
+	case p.tok.kind == tokIdent && p.peek.text == "[":
+		// reg[addr] — a load, or with a trailing ++ the loadd fetch-and-add.
+		s.Kind, s.Reg = StmtLoad, p.next().text
+		p.expect("[")
+		s.Addr = p.addrExpr(params)
+		p.expect("]")
+		if p.err == nil && p.accept("++") {
+			s.Kind = StmtLoadd
+		}
+	default: // a [op b]
+		s.Kind, s.A = StmtAssign, p.operand(params)
+		if p.accept("+") {
+			s.Op = BinAdd
+		} else if p.accept("-") {
+			s.Op = BinSub
+		}
+		if p.err == nil && s.Op != BinNone {
+			s.B = p.operand(params)
+		}
 	}
-	if _, err := p.expect("="); err != nil {
-		return nil, err
-	}
-
-	// loadd(addr)
-	if p.cur().text == "loadd" {
-		p.pos++
-		if _, err := p.expect("("); err != nil {
-			return nil, err
-		}
-		addr, err := p.addrExpr(params)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(")"); err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(";"); err != nil {
-			return nil, err
-		}
-		return &Stmt{Kind: StmtLoadd, Dest: dest, Addr: addr, Line: t.line}, nil
-	}
-
-	// reg[addr] — a load, or with a trailing ++ the loadd fetch-and-add.
-	if p.cur().kind == tokIdent && p.pos+1 < len(p.toks) && p.toks[p.pos+1].text == "[" {
-		reg := p.next()
-		if _, err := p.expect("["); err != nil {
-			return nil, err
-		}
-		addr, err := p.addrExpr(params)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect("]"); err != nil {
-			return nil, err
-		}
-		kind := StmtLoad
-		if p.accept("++") {
-			kind = StmtLoadd
-		}
-		if _, err := p.expect(";"); err != nil {
-			return nil, err
-		}
-		return &Stmt{Kind: kind, Dest: dest, Reg: reg.text, Addr: addr, Line: t.line}, nil
-	}
-
-	// a [op b]
-	a, err := p.operand(params)
-	if err != nil {
-		return nil, err
-	}
-	s := &Stmt{Kind: StmtAssign, Dest: dest, A: a, Line: t.line}
-	if p.accept("+") {
-		s.Op = BinAdd
-	} else if p.accept("-") {
-		s.Op = BinSub
-	}
-	if s.Op != BinNone {
-		b, err := p.operand(params)
-		if err != nil {
-			return nil, err
-		}
-		s.B = b
-	}
-	if _, err := p.expect(";"); err != nil {
-		return nil, err
-	}
-	return s, nil
+	p.expect(";")
+	return s
 }
 
 // addrExpr parses FIELD | CONST | FIELD + CONST.
-func (p *astParser) addrExpr(params map[string]bool) (AddrExpr, error) {
-	t := p.cur()
-	var a AddrExpr
-	a.Line = t.line
-	op, err := p.operand(params)
-	if err != nil {
-		return a, err
+func (p *astParser) addrExpr(params []string) AddrExpr {
+	t := p.tok
+	a := AddrExpr{Line: t.line}
+	op := p.operand(params)
+	if op.Kind != OpndField {
+		a.Const = op
+		return a
 	}
-	if op.Kind == OpndField {
-		a.HasField = true
-		a.Field = op.Field
-		if p.accept("+") {
-			c, err := p.operand(params)
-			if err != nil {
-				return a, err
-			}
-			if c.Kind == OpndField {
-				return a, errAt(t, "address may add at most one field and one constant")
-			}
-			a.Const = c
-		} else {
-			a.Const = Operand{Kind: OpndConst, Value: 0, Line: t.line}
+	a.HasField, a.Field = true, op.Field
+	a.Const = Operand{Kind: OpndConst, Value: 0, Line: t.line}
+	if p.err == nil && p.accept("+") {
+		if a.Const = p.operand(params); a.Const.Kind == OpndField {
+			p.fail(errAt(t, "address may add at most one field and one constant"))
 		}
-		return a, nil
 	}
-	a.Const = op
-	return a, nil
+	return a
 }
 
-func (p *astParser) table() (*Table, error) {
-	kw, _ := p.expect("table")
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	tb := &Table{Name: name.text, Line: kw.line}
-	if _, err := p.expect("{"); err != nil {
-		return nil, err
-	}
+func (p *astParser) table() Table {
+	tb := Table{Line: p.next().line}
+	tb.Name = p.ident().text
+	p.expect("{")
 	for !p.accept("}") {
-		t := p.cur()
+		t := p.tok
 		switch t.text {
 		case "key":
-			p.pos++
-			if _, err := p.expect("="); err != nil {
-				return nil, err
-			}
-			if _, err := p.expect("{"); err != nil {
-				return nil, err
-			}
+			p.advance()
+			p.expect("=")
+			p.expect("{")
+			start := len(p.keys)
+			p.keys = append(p.keys, tb.Keys...) // a repeated key list extends the first
 			for !p.accept("}") {
-				fr, err := p.fieldRef()
-				if err != nil {
-					return nil, err
-				}
-				if _, err := p.expect(";"); err != nil {
-					return nil, err
-				}
-				tb.Keys = append(tb.Keys, fr)
+				p.keys = append(p.keys, p.fieldRef())
+				p.expect(";")
 			}
+			tb.Keys = p.keys.cut(start)
 		case "actions":
-			p.pos++
-			if _, err := p.expect("="); err != nil {
-				return nil, err
-			}
-			if _, err := p.expect("{"); err != nil {
-				return nil, err
-			}
+			p.advance()
+			p.expect("=")
+			p.expect("{")
+			start := len(p.names)
+			p.names = append(p.names, tb.Actions...)
 			for !p.accept("}") {
-				an, err := p.ident()
-				if err != nil {
-					return nil, err
-				}
-				if _, err := p.expect(";"); err != nil {
-					return nil, err
-				}
-				tb.Actions = append(tb.Actions, an.text)
+				p.names = append(p.names, p.ident().text)
+				p.expect(";")
 			}
+			tb.Actions = p.names.cut(start)
 		case "size":
-			p.pos++
-			if _, err := p.expect("="); err != nil {
-				return nil, err
-			}
-			n, err := p.number()
-			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(";"); err != nil {
-				return nil, err
-			}
-			tb.Size = int(n.num)
+			p.advance()
+			p.expect("=")
+			tb.Size = int(p.number().num)
+			p.expect(";")
 		case "match":
-			p.pos++
-			if _, err := p.expect("="); err != nil {
-				return nil, err
-			}
-			kind, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			switch kind.text {
+			p.advance()
+			p.expect("=")
+			switch kind := p.ident(); kind.text {
 			case "exact":
 				tb.Ternary = false
 			case "ternary":
 				tb.Ternary = true
 			default:
-				return nil, errAt(kind, "match kind must be exact or ternary, found %q", kind.text)
+				p.fail(errAt(kind, "match kind must be exact or ternary, found %q", kind.text))
 			}
-			if _, err := p.expect(";"); err != nil {
-				return nil, err
-			}
+			p.expect(";")
 		case "entries":
-			p.pos++
-			if _, err := p.expect("{"); err != nil {
-				return nil, err
-			}
+			p.advance()
+			p.expect("{")
+			start := len(p.entries)
+			p.entries = append(p.entries, tb.Entries...)
 			for !p.accept("}") {
-				e, err := p.entry()
-				if err != nil {
-					return nil, err
-				}
-				tb.Entries = append(tb.Entries, e)
+				p.entries = append(p.entries, p.entry())
 			}
+			tb.Entries = p.entries.cut(start)
 		default:
-			return nil, errAt(t, "expected table property, found %v", t)
+			p.fail(errAt(t, "expected table property, found %v", t))
 		}
 	}
-	return tb, nil
+	return tb
 }
 
-// entry parses ( v, ... ) -> action ( arg, ... ) ;
-func (p *astParser) entry() (*Entry, error) {
-	open, err := p.expect("(")
-	if err != nil {
-		return nil, err
-	}
-	e := &Entry{Line: open.line}
+// entry parses ( v, ... ) -> action ( arg, ... ) ; The key values and
+// then their masks are cut from the number pool as one run each, so a
+// mask waits in a small local buffer while its values are read.
+func (p *astParser) entry() Entry {
+	e := Entry{Line: p.expect("(").line}
+	var maskBuf [maxKeyFields]uint64
+	masks := maskBuf[:0]
+	start := len(p.nums)
 	for !p.accept(")") {
-		if len(e.KeyVals) > 0 {
-			if _, err := p.expect(","); err != nil {
-				return nil, err
-			}
+		if len(p.nums) > start {
+			p.expect(",")
 		}
-		n, err := p.number()
-		if err != nil {
-			return nil, err
-		}
-		e.KeyVals = append(e.KeyVals, n.num)
+		p.nums = append(p.nums, p.number().num)
 		// Optional per-field ternary mask: VAL/MASK (Appendix B).
 		mask := ^uint64(0)
-		if p.accept("/") {
-			m, err := p.number()
-			if err != nil {
-				return nil, err
-			}
-			mask = m.num
+		if p.err == nil && p.accept("/") {
+			mask = p.number().num
 		}
-		e.KeyMasks = append(e.KeyMasks, mask)
+		masks = append(masks, mask)
 	}
-	if _, err := p.expect("->"); err != nil {
-		return nil, err
-	}
-	an, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	e.Action = an.text
-	if p.accept("(") {
+	e.KeyVals = p.nums.cut(start)
+	start = len(p.nums)
+	p.nums = append(p.nums, masks...)
+	e.KeyMasks = p.nums.cut(start)
+	p.expect("->")
+	e.Action = p.ident().text
+	if p.err == nil && p.accept("(") {
+		start = len(p.nums)
 		for !p.accept(")") {
-			if len(e.Args) > 0 {
-				if _, err := p.expect(","); err != nil {
-					return nil, err
-				}
+			if len(p.nums) > start {
+				p.expect(",")
 			}
-			n, err := p.number()
-			if err != nil {
-				return nil, err
-			}
-			e.Args = append(e.Args, n.num)
+			p.nums = append(p.nums, p.number().num)
 		}
+		e.Args = p.nums.cut(start)
 	}
-	if _, err := p.expect(";"); err != nil {
-		return nil, err
-	}
-	return e, nil
+	p.expect(";")
+	return e
 }
 
-func (p *astParser) control() ([]ControlStmt, error) {
-	if _, err := p.expect("control"); err != nil {
-		return nil, err
-	}
-	if _, err := p.expect("{"); err != nil {
-		return nil, err
-	}
-	var out []ControlStmt
+// control appends the block's statements to m.Control.
+func (p *astParser) control(m *Module) {
+	p.next()
+	p.expect("{")
 	for !p.accept("}") {
-		t := p.cur()
-		switch t.text {
+		switch t := p.tok; t.text {
 		case "apply":
-			tbl, err := p.applyStmt()
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, ControlStmt{Table: tbl, Line: t.line})
+			m.Control = add(m.Control, ControlStmt{Table: p.applyStmt(), Line: t.line})
 		case "if":
-			cs, err := p.ifStmt()
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, *cs)
+			m.Control = add(m.Control, p.ifStmt())
 		default:
-			return nil, errAt(t, "expected apply or if, found %v", t)
+			p.fail(errAt(t, "expected apply or if, found %v", t))
 		}
 	}
-	return out, nil
 }
 
-func (p *astParser) applyStmt() (string, error) {
-	if _, err := p.expect("apply"); err != nil {
-		return "", err
-	}
-	if _, err := p.expect("("); err != nil {
-		return "", err
-	}
-	tbl, err := p.ident()
-	if err != nil {
-		return "", err
-	}
-	if _, err := p.expect(")"); err != nil {
-		return "", err
-	}
-	if _, err := p.expect(";"); err != nil {
-		return "", err
-	}
-	return tbl.text, nil
+func (p *astParser) applyStmt() string {
+	p.expect("apply")
+	p.expect("(")
+	tbl := p.ident()
+	p.expect(")")
+	p.expect(";")
+	return tbl.text
 }
 
-func (p *astParser) ifStmt() (*ControlStmt, error) {
-	kw, _ := p.expect("if")
-	if _, err := p.expect("("); err != nil {
-		return nil, err
-	}
-	a, err := p.fieldRef()
-	if err != nil {
-		return nil, err
-	}
+func (p *astParser) ifStmt() ControlStmt {
+	kw := p.next()
+	p.expect("(")
+	c := &Condition{A: p.fieldRef(), Line: kw.line}
 	opTok := p.next()
-	var op CmpOp
 	switch opTok.text {
 	case "==":
-		op = CmpEq
+		c.Op = CmpEq
 	case "!=":
-		op = CmpNe
+		c.Op = CmpNe
 	case "<":
-		op = CmpLt
+		c.Op = CmpLt
 	case ">":
-		op = CmpGt
+		c.Op = CmpGt
 	case "<=":
-		op = CmpLe
+		c.Op = CmpLe
 	case ">=":
-		op = CmpGe
+		c.Op = CmpGe
 	default:
-		return nil, errAt(opTok, "expected comparison operator, found %v", opTok)
+		p.fail(errAt(opTok, "expected comparison operator, found %v", opTok))
 	}
-	b, err := p.operand(nil)
-	if err != nil {
-		return nil, err
+	if p.tok.kind == tokIdent && p.peek.text != "." {
+		p.fail(errAt(opTok, "condition operand must be a field or constant"))
 	}
-	if b.Kind == OpndParam {
-		return nil, errAt(opTok, "condition operand must be a field or constant")
+	c.B = p.operand(nil)
+	p.expect(")")
+	p.expect("{")
+	cs := ControlStmt{Table: p.applyStmt(), Cond: c, Line: kw.line}
+	p.expect("}")
+	if p.err == nil && p.accept("else") {
+		p.expect("{")
+		cs.ElseTable = p.applyStmt()
+		p.expect("}")
 	}
-	if _, err := p.expect(")"); err != nil {
-		return nil, err
-	}
-	if _, err := p.expect("{"); err != nil {
-		return nil, err
-	}
-	thenTbl, err := p.applyStmt()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect("}"); err != nil {
-		return nil, err
-	}
-	cs := &ControlStmt{
-		Table: thenTbl,
-		Cond:  &Condition{A: a, Op: op, B: b, Line: kw.line},
-		Line:  kw.line,
-	}
-	if p.accept("else") {
-		if _, err := p.expect("{"); err != nil {
-			return nil, err
-		}
-		elseTbl, err := p.applyStmt()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect("}"); err != nil {
-			return nil, err
-		}
-		cs.ElseTable = elseTbl
-	}
-	return cs, nil
+	return cs
 }

@@ -17,6 +17,7 @@ package compiler
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -86,8 +87,6 @@ type lexer struct {
 	col  int
 }
 
-func newLexer(src string) *lexer { return &lexer{src: src, line: 1, col: 1} }
-
 func (l *lexer) peekByte() byte {
 	if l.pos >= len(l.src) {
 		return 0
@@ -106,9 +105,6 @@ func (l *lexer) advance() byte {
 	}
 	return c
 }
-
-// multi-character punctuation, longest first.
-var punct2 = []string{"->", "==", "!=", "<=", ">=", "++"}
 
 // punct1 is the single-character punctuation; a token's text slices it,
 // so it costs no allocation.
@@ -193,11 +189,12 @@ scan:
 		return token{kind: tokString, text: text, line: startLine, col: startCol}, nil
 	}
 
-	for _, p := range punct2 {
-		if strings.HasPrefix(l.src[l.pos:], p) {
+	if l.pos+1 < len(l.src) {
+		switch two := l.src[l.pos : l.pos+2]; two {
+		case "->", "==", "!=", "<=", ">=", "++":
 			l.advance()
 			l.advance()
-			return token{kind: tokPunct, text: p, line: startLine, col: startCol}, nil
+			return token{kind: tokPunct, text: two, line: startLine, col: startCol}, nil
 		}
 	}
 	if i := strings.IndexByte(punct1, c); i >= 0 {
@@ -225,11 +222,14 @@ func isDigitIn(c byte, base int) bool {
 	return c >= '0' && c <= '9'
 }
 
+// parseUint parses digits in base 10 or 16. A value above 2^64-1 is an
+// error, not a silent wrap.
 func parseUint(s string, base int) (uint64, error) {
 	var v uint64
 	if s == "" {
 		return 0, fmt.Errorf("empty")
 	}
+	b := uint64(base)
 	for _, r := range s {
 		var d uint64
 		switch {
@@ -242,28 +242,13 @@ func parseUint(s string, base int) (uint64, error) {
 		default:
 			return 0, fmt.Errorf("bad digit %q", r)
 		}
-		if d >= uint64(base) {
+		if d >= b {
 			return 0, fmt.Errorf("digit %q out of base %d", r, base)
 		}
-		v = v*uint64(base) + d
+		if v > (math.MaxUint64-d)/b {
+			return 0, fmt.Errorf("%s overflows 64 bits", s)
+		}
+		v = v*b + d
 	}
 	return v, nil
-}
-
-// lexAll tokenizes the whole input. Tokens average four to five source
-// bytes in the shipped programs, so a third of the source length sizes
-// the slice in one allocation.
-func lexAll(src string) ([]token, error) {
-	l := newLexer(src)
-	toks := make([]token, 0, len(src)/3+1)
-	for {
-		t, err := l.next()
-		if err != nil {
-			return nil, err
-		}
-		toks = append(toks, t)
-		if t.kind == tokEOF {
-			return toks, nil
-		}
-	}
 }

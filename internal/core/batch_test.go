@@ -104,7 +104,7 @@ func TestStagedBatchMatchesProcess(t *testing.T) {
 	for i := range lbFrames {
 		lbFrames[i] = trafficgen.FlowScaleFrame(lbID, i, 64)
 	}
-	reconfigFrame, err := reconfig.EncodePacket(calcID, reconfig.Command{
+	reconfigFrame, err := reconfig.AppendPacket(nil, calcID, reconfig.Command{
 		Resource: reconfig.MakeResourceID(0, reconfig.KindParser), Payload: make([]byte, parser.EntryBytes)})
 	if err != nil {
 		t.Fatal(err)

@@ -102,71 +102,71 @@ type Placement struct {
 // Commands flattens the module configuration into the ordered
 // reconfiguration command stream that the control plane sends down the
 // daisy chain. Every table entry becomes exactly one command, matching
-// the one-entry-per-reconfiguration-packet format of Figure 7.
+// the one-entry-per-reconfiguration-packet format of Figure 7. It is a
+// load's one encoding: the stream is sized in advance, its payloads are
+// cut from one backing array, and the engine's shards and the device
+// consume the same stream read-only.
 func (m *ModuleConfig) Commands(pl Placement) ([]reconfig.Command, error) {
 	if len(pl.CAMBase) < len(m.Stages) || len(pl.SegBase) < len(m.Stages) {
 		return nil, fmt.Errorf("core: placement covers %d/%d stages, module %q needs %d",
 			len(pl.CAMBase), len(pl.SegBase), m.Name, len(m.Stages))
 	}
-	idx := uint8(m.ModuleID)
-	var cmds []reconfig.Command
-	cmds = append(cmds,
-		reconfig.Command{
-			Resource: reconfig.MakeResourceID(0, reconfig.KindParser),
-			Index:    idx,
-			Payload:  m.Parser.Encode(),
-		},
-		reconfig.Command{
-			Resource: reconfig.MakeResourceID(0, reconfig.KindDeparser),
-			Index:    idx,
-			Payload:  m.Deparser.Encode(),
-		},
-	)
-	for s, sc := range m.Stages {
+	n, size := 2, 2*parser.EntryBytes
+	for s := range m.Stages {
+		sc := &m.Stages[s]
 		if !sc.Used {
 			continue
 		}
-		cmds = append(cmds,
-			reconfig.Command{
-				Resource: reconfig.MakeResourceID(s, reconfig.KindKeyExtract),
-				Index:    idx,
-				Payload:  EncodeKeyExtract(sc.Extract),
-			},
-			reconfig.Command{
-				Resource: reconfig.MakeResourceID(s, reconfig.KindKeyMask),
-				Index:    idx,
-				Payload:  append([]byte(nil), sc.Mask[:]...),
-			},
-		)
+		n += 2 + 2*len(sc.Rules)
+		size += keyExtractBytes + tables.KeyBytes + len(sc.Rules)*(camEntryBytes+alu.ActionBytes)
 		if sc.SegmentWords > 0 {
-			cmds = append(cmds, reconfig.Command{
-				Resource: reconfig.MakeResourceID(s, reconfig.KindSegment),
-				Index:    idx,
-				Payload:  []byte{pl.SegBase[s], sc.SegmentWords},
-			})
+			n++
+			size += segmentBytes
 		}
-		for i, r := range sc.Rules {
-			addr := pl.CAMBase[s] + i
-			if addr > 0xff {
-				return nil, fmt.Errorf("core: CAM address %d exceeds 8-bit reconfiguration index", addr)
-			}
-			cmds = append(cmds,
-				reconfig.Command{
-					Resource: reconfig.MakeResourceID(s, reconfig.KindCAM),
-					Index:    uint8(addr),
-					Payload: EncodeCAMEntry(tables.CAMEntry{
-						Valid: true,
-						ModID: m.ModuleID,
-						Key:   r.Key,
-						Mask:  r.Mask,
-					}),
-				},
-				reconfig.Command{
-					Resource: reconfig.MakeResourceID(s, reconfig.KindVLIW),
-					Index:    uint8(addr),
-					Payload:  r.Action.Encode(),
-				},
-			)
+		if len(sc.Rules) > 0 && pl.CAMBase[s]+len(sc.Rules) > 0x100 {
+			return nil, fmt.Errorf("core: CAM address %d exceeds 8-bit reconfiguration index",
+				max(pl.CAMBase[s], 0x100))
+		}
+	}
+	cmds := make([]reconfig.Command, 0, n)
+	buf := make([]byte, 0, size)
+	idx := uint8(m.ModuleID)
+	// add appends a command whose payload is what buf gained since start.
+	add := func(res reconfig.ResourceID, index uint8, start int) {
+		cmds = append(cmds, reconfig.Command{Resource: res, Index: index, Payload: buf[start:len(buf):len(buf)]})
+	}
+	buf = m.Parser.AppendEncode(buf)
+	add(reconfig.MakeResourceID(0, reconfig.KindParser), idx, 0)
+	start := len(buf)
+	buf = m.Deparser.AppendEncode(buf)
+	add(reconfig.MakeResourceID(0, reconfig.KindDeparser), idx, start)
+	for s := range m.Stages {
+		sc := &m.Stages[s]
+		if !sc.Used {
+			continue
+		}
+		start = len(buf)
+		buf = AppendKeyExtract(buf, sc.Extract)
+		add(reconfig.MakeResourceID(s, reconfig.KindKeyExtract), idx, start)
+		start = len(buf)
+		buf = append(buf, sc.Mask[:]...)
+		add(reconfig.MakeResourceID(s, reconfig.KindKeyMask), idx, start)
+		if sc.SegmentWords > 0 {
+			start = len(buf)
+			buf = append(buf, pl.SegBase[s], sc.SegmentWords)
+			add(reconfig.MakeResourceID(s, reconfig.KindSegment), idx, start)
+		}
+		e := tables.CAMEntry{Valid: true, ModID: m.ModuleID}
+		for i := range sc.Rules {
+			r := &sc.Rules[i]
+			addr := uint8(pl.CAMBase[s] + i)
+			e.Key, e.Mask = r.Key, r.Mask
+			start = len(buf)
+			buf = AppendCAMEntry(buf, &e)
+			add(reconfig.MakeResourceID(s, reconfig.KindCAM), addr, start)
+			start = len(buf)
+			buf = r.Action.AppendEncode(buf)
+			add(reconfig.MakeResourceID(s, reconfig.KindVLIW), addr, start)
 		}
 	}
 	return cmds, nil

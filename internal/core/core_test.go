@@ -63,7 +63,7 @@ func loadDirect(t *testing.T, p *Pipeline, m *ModuleConfig, pl Placement) {
 		t.Fatal(err)
 	}
 	for _, cmd := range cmds {
-		frame, err := reconfig.EncodePacket(m.ModuleID, cmd)
+		frame, err := reconfig.AppendPacket(nil, m.ModuleID, cmd)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +187,7 @@ func TestEncodeDecodeCAMEntryRoundTrip(t *testing.T) {
 	e := tables.CAMEntry{Valid: true, ModID: 12}
 	e.Key[0], e.Key[24] = 0xaa, 0x01
 	e.Mask = tables.FullMask()
-	b := EncodeCAMEntry(e)
+	b := AppendCAMEntry(nil, &e)
 	got, err := DecodeCAMEntry(b)
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +204,7 @@ func TestEncodeDecodeKeyExtractRoundTrip(t *testing.T) {
 		PredA:  stage.Operand{IsContainer: true, Slot: 3},
 		PredB:  stage.Operand{Imm: 9},
 	}
-	got, err := DecodeKeyExtract(EncodeKeyExtract(e))
+	got, err := DecodeKeyExtract(AppendKeyExtract(nil, e))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,10 +406,10 @@ func TestReconfigDuringTrafficIsRaceFree(t *testing.T) {
 				Index:    0,
 				Payload: func() []byte {
 					a := setC2(1, uint16(i))
-					return a.Encode()
+					return a.AppendEncode(nil)
 				}(),
 			}
-			frame, err := reconfig.EncodePacket(1, cmd)
+			frame, err := reconfig.AppendPacket(nil, 1, cmd)
 			if err != nil {
 				t.Error(err)
 				return
@@ -462,7 +462,7 @@ func TestFlowWritesDuringTrafficAreRaceFree(t *testing.T) {
 	pl2.CAMBase[1] = 1
 	loadDirect(t, p, m2, pl2)
 	push := func(valid bool, mod, v, addr uint16) error {
-		frame, err := reconfig.EncodePacket(mod, FlowCommand(1, FlowEntry{Valid: valid, ModID: mod, Addr: addr, Key: fieldKey(v)}))
+		frame, err := reconfig.AppendPacket(nil, mod, FlowCommand(1, FlowEntry{Valid: valid, ModID: mod, Addr: addr, Key: fieldKey(v)}))
 		if err != nil {
 			return err
 		}
@@ -544,7 +544,7 @@ func TestProcessInterleavedWithProcessBatch(t *testing.T) {
 		loadDirect(t, p, minimalModule(2, 7, discard), pl2)
 		return p
 	}
-	reconfigFrame, err := reconfig.EncodePacket(1, reconfig.Command{
+	reconfigFrame, err := reconfig.AppendPacket(nil, 1, reconfig.Command{
 		Resource: reconfig.MakeResourceID(0, reconfig.KindParser), Payload: make([]byte, parser.EntryBytes)})
 	if err != nil {
 		t.Fatal(err)

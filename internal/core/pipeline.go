@@ -576,13 +576,16 @@ func (p *Pipeline) ModuleChecksum(moduleID uint16) uint64 {
 	}
 	u64(uint64(moduleID))
 	idx := int(moduleID)
+	var enc []byte // each entry's wire form, in turn
 	if e, ok := p.Parser.Table().Lookup(idx); ok {
 		h.Write([]byte{'P'})
-		h.Write(e.Encode())
+		enc = e.AppendEncode(enc[:0])
+		h.Write(enc)
 	}
 	if e, ok := p.Deparser.Table().Lookup(idx); ok {
 		h.Write([]byte{'D'})
-		h.Write(e.Encode())
+		enc = e.AppendEncode(enc[:0])
+		h.Write(enc)
 	}
 	for s, st := range p.Stages {
 		u64(uint64(s))
@@ -614,7 +617,8 @@ func (p *Pipeline) ModuleChecksum(moduleID uint16) uint64 {
 			h.Write(e.Mask[:])
 			if a, ok := p.Stages[s].Actions.Lookup(addr); ok {
 				h.Write([]byte{'A'})
-				h.Write(a.Encode())
+				enc = a.AppendEncode(enc[:0])
+				h.Write(enc)
 			}
 		}
 		if flows := st.Hash.Table(moduleID & tables.MaxModuleID); flows != nil {
@@ -832,16 +836,16 @@ func FlowCommand(stg int, e FlowEntry) reconfig.Command {
 	}
 }
 
-// EncodeCAMEntry packs a CAM entry for the reconfiguration payload.
-func EncodeCAMEntry(e tables.CAMEntry) []byte {
-	out := make([]byte, camEntryBytes)
+// AppendCAMEntry appends a CAM entry's reconfiguration payload to dst.
+func AppendCAMEntry(dst []byte, e *tables.CAMEntry) []byte {
+	var valid byte
 	if e.Valid {
-		out[0] = 1
+		valid = 1
 	}
-	binary.BigEndian.PutUint16(out[1:], e.ModID)
-	copy(out[3:], e.Key[:])
-	copy(out[3+tables.KeyBytes:], e.Mask[:])
-	return out
+	dst = append(dst, valid)
+	dst = binary.BigEndian.AppendUint16(dst, e.ModID)
+	dst = append(dst, e.Key[:]...)
+	return append(dst, e.Mask[:]...)
 }
 
 // DecodeCAMEntry unpacks a CAM entry from a reconfiguration payload.
@@ -857,13 +861,11 @@ func DecodeCAMEntry(b []byte) (tables.CAMEntry, error) {
 	return e, nil
 }
 
-// EncodeKeyExtract packs a key-extractor entry (38 bits in 5 bytes).
-func EncodeKeyExtract(e stage.KeyExtractEntry) []byte {
+// AppendKeyExtract appends a key-extractor entry's payload (38 bits in
+// 5 bytes) to dst.
+func AppendKeyExtract(dst []byte, e stage.KeyExtractEntry) []byte {
 	v := e.Encode()
-	out := make([]byte, keyExtractBytes)
-	out[0] = byte(v >> 32)
-	binary.BigEndian.PutUint32(out[1:], uint32(v))
-	return out
+	return binary.BigEndian.AppendUint32(append(dst, byte(v>>32)), uint32(v))
 }
 
 // DecodeKeyExtract unpacks a key-extractor entry.
@@ -958,6 +960,14 @@ func (p *Pipeline) Apply(cmd reconfig.Command) error {
 		return st.WriteFlow(e.Valid, e.ModID, e.Key, int(e.Addr))
 	}
 	return fmt.Errorf("%w: unknown resource kind %d", ErrBadCommand, kind)
+}
+
+// HoldsModule reports whether a program is loaded under moduleID: every
+// load writes the module's parser entry first and every unload clears
+// it, so the entry's presence is the one bit to read.
+func (p *Pipeline) HoldsModule(moduleID uint16) bool {
+	_, ok := p.Parser.Table().Ref(int(moduleID))
+	return ok
 }
 
 // UnloadModule clears every resource owned by a module across the whole

@@ -96,14 +96,17 @@ func axilWritesFor(payload []byte) int {
 	return (bits + 31) / 32
 }
 
-// push encodes one command as a reconfiguration packet and sends it down
-// the daisy chain, so the chain sees byte-identical traffic to hardware.
-func (c *Client) push(moduleID uint16, cmd reconfig.Command) error {
-	frame, err := reconfig.EncodePacket(moduleID, cmd)
+// push encodes one command as a reconfiguration packet into frame's
+// storage and sends it down the daisy chain, so the chain sees
+// byte-identical traffic to hardware. It returns the frame so a caller
+// pushing a stream reuses one buffer for every packet: the chain
+// decodes each payload into its own values and keeps no reference.
+func (c *Client) push(frame []byte, moduleID uint16, cmd reconfig.Command) ([]byte, error) {
+	frame, err := reconfig.AppendPacket(frame[:0], moduleID, cmd)
 	if err != nil {
-		return err
+		return frame, err
 	}
-	return c.pipe.Chain.Push(frame)
+	return frame, c.pipe.Chain.Push(frame)
 }
 
 // LoadModule runs the secure reconfiguration procedure for a module:
@@ -114,19 +117,17 @@ func (c *Client) push(moduleID uint16, cmd reconfig.Command) error {
 //  4. poll the counter to verify all packets arrived,
 //  5. clear the bitmap bit.
 //
-// A counter shortfall fails the load with ErrVerify; the bitmap bit is
-// cleared on every exit. The in-process daisy chain loses nothing, so
-// the device makes one pass; re-sending after loss is the live path's
-// job (engine.ApplyVerified). Other modules process packets throughout —
-// the no-disruption property.
-func (c *Client) LoadModule(m *core.ModuleConfig, pl core.Placement) (Report, error) {
+// cmds is the module's command stream, m.Commands(pl), encoded once by
+// the caller; LoadModule only reads it. A counter shortfall fails the
+// load with ErrVerify; the bitmap bit is cleared on every exit. The
+// in-process daisy chain loses nothing, so the device makes one pass;
+// re-sending after loss is the live path's job (engine.ApplyVerified).
+// Other modules process packets throughout — the no-disruption
+// property.
+func (c *Client) LoadModule(m *core.ModuleConfig, pl core.Placement, cmds []reconfig.Command) (Report, error) {
 	start := time.Now()
 	var rep Report
 
-	cmds, err := m.Commands(pl)
-	if err != nil {
-		return rep, err
-	}
 	if err := c.pipe.Partition(m, pl); err != nil {
 		return rep, err
 	}
@@ -134,8 +135,10 @@ func (c *Client) LoadModule(m *core.ModuleConfig, pl core.Placement) (Report, er
 	c.pipe.Filter.SetUpdating(m.ModuleID, true)        // AXI-L write
 	defer c.pipe.Filter.SetUpdating(m.ModuleID, false) // AXI-L write
 	before := c.pipe.Chain.Counter()                   // AXI-L read
+	var frame []byte
 	for _, cmd := range cmds {
-		if err := c.push(m.ModuleID, cmd); err != nil {
+		var err error
+		if frame, err = c.push(frame, m.ModuleID, cmd); err != nil {
 			return rep, fmt.Errorf("command %v[%d]: %w", cmd.Resource, cmd.Index, err)
 		}
 		rep.AXILOnlyTime += time.Duration(axilWritesFor(cmd.Payload)) * c.cost.AXILWrite
@@ -186,18 +189,19 @@ func (c *Client) InsertRule(moduleID uint16, stg int, r core.Rule) (addr int, re
 		{
 			Resource: reconfig.MakeResourceID(stg, reconfig.KindCAM),
 			Index:    uint8(addr),
-			Payload: core.EncodeCAMEntry(tables.CAMEntry{
+			Payload: core.AppendCAMEntry(nil, &tables.CAMEntry{
 				Valid: true, ModID: moduleID, Key: r.Key, Mask: r.Mask,
 			}),
 		},
 		{
 			Resource: reconfig.MakeResourceID(stg, reconfig.KindVLIW),
 			Index:    uint8(addr),
-			Payload:  r.Action.Encode(),
+			Payload:  r.Action.AppendEncode(nil),
 		},
 	}
+	var frame []byte
 	for _, cmd := range cmds {
-		if err := c.push(moduleID, cmd); err != nil {
+		if frame, err = c.push(frame, moduleID, cmd); err != nil {
 			return 0, rep, err
 		}
 		rep.AXILOnlyTime += time.Duration(axilWritesFor(cmd.Payload)) * c.cost.AXILWrite
@@ -224,9 +228,9 @@ func (c *Client) DeleteRule(moduleID uint16, stg, addr int) error {
 	empty := reconfig.Command{
 		Resource: reconfig.MakeResourceID(stg, reconfig.KindCAM),
 		Index:    uint8(addr),
-		Payload:  core.EncodeCAMEntry(tables.CAMEntry{}),
+		Payload:  core.AppendCAMEntry(nil, &tables.CAMEntry{}),
 	}
-	if err := c.push(moduleID, empty); err != nil {
+	if _, err := c.push(nil, moduleID, empty); err != nil {
 		return err
 	}
 	return c.pipe.Stages[stg].Actions.Clear(addr)
@@ -244,9 +248,10 @@ func (c *Client) InsertFlow(moduleID uint16, stg int, key tables.Key, addr int) 
 	if addr < 0 || addr > int(^uint16(0)) {
 		return fmt.Errorf("ctrlplane: flow action address %d out of range", addr)
 	}
-	return c.push(moduleID, core.FlowCommand(stg, core.FlowEntry{
+	_, err := c.push(nil, moduleID, core.FlowCommand(stg, core.FlowEntry{
 		Valid: true, ModID: moduleID, Addr: uint16(addr), Key: key,
 	}))
+	return err
 }
 
 // FlowKeyForFrame derives the match key a representative frame of a

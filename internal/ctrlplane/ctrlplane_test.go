@@ -37,6 +37,15 @@ func testModule(id uint16, nRules int) *core.ModuleConfig {
 	return m
 }
 
+// load encodes m's command stream at pl and loads it.
+func load(c *Client, m *core.ModuleConfig, pl core.Placement) (Report, error) {
+	cmds, err := m.Commands(pl)
+	if err != nil {
+		return Report{}, err
+	}
+	return c.LoadModule(m, pl, cmds)
+}
+
 func placement() core.Placement {
 	return core.Placement{CAMBase: make([]int, core.NumStages), SegBase: make([]uint8, core.NumStages)}
 }
@@ -49,7 +58,7 @@ func frame(vid, field uint16) []byte {
 func TestLoadModuleInstallsEverything(t *testing.T) {
 	p := core.NewDefault()
 	c := New(p)
-	rep, err := c.LoadModule(testModule(1, 3), placement())
+	rep, err := load(c, testModule(1, 3), placement())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +81,7 @@ func TestLoadModuleInstallsEverything(t *testing.T) {
 func TestLoadModuleBitmapClearedAfter(t *testing.T) {
 	p := core.NewDefault()
 	c := New(p)
-	if _, err := c.LoadModule(testModule(1, 1), placement()); err != nil {
+	if _, err := load(c, testModule(1, 1), placement()); err != nil {
 		t.Fatal(err)
 	}
 	if p.Filter.Bitmap() != 0 {
@@ -86,7 +95,7 @@ func TestLoadModuleBitmapClearedAfter(t *testing.T) {
 	pl := placement()
 	pl.CAMBase[1] = 1
 	pl.SegBase[1] = 4
-	if _, err := c.LoadModule(bad, pl); err == nil {
+	if _, err := load(c, bad, pl); err == nil {
 		t.Fatal("load with a rejected command succeeded")
 	}
 	if p.Filter.Bitmap() != 0 {
@@ -97,7 +106,7 @@ func TestLoadModuleBitmapClearedAfter(t *testing.T) {
 func TestInsertAndDeleteRule(t *testing.T) {
 	p := core.NewDefault()
 	c := New(p)
-	if _, err := c.LoadModule(testModule(1, 2), placement()); err != nil {
+	if _, err := load(c, testModule(1, 2), placement()); err != nil {
 		t.Fatal(err)
 	}
 	// Partition is [0,2); no free slot inside -> ErrNoSpace.
@@ -125,7 +134,7 @@ func TestInsertAndDeleteRule(t *testing.T) {
 func TestDeleteRuleOwnershipChecked(t *testing.T) {
 	p := core.NewDefault()
 	c := New(p)
-	if _, err := c.LoadModule(testModule(1, 1), placement()); err != nil {
+	if _, err := load(c, testModule(1, 1), placement()); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.DeleteRule(2, 1, 0); err == nil {
@@ -139,7 +148,7 @@ func TestDeleteRuleOwnershipChecked(t *testing.T) {
 func TestReadCounter(t *testing.T) {
 	p := core.NewDefault()
 	c := New(p)
-	if _, err := c.LoadModule(testModule(1, 1), placement()); err != nil {
+	if _, err := load(c, testModule(1, 1), placement()); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Stages[1].Memory.Store(2, 99); err != nil {
@@ -168,14 +177,14 @@ func TestAXILWritesMatchPaperArithmetic(t *testing.T) {
 func TestSweepTimesScaleWithEntries(t *testing.T) {
 	p := core.NewDefault()
 	c := New(p)
-	small, err := c.LoadModule(testModule(1, 2), placement())
+	small, err := load(c, testModule(1, 2), placement())
 	if err != nil {
 		t.Fatal(err)
 	}
 	pl := placement()
 	pl.CAMBase[1] = 2
 	pl.SegBase[1] = 4
-	big, err := c.LoadModule(testModule(2, 10), pl)
+	big, err := load(c, testModule(2, 10), pl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +196,7 @@ func TestSweepTimesScaleWithEntries(t *testing.T) {
 func TestUnloadViaClient(t *testing.T) {
 	p := core.NewDefault()
 	c := New(p)
-	if _, err := c.LoadModule(testModule(1, 1), placement()); err != nil {
+	if _, err := load(c, testModule(1, 1), placement()); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.UnloadModule(1); err != nil {
@@ -205,7 +214,7 @@ func TestUnloadViaClient(t *testing.T) {
 func TestStats(t *testing.T) {
 	p := core.NewDefault()
 	c := New(p)
-	if _, err := c.LoadModule(testModule(1, 1), placement()); err != nil {
+	if _, err := load(c, testModule(1, 1), placement()); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := p.Process(frame(1, 0), 0); err != nil {
@@ -223,7 +232,7 @@ func TestLoadModuleSingleAttemptWhenLossless(t *testing.T) {
 	p := core.NewDefault()
 	c := New(p)
 	before := p.Chain.Counter()
-	rep, err := c.LoadModule(testModule(1, 3), placement())
+	rep, err := load(c, testModule(1, 3), placement())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +254,7 @@ func TestLoadModuleGivesUpAfterMaxAttempts(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := p.Chain.Counter()
-	if _, err := c.LoadModule(bad, placement()); err == nil {
+	if _, err := load(c, bad, placement()); err == nil {
 		t.Fatal("load with a rejected command succeeded")
 	}
 	if sent := p.Chain.Counter() - before; sent >= uint32(len(cmds)) {

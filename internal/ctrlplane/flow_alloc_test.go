@@ -23,7 +23,7 @@ func TestFlowInstallAllocations(t *testing.T) {
 	}
 	p := core.NewDefault()
 	c := New(p)
-	if _, err := c.LoadModule(testModule(1, 3), placement()); err != nil {
+	if _, err := load(c, testModule(1, 3), placement()); err != nil {
 		t.Fatal(err)
 	}
 	const stg = 1
@@ -69,7 +69,9 @@ func TestFlowInstallAllocations(t *testing.T) {
 
 // TestEncodePacketGolden pins the reconfiguration frame's bytes: a flow,
 // a CAM and a parser command encode to exactly the frame a separately
-// built Figure 7 body wrapped by packet.Builder.Build produces.
+// built Figure 7 body wrapped by packet.Builder.Build produces, into a
+// fresh buffer and into a reused one full of stale bytes (the device
+// push reuses one buffer for a whole stream).
 func TestEncodePacketGolden(t *testing.T) {
 	var key tables.Key
 	for i := range key {
@@ -86,12 +88,12 @@ func TestEncodePacketGolden(t *testing.T) {
 		{"cam", 4095, reconfig.Command{
 			Resource: reconfig.MakeResourceID(3, reconfig.KindCAM),
 			Index:    9,
-			Payload:  core.EncodeCAMEntry(tables.CAMEntry{Valid: true, ModID: 4095, Key: key, Mask: tables.FullMask()}),
+			Payload:  core.AppendCAMEntry(nil, &tables.CAMEntry{Valid: true, ModID: 4095, Key: key, Mask: tables.FullMask()}),
 		}},
 		{"parser", 1, reconfig.Command{
 			Resource: reconfig.MakeResourceID(0, reconfig.KindParser),
 			Index:    1,
-			Payload:  pe.Encode(),
+			Payload:  pe.AppendEncode(nil),
 		}},
 	} {
 		// Figure 7's payload header: resource ID, index, 15 bytes of padding.
@@ -102,12 +104,16 @@ func TestEncodePacketGolden(t *testing.T) {
 		want := packet.NewUDP(tc.mod,
 			packet.IPv4Addr{10, 0, 0, 1}, packet.IPv4Addr{10, 0, 0, 2},
 			0xf1f1, reconfig.ReconfigUDPPort, body).MustBuild()
-		got, err := reconfig.EncodePacket(tc.mod, tc.cmd)
+		got, err := reconfig.AppendPacket(nil, tc.mod, tc.cmd)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Errorf("%s: EncodePacket =\n% x\nwant\n% x", tc.name, got, want)
+			t.Errorf("%s: AppendPacket =\n% x\nwant\n% x", tc.name, got, want)
+		}
+		reused, err := reconfig.AppendPacket(bytes.Repeat([]byte{0xaa}, 256)[:0], tc.mod, tc.cmd)
+		if err != nil || !bytes.Equal(reused, want) {
+			t.Errorf("%s: AppendPacket into a reused buffer =\n% x\nwant\n% x", tc.name, reused, want)
 		}
 	}
 }

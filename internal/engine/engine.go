@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ctrlplane"
 	"repro/internal/faultinject"
+	"repro/internal/reconfig"
 	"repro/internal/sched"
 	"repro/internal/stage"
 )
@@ -245,11 +246,18 @@ func New(cfg Config) (*Engine, error) {
 	// drain-and-refill cycle of the whole engine.
 	e.pool.grow(cfg.Workers*4*cfg.BatchSize + 2*poolStash)
 	e.ctrl.qcond = sync.NewCond(&e.ctrl.qmu)
+	streams := make([][]reconfig.Command, len(cfg.Modules)) // each module encoded once for every shard
+	for j, m := range cfg.Modules {
+		var err error
+		if streams[j], err = m.Config.Commands(m.Placement); err != nil {
+			return nil, fmt.Errorf("engine: module %d: %w", m.Config.ModuleID, err)
+		}
+	}
 	for i := 0; i < cfg.Workers; i++ {
 		pipe := core.New(cfg.Geometry, cfg.Options)
 		client := ctrlplane.New(pipe)
-		for _, m := range cfg.Modules {
-			if _, err := client.LoadModule(m.Config, m.Placement); err != nil {
+		for j, m := range cfg.Modules {
+			if _, err := client.LoadModule(m.Config, m.Placement, streams[j]); err != nil {
 				return nil, fmt.Errorf("engine: worker %d: replaying module %d: %w", i, m.Config.ModuleID, err)
 			}
 		}

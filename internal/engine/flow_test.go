@@ -399,7 +399,7 @@ func TestLostFlowCommandShowsOnItsShard(t *testing.T) {
 // input.
 func flowFrame(t *testing.T, stg int, e core.FlowEntry) []byte {
 	t.Helper()
-	frame, err := reconfig.EncodePacket(e.ModID, core.FlowCommand(stg, e))
+	frame, err := reconfig.AppendPacket(nil, e.ModID, core.FlowCommand(stg, e))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,10 +46,10 @@ func matchBase(t *testing.T, dev *menshen.Device, moduleID uint16) (stg, lo int)
 func wildcardCAMFrame(t *testing.T, dev *menshen.Device, moduleID uint16) []byte {
 	t.Helper()
 	stg, lo := matchBase(t, dev, moduleID)
-	frame, err := reconfig.EncodePacket(moduleID, reconfig.Command{
+	frame, err := reconfig.AppendPacket(nil, moduleID, reconfig.Command{
 		Resource: reconfig.MakeResourceID(stg, reconfig.KindCAM),
 		Index:    uint8(lo),
-		Payload: core.EncodeCAMEntry(tables.CAMEntry{
+		Payload: core.AppendCAMEntry(nil, &tables.CAMEntry{
 			Valid: true, ModID: moduleID,
 		}),
 	})

@@ -59,11 +59,12 @@ type opKind uint8
 
 const (
 	// opApply delivers one command of a verified burst: applied to the
-	// shard pipeline, or held in the burst's staging buffer when the
-	// burst is a staged load.
+	// shard pipeline, or, when the burst is a staged load, only counted
+	// (the command waits in the load's stream).
 	opApply opKind = iota
-	// opCommit swaps a staged load in: unload the module, reserve the
-	// new program's CAM address ranges, apply the staged commands.
+	// opCommit swaps a staged load in: unload any program under the ID,
+	// reserve the new program's CAM address ranges, apply the load's
+	// stream.
 	opCommit
 	// opUnload clears a module from the shard pipeline.
 	opUnload
@@ -387,20 +388,24 @@ func (w *worker) drainOps() uint64 {
 				break
 			}
 			w.cmdSeen.Add(1)
-			if b.staged != nil {
-				b.staged[w.id] = append(b.staged[w.id], op.cmd)
-			} else if err = w.apply(op.cmd); err != nil {
-				break
+			if b.load == nil {
+				if err = w.apply(op.cmd); err != nil {
+					break
+				}
 			}
 			b.progress[w.id].Store(cur + 1)
 		case opCommit:
-			cmds := op.burst.staged[w.id]
-			op.burst.staged[w.id] = nil
-			if err = w.pipe.UnloadModule(op.tenant); err == nil {
+			// Only a shard that holds a program under the ID unloads it:
+			// a first load (or one after an unload) skips the stage
+			// sweeps and the view flush of an unload with nothing to do.
+			if w.pipe.HoldsModule(op.tenant) {
+				err = w.pipe.UnloadModule(op.tenant)
+			}
+			if err == nil {
 				err = w.pipe.Partition(op.spec.Config, op.spec.Placement)
 			}
-			for i := 0; err == nil && i < len(cmds); i++ {
-				if w.apply(cmds[i]) != nil {
+			for i := 0; err == nil && i < len(op.burst.load); i++ {
+				if w.apply(op.burst.load[i]) != nil {
 					w.stats.ReconfigFailed.Add(1)
 				}
 			}

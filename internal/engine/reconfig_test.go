@@ -40,7 +40,7 @@ func keyMaskCmd(moduleID uint16, stg int, fill byte) reconfig.Command {
 // keyMaskFrame is keyMaskCmd as a raw Figure 7 reconfiguration frame.
 func keyMaskFrame(t *testing.T, moduleID uint16, stg int, fill byte) []byte {
 	t.Helper()
-	frame, err := reconfig.EncodePacket(moduleID, keyMaskCmd(moduleID, stg, fill))
+	frame, err := reconfig.AppendPacket(nil, moduleID, keyMaskCmd(moduleID, stg, fill))
 	if err != nil {
 		t.Fatal(err)
 	}

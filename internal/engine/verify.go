@@ -79,13 +79,13 @@ type VerifyReport struct {
 // burstState is one verified burst's shared progress tracker:
 // progress[w] is worker w's contiguously delivered command count, only
 // ever written by that worker and polled by the issuer after each
-// quiesce. A staged burst (non-nil staged) is a module load: worker w
-// appends each in-order command to staged[w] instead of applying it,
-// and the load's opCommit applies them. Only worker w touches
-// staged[w].
+// quiesce. A staged burst (non-nil load) is a module load: a worker
+// only counts each in-order command, which waits in load, the load's
+// one command stream; the load's opCommit applies all of it on every
+// shard. The shards read load and never write it.
 type burstState struct {
 	progress []atomic.Uint32
-	staged   [][]reconfig.Command
+	load     []reconfig.Command
 }
 
 // min is the slowest shard's progress — the §4.1 counter poll.
@@ -172,31 +172,22 @@ func (e *Engine) deliver(ctx context.Context, moduleID uint16, cmds []reconfig.C
 }
 
 // LoadModuleVerified is the one way a module enters running shards,
-// make before break: the command stream is delivered through the §4.1
-// loop into a per-shard staging buffer while the old program keeps
-// serving, and only once every shard has confirmed all of it does one
-// opCommit — unload, partition, apply the staged commands — land on
-// each shard at a batch boundary; it returns once every shard has
-// applied it. A load that exhausts its retry budget (ErrVerify) or
-// whose ctx ends during delivery commits nothing, so there is nothing
-// to roll back and no fence to hold; a ctx done on entry issues
-// nothing. Once the report says Verified the commit stands: a ctx or
-// stall that cuts the wait short is returned, and the commit still
-// applies at the returned generation. A staged command that fails at
-// commit counts in ReconfigFailed; a compiled program cannot produce
-// one, as the device applies the same stream.
-func (e *Engine) LoadModuleVerified(ctx context.Context, spec ModuleSpec, opts VerifyOpts) (uint64, VerifyReport, error) {
-	cmds, err := spec.Config.Commands(spec.Placement)
-	if err != nil {
-		return 0, VerifyReport{}, err
-	}
-	b := &burstState{
-		progress: make([]atomic.Uint32, len(e.workers)),
-		staged:   make([][]reconfig.Command, len(e.workers)),
-	}
-	for w := range b.staged {
-		b.staged[w] = make([]reconfig.Command, 0, len(cmds))
-	}
+// make before break: cmds, the module's command stream
+// (spec.Config.Commands(spec.Placement), encoded once by the caller and
+// only read here), is delivered through the §4.1 loop and held for the
+// commit while the old program keeps serving, and only once every shard
+// has confirmed all of it does one opCommit — unload any old program,
+// partition, apply the stream — land on each shard at a batch boundary;
+// it returns once every shard has applied it. A load that exhausts its
+// retry budget (ErrVerify) or whose ctx ends during delivery commits
+// nothing, so there is nothing to roll back and no fence to hold; a ctx
+// done on entry issues nothing. Once the report says Verified the
+// commit stands: a ctx or stall that cuts the wait short is returned,
+// and the commit still applies at the returned generation. A staged
+// command that fails at commit counts in ReconfigFailed; a compiled
+// program cannot produce one, as the device applies the same stream.
+func (e *Engine) LoadModuleVerified(ctx context.Context, spec ModuleSpec, cmds []reconfig.Command, opts VerifyOpts) (uint64, VerifyReport, error) {
+	b := &burstState{progress: make([]atomic.Uint32, len(e.workers)), load: cmds}
 	id := spec.Config.ModuleID
 	gen, rep, err := e.deliver(ctx, id, cmds, opts, b)
 	if err != nil {

@@ -335,7 +335,7 @@ func TestEngineVerifiedCancelledIssuesNothing(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := eng.LoadModuleVerified(ctx, engine.ModuleSpec{Config: prog.Config, Placement: pl}, fastVerify(3)); !errors.Is(err, context.Canceled) {
+	if _, _, err := eng.LoadModuleVerified(ctx, engine.ModuleSpec{Config: prog.Config, Placement: pl}, cmds, fastVerify(3)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("LoadModuleVerified err = %v, want context.Canceled", err)
 	}
 	if _, rep, err := eng.ApplyVerified(ctx, 1, cmds, fastVerify(3)); !errors.Is(err, context.Canceled) || rep.Attempts != 0 {

@@ -21,6 +21,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/faultinject"
+	"repro/internal/reconfig"
 )
 
 // TestFabricChaosConservation: a 3-node chain with a noisy first link
@@ -125,7 +126,8 @@ func TestFabricChaosSoakReconfig(t *testing.T) {
 
 	sink := newHostSink()
 	f := NewEngineFabric(sink.deliver)
-	var s1Spec engine.ModuleSpec // tenant 2's spec on s1, reused by the reload loop
+	var s1Spec engine.ModuleSpec  // tenant 2's spec on s1, reused by the reload loop
+	var s1Cmds []reconfig.Command // and its command stream
 	for _, name := range spec.names {
 		sys := spec.nodes[name]
 		cfg := NodeConfig{Workers: 2, BatchSize: 8}
@@ -134,6 +136,10 @@ func TestFabricChaosSoakReconfig(t *testing.T) {
 			ms := tenantSpec(t, alloc, sys, id)
 			if name == "s1" && id == 2 {
 				s1Spec = ms
+				var err error
+				if s1Cmds, err = ms.Config.Commands(ms.Placement); err != nil {
+					t.Fatal(err)
+				}
 			}
 			cfg.Modules = append(cfg.Modules, ms)
 		}
@@ -192,7 +198,7 @@ func TestFabricChaosSoakReconfig(t *testing.T) {
 				t.Errorf("cycle %d: unload: %v", cycle, err)
 				return
 			}
-			if _, rep, err := s1.Eng.LoadModuleVerified(ctx, s1Spec, vopts); err != nil || !rep.Verified {
+			if _, rep, err := s1.Eng.LoadModuleVerified(ctx, s1Spec, s1Cmds, vopts); err != nil || !rep.Verified {
 				t.Errorf("cycle %d: verified reload: %v (report %+v)", cycle, err, rep)
 				return
 			}

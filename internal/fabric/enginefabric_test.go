@@ -102,7 +102,11 @@ func (s *fabricSpec) buildRef(t *testing.T) *refFabric {
 		alloc := checker.NewAllocator(checker.CapacityOf(pipe.Geometry), nil)
 		for _, id := range s.loads[name] {
 			spec := tenantSpec(t, alloc, s.nodes[name], id)
-			if _, err := ctrlplane.New(pipe).LoadModule(spec.Config, spec.Placement); err != nil {
+			cmds, err := spec.Config.Commands(spec.Placement)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ctrlplane.New(pipe).LoadModule(spec.Config, spec.Placement, cmds); err != nil {
 				t.Fatal(err)
 			}
 		}

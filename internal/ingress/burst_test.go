@@ -96,7 +96,7 @@ func seededMix(t *testing.T, seed uint64, n int) [][]byte {
 	rng := trafficgen.NewPRNG(seed)
 	fw := trafficgen.DefaultGen("Firewall", 2, 0, 8, trafficgen.NewPRNG(seed+1))
 	var mask tables.Key
-	rc, err := reconfig.EncodePacket(3, reconfig.Command{
+	rc, err := reconfig.AppendPacket(nil, 3, reconfig.Command{
 		Resource: reconfig.MakeResourceID(0, reconfig.KindKeyMask),
 		Index:    3,
 		Payload:  mask[:],

@@ -293,7 +293,7 @@ func TestUDPReconfigFrameDropped(t *testing.T) {
 	for i := range mask {
 		mask[i] = 0x3C
 	}
-	frame, err := reconfig.EncodePacket(1, reconfig.Command{
+	frame, err := reconfig.AppendPacket(nil, 1, reconfig.Command{
 		Resource: reconfig.MakeResourceID(stg, reconfig.KindKeyMask),
 		Index:    1,
 		Payload:  mask[:],

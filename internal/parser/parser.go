@@ -9,6 +9,7 @@
 package parser
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -93,15 +94,12 @@ type Entry struct {
 	Actions [ActionsPerEntry]Action
 }
 
-// Encode packs the entry into its 160-bit (20-byte) wire form.
-func (e Entry) Encode() []byte {
-	out := make([]byte, EntryBytes)
-	for i, a := range e.Actions {
-		v := a.Encode()
-		out[2*i] = byte(v >> 8)
-		out[2*i+1] = byte(v)
+// AppendEncode appends the entry's 160-bit (20-byte) wire form to dst.
+func (e *Entry) AppendEncode(dst []byte) []byte {
+	for _, a := range e.Actions {
+		dst = binary.BigEndian.AppendUint16(dst, a.Encode())
 	}
-	return out
+	return dst
 }
 
 // DecodeEntry unpacks a parser-table entry.

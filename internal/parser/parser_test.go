@@ -58,7 +58,7 @@ func TestEntryRoundTripAndWidth(t *testing.T) {
 	var e Entry
 	e.Actions[0] = Action{Offset: 46, Dest: phv.Ref{Type: phv.Type2B, Index: 0}, Valid: true}
 	e.Actions[9] = Action{Offset: 100, Dest: phv.Ref{Type: phv.Type6B, Index: 2}, Valid: true}
-	enc := e.Encode()
+	enc := e.AppendEncode(nil)
 	if len(enc) != EntryBytes {
 		t.Fatalf("entry bytes = %d, want %d (160 bits)", len(enc), EntryBytes)
 	}

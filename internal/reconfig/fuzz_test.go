@@ -17,7 +17,7 @@ import (
 
 func FuzzDecodePacket(f *testing.F) {
 	// A well-formed command frame.
-	valid, err := EncodePacket(7, Command{
+	valid, err := AppendPacket(nil, 7, Command{
 		Resource: MakeResourceID(3, KindCAM),
 		Index:    5,
 		Payload:  bytes.Repeat([]byte{0xAB}, 51),
@@ -41,7 +41,7 @@ func FuzzDecodePacket(f *testing.F) {
 	// Oversized resource/index encoding: stage beyond the pipeline,
 	// unknown kind byte, maximal index. Decode must accept the bits
 	// (validation happens at Apply) without panicking.
-	oversized, err := EncodePacket(0xFFF, Command{
+	oversized, err := AppendPacket(nil, 0xFFF, Command{
 		Resource: ResourceID(0xFFF),
 		Index:    0xFF,
 		Payload:  bytes.Repeat([]byte{0x01}, 200),
@@ -73,7 +73,7 @@ func FuzzDecodePacket(f *testing.F) {
 		}
 		// Round trip: re-encoding the decoded command must decode back
 		// to the identical command.
-		frame, err := EncodePacket(moduleID, cmd)
+		frame, err := AppendPacket(nil, moduleID, cmd)
 		if err != nil {
 			t.Fatalf("re-encode of decoded command failed: %v", err)
 		}

@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/packet"
@@ -125,22 +126,26 @@ var (
 	ErrShort       = errors.New("reconfig: truncated reconfiguration payload")
 )
 
-// EncodePacket builds a full reconfiguration frame: the standard
-// Ethernet/VLAN/IPv4/UDP headers (VLAN ID carries the module being
-// configured, informationally) followed by the command payload, written
-// in place: the frame is the one allocation.
-func EncodePacket(moduleID uint16, cmd Command) ([]byte, error) {
-	frame := make([]byte, packet.StandardHeaderLen+payloadHeaderLen+len(cmd.Payload))
+// AppendPacket appends a full reconfiguration frame to dst: the
+// standard Ethernet/VLAN/IPv4/UDP headers (VLAN ID carries the module
+// being configured, informationally) followed by the command payload,
+// every byte written in place, so a caller that pushes a stream of
+// commands can reuse one buffer for all of their frames.
+func AppendPacket(dst []byte, moduleID uint16, cmd Command) ([]byte, error) {
+	n := packet.StandardHeaderLen + payloadHeaderLen + len(cmd.Payload)
+	dst = slices.Grow(dst, n)
+	frame := dst[len(dst) : len(dst)+n]
 	body := frame[packet.StandardHeaderLen:]
 	binary.BigEndian.PutUint16(body[0:], uint16(cmd.Resource)<<4) // 12 bits + 4 reserved
 	body[2] = cmd.Index
+	clear(body[3:payloadHeaderLen]) // padding
 	copy(body[payloadHeaderLen:], cmd.Payload)
 	b := packet.NewUDP(moduleID, packet.IPv4Addr{10, 0, 0, 1}, packet.IPv4Addr{10, 0, 0, 2},
 		0xf1f1, ReconfigUDPPort, nil)
 	if err := b.BuildInto(frame); err != nil {
-		return nil, err
+		return dst, err
 	}
-	return frame, nil
+	return dst[:len(dst)+n], nil
 }
 
 // DecodePacket parses a frame as a reconfiguration packet. It returns

@@ -47,7 +47,7 @@ func TestEncodeDecodePacketRoundTrip(t *testing.T) {
 		Index:    7,
 		Payload:  []byte{1, 2, 3, 4, 5},
 	}
-	frame, err := EncodePacket(9, cmd)
+	frame, err := AppendPacket(nil, 9, cmd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestDecodePacketRejectsDataFrames(t *testing.T) {
 }
 
 func TestIsReconfigFrame(t *testing.T) {
-	frame, err := EncodePacket(1, Command{Resource: MakeResourceID(0, KindParser), Payload: []byte{0}})
+	frame, err := AppendPacket(nil, 1, Command{Resource: MakeResourceID(0, KindParser), Payload: []byte{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestDaisyChainCountsAndApplies(t *testing.T) {
 	sink := &recordSink{}
 	d := NewDaisyChain(sink)
 	for i := 0; i < 3; i++ {
-		frame, err := EncodePacket(1, Command{
+		frame, err := AppendPacket(nil, 1, Command{
 			Resource: MakeResourceID(i, KindCAM),
 			Index:    uint8(i),
 			Payload:  []byte{byte(i)},
@@ -126,7 +126,7 @@ func TestDaisyChainCountsAndApplies(t *testing.T) {
 func TestDaisyChainCountsFailedApplies(t *testing.T) {
 	sink := &recordSink{err: errors.New("apply failed")}
 	d := NewDaisyChain(sink)
-	frame, _ := EncodePacket(1, Command{Resource: MakeResourceID(0, KindParser), Payload: []byte{0}})
+	frame, _ := AppendPacket(nil, 1, Command{Resource: MakeResourceID(0, KindParser), Payload: []byte{0}})
 	if err := d.Push(frame); err == nil {
 		t.Error("apply error should propagate")
 	}
@@ -161,7 +161,7 @@ func TestFilterAdmitsTaggedData(t *testing.T) {
 
 func TestFilterDropsReconfigFromDataPath(t *testing.T) {
 	f := NewFilter()
-	frame, _ := EncodePacket(1, Command{Resource: MakeResourceID(0, KindParser), Payload: []byte{0}})
+	frame, _ := AppendPacket(nil, 1, Command{Resource: MakeResourceID(0, KindParser), Payload: []byte{0}})
 	res := f.Classify(frame, 2)
 	if res.Verdict != VerdictDropReconfig {
 		t.Errorf("verdict = %v; reconfiguration packets from the data path are untrusted", res.Verdict)
@@ -260,7 +260,7 @@ func TestQuickCommandRoundTrip(t *testing.T) {
 			Index:    idx,
 			Payload:  payload,
 		}
-		frame, err := EncodePacket(vid&0xfff, cmd)
+		frame, err := AppendPacket(nil, vid&0xfff, cmd)
 		if err != nil {
 			return false
 		}

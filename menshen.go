@@ -126,6 +126,11 @@ type LoadReport struct {
 	ConfigureHW time.Duration
 	// EntriesGenerated counts compiler-emitted match-action entries.
 	EntriesGenerated int
+
+	// cmds is the placed program's command stream, encoded once and
+	// pushed by commit (and, for a live load, staged on the engine's
+	// shards first); commit drops it.
+	cmds []reconfig.Command
 }
 
 // NewDevice creates a device with the prototype geometry (5 stages, 32
@@ -249,14 +254,18 @@ func (d *Device) prepare(source string, moduleID uint16) (*LoadReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newReport(prog, pl, compileWall), nil
+	return newReport(prog, pl, compileWall)
 }
 
-// newReport wraps a placed program as the LoadReport that commit fills
-// in.
-func newReport(prog *compiler.Program, pl core.Placement, compileWall time.Duration) *LoadReport {
+// newReport wraps a placed program, and its command stream, as the
+// LoadReport that commit fills in.
+func newReport(prog *compiler.Program, pl core.Placement, compileWall time.Duration) (*LoadReport, error) {
+	cmds, err := prog.Config.Commands(pl)
+	if err != nil {
+		return nil, err
+	}
 	m := &Module{ID: prog.Config.ModuleID, Name: prog.Config.Name, program: prog, placement: pl}
-	return &LoadReport{Module: m, CompileWall: compileWall, EntriesGenerated: prog.EntriesGenerated}
+	return &LoadReport{Module: m, CompileWall: compileWall, EntriesGenerated: prog.EntriesGenerated, cmds: cmds}, nil
 }
 
 // LoadModuleChain compiles several module sources belonging to one
@@ -279,12 +288,17 @@ func (d *Device) LoadModuleChain(sources []string, moduleID uint16) (*LoadReport
 	if err != nil {
 		return nil, err
 	}
-	return d.commit(newReport(prog, pl, compileWall))
+	rep, err := newReport(prog, pl, compileWall)
+	if err != nil {
+		return nil, err
+	}
+	return d.commit(rep)
 }
 
 // commit installs a prepared module: it unloads any program loaded
-// under the same ID, records the new placement and pushes the program
-// down the control plane. On a failed push the placement is released.
+// under the same ID, records the new placement and pushes the report's
+// command stream down the control plane. On a failed push the placement
+// is released.
 func (d *Device) commit(rep *LoadReport) (*LoadReport, error) {
 	m := rep.Module
 	if _, ok := d.modules[m.ID]; ok {
@@ -293,7 +307,9 @@ func (d *Device) commit(rep *LoadReport) (*LoadReport, error) {
 		}
 	}
 	d.alloc.Record(m.program.Config, m.placement)
-	crep, err := d.client.LoadModule(m.program.Config, m.placement)
+	cmds := rep.cmds
+	rep.cmds = nil
+	crep, err := d.client.LoadModule(m.program.Config, m.placement, cmds)
 	if err != nil {
 		_ = d.alloc.Release(m.ID)
 		return nil, err

@@ -94,11 +94,12 @@ func (e *Engine) InsertFlowsVerified(ctx context.Context, moduleID uint16, stg i
 }
 
 // LoadModuleVerified is how a module enters a running engine, make
-// before break: the source is compiled and placed without touching the
-// device, staged on every shard through the verified §4.1 protocol
-// while any old program keeps serving, and only then committed — on
-// the shards (see engine.LoadModuleVerified), then on the device —
-// replacing any program loaded under the same ID. A bad source, an
+// before break: the source is compiled, placed and encoded into one
+// command stream without touching the device; that stream is staged on
+// every shard through the verified §4.1 protocol while any old program
+// keeps serving, and only then committed — on the shards (see
+// engine.LoadModuleVerified), then pushed on the device — replacing any
+// program loaded under the same ID. A bad source, an
 // exhausted retry budget (ErrVerify) or a ctx that ends before every
 // shard holds the stream commits nothing: device and shards keep the
 // old program, its flows and its stateful memory. Once the report says
@@ -113,7 +114,7 @@ func (e *Engine) LoadModuleVerified(ctx context.Context, source string, moduleID
 	}
 	m := rep.Module
 	gen, vrep, err := e.eng.LoadModuleVerified(ctx,
-		engine.ModuleSpec{Config: m.program.Config, Placement: m.placement}, opts)
+		engine.ModuleSpec{Config: m.program.Config, Placement: m.placement}, rep.cmds, opts)
 	if vrep.Verified { // the shards' commit is issued: the device follows
 		var cerr error
 		if rep, cerr = e.dev.commit(rep); err == nil {
