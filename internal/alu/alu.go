@@ -220,19 +220,19 @@ func (a *Action) Validate() error {
 // Table is the per-stage VLIW action table: CAM lookup results index it.
 // Like the match table it is space-partitioned across modules, but since
 // the CAM address is the action address the CAM's partitioning covers it.
-// Its addresses are published one by one through a tables.Overlay: a
-// write allocates one immutable entry and installs it with one atomic
-// pointer store, so it costs that entry alone, and the per-packet read
-// path — including the zero-copy Ref used by the batched engine — is one
-// atomic load, safe against a concurrent daisy-chain writer without
-// locks.
+// Its addresses live in a tables.Overlay, written in place: a write
+// stores the one entry (the action plus its slot list) and allocates
+// nothing, and the per-packet read path — including the zero-copy Ref
+// used by the batched engine — reads the slot directly. Like the
+// overlay, the table does no locking of its own; the pipeline that holds
+// it orders every read and write under its batch lock.
 type Table struct {
 	entries *tables.Overlay[tableEntry]
 }
 
 // tableEntry is one action plus its precomputed non-nop instruction
 // slots (so the per-packet path skips the scan over all 25 VLIW
-// lanes), held inline so an entry is one allocation.
+// lanes), held inline so an entry is one overlay slot.
 type tableEntry struct {
 	action Action
 	slots  [phv.NumContainers]uint8
@@ -276,8 +276,9 @@ func (t *Table) Lookup(addr int) (Action, bool) {
 
 // Ref returns a pointer to the action at addr plus its precompiled
 // non-nop slot list, skipping the copy of the wide (625-bit) VLIW entry
-// on the per-packet path. The pointees are immutable and must be treated
-// as read-only.
+// on the per-packet path. The pointees are the table's own slot,
+// rewritten in place by the next Set or Clear at addr, and must be
+// treated as read-only.
 func (t *Table) Ref(addr int) (*Action, []uint8, bool) {
 	e, ok := t.entries.Ref(addr)
 	if !ok {

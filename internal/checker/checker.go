@@ -13,6 +13,7 @@ package checker
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -111,27 +112,24 @@ type span struct {
 	lo, hi int
 }
 
-// stageAlloc tracks one stage's partitioned resources.
+// stageAlloc tracks one stage's partitioned resources. Each span list is
+// kept sorted by lo, so placement scans it without copying or sorting.
 type stageAlloc struct {
 	camSpans []span
 	memSpans []span
 }
 
-// firstFit finds the lowest free offset for size units below limit,
-// treating the spans of module skip as free.
+// firstFit finds the lowest free offset for size units below limit in
+// spans sorted by lo, treating the spans of module skip as free.
 func firstFit(spans []span, skip uint16, size, limit int) (int, bool) {
 	if size == 0 {
 		return 0, true
 	}
-	sorted := make([]span, 0, len(spans))
-	for _, sp := range spans {
-		if sp.mod != skip {
-			sorted = append(sorted, sp)
-		}
-	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].lo < sorted[j].lo })
 	at := 0
-	for _, sp := range sorted {
+	for _, sp := range spans {
+		if sp.mod == skip {
+			continue
+		}
 		if at+size <= sp.lo {
 			return at, true
 		}
@@ -255,10 +253,10 @@ func (a *Allocator) Record(m *core.ModuleConfig, pl core.Placement) {
 		}
 		st := &a.stages[s]
 		if n := sc.PartitionSize(); n > 0 {
-			st.camSpans = append(st.camSpans, span{mod: m.ModuleID, lo: pl.CAMBase[s], hi: pl.CAMBase[s] + n})
+			st.camSpans = insertSpan(st.camSpans, span{mod: m.ModuleID, lo: pl.CAMBase[s], hi: pl.CAMBase[s] + n})
 		}
 		if n := int(sc.SegmentWords); n > 0 {
-			st.memSpans = append(st.memSpans, span{mod: m.ModuleID, lo: int(pl.SegBase[s]), hi: int(pl.SegBase[s]) + n})
+			st.memSpans = insertSpan(st.memSpans, span{mod: m.ModuleID, lo: int(pl.SegBase[s]), hi: int(pl.SegBase[s]) + n})
 		}
 	}
 	a.loaded[m.ModuleID] = m.Demand()
@@ -276,6 +274,15 @@ func (a *Allocator) Release(moduleID uint16) error {
 		st.memSpans = dropMod(st.memSpans, moduleID)
 	}
 	return nil
+}
+
+// insertSpan inserts sp into spans, keeping them sorted by lo.
+func insertSpan(spans []span, sp span) []span {
+	i := 0
+	for i < len(spans) && spans[i].lo <= sp.lo {
+		i++
+	}
+	return slices.Insert(spans, i, sp)
 }
 
 func dropMod(spans []span, mod uint16) []span {

@@ -174,12 +174,14 @@ func (m *ModuleConfig) Commands(pl Placement) ([]reconfig.Command, error) {
 
 // Partition reserves the module's CAM address ranges in the pipeline so
 // the space-partitioning invariant is hardware-enforced before any entry
-// is written.
+// is written. It holds the batch lock, like Apply.
 func (p *Pipeline) Partition(m *ModuleConfig, pl Placement) error {
 	if err := p.checkModule(m.ModuleID); err != nil {
 		return err
 	}
-	defer p.InvalidateBatchViews()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.cfgGen++
 	for s, sc := range m.Stages {
 		if !sc.Used || sc.PartitionSize() == 0 {
 			continue

@@ -110,21 +110,22 @@ type Pipeline struct {
 	Chain    *reconfig.DaisyChain
 
 	// mu is the batch lock. It serializes Process and the batch path,
-	// like the ingress wire, and it guards the stages' flow tables
-	// (stage.Stage.Hash), which the pipeline owns outright: Apply's flow
-	// writes and UnloadModule's clears take it, so a flow write waits
-	// for the batch in flight. Engine shards each own a pipeline, so a
-	// shard's worker is its flow tables' one reader and one writer.
+	// like the ingress wire, and it guards every configuration table the
+	// pipeline owns (parser, deparser, and each stage's overlays, CAM,
+	// actions and flow tables), all plain memory written in place.
+	// Apply, Partition and UnloadModule hold it, so a write waits for the
+	// batch in flight; an engine shard applies commands between its own
+	// batches, so there it is never contended. Other readers use Locked.
 	mu    sync.Mutex
 	stats map[uint16]*ModuleStats
 
 	// batchViews caches per-module stage configuration for the frame
 	// path (guarded by mu). Entries are revalidated against cfgGen, which
 	// every configuration write path bumps (Apply, Partition,
-	// UnloadModule), so reconfiguration is always observed and an
-	// unchanged configuration pays no per-batch re-resolution.
+	// UnloadModule, SetFlowCache), so reconfiguration is always observed
+	// and an unchanged configuration pays no per-batch re-resolution.
 	batchViews []moduleViews
-	cfgGen     atomic.Uint64
+	cfgGen     uint64
 	// flowCache, when set, is attached to every hash-mode stage view so
 	// the frame path memoizes match resolutions (see stage.FlowCache). It
 	// is owned by this pipeline's batch caller — the engine gives each
@@ -172,9 +173,9 @@ func (p *Pipeline) scratch(n int) []batchFrame {
 // lock. Safe to call between batches; cached views are invalidated.
 func (p *Pipeline) SetFlowCache(fc *stage.FlowCache) {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.flowCache = fc
-	p.mu.Unlock()
-	p.InvalidateBatchViews()
+	p.cfgGen++
 }
 
 // FlowCacheStats returns the flow cache's cumulative hit/miss counters
@@ -189,8 +190,9 @@ func (p *Pipeline) FlowCacheStats() (hits, misses uint64) {
 }
 
 // moduleViews is one module's cached configuration across all stages,
-// plus its parser/deparser entries (nil when not installed; installed
-// entries are immutable) and their compiled programs.
+// plus its parser/deparser entries (nil when not installed; the overlay
+// slots, which no write touches while the views' generation is current)
+// and their compiled programs.
 type moduleViews struct {
 	gen     uint64 // cfgGen the views were resolved at (0 = never)
 	views   []stage.View
@@ -235,7 +237,7 @@ func New(geo Geometry, opts Options) *Pipeline {
 	for i := range p.batchViews {
 		p.batchViews[i].views = make([]stage.View, geo.Stages)
 	}
-	p.cfgGen.Store(1)
+	p.cfgGen = 1
 	p.Chain = reconfig.NewDaisyChain(p)
 	return p
 }
@@ -485,7 +487,7 @@ func (p *Pipeline) processBatch(frames [][]byte, ingressPort uint8, ports []uint
 // and per-stage stateful memory is only touched in step 3, in frame
 // order, so the split is invisible to module semantics.
 func (p *Pipeline) runBatch(frames [][]byte, ingressPort uint8, ports []uint8, res []BatchResult, inPlace bool) {
-	gen := p.cfgGen.Load()
+	gen := p.cfgGen
 	bf := p.scratch(len(frames))
 	var bs batchScope
 	p.Filter.BeginBatch(&bs.cls)
@@ -543,16 +545,24 @@ func touchHeaders(frames [][]byte) byte {
 	return x
 }
 
-// InvalidateBatchViews forces the batch path to re-resolve cached module
-// configuration. Every command-path write calls it; it is exported for
-// callers that mutate stage tables directly.
-func (p *Pipeline) InvalidateBatchViews() { p.cfgGen.Add(1) }
-
 // ConfigGen returns the pipeline's configuration generation: a counter
 // that every configuration write path (Apply, Partition, UnloadModule,
-// InvalidateBatchViews) bumps. A shard replica whose generation is
-// unchanged is guaranteed to serve batches from the same cached views.
-func (p *Pipeline) ConfigGen() uint64 { return p.cfgGen.Load() }
+// SetFlowCache) bumps. A shard replica whose generation is unchanged is
+// guaranteed to serve batches from the same cached views.
+func (p *Pipeline) ConfigGen() uint64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.cfgGen
+}
+
+// Locked runs fn under the batch lock: the way a reader or writer
+// outside the command path reaches the configuration tables. fn must not
+// call a Pipeline method that takes the lock, nor push a command.
+func (p *Pipeline) Locked(fn func()) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	fn()
+}
 
 // ModuleChecksum hashes every piece of configuration one module owns in
 // this pipeline: parser and deparser entries, per-stage key extractors,
@@ -881,9 +891,12 @@ func DecodeKeyExtract(b []byte) (stage.KeyExtractEntry, error) {
 // Apply implements reconfig.Sink: it routes one decoded configuration
 // command to the targeted table, exactly as the daisy chain delivers a
 // command to the element it addresses. Updating an entry touches only
-// that entry — the no-disruption property.
+// that entry — the no-disruption property. It holds the batch lock, so
+// the write lands between batches.
 func (p *Pipeline) Apply(cmd reconfig.Command) error {
-	defer p.InvalidateBatchViews()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.cfgGen++
 	kind := cmd.Resource.Kind()
 	if !kind.Stageless() {
 		if s := cmd.Resource.Stage(); s >= len(p.Stages) {
@@ -955,8 +968,6 @@ func (p *Pipeline) Apply(cmd reconfig.Command) error {
 				}
 			}
 		}
-		p.mu.Lock()
-		defer p.mu.Unlock()
 		return st.WriteFlow(e.Valid, e.ModID, e.Key, int(e.Addr))
 	}
 	return fmt.Errorf("%w: unknown resource kind %d", ErrBadCommand, kind)
@@ -966,12 +977,15 @@ func (p *Pipeline) Apply(cmd reconfig.Command) error {
 // load writes the module's parser entry first and every unload clears
 // it, so the entry's presence is the one bit to read.
 func (p *Pipeline) HoldsModule(moduleID uint16) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	_, ok := p.Parser.Table().Ref(int(moduleID))
 	return ok
 }
 
 // UnloadModule clears every resource owned by a module across the whole
-// pipeline (admission-control bookkeeping for re-use of the slot).
+// pipeline (admission-control bookkeeping for re-use of the slot), under
+// the batch lock and with the module's §3.1 update bit set.
 func (p *Pipeline) UnloadModule(moduleID uint16) error {
 	if err := p.checkModule(moduleID); err != nil {
 		return err
@@ -979,19 +993,15 @@ func (p *Pipeline) UnloadModule(moduleID uint16) error {
 	idx := int(moduleID)
 	p.Filter.SetUpdating(moduleID, true)
 	defer p.Filter.SetUpdating(moduleID, false)
-	// Registered after SetUpdating(false) so it runs first (LIFO): the
-	// cached views must be invalidated before the update bit clears, or
-	// a concurrent batch could serve the unloaded module from a
-	// stale view against a zeroed (possibly reassigned) segment.
-	defer p.InvalidateBatchViews()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.cfgGen++
 	if err := p.Parser.Table().Clear(idx); err != nil {
 		return err
 	}
 	if err := p.Deparser.Table().Clear(idx); err != nil {
 		return err
 	}
-	p.mu.Lock() // the stage clears drop the module's flow tables
-	defer p.mu.Unlock()
 	for i, st := range p.Stages {
 		if err := st.ClearModule(idx); err != nil {
 			return fmt.Errorf("stage %d: %w", i, err)

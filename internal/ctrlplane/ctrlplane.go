@@ -170,18 +170,7 @@ func (c *Client) InsertRule(moduleID uint16, stg int, r core.Rule) (addr int, re
 	if stg < 0 || stg >= len(c.pipe.Stages) {
 		return 0, rep, fmt.Errorf("ctrlplane: stage %d out of range", stg)
 	}
-	cam := c.pipe.Stages[stg].Match
-	lo, hi, ok := cam.PartitionOf(moduleID)
-	if !ok {
-		lo, hi = 0, cam.Depth()
-	}
-	addr = -1
-	for a := lo; a < hi; a++ {
-		if e, eerr := cam.Entry(a); eerr == nil && !e.Valid {
-			addr = a
-			break
-		}
-	}
+	c.pipe.Locked(func() { addr = c.pipe.Stages[stg].Match.FreeAddr(moduleID) })
 	if addr < 0 {
 		return 0, rep, fmt.Errorf("%w: module %d stage %d", ErrNoSpace, moduleID, stg)
 	}
@@ -218,7 +207,10 @@ func (c *Client) DeleteRule(moduleID uint16, stg, addr int) error {
 	if stg < 0 || stg >= len(c.pipe.Stages) {
 		return fmt.Errorf("ctrlplane: stage %d out of range", stg)
 	}
-	e, err := c.pipe.Stages[stg].Match.Entry(addr)
+	st := c.pipe.Stages[stg]
+	var e tables.CAMEntry
+	var err error
+	c.pipe.Locked(func() { e, err = st.Match.Entry(addr) })
 	if err != nil {
 		return err
 	}
@@ -233,7 +225,8 @@ func (c *Client) DeleteRule(moduleID uint16, stg, addr int) error {
 	if _, err := c.push(nil, moduleID, empty); err != nil {
 		return err
 	}
-	return c.pipe.Stages[stg].Actions.Clear(addr)
+	c.pipe.Locked(func() { err = st.Actions.Clear(addr) })
+	return err
 }
 
 // InsertFlow installs one exact-match flow entry on the cuckoo side of
@@ -267,24 +260,27 @@ func (c *Client) FlowKeyForFrame(moduleID uint16, stg int, frame []byte) (tables
 		return key, fmt.Errorf("ctrlplane: stage %d out of range", stg)
 	}
 	idx := int(moduleID) & tables.MaxModuleID
-	var v phv.PHV
-	if err := c.pipe.Parser.Parse(frame, idx, &v); err != nil {
-		return key, fmt.Errorf("ctrlplane: module %d: %w", moduleID, err)
-	}
-	v.ModuleID = moduleID
 	st := c.pipe.Stages[stg]
-	entry, ok := st.Extract.Lookup(idx)
-	if !ok {
-		return key, fmt.Errorf("ctrlplane: module %d has no key extractor in stage %d", moduleID, stg)
-	}
-	key, err := entry.ExtractKey(&v)
-	if err != nil {
-		return key, err
-	}
-	if mask, ok := st.Mask.Lookup(idx); ok {
-		key = key.Masked(mask)
-	}
-	return key, nil
+	var err error
+	c.pipe.Locked(func() {
+		var v phv.PHV
+		if err = c.pipe.Parser.Parse(frame, idx, &v); err != nil {
+			err = fmt.Errorf("ctrlplane: module %d: %w", moduleID, err)
+			return
+		}
+		v.ModuleID = moduleID
+		entry, ok := st.Extract.Lookup(idx)
+		if !ok {
+			err = fmt.Errorf("ctrlplane: module %d has no key extractor in stage %d", moduleID, stg)
+			return
+		}
+		if key, err = entry.ExtractKey(&v); err == nil {
+			if mask, ok := st.Mask.Lookup(idx); ok {
+				key = key.Masked(mask)
+			}
+		}
+	})
+	return key, err
 }
 
 // ReadCounter reads a stateful-memory word in a module's segment (the
@@ -294,7 +290,9 @@ func (c *Client) ReadCounter(moduleID uint16, stg int, localAddr uint64) (uint64
 		return 0, fmt.Errorf("ctrlplane: stage %d out of range", stg)
 	}
 	st := c.pipe.Stages[stg]
-	phys, err := st.Segments.Translate(int(moduleID), localAddr)
+	var phys uint64
+	var err error
+	c.pipe.Locked(func() { phys, err = st.Segments.Translate(int(moduleID), localAddr) })
 	if err != nil {
 		return 0, fmt.Errorf("ctrlplane: module %d stage %d address %d: %w", moduleID, stg, localAddr, err)
 	}

@@ -136,7 +136,8 @@
 //
 // Live reconfiguration fans generation-tagged control operations out
 // to per-shard queues, drained in issue order at batch boundaries —
-// a shard never observes a half-applied operation mid-batch. A shard
+// a shard never observes a half-applied operation mid-batch, and the
+// pipeline's batch lock the writes take is never contended. A shard
 // that has applied generation g has applied every operation tagged
 // ≤ g; AwaitQuiesceCtx(ctx, g) is the engine-wide barrier, bounded by
 // ctx. Commands enter the queue only through the verified calls

@@ -264,16 +264,21 @@ func (e *Engine) AwaitQuiesceCtx(ctx context.Context, gen uint64) error {
 	if gen > e.ctrl.tagger.Current() {
 		return fmt.Errorf("%w: %d (last issued %d)", ErrGenNotIssued, gen, e.ctrl.tagger.Current())
 	}
+	if e.minAppliedGen() >= gen { // reached: no wait, whatever ctx says
+		return nil
+	}
 	c := &e.ctrl
 	// Wake the cond when the context fires: Wait cannot select on a
 	// channel, so the cancellation is delivered as a broadcast and
-	// re-checked in the loop like every other wake condition.
-	stop := context.AfterFunc(ctx, func() {
-		c.qmu.Lock()
-		c.qcond.Broadcast()
-		c.qmu.Unlock()
-	})
-	defer stop()
+	// re-checked in the loop like every other wake condition. A context
+	// that can never fire needs no callback.
+	if ctx.Done() != nil {
+		defer context.AfterFunc(ctx, func() {
+			c.qmu.Lock()
+			c.qcond.Broadcast()
+			c.qmu.Unlock()
+		})()
+	}
 	c.qmu.Lock()
 	defer c.qmu.Unlock()
 	// A stalled flag alone is not grounds to bail: the shard may have
@@ -356,13 +361,11 @@ func (w *worker) enqueueOps(ops []shardOp) {
 // drainOps applies the queued control operations in issue order and
 // returns the last one's generation. The worker loop calls it at a
 // batch boundary and holds w.mu throughout, so a fence and the creation
-// of the fenced tenant's ring cannot interleave; pipeline writes use
-// the tables' own publication (per-entry atomic pointers, the CAM's
-// snapshot array), and flow writes take the pipeline's batch lock over
-// flow tables this shard alone owns — run between batches, they never
-// wait on it. opsQueued drops only
-// once the operations are applied: until then the watchdog counts them
-// as pending work.
+// of the fenced tenant's ring cannot interleave. Every pipeline write
+// takes the pipeline's batch lock over tables this shard alone owns;
+// run between batches on the worker's own goroutine, it never waits on
+// it. opsQueued drops only once the operations are applied: until then
+// the watchdog counts them as pending work.
 func (w *worker) drainOps() uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()

@@ -192,8 +192,8 @@ func (p *Parser) Parse(data []byte, modIdx int, v *phv.PHV) error {
 	return prog.Parse(data, v)
 }
 
-// EntryRef returns the module's installed parse entry (immutable, so
-// read-only), for callers that resolve and Compile it once.
+// EntryRef returns the module's installed parse entry (the overlay's
+// own slot, so read-only), for callers that resolve and Compile it once.
 func (p *Parser) EntryRef(modIdx int) (*Entry, bool) { return p.table.Ref(modIdx) }
 
 // copyWindow copies len(dst) bytes from data[off:] into dst, zero-filling
@@ -350,6 +350,6 @@ func (d *Deparser) Deparse(data []byte, modIdx int, v *phv.PHV) error {
 	return nil
 }
 
-// EntryRef returns the module's installed deparse entry (immutable, so
-// read-only), for callers that resolve and Compile it once.
+// EntryRef returns the module's installed deparse entry (the overlay's
+// own slot, so read-only), for callers that resolve and Compile it once.
 func (d *Deparser) EntryRef(modIdx int) (*Entry, bool) { return d.table.Ref(modIdx) }

@@ -242,6 +242,9 @@ func (e *KeyExtractEntry) predicate(p *phv.PHV) (byte, error) {
 }
 
 // Stage is one match-action stage with Menshen's isolation primitives.
+// None of its tables is safe for concurrent use: the pipeline holding
+// the stage owns them and reads and writes them only under its batch
+// lock, except StatefulMemory, whose words are atomic.
 type Stage struct {
 	// Extract and Mask are the overlay tables for key construction,
 	// indexed by module ID (§3.1).
@@ -255,9 +258,7 @@ type Stage struct {
 	// growing cuckoo table per module, each holding the module's
 	// per-flow entries, each entry resolving to a VLIW action address.
 	// Flow entries take precedence over CAM entries; ternary rules stay
-	// in the CAM. The tables are not safe for concurrent use: the
-	// pipeline holding the stage owns them and reads and writes them
-	// only under its batch lock.
+	// in the CAM.
 	Hash *tables.FlowTables
 	// Memory is the stage's stateful memory, reached through Segments.
 	Memory   *tables.StatefulMemory
@@ -358,15 +359,16 @@ func (s *Stage) Process(p *phv.PHV) (Result, error) {
 }
 
 // View caches one module's per-stage configuration: the key-extractor
-// entry, key mask, and the module's match candidates precompiled from a
-// CAM snapshot bounded to its partition.
+// entry, key mask, and the module's match candidates precompiled from
+// the CAM entries of its partition.
 // A batch of one module's packets resolves the configuration once and
 // then skips the per-packet overlay lookups — the software analogue of
 // §3.2's latency masking, where the module ID travels ahead of the PHV
-// so configuration reads are off the per-packet critical path. A View is
-// a point-in-time snapshot: reconfiguration during its lifetime is not
-// observed, which is safe because the packet filter drops the module's
-// packets for the duration of any update.
+// so configuration reads are off the per-packet critical path. A View
+// holds copies of the overlay entries but reads the action table and
+// flow table in place, so it is valid only until the next configuration
+// write: the pipeline resolves views under its batch lock, where no
+// write lands, and re-resolves them after every write.
 type View struct {
 	// Active is false when the module has no key-extractor entry here;
 	// the stage passes its PHVs through untouched.
@@ -576,7 +578,7 @@ func (s *Stage) ViewFor(modIdx int) View {
 		}
 	}
 
-	// Only [lo, hi) of the CAM snapshot can hold the module's entries
+	// Only [lo, hi) of the CAM can hold the module's entries
 	// (its space partition), so the scan is bounded by the module's own
 	// entry count.
 	cam := s.Match.Entries()
@@ -678,9 +680,8 @@ func (s *Stage) ProcessView(v *View, p *phv.PHV) (Result, error) {
 // ClearModule removes every per-module configuration and match entry for
 // the module index, and zeroes its stateful-memory segment so no state
 // leaks to a future tenant of the same slice. Other modules' entries are
-// untouched, and the cost is the module's own: overlay and action slots
-// are cleared one by one, and the CAM republishes its array only where
-// the module holds entries.
+// untouched, and the cost is the module's own: overlay, action and CAM
+// slots are cleared in place, one by one.
 func (s *Stage) ClearModule(modIdx int) error {
 	// Normalize once, like ViewFor: the CAM stores 12-bit module IDs, so
 	// the action sweep below must compare in the same domain.

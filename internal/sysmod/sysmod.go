@@ -278,7 +278,9 @@ func (tm *TrafficManager) Members(port uint8) []uint8 { return tm.groups[port] }
 // by the statistics service.
 func PacketCount(p *core.Pipeline, moduleID uint16) (uint64, error) {
 	st := p.Stages[FirstStage]
-	phys, err := st.Segments.Translate(int(moduleID), 0)
+	var phys uint64
+	var err error
+	p.Locked(func() { phys, err = st.Segments.Translate(int(moduleID), 0) })
 	if err != nil {
 		return 0, fmt.Errorf("sysmod: module %d stage %d packet counter: %w", moduleID, FirstStage, err)
 	}

@@ -26,7 +26,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 )
 
@@ -149,23 +148,23 @@ func FullMask() Key {
 
 // Overlay is a per-module configuration array: Menshen's core isolation
 // primitive for shared resources. Depth bounds the number of modules; an
-// entry must be explicitly valid to be used. Each slot is published on
-// its own: a write allocates the new entry and installs it with one
-// atomic pointer store (nil is invalid), so rewriting one module's entry
-// costs that entry alone and never copies its neighbours'. The
-// per-packet read path is one atomic load, wait-free — the software
-// analogue of the SRAM's single-cycle read port. An installed entry is
-// never modified in place, so a reader sees either the old or the new
-// entry whole. Menshen's packet filter additionally guarantees the
-// module being rewritten has no in-flight packets.
+// entry must be explicitly valid to be used. The slots are plain memory
+// written in place: a write stores the one entry and a clear zeroes it,
+// so rewriting one module's entry costs that entry alone, allocates
+// nothing and never touches its neighbours'. The table does no locking
+// of its own: the pipeline that holds it reads and writes it only under
+// its batch lock, so a write lands between batches, never under a
+// reader — the software analogue of the daisy chain updating an SRAM
+// row while Menshen's packet filter holds the module's packets back.
 type Overlay[T any] struct {
-	slots []atomic.Pointer[T]
+	slots []T
+	valid []bool
 }
 
 // NewOverlay returns an overlay table with the given depth (use
 // OverlayDepth for the paper's geometry).
 func NewOverlay[T any](depth int) *Overlay[T] {
-	return &Overlay[T]{slots: make([]atomic.Pointer[T], depth)}
+	return &Overlay[T]{slots: make([]T, depth), valid: make([]bool, depth)}
 }
 
 // Depth returns the number of entry slots.
@@ -180,38 +179,39 @@ func (o *Overlay[T]) Lookup(idx int) (T, bool) {
 	return zero, false
 }
 
-// Ref returns a pointer to the entry's value. Entries are immutable
-// (writers publish fresh ones), so the pointee never changes; callers
-// must treat it as read-only. Used by batched fast paths to skip copying
-// wide entries per packet.
+// Ref returns a pointer to the entry's slot, so batched fast paths skip
+// copying wide entries per packet. The slot is rewritten in place by the
+// next Set or Clear at idx: callers must treat it as read-only and hold
+// the lock that orders them against writers.
 func (o *Overlay[T]) Ref(idx int) (*T, bool) {
-	if idx < 0 || idx >= len(o.slots) {
+	if idx < 0 || idx >= len(o.slots) || !o.valid[idx] {
 		return nil, false
 	}
-	p := o.slots[idx].Load()
-	return p, p != nil
-}
-
-// publish installs p (nil: invalid) at idx.
-func (o *Overlay[T]) publish(idx int, p *T) error {
-	if idx < 0 || idx >= len(o.slots) {
-		return fmt.Errorf("%w: entry %d (depth %d)", ErrIndexRange, idx, len(o.slots))
-	}
-	o.slots[idx].Store(p)
-	return nil
+	return &o.slots[idx], true
 }
 
 // Set installs a configuration at the given module index.
-func (o *Overlay[T]) Set(idx int, v T) error { return o.publish(idx, &v) }
+func (o *Overlay[T]) Set(idx int, v T) error { return o.store(idx, v, true) }
 
 // Clear invalidates the entry at idx.
-func (o *Overlay[T]) Clear(idx int) error { return o.publish(idx, nil) }
+func (o *Overlay[T]) Clear(idx int) error {
+	var zero T
+	return o.store(idx, zero, false)
+}
+
+func (o *Overlay[T]) store(idx int, v T, valid bool) error {
+	if idx < 0 || idx >= len(o.slots) {
+		return fmt.Errorf("%w: entry %d (depth %d)", ErrIndexRange, idx, len(o.slots))
+	}
+	o.slots[idx], o.valid[idx] = v, valid
+	return nil
+}
 
 // ValidCount returns the number of installed entries.
 func (o *Overlay[T]) ValidCount() int {
 	n := 0
-	for i := range o.slots {
-		if o.slots[i].Load() != nil {
+	for _, ok := range o.valid {
+		if ok {
 			n++
 		}
 	}
@@ -254,13 +254,13 @@ func (e *CAMEntry) Matches(key Key, modID uint16) bool {
 // For ternary matches the lowest address wins (the priority convention of
 // the Xilinx IP, Appendix B). Addresses are allocated to modules in
 // contiguous chunks so one module's rule updates never disturb another's.
-// Unlike Overlay, the entry array is published as one copy-on-write
-// snapshot: Lookup scans every entry, so it must see a contiguous,
-// consistent array. Per-packet lookups stay wait-free while the daisy
-// chain rewrites entries.
+// Like Overlay, the entry array is plain memory written in place — a
+// write stores one entry, an unload zeroes the module's own — and the
+// CAM does no locking of its own: the pipeline that holds it reads and
+// writes it only under its batch lock, so Lookup's scan never meets a
+// write.
 type CAM struct {
-	mu      sync.Mutex // serializes writers
-	entries atomic.Pointer[[]CAMEntry]
+	entries []CAMEntry
 	// partition[mod] is the half-open address range owned by module mod.
 	partition map[uint16][2]int
 }
@@ -268,23 +268,11 @@ type CAM struct {
 // NewCAM returns a CAM with the given depth (use CAMDepth for the paper's
 // per-stage geometry).
 func NewCAM(depth int) *CAM {
-	c := &CAM{partition: make(map[uint16][2]int)}
-	entries := make([]CAMEntry, depth)
-	c.entries.Store(&entries)
-	return c
+	return &CAM{entries: make([]CAMEntry, depth), partition: make(map[uint16][2]int)}
 }
 
 // Depth returns the number of entry addresses.
-func (c *CAM) Depth() int { return len(*c.entries.Load()) }
-
-// cloneLocked returns a mutable copy of the current snapshot; the caller
-// must hold c.mu and publish the copy with c.entries.Store.
-func (c *CAM) cloneLocked() []CAMEntry {
-	cur := *c.entries.Load()
-	next := make([]CAMEntry, len(cur))
-	copy(next, cur)
-	return next
-}
+func (c *CAM) Depth() int { return len(c.entries) }
 
 // Partition assigns the half-open address range [lo, hi) to module modID.
 // Ranges of distinct modules must not overlap; Partition enforces this so
@@ -293,8 +281,6 @@ func (c *CAM) Partition(modID uint16, lo, hi int) error {
 	if lo < 0 || hi > c.Depth() || lo > hi {
 		return fmt.Errorf("%w: CAM partition [%d,%d) depth %d", ErrIndexRange, lo, hi, c.Depth())
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	for other, r := range c.partition {
 		if other == modID {
 			continue
@@ -310,8 +296,6 @@ func (c *CAM) Partition(modID uint16, lo, hi int) error {
 
 // PartitionOf returns the address range owned by modID.
 func (c *CAM) PartitionOf(modID uint16) (lo, hi int, ok bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	r, ok := c.partition[modID]
 	return r[0], r[1], ok
 }
@@ -322,56 +306,56 @@ func (c *CAM) PartitionOf(modID uint16) (lo, hi int, ok bool) {
 // looked-up IDs always compare in the same domain.
 func (c *CAM) Write(addr int, e CAMEntry) error {
 	e.ModID &= MaxModuleID
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	next := c.cloneLocked()
-	if addr < 0 || addr >= len(next) {
-		return fmt.Errorf("%w: CAM address %d (depth %d)", ErrIndexRange, addr, len(next))
+	if addr < 0 || addr >= len(c.entries) {
+		return fmt.Errorf("%w: CAM address %d (depth %d)", ErrIndexRange, addr, len(c.entries))
 	}
 	if r, ok := c.partition[e.ModID]; ok && e.Valid && (addr < r[0] || addr >= r[1]) {
 		return fmt.Errorf("%w: CAM address %d outside module %d partition [%d,%d)",
 			ErrIndexRange, addr, e.ModID, r[0], r[1])
 	}
-	next[addr] = e
-	c.entries.Store(&next)
+	c.entries[addr] = e
 	return nil
 }
 
-// Insert places the entry at the first free address within the module's
-// partition (or anywhere, if no partition is configured) and returns the
-// address. The entry's module ID is stored masked to its 12-bit wire
-// width, like Write.
-func (c *CAM) Insert(e CAMEntry) (int, error) {
-	e.ModID &= MaxModuleID
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	next := c.cloneLocked()
-	lo, hi := 0, len(next)
-	if r, ok := c.partition[e.ModID]; ok {
+// FreeAddr returns the first free address within the module's partition
+// (or anywhere, if no partition is configured), or -1 when there is none.
+func (c *CAM) FreeAddr(modID uint16) int {
+	lo, hi := 0, len(c.entries)
+	if r, ok := c.partition[modID]; ok {
 		lo, hi = r[0], r[1]
 	}
 	for addr := lo; addr < hi; addr++ {
-		if !next[addr].Valid {
-			e.Valid = true
-			next[addr] = e
-			c.entries.Store(&next)
-			return addr, nil
+		if !c.entries[addr].Valid {
+			return addr
 		}
 	}
-	return 0, fmt.Errorf("%w: module %d range [%d,%d)", ErrCAMFull, e.ModID, lo, hi)
+	return -1
 }
 
-// Entries returns the current entry snapshot for batched lookups. The
-// returned slice is immutable (writers publish fresh copies); callers
-// must not modify it.
-func (c *CAM) Entries() []CAMEntry { return *c.entries.Load() }
+// Insert places the entry at FreeAddr and returns the address. The
+// entry's module ID is stored masked to its 12-bit wire width, like
+// Write.
+func (c *CAM) Insert(e CAMEntry) (int, error) {
+	e.ModID &= MaxModuleID
+	addr := c.FreeAddr(e.ModID)
+	if addr < 0 {
+		return 0, fmt.Errorf("%w: module %d", ErrCAMFull, e.ModID)
+	}
+	e.Valid = true
+	c.entries[addr] = e
+	return addr, nil
+}
+
+// Entries returns the entry array for batched lookups. It is the CAM's
+// own memory, rewritten in place by later writes: callers must not
+// modify it and must hold the lock that orders them against writers.
+func (c *CAM) Entries() []CAMEntry { return c.entries }
 
 // Lookup matches (key, modID) against the CAM and returns the lowest
 // matching address.
 func (c *CAM) Lookup(key Key, modID uint16) (int, bool) {
-	entries := *c.entries.Load()
-	for addr := range entries {
-		if entries[addr].Matches(key, modID) {
+	for addr := range c.entries {
+		if c.entries[addr].Matches(key, modID) {
 			return addr, true
 		}
 	}
@@ -381,36 +365,26 @@ func (c *CAM) Lookup(key Key, modID uint16) (int, bool) {
 // ClearModule invalidates every entry owned by modID and releases its
 // partition, so the address range can be reserved by another module.
 // Entries of other modules are untouched — the no-disruption property
-// for match tables. A module with no entries here publishes nothing.
+// for match tables — and the module's own are zeroed in place.
 func (c *CAM) ClearModule(modID uint16) int {
 	modID &= MaxModuleID
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	delete(c.partition, modID)
-	var next []CAMEntry // cloned at the module's first entry
 	n := 0
-	for i, e := range *c.entries.Load() {
-		if e.Valid && e.ModID == modID {
-			if next == nil {
-				next = c.cloneLocked()
-			}
-			next[i] = CAMEntry{}
+	for i := range c.entries {
+		if e := &c.entries[i]; e.Valid && e.ModID == modID {
+			*e = CAMEntry{}
 			n++
 		}
-	}
-	if next != nil {
-		c.entries.Store(&next)
 	}
 	return n
 }
 
 // Entry returns a copy of the entry at addr.
 func (c *CAM) Entry(addr int) (CAMEntry, error) {
-	entries := *c.entries.Load()
-	if addr < 0 || addr >= len(entries) {
+	if addr < 0 || addr >= len(c.entries) {
 		return CAMEntry{}, fmt.Errorf("%w: CAM address %d", ErrIndexRange, addr)
 	}
-	return entries[addr], nil
+	return c.entries[addr], nil
 }
 
 // ValidCount returns the number of installed entries, optionally filtered
@@ -420,10 +394,9 @@ func (c *CAM) ValidCount(modID int) int {
 	if modID >= 0 {
 		modID &= MaxModuleID
 	}
-	entries := *c.entries.Load()
 	n := 0
-	for i := range entries {
-		e := &entries[i]
+	for i := range c.entries {
+		e := &c.entries[i]
 		if e.Valid && (modID < 0 || int(e.ModID) == modID) {
 			n++
 		}
@@ -443,23 +416,15 @@ type Segment struct {
 // physical addresses, giving each module its own address space (§3.1).
 // Menshen implements this in hardware, unlike NetVRM's P4-level page
 // table, so stage 1's stateful memory remains usable for packet processing.
+// It is an overlay of segments, one per module index.
 type SegmentTable struct {
-	overlay *Overlay[Segment]
+	*Overlay[Segment]
 }
 
 // NewSegmentTable returns a segment table with the given depth.
 func NewSegmentTable(depth int) *SegmentTable {
-	return &SegmentTable{overlay: NewOverlay[Segment](depth)}
+	return &SegmentTable{NewOverlay[Segment](depth)}
 }
-
-// Set installs the segment for module index idx.
-func (s *SegmentTable) Set(idx int, seg Segment) error { return s.overlay.Set(idx, seg) }
-
-// Clear removes the segment for module index idx.
-func (s *SegmentTable) Clear(idx int) error { return s.overlay.Clear(idx) }
-
-// Lookup returns the segment for module index idx.
-func (s *SegmentTable) Lookup(idx int) (Segment, bool) { return s.overlay.Lookup(idx) }
 
 // Translate converts a module-local address to a physical address,
 // faulting if the module has no segment or the address exceeds its range.
@@ -469,7 +434,7 @@ func (s *SegmentTable) Lookup(idx int) (Segment, bool) { return s.overlay.Lookup
 //
 //menshen:hotpath
 func (s *SegmentTable) Translate(idx int, addr uint64) (uint64, error) {
-	seg, ok := s.overlay.Lookup(idx)
+	seg, ok := s.Lookup(idx)
 	if !ok {
 		return 0, ErrNoEntry
 	}
@@ -478,9 +443,6 @@ func (s *SegmentTable) Translate(idx int, addr uint64) (uint64, error) {
 	}
 	return uint64(seg.Base) + addr, nil
 }
-
-// Depth returns the number of segment slots.
-func (s *SegmentTable) Depth() int { return s.overlay.Depth() }
 
 // StatefulMemory is a stage's persistent state RAM. All access is by
 // physical address; isolation comes from the SegmentTable in front of it.

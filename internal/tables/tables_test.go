@@ -2,9 +2,6 @@ package tables
 
 import (
 	"errors"
-	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -77,7 +74,7 @@ func TestOverlayBounds(t *testing.T) {
 }
 
 // wideEntry stands in for the wide overlay entries (parser and
-// key-extract programs): a torn read would mix its words.
+// key-extract programs).
 type wideEntry [16]uint64
 
 func wideOf(v uint64) wideEntry {
@@ -88,15 +85,15 @@ func wideOf(v uint64) wideEntry {
 	return e
 }
 
-// TestOverlayWriteCostsOneEntry pins per-entry publication: a Set
-// allocates the new entry alone whatever the depth, and the read path
-// allocates nothing.
+// TestOverlayWriteCostsOneEntry pins in-place writes: a Set stores the
+// one entry and allocates nothing whatever the depth, and neither does
+// a Clear or the read path.
 func TestOverlayWriteCostsOneEntry(t *testing.T) {
 	for _, depth := range []int{16, 4096} {
 		o := NewOverlay[wideEntry](depth)
 		v := wideOf(7)
-		if n := testing.AllocsPerRun(100, func() { _ = o.Set(depth/2, v) }); n != 1 {
-			t.Errorf("depth %d: Set allocates %.1f times, want 1", depth, n)
+		if n := testing.AllocsPerRun(100, func() { _ = o.Set(depth/2, v) }); n != 0 {
+			t.Errorf("depth %d: Set allocates %.1f times, want 0", depth, n)
 		}
 		if n := testing.AllocsPerRun(100, func() { _ = o.Clear(depth - 1) }); n != 0 {
 			t.Errorf("depth %d: Clear allocates %.1f times, want 0", depth, n)
@@ -115,58 +112,33 @@ func TestOverlayWriteCostsOneEntry(t *testing.T) {
 	}
 }
 
-// TestOverlayConcurrentWholeEntries races readers against one writer
-// that alternates two whole values at one index and sets and clears its
-// neighbour: every read sees one of the written values whole, or an
-// invalid entry, never a mix.
-func TestOverlayConcurrentWholeEntries(t *testing.T) {
-	const idx, writes = 3, 20000
-	o := NewOverlay[wideEntry](8)
-	if err := o.Set(idx, wideOf(1)); err != nil {
-		t.Fatal(err)
-	}
-	whole := func(e wideEntry, want ...uint64) bool {
-		for _, w := range want {
-			if e == wideOf(w) {
-				return true
-			}
+// TestCAMWriteCostsNothing pins in-place CAM writes: a Write, and the
+// ClearModule of a module with entries in its partition, allocate
+// nothing whatever the depth.
+func TestCAMWriteCostsNothing(t *testing.T) {
+	for _, depth := range []int{16, 4096} {
+		c := NewCAM(depth)
+		e := CAMEntry{Valid: true, ModID: 3, Key: keyWithByte(0, 0x5a), Mask: FullMask()}
+		if n := testing.AllocsPerRun(100, func() { _ = c.Write(depth/2, e) }); n != 0 {
+			t.Errorf("depth %d: Write allocates %.1f times, want 0", depth, n)
 		}
-		return false
-	}
-	var done atomic.Bool
-	var reads atomic.Int64
-	var wg sync.WaitGroup
-	errs := make(chan string, 4)
-	for r := 0; r < 2; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !done.Load() {
-				if e, ok := o.Lookup(idx); !ok || !whole(e, 1, 2) {
-					errs <- fmt.Sprintf("Lookup(%d) = %v, %v", idx, e[:2], ok)
-					return
-				}
-				if p, ok := o.Ref(idx + 1); ok && !whole(*p, 3) {
-					errs <- fmt.Sprintf("Ref(%d) saw a torn entry %v", idx+1, p[:2])
-					return
-				}
-				reads.Add(1)
+		c.ClearModule(3)
+		cleared := 0
+		if n := testing.AllocsPerRun(100, func() {
+			if err := c.Partition(3, 0, depth); err != nil {
+				t.Fatal(err)
 			}
-		}()
-	}
-	for i := 0; (i < writes || reads.Load() < writes) && len(errs) == 0; i++ {
-		_ = o.Set(idx, wideOf(uint64(1+i%2)))
-		if i%2 == 0 {
-			_ = o.Set(idx+1, wideOf(3))
-		} else {
-			_ = o.Clear(idx + 1)
+			for addr := range 4 {
+				_ = c.Write(addr*3, e)
+			}
+			cleared += c.ClearModule(3)
+		}); n != 0 {
+			t.Errorf("depth %d: Partition+Write+ClearModule allocate %.1f times, want 0", depth, n)
 		}
-	}
-	done.Store(true)
-	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Error(e)
+		// AllocsPerRun makes one warm-up run before the 100 it counts.
+		if cleared != 101*4 || c.ValidCount(-1) != 0 {
+			t.Errorf("depth %d: ClearModule cleared %d entries (want %d), %d left", depth, cleared, 101*4, c.ValidCount(-1))
+		}
 	}
 }
 
