@@ -14,6 +14,7 @@ package ctrlplane
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/alu"
@@ -62,8 +63,11 @@ func DefaultCostModel() CostModel {
 	}
 }
 
-// Client is a control-plane session against one pipeline.
+// Client is a control-plane session against one pipeline, safe for
+// concurrent use: mu serializes its writes, which share the one daisy
+// chain, the packet counter a load polls, and the free CAM addresses.
 type Client struct {
+	mu   sync.Mutex
 	pipe *core.Pipeline
 	cost CostModel
 }
@@ -127,6 +131,8 @@ func (c *Client) push(frame []byte, moduleID uint16, cmd reconfig.Command) ([]by
 func (c *Client) LoadModule(m *core.ModuleConfig, pl core.Placement, cmds []reconfig.Command) (Report, error) {
 	start := time.Now()
 	var rep Report
+	c.mu.Lock()
+	defer c.mu.Unlock()
 
 	if err := c.pipe.Partition(m, pl); err != nil {
 		return rep, err
@@ -159,6 +165,8 @@ func (c *Client) LoadModule(m *core.ModuleConfig, pl core.Placement, cmds []reco
 
 // UnloadModule clears a module from the pipeline.
 func (c *Client) UnloadModule(moduleID uint16) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return c.pipe.UnloadModule(moduleID)
 }
 
@@ -170,6 +178,8 @@ func (c *Client) InsertRule(moduleID uint16, stg int, r core.Rule) (addr int, re
 	if stg < 0 || stg >= len(c.pipe.Stages) {
 		return 0, rep, fmt.Errorf("ctrlplane: stage %d out of range", stg)
 	}
+	c.mu.Lock() // from the free-address search to the last push
+	defer c.mu.Unlock()
 	c.pipe.Locked(func() { addr = c.pipe.Stages[stg].Match.FreeAddr(moduleID) })
 	if addr < 0 {
 		return 0, rep, fmt.Errorf("%w: module %d stage %d", ErrNoSpace, moduleID, stg)
@@ -210,6 +220,8 @@ func (c *Client) DeleteRule(moduleID uint16, stg, addr int) error {
 	st := c.pipe.Stages[stg]
 	var e tables.CAMEntry
 	var err error
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.pipe.Locked(func() { e, err = st.Match.Entry(addr) })
 	if err != nil {
 		return err
@@ -241,6 +253,8 @@ func (c *Client) InsertFlow(moduleID uint16, stg int, key tables.Key, addr int) 
 	if addr < 0 || addr > int(^uint16(0)) {
 		return fmt.Errorf("ctrlplane: flow action address %d out of range", addr)
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	_, err := c.push(nil, moduleID, core.FlowCommand(stg, core.FlowEntry{
 		Valid: true, ModID: moduleID, Addr: uint16(addr), Key: key,
 	}))

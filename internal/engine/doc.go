@@ -141,16 +141,17 @@
 // that has applied generation g has applied every operation tagged
 // ≤ g; AwaitQuiesceCtx(ctx, g) is the engine-wide barrier, bounded by
 // ctx. Commands enter the queue only through the verified calls
-// (ApplyVerified, LoadModuleVerified). A verified load is make before
-// break: its commands are staged on every shard while the old program
-// keeps serving, and once every shard holds the whole stream one
-// commit operation swaps the program in at a batch boundary; a failed
-// or cancelled load commits nothing, so nothing is rolled back and no
-// frame is held. The one fence, an opPause/opResume pair taken only by
-// BeginTenantUpdate/EndTenantUpdate, holds one tenant's frames (queued,
-// not dropped) while every other tenant keeps flowing, and
-// Stats.Updating shows which tenants are fenced. See reconfig.go for
-// the full model.
+// (ApplyVerified, LoadModuleVerified), each attempt of a burst as one
+// operation per shard: a range of its one stream, however long. A
+// verified load is make before break: its stream is staged on every
+// shard while the old program keeps serving, and once every shard holds
+// all of it one commit operation swaps the program in at a batch
+// boundary; a failed or cancelled load commits nothing, so nothing is
+// rolled back and no frame is held. The one fence, an opPause/opResume
+// pair taken only by BeginTenantUpdate/EndTenantUpdate, holds one
+// tenant's frames (queued, not dropped) while every other tenant keeps
+// flowing, and Stats.Updating shows which tenants are fenced. See
+// reconfig.go for the full model.
 //
 // # Egress (§3.5)
 //

@@ -7,16 +7,16 @@
 // carries them — a reconfiguration frame submitted as traffic is
 // dropped by the shard's packet filter (§3.1).
 //
-// Mechanism: every control operation (a command batch, a module load or
-// unload, a tenant fence) is tagged with a monotonically increasing
-// generation (reconfig.Tagger) and appended, in issue order, to a
-// per-shard operation queue. Each worker drains its queue at batch
-// boundaries — between two pipeline batches — so a shard never
-// observes a half-applied operation mid-batch, and applies operations
-// in exactly the order they were issued. A worker that has applied
-// generation g has applied every operation tagged ≤ g; AwaitQuiesceCtx
-// blocks until all shards reach g, which is the engine-wide barrier the
-// tests and the serve CLI assert on.
+// Mechanism: every control operation (a range of a verified burst's
+// command stream, a load's commit, an unload, a tenant fence) is tagged
+// with a monotonically increasing generation (reconfig.Tagger) and
+// appended, in issue order, to a per-shard operation queue. Each worker
+// drains its queue at batch boundaries — between two pipeline batches —
+// so a shard never observes a half-applied operation mid-batch, and
+// applies operations in exactly the order they were issued. A worker
+// that has applied generation g has applied every operation tagged ≤ g;
+// AwaitQuiesceCtx blocks until all shards reach g, which is the
+// engine-wide barrier the tests and the serve CLI assert on.
 //
 // Make before break: a load stages its commands on every shard and
 // commits them in one opCommit, which lands whole in one drainOps turn
@@ -58,9 +58,9 @@ var ErrDegraded = errors.New("engine: degraded (stalled worker shard)")
 type opKind uint8
 
 const (
-	// opApply delivers one command of a verified burst: applied to the
-	// shard pipeline, or, when the burst is a staged load, only counted
-	// (the command waits in the load's stream).
+	// opApply delivers a range of a verified burst's command stream:
+	// applied to the shard pipeline, or, when the burst is a staged
+	// load, only counted (the commands wait in the load's stream).
 	opApply opKind = iota
 	// opCommit swaps a staged load in: unload any program under the ID,
 	// reserve the new program's CAM address ranges, apply the load's
@@ -89,25 +89,15 @@ type shardOp struct {
 	gen    uint64
 	kind   opKind
 	tenant uint16
-	weight float64 // opEgressWeight: the new weight (0 clears)
-	cmd    reconfig.Command
+	weight float64     // opEgressWeight: the new weight (0 clears)
 	spec   *ModuleSpec // opCommit (read-only, shared across shards)
 
-	// Verified-burst fields (verify.go). burst is the go-back-N
-	// verified burst an opApply belongs to (and the staged load an
-	// opCommit commits): seq is the command's position in the burst,
-	// and the shard takes it only when it is the next in-order command
-	// (earlier = duplicate from a retry, later = a predecessor was
-	// lost; both are skipped), so the shard's burst progress is always
-	// a contiguous prefix length — the property that makes "re-send the
-	// missing suffix" correct.
-	burst *burstState
-	seq   uint32
-	// lost marks a command the fault injector sentenced to loss or
-	// corruption for this shard: the op still rides the queue (the
-	// generation must advance regardless), but the shard never sees
-	// the command and its delivered counter never increments.
-	lost bool
+	// An opApply sends [lo, hi) of burst's stream (an opCommit commits
+	// burst, a staged load). The shard applies [progress, stop), stop
+	// being its first command lost at or above its progress, else hi:
+	// it skips a retry's duplicates and, go-back-N, a loss's successors.
+	burst        *burstState
+	lo, hi, stop uint32
 }
 
 // control is the engine-wide reconfiguration state.
@@ -134,8 +124,12 @@ type control struct {
 //
 // inj is the fault plan of the modeled control wire, nil for a lossless
 // one and for sequences that are engine-local bookkeeping (fences,
-// commits, unloads). With a plan, every opApply is sentenced afresh per
-// shard, so one command can meet different fates on different replicas.
+// commits, unloads). With a plan, each command of an opApply's range is
+// sentenced afresh per shard, worker-major then in command order as when
+// each command was its own operation, so a seed keeps its meaning. A
+// shard stops at its first lost command at or above its progress (a lost
+// duplicate below it must not hold it back); that progress is stable, as
+// deliver issues a burst's next range only once the last has quiesced.
 // Corruption is detected-and-discarded at the shard (the wire format
 // rides UDP with a checksum; a damaged command never applies), so to
 // the counter poll it is indistinguishable from loss — which is exactly
@@ -164,13 +158,17 @@ func (e *Engine) issue(inj *faultinject.Injector, ops ...shardOp) (uint64, error
 		}
 	}
 	for _, w := range e.workers {
-		if inj != nil {
-			for i := range ops {
-				if ops[i].kind != opApply {
-					continue
-				}
-				if ops[i].lost = inj.CommandFate() != faultinject.Deliver; ops[i].lost {
-					e.tel.cmdFaults.Add(1)
+		for i := range ops {
+			if op := &ops[i]; op.kind == opApply {
+				op.stop = op.hi
+				from := op.burst.progress[w.id].Load()
+				for c := op.lo; inj != nil && c < op.hi; c++ {
+					if inj.CommandFate() != faultinject.Deliver {
+						e.tel.cmdFaults.Add(1)
+						if c >= from && c < op.stop {
+							op.stop = c
+						}
+					}
 				}
 			}
 		}
@@ -370,33 +368,29 @@ func (w *worker) drainOps() uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	ops := w.ops
-	w.ops = nil
 	rings := w.rings.Load().byTenant
 	for i := range ops {
 		op := &ops[i]
 		var err error
 		switch op.kind {
 		case opApply:
-			// Injected loss: the command never reached this shard. The
-			// generation still advances (the op rode the queue), but
-			// the delivered counter does not — the shortfall the
-			// verified paths poll for. Go-back-N: seq < cur is a
-			// duplicate from a retry burst (already taken — skip,
-			// idempotence by sequence number); seq > cur means a
-			// predecessor was lost and this command is discarded so
-			// the shard's progress stays a contiguous prefix.
+			// [progress, stop): the commands from stop on never reached
+			// the shard, so its delivered counter falls short for the
+			// poll; an Apply error, whose command did arrive, ends the
+			// range too. A staged burst's range is only counted.
 			b := op.burst
-			cur := b.progress[w.id].Load()
-			if op.lost || op.seq != cur {
-				break
-			}
-			w.cmdSeen.Add(1)
-			if b.load == nil {
-				if err = w.apply(op.cmd); err != nil {
-					break
+			from := b.progress[w.id].Load()
+			to := op.stop
+			if !b.staged {
+				for to = from; to < op.stop; to++ {
+					if err = w.apply(b.cmds[to]); err != nil {
+						w.cmdSeen.Add(1)
+						break
+					}
 				}
 			}
-			b.progress[w.id].Store(cur + 1)
+			w.cmdSeen.Add(uint64(to - from))
+			b.progress[w.id].Store(to)
 		case opCommit:
 			// Only a shard that holds a program under the ID unloads it:
 			// a first load (or one after an unload) skips the stage
@@ -407,8 +401,8 @@ func (w *worker) drainOps() uint64 {
 			if err == nil {
 				err = w.pipe.Partition(op.spec.Config, op.spec.Placement)
 			}
-			for i := 0; err == nil && i < len(op.burst.load); i++ {
-				if w.apply(op.burst.load[i]) != nil {
+			for i := 0; err == nil && i < len(op.burst.cmds); i++ {
+				if w.apply(op.burst.cmds[i]) != nil {
 					w.stats.ReconfigFailed.Add(1)
 				}
 			}
@@ -437,8 +431,11 @@ func (w *worker) drainOps() uint64 {
 			w.stats.ReconfigFailed.Add(1)
 		}
 	}
+	gen := ops[len(ops)-1].gen
 	w.opsQueued.Add(-int64(len(ops)))
-	return ops[len(ops)-1].gen
+	clear(ops) // the next issue reuses the array: retain no spec or burst
+	w.ops = ops[:0]
+	return gen
 }
 
 // apply applies one command to the shard pipeline, counting it in

@@ -3,16 +3,17 @@
 // (ctrlplane.LoadModule) pushes commands once down a lossless
 // in-process daisy chain and checks the counter; the live multi-shard
 // path is where commands get lost, because each worker replica is its
-// own delivery target under the engine's faultinject plan. A verified
-// burst tags every command with a sequence number and a shared
-// progress tracker; each shard applies commands strictly in order
-// (go-back-N: duplicates from retries are skipped by sequence number,
-// successors of a lost command are discarded), so a shard's progress is
-// always a contiguous prefix of the burst and the issuer can re-send
-// just the missing suffix — with capped exponential backoff and a
-// bounded retry budget, after which the typed ErrVerify surfaces. A
-// verified load stages its stream and commits only once every shard
-// holds all of it, so a failed load never leaves a torn replica.
+// own delivery target under the engine's faultinject plan. Like §4.1's
+// one stream under one counter, a verified burst owns one command stream
+// and a shared progress tracker, and each attempt queues one operation
+// per shard: the stream's range from the slowest shard's progress on.
+// A shard applies it strictly in order (go-back-N: a retry's duplicates
+// are skipped, successors of a lost command discarded), so its progress
+// is always a contiguous prefix and the issuer re-sends just the missing
+// suffix — with capped exponential backoff and a bounded retry budget,
+// after which the typed ErrVerify surfaces. A verified load stages its
+// stream and commits only once every shard holds all of it, so a failed
+// load never leaves a torn replica.
 package engine
 
 import (
@@ -76,25 +77,23 @@ type VerifyReport struct {
 	Verified bool
 }
 
-// burstState is one verified burst's shared progress tracker:
-// progress[w] is worker w's contiguously delivered command count, only
-// ever written by that worker and polled by the issuer after each
-// quiesce. A staged burst (non-nil load) is a module load: a worker
-// only counts each in-order command, which waits in load, the load's
-// one command stream; the load's opCommit applies all of it on every
-// shard. The shards read load and never write it.
+// burstState is one verified burst: cmds, its one command stream, which
+// each attempt sends a range of and the shards only read, and progress,
+// where progress[w] is worker w's contiguously delivered command count,
+// written only by that worker and polled by the issuer after each
+// quiesce. A staged burst is a module load: a worker only counts its
+// range, and the load's opCommit applies all of cmds on every shard.
 type burstState struct {
 	progress []atomic.Uint32
-	load     []reconfig.Command
+	cmds     []reconfig.Command
+	staged   bool
 }
 
 // min is the slowest shard's progress — the §4.1 counter poll.
 func (b *burstState) min() int {
 	lo := b.progress[0].Load()
-	for i := range b.progress[1:] {
-		if p := b.progress[i+1].Load(); p < lo {
-			lo = p
-		}
+	for i := range b.progress {
+		lo = min(lo, b.progress[i].Load())
 	}
 	return int(lo)
 }
@@ -108,26 +107,28 @@ func (b *burstState) min() int {
 // incrementally (flow inserts, entry updates); a module load, where
 // partial visibility matters, goes through LoadModuleVerified.
 func (e *Engine) ApplyVerified(ctx context.Context, moduleID uint16, cmds []reconfig.Command, opts VerifyOpts) (uint64, VerifyReport, error) {
-	return e.deliver(ctx, moduleID, cmds, opts, &burstState{progress: make([]atomic.Uint32, len(e.workers))})
+	return e.deliver(ctx, moduleID, opts, &burstState{progress: make([]atomic.Uint32, len(e.workers)), cmds: cmds})
 }
 
-// deliver is the §4.1 loop: it sends the burst to every shard, waits
-// for quiesce, polls the per-shard burst progress (the engine mirror
-// of reconfig.DaisyChain.Counter()), and re-sends the missing suffix
-// with capped exponential backoff up to opts.MaxAttempts bursts, after
-// which it returns a typed error wrapping ErrVerify. Context
-// cancellation aborts before every burst and while waiting (an issued
-// burst still reaches the shards eventually; queued operations are
-// never lost), so a call with a done ctx issues nothing.
-func (e *Engine) deliver(ctx context.Context, moduleID uint16, cmds []reconfig.Command, opts VerifyOpts, b *burstState) (uint64, VerifyReport, error) {
+// deliver is the §4.1 loop: it sends the burst's stream to every shard
+// as one operation, waits for quiesce, polls the per-shard progress
+// (the engine mirror of reconfig.DaisyChain.Counter()), and re-sends the
+// missing suffix, again as one operation, with capped exponential
+// backoff up to opts.MaxAttempts bursts, after which it returns a typed
+// error wrapping ErrVerify. Context cancellation aborts before every
+// burst and while waiting (an issued burst still reaches the shards
+// eventually; queued operations are never lost), so a call with a done
+// ctx issues nothing.
+func (e *Engine) deliver(ctx context.Context, moduleID uint16, opts VerifyOpts, b *burstState) (uint64, VerifyReport, error) {
 	opts = opts.withDefaults()
-	rep := VerifyReport{Commands: len(cmds)}
-	if len(cmds) == 0 {
+	n := len(b.cmds)
+	rep := VerifyReport{Commands: n}
+	if n == 0 {
 		rep.Verified = true
 		return 0, rep, nil
 	}
 	backoff := opts.Backoff
-	lo := 0 // slowest shard's confirmed progress; re-sends start here
+	lo := b.min() // slowest shard's confirmed progress; every send starts here
 	var gen uint64
 	for {
 		// A done ctx stops the next burst before it is issued: once
@@ -139,31 +140,30 @@ func (e *Engine) deliver(ctx context.Context, moduleID uint16, cmds []reconfig.C
 		}
 		rep.Attempts++
 		if rep.Attempts > 1 {
-			rep.Resent += len(cmds) - lo
+			rep.Resent += n - lo
 			e.tel.reconfigRetries.Add(1)
 		}
-		ops := make([]shardOp, len(cmds)-lo)
-		for i := range ops {
-			ops[i] = shardOp{kind: opApply, tenant: moduleID, cmd: cmds[lo+i], burst: b, seq: uint32(lo + i)}
-		}
+		op := shardOp{kind: opApply, tenant: moduleID, burst: b, lo: uint32(lo), hi: uint32(n)}
 		var err error
-		if gen, err = e.issue(e.cmdFault.Load(), ops...); err != nil {
+		if gen, err = e.issue(e.cmdFault.Load(), op); err != nil {
 			return gen, rep, err
 		}
 		if err := e.AwaitQuiesceCtx(ctx, gen); err != nil {
 			return gen, rep, err
 		}
-		if lo = b.min(); lo == len(cmds) {
+		if lo = b.min(); lo == n {
 			rep.Verified = true
 			return gen, rep, nil
 		}
 		if rep.Attempts >= opts.MaxAttempts {
 			e.tel.verifyFailures.Add(1)
 			return gen, rep, fmt.Errorf("engine: module %d: %w: %d attempts, slowest shard confirmed %d of %d commands",
-				moduleID, ErrVerify, rep.Attempts, lo, len(cmds))
+				moduleID, ErrVerify, rep.Attempts, lo, n)
 		}
-		if err := sleepCtx(ctx, backoff); err != nil {
-			return gen, rep, err
+		select {
+		case <-ctx.Done():
+			return gen, rep, ctx.Err()
+		case <-time.After(backoff):
 		}
 		if backoff *= 2; backoff > opts.MaxBackoff {
 			backoff = opts.MaxBackoff
@@ -187,9 +187,9 @@ func (e *Engine) deliver(ctx context.Context, moduleID uint16, cmds []reconfig.C
 // command that fails at commit counts in ReconfigFailed; a compiled
 // program cannot produce one, as the device applies the same stream.
 func (e *Engine) LoadModuleVerified(ctx context.Context, spec ModuleSpec, cmds []reconfig.Command, opts VerifyOpts) (uint64, VerifyReport, error) {
-	b := &burstState{progress: make([]atomic.Uint32, len(e.workers)), load: cmds}
+	b := &burstState{progress: make([]atomic.Uint32, len(e.workers)), cmds: cmds, staged: true}
 	id := spec.Config.ModuleID
-	gen, rep, err := e.deliver(ctx, id, cmds, opts, b)
+	gen, rep, err := e.deliver(ctx, id, opts, b)
 	if err != nil {
 		return gen, rep, err
 	}
@@ -197,16 +197,4 @@ func (e *Engine) LoadModuleVerified(ctx context.Context, spec ModuleSpec, cmds [
 		return gen, rep, err
 	}
 	return gen, rep, e.AwaitQuiesceCtx(ctx, gen)
-}
-
-// sleepCtx sleeps d or until ctx is done, whichever comes first.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
 }

@@ -55,7 +55,7 @@ func TestReloadAllocations(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		const budget = 50
+		const budget = 42
 		if allocs > budget {
 			t.Errorf("a live NetCache reload allocates %.0f times, want <= %d", allocs, budget)
 		}
