@@ -91,6 +91,7 @@ var hotPathGuards = []hotPathGuard{
 			"internal/tables.(*Cuckoo).LookupWordsBatch",
 			"internal/tables.(*FlowTables).LookupWords",
 			"internal/tables.(*FlowTables).LookupWordsBatch",
+			"internal/tables.(*cuckooState).bucket",
 			"internal/tables.slotKWEqual",
 		},
 		run: func(t *testing.T) {

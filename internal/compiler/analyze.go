@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/packet"
@@ -203,49 +204,69 @@ func DefaultLimits() Limits {
 	}
 }
 
-// analyze resolves names, allocates containers, places tables into
-// stages, and runs the static and resource checks.
-func analyze(m *Module, limits Limits) (*analysis, error) {
+// analyses recycles analysis scratch — the symbol map and the
+// per-declaration tables — across compiles: codegen reads an analysis
+// and drops it, and a live reload compiles on the control path. A
+// pooled analysis holds only zeroed tables and an empty map.
+var analyses = sync.Pool{New: func() any { return &analysis{syms: make(map[symKey]int)} }}
+
+// resized returns s with length n, reusing its zeroed backing array
+// when it is large enough.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// newAnalysis returns the scratch for analysing m, recycled from an
+// earlier compile when one is free; release returns it.
+func newAnalysis(m *Module, limits Limits) *analysis {
 	nFields := 0
 	for i := range m.Headers {
 		nFields += len(m.Headers[i].Fields)
 	}
-	a := &analysis{
+	a := analyses.Get().(*analysis)
+	*a = analysis{
 		mod:     m,
-		syms:    make(map[symKey]int, len(m.Headers)+nFields+len(m.Registers)+len(m.Actions)+len(m.Tables)),
-		headers: make([]headerInfo, len(m.Headers)),
-		fields:  make([]fieldInfo, nFields),
-		regs:    make([]regInfo, len(m.Registers)),
-		tables:  make([]tableInfo, len(m.Tables)),
-		placed:  make([]*tableInfo, 0, len(m.Tables)),
-		parses:  make([]*fieldInfo, 0, nFields),
+		syms:    a.syms,
+		headers: resized(a.headers, len(m.Headers)),
+		fields:  resized(a.fields, nFields),
+		regs:    resized(a.regs, len(m.Registers)),
+		tables:  resized(a.tables, len(m.Tables)),
+		placed:  slices.Grow(a.placed[:0], len(m.Tables)),
+		parses:  slices.Grow(a.parses[:0], nFields),
 		limits:  limits,
 	}
-	if err := a.resolveHeaders(); err != nil {
-		return nil, err
+	return a
+}
+
+// release zeroes a's tables, dropping every pointer into the module so
+// a pooled analysis keeps no AST alive, and returns a to the pool.
+func (a *analysis) release() {
+	clear(a.syms)
+	clear(a.headers)
+	clear(a.fields)
+	clear(a.regs)
+	clear(a.tables)
+	clear(a.placed)
+	clear(a.parses)
+	a.mod = nil
+	analyses.Put(a)
+}
+
+// analyze resolves names, allocates containers, places tables into
+// stages, and runs the static and resource checks.
+func (a *analysis) analyze() error {
+	for _, step := range [...]func() error{
+		a.resolveHeaders, a.resolveParser, a.resolveRegisters, a.resolveActions,
+		a.resolveTables, a.placeControl, a.placeRegisters, a.checkDependencies,
+	} {
+		if err := step(); err != nil {
+			return err
+		}
 	}
-	if err := a.resolveParser(); err != nil {
-		return nil, err
-	}
-	if err := a.resolveRegisters(); err != nil {
-		return nil, err
-	}
-	if err := a.resolveActions(); err != nil {
-		return nil, err
-	}
-	if err := a.resolveTables(); err != nil {
-		return nil, err
-	}
-	if err := a.placeControl(); err != nil {
-		return nil, err
-	}
-	if err := a.placeRegisters(); err != nil {
-		return nil, err
-	}
-	if err := a.checkDependencies(); err != nil {
-		return nil, err
-	}
-	return a, nil
+	return nil
 }
 
 // resolveHeaders allocates a PHV container per field.

@@ -16,8 +16,6 @@ type Program struct {
 	// Config is the loadable pipeline configuration (tenant stages only;
 	// pass it through sysmod.Config.Augment before loading).
 	Config *core.ModuleConfig
-	// Source is the parsed AST.
-	Source *Module
 	// StagesUsed is the number of tenant stages occupied.
 	StagesUsed int
 	// EntriesGenerated counts the match-action entries the compiler
@@ -49,9 +47,13 @@ type Options struct {
 // code generation emits parser/deparser entries, key-extractor and mask
 // configurations, and the match-action entries for every table —
 // generating fresh distinct entries up to each table's size so no state
-// leaks from a previous occupant of the partition (§5.1).
+// leaks from a previous occupant of the partition (§5.1). The AST is
+// scratch: the program keeps nothing of it, so it is parsed into
+// storage recycled across compiles, as the analysis is.
 func Compile(src string, opts Options) (*Program, error) {
-	mod, err := Parse(src)
+	s := stores.Get().(*parseStore)
+	defer s.release()
+	mod, err := s.parse(src)
 	if err != nil {
 		return nil, err
 	}
@@ -63,8 +65,9 @@ func CompileAST(mod *Module, opts Options) (*Program, error) {
 	if opts.Limits == (Limits{}) {
 		opts.Limits = DefaultLimits()
 	}
-	a, err := analyze(mod, opts.Limits)
-	if err != nil {
+	a := newAnalysis(mod, opts.Limits)
+	defer a.release()
+	if err := a.analyze(); err != nil {
 		return nil, err
 	}
 
@@ -87,7 +90,7 @@ func CompileAST(mod *Module, opts Options) (*Program, error) {
 	cfg.Parser = pe
 	cfg.Deparser = pe
 
-	prog := &Program{Config: cfg, Source: mod, StagesUsed: len(a.placed)}
+	prog := &Program{Config: cfg, StagesUsed: len(a.placed)}
 	if len(a.regs) > 0 {
 		prog.Registers = make([]RegisterInfo, len(a.regs))
 		for i, ri := range a.regs {

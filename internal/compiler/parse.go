@@ -1,6 +1,9 @@
 package compiler
 
-import "slices"
+import (
+	"slices"
+	"sync"
+)
 
 // astParser turns the lexer's token stream into a Module AST. It pulls
 // tokens one at a time and looks one token past the current one, never
@@ -48,20 +51,51 @@ func add[T any](list []T, v T) []T {
 	return append(list, v)
 }
 
+// reuse returns p emptied, or a new pool with room for n when p has
+// no backing array yet.
+func (p pool[T]) reuse(n int) pool[T] {
+	if p == nil {
+		return make(pool[T], 0, n)
+	}
+	return p[:0]
+}
+
+// parseStore is the storage one parse fills: the module, its lists
+// and the pools their nested lists are cut from. Parse gives every AST
+// a store of its own. Compile keeps no AST, so it parses into a store
+// recycled across compiles (stores) and zeroes it once codegen is done.
+type parseStore struct {
+	mod     Module
+	fields  pool[Field]
+	stmts   pool[Stmt]
+	entries pool[Entry]
+	names   pool[string]
+	keys    pool[FieldRef]
+	nums    pool[uint64]
+}
+
+var stores = sync.Pool{New: func() any { return new(parseStore) }}
+
 // Parse parses module source text into an AST.
-func Parse(src string) (*Module, error) {
+func Parse(src string) (*Module, error) { return new(parseStore).parse(src) }
+
+// parse parses src into s, reusing the backing arrays an earlier parse
+// left there.
+func (s *parseStore) parse(src string) (*Module, error) {
 	p := astParser{
 		lx:      lexer{src: src, line: 1, col: 1},
-		fields:  make(pool[Field], 0, 4),
-		stmts:   make(pool[Stmt], 0, 4),
-		entries: make(pool[Entry], 0, 4),
-		names:   make(pool[string], 0, 4),
-		keys:    make(pool[FieldRef], 0, 2),
-		nums:    make(pool[uint64], 0, 8),
+		fields:  s.fields.reuse(4),
+		stmts:   s.stmts.reuse(4),
+		entries: s.entries.reuse(4),
+		names:   s.names.reuse(4),
+		keys:    s.keys.reuse(2),
+		nums:    s.nums.reuse(8),
 	}
 	p.advance() // the first token into peek
 	p.advance() // and on into tok
-	m := p.module()
+	m := &s.mod
+	p.module(m)
+	s.fields, s.stmts, s.entries, s.names, s.keys, s.nums = p.fields, p.stmts, p.entries, p.names, p.keys, p.nums
 	if p.err != nil {
 		// A lexical error anywhere in the source outranks a parse
 		// error before it: Parse reports the source's lexical errors
@@ -143,8 +177,29 @@ func (p *astParser) number() token {
 	return p.next()
 }
 
-func (p *astParser) module() *Module {
-	m := &Module{}
+// release zeroes s, so a recycled store keeps no source alive, and
+// returns it to stores. The lists keep their backing arrays.
+func (s *parseStore) release() {
+	m := &s.mod
+	clear(m.Headers)
+	clear(m.Registers)
+	clear(m.Parser)
+	clear(m.Actions)
+	clear(m.Tables)
+	clear(m.Control)
+	*m = Module{Headers: m.Headers[:0], Registers: m.Registers[:0], Parser: m.Parser[:0],
+		Actions: m.Actions[:0], Tables: m.Tables[:0], Control: m.Control[:0]}
+	clear(s.fields)
+	clear(s.stmts)
+	clear(s.entries)
+	clear(s.names)
+	clear(s.keys)
+	clear(s.nums)
+	stores.Put(s)
+}
+
+// module parses the source into m, whose lists are empty.
+func (p *astParser) module(m *Module) {
 	p.expect("module")
 	m.Name = p.ident().text
 	p.expect(";")
@@ -166,7 +221,6 @@ func (p *astParser) module() *Module {
 			p.fail(errAt(t, "expected declaration, found %v", t))
 		}
 	}
-	return m
 }
 
 func (p *astParser) header() Header {

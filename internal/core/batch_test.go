@@ -239,7 +239,7 @@ func TestStagedBatchRewrittenKey(t *testing.T) {
 		}
 		// Flow v steers to stage 1's action v%4.
 		for v := uint16(1); v <= flows; v++ {
-			cmds = append(cmds, core.FlowCommand(1, core.FlowEntry{Valid: true, ModID: modID, Addr: v % 4, Key: key(v)}))
+			cmds = append(cmds, core.FlowCommand(1, core.AppendFlowEntry(nil, &core.FlowEntry{Valid: true, ModID: modID, Addr: v % 4, Key: key(v)})))
 		}
 		for _, cmd := range cmds {
 			if err := p.Apply(cmd); err != nil {

@@ -6,6 +6,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/alu"
 	"repro/internal/parser"
@@ -107,8 +108,18 @@ type Placement struct {
 // cut from one backing array, and the engine's shards and the device
 // consume the same stream read-only.
 func (m *ModuleConfig) Commands(pl Placement) ([]reconfig.Command, error) {
+	cmds, _, err := m.AppendCommands(nil, nil, pl)
+	return cmds, err
+}
+
+// AppendCommands appends the module's command stream to cmds and its
+// payloads to buf, growing each once to fit, and returns both. A caller
+// that pushes the stream and keeps nothing of it passes the previous
+// stream's cmds[:0] and buf[:0], so a reload encodes into storage it
+// already has. On error cmds and buf are returned as passed.
+func (m *ModuleConfig) AppendCommands(cmds []reconfig.Command, buf []byte, pl Placement) ([]reconfig.Command, []byte, error) {
 	if len(pl.CAMBase) < len(m.Stages) || len(pl.SegBase) < len(m.Stages) {
-		return nil, fmt.Errorf("core: placement covers %d/%d stages, module %q needs %d",
+		return cmds, buf, fmt.Errorf("core: placement covers %d/%d stages, module %q needs %d",
 			len(pl.CAMBase), len(pl.SegBase), m.Name, len(m.Stages))
 	}
 	n, size := 2, 2*parser.EntryBytes
@@ -124,20 +135,21 @@ func (m *ModuleConfig) Commands(pl Placement) ([]reconfig.Command, error) {
 			size += segmentBytes
 		}
 		if len(sc.Rules) > 0 && pl.CAMBase[s]+len(sc.Rules) > 0x100 {
-			return nil, fmt.Errorf("core: CAM address %d exceeds 8-bit reconfiguration index",
+			return cmds, buf, fmt.Errorf("core: CAM address %d exceeds 8-bit reconfiguration index",
 				max(pl.CAMBase[s], 0x100))
 		}
 	}
-	cmds := make([]reconfig.Command, 0, n)
-	buf := make([]byte, 0, size)
+	cmds = slices.Grow(cmds, n)
+	buf = slices.Grow(buf, size)
 	idx := uint8(m.ModuleID)
 	// add appends a command whose payload is what buf gained since start.
 	add := func(res reconfig.ResourceID, index uint8, start int) {
 		cmds = append(cmds, reconfig.Command{Resource: res, Index: index, Payload: buf[start:len(buf):len(buf)]})
 	}
-	buf = m.Parser.AppendEncode(buf)
-	add(reconfig.MakeResourceID(0, reconfig.KindParser), idx, 0)
 	start := len(buf)
+	buf = m.Parser.AppendEncode(buf)
+	add(reconfig.MakeResourceID(0, reconfig.KindParser), idx, start)
+	start = len(buf)
 	buf = m.Deparser.AppendEncode(buf)
 	add(reconfig.MakeResourceID(0, reconfig.KindDeparser), idx, start)
 	for s := range m.Stages {
@@ -169,7 +181,7 @@ func (m *ModuleConfig) Commands(pl Placement) ([]reconfig.Command, error) {
 			add(reconfig.MakeResourceID(s, reconfig.KindVLIW), addr, start)
 		}
 	}
-	return cmds, nil
+	return cmds, buf, nil
 }
 
 // Partition reserves the module's CAM address ranges in the pipeline so

@@ -462,7 +462,7 @@ func TestFlowWritesDuringTrafficAreRaceFree(t *testing.T) {
 	pl2.CAMBase[1] = 1
 	loadDirect(t, p, m2, pl2)
 	push := func(valid bool, mod, v, addr uint16) error {
-		frame, err := reconfig.AppendPacket(nil, mod, FlowCommand(1, FlowEntry{Valid: valid, ModID: mod, Addr: addr, Key: fieldKey(v)}))
+		frame, err := reconfig.AppendPacket(nil, mod, FlowCommand(1, AppendFlowEntry(nil, &FlowEntry{Valid: valid, ModID: mod, Addr: addr, Key: fieldKey(v)})))
 		if err != nil {
 			return err
 		}

@@ -791,7 +791,9 @@ const (
 	camEntryBytes   = 1 + 2 + tables.KeyBytes + tables.KeyBytes // valid, modID, key, mask
 	keyExtractBytes = 5                                         // 38 bits
 	segmentBytes    = 2
-	flowEntryBytes  = 1 + 2 + 2 + tables.KeyBytes // valid, modID, action addr, key
+	// FlowEntryBytes is exported so a stream of n flow commands can cut
+	// its payloads from one arena of n*FlowEntryBytes bytes.
+	FlowEntryBytes = 1 + 2 + 2 + tables.KeyBytes // valid, modID, action addr, key
 )
 
 // FlowEntry is one exact-match flow rule for the cuckoo side of a
@@ -812,23 +814,23 @@ type FlowEntry struct {
 	Key tables.Key
 }
 
-// EncodeFlowEntry packs a flow entry for the reconfiguration payload.
-func EncodeFlowEntry(e FlowEntry) []byte {
-	out := make([]byte, flowEntryBytes)
+// AppendFlowEntry appends a flow entry's reconfiguration payload to dst.
+func AppendFlowEntry(dst []byte, e *FlowEntry) []byte {
+	var valid byte
 	if e.Valid {
-		out[0] = 1
+		valid = 1
 	}
-	binary.BigEndian.PutUint16(out[1:], e.ModID)
-	binary.BigEndian.PutUint16(out[3:], e.Addr)
-	copy(out[5:], e.Key[:])
-	return out
+	dst = append(dst, valid)
+	dst = binary.BigEndian.AppendUint16(dst, e.ModID)
+	dst = binary.BigEndian.AppendUint16(dst, e.Addr)
+	return append(dst, e.Key[:]...)
 }
 
 // DecodeFlowEntry unpacks a flow entry from a reconfiguration payload.
 func DecodeFlowEntry(b []byte) (FlowEntry, error) {
 	var e FlowEntry
-	if len(b) < flowEntryBytes {
-		return e, fmt.Errorf("%w: flow entry needs %d bytes, have %d", ErrBadCommand, flowEntryBytes, len(b))
+	if len(b) < FlowEntryBytes {
+		return e, fmt.Errorf("%w: flow entry needs %d bytes, have %d", ErrBadCommand, FlowEntryBytes, len(b))
 	}
 	e.Valid = b[0] != 0
 	e.ModID = binary.BigEndian.Uint16(b[1:])
@@ -837,13 +839,11 @@ func DecodeFlowEntry(b []byte) (FlowEntry, error) {
 	return e, nil
 }
 
-// FlowCommand builds the reconfiguration command installing (or, with
-// e.Valid false, removing) one flow entry in the given stage.
-func FlowCommand(stg int, e FlowEntry) reconfig.Command {
-	return reconfig.Command{
-		Resource: reconfig.MakeResourceID(stg, reconfig.KindHash),
-		Payload:  EncodeFlowEntry(e),
-	}
+// FlowCommand is the reconfiguration command installing (or, with the
+// entry's Valid false, removing) one flow entry in the given stage;
+// payload is the entry as AppendFlowEntry encodes it.
+func FlowCommand(stg int, payload []byte) reconfig.Command {
+	return reconfig.Command{Resource: reconfig.MakeResourceID(stg, reconfig.KindHash), Payload: payload}
 }
 
 // AppendCAMEntry appends a CAM entry's reconfiguration payload to dst.

@@ -65,11 +65,15 @@ func DefaultCostModel() CostModel {
 
 // Client is a control-plane session against one pipeline, safe for
 // concurrent use: mu serializes its writes, which share the one daisy
-// chain, the packet counter a load polls, and the free CAM addresses.
+// chain, the packet counter a load polls, the free CAM addresses, and
+// the client's two encode buffers. Every write encodes its entries
+// into payload and each packet into frame, so a warm client's rule and
+// flow writes allocate nothing.
 type Client struct {
-	mu   sync.Mutex
-	pipe *core.Pipeline
-	cost CostModel
+	mu             sync.Mutex
+	pipe           *core.Pipeline
+	cost           CostModel
+	frame, payload []byte
 }
 
 // New returns a client for the pipeline with the default cost model.
@@ -100,17 +104,17 @@ func axilWritesFor(payload []byte) int {
 	return (bits + 31) / 32
 }
 
-// push encodes one command as a reconfiguration packet into frame's
-// storage and sends it down the daisy chain, so the chain sees
-// byte-identical traffic to hardware. It returns the frame so a caller
-// pushing a stream reuses one buffer for every packet: the chain
-// decodes each payload into its own values and keeps no reference.
-func (c *Client) push(frame []byte, moduleID uint16, cmd reconfig.Command) ([]byte, error) {
-	frame, err := reconfig.AppendPacket(frame[:0], moduleID, cmd)
-	if err != nil {
-		return frame, err
+// push encodes one command as a reconfiguration packet into the
+// client's frame and sends it down the daisy chain, so the chain sees
+// byte-identical traffic to hardware. Every push of every write reuses
+// that one frame, under mu: the chain decodes each payload into its
+// own values and keeps no reference.
+func (c *Client) push(moduleID uint16, cmd reconfig.Command) error {
+	var err error
+	if c.frame, err = reconfig.AppendPacket(c.frame[:0], moduleID, cmd); err != nil {
+		return err
 	}
-	return frame, c.pipe.Chain.Push(frame)
+	return c.pipe.Chain.Push(c.frame)
 }
 
 // LoadModule runs the secure reconfiguration procedure for a module:
@@ -141,10 +145,8 @@ func (c *Client) LoadModule(m *core.ModuleConfig, pl core.Placement, cmds []reco
 	c.pipe.Filter.SetUpdating(m.ModuleID, true)        // AXI-L write
 	defer c.pipe.Filter.SetUpdating(m.ModuleID, false) // AXI-L write
 	before := c.pipe.Chain.Counter()                   // AXI-L read
-	var frame []byte
 	for _, cmd := range cmds {
-		var err error
-		if frame, err = c.push(frame, m.ModuleID, cmd); err != nil {
+		if err := c.push(m.ModuleID, cmd); err != nil {
 			return rep, fmt.Errorf("command %v[%d]: %w", cmd.Resource, cmd.Index, err)
 		}
 		rep.AXILOnlyTime += time.Duration(axilWritesFor(cmd.Payload)) * c.cost.AXILWrite
@@ -184,23 +186,17 @@ func (c *Client) InsertRule(moduleID uint16, stg int, r core.Rule) (addr int, re
 	if addr < 0 {
 		return 0, rep, fmt.Errorf("%w: module %d stage %d", ErrNoSpace, moduleID, stg)
 	}
-	cmds := []reconfig.Command{
-		{
-			Resource: reconfig.MakeResourceID(stg, reconfig.KindCAM),
-			Index:    uint8(addr),
-			Payload: core.AppendCAMEntry(nil, &tables.CAMEntry{
-				Valid: true, ModID: moduleID, Key: r.Key, Mask: r.Mask,
-			}),
-		},
-		{
-			Resource: reconfig.MakeResourceID(stg, reconfig.KindVLIW),
-			Index:    uint8(addr),
-			Payload:  r.Action.AppendEncode(nil),
-		},
+	c.payload = core.AppendCAMEntry(c.payload[:0], &tables.CAMEntry{
+		Valid: true, ModID: moduleID, Key: r.Key, Mask: r.Mask,
+	})
+	n := len(c.payload)
+	c.payload = r.Action.AppendEncode(c.payload)
+	cmds := [...]reconfig.Command{
+		{Resource: reconfig.MakeResourceID(stg, reconfig.KindCAM), Index: uint8(addr), Payload: c.payload[:n]},
+		{Resource: reconfig.MakeResourceID(stg, reconfig.KindVLIW), Index: uint8(addr), Payload: c.payload[n:]},
 	}
-	var frame []byte
 	for _, cmd := range cmds {
-		if frame, err = c.push(frame, moduleID, cmd); err != nil {
+		if err = c.push(moduleID, cmd); err != nil {
 			return 0, rep, err
 		}
 		rep.AXILOnlyTime += time.Duration(axilWritesFor(cmd.Payload)) * c.cost.AXILWrite
@@ -229,12 +225,13 @@ func (c *Client) DeleteRule(moduleID uint16, stg, addr int) error {
 	if !e.Valid || e.ModID != moduleID {
 		return fmt.Errorf("ctrlplane: address %d not owned by module %d", addr, moduleID)
 	}
+	c.payload = core.AppendCAMEntry(c.payload[:0], &tables.CAMEntry{})
 	empty := reconfig.Command{
 		Resource: reconfig.MakeResourceID(stg, reconfig.KindCAM),
 		Index:    uint8(addr),
-		Payload:  core.AppendCAMEntry(nil, &tables.CAMEntry{}),
+		Payload:  c.payload,
 	}
-	if _, err := c.push(nil, moduleID, empty); err != nil {
+	if err := c.push(moduleID, empty); err != nil {
 		return err
 	}
 	c.pipe.Locked(func() { err = st.Actions.Clear(addr) })
@@ -255,10 +252,10 @@ func (c *Client) InsertFlow(moduleID uint16, stg int, key tables.Key, addr int) 
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, err := c.push(nil, moduleID, core.FlowCommand(stg, core.FlowEntry{
+	c.payload = core.AppendFlowEntry(c.payload[:0], &core.FlowEntry{
 		Valid: true, ModID: moduleID, Addr: uint16(addr), Key: key,
-	}))
-	return err
+	})
+	return c.push(moduleID, core.FlowCommand(stg, c.payload))
 }
 
 // FlowKeyForFrame derives the match key a representative frame of a

@@ -3,6 +3,7 @@ package ctrlplane
 import (
 	"bytes"
 	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -13,10 +14,10 @@ import (
 	"repro/internal/tables"
 )
 
-// TestFlowInstallAllocations pins the control path's per-flow cost:
-// deriving a flow's key allocates nothing, and re-installing an
-// existing key allocates only the reconfiguration frame the daisy chain
-// decodes.
+// TestFlowInstallAllocations pins the control path's per-write cost on
+// a warm client: deriving a flow's key, re-installing an existing key,
+// and deleting and re-inserting a rule allocate nothing, because every
+// write encodes into the client's one payload buffer and one frame.
 func TestFlowInstallAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -51,7 +52,7 @@ func TestFlowInstallAllocations(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"InsertFlow of an existing key", 1, func() {
+		{"InsertFlow of an existing key", 0, func() {
 			if err := c.InsertFlow(1, stg, key, 2); err != nil {
 				t.Fatal(err)
 			}
@@ -64,6 +65,39 @@ func TestFlowInstallAllocations(t *testing.T) {
 	_ = sink
 	if n := p.Stages[stg].Hash.ModuleEntries(1); n != 1 {
 		t.Fatalf("module 1 holds %d flows after re-installs of one key, want 1", n)
+	}
+
+	// A rule write needs a free address and a delete a valid one, so the
+	// two alternate, each measured on its own. Round 0 warms the client's
+	// buffers to a rule's size.
+	var ms runtime.MemStats
+	mallocs := func(fn func() error) uint64 {
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		if err := fn(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&ms)
+		return ms.Mallocs - before
+	}
+	var del, ins uint64
+	for i := 0; i <= 100; i++ {
+		if i == 1 {
+			del, ins = 0, 0
+		}
+		del += mallocs(func() error { return c.DeleteRule(1, stg, 0) })
+		ins += mallocs(func() error {
+			addr, _, err := c.InsertRule(1, stg, rule(i))
+			if err == nil && addr != 0 {
+				t.Fatalf("InsertRule took address %d, want the freed 0", addr)
+			}
+			return err
+		})
+	}
+	// Averaged per call like testing.AllocsPerRun, so an allocation of
+	// another goroutine during the loop does not count.
+	if del/100 != 0 || ins/100 != 0 {
+		t.Errorf("DeleteRule and InsertRule allocate %d and %d times per call, want 0", del/100, ins/100)
 	}
 }
 
@@ -84,7 +118,7 @@ func TestEncodePacketGolden(t *testing.T) {
 		mod  uint16
 		cmd  reconfig.Command
 	}{
-		{"flow", 7, core.FlowCommand(2, core.FlowEntry{Valid: true, ModID: 7, Addr: 0x123, Key: key})},
+		{"flow", 7, core.FlowCommand(2, core.AppendFlowEntry(nil, &core.FlowEntry{Valid: true, ModID: 7, Addr: 0x123, Key: key}))},
 		{"cam", 4095, reconfig.Command{
 			Resource: reconfig.MakeResourceID(3, reconfig.KindCAM),
 			Index:    9,

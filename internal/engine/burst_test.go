@@ -44,7 +44,7 @@ func lbFlowCommands(t *testing.T, eng *engine.Engine, n int) (int, []reconfig.Co
 	for f := range cmds {
 		var key tables.Key
 		key[0], key[1], key[2] = byte(f>>16), byte(f>>8), byte(f)
-		cmds[f] = core.FlowCommand(stg, core.FlowEntry{Valid: true, ModID: 1, Addr: uint16(addr), Key: key})
+		cmds[f] = core.FlowCommand(stg, core.AppendFlowEntry(nil, &core.FlowEntry{Valid: true, ModID: 1, Addr: uint16(addr), Key: key}))
 	}
 	return stg, cmds
 }

@@ -368,7 +368,7 @@ func TestLostFlowCommandShowsOnItsShard(t *testing.T) {
 	for f := range cmds {
 		var key tables.Key
 		key[0], key[1] = byte(f>>8), byte(f)
-		cmds[f] = core.FlowCommand(stg, core.FlowEntry{Valid: true, ModID: 1, Addr: uint16(lo), Key: key})
+		cmds[f] = core.FlowCommand(stg, core.AppendFlowEntry(nil, &core.FlowEntry{Valid: true, ModID: 1, Addr: uint16(lo), Key: key}))
 	}
 
 	before := eng.Stats()
@@ -399,7 +399,7 @@ func TestLostFlowCommandShowsOnItsShard(t *testing.T) {
 // input.
 func flowFrame(t *testing.T, stg int, e core.FlowEntry) []byte {
 	t.Helper()
-	frame, err := reconfig.AppendPacket(nil, e.ModID, core.FlowCommand(stg, e))
+	frame, err := reconfig.AppendPacket(nil, e.ModID, core.FlowCommand(stg, core.AppendFlowEntry(nil, &e)))
 	if err != nil {
 		t.Fatal(err)
 	}

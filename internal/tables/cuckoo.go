@@ -16,13 +16,19 @@
 // Insert hashes the key once and scans its two buckets once, for a
 // duplicate and a free slot; only when both are full does it walk a
 // relocation chain, capped at a constant. Growth splits each bucket in
-// two: it cannot overflow, so it never fails and never walks.
+// two: it cannot overflow, so it never fails and never walks. A table
+// grows by adding storage, never by copying it: each side's buckets
+// live in a directory of segments, and a doubling adds one segment as
+// large as all before it and moves into it only the entries whose next
+// hash bit says so, the way linear hashing (Litwin, VLDB 1980) splits a
+// bucket into its buddy.
 
 package tables
 
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // ErrCuckooFull is returned when insertion cannot place an entry after
@@ -63,19 +69,52 @@ const (
 // of flow entries).
 const MaxCuckooAddr = 1<<cuckooAddrBits - 1
 
-// cuckooState is the table's bucket arrays. Growth replaces it with a
-// state twice the size; inserts and deletes write it in place.
+// cuckooState is the table's buckets: per side, a directory of
+// segments. Segment 0 holds buckets [0, nb0); segment k >= 1 holds
+// [nb0*2^(k-1), nb0*2^k). The directory is indexed by a bucket index's
+// bit length, so a probe finds its segment with one bit scan: every
+// length up to that of nb0-1 names segment 0, and each longer length
+// names the segment of the indices with that top bit. Growth adds one
+// segment per side and splits the buckets in place; inserts and
+// deletes write the segments in place. No slot moves to a new array
+// except the half of a split that belongs in the new segment.
 type cuckooState struct {
-	nb    int    // buckets per side; always a power of two
-	mask  uint64 // nb - 1: bucket index is hash & mask, no division
-	slots [2][]cuckooSlot
+	nb   int    // buckets per side; always a power of two
+	mask uint64 // nb - 1: bucket index is hash & mask, no division
+	lo   int    // directory index of segment 0: the bit length of nb0-1
+	dir  [2][64]cuckooSeg
 }
 
-func newCuckooState(nb int) *cuckooState {
-	st := &cuckooState{nb: nb, mask: uint64(nb - 1)}
-	st.slots[0] = make([]cuckooSlot, nb*cuckooWays)
-	st.slots[1] = make([]cuckooSlot, nb*cuckooWays)
-	return st
+// cuckooSeg is a directory entry: one segment's slots and the index of
+// the first bucket they hold.
+type cuckooSeg struct {
+	slots []cuckooSlot
+	base  uint64
+}
+
+// init gives st nb buckets per side, all in segment 0.
+func (st *cuckooState) init(nb int) {
+	st.nb, st.mask, st.lo = nb, uint64(nb-1), bits.Len64(uint64(nb-1))
+	for side := range st.dir {
+		seg := cuckooSeg{slots: make([]cuckooSlot, nb*cuckooWays)}
+		for n := 0; n <= st.lo; n++ {
+			st.dir[side][n] = seg
+		}
+	}
+}
+
+// segments returns side's segments in bucket order.
+func (st *cuckooState) segments(side int) []cuckooSeg {
+	return st.dir[side][st.lo : bits.Len64(st.mask)+1]
+}
+
+// bucket returns the cuckooWays slots of side's bucket h & mask.
+//
+//menshen:hotpath
+func (st *cuckooState) bucket(side int, h uint64) []cuckooSlot {
+	b := h & st.mask
+	seg := &st.dir[side][bits.Len64(b)&63]
+	return seg.slots[(b-seg.base)*cuckooWays:][:cuckooWays]
 }
 
 // Cuckoo is a two-choice, 4-way set-associative cuckoo hash table
@@ -83,7 +122,7 @@ func newCuckooState(nb int) *cuckooState {
 // match only. It is not safe for concurrent use: its owner serializes
 // every read and write (a pipeline does so under its batch lock).
 type Cuckoo struct {
-	state *cuckooState
+	state cuckooState
 	used  int
 	// growable, when set, lets Insert double the bucket count instead
 	// of failing when the relocation bound is hit or the load factor
@@ -102,12 +141,15 @@ func NewCuckoo(capacity int) *Cuckoo {
 	for nb < need {
 		nb *= 2
 	}
-	return &Cuckoo{state: newCuckooState(nb)}
+	c := &Cuckoo{}
+	c.state.init(nb)
+	return c
 }
 
 // NewGrowingCuckoo returns a table that starts at the given capacity
-// and doubles its bucket arrays when insertion pressure demands it; a
-// doubling cannot fail, so Insert never returns ErrCuckooFull. Stages
+// and doubles its bucket count when insertion pressure demands it,
+// adding one segment per side; a doubling cannot fail, so Insert never
+// returns ErrCuckooFull. Stages
 // use this form: a module's exact-match flow count is unknown up front
 // and may reach millions.
 func NewGrowingCuckoo(capacity int) *Cuckoo {
@@ -193,10 +235,10 @@ func (s *cuckooSlot) words() KeyWords {
 //
 //menshen:hotpath
 func (c *Cuckoo) BucketLines(kw *KeyWords) [4]*uint64 {
-	st := c.state
+	st := &c.state
 	hb := cuckooHashBase(kw)
-	b0 := st.slots[0][int(cuckooMix(hb^cuckooSalt(0))&st.mask)*cuckooWays:][:cuckooWays]
-	b1 := st.slots[1][int(cuckooMix(hb^cuckooSalt(1))&st.mask)*cuckooWays:][:cuckooWays]
+	b0 := st.bucket(0, cuckooMix(hb^cuckooSalt(0)))
+	b1 := st.bucket(1, cuckooMix(hb^cuckooSalt(1)))
 	// Slots are 32 bytes, so a 4-way bucket is exactly two cache lines
 	// and slots 0 and 2 start them.
 	return [4]*uint64{&b0[0].ctrl, &b0[2].ctrl, &b1[0].ctrl, &b1[2].ctrl}
@@ -212,11 +254,11 @@ func (c *Cuckoo) BucketLines(kw *KeyWords) [4]*uint64 {
 //
 //menshen:hotpath
 func (c *Cuckoo) LookupWords(kw *KeyWords) (int, bool) {
-	st := c.state
+	st := &c.state
 	hb := cuckooHashBase(kw)
 	h0 := cuckooMix(hb ^ cuckooSalt(0))
-	b0 := st.slots[0][int(h0&st.mask)*cuckooWays:][:cuckooWays]
-	b1 := st.slots[1][int(cuckooMix(hb^cuckooSalt(1))&st.mask)*cuckooWays:][:cuckooWays]
+	b0 := st.bucket(0, h0)
+	b1 := st.bucket(1, cuckooMix(hb^cuckooSalt(1)))
 	spec := b1[0].ctrl // start side 1's fetch before scanning side 0
 	want := cuckooValid | cuckooFP(h0)<<32 | (kw[3]&0xff)<<24
 	for w := range b0 {
@@ -271,10 +313,12 @@ func (c *Cuckoo) Entries() []CuckooEntry {
 		return nil
 	}
 	out := make([]CuckooEntry, 0, c.used)
-	for side := range c.state.slots {
-		for i := range c.state.slots[side] {
-			if s := &c.state.slots[side][i]; s.ctrl&cuckooValid != 0 {
-				out = append(out, CuckooEntry{Words: s.words(), Addr: int32(s.ctrl & cuckooAddrMask)})
+	for side := range c.state.dir {
+		for _, seg := range c.state.segments(side) {
+			for i := range seg.slots {
+				if s := &seg.slots[i]; s.ctrl&cuckooValid != 0 {
+					out = append(out, CuckooEntry{Words: s.words(), Addr: int32(s.ctrl & cuckooAddrMask)})
+				}
 			}
 		}
 	}
@@ -290,7 +334,7 @@ func locate(st *cuckooState, kw *KeyWords) (want uint64, hit, free *cuckooSlot) 
 	h0 := cuckooMix(hb ^ cuckooSalt(0))
 	want = cuckooValid | cuckooFP(h0)<<32 | (kw[3]&0xff)<<24
 	for side, h := range [2]uint64{h0, cuckooMix(hb ^ cuckooSalt(1))} {
-		b := st.slots[side][int(h&st.mask)*cuckooWays:][:cuckooWays]
+		b := st.bucket(side, h)
 		for w := range b {
 			s := &b[w]
 			if s.ctrl&cuckooMatchMask == want && slotKWEqual(s, kw) {
@@ -324,7 +368,7 @@ func (c *Cuckoo) Insert(key Key, addr int) error {
 	}
 	kw := key.Words()
 	for {
-		st := c.state
+		st := &c.state
 		want, hit, free := locate(st, &kw)
 		ctrl := want | uint64(addr)
 		switch {
@@ -353,12 +397,12 @@ func (c *Cuckoo) Insert(key Key, addr int) error {
 // cuckooKicks entries. On failure the eviction path is walked backwards
 // so the table is byte-identical to before the call.
 func (c *Cuckoo) relocate(cur cuckooSlot) bool {
-	st := c.state
+	st := &c.state
 	path := make([]*cuckooSlot, 0, cuckooMaxKicks)
 	side := 0
 	for kick := 0; kick < cuckooKicks(st.nb); kick++ {
 		kw := cur.words()
-		slots := st.slots[side][int(cuckooHash(side, &kw)&st.mask)*cuckooWays:][:cuckooWays]
+		slots := st.bucket(side, cuckooHash(side, &kw))
 		for w := range slots {
 			if slots[w].ctrl&cuckooValid == 0 {
 				slots[w] = cur
@@ -383,36 +427,49 @@ func (c *Cuckoo) relocate(cur cuckooSlot) bool {
 // grow doubles the bucket count by splitting every bucket. Bucket
 // counts are powers of two, so an entry in bucket b of side s belongs
 // in bucket b or b+nb of the same side afterwards, as the next bit of
-// its side-s hash decides. Each new bucket receives entries from one
+// its side-s hash decides. Each side gains one segment for buckets
+// [nb, 2nb), the only storage a doubling allocates; each bucket b is
+// split in place, its stayers compacted into b and its movers into
+// b+nb, both in way order. Each new bucket receives entries from one
 // old bucket only, at most cuckooWays of them: the split cannot
 // overflow and cannot fail.
 func (c *Cuckoo) grow() {
-	old := c.state
-	fresh := newCuckooState(old.nb * 2)
-	for side := range old.slots {
-		for b := 0; b < old.nb; b++ {
-			var n [2]int // entries placed in bucket b and in b+nb
-			for _, s := range old.slots[side][b*cuckooWays:][:cuckooWays] {
-				if s.ctrl&cuckooValid == 0 {
-					continue
+	st := &c.state
+	nb := uint64(st.nb)
+	top := bits.Len64(st.mask) + 1 // the bit length of every index in [nb, 2nb)
+	for side := range st.dir {
+		upper := make([]cuckooSlot, nb*cuckooWays)
+		next := upper
+		for _, seg := range st.segments(side) {
+			for i := 0; i < len(seg.slots); i += cuckooWays {
+				lo, hi := seg.slots[i:i+cuckooWays], next[:cuckooWays]
+				next = next[cuckooWays:]
+				nlo, nhi := 0, 0
+				for _, s := range lo {
+					if s.ctrl&cuckooValid == 0 {
+						continue
+					}
+					if kw := s.words(); cuckooHash(side, &kw)&nb != 0 {
+						hi[nhi] = s
+						nhi++
+					} else {
+						lo[nlo] = s
+						nlo++
+					}
 				}
-				kw := s.words()
-				hi := 0
-				if cuckooHash(side, &kw)&uint64(old.nb) != 0 {
-					hi = 1
-				}
-				fresh.slots[side][(b+hi*old.nb)*cuckooWays+n[hi]] = s
-				n[hi]++
+				clear(lo[nlo:])
 			}
 		}
+		st.dir[side][top] = cuckooSeg{slots: upper, base: nb}
 	}
-	c.state = fresh
+	st.nb *= 2
+	st.mask = uint64(st.nb - 1)
 }
 
 // Delete removes key, reporting whether it was present.
 func (c *Cuckoo) Delete(key Key) bool {
 	kw := key.Words()
-	if _, s, _ := locate(c.state, &kw); s != nil {
+	if _, s, _ := locate(&c.state, &kw); s != nil {
 		s.ctrl = 0
 		c.used--
 		return true

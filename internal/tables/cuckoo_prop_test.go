@@ -9,6 +9,7 @@ package tables
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -17,11 +18,13 @@ import (
 // tests can assert byte-identity across a mutation that promises to be
 // a no-op.
 func dumpCuckoo(c *Cuckoo) []uint64 {
-	st := c.state
+	st := &c.state
 	out := []uint64{uint64(st.nb), uint64(c.used)}
-	for side := 0; side < 2; side++ {
-		for _, s := range st.slots[side] {
-			out = append(out, s.ctrl, s.kw[0], s.kw[1], s.kw[2])
+	for side := range st.dir {
+		for _, seg := range st.segments(side) {
+			for _, s := range seg.slots {
+				out = append(out, s.ctrl, s.kw[0], s.kw[1], s.kw[2])
+			}
 		}
 	}
 	return out
@@ -163,18 +166,21 @@ func TestCuckooInsertTakesFreeSlotBeforeEvicting(t *testing.T) {
 // checks that it sits in its own bucket of that side.
 func cuckooSides(t *testing.T, c *Cuckoo) map[KeyWords]int {
 	t.Helper()
-	st := c.state
+	st := &c.state
 	sides := map[KeyWords]int{}
-	for side := range st.slots {
-		for i := range st.slots[side] {
-			if st.slots[side][i].ctrl&cuckooValid == 0 {
-				continue
+	for side := range st.dir {
+		i := 0 // slot index across the side's segments
+		for _, seg := range st.segments(side) {
+			for _, s := range seg.slots {
+				if s.ctrl&cuckooValid != 0 {
+					kw := s.words()
+					if b := int(cuckooHash(side, &kw) & st.mask); b != i/cuckooWays {
+						t.Fatalf("key %x sits in bucket %d of side %d, hashes to %d", kw, i/cuckooWays, side, b)
+					}
+					sides[kw] = side
+				}
+				i++
 			}
-			kw := st.slots[side][i].words()
-			if b := int(cuckooHash(side, &kw) & st.mask); b != i/cuckooWays {
-				t.Fatalf("key %x sits in bucket %d of side %d, hashes to %d", kw, i/cuckooWays, side, b)
-			}
-			sides[kw] = side
 		}
 	}
 	return sides
@@ -227,6 +233,154 @@ func TestCuckooGrowthSplitsInPlace(t *testing.T) {
 		}
 		if len(got) != len(entries) {
 			t.Fatalf("doubling %d: %d entries, want %d", doubling, len(got), len(entries))
+		}
+	}
+}
+
+// flatSlots returns each side's slots in bucket order, one array per
+// side: the layout a table held before its buckets lived in segments.
+func flatSlots(c *Cuckoo) [2][]cuckooSlot {
+	var flat [2][]cuckooSlot
+	for side := range c.state.dir {
+		for _, seg := range c.state.segments(side) {
+			flat[side] = append(flat[side], seg.slots...)
+		}
+	}
+	return flat
+}
+
+// refCopySplit is the reference doubling, kept only as a test oracle:
+// it copies every entry of old (nb buckets per side) into fresh arrays
+// of 2*nb buckets, bucket b's entries in way order into b or b+nb as
+// the next bit of their side's hash decides. The in-place split must
+// leave exactly this layout, so Entries order, ModuleChecksum and
+// replica parity cannot move with the storage.
+func refCopySplit(old [2][]cuckooSlot, nb int) [2][]cuckooSlot {
+	var fresh [2][]cuckooSlot
+	for side := range old {
+		fresh[side] = make([]cuckooSlot, 2*nb*cuckooWays)
+		for b := 0; b < nb; b++ {
+			var n [2]int // entries placed in bucket b and in b+nb
+			for _, s := range old[side][b*cuckooWays:][:cuckooWays] {
+				if s.ctrl&cuckooValid == 0 {
+					continue
+				}
+				kw := s.words()
+				hi := 0
+				if cuckooHash(side, &kw)&uint64(nb) != 0 {
+					hi = 1
+				}
+				fresh[side][(b+hi*nb)*cuckooWays+n[hi]] = s
+				n[hi]++
+			}
+		}
+	}
+	return fresh
+}
+
+// TestCuckooGrowthMatchesCopySplit grows a table from 16 to 2^19 slots,
+// filling each size to ~80% with deletes interleaved (so buckets have
+// holes the split must compact), and after every doubling compares the
+// slot layout and the Entries enumeration with refCopySplit applied to
+// the table as it stood before. The table is fixed-size, so only the
+// explicit grow doubles it and every doubling is compared.
+func TestCuckooGrowthMatchesCopySplit(t *testing.T) {
+	c := NewCuckoo(16)
+	rng := newTestPRNG(7)
+	live := map[uint32]int{}
+	var order []uint32 // live keys, for picking deletes
+	next := uint32(0)
+	for c.Capacity() < 1<<19 {
+		for c.Used()*5 < c.Capacity()*4 {
+			k := next*2654435761 + 3
+			next++
+			if err := c.Insert(ckey(k), int(k&MaxCuckooAddr)); err != nil {
+				if !errors.Is(err, ErrCuckooFull) {
+					t.Fatal(err)
+				}
+				break // a full small table: split it as it is
+			}
+			live[k] = int(k & MaxCuckooAddr)
+			order = append(order, k)
+			if rng.next()%3 == 0 { // delete a random live key
+				i := int(rng.next() % uint64(len(order)))
+				d := order[i]
+				order[i] = order[len(order)-1]
+				order = order[:len(order)-1]
+				if !c.Delete(ckey(d)) {
+					t.Fatalf("delete of live key %d failed", d)
+				}
+				delete(live, d)
+			}
+		}
+		nb, used := c.state.nb, c.Used()
+		want := refCopySplit(flatSlots(c), nb)
+		c.grow()
+		got := flatSlots(c)
+		if c.state.nb != 2*nb || c.Used() != used {
+			t.Fatalf("doubling of %d buckets: nb %d, used %d -> %d", nb, c.state.nb, used, c.Used())
+		}
+		for side := range want {
+			if len(got[side]) != len(want[side]) {
+				t.Fatalf("doubling of %d buckets: side %d holds %d slots, want %d", nb, side, len(got[side]), len(want[side]))
+			}
+			for i := range want[side] {
+				if got[side][i] != want[side][i] {
+					t.Fatalf("doubling of %d buckets: side %d slot %d = %+v, copy-split has %+v", nb, side, i, got[side][i], want[side][i])
+				}
+			}
+		}
+		var wantEntries []CuckooEntry
+		for side := range want {
+			for _, s := range want[side] {
+				if s.ctrl&cuckooValid != 0 {
+					wantEntries = append(wantEntries, CuckooEntry{Words: s.words(), Addr: int32(s.ctrl & cuckooAddrMask)})
+				}
+			}
+		}
+		gotEntries := c.Entries()
+		if len(gotEntries) != len(wantEntries) {
+			t.Fatalf("doubling of %d buckets: %d entries, want %d", nb, len(gotEntries), len(wantEntries))
+		}
+		for i := range wantEntries {
+			if gotEntries[i] != wantEntries[i] {
+				t.Fatalf("doubling of %d buckets: entry %d = %+v, want %+v", nb, i, gotEntries[i], wantEntries[i])
+			}
+		}
+	}
+	for k, addr := range live {
+		if got, ok := lookup(c, ckey(k)); !ok || got != addr {
+			t.Fatalf("key %d: %d,%v after the doublings, want %d", k, got, ok, addr)
+		}
+	}
+}
+
+// TestCuckooGrowthAllocatesOnlyTheNewHalf pins what a doubling costs in
+// memory: the new upper half of the buckets, as large as the table was,
+// and nothing more; the directory is part of the table. A doubling never
+// makes a second copy of the whole table, so old and new storage are
+// never live side by side.
+func TestCuckooGrowthAllocatesOnlyTheNewHalf(t *testing.T) {
+	const slotBytes = 32
+	c := NewGrowingCuckoo(CAMDepth)
+	var ms runtime.MemStats
+	for c.Capacity() < 1<<17 {
+		for i := uint32(0); c.Used()*4 < c.Capacity()*3; i++ {
+			if err := c.Insert(ckey(uint32(c.Used())*2654435761+i), 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		half := uint64(c.Capacity() * slotBytes)
+		// TotalAlloc is process-wide, so leave room for the runtime's
+		// and the test framework's own allocations; a second copy of
+		// the table is twice the half and overshoots it anyway.
+		slack := 1<<10 + half/8
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		c.grow()
+		runtime.ReadMemStats(&ms)
+		if got := ms.TotalAlloc - before; got > half+slack {
+			t.Fatalf("doubling %d slots allocated %d bytes, want <= %d (the new half) + %d", c.Capacity()/2, got, half, slack)
 		}
 	}
 }
@@ -474,6 +628,24 @@ func FuzzCuckoo(f *testing.F) {
 	f.Add([]byte{0x00, 0x01, 0x02, 0x03, 0x10, 0x11, 0x40, 0x01, 0x80, 0x02, 0xc0, 0x01})
 	f.Add([]byte{0x00, 0x05, 0x00, 0x05, 0x40, 0x05, 0x40, 0x05})
 	f.Add([]byte{0x00, 0xff, 0x80, 0xff, 0xc0, 0x00, 0x00, 0x00})
+	// Inserts and deletes across doublings: module 1 grows from 16
+	// slots through four doublings with every third key deleted on the
+	// way, then loses half its keys and takes them back; module 2
+	// grows beside it.
+	var grow []byte
+	for k := 0; k < 256; k++ {
+		grow = append(grow, 0x00, byte(k))
+		if k%3 == 2 {
+			grow = append(grow, 0x40, byte(k-1))
+		}
+	}
+	for k := 0; k < 256; k += 2 {
+		grow = append(grow, 0x40, byte(k), 0x01, byte(k))
+	}
+	for k := 0; k < 256; k += 2 {
+		grow = append(grow, 0x00, byte(k), 0xc0, byte(k+1))
+	}
+	f.Add(grow)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := NewFlowTables(OverlayDepth)
 		type ref struct {

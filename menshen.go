@@ -99,6 +99,13 @@ type Device struct {
 	tm       *sysmod.TrafficManager
 	platform netdev.Platform
 	modules  map[uint16]*Module
+	// stream backs the command stream of a device-only load, which
+	// commit pushes and drops; the next such load encodes into it. A
+	// live load's stream is the engine's to keep and is encoded fresh.
+	stream struct {
+		cmds []reconfig.Command
+		buf  []byte
+	}
 }
 
 // Module is one loaded packet-processing module.
@@ -129,7 +136,8 @@ type LoadReport struct {
 
 	// cmds is the placed program's command stream, encoded once and
 	// pushed by commit (and, for a live load, staged on the engine's
-	// shards first); commit drops it.
+	// shards first); commit drops it. A device-only load's stream lives
+	// in Device.stream.
 	cmds []reconfig.Command
 }
 
@@ -204,7 +212,7 @@ func (d *Device) LoadModule(source string, moduleID uint16) (*LoadReport, error)
 	if _, dup := d.modules[moduleID]; dup {
 		return nil, fmt.Errorf("menshen: module %d already loaded (use UpdateModule)", moduleID)
 	}
-	rep, err := d.prepare(source, moduleID)
+	rep, err := d.prepare(source, moduleID, true)
 	if err != nil {
 		return nil, err
 	}
@@ -215,8 +223,9 @@ func (d *Device) LoadModule(source string, moduleID uint16) (*LoadReport, error)
 // the system-level tables are merged in and the checker places the
 // program (treating an old program under the same ID as gone), with a
 // placement search over later start stages when it does not fit. The
-// report it returns carries the program to commit.
-func (d *Device) prepare(source string, moduleID uint16) (*LoadReport, error) {
+// report it returns carries the program to commit, and its stream (see
+// newReport for reuse).
+func (d *Device) prepare(source string, moduleID uint16, reuse bool) (*LoadReport, error) {
 	start := time.Now()
 	prog, err := compiler.Compile(source, compiler.Options{ModuleID: moduleID})
 	if err != nil {
@@ -254,13 +263,22 @@ func (d *Device) prepare(source string, moduleID uint16) (*LoadReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newReport(prog, pl, compileWall)
+	return d.newReport(prog, pl, compileWall, reuse)
 }
 
 // newReport wraps a placed program, and its command stream, as the
-// LoadReport that commit fills in.
-func newReport(prog *compiler.Program, pl core.Placement, compileWall time.Duration) (*LoadReport, error) {
-	cmds, err := prog.Config.Commands(pl)
+// LoadReport that commit fills in. With reuse the stream is encoded
+// into d.stream, which the next reusing load overwrites: only a caller
+// that commits at once may ask for it.
+func (d *Device) newReport(prog *compiler.Program, pl core.Placement, compileWall time.Duration, reuse bool) (*LoadReport, error) {
+	var cmds []reconfig.Command
+	var err error
+	if reuse {
+		d.stream.cmds, d.stream.buf, err = prog.Config.AppendCommands(d.stream.cmds[:0], d.stream.buf[:0], pl)
+		cmds = d.stream.cmds
+	} else {
+		cmds, err = prog.Config.Commands(pl)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -288,7 +306,7 @@ func (d *Device) LoadModuleChain(sources []string, moduleID uint16) (*LoadReport
 	if err != nil {
 		return nil, err
 	}
-	rep, err := newReport(prog, pl, compileWall)
+	rep, err := d.newReport(prog, pl, compileWall, true)
 	if err != nil {
 		return nil, err
 	}
@@ -330,7 +348,7 @@ func (d *Device) UpdateModule(source string, moduleID uint16) (*LoadReport, erro
 	if _, ok := d.modules[moduleID]; !ok {
 		return nil, fmt.Errorf("%w: id %d", ErrNotLoaded, moduleID)
 	}
-	rep, err := d.prepare(source, moduleID)
+	rep, err := d.prepare(source, moduleID, true)
 	if err != nil {
 		return nil, err
 	}

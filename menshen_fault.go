@@ -85,10 +85,15 @@ func (e *Engine) SetReconfigFault(inj *FaultInjector) { e.eng.SetReconfigFault(i
 // flow steers packets to one of the module's existing actions (the
 // §4.3 cuckoo path); derive keys with ControlPlane().FlowKeyForFrame.
 func (e *Engine) InsertFlowsVerified(ctx context.Context, moduleID uint16, stg int, flows []FlowEntry, opts VerifyOpts) (uint64, VerifyReport, error) {
+	// Two allocations for the whole stream: the commands, and one arena
+	// every payload is cut from.
 	cmds := make([]reconfig.Command, len(flows))
+	arena := make([]byte, 0, len(flows)*core.FlowEntryBytes)
 	for i, f := range flows {
 		f.ModID = moduleID
-		cmds[i] = core.FlowCommand(stg, f)
+		n := len(arena)
+		arena = core.AppendFlowEntry(arena, &f)
+		cmds[i] = core.FlowCommand(stg, arena[n:len(arena):len(arena)])
 	}
 	return e.eng.ApplyVerified(ctx, moduleID, cmds, opts)
 }
@@ -108,7 +113,7 @@ func (e *Engine) InsertFlowsVerified(ctx context.Context, moduleID uint16, stg i
 func (e *Engine) LoadModuleVerified(ctx context.Context, source string, moduleID uint16, opts VerifyOpts) (*LoadReport, uint64, VerifyReport, error) {
 	e.ctl.Lock()
 	defer e.ctl.Unlock()
-	rep, err := e.dev.prepare(source, moduleID)
+	rep, err := e.dev.prepare(source, moduleID, false)
 	if err != nil {
 		return nil, 0, VerifyReport{}, err
 	}
