@@ -48,7 +48,7 @@ func TestMgmtSmoke(t *testing.T) {
 		t.Fatalf("/stats has %d nodes, want 1", len(stats.Nodes))
 	}
 
-	// Mutate: SetEgressWeight through the fenced control queue.
+	// Mutate: SetEgressWeight through the generation-tagged control queue.
 	resp, err := http.Post(base+"/control/egress-weight", "application/json",
 		strings.NewReader(`{"tenant":1,"weight":3,"wait":true}`))
 	if err != nil {

@@ -57,10 +57,8 @@
 //   - head (next position to pop), the round-robin cursor and the
 //     egress queue belong to the worker goroutine.
 //     head is an atomic only so producers can read how much room there is.
-//   - the fence set lives in the rings (ring.paused), stored only by the
-//     worker's control pass; worker.mu guards the copy that rings created
-//     later inherit, the control-operation queue, and ring creation — the
-//     slow paths. The tenant → ring lookup is a load of an immutable
+//   - worker.mu guards the control-operation queue and ring creation —
+//     the slow paths. The tenant → ring lookup is a load of an immutable
 //     snapshot.
 //   - the doorbell (worker.parked + a one-token channel) is rung by a
 //     producer, the control plane or Close, and only when parked is set;
@@ -132,7 +130,7 @@
 //     exactly the paper's (§3.3: the frame on an inter-device link is
 //     just the tenant's frame, VID intact).
 //
-// # Control queue: generations and fences (§4.1)
+// # Control queue: generations (§4.1)
 //
 // Live reconfiguration fans generation-tagged control operations out
 // to per-shard queues, drained in issue order at batch boundaries —
@@ -147,11 +145,10 @@
 // shard while the old program keeps serving, and once every shard holds
 // all of it one commit operation swaps the program in at a batch
 // boundary; a failed or cancelled load commits nothing, so nothing is
-// rolled back and no frame is held. The one fence, an opPause/opResume
-// pair taken only by BeginTenantUpdate/EndTenantUpdate, holds one
-// tenant's frames (queued, not dropped) while every other tenant keeps
-// flowing, and Stats.Updating shows which tenants are fenced. See
-// reconfig.go for the full model.
+// rolled back and no frame is held. No control operation holds a
+// tenant's frames: a worker serves every ring it owns, and a change
+// that must land whole is a staged load. See reconfig.go for the full
+// model.
 //
 // # Egress (§3.5)
 //

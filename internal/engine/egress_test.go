@@ -7,8 +7,9 @@
 //
 // "The egress queue is the bottleneck" is true by construction, not by
 // the submitter happening to outrun the worker: every contention test
-// offers its load through offerBacklogged, which fences the tenants,
-// fills their rings, and only then lets the worker at them.
+// offers its load through offerBacklogged, which holds the worker in
+// its delivery callback, fills the tenants' rings, and only then lets
+// the worker go.
 package engine_test
 
 import (
@@ -27,33 +28,24 @@ import (
 // before the worker serves any of it.
 const backlogDepth = 32768
 
-// offerBacklogged offers frames of sc's stream with the RX backlog made
-// explicit: the tenants are fenced (BeginTenantUpdate holds their
-// frames in the rings), the whole load is queued, the fences lift, and
-// the engine drains. From the first service cycle to the last the
-// worker pulls full batches while the egress link passes one quantum,
-// whatever the core count and however fast the submitter is.
-func offerBacklogged(t *testing.T, eng *menshen.Engine, sc *trafficgen.Scenario, frames int, tenants ...uint16) {
+// offerBacklogged offers sc's stream with the RX backlog made explicit:
+// the stream's first frame holds the worker inside its delivery
+// callback, the next frames (rounded up to whole bursts of 64) queue
+// behind it, the gate opens, and the engine drains. From the first
+// service cycle after the primer's to the last the worker pulls full
+// batches while the egress link passes one quantum, whatever the core
+// count and however fast the submitter is.
+func offerBacklogged(t *testing.T, eng *gatedEngine, sc *trafficgen.Scenario, frames int) {
 	t.Helper()
-	fence := func(op func(uint16) (uint64, error)) {
-		var gen uint64
-		for _, id := range tenants {
-			var err error
-			if gen, err = op(id); err != nil {
-				t.Fatal(err)
-			}
-		}
-		quiesce(t, eng, gen)
-	}
-	fence(eng.BeginTenantUpdate)
-	var batch [][]byte
+	batch := sc.NextBatch(nil, 1)
+	eng.hold(t, batch[0])
 	for sent := 0; sent < frames; sent += len(batch) {
 		batch = sc.NextBatch(batch[:0], 64)
 		if n, err := eng.SubmitBatch(batch); err != nil || n != len(batch) {
 			t.Fatalf("building the backlog: %d of %d frames accepted, err=%v", n, len(batch), err)
 		}
 	}
-	fence(eng.EndTenantUpdate)
+	eng.release()
 	eng.Drain()
 }
 
@@ -64,14 +56,11 @@ func runContention(t *testing.T, weights map[uint16]float64, frames int) menshen
 	t.Helper()
 	programs := make([]string, len(weights))
 	loads := make([]trafficgen.TenantLoad, 0, len(weights))
-	tenants := make([]uint16, 0, len(weights))
 	for i := range programs {
 		programs[i] = "CALC"
 		loads = append(loads, trafficgen.TenantLoad{ModuleID: uint16(i + 1), Program: "CALC", Flows: 4})
-		tenants = append(tenants, uint16(i+1))
 	}
-	dev := newDevice(t, programs...)
-	eng, err := dev.NewEngine(menshen.EngineConfig{
+	eng := newGatedEngine(t, newDevice(t, programs...), menshen.EngineConfig{
 		Workers:       1,
 		BatchSize:     32,
 		QueueDepth:    backlogDepth,
@@ -79,10 +68,7 @@ func runContention(t *testing.T, weights map[uint16]float64, frames int) menshen
 		EgressWeights: weights,
 		EgressQuantum: 8,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	offerBacklogged(t, eng, trafficgen.ContentionScenario(17, 0, loads...), frames, tenants...)
+	offerBacklogged(t, eng, trafficgen.ContentionScenario(17, 0, loads...), frames)
 	st := eng.Stats()
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
@@ -157,7 +143,7 @@ func TestEngineEgressByteQuantumWeighted(t *testing.T) {
 // egress link and returns the delivered byte shares and frame counts.
 func runMixedSizeContention(t *testing.T, weights map[uint16]float64, quantumBytes int) (s1, s2 float64, d1, d2 uint64) {
 	t.Helper()
-	eng, err := newDevice(t, "CALC", "CALC").NewEngine(menshen.EngineConfig{
+	eng := newGatedEngine(t, newDevice(t, "CALC", "CALC"), menshen.EngineConfig{
 		Workers:            1,
 		BatchSize:          32,
 		QueueDepth:         backlogDepth,
@@ -166,14 +152,11 @@ func runMixedSizeContention(t *testing.T, weights map[uint16]float64, quantumByt
 		EgressQuantum:      64, // generous in frames: the byte cap is the bottleneck
 		EgressQuantumBytes: quantumBytes,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	sc := trafficgen.NewScenario(31,
 		trafficgen.TenantLoad{ModuleID: 1, Program: "CALC", Flows: 4, FrameBytes: 1000},
 		trafficgen.TenantLoad{ModuleID: 2, Program: "CALC", Flows: 4, FrameBytes: 100},
 	)
-	offerBacklogged(t, eng, sc, 40000, 1, 2)
+	offerBacklogged(t, eng, sc, 40000)
 	st := eng.Stats()
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
@@ -296,38 +279,33 @@ func TestEngineEgressOnBatchForwardedOnly(t *testing.T) {
 
 // contentionPhase pushes an equal two-tenant load through eng and
 // returns each tenant's delivered egress bytes during the phase.
-func contentionPhase(t *testing.T, eng *menshen.Engine, frames int) (b1, b2 uint64) {
+func contentionPhase(t *testing.T, eng *gatedEngine, frames int) (b1, b2 uint64) {
 	t.Helper()
 	before := eng.Stats()
 	sc := trafficgen.ContentionScenario(29, 0,
 		trafficgen.TenantLoad{ModuleID: 1, Program: "CALC", Flows: 4},
 		trafficgen.TenantLoad{ModuleID: 2, Program: "CALC", Flows: 4},
 	)
-	offerBacklogged(t, eng, sc, frames, 1, 2)
+	offerBacklogged(t, eng, sc, frames)
 	after := eng.Stats()
 	return after.Tenants[1].EgressBytes - before.Tenants[1].EgressBytes,
 		after.Tenants[2].EgressBytes - before.Tenants[2].EgressBytes
 }
 
 // TestEngineSetEgressWeightLive reconfigures egress weights on a
-// *running* engine through the fenced, generation-tagged control
-// queue: an engine started with no egress state at all must pick up
-// scheduling live, and a subsequent weight flip must flip the achieved
-// shares.
+// *running* engine through the generation-tagged control queue: an
+// engine started with no egress state at all must pick up scheduling
+// live, and a subsequent weight flip must flip the achieved shares.
 func TestEngineSetEgressWeightLive(t *testing.T) {
-	eng, err := newDevice(t, "CALC", "CALC").NewEngine(menshen.EngineConfig{
+	eng := newGatedEngine(t, newDevice(t, "CALC", "CALC"), menshen.EngineConfig{
 		Workers:       1,
 		BatchSize:     32,
 		QueueDepth:    backlogDepth,
 		DropOnFull:    true,
 		EgressQuantum: 8,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
 
-	// Live enable at 3:1, fenced by quiesce.
+	// Live enable at 3:1, in effect once quiesced.
 	if _, err := eng.SetEgressWeight(1, 3); err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +350,7 @@ func TestEngineUnloadClearsEgressState(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	eng, err := dev.NewEngine(menshen.EngineConfig{
+	eng := newGatedEngine(t, dev, menshen.EngineConfig{
 		Workers:       1,
 		BatchSize:     32,
 		QueueDepth:    backlogDepth,
@@ -380,10 +358,6 @@ func TestEngineUnloadClearsEgressState(t *testing.T) {
 		EgressWeights: map[uint16]float64{1: 8, 2: 1},
 		EgressQuantum: 8,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
 
 	b1, b2 := contentionPhase(t, eng, 30000)
 	if b1 <= b2*4 {

@@ -1,6 +1,6 @@
 // Engine lifecycle, configuration, and the submit paths. The package
-// contract — buffer ownership, lifetime, fencing — is documented in
-// doc.go.
+// contract — buffer ownership, lifetime, the control queue — is
+// documented in doc.go.
 package engine
 
 import (
@@ -582,7 +582,6 @@ func (e *Engine) StatsInto(st *Stats) {
 		}
 	}
 	st.ReconfigIssued = e.ctrl.tagger.Current()
-	st.Updating = e.ctrl.updating.Load()
 	st.PoolHits = e.pool.hits.Load()
 	st.PoolMisses = e.pool.misses.Load()
 	st.BytesCopied = e.tel.bytesCopied.Load()

@@ -64,6 +64,75 @@ func quiesce(t testing.TB, eng quiescer, gen uint64) {
 	}
 }
 
+// gatedEngine is an engine whose delivery callback can hold a worker,
+// so a test builds a backlog instead of racing the worker for one.
+// hold submits one primer frame and returns once a worker waits inside
+// OnBatch; until release, every worker that reaches OnBatch waits there
+// and frames submitted meanwhile only queue. hold and release can
+// alternate any number of times; release is idempotent and runs at
+// cleanup, before the engine closes.
+type gatedEngine struct {
+	*menshen.Engine
+	gate atomic.Pointer[gate]
+}
+
+// gate is one hold: entered closes when the first worker waits in it,
+// open when it is released.
+type gate struct {
+	entered, open chan struct{}
+	once          sync.Once
+}
+
+// newGatedEngine builds dev's engine from cfg, whose own OnBatch (if
+// any) runs once the gate lets the worker through.
+func newGatedEngine(t testing.TB, dev *menshen.Device, cfg menshen.EngineConfig) *gatedEngine {
+	t.Helper()
+	g := &gatedEngine{}
+	inner := cfg.OnBatch
+	cfg.OnBatch = func(w int, tenant uint16, res []menshen.EngineResult) {
+		if h := g.gate.Load(); h != nil {
+			h.once.Do(func() { close(h.entered) })
+			<-h.open
+		}
+		if inner != nil {
+			inner(w, tenant, res)
+		}
+	}
+	eng, err := dev.NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Engine = eng
+	t.Cleanup(func() {
+		g.release()
+		eng.Close()
+	})
+	return g
+}
+
+// hold arms a fresh gate, submits primer (a frame the engine forwards)
+// and waits until a worker is inside OnBatch.
+func (g *gatedEngine) hold(t testing.TB, primer []byte) {
+	t.Helper()
+	h := &gate{entered: make(chan struct{}), open: make(chan struct{})}
+	g.gate.Store(h)
+	if n, err := g.SubmitBatch([][]byte{primer}); err != nil || n != 1 {
+		t.Fatalf("primer: accepted=%d err=%v", n, err)
+	}
+	select {
+	case <-h.entered:
+	case <-time.After(quiesceTimeout):
+		t.Fatal("no worker entered OnBatch")
+	}
+}
+
+// release opens the current gate, if any.
+func (g *gatedEngine) release() {
+	if h := g.gate.Swap(nil); h != nil {
+		close(h.open)
+	}
+}
+
 // checkAllAccepted pins a drained tenant that refused nothing: n frames
 // submitted, none rate-limited or queue-full, and (Conserved) each of
 // them ended in a fate past the ring.
@@ -209,24 +278,17 @@ func TestEngineDrainOnClose(t *testing.T) {
 }
 
 func TestEngineBackpressureDrop(t *testing.T) {
-	dev := newDevice(t, "CALC")
-	gate := make(chan struct{})
-	var once sync.Once
-	eng, err := dev.NewEngine(menshen.EngineConfig{
+	eng := newGatedEngine(t, newDevice(t, "CALC"), menshen.EngineConfig{
 		Workers:    1,
 		QueueDepth: 8,
 		BatchSize:  4,
 		DropOnFull: true,
-		// Block the worker on its first batch so the ring fills up.
-		OnBatch: func(int, uint16, []menshen.EngineResult) {
-			once.Do(func() { <-gate })
-		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	sc := trafficgen.NewScenario(3, trafficgen.TenantLoad{ModuleID: 1, Program: "CALC", Flows: 1})
 	frames := sc.NextBatch(nil, 64)
+	// Hold the worker on the first frame so the ring fills up.
+	eng.hold(t, frames[0])
+	frames = frames[1:]
 	accepted, err := eng.SubmitBatch(frames)
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +296,7 @@ func TestEngineBackpressureDrop(t *testing.T) {
 	if accepted == len(frames) {
 		t.Errorf("all %d frames accepted despite depth-8 ring and a blocked worker", len(frames))
 	}
-	close(gate)
+	eng.release()
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -395,20 +457,12 @@ func TestEngineShardStateConsistency(t *testing.T) {
 // QueueFull — while tenant B, on the same shard, is accepted in full.
 func TestEngineFullRingIsolation(t *testing.T) {
 	const depth, flood = 64, 1000
-	entered, gate := make(chan struct{}), make(chan struct{})
-	var once sync.Once
-	eng, err := newDevice(t, "CALC", "CALC").NewEngine(menshen.EngineConfig{
+	eng := newGatedEngine(t, newDevice(t, "CALC", "CALC"), menshen.EngineConfig{
 		Workers:    1,
 		QueueDepth: depth,
 		BatchSize:  8,
 		DropOnFull: true,
-		OnBatch: func(int, uint16, []menshen.EngineResult) {
-			once.Do(func() { close(entered); <-gate })
-		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	genA := trafficgen.DefaultGen("CALC", 1, 1500, 4, trafficgen.NewPRNG(41))
 	genB := trafficgen.DefaultGen("CALC", 2, 128, 4, trafficgen.NewPRNG(43))
 	framesA, framesB := make([][]byte, depth), make([][]byte, 32)
@@ -419,12 +473,9 @@ func TestEngineFullRingIsolation(t *testing.T) {
 		framesB[i] = genB(i)
 	}
 
-	// One frame parks the worker in the callback; then A's ring takes
+	// One frame holds the worker in the callback; then A's ring takes
 	// exactly its depth.
-	if n, err := eng.SubmitBatch([][]byte{framesA[0]}); err != nil || n != 1 {
-		t.Fatalf("primer: accepted=%d err=%v", n, err)
-	}
-	<-entered
+	eng.hold(t, framesA[0])
 	if n, err := eng.SubmitBatch(framesA); err != nil || n != depth {
 		t.Fatalf("filling A's ring: accepted %d of %d, err=%v", n, depth, err)
 	}
@@ -450,7 +501,7 @@ func TestEngineFullRingIsolation(t *testing.T) {
 		t.Errorf("tenant B beside A's full ring: accepted %d of %d, err=%v", n, len(framesB), err)
 	}
 
-	close(gate)
+	eng.release()
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}

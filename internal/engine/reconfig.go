@@ -8,7 +8,7 @@
 // dropped by the shard's packet filter (§3.1).
 //
 // Mechanism: every control operation (a range of a verified burst's
-// command stream, a load's commit, an unload, a tenant fence) is tagged
+// command stream, a load's commit, an unload, an egress weight) is tagged
 // with a monotonically increasing generation (reconfig.Tagger) and
 // appended, in issue order, to a per-shard operation queue. Each worker
 // drains its queue at batch boundaries — between two pipeline batches —
@@ -20,14 +20,7 @@
 //
 // Make before break: a load stages its commands on every shard and
 // commits them in one opCommit, which lands whole in one drainOps turn
-// like an unload, so neither needs a fence (verify.go).
-//
-// Fencing: a caller whose update spans multiple control calls can pause
-// a tenant with BeginTenantUpdate — its queued frames are held (not
-// dropped) and its rings are skipped by the round-robin service — while
-// every other tenant keeps flowing. This is the engine's one fence: the
-// queue-level analogue of the packet filter's per-module update bitmap
-// (§4.1), and Stats.Updating mirrors it bit for bit.
+// like an unload, so neither holds the tenant's frames (verify.go).
 package engine
 
 import (
@@ -36,7 +29,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/faultinject"
 	"repro/internal/reconfig"
@@ -68,11 +60,6 @@ const (
 	opCommit
 	// opUnload clears a module from the shard pipeline.
 	opUnload
-	// opPause fences a tenant: queued frames are held, the tenant's
-	// rings are skipped, other tenants keep flowing.
-	opPause
-	// opResume lifts a tenant's fence.
-	opResume
 	// opEgressWeight sets (weight > 0) or clears (weight == 0) a
 	// tenant's egress WFQ weight on the shard, creating the shard's
 	// egress scheduler on first use. Applied at batch boundaries like
@@ -103,10 +90,6 @@ type shardOp struct {
 // control is the engine-wide reconfiguration state.
 type control struct {
 	tagger reconfig.Tagger
-	// updating is the engine-level per-tenant update bitmap: bit
-	// (tenant & 31) is set from the issue of an opPause to the issue of
-	// the matching opResume (BeginTenantUpdate, EndTenantUpdate).
-	updating atomic.Uint32
 
 	// qmu/qcond implement AwaitQuiesceCtx: workers broadcast after
 	// advancing their applied generation; Close broadcasts once all
@@ -119,12 +102,10 @@ type control struct {
 // issue tags one operation sequence with a fresh generation and fans it
 // out to every worker's queue; an empty sequence still quiesces, as one
 // barrier. Each shard gets its own copy (enqueueOps appends by value).
-// Fence operations also set (opPause) and clear (opResume) the tenant's
-// bit in the update bitmap here, so Stats.Updating sees every fence.
 //
 // inj is the fault plan of the modeled control wire, nil for a lossless
-// one and for sequences that are engine-local bookkeeping (fences,
-// commits, unloads). With a plan, each command of an opApply's range is
+// one and for sequences that are engine-local bookkeeping (commits,
+// unloads, weights). With a plan, each command of an opApply's range is
 // sentenced afresh per shard, worker-major then in command order as when
 // each command was its own operation, so a seed keeps its meaning. A
 // shard stops at its first lost command at or above its progress (a lost
@@ -150,12 +131,6 @@ func (e *Engine) issue(inj *faultinject.Injector, ops ...shardOp) (uint64, error
 	}
 	for i := range ops {
 		ops[i].gen = gen
-		switch bit := uint32(1) << (ops[i].tenant & 31); ops[i].kind {
-		case opPause:
-			e.ctrl.updating.Or(bit)
-		case opResume:
-			e.ctrl.updating.And(^bit)
-		}
 	}
 	for _, w := range e.workers {
 		for i := range ops {
@@ -179,10 +154,10 @@ func (e *Engine) issue(inj *faultinject.Injector, ops ...shardOp) (uint64, error
 
 // UnloadModuleLive clears a module from every running shard (tables,
 // parser/deparser entries, and stateful segments zeroed). Each shard
-// applies the unload in one drainOps turn, between two batches, so it
-// needs no fence: a frame of the tenant sees the module whole or not at
-// all. Scheduler state tied to the tenant is pruned too — its egress
-// weight and virtual-finish time on every shard, and its ingress
+// applies the unload in one drainOps turn, between two batches, so a
+// frame of the tenant sees the module whole or not at all. Scheduler
+// state tied to the tenant is pruned too — its egress weight and
+// virtual-finish time on every shard, and its ingress
 // rate-limit buckets at the engine edge — so a later re-load starts
 // from a clean slate instead of inheriting a stale virtual finish time
 // or a drained bucket from the tenant's previous life.
@@ -210,23 +185,6 @@ func (e *Engine) SetEgressWeight(tenant uint16, weight float64) (uint64, error) 
 		return 0, fmt.Errorf("engine: egress weight must be non-negative and finite, got %v", weight)
 	}
 	return e.issue(nil, shardOp{kind: opEgressWeight, tenant: tenant, weight: weight})
-}
-
-// BeginTenantUpdate fences a tenant across every shard: once the
-// returned generation quiesces, no frame of the tenant is processed
-// until EndTenantUpdate, while submissions keep queueing (subject to
-// ring backpressure) and every other tenant keeps flowing. Use it to
-// make a multi-call reconfiguration sequence atomic with respect to the
-// tenant's traffic. Note that Drain blocks on fenced frames, so end the
-// update before draining.
-func (e *Engine) BeginTenantUpdate(tenant uint16) (uint64, error) {
-	return e.issue(nil, shardOp{kind: opPause, tenant: tenant})
-}
-
-// EndTenantUpdate lifts a tenant's fence; held frames become
-// serviceable again at each shard's next batch boundary.
-func (e *Engine) EndTenantUpdate(tenant uint16) (uint64, error) {
-	return e.issue(nil, shardOp{kind: opResume, tenant: tenant})
 }
 
 // QuiesceCtx issues an empty barrier operation and waits under the
@@ -358,17 +316,16 @@ func (w *worker) enqueueOps(ops []shardOp) {
 
 // drainOps applies the queued control operations in issue order and
 // returns the last one's generation. The worker loop calls it at a
-// batch boundary and holds w.mu throughout, so a fence and the creation
-// of the fenced tenant's ring cannot interleave. Every pipeline write
-// takes the pipeline's batch lock over tables this shard alone owns;
-// run between batches on the worker's own goroutine, it never waits on
-// it. opsQueued drops only once the operations are applied: until then
-// the watchdog counts them as pending work.
+// batch boundary. It holds w.mu throughout, as it empties the queue's
+// array for reuse once done. Every pipeline write takes the pipeline's
+// batch lock over tables this shard alone owns; run between batches on
+// the worker's own goroutine, it never waits on it. opsQueued drops
+// only once the operations are applied: until then the watchdog counts
+// them as pending work.
 func (w *worker) drainOps() uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	ops := w.ops
-	rings := w.rings.Load().byTenant
 	for i := range ops {
 		op := &ops[i]
 		var err error
@@ -408,16 +365,6 @@ func (w *worker) drainOps() uint64 {
 			}
 		case opUnload:
 			err = w.pipe.UnloadModule(op.tenant)
-		case opPause:
-			w.fenced[op.tenant] = true
-			if r := rings[op.tenant]; r != nil {
-				r.paused.Store(true)
-			}
-		case opResume:
-			delete(w.fenced, op.tenant)
-			if r := rings[op.tenant]; r != nil {
-				r.paused.Store(false)
-			}
 		case opEgressWeight:
 			if op.weight > 0 {
 				w.ensureEgress()

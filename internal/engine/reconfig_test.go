@@ -221,55 +221,6 @@ func TestReconfigSubmitFramePath(t *testing.T) {
 	}
 }
 
-func TestReconfigTenantFence(t *testing.T) {
-	// BeginTenantUpdate holds (not drops) the tenant's frames on every
-	// shard until EndTenantUpdate, while the update bitmap reports the
-	// fence.
-	dev := newDevice(t, "CALC")
-	eng, err := dev.NewEngine(menshen.EngineConfig{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-
-	gen, err := eng.BeginTenantUpdate(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	quiesce(t, eng, gen)
-	if st := eng.Stats(); st.Updating&(1<<1) == 0 {
-		t.Error("update bitmap bit not set during fence")
-	}
-
-	sc := trafficgen.NewScenario(21, trafficgen.TenantLoad{ModuleID: 1, Program: "CALC", Flows: 8})
-	frames := sc.NextBatch(nil, 200)
-	n, err := eng.SubmitBatch(frames)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(frames) {
-		t.Fatalf("fenced tenant: %d/%d accepted (should queue, not drop)", n, len(frames))
-	}
-	// The fence guarantees none of the queued frames can be processed.
-	if st := eng.Stats(); st.Tenants[1].Processed != 0 {
-		t.Errorf("fenced tenant processed %d frames", st.Tenants[1].Processed)
-	}
-
-	// Lift the fence: held frames flow.
-	if _, err := eng.EndTenantUpdate(1); err != nil {
-		t.Fatal(err)
-	}
-	eng.Drain()
-	st := eng.Stats()
-	if st.Updating&(1<<1) != 0 {
-		t.Error("update bitmap bit still set after EndTenantUpdate")
-	}
-	checkAllAccepted(t, st, 1, n)
-	if st.Tenants[1].Processed == 0 {
-		t.Error("no frames processed after fence lift")
-	}
-}
-
 func TestReconfigLiveLoadUnload(t *testing.T) {
 	// Unloading and reloading a module on a live engine takes effect on
 	// every shard without recreating the engine.
@@ -347,7 +298,8 @@ func TestReconfigAfterClose(t *testing.T) {
 
 func TestReconfigRaceChaos(t *testing.T) {
 	// The chaos scenario: tenant A (1) is reconfigured in a tight loop —
-	// verified key-mask writes inside and outside fence windows — while
+	// verified key-mask writes, with an egress weight set and cleared
+	// between them — while
 	// tenants B (2) and C (3) sustain traffic across 4 workers. B and C
 	// must see zero drops beyond backpressure (blocking mode: zero,
 	// full stop), and after the final quiesce every shard replica must
@@ -365,7 +317,7 @@ func TestReconfigRaceChaos(t *testing.T) {
 				fill = 0xF0
 			}
 			if i%10 == 0 {
-				if _, err := eng.BeginTenantUpdate(1); err != nil {
+				if _, err := eng.SetEgressWeight(1, 2); err != nil {
 					t.Error(err)
 					return
 				}
@@ -375,15 +327,11 @@ func TestReconfigRaceChaos(t *testing.T) {
 				return
 			}
 			if i%10 == 9 {
-				if _, err := eng.EndTenantUpdate(1); err != nil {
+				if _, err := eng.SetEgressWeight(1, 0); err != nil {
 					t.Error(err)
 					return
 				}
 			}
-		}
-		// Leave no fence open (Drain would block on held frames).
-		if _, err := eng.EndTenantUpdate(1); err != nil {
-			t.Error(err)
 		}
 	}()
 

@@ -36,10 +36,6 @@ type ring struct {
 	depth  uint64 // capacity in frames (Config.QueueDepth)
 	mask   uint64 // len(slots)-1; len(slots) is depth rounded up to a power of two
 	slots  []slot
-	// paused is the tenant fence: a paused ring keeps accepting frames
-	// but the worker skips it. Written by the worker's control pass (and
-	// by the creator before the ring is shared).
-	paused atomic.Bool
 
 	_ [64]byte
 	// tail is the next position to reserve, plus sealBit. Producers CAS

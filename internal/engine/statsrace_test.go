@@ -17,7 +17,7 @@ import (
 // contract end to end: two pollers (each with its own reused
 // receiver) snapshot a live engine while producers submit traffic and
 // a control goroutine live-unloads and reloads a tenant through the
-// fenced reconfiguration queue. The receiver-per-goroutine rule is
+// generation-tagged reconfiguration queue. The receiver-per-goroutine rule is
 // the whole contract — this must be race-clean without any locking by
 // the pollers.
 func TestStatsIntoConcurrentPollers(t *testing.T) {
@@ -57,8 +57,9 @@ func TestStatsIntoConcurrentPollers(t *testing.T) {
 		}
 	}()
 
-	// Control plane: live unload+reload of tenant 2, fenced and
-	// generation-tagged, while the producer and pollers keep running.
+	// Control plane: live unload+reload of tenant 2, generation-tagged
+	// and applied at batch boundaries, while the producer and pollers
+	// keep running.
 	work.Add(1)
 	go func() {
 		defer work.Done()

@@ -266,7 +266,7 @@ type WorkerStats struct {
 	// time (log-bucket midpoint).
 	P99BatchLatency time.Duration
 	// Pending is the point-in-time frame count queued in the shard's RX
-	// rings (including frames held by tenant fences).
+	// rings.
 	Pending int
 	// EgressBacklog is the point-in-time frame count queued in the
 	// shard's §3.5 egress PIFO (0 when egress scheduling is off).
@@ -396,11 +396,6 @@ type Stats struct {
 	ReconfigApplied uint64
 	// ReconfigFailed sums the per-shard failed-operation counters.
 	ReconfigFailed uint64
-	// Updating is the engine-level per-tenant update bitmap: bit
-	// tenant&31 is set while the tenant is fenced by a
-	// Begin/EndTenantUpdate window. Verified loads and unloads take no
-	// fence: each lands whole at one batch boundary per shard.
-	Updating uint32
 
 	// Buffer-pool and zero-copy accounting: a steady-state engine
 	// shows a pool hit rate near 1 and, on the owned path, no

@@ -180,7 +180,7 @@ func (e *Engine) deliver(ctx context.Context, moduleID uint16, opts VerifyOpts, 
 // partition, apply the stream — land on each shard at a batch boundary;
 // it returns once every shard has applied it. A load that exhausts its
 // retry budget (ErrVerify) or whose ctx ends during delivery commits
-// nothing, so there is nothing to roll back and no fence to hold; a ctx
+// nothing, so there is nothing to roll back and no frame held; a ctx
 // done on entry issues nothing. Once the report says Verified the
 // commit stands: a ctx or stall that cuts the wait short is returned,
 // and the commit still applies at the returned generation. A staged

@@ -83,16 +83,8 @@ func (e *Engine) watchdog(stop chan struct{}) {
 
 // workPending reports whether the shard has anything to do: control
 // operations issued but not applied, an in-flight batch (busy covers a
-// batch stuck inside OnBatch), an egress backlog, or servable frames.
+// batch stuck inside OnBatch), an egress backlog, or queued frames.
 // All of it is atomic loads; the watchdog never touches a worker lock.
 func (w *worker) workPending() bool {
-	if w.opsQueued.Load() != 0 || w.busy.Load() || w.egBacklog.Load() > 0 {
-		return true
-	}
-	for _, r := range w.rings.Load().order {
-		if !r.paused.Load() && r.len() > 0 {
-			return true
-		}
-	}
-	return false
+	return w.opsQueued.Load() != 0 || w.busy.Load() || w.egBacklog.Load() > 0 || w.pending() > 0
 }

@@ -9,7 +9,6 @@ package engine_test
 import (
 	"context"
 	"errors"
-	"sync"
 	"testing"
 	"time"
 
@@ -17,47 +16,21 @@ import (
 	"repro/internal/trafficgen"
 )
 
-// stallEngine builds a 2-worker engine whose OnBatch callback blocks
-// every batch on the returned channel, then wedges one shard by
-// submitting frames of a single flow. The returned release func
+// stallEngine builds a 2-worker gated engine and wedges one shard
+// inside its OnBatch callback on a frame of a single flow, with more of
+// that flow's frames pending behind it. The returned release func
 // unblocks the callback (idempotent).
 func stallEngine(t *testing.T, stallTimeout time.Duration) (*menshen.Engine, func()) {
 	t.Helper()
-	dev := newDevice(t, "CALC")
-	block := make(chan struct{})
-	entered := make(chan struct{})
-	var enterOnce sync.Once
-	eng, err := dev.NewEngine(menshen.EngineConfig{
-		Workers:      2,
-		StallTimeout: stallTimeout,
-		OnBatch: func(int, uint16, []menshen.EngineResult) {
-			enterOnce.Do(func() { close(entered) })
-			<-block
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var once sync.Once
-	release := func() { once.Do(func() { close(block) }) }
-	t.Cleanup(func() {
-		release()
-		eng.Close()
-	})
+	eng := newGatedEngine(t, newDevice(t, "CALC"), menshen.EngineConfig{Workers: 2, StallTimeout: stallTimeout})
 	gen := trafficgen.DefaultGen("CALC", 1, 0, 1, trafficgen.NewPRNG(11))
-	for i := 0; i < 8; i++ {
+	eng.hold(t, gen(0))
+	for i := 1; i < 8; i++ {
 		if n, err := eng.SubmitBatch([][]byte{gen(i)}); err != nil || n != 1 {
 			t.Fatalf("submit %d: accepted=%d err=%v", i, n, err)
 		}
 	}
-	// Only once the shard is provably wedged inside the callback (with
-	// frames still pending behind it) do the stall tests proceed.
-	select {
-	case <-entered:
-	case <-time.After(10 * time.Second):
-		t.Fatal("worker never entered OnBatch")
-	}
-	return eng, release
+	return eng.Engine, eng.release
 }
 
 // TestWatchdogStalledWorker: the watchdog flags the wedged shard,

@@ -42,12 +42,10 @@ type worker struct {
 	waiters atomic.Int32
 
 	// mu guards the two other slow paths: the control-operation queue
-	// and ring creation (with the fence set new rings inherit). No
-	// submitter takes it for a ring that exists, and the worker takes it
-	// only on a control pass.
-	mu     sync.Mutex
-	ops    []shardOp       // issued, not yet applied (see reconfig.go)
-	fenced map[uint16]bool // tenants fenced by opPause, for rings yet to be created
+	// and ring creation. No submitter takes it for a ring that exists,
+	// and the worker takes it only on a control pass.
+	mu  sync.Mutex
+	ops []shardOp // issued, not yet applied (see reconfig.go)
 
 	// genApplied is the shard's applied reconfiguration generation.
 	genApplied atomic.Uint64
@@ -102,16 +100,15 @@ type worker struct {
 
 func newWorker(id int, e *Engine, pipe *core.Pipeline) *worker {
 	w := &worker{
-		id:     id,
-		eng:    e,
-		pipe:   pipe,
-		done:   make(chan struct{}),
-		bell:   make(chan struct{}, 1),
-		fenced: make(map[uint16]bool),
-		batch:  make([][]byte, e.cfg.BatchSize),
-		aux:    make([]uint64, e.cfg.BatchSize),
-		ports:  make([]uint8, e.cfg.BatchSize),
-		res:    make([]core.BatchResult, e.cfg.BatchSize),
+		id:    id,
+		eng:   e,
+		pipe:  pipe,
+		done:  make(chan struct{}),
+		bell:  make(chan struct{}, 1),
+		batch: make([][]byte, e.cfg.BatchSize),
+		aux:   make([]uint64, e.cfg.BatchSize),
+		ports: make([]uint8, e.cfg.BatchSize),
+		res:   make([]core.BatchResult, e.cfg.BatchSize),
 	}
 	w.rings.Store(&ringSet{})
 	w.space = sync.NewCond(&w.spaceMu)
@@ -143,7 +140,6 @@ func (w *worker) addRing(tenant uint16) *ring {
 		return nil // the worker seals the rings it knows of; this one would never be drained
 	}
 	r := newRing(tenant, w.eng.cfg.QueueDepth)
-	r.paused.Store(w.fenced[tenant])
 	w.rings.Store(set.with(r))
 	// Every ring adds its depth to the worst-case in-flight buffer
 	// set; let the pool retain that many more.
@@ -230,7 +226,7 @@ func (w *worker) wake() {
 // sees the other's store.
 func (w *worker) park(closing bool) {
 	w.parked.Store(true)
-	if w.opsQueued.Load() != 0 || w.closing.Load() != closing || w.anyReady(closing) {
+	if w.opsQueued.Load() != 0 || w.closing.Load() != closing || w.anyReady() {
 		// If a producer's CAS beat this store it also left a token, which
 		// the next park swallows as one spurious wake.
 		w.parked.Store(false)
@@ -239,10 +235,10 @@ func (w *worker) park(closing bool) {
 	<-w.bell
 }
 
-// anyReady reports whether some servable ring has a published frame.
-func (w *worker) anyReady(closing bool) bool {
+// anyReady reports whether some ring has a published frame.
+func (w *worker) anyReady() bool {
 	for _, r := range w.rings.Load().order {
-		if (closing || !r.paused.Load()) && r.ready() {
+		if r.ready() {
 			return true
 		}
 	}
@@ -268,13 +264,11 @@ func (w *worker) signalSpace() {
 }
 
 // next scans the rings round robin from the cursor: it returns the
-// first servable ring with a published frame (advancing the cursor past
-// it) and the servable backlog across all rings. Fenced tenants are
-// skipped — their frames stay queued until the fence lifts — unless the
-// shard is closing, which voids fences.
+// first ring with a published frame (advancing the cursor past it) and
+// the backlog across all rings.
 //
 //menshen:hotpath
-func (w *worker) next(set *ringSet, closing bool) (pick *ring, pending int) {
+func (w *worker) next(set *ringSet) (pick *ring, pending int) {
 	n, start := len(set.order), w.rr
 	for i := 0; i < n; i++ {
 		at := start + i
@@ -282,9 +276,6 @@ func (w *worker) next(set *ringSet, closing bool) (pick *ring, pending int) {
 			at -= n
 		}
 		r := set.order[at]
-		if r.paused.Load() && !closing {
-			continue
-		}
 		pending += r.len()
 		if pick == nil && r.ready() {
 			pick, w.rr = r, at+1
@@ -296,10 +287,10 @@ func (w *worker) next(set *ringSet, closing bool) (pick *ring, pending int) {
 // run is the worker loop: apply any queued control operations (the
 // batch-boundary reconfiguration point), service the next tenant's ring
 // for up to one batch, push the batch through the pipeline shard, record
-// telemetry, repeat; park when no servable ring has a frame. On close it
-// seals the rings, applies the remaining control operations and drains
-// every ring before exiting; tenant fences are void once the engine is
-// closing, so drain-on-close still covers every accepted frame.
+// telemetry, repeat; park when no ring has a published frame. On close
+// it seals the rings, applies the remaining control operations and
+// drains every ring before exiting, so drain-on-close covers every
+// accepted frame.
 //
 //menshen:hotpath
 func (w *worker) run() {
@@ -336,7 +327,7 @@ func (w *worker) run() {
 			w.sealed = true
 			w.signalSpace() // blocked submitters: give up
 		}
-		r, pending := w.next(set, closing)
+		r, pending := w.next(set)
 		if r == nil {
 			if w.egress != nil && w.egress.Len() > 0 {
 				// No runnable RX work but scheduled frames are queued:
@@ -349,8 +340,8 @@ func (w *worker) run() {
 			if closing && pending == 0 {
 				return
 			}
-			// Nothing servable: only fenced frames, or slots reserved
-			// but not yet published (their producer rings when it is done).
+			// Nothing published: at most slots reserved but not yet
+			// filled (their producer rings when it is done).
 			w.park(closing)
 			continue
 		}
@@ -600,8 +591,7 @@ func (w *worker) egressDrain() {
 	flush()
 }
 
-// pending is the frame count queued in the shard's rings, frames held
-// by tenant fences included.
+// pending is the frame count queued in the shard's rings.
 func (w *worker) pending() int {
 	n := 0
 	for _, r := range w.rings.Load().order {

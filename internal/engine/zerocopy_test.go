@@ -256,14 +256,14 @@ func TestResultLifetimeRule(t *testing.T) {
 // TestBatchFollowsOccupancy pins the worker's batch rule: a batch is
 // what the tenant's ring holds when the worker gets to it, up to
 // BatchSize. A trickle is served one frame at a time; a backlog built
-// behind a fence (so no core count or submitter speed can thin it) is
-// served in full batches.
+// while the worker is held in its callback (so no core count or
+// submitter speed can thin it) is served in full batches.
 func TestBatchFollowsOccupancy(t *testing.T) {
 	const batchSize = 32
 	gen := trafficgen.DefaultGen("CALC", 1, 0, 4, trafficgen.NewPRNG(11))
 	var mu sync.Mutex
 	var sizes []int
-	eng, err := newDevice(t, "CALC").NewEngine(menshen.EngineConfig{
+	eng := newGatedEngine(t, newDevice(t, "CALC"), menshen.EngineConfig{
 		Workers: 1, BatchSize: batchSize,
 		OnBatch: func(_ int, _ uint16, results []menshen.EngineResult) {
 			mu.Lock()
@@ -271,10 +271,6 @@ func TestBatchFollowsOccupancy(t *testing.T) {
 			mu.Unlock()
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
 
 	for i := 0; i < 128; i++ {
 		if n, err := eng.SubmitBatch([][]byte{gen(i)}); err != nil || n != 1 {
@@ -290,13 +286,14 @@ func TestBatchFollowsOccupancy(t *testing.T) {
 	sizes = sizes[:0]
 	mu.Unlock()
 	sc := trafficgen.NewScenario(11, trafficgen.TenantLoad{ModuleID: 1, Program: "CALC", Flows: 4})
-	offerBacklogged(t, eng, sc, 4*batchSize, 1)
+	offerBacklogged(t, eng, sc, 4*batchSize)
 	mu.Lock()
 	defer mu.Unlock()
-	if len(sizes) != 4 {
-		t.Errorf("backlog of %d frames served in %d batches %v, want 4", 4*batchSize, len(sizes), sizes)
+	// The primer is served alone, before the backlog queued behind it.
+	if len(sizes) != 5 || sizes[0] != 1 {
+		t.Fatalf("primer and a backlog of %d frames served in batches %v, want 1 then 4 of %d", 4*batchSize, sizes, batchSize)
 	}
-	for _, n := range sizes {
+	for _, n := range sizes[1:] {
 		if n != batchSize {
 			t.Errorf("backlogged batch sizes %v, want every one %d", sizes, batchSize)
 			break

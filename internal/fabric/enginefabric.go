@@ -78,7 +78,7 @@ type EngineNode struct {
 	// Eng is the node's engine. It is nil until EngineFabric.Start and
 	// remains owned by the fabric (close the fabric, not the engine);
 	// use it for per-node live reconfiguration (LoadModuleVerified,
-	// SetEgressWeight, fences) — control planes stay per node, and
+	// SetEgressWeight) — control planes stay per node, and
 	// EngineFabric.QuiesceCtx is the fabric-wide barrier over all of them.
 	Eng *engine.Engine
 

@@ -468,31 +468,39 @@ func TestEngineFabricLoopTTL(t *testing.T) {
 	}
 }
 
-// TestEngineFabricBackpressureNeverBlocks: with the downstream
-// tenant's service fenced and its ring bounded, the upstream node must
-// stay fully drainable — inter-node hand-offs shed load
+// TestEngineFabricBackpressureNeverBlocks: with the downstream node's
+// worker held in its host delivery and its ring bounded, the upstream
+// node must stay fully drainable — inter-node hand-offs shed load
 // (drop-and-count) instead of blocking inside the upstream worker's
 // egress stage.
 func TestEngineFabricBackpressureNeverBlocks(t *testing.T) {
 	const frames = 512
 	const depth = 64
 	spec := chainSpec(2, parityVIP, 1)
+	// s1, the chain's last node, is the only one that delivers to the
+	// host: its worker waits in its first delivery until open closes.
+	entered, open := make(chan struct{}), make(chan struct{})
+	var once sync.Once
 	// Blocking entry (DropOnFull unset): the edge never sheds, so every
 	// drop in this test is a cross-node hand-off shed at s1's full ring.
-	ef, _ := spec.buildEngine(t, NodeConfig{Workers: 1, QueueDepth: depth})
+	ef := spec.buildEngineWith(t, NodeConfig{Workers: 1, QueueDepth: depth}, func(Delivery) {
+		once.Do(func() { close(entered) })
+		<-open
+	})
 	defer ef.Close()
-
-	s1, err := ef.Node("s1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s1.Eng.BeginTenantUpdate(1); err != nil {
-		t.Fatal(err)
-	}
-	quiesce(t, ef)
+	release := sync.OnceFunc(func() { close(open) })
+	defer release() // before Close: a held worker never exits
 
 	traffic := parityTraffic(frames, 1)
-	if _, err := ef.InjectBatch("s0", 0, traffic); err != nil {
+	if _, err := ef.InjectBatch("s0", 0, traffic[:1]); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-entered:
+	case <-time.After(30 * time.Second):
+		t.Fatal("s1 never delivered the primer frame")
+	}
+	if _, err := ef.InjectBatch("s0", 0, traffic[1:]); err != nil {
 		t.Fatal(err)
 	}
 	// Upstream alone must drain: if a hand-off could block on s1's full
@@ -503,17 +511,15 @@ func TestEngineFabricBackpressureNeverBlocks(t *testing.T) {
 	st := ef.Stats()
 	ns0 := st.Nodes["s0"]
 	if ns0.LinkDropped == 0 {
-		t.Error("expected link drops while the downstream tenant is fenced")
+		t.Error("expected link drops while the downstream worker is held")
 	}
 	if got := ns0.Forwarded + ns0.LinkDropped; got != frames {
 		t.Errorf("forwarded %d + link-dropped %d = %d, want %d (conservation)",
 			ns0.Forwarded, ns0.LinkDropped, got, frames)
 	}
 
-	// Lift the fence: held frames flow, the fabric drains completely.
-	if _, err := s1.Eng.EndTenantUpdate(1); err != nil {
-		t.Fatal(err)
-	}
+	// Release s1: its queued frames flow, the fabric drains completely.
+	release()
 	ef.Drain()
 	st = ef.Stats()
 	if want := st.Nodes["s0"].Forwarded; st.Delivered != want {

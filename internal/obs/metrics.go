@@ -251,8 +251,6 @@ var engineScalars = []engineScalar{
 		func(st *engine.Stats, sb *seriesBuf) { sb.valUint(st.ReconfigApplied) }},
 	{"menshen_reconfig_failed_total", "Failed control operations, summed over shards.", "counter",
 		func(st *engine.Stats, sb *seriesBuf) { sb.valUint(st.ReconfigFailed) }},
-	{"menshen_tenant_updating_bitmap", "Per-tenant update fence bitmap (bit tenant&31 set while fenced).", "gauge",
-		func(st *engine.Stats, sb *seriesBuf) { sb.valUint(uint64(st.Updating)) }},
 	{"menshen_pool_hits_total", "Buffer requests served from the pool.", "counter",
 		func(st *engine.Stats, sb *seriesBuf) { sb.valUint(st.PoolHits) }},
 	{"menshen_pool_misses_total", "Buffer requests that had to allocate.", "counter",

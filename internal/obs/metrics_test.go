@@ -58,7 +58,6 @@ func goldenNodes() []nodeStats {
 		ReconfigIssued: 3, ReconfigApplied: 6, ReconfigFailed: 1,
 		ReconfigRetries: 5, VerifyFailures: 1, CmdFaultsInjected: 12,
 		DegradedWorkers: 1, DegradedEvents: 2,
-		Updating: 4,
 		PoolHits: 3, PoolMisses: 1,
 		BytesCopied: 4096,
 		// Two ingress transports so the per-transport families render:

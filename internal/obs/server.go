@@ -16,7 +16,7 @@ import (
 // invoke. Each func is optional: a nil entry disables its endpoint
 // (501 Not Implemented), so a read-only deployment can mount the
 // server with a zero Ops. Every mutation that rides the engine's
-// fenced control queue returns the generation it was tagged with;
+// generation-tagged control queue returns the generation it was tagged with;
 // clients pass it to /control/quiesce (or set "wait" in the request)
 // to block until every shard has applied it.
 type Ops struct {
@@ -32,7 +32,7 @@ type Ops struct {
 	// returning the generation.
 	SetEgressWeight func(tenant uint16, weight float64) (uint64, error)
 	// SetTenantLimit updates a tenant's ingress rate limit. The
-	// limiter applies at ingress immediately (no shard fence), so the
+	// limiter applies at ingress immediately (no shard operation), so the
 	// returned generation is the engine's current one.
 	SetTenantLimit func(tenant uint16, pps, bps float64) (uint64, error)
 	// AwaitQuiesceCtx blocks until every shard has applied the given

@@ -14,6 +14,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -62,29 +63,38 @@ func liveEngine(t *testing.T, cfg menshen.EngineConfig) (*menshen.Engine, *httpt
 	return eng, ts
 }
 
-// pumpFenced queues the pump load behind a fence on both tenants, then
-// lifts it: egress contention is built, not raced for. Only the second
-// fence's generation is awaited, so neither tenant is served alone.
-func pumpFenced(t *testing.T, eng *menshen.Engine, frames int) {
+// gate holds a worker inside OnBatch (its onBatch, set as the engine's
+// callback) from the first delivery until pumpGated releases it.
+type gate struct {
+	entered, open chan struct{}
+	once          sync.Once
+}
+
+func newGate() *gate {
+	return &gate{entered: make(chan struct{}), open: make(chan struct{})}
+}
+
+func (g *gate) onBatch(int, uint16, []menshen.EngineResult) {
+	g.once.Do(func() { close(g.entered) })
+	<-g.open
+}
+
+// pumpGated builds egress contention instead of racing for it: one
+// primer frame holds the single worker in g, the pump load queues
+// behind it, and then g opens, so neither tenant is served alone.
+func pumpGated(t *testing.T, eng *menshen.Engine, g *gate, frames int) {
 	t.Helper()
-	fence := func(op func(uint16) (uint64, error)) {
-		t.Helper()
-		var gen uint64
-		for id := uint16(1); id <= 2; id++ {
-			var err error
-			if gen, err = op(id); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := eng.AwaitQuiesceCtx(ctx, gen); err != nil {
-			t.Fatalf("quiesce generation %d: %v", gen, err)
-		}
+	defer close(g.open)
+	primer := trafficgen.DefaultGen("CALC", 1, 0, 1, trafficgen.NewPRNG(5))(0)
+	if n, err := eng.SubmitBatch([][]byte{primer}); err != nil || n != 1 {
+		t.Fatalf("primer: accepted=%d err=%v", n, err)
 	}
-	fence(eng.BeginTenantUpdate)
+	select {
+	case <-g.entered:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the worker never entered OnBatch")
+	}
 	pump(t, eng, frames)
-	fence(eng.EndTenantUpdate)
 }
 
 // pump pushes an equal two-tenant contention load through eng.
@@ -189,7 +199,7 @@ func TestServerEndpoints(t *testing.T) {
 		t.Errorf("GET /debug/pprof/ = %d", code)
 	}
 
-	// Mutations: egress weight rides the fenced queue and returns an
+	// Mutations: egress weight rides the control queue and returns an
 	// increasing generation; wait blocks until applied.
 	code, out := post(t, ts.URL+"/control/egress-weight", `{"tenant":1,"weight":3,"wait":true}`)
 	if code != http.StatusOK {
@@ -409,10 +419,12 @@ func TestMetricsLintLive(t *testing.T) {
 // the ops plane: the PR-4 3:1 egress contention run, with the
 // per-tenant egress share series scraped from /metrics over HTTP
 // while the engine is live, must land within 10% of 3/4 and 1/4. The
-// contention is built, not raced for: both tenants are fenced while
-// the whole load queues, so the shares do not depend on the submitter
-// outrunning the worker (it does not, on a loaded box).
+// contention is built, not raced for: the worker is held in its
+// delivery callback while the whole load queues, so the shares do not
+// depend on the submitter outrunning the worker (it does not, on a
+// loaded box).
 func TestFairnessOverHTTP(t *testing.T) {
+	g := newGate()
 	eng, ts := liveEngine(t, menshen.EngineConfig{
 		Workers:       1,
 		BatchSize:     32,
@@ -420,8 +432,9 @@ func TestFairnessOverHTTP(t *testing.T) {
 		DropOnFull:    true,
 		EgressWeights: map[uint16]float64{1: 3, 2: 1},
 		EgressQuantum: 8,
+		OnBatch:       g.onBatch,
 	})
-	pumpFenced(t, eng, 40000)
+	pumpGated(t, eng, g, 40000)
 
 	// Scrape mid-run: the endpoint must serve cleanly while workers
 	// are hot (the share may not have converged yet — only check form).
@@ -460,9 +473,10 @@ func TestFairnessOverHTTP(t *testing.T) {
 // summed over its fates plus menshen_tenant_forwarded_frames equals
 // menshen_tenant_submitted_frames_total.
 func TestTenantFatesOverHTTP(t *testing.T) {
+	g := newGate()
 	eng, ts := liveEngine(t, menshen.EngineConfig{Workers: 1, BatchSize: 32, QueueDepth: 8192,
-		DropOnFull: true, EgressWeights: map[uint16]float64{1: 3, 2: 1}, EgressQuantum: 8})
-	pumpFenced(t, eng, 8000)
+		DropOnFull: true, EgressWeights: map[uint16]float64{1: 3, 2: 1}, EgressQuantum: 8, OnBatch: g.onBatch})
+	pumpGated(t, eng, g, 8000)
 	eng.Drain()
 	_, body := get(t, ts.URL+"/metrics")
 	submitted := tenantSums(t, body, "menshen_tenant_submitted_frames_total")

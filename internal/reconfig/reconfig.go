@@ -194,7 +194,7 @@ type Sink interface {
 // Tagger issues monotonically increasing generation numbers for
 // control-plane operations that are fanned out to multiple pipeline
 // replicas. A generation orders one reconfiguration operation (a command
-// batch, a fence, a module load) relative to the batches of data frames
+// batch, a module load, an unload) relative to the batches of data frames
 // each replica processes: a replica that has applied generation g has
 // applied every operation tagged ≤ g, so "all replicas at generation g"
 // is a quiesce point for the whole fan-out.

@@ -182,21 +182,6 @@ func (e *Engine) UnloadModule(moduleID uint16) (uint64, error) {
 	return e.eng.UnloadModuleLive(moduleID)
 }
 
-// BeginTenantUpdate fences one tenant across every shard: after the
-// returned generation quiesces, none of the tenant's frames are
-// processed (they are held in their rings, not dropped) until
-// EndTenantUpdate, while all other tenants keep flowing. Use it to make
-// a multi-step reconfiguration atomic with respect to the tenant's
-// traffic. Drain blocks on held frames, so always end the update.
-func (e *Engine) BeginTenantUpdate(tenant uint16) (uint64, error) {
-	return e.eng.BeginTenantUpdate(tenant)
-}
-
-// EndTenantUpdate lifts a tenant's fence.
-func (e *Engine) EndTenantUpdate(tenant uint16) (uint64, error) {
-	return e.eng.EndTenantUpdate(tenant)
-}
-
 // FlowEntry is one exact-match flow rule for InsertFlowsVerified: a
 // match key resolving to an already-installed VLIW action address. See
 // core.FlowEntry.

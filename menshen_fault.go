@@ -81,7 +81,7 @@ func (e *Engine) SetReconfigFault(inj *FaultInjector) { e.eng.SetReconfigFault(i
 // suffixes are re-sent with backoff until every shard confirms or the
 // retry budget runs out (typed error wrapping ErrVerify; the delivered
 // prefix stays applied — never an out-of-order subset). Flow inserts
-// are safe to apply incrementally, so no tenant fence is taken. Each
+// are safe to apply incrementally, so nothing holds the tenant. Each
 // flow steers packets to one of the module's existing actions (the
 // §4.3 cuckoo path); derive keys with ControlPlane().FlowKeyForFrame.
 func (e *Engine) InsertFlowsVerified(ctx context.Context, moduleID uint16, stg int, flows []FlowEntry, opts VerifyOpts) (uint64, VerifyReport, error) {
