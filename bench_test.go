@@ -421,10 +421,11 @@ func (fx *lbFixture) flowEntries(tb testing.TB, frames [][]byte) []FlowEntry {
 // loaded and then 2^18 flows installed; only the installs are timed.
 // The device arm keys each flow by FlowKeyForFrame and installs it by
 // ctrlplane.InsertFlow as its own reconfiguration packet; it reports
-// ns/flow and allocs/flow. The engine arm installs the same flows into
-// a 2-worker engine through InsertFlowsVerified, every shard into
-// tables of its own; it reports ns/flow and the size of the flow
-// tables, the distinct tables' slots at 32 B each, in MiB.
+// ns/flow, allocs/flow and its flow table's allocated slots at 32 B
+// each, in MiB. The engine arm installs the same flows into a 2-worker
+// engine through InsertFlowsVerified, every shard into tables of its
+// own; it reports ns/flow and the size of the flow tables, the
+// distinct tables' slots summed, in MiB.
 func BenchmarkInsertFlows(b *testing.B) {
 	const flows = 1 << 18
 	frames := make([][]byte, flows)
@@ -434,6 +435,7 @@ func BenchmarkInsertFlows(b *testing.B) {
 	b.Run("device", func(b *testing.B) {
 		var ms runtime.MemStats
 		var mallocs uint64
+		var mib float64
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			fx := newLBFixture(b)
@@ -453,14 +455,17 @@ func BenchmarkInsertFlows(b *testing.B) {
 			b.StopTimer()
 			runtime.ReadMemStats(&ms)
 			mallocs += ms.Mallocs
-			if n := fx.dev.Pipeline().Stages[fx.stg].Hash.ModuleEntries(1); n != flows {
-				b.Fatalf("Load Balancing holds %d flows, want %d", n, flows)
+			t := fx.dev.Pipeline().Stages[fx.stg].Hash.Table(1)
+			if t == nil || t.Used() != flows {
+				b.Fatalf("Load Balancing does not hold the %d flows", flows)
 			}
+			mib = float64(t.Capacity()*32) / (1 << 20)
 			b.StartTimer()
 		}
 		b.StopTimer()
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*flows), "ns/flow")
 		b.ReportMetric(float64(mallocs)/float64(b.N*flows), "allocs/flow")
+		b.ReportMetric(mib, "MiB")
 	})
 	b.Run("engine/workers=2", func(b *testing.B) {
 		var mib float64

@@ -635,9 +635,11 @@ func (p *Pipeline) ModuleChecksum(moduleID uint16) uint64 {
 			// Flow entries are folded in order-independently (XOR of
 			// per-entry hashes): two replicas fed the same flow commands
 			// hold the same entry set but may lay their buckets out
-			// differently after growth/relocation.
+			// differently after growth/relocation. The fold reads each
+			// entry where it lies, so a million-flow table costs no copy
+			// under the lock.
 			var fold uint64
-			for _, fe := range flows.Entries() {
+			for fe := range flows.All() {
 				eh := fnv.New64a()
 				var b [8]byte
 				for _, w := range fe.Words {

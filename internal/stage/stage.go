@@ -255,8 +255,9 @@ type Stage struct {
 	Match   *tables.CAM
 	Actions *alu.Table
 	// Hash is the deep exact-match side of the match table (§4.3): one
-	// growing cuckoo table per module, each holding the module's
-	// per-flow entries, each entry resolving to a VLIW action address.
+	// cuckoo table per module, grown a bucket pair at a time, each
+	// holding the module's per-flow entries, each entry resolving to a
+	// VLIW action address.
 	// Flow entries take precedence over CAM entries; ternary rules stay
 	// in the CAM.
 	Hash *tables.FlowTables
@@ -446,8 +447,8 @@ type Gather struct {
 // Touch loads every gathered word and empties the gather. The loads
 // are atomic only so the compiler cannot discard them as dead; the
 // cache and the flow tables stay single-goroutine. Emptying clears the
-// pointers, so a gather never keeps a replaced cache or a grown
-// table's old bucket arrays alive.
+// pointers, so a gather never keeps a replaced cache, a dropped table
+// or a small table's outgrown first chunk alive.
 //
 //menshen:hotpath
 func (g *Gather) Touch() {
@@ -572,7 +573,7 @@ func (s *Stage) ViewFor(modIdx int) View {
 			v.hashMod = uint16(modIdx)
 			v.hashMask = mw
 		} else {
-			for _, fe := range flows.Entries() {
+			for fe := range flows.All() {
 				v.match = append(v.match, viewMatch{mask: mw, want: fe.Words, addr: fe.Addr})
 			}
 		}

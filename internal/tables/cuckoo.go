@@ -15,25 +15,32 @@
 //
 // Insert hashes the key once and scans its two buckets once, for a
 // duplicate and a free slot; only when both are full does it walk a
-// relocation chain, capped at a constant. Growth splits each bucket in
-// two: it cannot overflow, so it never fails and never walks. A table
-// grows by adding storage, never by copying it: each side's buckets
-// live in a directory of segments, and a doubling adds one segment as
-// large as all before it and moves into it only the entries whose next
-// hash bit says so, the way linear hashing (Litwin, VLDB 1980) splits a
-// bucket into its buddy.
+// relocation chain, capped at a constant. A growing table grows one
+// bucket pair at a time, by linear hashing (Litwin, VLDB 1980): once
+// an insert takes the load past the target (3/4 of the slots), it
+// splits the bucket at the split pointer, on each side, into itself and
+// its buddy, moving only the entries whose next hash bit says so. A
+// split cannot overflow, so it never fails and never walks, and an
+// insert splits at most a constant number of buckets, so no insert
+// stalls the shard behind it. Storage follows the split pointer a
+// chunk at a time, so a table holds memory for the most entries it has
+// held, not for the next power of two: 2^18 flows take 10.75 MiB,
+// where doubling took 16. Deletes do not merge buckets back.
 
 package tables
 
 import (
 	"errors"
 	"fmt"
-	"math/bits"
+	"iter"
 )
 
 // ErrCuckooFull is returned when insertion cannot place an entry after
-// the relocation bound; the table is left exactly as it was (failed
-// inserts roll their evictions back).
+// the relocation bound; the table holds exactly the entries it held
+// (failed inserts roll their evictions back). A growing table returns
+// it only when its bounded split batches did not make room either,
+// which takes keys whose hashes collide in their low bits on both
+// sides.
 var ErrCuckooFull = errors.New("tables: cuckoo table full (relocation bound hit)")
 
 // cuckooWays is the bucket associativity; 4-way buckets push achievable
@@ -69,52 +76,107 @@ const (
 // of flow entries).
 const MaxCuckooAddr = 1<<cuckooAddrBits - 1
 
-// cuckooState is the table's buckets: per side, a directory of
-// segments. Segment 0 holds buckets [0, nb0); segment k >= 1 holds
-// [nb0*2^(k-1), nb0*2^k). The directory is indexed by a bucket index's
-// bit length, so a probe finds its segment with one bit scan: every
-// length up to that of nb0-1 names segment 0, and each longer length
-// names the segment of the indices with that top bit. Growth adds one
-// segment per side and splits the buckets in place; inserts and
-// deletes write the segments in place. No slot moves to a new array
-// except the half of a split that belongs in the new segment.
+// cuckooState is the table's buckets and where growth stands. Growth
+// is linear hashing (Litwin, VLDB 1980), run on both sides in step: a
+// round starts with nb buckets per side, and a split pointer walks
+// buckets [0, nb), splitting bucket p of each side into itself and its
+// buddy p+nb. A bucket below the pointer has split this round, so a
+// hash whose low bits name it takes one more bit; when the pointer
+// reaches nb the round ends with 2nb buckets per side. Each side's
+// buckets live in chunks of cuckooChunkBuckets, found by one directory
+// index; a buddy's chunk is allocated when the pointer first reaches
+// it. A table smaller than one chunk keeps one short chunk, doubled at
+// the start of each round.
 type cuckooState struct {
-	nb   int    // buckets per side; always a power of two
-	mask uint64 // nb - 1: bucket index is hash & mask, no division
-	lo   int    // directory index of segment 0: the bit length of nb0-1
-	dir  [2][64]cuckooSeg
+	nb     int    // buckets per side at the round's start; a power of two
+	mask   uint64 // nb - 1: an unsplit bucket's index is hash & mask
+	split  uint64 // the split pointer: buckets [0, split) have split this round
+	chunks [2][][]cuckooSlot
 }
 
-// cuckooSeg is a directory entry: one segment's slots and the index of
-// the first bucket they hold.
-type cuckooSeg struct {
-	slots []cuckooSlot
-	base  uint64
-}
+// cuckooChunkShift sets the chunk size: 2^10 buckets of one side,
+// 128 KiB, is the most storage one split allocates.
+const (
+	cuckooChunkShift   = 10
+	cuckooChunkBuckets = 1 << cuckooChunkShift
+)
 
-// init gives st nb buckets per side, all in segment 0.
+// init gives st nb buckets per side and no split yet.
 func (st *cuckooState) init(nb int) {
-	st.nb, st.mask, st.lo = nb, uint64(nb-1), bits.Len64(uint64(nb-1))
-	for side := range st.dir {
-		seg := cuckooSeg{slots: make([]cuckooSlot, nb*cuckooWays)}
-		for n := 0; n <= st.lo; n++ {
-			st.dir[side][n] = seg
+	st.nb, st.mask, st.split = nb, uint64(nb-1), 0
+	for side := range st.chunks {
+		for b := 0; b < nb; b += cuckooChunkBuckets {
+			st.chunks[side] = append(st.chunks[side], make([]cuckooSlot, min(nb, cuckooChunkBuckets)*cuckooWays))
 		}
 	}
 }
 
-// segments returns side's segments in bucket order.
-func (st *cuckooState) segments(side int) []cuckooSeg {
-	return st.dir[side][st.lo : bits.Len64(st.mask)+1]
+// buckets returns the number of addressable buckets per side.
+func (st *cuckooState) buckets() int { return st.nb + int(st.split) }
+
+// index returns the bucket a side's hash h names: h & mask, or one bit
+// more when that bucket has already split this round.
+func (st *cuckooState) index(h uint64) uint64 {
+	b := h & st.mask
+	// (b-split)>>63 is 1 exactly when b < split, as neither reaches
+	// 2^63. Computing the bit rather than branching on it keeps a
+	// probe free of a mispredicted branch: which buckets have split is
+	// as random as the hash.
+	return b | h&(st.mask+1)&-((b-st.split)>>63)
 }
 
-// bucket returns the cuckooWays slots of side's bucket h & mask.
+// bucket returns the cuckooWays slots of side's bucket for hash h.
 //
 //menshen:hotpath
 func (st *cuckooState) bucket(side int, h uint64) []cuckooSlot {
-	b := h & st.mask
-	seg := &st.dir[side][bits.Len64(b)&63]
-	return seg.slots[(b-seg.base)*cuckooWays:][:cuckooWays]
+	b := st.index(h)
+	return st.chunks[side][b>>cuckooChunkShift][(b&(cuckooChunkBuckets-1))*cuckooWays:][:cuckooWays]
+}
+
+// splitNext splits bucket p = split of each side into p and its buddy
+// p+nb, as the next bit of each entry's side hash decides: stayers are
+// compacted in way order into p, movers in way order into p+nb. The
+// buddy holds entries from bucket p only, at most cuckooWays of them,
+// so a split cannot overflow and cannot fail. It allocates only when
+// the buddy's chunk does not exist yet.
+func (st *cuckooState) splitNext() {
+	nb := uint64(st.nb)
+	p, buddy := st.split, st.split+nb
+	for side := range st.chunks {
+		chunks := st.chunks[side]
+		ci, off := buddy>>cuckooChunkShift, int(buddy&(cuckooChunkBuckets-1))*cuckooWays
+		switch {
+		case int(ci) == len(chunks):
+			chunks = append(chunks, make([]cuckooSlot, cuckooChunkBuckets*cuckooWays))
+		case off == len(chunks[0]):
+			// A table below one chunk: this round's buddies double it.
+			grown := make([]cuckooSlot, 2*off)
+			copy(grown, chunks[0])
+			chunks[0] = grown
+		}
+		st.chunks[side] = chunks
+		lo := chunks[p>>cuckooChunkShift][int(p&(cuckooChunkBuckets-1))*cuckooWays:][:cuckooWays]
+		hi := chunks[ci][off:][:cuckooWays]
+		nlo, nhi := 0, 0
+		for _, s := range lo {
+			if s.ctrl&cuckooValid == 0 {
+				continue
+			}
+			if kw := s.words(); cuckooHash(side, &kw)&nb != 0 {
+				hi[nhi] = s
+				nhi++
+			} else {
+				lo[nlo] = s
+				nlo++
+			}
+		}
+		clear(lo[nlo:])
+	}
+	if st.split++; st.split == nb {
+		st.nb *= 2
+		st.mask = uint64(st.nb - 1)
+		st.split = 0
+	}
 }
 
 // Cuckoo is a two-choice, 4-way set-associative cuckoo hash table
@@ -124,9 +186,8 @@ func (st *cuckooState) bucket(side int, h uint64) []cuckooSlot {
 type Cuckoo struct {
 	state cuckooState
 	used  int
-	// growable, when set, lets Insert double the bucket count instead
-	// of failing when the relocation bound is hit or the load factor
-	// crosses the growth threshold.
+	// growable, when set, lets Insert split buckets to hold the load at
+	// the target and to make room for a failed relocation walk.
 	growable bool
 }
 
@@ -135,8 +196,8 @@ type Cuckoo struct {
 // ErrCuckooFull when the relocation bound is hit.
 func NewCuckoo(capacity int) *Cuckoo {
 	need := (capacity + 2*cuckooWays - 1) / (2 * cuckooWays)
-	// Bucket counts are kept at powers of two so the per-probe bucket
-	// index is a mask, not a hardware division.
+	// A round starts with a power-of-two bucket count, so the per-probe
+	// bucket index is a mask, not a hardware division.
 	nb := 1
 	for nb < need {
 		nb *= 2
@@ -147,19 +208,29 @@ func NewCuckoo(capacity int) *Cuckoo {
 }
 
 // NewGrowingCuckoo returns a table that starts at the given capacity
-// and doubles its bucket count when insertion pressure demands it,
-// adding one segment per side; a doubling cannot fail, so Insert never
-// returns ErrCuckooFull. Stages
-// use this form: a module's exact-match flow count is unknown up front
-// and may reach millions.
+// and grows one bucket pair at a time, by linear-hashing splits: an
+// insert that takes the load past the target load (3/4) splits the
+// next bucket of each side, and one whose relocation walk fails splits
+// a bounded batch more and retries, so no insert splits more than
+// cuckooMaxSplits buckets of a side. Storage follows the splits a chunk
+// at a time. Stages use this form: a module's exact-match flow count is
+// unknown up front and may reach millions.
 func NewGrowingCuckoo(capacity int) *Cuckoo {
 	c := NewCuckoo(capacity)
 	c.growable = true
 	return c
 }
 
-// Capacity returns the total slot count.
-func (c *Cuckoo) Capacity() int { return 2 * c.state.nb * cuckooWays }
+// Capacity returns the slots allocated: every chunk of both sides,
+// including the part of the last chunk the split pointer has not
+// reached yet.
+func (c *Cuckoo) Capacity() int {
+	n := 0
+	for _, chunks := range c.state.chunks {
+		n += (len(chunks)-1)*cuckooChunkBuckets*cuckooWays + len(chunks[0])
+	}
+	return n
+}
 
 // Used returns the number of occupied slots, cheap enough for view
 // resolution to choose between the CAM word-scan and the hash-probe
@@ -298,31 +369,29 @@ func (c *Cuckoo) LookupWordsBatch(kws []KeyWords, out []int32) int {
 }
 
 // CuckooEntry is one enumerated entry: the stored key in word form and
-// its action address. Entries returns these for view precompilation
-// and checksumming.
+// its action address. All yields these for view precompilation and
+// checksumming.
 type CuckooEntry struct {
 	Words KeyWords
 	Addr  int32
 }
 
-// Entries enumerates the table in deterministic table order (side,
-// bucket, way), or returns nil when it is empty. It is a control-path
-// operation and allocates the result.
-func (c *Cuckoo) Entries() []CuckooEntry {
-	if c.used == 0 {
-		return nil
-	}
-	out := make([]CuckooEntry, 0, c.used)
-	for side := range c.state.dir {
-		for _, seg := range c.state.segments(side) {
-			for i := range seg.slots {
-				if s := &seg.slots[i]; s.ctrl&cuckooValid != 0 {
-					out = append(out, CuckooEntry{Words: s.words(), Addr: int32(s.ctrl & cuckooAddrMask)})
+// All yields the table's entries in deterministic table order (side,
+// bucket, way), reading each where it lies: a caller folds a table of
+// any size without copying it. The table must not change while the
+// sequence runs.
+func (c *Cuckoo) All() iter.Seq[CuckooEntry] {
+	return func(yield func(CuckooEntry) bool) {
+		for _, chunks := range c.state.chunks {
+			for _, chunk := range chunks {
+				for i := range chunk {
+					if s := &chunk[i]; s.ctrl&cuckooValid != 0 && !yield(CuckooEntry{Words: s.words(), Addr: int32(s.ctrl & cuckooAddrMask)}) {
+						return
+					}
 				}
 			}
 		}
 	}
-	return out
 }
 
 // locate scans kw's two buckets in st once, from one hash base. It
@@ -356,51 +425,73 @@ const cuckooMaxKicks = 512
 // kicks per slot of one side, up to the cap.
 func cuckooKicks(nb int) int { return min(8*nb*cuckooWays, cuckooMaxKicks) }
 
+// A growing table splits to hold its load at or below
+// cuckooLoadNum/cuckooLoadDen of its addressable slots. 3/4 keeps a
+// 2^18-flow table in 10.75 MiB against 16 MiB for doubling, at 1.5
+// relocation kicks per insert against 0.5, and inserts as fast; 0.8
+// saves 0.75 MiB more but kicks 4.4 times per insert.
+const (
+	cuckooLoadNum = 3
+	cuckooLoadDen = 4
+)
+
+// A failed relocation walk in a growing table splits cuckooSplitBatch
+// more buckets per side and retries, at most cuckooSplitRetries times,
+// so one insert splits at most cuckooMaxSplits buckets of a side: the
+// one that holds the target load, and the retries' batches.
+const (
+	cuckooSplitBatch   = 8
+	cuckooSplitRetries = 4
+	cuckooMaxSplits    = 1 + cuckooSplitBatch*cuckooSplitRetries
+)
+
 // Insert places key -> addr with one probe: a single pass over both
 // candidate buckets finds a duplicate (updated in place) or the first
 // free slot. Only when both buckets are full does it walk a relocation
 // chain, of at most cuckooKicks evictions. On failure every eviction is
-// rolled back, leaving the table unchanged; a growing table doubles its
-// buckets instead of failing.
+// rolled back, so the table holds exactly the entries it held; a
+// growing table first splits a batch of buckets and retries, and after
+// a new entry splits once more if the load passed the target.
 func (c *Cuckoo) Insert(key Key, addr int) error {
 	if addr < 0 || addr > MaxCuckooAddr {
 		return fmt.Errorf("tables: cuckoo action address %d outside [0, %d]", addr, MaxCuckooAddr)
 	}
 	kw := key.Words()
-	for {
-		st := &c.state
+	st := &c.state
+	for retry := 0; ; retry++ {
 		want, hit, free := locate(st, &kw)
 		ctrl := want | uint64(addr)
 		switch {
 		case hit != nil:
 			hit.ctrl = ctrl
 			return nil
-		case c.growable && c.used*8 >= 2*st.nb*cuckooWays*7:
-			// Above ~87% load relocation chains get long; double early.
-			c.grow()
-			continue
 		case free != nil:
 			*free = makeSlot(&kw, ctrl)
 		case !c.relocate(makeSlot(&kw, ctrl)):
-			if !c.growable {
+			if !c.growable || retry == cuckooSplitRetries {
 				return fmt.Errorf("%w: after %d kicks", ErrCuckooFull, cuckooKicks(st.nb))
 			}
-			c.grow()
+			for range cuckooSplitBatch {
+				st.splitNext()
+			}
 			continue
 		}
 		c.used++
+		if c.growable && c.used*cuckooLoadDen > cuckooLoadNum*2*cuckooWays*st.buckets() {
+			st.splitNext()
+		}
 		return nil
 	}
 }
 
 // relocate places cur by a cuckoo walk from side 0, evicting at most
-// cuckooKicks entries. On failure the eviction path is walked backwards
-// so the table is byte-identical to before the call.
+// cuckooKicks entries. On failure the walk is undone backwards, so the
+// table is byte-identical to before the call.
 func (c *Cuckoo) relocate(cur cuckooSlot) bool {
 	st := &c.state
-	path := make([]*cuckooSlot, 0, cuckooMaxKicks)
+	kicks := cuckooKicks(st.nb)
 	side := 0
-	for kick := 0; kick < cuckooKicks(st.nb); kick++ {
+	for kick := 0; kick < kicks; kick++ {
 		kw := cur.words()
 		slots := st.bucket(side, cuckooHash(side, &kw))
 		for w := range slots {
@@ -412,58 +503,20 @@ func (c *Cuckoo) relocate(cur cuckooSlot) bool {
 		// Bucket full: evict a deterministic victim and continue on the
 		// other side.
 		s := &slots[kick%cuckooWays]
-		path = append(path, s)
 		cur, *s = *s, cur
 		side = 1 - side
 	}
-	// Failure: walk the eviction path backwards, undoing each swap, so
-	// the displaced survivor chain is restored and the new key is out.
-	for i := len(path) - 1; i >= 0; i-- {
-		cur, *path[i] = *path[i], cur
+	// Failure: undo each swap, last first. The entry in hand was
+	// evicted from its own bucket on the side of the swap that evicted
+	// it, and from way kick%cuckooWays there, so its hash finds the
+	// slot again: the walk needs no record of its path.
+	for kick := kicks - 1; kick >= 0; kick-- {
+		side = 1 - side
+		kw := cur.words()
+		s := &st.bucket(side, cuckooHash(side, &kw))[kick%cuckooWays]
+		cur, *s = *s, cur
 	}
 	return false
-}
-
-// grow doubles the bucket count by splitting every bucket. Bucket
-// counts are powers of two, so an entry in bucket b of side s belongs
-// in bucket b or b+nb of the same side afterwards, as the next bit of
-// its side-s hash decides. Each side gains one segment for buckets
-// [nb, 2nb), the only storage a doubling allocates; each bucket b is
-// split in place, its stayers compacted into b and its movers into
-// b+nb, both in way order. Each new bucket receives entries from one
-// old bucket only, at most cuckooWays of them: the split cannot
-// overflow and cannot fail.
-func (c *Cuckoo) grow() {
-	st := &c.state
-	nb := uint64(st.nb)
-	top := bits.Len64(st.mask) + 1 // the bit length of every index in [nb, 2nb)
-	for side := range st.dir {
-		upper := make([]cuckooSlot, nb*cuckooWays)
-		next := upper
-		for _, seg := range st.segments(side) {
-			for i := 0; i < len(seg.slots); i += cuckooWays {
-				lo, hi := seg.slots[i:i+cuckooWays], next[:cuckooWays]
-				next = next[cuckooWays:]
-				nlo, nhi := 0, 0
-				for _, s := range lo {
-					if s.ctrl&cuckooValid == 0 {
-						continue
-					}
-					if kw := s.words(); cuckooHash(side, &kw)&nb != 0 {
-						hi[nhi] = s
-						nhi++
-					} else {
-						lo[nlo] = s
-						nlo++
-					}
-				}
-				clear(lo[nlo:])
-			}
-		}
-		st.dir[side][top] = cuckooSeg{slots: upper, base: nb}
-	}
-	st.nb *= 2
-	st.mask = uint64(st.nb - 1)
 }
 
 // Delete removes key, reporting whether it was present.

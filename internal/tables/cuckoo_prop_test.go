@@ -10,21 +10,20 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 )
 
 // dumpCuckoo snapshots every slot word plus the occupancy counters, so
 // tests can assert byte-identity across a mutation that promises to be
 // a no-op.
 func dumpCuckoo(c *Cuckoo) []uint64 {
-	st := &c.state
-	out := []uint64{uint64(st.nb), uint64(c.used)}
-	for side := range st.dir {
-		for _, seg := range st.segments(side) {
-			for _, s := range seg.slots {
-				out = append(out, s.ctrl, s.kw[0], s.kw[1], s.kw[2])
-			}
+	out := []uint64{uint64(c.state.buckets()), uint64(c.used)}
+	for _, side := range flatSlots(c) {
+		for _, s := range side {
+			out = append(out, s.ctrl, s.kw[0], s.kw[1], s.kw[2])
 		}
 	}
 	return out
@@ -166,84 +165,92 @@ func TestCuckooInsertTakesFreeSlotBeforeEvicting(t *testing.T) {
 // checks that it sits in its own bucket of that side.
 func cuckooSides(t *testing.T, c *Cuckoo) map[KeyWords]int {
 	t.Helper()
-	st := &c.state
 	sides := map[KeyWords]int{}
-	for side := range st.dir {
-		i := 0 // slot index across the side's segments
-		for _, seg := range st.segments(side) {
-			for _, s := range seg.slots {
-				if s.ctrl&cuckooValid != 0 {
-					kw := s.words()
-					if b := int(cuckooHash(side, &kw) & st.mask); b != i/cuckooWays {
-						t.Fatalf("key %x sits in bucket %d of side %d, hashes to %d", kw, i/cuckooWays, side, b)
-					}
-					sides[kw] = side
+	for side, slots := range flatSlots(c) {
+		for i, s := range slots {
+			if s.ctrl&cuckooValid != 0 {
+				kw := s.words()
+				if b := int(c.state.index(cuckooHash(side, &kw))); b != i/cuckooWays {
+					t.Fatalf("key %x sits in bucket %d of side %d, hashes to %d", kw, i/cuckooWays, side, b)
 				}
-				i++
+				sides[kw] = side
 			}
 		}
 	}
 	return sides
 }
 
-// TestCuckooGrowthSplitsInPlace: a doubling splits each bucket. Every
-// entry lands in its own bucket of the side it had before, the entry
-// set and Used() are unchanged, and the bucket count exactly doubles.
-// Through Insert, growth doubles once.
+// TestCuckooGrowthSplitsInPlace checks growth one split at a time. A
+// split step moves entries only between bucket p and its buddy p+nb of
+// each side, keeps every entry on its side and in its own bucket,
+// leaves the entry set and Used() alone, and adds exactly one bucket
+// per side; every other allocated slot keeps its bytes.
 func TestCuckooGrowthSplitsInPlace(t *testing.T) {
 	c := NewGrowingCuckoo(CAMDepth)
-	next := uint32(0)
-	for doubling := 0; doubling < 6; doubling++ {
-		// Fill through one Insert-driven doubling, then to 75% of the
-		// doubled table, below the growth threshold.
-		for start := c.Capacity(); c.Capacity() == start || c.Used()*4 < c.Capacity()*3; {
-			capBefore := c.Capacity()
-			if err := c.Insert(ckey(next*2654435761), int(next)); err != nil {
-				t.Fatal(err)
-			}
-			next++
-			if got := c.Capacity(); got != capBefore && got != 2*capBefore {
-				t.Fatalf("one insert grew the table %d -> %d slots", capBefore, got)
-			}
+	st := &c.state
+	for next := uint32(0); st.buckets() < 1<<11+1<<9; next++ {
+		if err := c.Insert(ckey(next*2654435761), int(next)); err != nil {
+			t.Fatal(err)
 		}
-		sides, used, entries := cuckooSides(t, c), c.Used(), c.Entries()
-		nb := c.state.nb
-		c.grow()
-		if c.state.nb != 2*nb {
-			t.Fatalf("doubling %d: nb %d -> %d", doubling, nb, c.state.nb)
+		// Step a split by hand after every fifth insert while the table
+		// is small, then after a sparser sample, past the first round
+		// that allocates whole chunks.
+		if next%5 != 0 || st.buckets() >= 1<<8 && next%97 != 0 {
+			continue
+		}
+		sides, flat, used, entries := cuckooSides(t, c), flatSlots(c), c.Used(), slices.Collect(c.All())
+		p, nb, buckets := int(st.split), st.nb, st.buckets()
+		st.splitNext()
+		if got := st.buckets(); got != buckets+1 {
+			t.Fatalf("split %d of round %d: %d buckets -> %d", p, nb, buckets, got)
 		}
 		after := cuckooSides(t, c)
 		if c.Used() != used || len(after) != len(sides) {
-			t.Fatalf("doubling %d: used %d -> %d, keys %d -> %d", doubling, used, c.Used(), len(sides), len(after))
+			t.Fatalf("split %d of round %d: used %d -> %d, keys %d -> %d", p, nb, used, c.Used(), len(sides), len(after))
 		}
 		for kw, side := range sides {
 			if got, ok := after[kw]; !ok || got != side {
-				t.Fatalf("doubling %d: key %x moved from side %d to %d (present %v)", doubling, kw, side, got, ok)
+				t.Fatalf("split %d of round %d: key %x moved from side %d to %d (present %v)", p, nb, kw, side, got, ok)
 			}
 		}
-		got := c.Entries()
+		for side, slots := range flatSlots(c) {
+			for i, s := range slots {
+				if b := i / cuckooWays; b == p || b == p+nb {
+					continue
+				}
+				var was cuckooSlot
+				if i < len(flat[side]) {
+					was = flat[side][i]
+				}
+				if s != was {
+					t.Fatalf("split %d of round %d: side %d slot %d of bucket %d changed", p, nb, side, i, i/cuckooWays)
+				}
+			}
+		}
 		want := map[CuckooEntry]bool{}
 		for _, e := range entries {
 			want[e] = true
 		}
+		got := slices.Collect(c.All())
 		for _, e := range got {
 			if !want[e] {
-				t.Fatalf("doubling %d: entry %+v appeared", doubling, e)
+				t.Fatalf("split %d of round %d: entry %+v appeared", p, nb, e)
 			}
 		}
 		if len(got) != len(entries) {
-			t.Fatalf("doubling %d: %d entries, want %d", doubling, len(got), len(entries))
+			t.Fatalf("split %d of round %d: %d entries, want %d", p, nb, len(got), len(entries))
 		}
 	}
 }
 
-// flatSlots returns each side's slots in bucket order, one array per
-// side: the layout a table held before its buckets lived in segments.
+// flatSlots returns each side's allocated slots in bucket order, one
+// array per side: the layout a table held before its buckets lived in
+// chunks.
 func flatSlots(c *Cuckoo) [2][]cuckooSlot {
 	var flat [2][]cuckooSlot
-	for side := range c.state.dir {
-		for _, seg := range c.state.segments(side) {
-			flat[side] = append(flat[side], seg.slots...)
+	for side, chunks := range c.state.chunks {
+		for _, chunk := range chunks {
+			flat[side] = append(flat[side], chunk...)
 		}
 	}
 	return flat
@@ -252,8 +259,8 @@ func flatSlots(c *Cuckoo) [2][]cuckooSlot {
 // refCopySplit is the reference doubling, kept only as a test oracle:
 // it copies every entry of old (nb buckets per side) into fresh arrays
 // of 2*nb buckets, bucket b's entries in way order into b or b+nb as
-// the next bit of their side's hash decides. The in-place split must
-// leave exactly this layout, so Entries order, ModuleChecksum and
+// the next bit of their side's hash decides. A full round of splits
+// must leave exactly this layout, so All order, ModuleChecksum and
 // replica parity cannot move with the storage.
 func refCopySplit(old [2][]cuckooSlot, nb int) [2][]cuckooSlot {
 	var fresh [2][]cuckooSlot
@@ -280,12 +287,14 @@ func refCopySplit(old [2][]cuckooSlot, nb int) [2][]cuckooSlot {
 
 // TestCuckooGrowthMatchesCopySplit grows a table from 16 to 2^19 slots,
 // filling each size to ~80% with deletes interleaved (so buckets have
-// holes the split must compact), and after every doubling compares the
-// slot layout and the Entries enumeration with refCopySplit applied to
-// the table as it stood before. The table is fixed-size, so only the
-// explicit grow doubles it and every doubling is compared.
+// holes the split must compact), and after every full round of splits
+// compares the slot layout and the All enumeration with
+// refCopySplit applied to the table as it stood before the round. The
+// table is fixed-size, so only the explicit splits grow it, driven with
+// no inserts between them.
 func TestCuckooGrowthMatchesCopySplit(t *testing.T) {
 	c := NewCuckoo(16)
+	st := &c.state
 	rng := newTestPRNG(7)
 	live := map[uint32]int{}
 	var order []uint32 // live keys, for picking deletes
@@ -313,20 +322,22 @@ func TestCuckooGrowthMatchesCopySplit(t *testing.T) {
 				delete(live, d)
 			}
 		}
-		nb, used := c.state.nb, c.Used()
+		nb, used := st.nb, c.Used()
 		want := refCopySplit(flatSlots(c), nb)
-		c.grow()
+		for range nb {
+			st.splitNext()
+		}
 		got := flatSlots(c)
-		if c.state.nb != 2*nb || c.Used() != used {
-			t.Fatalf("doubling of %d buckets: nb %d, used %d -> %d", nb, c.state.nb, used, c.Used())
+		if st.nb != 2*nb || st.split != 0 || c.Used() != used {
+			t.Fatalf("round of %d buckets: nb %d, split %d, used %d -> %d", nb, st.nb, st.split, used, c.Used())
 		}
 		for side := range want {
 			if len(got[side]) != len(want[side]) {
-				t.Fatalf("doubling of %d buckets: side %d holds %d slots, want %d", nb, side, len(got[side]), len(want[side]))
+				t.Fatalf("round of %d buckets: side %d holds %d slots, want %d", nb, side, len(got[side]), len(want[side]))
 			}
 			for i := range want[side] {
 				if got[side][i] != want[side][i] {
-					t.Fatalf("doubling of %d buckets: side %d slot %d = %+v, copy-split has %+v", nb, side, i, got[side][i], want[side][i])
+					t.Fatalf("round of %d buckets: side %d slot %d = %+v, copy-split has %+v", nb, side, i, got[side][i], want[side][i])
 				}
 			}
 		}
@@ -338,51 +349,88 @@ func TestCuckooGrowthMatchesCopySplit(t *testing.T) {
 				}
 			}
 		}
-		gotEntries := c.Entries()
+		gotEntries := slices.Collect(c.All())
 		if len(gotEntries) != len(wantEntries) {
-			t.Fatalf("doubling of %d buckets: %d entries, want %d", nb, len(gotEntries), len(wantEntries))
+			t.Fatalf("round of %d buckets: %d entries, want %d", nb, len(gotEntries), len(wantEntries))
 		}
 		for i := range wantEntries {
 			if gotEntries[i] != wantEntries[i] {
-				t.Fatalf("doubling of %d buckets: entry %d = %+v, want %+v", nb, i, gotEntries[i], wantEntries[i])
+				t.Fatalf("round of %d buckets: entry %d = %+v, want %+v", nb, i, gotEntries[i], wantEntries[i])
 			}
 		}
 	}
 	for k, addr := range live {
 		if got, ok := lookup(c, ckey(k)); !ok || got != addr {
-			t.Fatalf("key %d: %d,%v after the doublings, want %d", k, got, ok, addr)
+			t.Fatalf("key %d: %d,%v after the rounds, want %d", k, got, ok, addr)
 		}
 	}
 }
 
-// TestCuckooGrowthAllocatesOnlyTheNewHalf pins what a doubling costs in
-// memory: the new upper half of the buckets, as large as the table was,
-// and nothing more; the directory is part of the table. A doubling never
-// makes a second copy of the whole table, so old and new storage are
-// never live side by side.
-func TestCuckooGrowthAllocatesOnlyTheNewHalf(t *testing.T) {
-	const slotBytes = 32
+// TestCuckooGrowthAllocatesAtMostOneChunk pins what growth costs in
+// memory. A split allocates at most one chunk per side (a table below
+// one chunk doubles its one short chunk instead), and after every
+// insert a table of N entries holds at most N/τ slots plus one chunk
+// per side, τ the target load: storage follows the entries rather
+// than the next power of two.
+func TestCuckooGrowthAllocatesAtMostOneChunk(t *testing.T) {
+	const chunkBytes = cuckooChunkBuckets * cuckooWays * 32
 	c := NewGrowingCuckoo(CAMDepth)
+	st := &c.state
 	var ms runtime.MemStats
-	for c.Capacity() < 1<<17 {
-		for i := uint32(0); c.Used()*4 < c.Capacity()*3; i++ {
-			if err := c.Insert(ckey(uint32(c.Used())*2654435761+i), 1); err != nil {
-				t.Fatal(err)
+	for i := uint32(0); c.Capacity() < 1<<17; i++ {
+		// Measure only the inserts that split: the one that takes the load
+		// past the target. TotalAlloc is process-wide, so leave room for
+		// the runtime's and the test framework's own allocations and for
+		// the chunk directory.
+		splits := (c.Used()+1)*cuckooLoadDen > cuckooLoadNum*2*cuckooWays*st.buckets()
+		if splits {
+			runtime.ReadMemStats(&ms)
+		}
+		before, buckets := ms.TotalAlloc, st.buckets()
+		if err := c.Insert(ckey(i*2654435761), 1); err != nil {
+			t.Fatal(err)
+		}
+		if splits {
+			runtime.ReadMemStats(&ms)
+			if got := ms.TotalAlloc - before; got > 2*chunkBytes+4<<10 {
+				t.Fatalf("insert splitting %d buckets from %d allocated %d bytes, want <= %d (a chunk per side)", st.buckets()-buckets, buckets, got, 2*chunkBytes)
 			}
 		}
-		half := uint64(c.Capacity() * slotBytes)
-		// TotalAlloc is process-wide, so leave room for the runtime's
-		// and the test framework's own allocations; a second copy of
-		// the table is twice the half and overshoots it anyway.
-		slack := 1<<10 + half/8
-		runtime.ReadMemStats(&ms)
-		before := ms.TotalAlloc
-		c.grow()
-		runtime.ReadMemStats(&ms)
-		if got := ms.TotalAlloc - before; got > half+slack {
-			t.Fatalf("doubling %d slots allocated %d bytes, want <= %d (the new half) + %d", c.Capacity()/2, got, half, slack)
+		// N/τ, rounded up to a bucket pair, plus a chunk per side.
+		bound := c.Used()*cuckooLoadDen/cuckooLoadNum + 2*cuckooWays + 2*cuckooChunkBuckets*cuckooWays
+		if got := c.Capacity(); got > bound {
+			t.Fatalf("%d entries hold %d slots, want <= %d", c.Used(), got, bound)
 		}
 	}
+}
+
+// TestCuckooInsertSplitsAreBounded pins growth's work per insert, by
+// work rather than time: a table grown from 16 to 2^19 slots through
+// Insert alone never splits more than cuckooMaxSplits buckets of a side
+// in one insert (a doubling of 2^18 slots would split 2^15). The
+// slowest insert's wall-clock time is logged beside it.
+func TestCuckooInsertSplitsAreBounded(t *testing.T) {
+	c := NewGrowingCuckoo(CAMDepth)
+	st := &c.state
+	most, batches := 0, 0
+	var slowest time.Duration
+	for i := uint32(0); c.Capacity() < 1<<19; i++ {
+		before, start := st.buckets(), time.Now()
+		if err := c.Insert(ckey(i*2654435761+11), int(i&MaxCuckooAddr)); err != nil {
+			t.Fatalf("insert %d: %v", i, err)
+		}
+		slowest = max(slowest, time.Since(start))
+		n := st.buckets() - before
+		if n > cuckooMaxSplits {
+			t.Fatalf("insert %d split %d buckets of a side (%d -> %d), want <= %d", i, n, before, st.buckets(), cuckooMaxSplits)
+		}
+		if n > 1 {
+			batches++
+		}
+		most = max(most, n)
+	}
+	t.Logf("%d entries in %d slots: at most %d splits per insert (bound %d), %d inserts split a batch for a failed walk; slowest insert %v",
+		c.Used(), c.Capacity(), most, cuckooMaxSplits, batches, slowest)
 }
 
 // TestCuckooCAMParity is the differential test between the two
@@ -619,17 +667,109 @@ func TestFlowTablesWriterLeavesNeighbourAlone(t *testing.T) {
 	}
 }
 
+// splitPointerSeeds returns FuzzCuckoo op streams for module 1 that
+// work a table partway through a round of splits. Each replays its
+// inserts on a shadow of module 1's table, so it knows where the split
+// pointer stands: a lookup, an update and a delete of every key, with
+// keys whose buckets lie below the pointer (split this round) and
+// above it; an insert whose relocation walk starts from one bucket
+// below the pointer and one above; and the insert that ends a round,
+// followed by a lookup, a delete and a re-insert of every key.
+func splitPointerSeeds(f *testing.F) [][]byte {
+	shadow := NewGrowingCuckoo(CAMDepth)
+	st := &shadow.state
+	var prefix []byte
+	insert := func(k byte) {
+		prefix = append(prefix, 0x00, k)
+		if err := shadow.Insert(ckey(uint32(k)), int(k)+1000); err != nil {
+			f.Fatal(err)
+		}
+	}
+	below := func(k byte, side int) bool {
+		key := ckey(uint32(k))
+		kw := key.Words()
+		return cuckooHash(side, &kw)&st.mask < st.split
+	}
+	// every appends op for each key of the prefix.
+	every := func(prefix []byte, ops ...byte) []byte {
+		out := slices.Clone(prefix)
+		for i := 1; i < len(prefix); i += 2 {
+			for _, op := range ops {
+				out = append(out, op, prefix[i])
+			}
+		}
+		return out
+	}
+	k := 0
+	for ; st.nb < 16 || st.split*4 < uint64(st.nb); k++ {
+		insert(byte(k))
+	}
+	lo, hi := 0, 0
+	for i := 1; i < len(prefix); i += 2 {
+		if below(prefix[i], 0) {
+			lo++
+		} else {
+			hi++
+		}
+	}
+	if lo == 0 || hi == 0 {
+		f.Fatalf("split pointer %d of %d: %d keys below it, %d above", st.split, st.nb, lo, hi)
+	}
+	seeds := [][]byte{
+		every(prefix, 0xc0),       // lookups
+		every(prefix, 0x00, 0xc0), // updates
+		every(prefix, 0x40, 0xc0), // deletes
+	}
+	// Insert the remaining keys in order, but take first any key whose
+	// two full buckets lie on either side of the pointer: its insert
+	// walks.
+	left := make([]byte, 0, 256-k)
+	for ; k < 256; k++ {
+		left = append(left, byte(k))
+	}
+	walked := false
+	for len(left) > 0 && !walked {
+		pick := 0
+		for i, k := range left {
+			key := ckey(uint32(k))
+			kw := key.Words()
+			if _, hit, free := locate(st, &kw); hit == nil && free == nil && st.split > 0 && below(k, 0) != below(k, 1) {
+				pick, walked = i, true
+				break
+			}
+		}
+		insert(left[pick])
+		left = slices.Delete(left, pick, pick+1)
+	}
+	if !walked {
+		f.Fatal("no insert walked from both sides of the split pointer")
+	}
+	seeds = append(seeds, every(prefix, 0xc0))
+	for len(left) > 0 {
+		nb := st.nb
+		insert(left[0])
+		if left = left[1:]; st.nb != nb {
+			seeds = append(seeds, every(prefix, 0xc0, 0x40, 0x00))
+			break
+		}
+	}
+	if len(seeds) != 5 {
+		f.Fatal("no insert ended a round")
+	}
+	return seeds
+}
+
 // FuzzCuckoo interprets the fuzz input as an op stream (insert, delete,
 // clear, lookup) over modules 1-3 of a FlowTables, replayed against a
 // map oracle, checking lookup agreement, occupancy accounting, and that
-// each module's count matches what its table's Entries enumerates after
+// each module's count matches what its table's All enumerates after
 // every op.
 func FuzzCuckoo(f *testing.F) {
 	f.Add([]byte{0x00, 0x01, 0x02, 0x03, 0x10, 0x11, 0x40, 0x01, 0x80, 0x02, 0xc0, 0x01})
 	f.Add([]byte{0x00, 0x05, 0x00, 0x05, 0x40, 0x05, 0x40, 0x05})
 	f.Add([]byte{0x00, 0xff, 0x80, 0xff, 0xc0, 0x00, 0x00, 0x00})
-	// Inserts and deletes across doublings: module 1 grows from 16
-	// slots through four doublings with every third key deleted on the
+	// Inserts and deletes across rounds of splits: module 1 grows from
+	// 16 slots through four rounds with every third key deleted on the
 	// way, then loses half its keys and takes them back; module 2
 	// grows beside it.
 	var grow []byte
@@ -646,6 +786,9 @@ func FuzzCuckoo(f *testing.F) {
 		grow = append(grow, 0x00, byte(k), 0xc0, byte(k+1))
 	}
 	f.Add(grow)
+	for _, seed := range splitPointerSeeds(f) {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := NewFlowTables(OverlayDepth)
 		type ref struct {
@@ -689,12 +832,19 @@ func FuzzCuckoo(f *testing.F) {
 			for m := uint16(1); m <= 3; m++ {
 				n := c.ModuleEntries(m)
 				used += n
-				if tab := c.Table(m); tab != nil && n != len(tab.Entries()) {
-					t.Fatalf("op %d: ModuleEntries(%d)=%d, Entries has %d", i, m, n, len(tab.Entries()))
+				if tab := c.Table(m); tab != nil && n != len(slices.Collect(tab.All())) {
+					t.Fatalf("op %d: ModuleEntries(%d)=%d, All yields %d", i, m, n, len(slices.Collect(tab.All())))
 				}
 			}
 			if used != len(oracle) {
 				t.Fatalf("op %d: used=%d oracle=%d", i, used, len(oracle))
+			}
+		}
+		// Every surviving entry is still found where the split rule
+		// says it is, whatever split or walk moved it since its insert.
+		for r, want := range oracle {
+			if addr, ok := ftLookup(c, ckey(uint32(r.key)), r.mod); !ok || addr != want {
+				t.Fatalf("end: module %d key %d: (%d,%v), oracle %d", r.mod, r.key, addr, ok, want)
 			}
 		}
 	})
