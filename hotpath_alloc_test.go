@@ -26,6 +26,7 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/ingress"
 	"repro/internal/packet"
+	"repro/internal/reconfig"
 	"repro/internal/sched"
 	"repro/internal/stage"
 	"repro/internal/sysmod"
@@ -289,7 +290,7 @@ var hotPathGuards = []hotPathGuard{
 		run: func(t *testing.T) {
 			dev, frames, res := batchFixture(t, 32)
 			pipe := dev.Pipeline()
-			// Warm up: resolve module views, stats blocks, programs.
+			// Warm up: resolve module views and programs.
 			if err := pipe.ProcessBatchInPlace(frames, 0, res); err != nil {
 				t.Fatal(err)
 			}
@@ -341,6 +342,66 @@ var hotPathGuards = []hotPathGuard{
 			})
 			if allocs != 0 {
 				t.Errorf("a batch of segment-faulting frames allocates %.1f times; want 0", allocs)
+			}
+		},
+	},
+	{
+		// Warm batches of frames the filter or the module check drops:
+		// a runt cut inside its VLAN tag, an untagged frame, a frame to
+		// the reconfiguration port, and a VLAN ID past MaxModules. Every
+		// kind reaches an engine shard (SubmitBatch checks no length,
+		// the socket ingress passes any VLAN ID), so dropping one must
+		// cost the worker nothing.
+		name: "malformed-frame-batch",
+		covers: []string{
+			"internal/core.(*Pipeline).checkModule",
+			"internal/reconfig.(*Filter).Classify",
+			"internal/reconfig.parserVLANID",
+		},
+		run: func(t *testing.T) {
+			dev := NewDevice()
+			if _, err := dev.LoadModule(mustProgram(t, "CALC"), 1); err != nil {
+				t.Fatal(err)
+			}
+			tagged := packet.NewUDP(1, packet.IPv4Addr{10, 0, 0, 1}, packet.IPv4Addr{10, 0, 0, 2}, 1, 2, make([]byte, 16)).MustBuild()
+			cmd := reconfig.Command{Resource: reconfig.MakeResourceID(0, reconfig.KindParser), Payload: []byte{0}}
+			toReconfigPort, err := reconfig.AppendPacket(nil, 1, cmd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			outOfRange := uint16(core.DefaultGeometry().MaxModules)
+			kinds := []struct {
+				name    string
+				frame   []byte
+				verdict reconfig.Verdict
+				err     error
+			}{
+				{"runt", tagged[:packet.EthernetHeaderLen+2], reconfig.VerdictDropNoVLAN, nil},
+				{"untagged", append(bytes.Clone(tagged[:12]), tagged[16:]...), reconfig.VerdictDropNoVLAN, nil},
+				{"reconfig-port", toReconfigPort, reconfig.VerdictDropReconfig, nil},
+				{"vlan-out-of-range", packet.NewUDP(outOfRange, packet.IPv4Addr{}, packet.IPv4Addr{}, 1, 2, nil).MustBuild(), reconfig.VerdictData, core.ErrModuleRange},
+			}
+			pipe := dev.Pipeline()
+			frames := make([][]byte, 32)
+			res := make([]core.BatchResult, len(frames))
+			for _, k := range kinds {
+				for i := range frames {
+					frames[i] = k.frame // dropped frames are never written
+				}
+				if err := pipe.ProcessBatchInPlace(frames, 0, res); err != nil {
+					t.Fatal(err)
+				}
+				if r := &res[0]; !r.Dropped || r.Verdict != k.verdict || !errors.Is(r.Err, k.err) {
+					t.Fatalf("%s: dropped %v, verdict %v, err %v; want dropped, %v, %v", k.name, r.Dropped, r.Verdict, r.Err, k.verdict, k.err)
+				}
+				allocs := testing.AllocsPerRun(100, func() {
+					if err := pipe.ProcessBatchInPlace(frames, 0, res); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if allocs != 0 {
+					t.Errorf("a batch of %d %s frames allocates %.1f times; want 0", len(frames), k.name, allocs)
+				}
 			}
 		},
 	},

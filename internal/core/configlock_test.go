@@ -10,7 +10,9 @@ import (
 	"repro/internal/packet"
 	"repro/internal/parser"
 	"repro/internal/phv"
+	"repro/internal/reconfig"
 	"repro/internal/stage"
+	"repro/internal/sysmod"
 	"repro/internal/tables"
 )
 
@@ -48,14 +50,16 @@ func lockFrame(vid, field uint16) []byte {
 }
 
 // TestConfigWritesTakeTheBatchLock checks the lock discipline of the
-// configuration tables, which are plain memory guarded by the batch
-// lock. Module 1 is unloaded and reloaded over and over down the daisy
-// chain — parser, deparser, key-extract, key-mask, segment, CAM and VLIW
-// commands — with its rule deleted after every other load, while the
-// control plane derives its flow keys and reads its counter. Beside
-// them run in-place batches that mix module 1 and module 2 frames, and
-// Process calls of module 2 frames. Module 2's output never changes.
-// Under -race a table read or write outside the lock is reported.
+// pipeline's state — configuration tables, stateful memory and traffic
+// counters — which is plain memory guarded by the batch lock. Module 1
+// is unloaded and reloaded over and over down the daisy chain — parser,
+// deparser, key-extract, key-mask, segment, CAM and VLIW commands —
+// with its rule deleted after every other load, while the control plane
+// derives its flow keys and reads its stateful counter, its traffic
+// stats, the system packet counter and the filter's verdict counts.
+// Beside them run in-place batches that mix module 1 and module 2
+// frames, and Process calls of module 2 frames. Module 2's output never
+// changes. Under -race a read or write outside the lock is reported.
 func TestConfigWritesTakeTheBatchLock(t *testing.T) {
 	const reloads = 200
 	p := core.NewDefault()
@@ -121,6 +125,9 @@ func TestConfigWritesTakeTheBatchLock(t *testing.T) {
 			// are expected.
 			_, _ = client.FlowKeyForFrame(1, 1, in1)
 			_, _ = client.ReadCounter(1, 1, 0)
+			_, _, _ = client.Stats(1)
+			_, _ = sysmod.PacketCount(p, 1)
+			p.Locked(func() { _ = p.Filter.VerdictCount(reconfig.VerdictData) })
 		}
 	}()
 

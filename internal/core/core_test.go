@@ -143,7 +143,7 @@ func TestPipelineDropsModuleDiscard(t *testing.T) {
 	if !out.Dropped || !out.DiscardedByModule {
 		t.Errorf("out = %+v", out)
 	}
-	if p.StatsFor(1).Drops.Load() != 1 {
+	if p.StatsFor(1).Drops != 1 {
 		t.Error("drop not counted")
 	}
 }
@@ -261,11 +261,11 @@ func TestModuleStatsCount(t *testing.T) {
 		}
 	}
 	s := p.StatsFor(1)
-	if s.Packets.Load() != 3 {
-		t.Errorf("packets = %d", s.Packets.Load())
+	if s.Packets != 3 {
+		t.Errorf("packets = %d", s.Packets)
 	}
-	if s.Bytes.Load() != 3*48 {
-		t.Errorf("bytes = %d", s.Bytes.Load())
+	if s.Bytes != 3*48 {
+		t.Errorf("bytes = %d", s.Bytes)
 	}
 }
 
@@ -628,15 +628,13 @@ func TestProcessInterleavedWithProcessBatch(t *testing.T) {
 		}
 	}
 	for _, id := range []uint16{1, 2, 9} {
-		g, w := mixed.StatsFor(id), ref.StatsFor(id)
-		if g.Packets.Load() != w.Packets.Load() || g.Bytes.Load() != w.Bytes.Load() || g.Drops.Load() != w.Drops.Load() {
+		if g, w := mixed.StatsFor(id), ref.StatsFor(id); g != w {
 			t.Errorf("module %d stats: packets/bytes/drops %d/%d/%d, all-Process run %d/%d/%d", id,
-				g.Packets.Load(), g.Bytes.Load(), g.Drops.Load(),
-				w.Packets.Load(), w.Bytes.Load(), w.Drops.Load())
+				g.Packets, g.Bytes, g.Drops, w.Packets, w.Bytes, w.Drops)
 		}
 	}
-	if w := ref.StatsFor(1); w.Packets.Load() != 8 || ref.StatsFor(2).Drops.Load() != 4 {
+	if w := ref.StatsFor(1); w.Packets != 8 || ref.StatsFor(2).Drops != 4 {
 		t.Errorf("reference run: module 1 forwarded %d (want 8), module 2 dropped %d (want 4: 2 discards + 2 while updating)",
-			w.Packets.Load(), ref.StatsFor(2).Drops.Load())
+			w.Packets, ref.StatsFor(2).Drops)
 	}
 }

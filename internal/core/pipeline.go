@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/alu"
 	"repro/internal/packet"
@@ -91,11 +90,12 @@ func DefaultGeometry() Geometry {
 }
 
 // ModuleStats counts per-module traffic for observability and the
-// system-level module's statistics service.
+// system-level module's statistics service. A pipeline keeps one per
+// module ID, plain memory under its batch lock; StatsFor copies it out.
 type ModuleStats struct {
-	Packets atomic.Uint64
-	Bytes   atomic.Uint64
-	Drops   atomic.Uint64
+	Packets uint64
+	Bytes   uint64
+	Drops   uint64
 }
 
 // Pipeline is one Menshen pipeline instance.
@@ -110,14 +110,19 @@ type Pipeline struct {
 	Chain    *reconfig.DaisyChain
 
 	// mu is the batch lock. It serializes Process and the batch path,
-	// like the ingress wire, and it guards every configuration table the
-	// pipeline owns (parser, deparser, and each stage's overlays, CAM,
-	// actions and flow tables), all plain memory written in place.
-	// Apply, Partition and UnloadModule hold it, so a write waits for the
-	// batch in flight; an engine shard applies commands between its own
-	// batches, so there it is never contended. Other readers use Locked.
-	mu    sync.Mutex
-	stats map[uint16]*ModuleStats
+	// like the ingress wire, and it guards all of the pipeline's state,
+	// plain memory written in place: every configuration table (parser,
+	// deparser, and each stage's overlays, CAM, actions and flow tables),
+	// each stage's stateful memory, the filter's round-robin position
+	// and verdict counters, and stats. Only the filter's update bitmap
+	// and the daisy chain's counter, the §3.1 registers the control
+	// plane reaches from outside a batch, are atomic. Apply, Partition
+	// and UnloadModule hold it, so a write waits for the batch in
+	// flight; an engine shard applies commands between its own batches,
+	// so there it is never contended. Other readers use Locked.
+	mu sync.Mutex
+	// stats holds each module's traffic counters, indexed by module ID.
+	stats []ModuleStats
 
 	// batchViews caches per-module stage configuration for the frame
 	// path (guarded by mu). Entries are revalidated against cfgGen, which
@@ -203,7 +208,6 @@ type moduleViews struct {
 	// per-frame path pays no per-action validity or range checks.
 	parseProg   parser.Program
 	deparseProg parser.Program
-	stats       *ModuleStats
 	// hashed is true when any of the views is in hash mode; batches of
 	// modules without one skip the batch loop's gather step.
 	hashed bool
@@ -224,7 +228,7 @@ func New(geo Geometry, opts Options) *Pipeline {
 		Parser:   parser.New(geo.MaxModules),
 		Deparser: parser.NewDeparser(geo.MaxModules),
 		Stages:   make([]*stage.Stage, geo.Stages),
-		stats:    make(map[uint16]*ModuleStats),
+		stats:    make([]ModuleStats, geo.MaxModules),
 	}
 	for i := range p.Stages {
 		p.Stages[i] = stage.New(stage.Config{
@@ -256,24 +260,26 @@ func NewRMT(opts Options) *Pipeline {
 
 // checkModule validates a module ID against the pipeline geometry. The
 // prototype supports module IDs 0..MaxModules-1; the VLAN ID is used
-// directly as the overlay index.
+// directly as the overlay index. The error is the bare sentinel, so a
+// frame of an out-of-range VLAN costs the frame path no allocation.
+//
+//menshen:hotpath
 func (p *Pipeline) checkModule(moduleID uint16) error {
 	if int(moduleID) >= p.Geometry.MaxModules {
-		return fmt.Errorf("%w: module %d (max %d)", ErrModuleRange, moduleID, p.Geometry.MaxModules-1)
+		return ErrModuleRange
 	}
 	return nil
 }
 
-// StatsFor returns (creating if needed) the stats block for a module.
-func (p *Pipeline) StatsFor(moduleID uint16) *ModuleStats {
+// StatsFor returns a copy of a module's traffic counters, taken under
+// the batch lock (zeros for a module ID outside the geometry).
+func (p *Pipeline) StatsFor(moduleID uint16) ModuleStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	s, ok := p.stats[moduleID]
-	if !ok {
-		s = &ModuleStats{}
-		p.stats[moduleID] = s
+	if int(moduleID) >= len(p.stats) {
+		return ModuleStats{}
 	}
-	return s
+	return p.stats[moduleID]
 }
 
 // Output is the result of processing one frame.
@@ -423,46 +429,6 @@ func (p *Pipeline) ProcessBatchInPlacePorts(frames [][]byte, ports []uint8, res 
 	return p.processBatch(frames, 0, ports, res)
 }
 
-// batchScope accumulates the per-frame side effects of one batch —
-// filter verdict counters, round-robin tags, and per-module traffic
-// stats — so the steady-state frame loop performs no atomic operations.
-// Module stats are flushed when the batch switches modules (rare: the
-// engine's rings are per-tenant) and once at the end.
-type batchScope struct {
-	cls            reconfig.ClassifyScope
-	stats          *ModuleStats
-	packets, drops uint64
-	bytes          uint64
-}
-
-func (b *batchScope) flushStats() {
-	if b.stats == nil {
-		return
-	}
-	if b.packets > 0 {
-		b.stats.Packets.Add(b.packets)
-		b.stats.Bytes.Add(b.bytes)
-	}
-	if b.drops > 0 {
-		b.stats.Drops.Add(b.drops)
-	}
-	b.packets, b.bytes, b.drops = 0, 0, 0
-}
-
-// account charges one forwarded/discarded frame to the module's stats.
-func (b *batchScope) account(stats *ModuleStats, bytes uint64, dropped bool) {
-	if b.stats != stats {
-		b.flushStats()
-		b.stats = stats
-	}
-	if dropped {
-		b.drops++
-		return
-	}
-	b.packets++
-	b.bytes += bytes
-}
-
 func (p *Pipeline) processBatch(frames [][]byte, ingressPort uint8, ports []uint8, res []BatchResult) error {
 	if len(res) < len(frames) {
 		return fmt.Errorf("core: result slice too short: %d results for %d frames", len(res), len(frames))
@@ -489,8 +455,6 @@ func (p *Pipeline) processBatch(frames [][]byte, ingressPort uint8, ports []uint
 func (p *Pipeline) runBatch(frames [][]byte, ingressPort uint8, ports []uint8, res []BatchResult, inPlace bool) {
 	gen := p.cfgGen
 	bf := p.scratch(len(frames))
-	var bs batchScope
-	p.Filter.BeginBatch(&bs.cls)
 	// Step 0: load every frame's header window, which classify and parse
 	// read next.
 	p.headerSink = touchHeaders(frames)
@@ -502,7 +466,7 @@ func (p *Pipeline) runBatch(frames [][]byte, ingressPort uint8, ports []uint8, r
 			port = ports[i]
 		}
 		f := &bf[i]
-		p.prepBatchFrame(data, port, gen, f, &res[i], &bs)
+		p.prepBatchFrame(data, port, gen, f, &res[i])
 		hashed = hashed || !f.done && f.mv.hashed
 	}
 	// Step 2: gather the flow-cache slot and cuckoo bucket lines each
@@ -523,11 +487,9 @@ func (p *Pipeline) runBatch(frames [][]byte, ingressPort uint8, ports []uint8, r
 	// Step 3: run the stage pipeline and deparse, in frame order.
 	for i, data := range frames {
 		if !bf[i].done {
-			p.execBatchFrame(data, &bf[i], &res[i], inPlace, &bs)
+			p.execBatchFrame(data, &bf[i], &res[i], inPlace)
 		}
 	}
-	bs.flushStats()
-	p.Filter.CommitBatch(&bs.cls)
 }
 
 // touchHeaders loads each frame's header window — the first
@@ -664,7 +626,7 @@ func (p *Pipeline) ModuleChecksum(moduleID uint16) uint64 {
 // parse into f.v. Terminal verdicts (filtered, unknown module, parse
 // error) are recorded in r and marked done so steps 2 and 3 skip the
 // frame.
-func (p *Pipeline) prepBatchFrame(data []byte, ingressPort uint8, gen uint64, f *batchFrame, r *BatchResult, bs *batchScope) {
+func (p *Pipeline) prepBatchFrame(data []byte, ingressPort uint8, gen uint64, f *batchFrame, r *BatchResult) {
 	r.Data = nil
 	r.EgressPort = 0
 	r.Dropped = false
@@ -673,7 +635,7 @@ func (p *Pipeline) prepBatchFrame(data []byte, ingressPort uint8, gen uint64, f 
 	r.Meta = 0
 	f.done = true
 
-	cls := p.Filter.ClassifyBatched(data, p.Options.NumParsers, &bs.cls)
+	cls := p.Filter.Classify(data, p.Options.NumParsers)
 	r.Verdict = cls.Verdict
 	r.ModuleID = cls.ModuleID
 	if f.out != nil {
@@ -681,8 +643,8 @@ func (p *Pipeline) prepBatchFrame(data []byte, ingressPort uint8, gen uint64, f 
 	}
 	if cls.Verdict != reconfig.VerdictData {
 		r.Dropped = true
-		if s, ok := p.stats[cls.ModuleID]; ok && cls.Verdict == reconfig.VerdictDropUpdating {
-			bs.account(s, 0, true)
+		if cls.Verdict == reconfig.VerdictDropUpdating && int(cls.ModuleID) < len(p.stats) {
+			p.stats[cls.ModuleID].Drops++
 		}
 		return
 	}
@@ -710,7 +672,6 @@ func (p *Pipeline) prepBatchFrame(data []byte, ingressPort uint8, gen uint64, f 
 		if mv.deparse != nil {
 			mv.deparseProg = mv.deparse.Compile()
 		}
-		mv.stats = p.statsLocked(cls.ModuleID)
 		mv.gen = gen
 	}
 
@@ -734,12 +695,13 @@ func (p *Pipeline) prepBatchFrame(data []byte, ingressPort uint8, gen uint64, f 
 // execBatchFrame is step 3 for one frame: the stage pipeline, in
 // order, stopping at the first stage whose action discards the frame,
 // then the deparse. The steady state allocates nothing and performs no
-// atomic operation: traffic counts accumulate into bs, and each stage's
-// Result is dropped unless Process asked for it (f.out). A stage fault
-// drops the frame with r.Err set. With inPlace unset the deparser
-// writes into a fresh copy (the submitted frame is never written); with
-// it set the deparser writes straight into data and r.Data aliases it.
-func (p *Pipeline) execBatchFrame(data []byte, f *batchFrame, r *BatchResult, inPlace bool, bs *batchScope) {
+// atomic operation: the module's traffic counters are plain memory under
+// the batch lock, and each stage's Result is dropped unless Process
+// asked for it (f.out). A stage fault drops the frame with r.Err set.
+// With inPlace unset the deparser writes into a fresh copy (the
+// submitted frame is never written); with it set the deparser writes
+// straight into data and r.Data aliases it.
+func (p *Pipeline) execBatchFrame(data []byte, f *batchFrame, r *BatchResult, inPlace bool) {
 	mv, v, out := f.mv, &f.v, f.out
 	for i, st := range p.Stages {
 		res, err := st.ProcessView(&mv.views[i], v)
@@ -759,7 +721,7 @@ func (p *Pipeline) execBatchFrame(data []byte, f *batchFrame, r *BatchResult, in
 	if v.Discarded() {
 		r.Dropped = true
 		r.DiscardedByModule = true
-		bs.account(mv.stats, 0, true)
+		p.stats[r.ModuleID].Drops++
 		return
 	}
 
@@ -774,16 +736,9 @@ func (p *Pipeline) execBatchFrame(data []byte, f *batchFrame, r *BatchResult, in
 	}
 	r.Data = buf
 	r.EgressPort = v.Egress()
-	bs.account(mv.stats, uint64(len(data)), false)
-}
-
-func (p *Pipeline) statsLocked(moduleID uint16) *ModuleStats {
-	s, ok := p.stats[moduleID]
-	if !ok {
-		s = &ModuleStats{}
-		p.stats[moduleID] = s
-	}
-	return s
+	s := &p.stats[r.ModuleID]
+	s.Packets++
+	s.Bytes += uint64(len(data))
 }
 
 // --- Reconfiguration command application (reconfig.Sink) ---

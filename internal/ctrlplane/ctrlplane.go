@@ -301,19 +301,23 @@ func (c *Client) ReadCounter(moduleID uint16, stg int, localAddr uint64) (uint64
 		return 0, fmt.Errorf("ctrlplane: stage %d out of range", stg)
 	}
 	st := c.pipe.Stages[stg]
-	var phys uint64
+	var v, phys uint64
 	var err error
-	c.pipe.Locked(func() { phys, err = st.Segments.Translate(int(moduleID), localAddr) })
+	c.pipe.Locked(func() {
+		if phys, err = st.Segments.Translate(int(moduleID), localAddr); err == nil {
+			v, err = st.Memory.Load(phys)
+		}
+	})
 	if err != nil {
 		return 0, fmt.Errorf("ctrlplane: module %d stage %d address %d: %w", moduleID, stg, localAddr, err)
 	}
-	return st.Memory.Load(phys)
+	return v, nil
 }
 
 // Stats returns the pipeline's per-module traffic counters.
 func (c *Client) Stats(moduleID uint16) (packets, bytes, drops uint64) {
 	s := c.pipe.StatsFor(moduleID)
-	return s.Packets.Load(), s.Bytes.Load(), s.Drops.Load()
+	return s.Packets, s.Bytes, s.Drops
 }
 
 // VLIWEntryBytes and CAMEntryBytes expose wire sizes for the Appendix A

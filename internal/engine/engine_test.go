@@ -442,8 +442,7 @@ func TestEngineShardStateConsistency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := pipe.StatsFor(1)
-		shardSum += s.Packets.Load()
+		shardSum += pipe.StatsFor(1).Packets
 	}
 	if shardSum != tot.Processed {
 		t.Errorf("shard packet counters sum to %d, stats say %d", shardSum, tot.Processed)

@@ -244,8 +244,9 @@ func (h *parityHarness) check(tenants ...uint16) {
 		}
 	}
 	for s := range ref.Stages {
-		rm := ref.Stages[s].Memory.Snapshot()
-		em := shard.Stages[s].Memory.Snapshot()
+		var rm, em []uint64
+		ref.Locked(func() { rm = ref.Stages[s].Memory.Snapshot() })
+		shard.Locked(func() { em = shard.Stages[s].Memory.Snapshot() })
 		if len(rm) != len(em) {
 			h.t.Fatalf("stage %d: memory sizes differ", s)
 		}

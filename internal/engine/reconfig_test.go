@@ -214,7 +214,7 @@ func TestReconfigSubmitFramePath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		filtered += pipe.Filter.VerdictCount(reconfig.VerdictDropReconfig)
+		pipe.Locked(func() { filtered += pipe.Filter.VerdictCount(reconfig.VerdictDropReconfig) })
 	}
 	if filtered != uint64(len(submits)) {
 		t.Errorf("filter dropped %d reconfiguration frames, want %d", filtered, len(submits))

@@ -438,9 +438,11 @@ func TestLoadModuleVerifiedFailureKeepsFlowsAndMemory(t *testing.T) {
 
 	memory := func(pipe *core.Pipeline) [][]uint64 {
 		out := make([][]uint64, len(pipe.Stages))
-		for s := range pipe.Stages {
-			out[s] = pipe.Stages[s].Memory.Snapshot()
-		}
+		pipe.Locked(func() {
+			for s := range pipe.Stages {
+				out[s] = pipe.Stages[s].Memory.Snapshot()
+			}
+		})
 		return out
 	}
 	sums := shardChecksums(t, eng, 1)

@@ -168,17 +168,6 @@ func (p *Parser) Set(idx int, e Entry) error {
 	return p.table.Set(idx, e)
 }
 
-// ExtractModuleID reads the VLAN ID from the frame without consulting any
-// per-module state: in the optimized design this value is sent ahead of
-// the PHV to mask SRAM read latency (§3.2).
-func ExtractModuleID(data []byte) (uint16, error) {
-	var eth packet.Ethernet
-	if err := packet.DecodeEthernet(data, &eth); err != nil {
-		return 0, err
-	}
-	return eth.VLANID, nil
-}
-
 // Parse runs the module's parse entry over one frame: EntryRef, Compile
 // and Program.Parse in one call, for callers that have not resolved the
 // entry ahead of time. The pipeline compiles once per configuration

@@ -83,14 +83,6 @@ func TestEntryValidateDuplicateDest(t *testing.T) {
 	}
 }
 
-func TestExtractModuleID(t *testing.T) {
-	frame := packet.NewUDP(42, packet.IPv4Addr{}, packet.IPv4Addr{}, 1, 2, nil).MustBuild()
-	vid, err := ExtractModuleID(frame)
-	if err != nil || vid != 42 {
-		t.Errorf("ExtractModuleID = %d, %v", vid, err)
-	}
-}
-
 func TestParseFillsContainers(t *testing.T) {
 	p := New(tables.OverlayDepth)
 	var e Entry

@@ -277,16 +277,19 @@ func (v Verdict) String() string {
 //
 // Its two software-visible registers — the 32-bit update bitmap and the
 // reconfiguration packet counter (owned by the daisy chain) — are accessed
-// by the control plane over AXI-Lite in the prototype.
+// by the control plane over AXI-Lite in the prototype, so the bitmap is
+// atomic. The round-robin position and the verdict counters are plain
+// fields: the pipeline that owns the filter classifies and reads them
+// under its batch lock.
 type Filter struct {
 	bitmap atomic.Uint32
 
 	// admitted counts the frames given VerdictData; buffer tags and
 	// parser numbers are both derived from it.
-	admitted atomic.Uint32
+	admitted uint32
 
 	// Per-verdict counters for observability.
-	counts [4]atomic.Uint64
+	counts [4]uint64
 }
 
 // NewFilter returns a packet filter with an empty update bitmap.
@@ -322,39 +325,7 @@ type ClassifyResult struct {
 	ParserNum uint8   // which of the parallel parsers receives the frame
 }
 
-// Classify runs the filter over one data-path frame as a scope of one:
-// BeginBatch, ClassifyBatched, CommitBatch. Like a scope, it must not
-// run concurrently with another classifier on the same filter.
-func (f *Filter) Classify(data []byte, numParsers int) ClassifyResult {
-	var s ClassifyScope
-	f.BeginBatch(&s)
-	res := f.ClassifyBatched(data, numParsers, &s)
-	f.CommitBatch(&s)
-	return res
-}
-
-// ClassifyScope batches the filter's side effects — per-verdict
-// counters and the round-robin buffer/parser assignment — across one
-// batch of frames, so the per-frame path performs no atomic operations.
-// Use Filter.BeginBatch to initialize one, ClassifyBatched per frame,
-// and Filter.CommitBatch once at the end. A scope must only be used by
-// one goroutine, while no other classifier runs on the same filter
-// (core.Pipeline opens one per Process or batch call, under the
-// pipeline lock).
-type ClassifyScope struct {
-	counts [4]uint32
-	base   uint32 // the filter's admitted count at BeginBatch
-	data   uint32 // data-frame verdicts issued in this scope
-}
-
-// BeginBatch resets the scope against the filter's current round-robin
-// position.
-func (f *Filter) BeginBatch(s *ClassifyScope) {
-	*s = ClassifyScope{base: f.admitted.Load()}
-}
-
-// ClassifyBatched is the packet filter's decision for one data-path
-// frame, with the counter and round-robin updates accumulated in s.
+// Classify is the packet filter's decision for one data-path frame.
 // The checks run in this order and the first that applies is the
 // verdict:
 //
@@ -373,48 +344,37 @@ func (f *Filter) BeginBatch(s *ClassifyScope) {
 // parallel-parser count, 2 in the optimized design; below 1 counts as
 // 1). Dropped frames carry zero tags and a zero module ID
 // unless the VLAN tag was read.
-func (f *Filter) ClassifyBatched(data []byte, numParsers int, s *ClassifyScope) ClassifyResult {
+//
+//menshen:hotpath
+func (f *Filter) Classify(data []byte, numParsers int) ClassifyResult {
 	var res ClassifyResult
 	if IsReconfigFrame(data) {
 		res.Verdict = VerdictDropReconfig
-		s.counts[VerdictDropReconfig]++
+		f.counts[VerdictDropReconfig]++
 		return res
 	}
 	vid, err := parserVLANID(data)
 	if err != nil {
 		res.Verdict = VerdictDropNoVLAN
-		s.counts[VerdictDropNoVLAN]++
+		f.counts[VerdictDropNoVLAN]++
 		return res
 	}
 	res.ModuleID = vid
 	if f.bitmap.Load()&(1<<(vid&31)) != 0 {
 		res.Verdict = VerdictDropUpdating
-		s.counts[VerdictDropUpdating]++
+		f.counts[VerdictDropUpdating]++
 		return res
 	}
 	res.Verdict = VerdictData
-	seq := s.base + s.data
-	s.data++
+	seq := f.admitted
+	f.admitted++
 	res.BufferTag = uint8(seq) & 3
 	if numParsers < 1 {
 		numParsers = 1
 	}
 	res.ParserNum = uint8(seq % uint32(numParsers))
-	s.counts[VerdictData]++
+	f.counts[VerdictData]++
 	return res
-}
-
-// CommitBatch publishes the scope's accumulated counters and advances
-// the round-robin position by the number of frames admitted.
-func (f *Filter) CommitBatch(s *ClassifyScope) {
-	for v, n := range s.counts {
-		if n > 0 {
-			f.counts[v].Add(uint64(n))
-		}
-	}
-	if s.data > 0 {
-		f.admitted.Add(s.data)
-	}
 }
 
 // VerdictCount returns how many frames received the verdict.
@@ -422,15 +382,19 @@ func (f *Filter) VerdictCount(v Verdict) uint64 {
 	if int(v) >= len(f.counts) {
 		return 0
 	}
-	return f.counts[v].Load()
+	return f.counts[v]
 }
 
+// parserVLANID reads a frame's VLAN ID, the module ID of §3.1. Its
+// errors are bare sentinels, so a malformed frame costs the filter no
+// allocation.
+//
+//menshen:hotpath
 func parserVLANID(data []byte) (uint16, error) {
 	// Direct reads of TPID and TCI: this runs per frame in the filter
 	// and needs neither the MAC fields nor the inner ethertype.
 	if len(data) < packet.EthernetHeaderLen+packet.VLANTagLen {
-		return 0, fmt.Errorf("%w: vlan tag needs %d bytes, have %d",
-			packet.ErrTooShort, packet.EthernetHeaderLen+packet.VLANTagLen, len(data))
+		return 0, packet.ErrTooShort
 	}
 	if binary.BigEndian.Uint16(data[packet.OffTPID:]) != packet.EtherTypeVLAN {
 		return 0, packet.ErrNoVLAN

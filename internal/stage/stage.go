@@ -242,9 +242,9 @@ func (e *KeyExtractEntry) predicate(p *phv.PHV) (byte, error) {
 }
 
 // Stage is one match-action stage with Menshen's isolation primitives.
-// None of its tables is safe for concurrent use: the pipeline holding
-// the stage owns them and reads and writes them only under its batch
-// lock, except StatefulMemory, whose words are atomic.
+// None of its tables, stateful memory included, is safe for concurrent
+// use: the pipeline holding the stage owns them and reads and writes
+// them only under its batch lock.
 type Stage struct {
 	// Extract and Mask are the overlay tables for key construction,
 	// indexed by module ID (§3.1).

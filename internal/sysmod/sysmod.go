@@ -278,11 +278,15 @@ func (tm *TrafficManager) Members(port uint8) []uint8 { return tm.groups[port] }
 // by the statistics service.
 func PacketCount(p *core.Pipeline, moduleID uint16) (uint64, error) {
 	st := p.Stages[FirstStage]
-	var phys uint64
+	var v, phys uint64
 	var err error
-	p.Locked(func() { phys, err = st.Segments.Translate(int(moduleID), 0) })
+	p.Locked(func() {
+		if phys, err = st.Segments.Translate(int(moduleID), 0); err == nil {
+			v, err = st.Memory.Load(phys)
+		}
+	})
 	if err != nil {
 		return 0, fmt.Errorf("sysmod: module %d stage %d packet counter: %w", moduleID, FirstStage, err)
 	}
-	return st.Memory.Load(phys)
+	return v, nil
 }

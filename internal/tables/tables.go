@@ -26,7 +26,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync/atomic"
+	"slices"
 )
 
 // Geometry constants from Table 5.
@@ -446,17 +446,17 @@ func (s *SegmentTable) Translate(idx int, addr uint64) (uint64, error) {
 
 // StatefulMemory is a stage's persistent state RAM. All access is by
 // physical address; isolation comes from the SegmentTable in front of it.
-// Words are accessed with per-word atomics, mirroring the SRAM's
-// independent word ports: the packet path and the control plane's
-// counter reads never contend on a lock.
+// Its words are plain memory, owned like the stage's other tables by the
+// pipeline that holds the stage: the packet path and the control plane's
+// counter reads both reach them under that pipeline's batch lock.
 type StatefulMemory struct {
-	words []atomic.Uint64
+	words []uint64
 }
 
 // NewStatefulMemory returns a memory with n words (use MemoryWords for the
 // paper's per-stage geometry).
 func NewStatefulMemory(n int) *StatefulMemory {
-	return &StatefulMemory{words: make([]atomic.Uint64, n)}
+	return &StatefulMemory{words: make([]uint64, n)}
 }
 
 // Size returns the number of words.
@@ -467,7 +467,7 @@ func (m *StatefulMemory) Load(phys uint64) (uint64, error) {
 	if phys >= uint64(len(m.words)) {
 		return 0, fmt.Errorf("%w: physical address %d (size %d)", ErrIndexRange, phys, len(m.words))
 	}
-	return m.words[phys].Load(), nil
+	return m.words[phys], nil
 }
 
 // Store writes the word at phys.
@@ -475,7 +475,7 @@ func (m *StatefulMemory) Store(phys uint64, v uint64) error {
 	if phys >= uint64(len(m.words)) {
 		return fmt.Errorf("%w: physical address %d (size %d)", ErrIndexRange, phys, len(m.words))
 	}
-	m.words[phys].Store(v)
+	m.words[phys] = v
 	return nil
 }
 
@@ -485,7 +485,8 @@ func (m *StatefulMemory) LoadAddStore(phys uint64) (uint64, error) {
 	if phys >= uint64(len(m.words)) {
 		return 0, fmt.Errorf("%w: physical address %d (size %d)", ErrIndexRange, phys, len(m.words))
 	}
-	return m.words[phys].Add(1), nil
+	m.words[phys]++
+	return m.words[phys], nil
 }
 
 // ZeroRange clears words [base, base+n), used when a module is unloaded so
@@ -494,17 +495,9 @@ func (m *StatefulMemory) ZeroRange(base, n uint64) error {
 	if base+n > uint64(len(m.words)) {
 		return fmt.Errorf("%w: zero range [%d,%d) size %d", ErrIndexRange, base, base+n, len(m.words))
 	}
-	for i := base; i < base+n; i++ {
-		m.words[i].Store(0)
-	}
+	clear(m.words[base : base+n])
 	return nil
 }
 
 // Snapshot returns a copy of all words (for tests and stats).
-func (m *StatefulMemory) Snapshot() []uint64 {
-	out := make([]uint64, len(m.words))
-	for i := range m.words {
-		out[i] = m.words[i].Load()
-	}
-	return out
-}
+func (m *StatefulMemory) Snapshot() []uint64 { return slices.Clone(m.words) }

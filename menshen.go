@@ -464,9 +464,11 @@ func (d *Device) SetUpdating(moduleID uint16, updating bool) {
 // the given reason.
 func (d *Device) FilterVerdicts() map[string]uint64 {
 	out := map[string]uint64{}
-	for v := reconfig.VerdictData; v <= reconfig.VerdictDropUpdating; v++ {
-		out[v.String()] = d.pipe.Filter.VerdictCount(v)
-	}
+	d.pipe.Locked(func() {
+		for v := reconfig.VerdictData; v <= reconfig.VerdictDropUpdating; v++ {
+			out[v.String()] = d.pipe.Filter.VerdictCount(v)
+		}
+	})
 	return out
 }
 
