@@ -416,6 +416,83 @@ func (fx *lbFixture) flowEntries(tb testing.TB, frames [][]byte) []FlowEntry {
 	return flows
 }
 
+// neighbourInsert loads Load Balancing as tenant 2 beside the fixture's
+// tenant 1 and returns one tenant-2 command to send per batch: a flow
+// insert into its match stage, of one key rewritten in place each time.
+func (fx *lbFixture) neighbourInsert(tb testing.TB) func() error {
+	tb.Helper()
+	lb, err := p4progs.ByName("Load Balancing")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := fx.dev.LoadModule(lb.Source(), 2); err != nil {
+		tb.Fatal(err)
+	}
+	lo, _, ok := fx.dev.Pipeline().Stages[fx.stg].Match.PartitionOf(2)
+	if !ok {
+		tb.Fatal("tenant 2 has no CAM partition in the flow stage")
+	}
+	cp := fx.dev.ControlPlane()
+	return func() error { return cp.InsertFlow(2, fx.stg, tables.Key{}, lo) }
+}
+
+// TestNeighbourWriteKeepsZipfHitRate: a neighbour's flow install costs
+// tenant 1's flow cache nothing. Load Balancing tenant 1 serves the same
+// Zipf(1.1) draws over its flows twice, each time from a fresh flow
+// cache: alone, then with one tenant-2 flow insert before every
+// 32-frame batch. Both runs must hit the cache exactly as often.
+func TestNeighbourWriteKeepsZipfHitRate(t *testing.T) {
+	const flows, batch, batches = 1 << 12, 32, 256
+	fx := newLBFixture(t)
+	frames := make([][]byte, flows)
+	for f := range frames {
+		frames[f] = trafficgen.FlowScaleFrame(1, f, 64)
+	}
+	cp := fx.dev.ControlPlane()
+	for _, fe := range fx.flowEntries(t, frames) {
+		if err := cp.InsertFlow(1, fx.stg, fe.Key, int(fe.Addr)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	neighbour := fx.neighbourInsert(t)
+	pipe := fx.dev.Pipeline()
+	zipf := rand.NewZipf(rand.New(rand.NewSource(1)), 1.1, 1, flows-1)
+	seq := make([]int, batch*batches)
+	for i := range seq {
+		seq[i] = int(zipf.Uint64())
+	}
+	run := func(churn bool) (hits, misses uint64) {
+		pipe.SetFlowCache(stage.NewFlowCache(0))
+		in := make([][]byte, batch)
+		res := make([]core.BatchResult, batch)
+		for lo := 0; lo < len(seq); lo += batch {
+			if churn {
+				if err := neighbour(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ids := seq[lo : lo+batch]
+			for k, f := range ids {
+				in[k] = frames[f]
+			}
+			if err := pipe.ProcessBatchInPlace(in, 0, res); err != nil {
+				t.Fatal(err)
+			}
+			for k, f := range ids {
+				if res[k].Dropped || res[k].EgressPort != uint8(1+f%4) {
+					t.Fatalf("flow %d: dropped %v, port %d; its flow selects port %d", f, res[k].Dropped, res[k].EgressPort, 1+f%4)
+				}
+			}
+		}
+		return pipe.FlowCacheStats()
+	}
+	aloneHits, aloneMisses := run(false)
+	hits, misses := run(true)
+	if hits != aloneHits || aloneHits == 0 {
+		t.Errorf("flow-cache hits/misses: %d/%d with a neighbour command per batch, %d/%d without", hits, misses, aloneHits, aloneMisses)
+	}
+}
+
 // BenchmarkInsertFlows is the in-process form of the flows256k_*
 // workloads' set-up: each op is a fresh device with Load Balancing
 // loaded and then 2^18 flows installed; only the installs are timed.
@@ -516,7 +593,11 @@ func BenchmarkInsertFlows(b *testing.B) {
 // (cache=on, as engine workers run) and without one (cache=off). Every
 // flow has its own separately allocated 64 B frame, so a batch's frames
 // are cold the way received frames are, and the working set (frames,
-// cuckoo buckets) is far beyond the flow cache.
+// cuckoo buckets) is far beyond the flow cache. The neighbour=1 arm runs
+// with the cache on and sends one flow insert of a second Load Balancing
+// tenant before every batch, the way a neighbour's flow install
+// interleaves with traffic on a shard. Arms with a cache also report its
+// hit rate.
 func BenchmarkProcessBatchFlows(b *testing.B) {
 	const flows, batch = 1 << 18, 32
 	fx := newLBFixture(b)
@@ -530,6 +611,7 @@ func BenchmarkProcessBatchFlows(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	neighbour := fx.neighbourInsert(b)
 	pipe := fx.dev.Pipeline()
 
 	rng := rand.New(rand.NewSource(1))
@@ -544,18 +626,25 @@ func BenchmarkProcessBatchFlows(b *testing.B) {
 		for i := range seq {
 			seq[i] = draws[name]()
 		}
-		for _, cache := range []string{"on", "off"} {
+		for _, arm := range []string{"cache=on", "cache=off", "cache=on/neighbour=1"} {
 			var fc *stage.FlowCache
-			if cache == "on" {
+			if arm != "cache=off" {
 				fc = stage.NewFlowCache(0)
 			}
 			pipe.SetFlowCache(fc)
-			b.Run(name+"/cache="+cache, func(b *testing.B) {
+			churn := arm == "cache=on/neighbour=1"
+			b.Run(name+"/"+arm, func(b *testing.B) {
 				in := make([][]byte, batch)
 				res := make([]core.BatchResult, batch)
 				wrong, pos := 0, 0
+				hits0, misses0 := pipe.FlowCacheStats()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
+					if churn {
+						if err := neighbour(); err != nil {
+							b.Fatal(err)
+						}
+					}
 					if pos+batch > len(seq) {
 						pos = 0
 					}
@@ -578,6 +667,10 @@ func BenchmarkProcessBatchFlows(b *testing.B) {
 					b.Fatalf("%d frames dropped or steered to the wrong port", wrong)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/frame")
+				if fc != nil {
+					hits, misses := pipe.FlowCacheStats()
+					b.ReportMetric(float64(hits-hits0)/float64(hits-hits0+misses-misses0), "hit-rate")
+				}
 			})
 		}
 	}

@@ -111,7 +111,7 @@ func parseFlags(args []string) (serveConfig, error) {
 	fs.Float64Var(&c.ratePPS, "rate-pps", 0, "per-tenant packet rate limit (0 = unlimited)")
 	fs.BoolVar(&c.drop, "drop", false, "tail-drop at full rings instead of blocking the generator")
 	fs.IntVar(&c.liveReconfig, "live-reconfig", 0,
-		"live unload+reload the last tenant this many times mid-run, while other tenants keep flowing")
+		"live reload the last tenant in place this many times mid-run, while every tenant keeps flowing")
 	fs.IntVar(&c.egressQuantum, "egress-quantum", 8, "frames delivered per worker service cycle (the modeled TX link)")
 	fs.IntVar(&c.egressQuantumBytes, "egress-quantum-bytes", 0,
 		"bytes delivered per worker service cycle (0 = frame-denominated only); models the TX link in bytes so mixed frame sizes share fairly by bytes")
@@ -311,11 +311,10 @@ func runEngine(ctx context.Context, cfg serveConfig, out io.Writer) error {
 	defer detach()
 
 	// The mid-run reconfiguration scenario: at -live-reconfig evenly
-	// spaced points in the stream, unload the last tenant from the
-	// running shards and replay its full command stream back in through
-	// the verified path, while every other tenant's traffic keeps
-	// flowing. The tenant's own frames submitted during the gap drop as
-	// "no module loaded" — reported per tenant below.
+	// spaced points in the stream, reload the last tenant in place
+	// through the verified path — each shard replaces the loaded program
+	// between two of its batches — while every tenant's traffic keeps
+	// flowing, the reloaded tenant's own included.
 	reconfigEvery := max(cfg.packets/(cfg.liveReconfig+1), 1) // more reloads than packets: one per frame
 	reconfigID := loads[len(loads)-1].ModuleID
 	reconfigs := 0
@@ -329,9 +328,6 @@ func runEngine(ctx context.Context, cfg serveConfig, out io.Writer) error {
 	start := time.Now()
 	if _, err := drive(ctx, cfg, sc, eng.SubmitBatch, func(_, sent int) error {
 		for reconfigs < cfg.liveReconfig && sent >= (reconfigs+1)*reconfigEvery {
-			if _, err := eng.UnloadModule(reconfigID); err != nil {
-				return fmt.Errorf("live unload tenant %d: %w", reconfigID, err)
-			}
 			// Bounded, and not cut short by Ctrl-C: a wedged shard turns
 			// into a reported failure, not a hung process or a torn load.
 			rctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 30*time.Second)

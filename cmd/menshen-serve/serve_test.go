@@ -215,30 +215,53 @@ func TestRunLingerEndsOnCancel(t *testing.T) {
 	}
 }
 
-// TestRunLiveReconfig: -live-reconfig reloads the last tenant through
-// the verified path mid-run, and the report shows every reload applied
-// with no failed command and one configuration on every shard.
+// TestRunLiveReconfig: -live-reconfig reloads the last tenant in place
+// through the verified path mid-run, and the report shows every reload
+// applied with no failed command, one configuration on every shard, and
+// the reloaded tenant (the stateless CALC) dropping in the pipeline
+// exactly the frames it drops in the same seeded run with no reload: a
+// replace opens no gap in which its frames find no module.
 func TestRunLiveReconfig(t *testing.T) {
-	cfg, err := parseFlags([]string{"-modules", "CALC,NetCache", "-packets", "20000", "-live-reconfig", "3"})
-	if err != nil {
-		t.Fatal(err)
+	workers := 0
+	report := func(reloads string) string {
+		cfg, err := parseFlags([]string{"-modules", "NetCache,CALC", "-packets", "20000", "-live-reconfig", reloads})
+		if err != nil {
+			t.Fatal(err)
+		}
+		workers = cfg.workers
+		var out strings.Builder
+		if err := run(context.Background(), cfg, &out); err != nil {
+			t.Fatalf("run: %v\n%s", err, out.String())
+		}
+		return out.String()
 	}
-	var out strings.Builder
-	if err := run(context.Background(), cfg, &out); err != nil {
-		t.Fatalf("run: %v\n%s", err, out.String())
+	// pipelineDrops reads tenant 2's pipeline_drop fate from a report.
+	pipelineDrops := func(report string) string {
+		for _, line := range strings.Split(report, "\n") {
+			if strings.HasPrefix(line, "tenant  2: submitted") {
+				if _, rest, ok := strings.Cut(line, " pipeline_drop "); ok {
+					return strings.Fields(rest)[0]
+				}
+			}
+		}
+		t.Fatalf("no pipeline_drop fate for tenant 2:\n%s", report)
+		return ""
 	}
-	report := out.String()
-	if !strings.Contains(report, "tenant 2 reloaded 3 times mid-run:") || !strings.Contains(report, " 0 failed\n") {
-		t.Errorf("report does not show 3 reloads of tenant 2 with 0 failed:\n%s", report)
+	reloaded := report("3")
+	if !strings.Contains(reloaded, "tenant 2 reloaded 3 times mid-run:") || !strings.Contains(reloaded, " 0 failed\n") {
+		t.Errorf("report does not show 3 reloads of tenant 2 with 0 failed:\n%s", reloaded)
 	}
 	var sums []string
-	for _, line := range strings.Split(report, "\n") {
+	for _, line := range strings.Split(reloaded, "\n") {
 		if _, sum, ok := strings.Cut(line, "config checksum "); ok && strings.HasPrefix(line, "worker ") {
 			sums = append(sums, sum)
 		}
 	}
-	if len(sums) != cfg.workers || len(slices.Compact(slices.Clone(sums))) != 1 {
-		t.Errorf("shard checksums %q, want one value on all %d workers:\n%s", sums, cfg.workers, report)
+	if len(sums) != workers || len(slices.Compact(slices.Clone(sums))) != 1 {
+		t.Errorf("shard checksums %q, want one value on all %d workers:\n%s", sums, workers, reloaded)
+	}
+	if got, want := pipelineDrops(reloaded), pipelineDrops(report("0")); got != want {
+		t.Errorf("reloaded tenant 2 dropped %s frames in the pipeline, %s without reloads:\n%s", got, want, reloaded)
 	}
 }
 

@@ -193,7 +193,7 @@ func (p *Pipeline) Partition(m *ModuleConfig, pl Placement) error {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.cfgGen++
+	p.stamp(m.ModuleID)
 	for s, sc := range m.Stages {
 		if !sc.Used || sc.PartitionSize() == 0 {
 			continue

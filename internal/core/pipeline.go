@@ -125,10 +125,12 @@ type Pipeline struct {
 	stats []ModuleStats
 
 	// batchViews caches per-module stage configuration for the frame
-	// path (guarded by mu). Entries are revalidated against cfgGen, which
-	// every configuration write path bumps (Apply, Partition,
-	// UnloadModule, SetFlowCache), so reconfiguration is always observed
-	// and an unchanged configuration pays no per-batch re-resolution.
+	// path (guarded by mu). Each module's views revalidate against that
+	// module's own stamp, which a write sets only on the modules whose
+	// views hold a copy of what it wrote (see stamp), so a module's
+	// reconfiguration is always observed and a neighbour's costs it no
+	// re-resolution. cfgGen is the write counter every stamp is drawn
+	// from, so no stamp is ever reused.
 	batchViews []moduleViews
 	cfgGen     uint64
 	// flowCache, when set, is attached to every hash-mode stage view so
@@ -180,7 +182,9 @@ func (p *Pipeline) SetFlowCache(fc *stage.FlowCache) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.flowCache = fc
-	p.cfgGen++
+	for id := range p.batchViews {
+		p.stamp(uint16(id))
+	}
 }
 
 // FlowCacheStats returns the flow cache's cumulative hit/miss counters
@@ -196,10 +200,11 @@ func (p *Pipeline) FlowCacheStats() (hits, misses uint64) {
 
 // moduleViews is one module's cached configuration across all stages,
 // plus its parser/deparser entries (nil when not installed; the overlay
-// slots, which no write touches while the views' generation is current)
-// and their compiled programs.
+// slots, which no write touches while the views are current) and their
+// compiled programs. The views are current while gen equals stamp.
 type moduleViews struct {
-	gen     uint64 // cfgGen the views were resolved at (0 = never)
+	gen     uint64 // the stamp the views were resolved at (0 = never)
+	stamp   uint64 // cfgGen at the module's last write that its views copy
 	views   []stage.View
 	parse   *parser.Entry
 	deparse *parser.Entry
@@ -240,6 +245,7 @@ func New(geo Geometry, opts Options) *Pipeline {
 	p.batchViews = make([]moduleViews, geo.MaxModules)
 	for i := range p.batchViews {
 		p.batchViews[i].views = make([]stage.View, geo.Stages)
+		p.batchViews[i].stamp = 1
 	}
 	p.cfgGen = 1
 	p.Chain = reconfig.NewDaisyChain(p)
@@ -453,7 +459,6 @@ func (p *Pipeline) processBatch(frames [][]byte, ingressPort uint8, ports []uint
 // and per-stage stateful memory is only touched in step 3, in frame
 // order, so the split is invisible to module semantics.
 func (p *Pipeline) runBatch(frames [][]byte, ingressPort uint8, ports []uint8, res []BatchResult, inPlace bool) {
-	gen := p.cfgGen
 	bf := p.scratch(len(frames))
 	// Step 0: load every frame's header window, which classify and parse
 	// read next.
@@ -466,7 +471,7 @@ func (p *Pipeline) runBatch(frames [][]byte, ingressPort uint8, ports []uint8, r
 			port = ports[i]
 		}
 		f := &bf[i]
-		p.prepBatchFrame(data, port, gen, f, &res[i])
+		p.prepBatchFrame(data, port, f, &res[i])
 		hashed = hashed || !f.done && f.mv.hashed
 	}
 	// Step 2: gather the flow-cache slot and cuckoo bucket lines each
@@ -507,10 +512,11 @@ func touchHeaders(frames [][]byte) byte {
 	return x
 }
 
-// ConfigGen returns the pipeline's configuration generation: a counter
-// that every configuration write path (Apply, Partition, UnloadModule,
-// SetFlowCache) bumps. A shard replica whose generation is unchanged is
-// guaranteed to serve batches from the same cached views.
+// ConfigGen returns the pipeline's configuration generation: the write
+// counter that every module stamp is drawn from, so it equals the latest
+// stamp. It advances on every write that some module's views copy (see
+// stamp); a shard replica whose generation is unchanged is guaranteed to
+// serve batches from the same cached views.
 func (p *Pipeline) ConfigGen() uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -626,7 +632,7 @@ func (p *Pipeline) ModuleChecksum(moduleID uint16) uint64 {
 // parse into f.v. Terminal verdicts (filtered, unknown module, parse
 // error) are recorded in r and marked done so steps 2 and 3 skip the
 // frame.
-func (p *Pipeline) prepBatchFrame(data []byte, ingressPort uint8, gen uint64, f *batchFrame, r *BatchResult) {
+func (p *Pipeline) prepBatchFrame(data []byte, ingressPort uint8, f *batchFrame, r *BatchResult) {
 	r.Data = nil
 	r.EgressPort = 0
 	r.Dropped = false
@@ -655,12 +661,12 @@ func (p *Pipeline) prepBatchFrame(data []byte, ingressPort uint8, gen uint64, f 
 	}
 
 	mv := &p.batchViews[cls.ModuleID]
-	if mv.gen != gen {
+	if mv.gen != mv.stamp {
 		mv.hashed = false
 		for i, st := range p.Stages {
 			mv.views[i] = st.ViewFor(int(cls.ModuleID))
 			if p.flowCache != nil {
-				mv.views[i].AttachFlowCache(p.flowCache, gen, uint8(i))
+				mv.views[i].AttachFlowCache(p.flowCache, mv.stamp, uint8(i))
 			}
 			mv.hashed = mv.hashed || mv.views[i].HashMode()
 		}
@@ -672,7 +678,7 @@ func (p *Pipeline) prepBatchFrame(data []byte, ingressPort uint8, gen uint64, f 
 		if mv.deparse != nil {
 			mv.deparseProg = mv.deparse.Compile()
 		}
-		mv.gen = gen
+		mv.gen = mv.stamp
 	}
 
 	if mv.parse == nil {
@@ -845,15 +851,28 @@ func DecodeKeyExtract(b []byte) (stage.KeyExtractEntry, error) {
 	return stage.DecodeKeyExtractEntry(v), nil
 }
 
+// stamp records a write that module id's views copy: it draws the next
+// value of the write counter as the module's stamp, so the module's views
+// re-resolve on its next frame and its flow-cache slots, tagged with the
+// old stamp, are never hit again. No other module's views or slots are
+// touched. An ID outside the geometry has no views and is not stamped.
+// Callers hold mu.
+func (p *Pipeline) stamp(id uint16) {
+	if int(id) < len(p.batchViews) {
+		p.cfgGen++
+		p.batchViews[id].stamp = p.cfgGen
+	}
+}
+
 // Apply implements reconfig.Sink: it routes one decoded configuration
 // command to the targeted table, exactly as the daisy chain delivers a
 // command to the element it addresses. Updating an entry touches only
-// that entry — the no-disruption property. It holds the batch lock, so
-// the write lands between batches.
+// that entry — the no-disruption property — and stamps only the modules
+// whose views copy it. It holds the batch lock, so the write lands
+// between batches.
 func (p *Pipeline) Apply(cmd reconfig.Command) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.cfgGen++
 	kind := cmd.Resource.Kind()
 	if !kind.Stageless() {
 		if s := cmd.Resource.Stage(); s >= len(p.Stages) {
@@ -867,12 +886,14 @@ func (p *Pipeline) Apply(cmd reconfig.Command) error {
 		if err != nil {
 			return err
 		}
+		p.stamp(uint16(idx))
 		return p.Parser.Set(idx, e)
 	case reconfig.KindDeparser:
 		e, err := parser.DecodeEntry(cmd.Payload)
 		if err != nil {
 			return err
 		}
+		p.stamp(uint16(idx))
 		return p.Deparser.Set(idx, e)
 	case reconfig.KindKeyExtract:
 		e, err := DecodeKeyExtract(cmd.Payload)
@@ -882,6 +903,7 @@ func (p *Pipeline) Apply(cmd reconfig.Command) error {
 		if err := e.Validate(); err != nil {
 			return err
 		}
+		p.stamp(uint16(idx))
 		return p.Stages[cmd.Resource.Stage()].Extract.Set(idx, e)
 	case reconfig.KindKeyMask:
 		if len(cmd.Payload) < tables.KeyBytes {
@@ -889,20 +911,35 @@ func (p *Pipeline) Apply(cmd reconfig.Command) error {
 		}
 		var mask tables.Key
 		copy(mask[:], cmd.Payload)
+		p.stamp(uint16(idx))
 		return p.Stages[cmd.Resource.Stage()].Mask.Set(idx, mask)
 	case reconfig.KindCAM:
 		e, err := DecodeCAMEntry(cmd.Payload)
 		if err != nil {
 			return err
 		}
-		return p.Stages[cmd.Resource.Stage()].Match.Write(idx, e)
+		// Both owners' views hold the address: the one whose entry is
+		// replaced (a deleted rule is an empty entry written over it)
+		// and the one whose entry is written.
+		cam := p.Stages[cmd.Resource.Stage()].Match
+		if old, err := cam.Entry(idx); err == nil && old.Valid {
+			p.stamp(old.ModID)
+		}
+		if e.Valid {
+			p.stamp(e.ModID & tables.MaxModuleID)
+		}
+		return cam.Write(idx, e)
 	case reconfig.KindVLIW:
+		// Stamps nothing: ProcessView reads actions in place and the flow
+		// cache holds action addresses, not actions.
 		a, err := alu.DecodeAction(cmd.Payload)
 		if err != nil {
 			return err
 		}
 		return p.Stages[cmd.Resource.Stage()].Actions.Set(idx, a)
 	case reconfig.KindSegment:
+		// Stamps nothing: actions translate through the segment table in
+		// place, and no view copies it.
 		if len(cmd.Payload) < segmentBytes {
 			return fmt.Errorf("%w: segment needs %d bytes", ErrBadCommand, segmentBytes)
 		}
@@ -925,6 +962,7 @@ func (p *Pipeline) Apply(cmd reconfig.Command) error {
 				}
 			}
 		}
+		p.stamp(e.ModID & tables.MaxModuleID)
 		return st.WriteFlow(e.Valid, e.ModID, e.Key, int(e.Addr))
 	}
 	return fmt.Errorf("%w: unknown resource kind %d", ErrBadCommand, kind)
@@ -941,8 +979,9 @@ func (p *Pipeline) HoldsModule(moduleID uint16) bool {
 }
 
 // UnloadModule clears every resource owned by a module across the whole
-// pipeline (admission-control bookkeeping for re-use of the slot), under
-// the batch lock and with the module's §3.1 update bit set.
+// pipeline, and its traffic counters (admission-control bookkeeping for
+// re-use of the slot: a successor reads none of its state), under the
+// batch lock and with the module's §3.1 update bit set.
 func (p *Pipeline) UnloadModule(moduleID uint16) error {
 	if err := p.checkModule(moduleID); err != nil {
 		return err
@@ -952,7 +991,8 @@ func (p *Pipeline) UnloadModule(moduleID uint16) error {
 	defer p.Filter.SetUpdating(moduleID, false)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.cfgGen++
+	p.stamp(moduleID)
+	p.stats[moduleID] = ModuleStats{}
 	if err := p.Parser.Table().Clear(idx); err != nil {
 		return err
 	}

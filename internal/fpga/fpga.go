@@ -11,27 +11,10 @@
 package fpga
 
 import (
-	"fmt"
-
 	"repro/internal/alu"
 	"repro/internal/parser"
 	"repro/internal/stage"
 	"repro/internal/tables"
-)
-
-// Device capacities (for utilization percentages).
-type Device struct {
-	Name  string
-	LUTs  int
-	BRAMs float64
-}
-
-// Boards used in the paper.
-var (
-	// SUME is the NetFPGA SUME's Virtex-7 690T.
-	SUME = Device{Name: "xc7vx690t (NetFPGA SUME)", LUTs: 433200, BRAMs: 1470}
-	// U250 is the Alveo U250.
-	U250 = Device{Name: "xcu250 (Alveo U250)", LUTs: 1728000, BRAMs: 2688}
 )
 
 // Usage is one design's resource consumption.
@@ -39,13 +22,6 @@ type Usage struct {
 	Design string
 	LUTs   int
 	BRAMs  float64
-}
-
-// Utilization formats usage as fractions of a device.
-func (u Usage) Utilization(d Device) string {
-	return fmt.Sprintf("%-28s %6d (%5.2f%%)   %6.1f (%5.2f%%)",
-		u.Design, u.LUTs, float64(u.LUTs)/float64(d.LUTs)*100,
-		u.BRAMs, u.BRAMs/d.BRAMs*100)
 }
 
 // Published Table 4 rows, for comparison against the model.

@@ -66,14 +66,6 @@ func TestPipelinesDwarfReferenceDesigns(t *testing.T) {
 	}
 }
 
-func TestUtilizationFormatting(t *testing.T) {
-	u := NetFPGAConfig(true).Estimate()
-	s := u.Utilization(SUME)
-	if s == "" {
-		t.Error("empty utilization row")
-	}
-}
-
 func TestPublishedTableIntegrity(t *testing.T) {
 	if len(Published) != 6 {
 		t.Fatalf("published rows = %d", len(Published))

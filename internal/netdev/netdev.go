@@ -145,18 +145,6 @@ func (p Platform) LatencyNs(frameBytes int) float64 {
 	return float64(p.LatencyCycles(frameBytes)) * 1000 / p.ClockMHz
 }
 
-// RMTLatencyCycles is the baseline-RMT traversal latency: the same
-// pipeline without per-module overlay reads (the "support only one
-// module" design of §5).
-func (p Platform) RMTLatencyCycles(frameBytes int) int {
-	if p.Opts.MaskRAMLatency {
-		// Latency masking already hides the overlay reads; RMT saves at
-		// most the packet filter.
-		return p.LatencyCycles(frameBytes) - 1
-	}
-	return p.LatencyCycles(frameBytes) - p.menshenElements
-}
-
 // BottleneckCycles returns the per-packet occupancy of the slowest
 // pipeline element, which sets the packet rate.
 func (p Platform) BottleneckCycles(frameBytes int) float64 {

@@ -120,16 +120,6 @@ func TestFullRateLatencyShape(t *testing.T) {
 	}
 }
 
-func TestRMTLatencyLeqMenshen(t *testing.T) {
-	for _, p := range Platforms() {
-		for _, size := range []int{64, 256, 1500} {
-			if p.RMTLatencyCycles(size) > p.LatencyCycles(size) {
-				t.Errorf("%s: RMT slower than Menshen at %dB", p.Name, size)
-			}
-		}
-	}
-}
-
 func TestWords(t *testing.T) {
 	nf := NetFPGA() // 32-byte words
 	if nf.Words(64) != 2 || nf.Words(65) != 3 || nf.Words(1500) != 47 {

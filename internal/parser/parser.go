@@ -327,18 +327,6 @@ func (d *Deparser) Set(idx int, e Entry) error {
 	return d.table.Set(idx, e)
 }
 
-// Deparse runs the module's deparse entry over one frame: EntryRef,
-// Compile and Program.Deparse in one call (see Parser.Parse).
-func (d *Deparser) Deparse(data []byte, modIdx int, v *phv.PHV) error {
-	entry, ok := d.table.Ref(modIdx)
-	if !ok {
-		return fmt.Errorf("%w: deparser index %d", ErrNoConfig, modIdx)
-	}
-	prog := entry.Compile()
-	prog.Deparse(data, v)
-	return nil
-}
-
 // EntryRef returns the module's installed deparse entry (the overlay's
 // own slot, so read-only), for callers that resolve and Compile it once.
 func (d *Deparser) EntryRef(modIdx int) (*Entry, bool) { return d.table.Ref(modIdx) }

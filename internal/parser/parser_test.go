@@ -186,6 +186,18 @@ func TestParseNoConfig(t *testing.T) {
 	}
 }
 
+// deparse runs the module's deparse entry over frame the way the
+// pipeline does: its entry, compiled once, then Program.Deparse.
+func deparse(t *testing.T, d *Deparser, modIdx int, frame []byte, v *phv.PHV) {
+	t.Helper()
+	e, ok := d.EntryRef(modIdx)
+	if !ok {
+		t.Fatalf("no deparse entry at %d", modIdx)
+	}
+	prog := e.Compile()
+	prog.Deparse(frame, v)
+}
+
 func TestDeparseWritesBack(t *testing.T) {
 	d := NewDeparser(4)
 	var e Entry
@@ -196,9 +208,7 @@ func TestDeparseWritesBack(t *testing.T) {
 	frame := packet.NewUDP(1, packet.IPv4Addr{}, packet.IPv4Addr{}, 1, 2, make([]byte, 8)).MustBuild()
 	var v phv.PHV
 	v.MustSet(phv.Ref{Type: phv.Type4B, Index: 0}, 0xcafebabe)
-	if err := d.Deparse(frame, 1, &v); err != nil {
-		t.Fatal(err)
-	}
+	deparse(t, d, 1, frame, &v)
 	want := []byte{0xca, 0xfe, 0xba, 0xbe}
 	if !bytes.Equal(frame[46:50], want) {
 		t.Errorf("deparse wrote %x, want %x", frame[46:50], want)
@@ -216,9 +226,7 @@ func TestDeparseTruncatesAtPacketEnd(t *testing.T) {
 	// frame length 48: only 2 of 6 bytes fit.
 	var v phv.PHV
 	v.MustSet(phv.Ref{Type: phv.Type6B, Index: 0}, 0x112233445566)
-	if err := d.Deparse(frame, 0, &v); err != nil {
-		t.Fatal(err)
-	}
+	deparse(t, d, 0, frame, &v)
 	if frame[46] != 0x11 || frame[47] != 0x22 {
 		t.Errorf("partial write wrong: %x", frame[46:48])
 	}
@@ -244,9 +252,7 @@ func TestParserDeparserRoundTrip(t *testing.T) {
 	if err := p.Parse(frame, 0, &v); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Deparse(frame, 0, &v); err != nil {
-		t.Fatal(err)
-	}
+	deparse(t, d, 0, frame, &v)
 	if !bytes.Equal(frame, orig) {
 		t.Error("unmodified parse/deparse round trip changed the packet")
 	}

@@ -18,9 +18,9 @@ const flowCacheDefaultEntries = 1 << 16
 // the remaining ~49 tag bits to alias — odds far below any hardware
 // fault rate — and the slot index is the tag's low bits, so a probe
 // computes one hash total. addr -1 caches a miss (misses are as
-// expensive to recompute as hits); gen is the configuration generation
-// truncated to 32 bits (a false generation match would need exactly
-// 2^32 intervening reconfigurations while a slot sat untouched).
+// expensive to recompute as hits); gen is the module's stamp the
+// resolution was made under, truncated to 32 bits (a false match would
+// need exactly 2^32 intervening stamps while a slot sat untouched).
 type flowSlot struct {
 	tag  uint64
 	gen  uint32
@@ -30,10 +30,10 @@ type flowSlot struct {
 // FlowCache memoizes match resolutions for one pipeline replica. It is
 // deliberately not safe for concurrent use: each engine worker owns
 // one, accessed only from its goroutine, so probes take no locks and no
-// atomics. Invalidation is by configuration generation — a slot whose
-// generation differs from the probing view's is treated as empty and
-// overwritten, so a reconfiguration (which bumps the pipeline's
-// generation) implicitly flushes the cache without touching memory.
+// atomics. Invalidation is by module stamp — a slot whose stamp differs
+// from the probing view's is treated as empty and overwritten, so a
+// write to a module (which gives it a fresh stamp) implicitly flushes
+// that module's slots without touching memory, and no other module's.
 type FlowCache struct {
 	slots  []flowSlot
 	mask   uint64

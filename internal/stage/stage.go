@@ -273,15 +273,6 @@ type Config struct {
 	MemoryWords  int // stateful memory words
 }
 
-// DefaultConfig is the prototype geometry of Table 5.
-func DefaultConfig() Config {
-	return Config{
-		OverlayDepth: tables.OverlayDepth,
-		CAMDepth:     tables.CAMDepth,
-		MemoryWords:  tables.MemoryWords,
-	}
-}
-
 // New returns a stage with the given geometry.
 func New(cfg Config) *Stage {
 	return &Stage{
@@ -366,10 +357,13 @@ func (s *Stage) Process(p *phv.PHV) (Result, error) {
 // then skips the per-packet overlay lookups — the software analogue of
 // §3.2's latency masking, where the module ID travels ahead of the PHV
 // so configuration reads are off the per-packet critical path. A View
-// holds copies of the overlay entries but reads the action table and
-// flow table in place, so it is valid only until the next configuration
-// write: the pipeline resolves views under its batch lock, where no
-// write lands, and re-resolves them after every write.
+// holds copies of its module's overlay entries and CAM entries (and, in
+// scan mode, flow entries) but reads the action table, the segment table
+// and a hash-mode flow table in place, so it is valid only until the
+// next write to what it copies: the pipeline resolves views under its
+// batch lock, where no write lands, and re-resolves a module's views
+// after a write stamps that module. A neighbour's write, or a rewrite of
+// an action or a segment, leaves the view current.
 type View struct {
 	// Active is false when the module has no key-extractor entry here;
 	// the stage passes its PHVs through untouched.
@@ -396,8 +390,8 @@ type View struct {
 	hashMod  uint16
 	hashMask tables.KeyWords
 	// cache, when attached, memoizes the full match resolution (flow
-	// probe + CAM scan) keyed by the raw key words; entries from stale
-	// configuration generations are ignored. Hash mode only.
+	// probe + CAM scan) keyed by the raw key words; entries written under
+	// another of the module's stamps are ignored. Hash mode only.
 	cache      *FlowCache
 	cacheGen   uint64
 	cacheStage uint8
@@ -413,10 +407,12 @@ const FlowScanThreshold = tables.CAMDepth
 
 // AttachFlowCache points the view at a per-worker flow cache. It is a
 // no-op unless the view is in hash mode — the scan path is already a
-// few word compares, cheaper than a cache probe. gen is the pipeline
-// configuration generation the view was resolved under and stg the
-// stage index; both become part of the cache key so stale entries
-// self-invalidate.
+// few word compares, cheaper than a cache probe. gen is the module's
+// stamp the view was resolved under — the value of the pipeline's write
+// counter at the module's last write, which no other module and no
+// later write shares — and stg the stage index; both become part of the
+// cache key, so a slot written before the module's next write is never
+// read again, while a neighbour's write leaves it valid.
 func (v *View) AttachFlowCache(fc *FlowCache, gen uint64, stg uint8) {
 	if v.hash == nil || fc == nil {
 		return

@@ -187,7 +187,7 @@ func TestExtractKeyWordsMatchesExtractKey(t *testing.T) {
 
 func newStage(t *testing.T) *Stage {
 	t.Helper()
-	return New(DefaultConfig())
+	return New(Config{OverlayDepth: tables.OverlayDepth, CAMDepth: tables.CAMDepth, MemoryWords: tables.MemoryWords})
 }
 
 // installSimple wires module mod to match c2[0] == val and run action.

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/p4progs"
 	"repro/internal/trafficgen"
 )
@@ -103,6 +104,81 @@ func TestUnloadReleasesCAMSpan(t *testing.T) {
 		t.Errorf("module 3 checksum %#x after unload, %#x before its load", got, empty)
 	}
 	mustLoad(t, d, "CALC", 4)
+}
+
+// TestUnloadResetsModuleStats: an unload clears a module's traffic
+// counters with the rest of its state, so a program loaded into the
+// freed ID starts from zero on both of the device's counters.
+func TestUnloadResetsModuleStats(t *testing.T) {
+	d := NewDevice()
+	mustLoad(t, d, "CALC", 1)
+	for i := 0; i < 5; i++ {
+		if _, err := d.Send(trafficgen.CalcPacket(1, trafficgen.CalcAdd, 1, 2, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if pk, _, _ := d.Stats(1); pk != 5 {
+		t.Fatalf("CALC counted %d packets, want 5", pk)
+	}
+	if err := d.UnloadModule(1); err != nil {
+		t.Fatal(err)
+	}
+	mustLoad(t, d, "NetCache", 1)
+	pk, by, dr := d.Stats(1)
+	sys, err := d.SystemPacketCount(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pk != 0 || by != 0 || dr != 0 || sys != 0 {
+		t.Errorf("NetCache in CALC's freed ID: stats %d/%d/%d, system counter %d; want all 0", pk, by, dr, sys)
+	}
+}
+
+// TestEngineUnloadResetsShardStats: Engine.UnloadModule clears the
+// module's traffic counters on every shard, not only its tables.
+func TestEngineUnloadResetsShardStats(t *testing.T) {
+	d := NewDevice()
+	mustLoad(t, d, "CALC", 1)
+	eng, err := d.NewEngine(EngineConfig{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	frames := make([][]byte, 64)
+	for i := range frames {
+		frames[i] = trafficgen.CalcPacket(1, trafficgen.CalcAdd, uint32(i), 2, 0)
+	}
+	if _, err := eng.SubmitBatch(frames); err != nil {
+		t.Fatal(err)
+	}
+	eng.Drain()
+	var packets uint64
+	for w := 0; w < eng.Workers(); w++ {
+		pipe, err := eng.ShardPipeline(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		packets += pipe.StatsFor(1).Packets
+	}
+	if packets != uint64(len(frames)) {
+		t.Fatalf("shards counted %d packets, want %d", packets, len(frames))
+	}
+	gen, err := eng.UnloadModule(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.AwaitQuiesceCtx(context.Background(), gen); err != nil {
+		t.Fatal(err)
+	}
+	for w := 0; w < eng.Workers(); w++ {
+		pipe, err := eng.ShardPipeline(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := pipe.StatsFor(1); s != (core.ModuleStats{}) {
+			t.Errorf("shard %d: module 1's counters read %+v after its unload", w, s)
+		}
+	}
 }
 
 func TestSystemPacketCounter(t *testing.T) {
